@@ -63,6 +63,112 @@ impl std::fmt::Display for FromPartsError {
 
 impl std::error::Error for FromPartsError {}
 
+/// Builds a [`FlatHedge`] from preorder structure events — `open` a Σ
+/// node, add a `leaf`, `close` the innermost open node — owning the
+/// sibling/child link bookkeeping every construction route shares
+/// ([`FlatHedge::from_hedge`], [`FlatHedge::from_parts`], and the XML event
+/// parser through `hedgex-stream`).
+///
+/// Nodes get their ids in arrival order, which is preorder. Only open
+/// nodes can still gain children, so the builder keeps just the open
+/// ancestors (with each one's youngest child so far) on a heap stack:
+/// memory beyond the arena is O(depth), and no event recurses.
+#[derive(Debug)]
+pub struct FlatBuilder {
+    out: FlatHedge,
+    /// The rightmost path: `(node, its youngest child so far)` per open Σ
+    /// node, innermost last.
+    open: Vec<(NodeId, NodeId)>,
+    /// The youngest root so far.
+    last_root: NodeId,
+}
+
+impl Default for FlatBuilder {
+    fn default() -> Self {
+        FlatBuilder::with_capacity(0)
+    }
+}
+
+impl FlatBuilder {
+    /// An empty builder.
+    pub fn new() -> FlatBuilder {
+        FlatBuilder::default()
+    }
+
+    /// An empty builder with room for `nodes` nodes.
+    pub fn with_capacity(nodes: usize) -> FlatBuilder {
+        FlatBuilder {
+            out: FlatHedge {
+                nodes: Vec::with_capacity(nodes),
+                roots: Vec::new(),
+            },
+            open: Vec::new(),
+            last_root: NIL,
+        }
+    }
+
+    /// Open a Σ node as the youngest child of the innermost open node (or
+    /// as the youngest root). Its children follow until the matching
+    /// [`close`](Self::close).
+    pub fn open(&mut self, a: SymId) -> NodeId {
+        let id = self.push(FlatLabel::Sym(a));
+        self.open.push((id, NIL));
+        id
+    }
+
+    /// Add a childless node — typically a variable or substitution leaf; a
+    /// `Sym` label makes an empty Σ node, like `open` directly followed by
+    /// `close`.
+    pub fn leaf(&mut self, label: FlatLabel) -> NodeId {
+        self.push(label)
+    }
+
+    /// Close the innermost open node.
+    ///
+    /// # Panics
+    /// If no node is open.
+    pub fn close(&mut self) {
+        self.open.pop().expect("close without a matching open");
+    }
+
+    /// The innermost open node, if any: the parent the next node gets.
+    fn innermost_open(&self) -> Option<NodeId> {
+        self.open.last().map(|&(id, _)| id)
+    }
+
+    /// The finished hedge. Nodes still open are closed implicitly.
+    pub fn finish(self) -> FlatHedge {
+        self.out
+    }
+
+    fn push(&mut self, label: FlatLabel) -> NodeId {
+        let id = NodeId::try_from(self.out.nodes.len())
+            .ok()
+            .filter(|&id| id != NIL)
+            .expect("too many nodes for a u32 arena");
+        let (parent, prev) = match self.open.last_mut() {
+            Some((parent, youngest)) => (*parent, std::mem::replace(youngest, id)),
+            None => {
+                self.out.roots.push(id);
+                (NIL, std::mem::replace(&mut self.last_root, id))
+            }
+        };
+        if prev != NIL {
+            self.out.nodes[prev as usize].next_sibling = id;
+        } else if parent != NIL {
+            self.out.nodes[parent as usize].first_child = id;
+        }
+        self.out.nodes.push(FlatNode {
+            label,
+            parent,
+            first_child: NIL,
+            next_sibling: NIL,
+            prev_sibling: prev,
+        });
+        id
+    }
+}
+
 impl FlatHedge {
     /// Flatten a recursive hedge.
     ///
@@ -73,54 +179,27 @@ impl FlatHedge {
     /// means the stack pops them left to right, so node ids remain the
     /// preorder (document-order) indices everything downstream relies on.
     pub fn from_hedge(h: &Hedge) -> FlatHedge {
-        let size = h.size();
-        let mut out = FlatHedge {
-            nodes: Vec::with_capacity(size),
-            roots: Vec::with_capacity(h.len()),
-        };
-        // Youngest-so-far child of each already-allocated node (parents are
-        // always allocated before their children in preorder, so this can
-        // be a dense vector growing in lockstep with `nodes`).
-        let mut last_child: Vec<NodeId> = Vec::with_capacity(size);
-        let mut last_root = NIL;
-        let mut stack: Vec<(&Tree, NodeId)> = h.0.iter().rev().map(|t| (t, NIL)).collect();
-        while let Some((t, parent)) = stack.pop() {
-            let id = out.nodes.len() as NodeId;
-            let label = match t {
-                Tree::Node(a, _) => FlatLabel::Sym(*a),
-                Tree::Var(x) => FlatLabel::Var(*x),
-                Tree::Subst(z) => FlatLabel::Subst(*z),
-            };
-            let prev = if parent == NIL {
-                last_root
-            } else {
-                last_child[parent as usize]
-            };
-            out.nodes.push(FlatNode {
-                label,
-                parent,
-                first_child: NIL,
-                next_sibling: NIL,
-                prev_sibling: prev,
-            });
-            last_child.push(NIL);
-            if prev != NIL {
-                out.nodes[prev as usize].next_sibling = id;
-            }
-            if parent == NIL {
-                out.roots.push(id);
-                last_root = id;
-            } else {
-                if last_child[parent as usize] == NIL {
-                    out.nodes[parent as usize].first_child = id;
+        let mut b = FlatBuilder::with_capacity(h.size());
+        // `None` is the close event of the Σ node whose children were
+        // pushed just above it.
+        let mut stack: Vec<Option<&Tree>> = h.0.iter().rev().map(Some).collect();
+        while let Some(item) = stack.pop() {
+            match item {
+                Some(Tree::Node(a, children)) => {
+                    b.open(*a);
+                    stack.push(None);
+                    stack.extend(children.0.iter().rev().map(Some));
                 }
-                last_child[parent as usize] = id;
-            }
-            if let Tree::Node(_, children) = t {
-                stack.extend(children.0.iter().rev().map(|c| (c, id)));
+                Some(Tree::Var(x)) => {
+                    b.leaf(FlatLabel::Var(*x));
+                }
+                Some(Tree::Subst(z)) => {
+                    b.leaf(FlatLabel::Subst(*z));
+                }
+                None => b.close(),
             }
         }
-        out
+        b.finish()
     }
 
     /// Rebuild a flat hedge from its essential data: one `(label, parent)`
@@ -143,14 +222,7 @@ impl FlatHedge {
         records: impl IntoIterator<Item = (FlatLabel, NodeId)>,
     ) -> Result<FlatHedge, FromPartsError> {
         let records = records.into_iter();
-        let mut out = FlatHedge {
-            nodes: Vec::with_capacity(records.size_hint().0),
-            roots: Vec::new(),
-        };
-        // The rightmost path: every Σ node whose subtree is still open.
-        let mut open: Vec<NodeId> = Vec::new();
-        let mut last_child: Vec<NodeId> = Vec::new();
-        let mut last_root = NIL;
+        let mut b = FlatBuilder::with_capacity(records.size_hint().0);
         for (i, (label, parent)) in records.enumerate() {
             if i >= NIL as usize {
                 return Err(FromPartsError {
@@ -158,53 +230,24 @@ impl FlatHedge {
                     reason: "too many nodes for a u32 arena",
                 });
             }
-            let id = i as NodeId;
-            if parent == NIL {
-                open.clear();
-            } else {
-                // Close subtrees until the claimed parent is the innermost
-                // open ancestor; each node is pushed and popped at most
-                // once, so the whole rebuild stays linear.
-                while open.last().is_some_and(|&a| a != parent) {
-                    open.pop();
-                }
-                if open.last() != Some(&parent) {
-                    return Err(FromPartsError {
-                        index: i,
-                        reason: "parent is not an open Σ ancestor (records are not in preorder)",
-                    });
-                }
+            // Close subtrees until the claimed parent is the innermost open
+            // ancestor (a root closes them all); each node is opened and
+            // closed at most once, so the whole rebuild stays linear.
+            while b.innermost_open().is_some_and(|a| a != parent) {
+                b.close();
             }
-            let prev = if parent == NIL {
-                last_root
-            } else {
-                last_child[parent as usize]
+            if parent != NIL && b.innermost_open() != Some(parent) {
+                return Err(FromPartsError {
+                    index: i,
+                    reason: "parent is not an open Σ ancestor (records are not in preorder)",
+                });
+            }
+            match label {
+                FlatLabel::Sym(a) => b.open(a),
+                leaf => b.leaf(leaf),
             };
-            out.nodes.push(FlatNode {
-                label,
-                parent,
-                first_child: NIL,
-                next_sibling: NIL,
-                prev_sibling: prev,
-            });
-            last_child.push(NIL);
-            if prev != NIL {
-                out.nodes[prev as usize].next_sibling = id;
-            }
-            if parent == NIL {
-                out.roots.push(id);
-                last_root = id;
-            } else {
-                if last_child[parent as usize] == NIL {
-                    out.nodes[parent as usize].first_child = id;
-                }
-                last_child[parent as usize] = id;
-            }
-            if matches!(label, FlatLabel::Sym(_)) {
-                open.push(id);
-            }
         }
-        Ok(out)
+        Ok(b.finish())
     }
 
     /// Number of nodes.
@@ -533,6 +576,54 @@ mod tests {
         assert_eq!(FlatHedge::from_parts(bad).unwrap_err().index, 5);
         // The empty hedge is fine.
         assert_eq!(FlatHedge::from_parts([]).unwrap().num_nodes(), 0);
+    }
+
+    #[test]
+    fn builder_events_round_trip_from_hedge_and_from_parts() {
+        // b a⟨a⟨b x⟩ b⟩ spelled as builder events, with the empty b's once
+        // as open+close and once as Sym leaves: all four routes agree.
+        let (mut ab, f) = sample();
+        let (a, b, x) = (ab.sym("a"), ab.sym("b"), ab.var("x"));
+        for b_as_leaf in [false, true] {
+            let mut fb = FlatBuilder::new();
+            let empty_b = |fb: &mut FlatBuilder| {
+                if b_as_leaf {
+                    fb.leaf(FlatLabel::Sym(b))
+                } else {
+                    let id = fb.open(b);
+                    fb.close();
+                    id
+                }
+            };
+            assert_eq!(empty_b(&mut fb), 0);
+            assert_eq!(fb.open(a), 1);
+            assert_eq!(fb.open(a), 2);
+            assert_eq!(fb.innermost_open(), Some(2));
+            assert_eq!(empty_b(&mut fb), 3);
+            assert_eq!(fb.leaf(FlatLabel::Var(x)), 4);
+            fb.close();
+            assert_eq!(fb.innermost_open(), Some(1));
+            assert_eq!(empty_b(&mut fb), 5);
+            // The outer a is left open: finish closes it.
+            assert_eq!(fb.finish(), f, "b_as_leaf={b_as_leaf}");
+        }
+
+        // from_parts and from_hedge both go through the builder; each
+        // reproduces the other's output.
+        let records: Vec<(FlatLabel, NodeId)> = f
+            .preorder()
+            .map(|n| (f.label(n), f.parent(n).unwrap_or(NIL)))
+            .collect();
+        let from_parts = FlatHedge::from_parts(records).unwrap();
+        assert_eq!(FlatHedge::from_hedge(&from_parts.to_hedge()), f);
+        assert_eq!(from_parts, f);
+        assert_eq!(FlatBuilder::new().finish().num_nodes(), 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "close without a matching open")]
+    fn builder_rejects_unbalanced_close() {
+        FlatBuilder::new().close();
     }
 
     #[test]

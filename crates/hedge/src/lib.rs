@@ -31,7 +31,7 @@ pub mod pointed;
 pub mod symbols;
 pub mod text;
 
-pub use flat::{FlatHedge, NodeId};
+pub use flat::{FlatBuilder, FlatHedge, NodeId};
 pub use gen::{GenConfig, HedgeGen};
 pub use hedge::{Hedge, Tree};
 pub use pointed::{PointedBaseHedge, PointedHedge};

@@ -42,6 +42,7 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use hedgex::prelude::*;
+use hedgex::store::path::{path_table_len, MAX_PATH_TABLE_LEN};
 use hedgex::ExplainReport;
 
 struct Args {
@@ -708,16 +709,15 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
     }
 
     let mut ab = Alphabet::new();
-    let doc = parse_xml(&src).map_err(|e| e.to_string())?;
-    let hedge = to_hedge(
-        &doc,
+    let flat = parse_flat(
+        &src,
         &mut ab,
         HedgeConfig {
             keep_text: true,
             keep_attrs: args.keep_attrs,
         },
-    );
-    let flat = FlatHedge::from_hedge(&hedge);
+    )
+    .map_err(|e| e.to_string())?;
 
     let subhedge = match args.subhedge.as_deref() {
         Some(e1) => match hedgex::core::parse_hre(e1, &mut ab) {
@@ -1116,9 +1116,17 @@ fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
     let mut docs: Vec<(String, FlatHedge)> = Vec::with_capacity(files.len());
     for (name, path) in files {
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let doc = parse_xml(&src).map_err(|e| format!("{name}: {e}"))?;
-        let hedge = to_hedge(&doc, &mut ab, cfg);
-        docs.push((name, FlatHedge::from_hedge(&hedge)));
+        let flat = parse_flat(&src, &mut ab, cfg).map_err(|e| format!("{name}: {e}"))?;
+        // Every node stores its whole root path, so the table grows as
+        // nodes × depth; refuse what the store's u32 offsets cannot hold.
+        let table = path_table_len(&flat);
+        if table > MAX_PATH_TABLE_LEN {
+            return Err(format!(
+                "{name}: too deep to index: its sortable-path table would take {table} bytes \
+                 (limit {MAX_PATH_TABLE_LEN}); query the file directly instead"
+            ));
+        }
+        docs.push((name, flat));
     }
     let store = DocumentStore::build(ab, docs);
     store

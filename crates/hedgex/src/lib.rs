@@ -60,6 +60,8 @@ pub mod prelude {
     pub use hedgex_hedge::{parse_hedge, Alphabet, FlatHedge, Hedge, PointedHedge};
     pub use hedgex_par::ParallelEvaluator;
     pub use hedgex_store::{DocumentStore, StoreError, StoreQuery, StructIndex};
-    pub use hedgex_stream::{replay_flat, stream_xml, HedgeSink, PathStream, PhrStream};
+    pub use hedgex_stream::{
+        parse_flat, replay_flat, stream_xml, HedgeSink, PathStream, PhrStream,
+    };
     pub use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 }

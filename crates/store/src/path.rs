@@ -37,35 +37,39 @@ const DIGITS: &[u8; 32] = b"0123456789ABCDEFGHIJKLMNOPQRSTUV";
 /// Largest index encodable (`Z` escape: 8 digits = 40 bits).
 pub const MAX_COMPONENT: u64 = (1 << 40) - 1;
 
+/// Largest sortable-path table one stored document can have: the table's
+/// offsets are `u32`.
+pub const MAX_PATH_TABLE_LEN: u64 = u32::MAX as u64;
+
+/// Bytes in the encoding of one child index: the tiers of the table above.
+fn component_len(idx: u64) -> u64 {
+    match idx {
+        0..=31 => 1,
+        32..=1023 => 3,
+        1024..=0xF_FFFF => 5,
+        0x10_0000..=0x3FFF_FFFF => 7,
+        _ => 9,
+    }
+}
+
 /// Append the encoding of one child index to `out`.
 ///
 /// # Panics
 /// If `idx > MAX_COMPONENT` — unreachable for `u32`-arena hedges.
 pub fn encode_component(idx: u64, out: &mut Vec<u8>) {
-    let digits = |idx: u64, n: u32, out: &mut Vec<u8>| {
-        for d in (0..n).rev() {
-            out.push(DIGITS[((idx >> (5 * d)) & 31) as usize]);
-        }
-    };
-    match idx {
-        0..=31 => out.push(DIGITS[idx as usize]),
-        32..=1023 => {
-            out.push(b'W');
-            digits(idx, 2, out);
-        }
-        1024..=0xF_FFFF => {
-            out.push(b'X');
-            digits(idx, 4, out);
-        }
-        0x10_0000..=0x3FFF_FFFF => {
-            out.push(b'Y');
-            digits(idx, 6, out);
-        }
-        0x4000_0000..=MAX_COMPONENT => {
-            out.push(b'Z');
-            digits(idx, 8, out);
-        }
-        _ => panic!("child index {idx} exceeds the sortable-path component range"),
+    assert!(
+        idx <= MAX_COMPONENT,
+        "child index {idx} exceeds the sortable-path component range"
+    );
+    let ndigits = component_len(idx) - 1;
+    if ndigits == 0 {
+        out.push(DIGITS[idx as usize]);
+        return;
+    }
+    // 2, 4, 6 or 8 digits behind the escape W, X, Y or Z.
+    out.push(b"WXYZ"[(ndigits / 2 - 1) as usize]);
+    for d in (0..ndigits).rev() {
+        out.push(DIGITS[((idx >> (5 * d)) & 31) as usize]);
     }
 }
 
@@ -97,9 +101,34 @@ pub fn decode_component(bytes: &[u8]) -> Option<(u64, usize)> {
     Some((v, 1 + ndigits))
 }
 
+/// The byte length [`node_paths`] would produce for `h`, computed without
+/// building the table. Every node stores its whole root path, so the
+/// table grows as nodes × depth: a chain of `d` nested elements needs
+/// about `d²/2` bytes. Compare against [`MAX_PATH_TABLE_LEN`] before
+/// indexing untrusted documents.
+pub fn path_table_len(h: &FlatHedge) -> u64 {
+    let n = h.num_nodes();
+    let mut child_idx: Vec<u64> = vec![0; n];
+    let mut path_len: Vec<u64> = vec![0; n];
+    let mut total = 0u64;
+    for id in h.preorder() {
+        if let Some(next) = h.next_sibling(id) {
+            child_idx[next as usize] = child_idx[id as usize] + 1;
+        }
+        let parent_len = h.parent(id).map_or(0, |p| path_len[p as usize]);
+        path_len[id as usize] = parent_len + component_len(child_idx[id as usize]);
+        total += path_len[id as usize];
+    }
+    total
+}
+
 /// The sortable path of every node, flattened: `bytes[off[n]..off[n+1]]`
 /// is node `n`'s path. Built in one preorder sweep (each node copies its
 /// parent's path and appends one component).
+///
+/// # Panics
+/// If the table exceeds [`MAX_PATH_TABLE_LEN`] bytes; [`path_table_len`]
+/// tells in advance.
 pub fn node_paths(h: &FlatHedge) -> (Vec<u8>, Vec<u32>) {
     let n = h.num_nodes();
     let mut bytes: Vec<u8> = Vec::with_capacity(n * 2);
@@ -115,7 +144,7 @@ pub fn node_paths(h: &FlatHedge) -> (Vec<u8>, Vec<u32>) {
             bytes.extend_from_within(off[p as usize] as usize..off[p as usize + 1] as usize);
         }
         encode_component(child_idx[id as usize], &mut bytes);
-        off.push(bytes.len() as u32);
+        off.push(u32::try_from(bytes.len()).expect("sortable-path table exceeds u32 offsets"));
     }
     (bytes, off)
 }
@@ -184,6 +213,7 @@ mod tests {
             encode_component(idx, &mut out);
             assert_eq!(out, want.as_bytes(), "encoding of {idx}");
             assert_eq!(decode_component(&out), Some((idx, out.len())));
+            assert_eq!(component_len(idx), out.len() as u64, "length of {idx}");
         }
         assert_eq!(decode_component(b""), None);
         assert_eq!(decode_component(b"W1"), None, "truncated escape");
@@ -220,6 +250,7 @@ mod tests {
         let f = FlatHedge::from_hedge(&h);
         let (bytes, off) = node_paths(&f);
         assert_eq!(off.len(), f.num_nodes() + 1);
+        assert_eq!(path_table_len(&f), bytes.len() as u64);
         // Property 1: NodeId order is already sorted order.
         for i in 0..f.num_nodes() - 1 {
             let a = &bytes[off[i] as usize..off[i + 1] as usize];
@@ -248,6 +279,24 @@ mod tests {
             }
             assert_eq!(hi, expect_hi, "descendants of {id} end");
         }
+    }
+
+    #[test]
+    fn path_table_grows_quadratically_with_depth() {
+        // A chain of d nested nodes stores paths of length 1..=d: the table
+        // is d(d+1)/2 bytes, and 100 000 levels no longer fit u32 offsets.
+        let chain = |depth: u32| {
+            let mut b = hedgex_hedge::FlatBuilder::new();
+            for _ in 0..depth {
+                b.open(hedgex_hedge::SymId(0));
+            }
+            b.finish()
+        };
+        let small = chain(300);
+        assert_eq!(path_table_len(&small), 300 * 301 / 2);
+        assert_eq!(path_table_len(&small), node_paths(&small).0.len() as u64);
+        assert!(path_table_len(&chain(90_000)) <= MAX_PATH_TABLE_LEN);
+        assert!(path_table_len(&chain(100_000)) > MAX_PATH_TABLE_LEN);
     }
 
     #[test]

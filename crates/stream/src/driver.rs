@@ -6,6 +6,10 @@
 //! out identical to the materialized pipeline) → the evaluator. Nothing is
 //! materialized; an evaluator's early stop aborts the parse.
 //!
+//! [`parse_flat`] is the materialized entry point over the same events: a
+//! [`FlatBuilder`] as the sink builds the evaluators' arena in one pass,
+//! with no XML tree or recursive hedge in between.
+//!
 //! [`replay_flat`] feeds an already-materialized [`FlatHedge`] through the
 //! same trait — the bridge the differential suite uses to compare streamed
 //! and materialized evaluation on byte-identical inputs, and a way to run
@@ -13,7 +17,7 @@
 
 use hedgex_ha::Leaf;
 use hedgex_hedge::flat::FlatLabel;
-use hedgex_hedge::{Alphabet, FlatHedge, NodeId, VarId};
+use hedgex_hedge::{Alphabet, FlatBuilder, FlatHedge, NodeId, SymId, VarId};
 use hedgex_xml::{parse_xml_stream, Flow, HedgeConfig, StreamOutcome, StreamSink, XmlError};
 
 use crate::HedgeSink;
@@ -102,6 +106,43 @@ pub fn stream_xml<E: HedgeSink + ?Sized>(
     let _span = hedgex_obs::span("stream.xml");
     let mut driver = XmlDriver::new(ab, cfg, eval);
     parse_xml_stream(src, &mut driver)
+}
+
+/// Builds the arena directly from hedge events; never stops early.
+impl HedgeSink for FlatBuilder {
+    fn open(&mut self, a: SymId) -> bool {
+        FlatBuilder::open(self, a);
+        true
+    }
+
+    fn leaf(&mut self, l: Leaf) -> bool {
+        FlatBuilder::leaf(
+            self,
+            match l {
+                Leaf::Var(x) => FlatLabel::Var(x),
+                Leaf::Sub(z) => FlatLabel::Subst(z),
+            },
+        );
+        true
+    }
+
+    fn close(&mut self) -> bool {
+        FlatBuilder::close(self);
+        true
+    }
+}
+
+/// Parse `src` straight into a [`FlatHedge`]: the event parser drives a
+/// [`FlatBuilder`], so ingestion is one iterative pass whatever the
+/// document depth. Node ids, leaves and interning order equal
+/// `FlatHedge::from_hedge(&to_hedge(&parse_xml(src)?, ab, cfg))`, and
+/// malformed input fails with the same [`XmlError`].
+pub fn parse_flat(src: &str, ab: &mut Alphabet, cfg: HedgeConfig) -> Result<FlatHedge, XmlError> {
+    let mut builder = FlatBuilder::new();
+    match stream_xml(src, ab, cfg, &mut builder)? {
+        StreamOutcome::Finished => Ok(builder.finish()),
+        StreamOutcome::Stopped { .. } => unreachable!("a FlatBuilder never stops the parse"),
+    }
 }
 
 /// Replay a materialized hedge as a stream of events, preorder. Returns

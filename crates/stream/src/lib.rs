@@ -34,7 +34,7 @@ pub mod driver;
 pub mod path;
 pub mod phr;
 
-pub use driver::{replay_flat, stream_xml, XmlDriver};
+pub use driver::{parse_flat, replay_flat, stream_xml, XmlDriver};
 pub use path::PathStream;
 pub use phr::PhrStream;
 

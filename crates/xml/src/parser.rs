@@ -403,7 +403,16 @@ impl<'a> P<'a> {
                     text.push(self.entity()?);
                 }
                 Some(_) => {
-                    text.push(self.bump().expect("peeked"));
+                    // Copy character data one run at a time, up to the next
+                    // markup or entity byte. Both are ASCII, so the cut is
+                    // always a char boundary.
+                    let rest = self.rest();
+                    let run = rest
+                        .bytes()
+                        .position(|b| b == b'<' || b == b'&')
+                        .unwrap_or(rest.len());
+                    text.push_str(&rest[..run]);
+                    self.pos += run;
                 }
             }
         }

@@ -4,6 +4,8 @@
 //! binaries) the writer emits the document with located nodes carrying an
 //! `hx:match="1"` attribute.
 
+use std::fmt::Write;
+
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId};
 
@@ -14,59 +16,76 @@ use crate::TEXT_VAR;
 ///
 /// Text leaves (`#text` variables) are rendered as the placeholder `·`;
 /// other variables render as their name; substitution symbols as `%name`
-/// (both inside comments, since they have no XML equivalent).
+/// (both inside comments, since they have no XML equivalent). Each node
+/// gets a line of its own, indented two spaces per level.
+///
+/// The walk follows the arena's child, sibling and parent links instead
+/// of recursing, so documents of any depth serialize in constant
+/// call-stack space.
 pub fn write_xml(h: &FlatHedge, ab: &Alphabet, marks: Option<&[bool]>) -> String {
     let mut out = String::new();
-    for &r in h.roots() {
-        write_node(h, ab, marks, r, &mut out, 0);
+    let mut depth = 0;
+    let mut cur = h.roots().first().copied();
+    while let Some(n) = cur {
+        indent(&mut out, depth);
+        match h.label(n) {
+            FlatLabel::Var(x) => {
+                let name = ab.var_name(x);
+                if name == TEXT_VAR {
+                    out.push_str("·\n");
+                } else {
+                    writeln!(out, "<!-- ${name} -->").expect("writing to a String");
+                }
+            }
+            FlatLabel::Subst(z) => {
+                writeln!(out, "<!-- %{} -->", ab.sub_name(z)).expect("writing to a String");
+            }
+            FlatLabel::Sym(a) => {
+                let name = escape_name(ab.sym_name(a));
+                let attr = if is_marked(marks, n) {
+                    " hx:match=\"1\""
+                } else {
+                    ""
+                };
+                if let Some(child) = h.first_child(n) {
+                    writeln!(out, "<{name}{attr}>").expect("writing to a String");
+                    depth += 1;
+                    cur = Some(child);
+                    continue;
+                }
+                writeln!(out, "<{name}{attr}/>").expect("writing to a String");
+            }
+        }
+        // `n` is done: move on to its next sibling, closing every ancestor
+        // whose last child has just been written.
+        let mut done = n;
+        cur = loop {
+            if let Some(next) = h.next_sibling(done) {
+                break Some(next);
+            }
+            let Some(parent) = h.parent(done) else {
+                break None;
+            };
+            depth -= 1;
+            indent(&mut out, depth);
+            let FlatLabel::Sym(a) = h.label(parent) else {
+                unreachable!("only Σ nodes have children");
+            };
+            writeln!(out, "</{}>", escape_name(ab.sym_name(a))).expect("writing to a String");
+            done = parent;
+        };
     }
     out
 }
 
-fn is_marked(marks: Option<&[bool]>, n: NodeId) -> bool {
-    marks.is_some_and(|m| m[n as usize])
+fn indent(out: &mut String, depth: usize) {
+    for _ in 0..depth {
+        out.push_str("  ");
+    }
 }
 
-fn write_node(
-    h: &FlatHedge,
-    ab: &Alphabet,
-    marks: Option<&[bool]>,
-    n: NodeId,
-    out: &mut String,
-    depth: usize,
-) {
-    let pad = "  ".repeat(depth);
-    match h.label(n) {
-        FlatLabel::Var(x) => {
-            let name = ab.var_name(x);
-            if name == TEXT_VAR {
-                out.push_str(&format!("{pad}·\n"));
-            } else {
-                out.push_str(&format!("{pad}<!-- ${name} -->\n"));
-            }
-        }
-        FlatLabel::Subst(z) => {
-            out.push_str(&format!("{pad}<!-- %{} -->\n", ab.sub_name(z)));
-        }
-        FlatLabel::Sym(a) => {
-            let name = escape_name(ab.sym_name(a));
-            let attr = if is_marked(marks, n) {
-                " hx:match=\"1\""
-            } else {
-                ""
-            };
-            let children = h.children(n);
-            if children.is_empty() {
-                out.push_str(&format!("{pad}<{name}{attr}/>\n"));
-            } else {
-                out.push_str(&format!("{pad}<{name}{attr}>\n"));
-                for c in children {
-                    write_node(h, ab, marks, c, out, depth + 1);
-                }
-                out.push_str(&format!("{pad}</{name}>\n"));
-            }
-        }
-    }
+fn is_marked(marks: Option<&[bool]>, n: NodeId) -> bool {
+    marks.is_some_and(|m| m[n as usize])
 }
 
 fn escape_name(name: &str) -> String {
@@ -87,6 +106,7 @@ fn escape_name(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::{parse_xml, to_hedge, HedgeConfig};
+    use hedgex_hedge::Hedge;
 
     #[test]
     fn roundtrip_structure() {
@@ -112,6 +132,51 @@ mod tests {
         let marks = vec![false, true, false];
         let s = write_xml(&f, &ab, Some(&marks));
         assert_eq!(s.matches("hx:match").count(), 1);
+    }
+
+    #[test]
+    fn layout_is_one_indented_line_per_node() {
+        let mut ab = Alphabet::new();
+        let h = hedgex_hedge::parse_hedge("a<b<$#text $v %z> c> d<e<f>>", &mut ab).unwrap();
+        let f = FlatHedge::from_hedge(&h);
+        let marks = vec![false, true, false, false, false, false, true, false, false];
+        let want = "<a>\n  <b hx:match=\"1\">\n    ·\n    <!-- $v -->\n    <!-- %z -->\n  </b>\n  \
+                    <c/>\n</a>\n<d hx:match=\"1\">\n  <e>\n    <f/>\n  </e>\n</d>\n";
+        assert_eq!(write_xml(&f, &ab, Some(&marks)), want);
+        assert_eq!(
+            write_xml(&FlatHedge::from_hedge(&Hedge::default()), &ab, None),
+            ""
+        );
+    }
+
+    #[test]
+    fn deep_chains_write_in_constant_stack() {
+        // A thread with a 64 KiB stack: a writer recursing per level would
+        // overflow long before 2 000 levels.
+        const DEPTH: usize = 2_000;
+        let out = std::thread::Builder::new()
+            .stack_size(64 * 1024)
+            .spawn(|| {
+                let mut ab = Alphabet::new();
+                let a = ab.sym("a");
+                let mut b = hedgex_hedge::FlatBuilder::new();
+                for _ in 0..DEPTH {
+                    b.open(a);
+                }
+                write_xml(&b.finish(), &ab, None)
+            })
+            .unwrap()
+            .join()
+            .expect("no stack overflow");
+        let mut want = String::new();
+        for d in 0..DEPTH - 1 {
+            want.push_str(&format!("{}<a>\n", "  ".repeat(d)));
+        }
+        want.push_str(&format!("{}<a/>\n", "  ".repeat(DEPTH - 1)));
+        for d in (0..DEPTH - 1).rev() {
+            want.push_str(&format!("{}</a>\n", "  ".repeat(d)));
+        }
+        assert_eq!(out, want);
     }
 
     #[test]

@@ -69,6 +69,13 @@ if grep -rnE '(dbg!\(|todo!\(|unimplemented!\()' crates/*/src; then
   echo "forbidden macro found in crate sources"; exit 1
 fi
 
+echo "== hxq ingests in one pass =="
+# hxq builds its arena straight from parser events (parse_flat); the tree
+# parser and to_hedge stay the tests' reference route, never production.
+if grep -rnE '(parse_xml|to_hedge)\(' crates/hedgex/src/bin/; then
+  echo "hxq must ingest through parse_flat, not parse_xml/to_hedge"; exit 1
+fi
+
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench warm
 

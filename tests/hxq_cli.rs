@@ -1008,3 +1008,189 @@ fn check_usage_errors_exit_2() {
         assert!(err.contains(needle), "{err:?} should mention {needle:?}");
     }
 }
+
+/// An `<a>` chain `depth` levels deep.
+fn chain(depth: usize) -> String {
+    format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth))
+}
+
+#[test]
+fn deep_documents_answer_without_stream_and_index_refuses_them() {
+    // A million levels: the default route ingests through the event parser
+    // straight into the arena, and every evaluator it reaches is iterative.
+    let xml = scratch("chain-1m.xml");
+    std::fs::write(&xml, chain(1_000_000)).unwrap();
+    let xml_s = xml.to_str().unwrap();
+    for query in [&["--path", "a*"][..], &["--phr", "[ε ; a ; ε]*"][..]] {
+        let out = hxq(&[query, &["--count", xml_s]].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{query:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert_eq!(String::from_utf8_lossy(&out.stdout).trim(), "1000000");
+    }
+
+    // Its sortable-path table would need ~5·10¹¹ bytes: `index` refuses it
+    // with one line and exit 1, and writes nothing.
+    let corpus = scratch("chain-1m-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    std::fs::rename(&xml, corpus.join("chain.xml")).unwrap();
+    let store = scratch("chain-1m.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(1));
+    let err = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+    assert!(err.contains("chain.xml: too deep to index"), "{err}");
+    assert!(!store.exists());
+    std::fs::remove_dir_all(&corpus).ok();
+
+    // Ten thousand levels fit, and the store answers like the file does.
+    let corpus = scratch("chain-10k-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    std::fs::write(corpus.join("chain.xml"), chain(10_000)).unwrap();
+    let store = scratch("chain-10k.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let direct = hxq(&[
+        "--count",
+        "--path",
+        "a*",
+        corpus.join("chain.xml").to_str().unwrap(),
+    ]);
+    let stored = hxq(&[
+        "--store",
+        store.to_str().unwrap(),
+        "--count",
+        "--path",
+        "a*",
+    ]);
+    assert_eq!(direct.status.code(), Some(0));
+    assert_eq!(stored.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&direct.stdout).trim(), "10000");
+    assert_eq!(direct.stdout, stored.stdout);
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(&store).ok();
+}
+
+/// `--mark` prints one line per node indented by its depth, so its output
+/// grows with depth squared (a million levels would be terabytes). The
+/// depth check therefore shrinks the stack instead: under 128 KiB, a parser
+/// or writer recursing per level overflows long before 2 000 levels.
+#[cfg(unix)]
+#[test]
+fn mark_writes_deep_documents_in_a_small_stack() {
+    const DEPTH: usize = 2_000;
+    let xml = scratch("chain-mark.xml");
+    std::fs::write(&xml, chain(DEPTH)).unwrap();
+    let out = Command::new("sh")
+        .args([
+            "-c",
+            "ulimit -s 128 && exec \"$0\" \"$@\"",
+            env!("CARGO_BIN_EXE_hxq"),
+            "--mark",
+            "--path",
+            "a*",
+            xml.to_str().unwrap(),
+        ])
+        .output()
+        .expect("sh runs hxq");
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 2 * DEPTH - 1);
+    for (d, line) in lines.iter().enumerate().take(DEPTH - 1) {
+        assert_eq!(*line, format!("{}<a hx:match=\"1\">", "  ".repeat(d)));
+    }
+    assert_eq!(
+        lines[DEPTH - 1],
+        format!("{}<a hx:match=\"1\"/>", "  ".repeat(DEPTH - 1))
+    );
+    assert_eq!(lines[2 * DEPTH - 2], "</a>");
+    std::fs::remove_file(&xml).ok();
+}
+
+#[test]
+fn index_writes_the_store_the_tree_pipeline_builds() {
+    // Attributes, text, entities, CDATA, comments, PIs and several roots:
+    // everything the two ingestion routes must map identically.
+    let corpus = scratch("parity-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let files = [
+        (
+            "a.xml",
+            r#"<?xml version="1.0"?><r id="1"><a k='v' j="&amp;">hi &lt;b&gt;<b/></a><!-- c --></r>"#,
+        ),
+        (
+            "b.xml",
+            "<r><c/>  <a><![CDATA[<raw>]]><?pi x?><b x=\"y\"/></a></r><r/>",
+        ),
+        (
+            "c.xml",
+            "<doc>\n  <sec n=\"2\">t&#65;il<fig/></sec>\n</doc>\n",
+        ),
+    ];
+    for (name, xml) in files {
+        std::fs::write(corpus.join(name), xml).unwrap();
+    }
+    for keep_attrs in [false, true] {
+        let store = scratch(&format!("parity-{keep_attrs}.hxst"));
+        let mut args = vec![
+            "index",
+            corpus.to_str().unwrap(),
+            "--out",
+            store.to_str().unwrap(),
+        ];
+        if keep_attrs {
+            args.push("--attrs");
+        }
+        let out = hxq(&args);
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+
+        let cfg = HedgeConfig {
+            keep_text: true,
+            keep_attrs,
+        };
+        let mut ab = Alphabet::new();
+        let docs: Vec<(String, FlatHedge)> = files
+            .iter()
+            .map(|(name, xml)| {
+                let h = to_hedge(&parse_xml(xml).unwrap(), &mut ab, cfg);
+                (name.to_string(), FlatHedge::from_hedge(&h))
+            })
+            .collect();
+        let expected = DocumentStore::build(ab, docs).to_bytes();
+        assert!(
+            std::fs::read(&store).unwrap() == expected,
+            "store bytes differ (keep_attrs={keep_attrs})"
+        );
+        std::fs::remove_file(&store).ok();
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+}

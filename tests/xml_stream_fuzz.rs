@@ -10,7 +10,7 @@
 use hedgex::core::CompiledPhr;
 use hedgex::prelude::*;
 use hedgex::xml::{parse_xml_stream, Flow, StreamOutcome, StreamSink, XmlNode};
-use hedgex_testkit::{forall, prop_assert, prop_assert_eq, Config, Gen, Rng};
+use hedgex_testkit::{forall, prop_assert, prop_assert_eq, Config, Gen, Rng, TestResult};
 
 // ---------------------------------------------------------------------------
 // An event consumer that rebuilds the tree, iteratively
@@ -251,31 +251,34 @@ fn streaming_evaluator_never_panics_and_agrees_when_input_parses() {
 
 /// Hand-picked regressions: the truncations and malformations most likely
 /// to hit a scanner edge, pinned so a fuzz-shrunk failure stays fixed.
+const PINNED: [&str; 22] = [
+    "",
+    "<",
+    "<a",
+    "<a ",
+    "<a k",
+    "<a k=",
+    "<a k=\"v",
+    "<a><b>",
+    "<a></b>",
+    "<a/></a>",
+    "<a>&",
+    "<a>&#xZZ;</a>",
+    "<a>&nope;</a>",
+    "<a><!-- never closed</a>",
+    "<a><![CDATA[open</a>",
+    "]]>",
+    "top level text",
+    "<a/>trailing",
+    "<?xml version=\"1.0\"?><a/>",
+    "<a>x</a><a>y</a>",
+    "<a>naïve — 文字 &amp; ünïcode</a>",
+    "<a k=\"1\" j='2'><b x=\"&amp;\" y=\"z\"/>t</a>",
+];
+
 #[test]
 fn pinned_hostile_inputs_fail_identically() {
-    let cases = [
-        "",
-        "<",
-        "<a",
-        "<a ",
-        "<a k",
-        "<a k=",
-        "<a k=\"v",
-        "<a><b>",
-        "<a></b>",
-        "<a/></a>",
-        "<a>&",
-        "<a>&#xZZ;</a>",
-        "<a>&nope;</a>",
-        "<a><!-- never closed</a>",
-        "<a><![CDATA[open</a>",
-        "]]>",
-        "top level text",
-        "<a/>trailing",
-        "<?xml version=\"1.0\"?><a/>",
-        "<a>x</a><a>y</a>",
-    ];
-    for src in cases {
+    for src in PINNED {
         let tree = parse_xml(src);
         let mut sink = TreeSink::default();
         let streamed = parse_xml_stream(src, &mut sink);
@@ -286,5 +289,59 @@ fn pinned_hostile_inputs_fail_identically() {
             (Err(te), Err(se)) => assert_eq!(te, se, "errors differ on {src:?}"),
             _ => panic!("parsers disagree on {src:?}: tree={tree:?} stream={streamed:?}"),
         }
+    }
+}
+
+/// The production ingestion route (event parser → `FlatBuilder`) against
+/// the reference route (tree parser → `to_hedge` → `from_hedge`), under
+/// both attribute mappings: the same arena and alphabet on success, the
+/// same error on failure.
+fn parse_flat_matches_tree_pipeline(src: &str) -> TestResult {
+    for keep_attrs in [false, true] {
+        let cfg = HedgeConfig {
+            keep_text: true,
+            keep_attrs,
+        };
+        let mut ab = Alphabet::new();
+        let flat = parse_flat(src, &mut ab, cfg);
+        let mut ab_ref = Alphabet::new();
+        let reference =
+            parse_xml(src).map(|nodes| FlatHedge::from_hedge(&to_hedge(&nodes, &mut ab_ref, cfg)));
+        match (flat, reference) {
+            (Ok(f), Ok(r)) => {
+                prop_assert_eq!(&f, &r, "arenas differ on {:?} (attrs={})", src, keep_attrs);
+                prop_assert_eq!(&ab, &ab_ref, "alphabets differ on {:?}", src);
+            }
+            (Err(fe), Err(re)) => {
+                prop_assert_eq!(
+                    &fe,
+                    &re,
+                    "errors differ on {:?} (attrs={})",
+                    src,
+                    keep_attrs
+                )
+            }
+            (f, r) => prop_assert!(
+                false,
+                "routes disagree on {:?}: parse_flat={:?} tree pipeline={:?}",
+                src,
+                f.map(|h| h.num_nodes()),
+                r.map(|h| h.num_nodes())
+            ),
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn parse_flat_equals_the_tree_pipeline_on_hostile_input() {
+    forall(
+        "parse_flat_vs_tree_pipeline",
+        Config::with_cases(300),
+        &arb_input(),
+        |src| parse_flat_matches_tree_pipeline(src),
+    );
+    for src in PINNED {
+        parse_flat_matches_tree_pipeline(src).unwrap();
     }
 }
