@@ -19,6 +19,12 @@
 //! documents the candidate range excludes every `article` subtree. The
 //! group report carries a measured `pruned_vs_warm` pair on that query
 //! (acceptance floor: ≥ 2×), plus the store's load throughput.
+//!
+//! The `*_path` rows answer the same two queries on the path backend
+//! (`Plan::path`, Section 8's top-down DFA), which is what `hxq --store
+//! --path` runs; the rows without the suffix keep the §5 embedding
+//! (universal PHR) for comparison. `path_backend_vs_embedding` records
+//! both indexed medians and both compile times.
 
 use std::time::Instant;
 
@@ -43,9 +49,9 @@ fn median_ns(k: usize, mut f: impl FnMut()) -> f64 {
     samples[k / 2] as f64
 }
 
-/// Compile a path query the way `hxq --store` does: universal PHR
-/// embedding for evaluation, structural required-symbol facts for the
-/// postings quick-reject.
+/// Compile a path query through the §5 embedding: universal PHR for
+/// evaluation, structural required-symbol facts for the postings
+/// quick-reject.
 fn store_plan(src: &str, ab: &mut Alphabet) -> Plan {
     let path = parse_path(src, ab).expect("bench path parses");
     let facts = PlanFacts {
@@ -83,6 +89,15 @@ fn main() {
     let selective = store_plan("sidebar", &mut ab);
     let broad_q = StoreQuery::new(&store, &broad);
     let selective_q = StoreQuery::new(&store, &selective);
+    // What `hxq --store --path` compiles: the DFA over the store alphabet.
+    let path_plan = |src: &str, ab: &mut Alphabet| {
+        let path = parse_path(src, ab).expect("bench path parses");
+        Plan::path(&path, ab)
+    };
+    let broad_path = path_plan("article section* figure", &mut ab);
+    let selective_path = path_plan("sidebar", &mut ab);
+    let broad_path_q = StoreQuery::new(&store, &broad_path);
+    let selective_path_q = StoreQuery::new(&store, &selective_path);
 
     // Correctness before time: the three routes must agree, and the
     // selective query must really be selective (one sidebar per rare doc).
@@ -95,6 +110,8 @@ fn main() {
         warm_count(&selective, &docs, &mut scratch),
         rare_docs as u64
     );
+    assert_eq!(indexed_count(&broad_path_q), broad_want);
+    assert_eq!(indexed_count(&selective_path_q), rare_docs as u64);
     let reloaded = DocumentStore::from_bytes(&bytes).expect("store round-trips");
     assert_eq!(reloaded.len(), docs.len());
 
@@ -134,6 +151,12 @@ fn main() {
     group.bench_function("indexed_count_selective", |b| {
         b.iter(|| std::hint::black_box(indexed_count(&selective_q)))
     });
+    group.bench_function("indexed_count_broad_path", |b| {
+        b.iter(|| std::hint::black_box(indexed_count(&broad_path_q)))
+    });
+    group.bench_function("indexed_count_selective_path", |b| {
+        b.iter(|| std::hint::black_box(indexed_count(&selective_path_q)))
+    });
     group.bench_function("load_store", |b| {
         b.iter(|| std::hint::black_box(DocumentStore::from_bytes(&bytes).expect("loads").len()))
     });
@@ -164,5 +187,47 @@ fn main() {
         "indexed evaluation must beat warm in-memory by >= 2x on the \
          selective query, got {speedup:.2}x ({warm_ns:.0} ns vs {indexed_ns:.0} ns)"
     );
+
+    // The path backend against the embedding: indexed evaluation on both
+    // queries, and the compile a cold `hxq --store --path` pays per query.
+    let mut versus = Vec::new();
+    for (name, embedding_q, path_q) in [
+        ("broad", &broad_q, &broad_path_q),
+        ("selective", &selective_q, &selective_path_q),
+    ] {
+        let embedding_ns = median_ns(k, || {
+            std::hint::black_box(indexed_count(embedding_q));
+        });
+        let path_ns = median_ns(k, || {
+            std::hint::black_box(indexed_count(path_q));
+        });
+        versus.push((
+            name,
+            Json::obj([
+                ("embedding_median_ns", Json::Num(embedding_ns)),
+                ("path_median_ns", Json::Num(path_ns)),
+                ("speedup", Json::Num(embedding_ns / path_ns.max(1.0))),
+            ]),
+        ));
+    }
+    let mut compile_ab = ab.clone();
+    let embedding_compile_ns = median_ns(k, || {
+        std::hint::black_box(store_plan("article section* figure", &mut compile_ab));
+    });
+    let path_compile_ns = median_ns(k, || {
+        std::hint::black_box(path_plan("article section* figure", &mut compile_ab));
+    });
+    versus.push((
+        "compile_broad",
+        Json::obj([
+            ("embedding_median_ns", Json::Num(embedding_compile_ns)),
+            ("path_median_ns", Json::Num(path_compile_ns)),
+            (
+                "speedup",
+                Json::Num(embedding_compile_ns / path_compile_ns.max(1.0)),
+            ),
+        ]),
+    ));
+    group.attach_extra("path_backend_vs_embedding", Json::obj(versus));
     group.finish();
 }

@@ -74,7 +74,7 @@ pub use hre::{parse_hre, Hre, GRADED_EXPANSION_CAP};
 pub use keys::{canonical_key, fnv1a};
 pub use mark_down::{mark_run, MarkDown};
 pub use mark_up::MarkUp;
-pub use path_expr::{parse_path, PathExpr};
+pub use path_expr::{parse_path, CompiledPath, PathExpr};
 pub use phr::{parse_phr, Pbhr, Phr};
 pub use phr_compile::CompiledPhr;
 pub use plan::{Plan, PlanCache, PlanFacts, SharedPlanCache};

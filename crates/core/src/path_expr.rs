@@ -9,22 +9,37 @@
 //! alphabet, and the match-identifying automaton shrinks to
 //! `(S × Σ) ∪ {⊥}` states.
 //!
-//! This module provides the direct evaluator (one top-down traversal), the
-//! embedding into PHRs (for the E8 ablation benchmark), and the simplified
-//! match-identifying NHA.
+//! This module provides the direct evaluator (one top-down traversal), its
+//! compiled form [`CompiledPath`] (the path backend of
+//! [`Plan`](crate::Plan)), the embedding into PHRs (for the E8 ablation
+//! benchmark and the explain report), and the simplified match-identifying
+//! NHA.
 //!
 //! Concrete syntax: HRE-style regex over names, e.g. `sec* fig`,
-//! `(chap|app) sec fig?`.
+//! `(chap|app) sec fig?`. Query text is bounded: at most
+//! [`MAX_PATH_NESTING`] open parentheses and [`MAX_PATH_STEPS`] regex
+//! nodes, so no query can exhaust the stack of the recursive regex
+//! algorithms downstream.
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex};
+use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
+use hedgex_obs as obs;
 
 use crate::hre::{Hre, HreParseError};
 use crate::phr::{Pbhr, Phr};
+use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, PruneInfo};
+
+/// Deepest parenthesis nesting [`parse_path`] accepts.
+pub const MAX_PATH_NESTING: usize = 256;
+
+/// Largest path expression [`parse_path`] accepts, in regex nodes: a name
+/// is one node, juxtaposition, `|` and each postfix operator add one, and
+/// `e+` counts `e` twice (it expands to `e e*`).
+pub const MAX_PATH_STEPS: usize = 4096;
 
 /// A classical path expression: a regular expression over Σ, read from the
 /// root down to the located node (inclusive).
@@ -190,6 +205,183 @@ impl PathExpr {
     }
 }
 
+/// A path expression's DFA compiled once against an alphabet: the §8
+/// backend of [`Plan::path`](crate::Plan::path) and the engine inside the
+/// streaming `PathStream`.
+///
+/// The transition table is dense and its columns are indexed by
+/// [`SymId`]: one column per symbol interned at compile time, then one
+/// co-finite column that every later symbol takes (the query cannot
+/// mention those, so they step like any name it does not mention).
+/// Stepping a node is one array load.
+#[derive(Debug, Clone)]
+pub struct CompiledPath {
+    /// Columns per state: the compiled symbols, then the co-finite one.
+    width: usize,
+    /// `table[q * width + min(a, width - 1)]` is the successor of `q` on `a`.
+    table: Vec<StateId>,
+    start: StateId,
+    accept: Vec<bool>,
+    /// Can an accepting state still be reached from `q`? Below a node in a
+    /// dead state nothing matches, so its subtree is never visited.
+    live: Vec<bool>,
+    /// Labels that step some reachable state into an accepting one;
+    /// `None` when the co-finite column does.
+    match_syms: Option<Vec<SymId>>,
+}
+
+impl CompiledPath {
+    /// Determinize `path` and tabulate it over the symbols of `ab`.
+    pub fn compile(path: &PathExpr, ab: &Alphabet) -> CompiledPath {
+        let _span = obs::span("core.path_compile");
+        let dfa = Nfa::from_regex(&path.regex).to_dfa();
+        let n = dfa.num_states();
+        let width = ab.num_syms() + 1;
+        let mut table = Vec::with_capacity(n * width);
+        for q in 0..n as StateId {
+            table.extend(ab.syms().map(|a| dfa.step(q, &a)));
+            table.push(dfa.step_cofinite(q));
+        }
+        let row = |q: usize| &table[q * width..(q + 1) * width];
+        let accept: Vec<bool> = (0..n as StateId).map(|q| dfa.is_accepting(q)).collect();
+        // Backward closure of the accepting states.
+        let mut live = accept.clone();
+        let mut grew = true;
+        while grew {
+            grew = false;
+            for q in 0..n {
+                if !live[q] && row(q).iter().any(|&t| live[t as usize]) {
+                    live[q] = true;
+                    grew = true;
+                }
+            }
+        }
+        let mut reached = vec![false; n];
+        reached[dfa.start() as usize] = true;
+        let mut todo = vec![dfa.start()];
+        while let Some(q) = todo.pop() {
+            for &t in row(q as usize) {
+                if !reached[t as usize] {
+                    reached[t as usize] = true;
+                    todo.push(t);
+                }
+            }
+        }
+        let accepts_on = |col: usize| (0..n).any(|q| reached[q] && accept[row(q)[col] as usize]);
+        let match_syms = (!accepts_on(width - 1)).then(|| {
+            (0..width - 1)
+                .filter(|&a| accepts_on(a))
+                .map(|a| SymId(a as u32))
+                .collect()
+        });
+        obs::counter_add("core.path_compile.states", n as u64);
+        CompiledPath {
+            width,
+            start: dfa.start(),
+            accept,
+            live,
+            match_syms,
+            table,
+        }
+    }
+
+    /// The start state (the state "above" a top-level node).
+    pub fn start(&self) -> StateId {
+        self.start
+    }
+
+    /// Successor of `q` on label `a`.
+    #[inline]
+    pub fn step(&self, q: StateId, a: SymId) -> StateId {
+        let col = (a.0 as usize).min(self.width - 1);
+        self.table[q as usize * self.width + col]
+    }
+
+    /// Is a node in state `q` located?
+    #[inline]
+    pub fn is_accepting(&self, q: StateId) -> bool {
+        self.accept[q as usize]
+    }
+
+    /// The labels a located node can carry (`None` = no finite bound).
+    pub(crate) fn match_syms(&self) -> Option<Vec<SymId>> {
+        self.match_syms.clone()
+    }
+
+    /// Algorithm 1's three modes over the top-down DFA: one depth-first
+    /// walk in document order that steps each visited Σ node once and
+    /// never descends below a dead state. Locate leaves the matches in
+    /// `scratch.located()`, Count tallies, Exists returns at the first hit.
+    ///
+    /// With a `gate` (a store's index, see [`PruneInfo`]) a subtree whose
+    /// range holds no candidate is skipped too; the second value counts
+    /// those subtrees. Visits come in increasing preorder, so the
+    /// candidate cursor only moves forward: the gate costs O(candidates)
+    /// per document, not a search per node.
+    pub(crate) fn eval_into(
+        &self,
+        h: &FlatHedge,
+        gate: Option<&PruneInfo<'_>>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64) {
+        let _span = obs::span("core.path_eval");
+        let EvalScratch { located, stack, .. } = scratch;
+        located.clear();
+        stack.clear();
+        let mut count = 0u64;
+        let mut skipped = 0u64;
+        let mut cursor = 0usize;
+        if let Some(&first) = h.roots().first() {
+            stack.push((first, self.start));
+        }
+        // A stack entry is the next node to visit and its parent's state;
+        // siblings are pushed below first children, so the walk is preorder
+        // and the stack never holds more than two entries per level.
+        while let Some((id, from)) = stack.pop() {
+            if let Some(sibling) = h.next_sibling(id) {
+                stack.push((sibling, from));
+            }
+            if let Some(g) = gate {
+                let c = g.candidates;
+                while cursor < c.len() && c[cursor] < id {
+                    cursor += 1;
+                }
+                if !matches!(c.get(cursor), Some(&next) if next < g.subtree_end[id as usize]) {
+                    skipped += 1;
+                    continue;
+                }
+            }
+            let FlatLabel::Sym(a) = h.label(id) else {
+                continue;
+            };
+            let s = self.step(from, a);
+            if self.accept[s as usize] {
+                match mode {
+                    EvalMode::Locate => located.push(id),
+                    EvalMode::Count => count += 1,
+                    EvalMode::Exists => {
+                        obs::counter_add("core.path_eval.located", 1);
+                        return (EvalOutcome::Exists(true), skipped);
+                    }
+                }
+            }
+            if self.live[s as usize] {
+                if let Some(child) = h.first_child(id) {
+                    stack.push((child, s));
+                }
+            }
+        }
+        let outcome = match mode {
+            EvalMode::Locate => EvalOutcome::Located(located.len()),
+            EvalMode::Count => EvalOutcome::Count(count),
+            EvalMode::Exists => EvalOutcome::Exists(false),
+        };
+        obs::counter_add("core.path_eval.located", count + located.len() as u64);
+        (outcome, skipped)
+    }
+}
+
 /// The simplified match-identifying automaton of Section 8's last display.
 pub struct PathMarkUp {
     /// The automaton; accepts every hedge over its alphabet, one successful
@@ -215,10 +407,17 @@ impl PathMarkUp {
 }
 
 /// Parse a path expression (HRE-style regex over bare names; `$`, `<`, `%`
-/// are not allowed).
+/// are not allowed). Queries nesting deeper than [`MAX_PATH_NESTING`] or
+/// larger than [`MAX_PATH_STEPS`] are rejected at the byte where they
+/// cross the limit.
 pub fn parse_path(src: &str, ab: &mut Alphabet) -> Result<PathExpr, HreParseError> {
-    let mut p = PathParser { src, pos: 0, ab };
-    let regex = p.alt()?;
+    let mut p = PathParser {
+        src,
+        pos: 0,
+        ab,
+        depth: 0,
+    };
+    let (regex, _) = p.alt()?;
     p.skip_ws();
     if p.pos != src.len() {
         return Err(HreParseError {
@@ -229,10 +428,15 @@ pub fn parse_path(src: &str, ab: &mut Alphabet) -> Result<PathExpr, HreParseErro
     Ok(PathExpr { regex })
 }
 
+/// A parsed sub-expression and its size in regex nodes.
+type Part = (Regex<SymId>, usize);
+
 struct PathParser<'a, 'b> {
     src: &'a str,
     pos: usize,
     ab: &'b mut Alphabet,
+    /// Parentheses open at `pos`.
+    depth: usize,
 }
 
 impl PathParser<'_, '_> {
@@ -255,55 +459,74 @@ impl PathParser<'_, '_> {
             msg: msg.into(),
         }
     }
-    fn alt(&mut self) -> Result<Regex<SymId>, HreParseError> {
-        let mut e = self.seq()?;
+    /// `size`, unless it exceeds [`MAX_PATH_STEPS`].
+    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
+        if size > MAX_PATH_STEPS {
+            return Err(self.err(format!(
+                "path expression larger than {MAX_PATH_STEPS} steps"
+            )));
+        }
+        Ok(size)
+    }
+    fn alt(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.seq()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('|') {
                 self.bump();
-                e = e.alt(self.seq()?);
+                let (f, n) = self.seq()?;
+                size = self.bounded(size + n + 1)?;
+                e = e.alt(f);
             } else {
-                return Ok(e);
+                return Ok((e, size));
             }
         }
     }
-    fn seq(&mut self) -> Result<Regex<SymId>, HreParseError> {
-        let mut e = self.factor()?;
+    fn seq(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.factor()?;
         loop {
             self.skip_ws();
             match self.peek() {
-                None | Some(')') | Some('|') => return Ok(e),
-                _ => e = e.concat(self.factor()?),
+                None | Some(')') | Some('|') => return Ok((e, size)),
+                _ => {
+                    let (f, n) = self.factor()?;
+                    size = self.bounded(size + n + 1)?;
+                    e = e.concat(f);
+                }
             }
         }
     }
-    fn factor(&mut self) -> Result<Regex<SymId>, HreParseError> {
-        let mut e = self.atom()?;
+    fn factor(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.atom()?;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('*') => {
-                    self.bump();
-                    e = e.star();
-                }
-                Some('+') => {
-                    self.bump();
-                    e = e.plus();
-                }
-                Some('?') => {
-                    self.bump();
-                    e = e.opt();
-                }
-                _ => return Ok(e),
-            }
+            let op = match self.peek() {
+                Some(op @ ('*' | '+' | '?')) => op,
+                _ => return Ok((e, size)),
+            };
+            self.bump();
+            // `e+` is `e e*`: two copies of `e`, a star and a concatenation.
+            size = self.bounded(if op == '+' { 2 * size + 2 } else { size + 1 })?;
+            e = match op {
+                '*' => e.star(),
+                '+' => e.plus(),
+                _ => e.opt(),
+            };
         }
     }
-    fn atom(&mut self) -> Result<Regex<SymId>, HreParseError> {
+    fn atom(&mut self) -> Result<Part, HreParseError> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
+                if self.depth == MAX_PATH_NESTING {
+                    return Err(
+                        self.err(format!("parentheses nested deeper than {MAX_PATH_NESTING}"))
+                    );
+                }
                 self.bump();
+                self.depth += 1;
                 let e = self.alt()?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.bump() != Some(')') {
                     return Err(self.err("expected ')'"));
@@ -321,7 +544,7 @@ impl PathParser<'_, '_> {
                     return Err(self.err("expected a name"));
                 }
                 let name = self.src[start..self.pos].to_string();
-                Ok(Regex::sym(self.ab.sym(&name)))
+                Ok((Regex::sym(self.ab.sym(&name)), 1))
             }
             _ => Err(self.err("expected an atom")),
         }
@@ -409,6 +632,71 @@ mod tests {
         assert!(parse_path("(a", &mut ab).is_err());
         assert!(parse_path("*", &mut ab).is_err());
         assert!(parse_path("a)", &mut ab).is_err());
+    }
+
+    #[test]
+    fn query_size_limits_are_positioned_errors() {
+        let mut ab = Alphabet::new();
+        let nested = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
+        assert!(parse_path(&nested(MAX_PATH_NESTING), &mut ab).is_ok());
+        let err = parse_path(&nested(MAX_PATH_NESTING + 1), &mut ab).unwrap_err();
+        assert_eq!(err.pos, MAX_PATH_NESTING, "at the first '(' too many");
+        // `a a … a*`: one node per name and per juxtaposition, one per star.
+        let names = |k: usize| format!("{}a*", "a ".repeat(k - 1));
+        assert!(parse_path(&names(MAX_PATH_STEPS / 2), &mut ab).is_ok());
+        let err = parse_path(&names(MAX_PATH_STEPS / 2 + 1), &mut ab).unwrap_err();
+        assert!(err.msg.contains("steps"), "{err}");
+        // Postfix chains count too: `a+` doubles, `a?` adds one.
+        assert!(parse_path(&format!("a{}", "?".repeat(MAX_PATH_STEPS)), &mut ab).is_err());
+        assert!(parse_path(&format!("a{}", "+".repeat(12)), &mut ab).is_err());
+        assert!(parse_path("a+++", &mut ab).is_ok());
+    }
+
+    /// Every compiled mode against the reference evaluator, with and
+    /// without an all-nodes gate, on every small hedge.
+    #[test]
+    fn compiled_path_agrees_with_locate() {
+        for src in ["a* b", "(a|b)* b", "a b? a", "b", "(a b)* a"] {
+            let mut ab = Alphabet::new();
+            let p = parse_path(src, &mut ab).unwrap();
+            let syms: Vec<_> = ab.syms().collect();
+            let compiled = CompiledPath::compile(&p, &ab);
+            let mut scratch = EvalScratch::new();
+            for h in enumerate_hedges(&syms, &[], 5) {
+                let f = FlatHedge::from_hedge(&h);
+                let want = p.locate(&f);
+                let ends: Vec<NodeId> = (0..f.num_nodes() as NodeId)
+                    .map(|n| n + 1 + f.subhedge(n).size() as NodeId)
+                    .collect();
+                let all: Vec<NodeId> = f.preorder().collect();
+                let gate = PruneInfo {
+                    candidates: &all,
+                    subtree_end: &ends,
+                };
+                for g in [None, Some(&gate)] {
+                    let (out, _) = compiled.eval_into(&f, g, &mut scratch, EvalMode::Locate);
+                    assert_eq!(out, EvalOutcome::Located(want.len()), "{src} {h:?}");
+                    assert_eq!(scratch.located(), &want[..], "{src} {h:?}");
+                    let (out, _) = compiled.eval_into(&f, g, &mut scratch, EvalMode::Count);
+                    assert_eq!(out, EvalOutcome::Count(want.len() as u64));
+                    let (out, _) = compiled.eval_into(&f, g, &mut scratch, EvalMode::Exists);
+                    assert_eq!(out, EvalOutcome::Exists(!want.is_empty()));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn compiled_path_bounds_accepting_labels() {
+        let mut ab = Alphabet::new();
+        let p = parse_path("a* (b|c)", &mut ab).unwrap();
+        ab.sym("d");
+        let compiled = CompiledPath::compile(&p, &ab);
+        let (b, c) = (ab.get_sym("b").unwrap(), ab.get_sym("c").unwrap());
+        assert_eq!(compiled.match_syms(), Some(vec![b, c]));
+        // Symbols interned after compile take the co-finite column.
+        let e = ab.sym("e");
+        assert!(!compiled.is_accepting(compiled.step(compiled.start(), e)));
     }
 
     #[test]

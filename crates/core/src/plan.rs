@@ -3,10 +3,12 @@
 //!
 //! [`CompiledPhr::compile`] is exponential-time preprocessing (Section 7);
 //! evaluation is linear per hedge. The engine layer makes that split
-//! explicit: a [`Plan`] wraps a finished [`CompiledPhr`] behind an `Arc`
-//! (cloning is a reference-count bump, and the dense tables are `Sync`, so
-//! one plan can serve any number of threads), and a [`PlanCache`] hands the
-//! same plan back for every re-submission of the same query.
+//! explicit: a [`Plan`] wraps a finished [`CompiledPhr`] — or, for a
+//! classical path expression, Section 8's compiled top-down DFA
+//! ([`CompiledPath`]) — behind an `Arc` (cloning is a reference-count
+//! bump, and the dense tables are `Sync`, so one plan can serve any number
+//! of threads), and a [`PlanCache`] hands the same PHR plan back for every
+//! re-submission of the same query.
 //!
 //! The cache key is the *canonical form* of the PHR (its structural debug
 //! rendering, invariant under reparsing), hashed to 64 bits. Hash collisions
@@ -26,10 +28,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 
 use hedgex_hedge::flat::FlatLabel;
-use hedgex_hedge::{FlatHedge, NodeId};
+use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SymId};
 use hedgex_obs as obs;
 
 pub use crate::keys::{canonical_key, fnv1a};
+use crate::path_expr::{CompiledPath, PathExpr};
 use crate::phr::Phr;
 use crate::phr_compile::CompiledPhr;
 use crate::two_pass::{self, EvalMode, EvalOutcome, EvalScratch};
@@ -52,15 +55,27 @@ pub struct PlanFacts {
     pub required_syms: Vec<hedgex_hedge::SymId>,
 }
 
-/// An immutable, shareable execution plan for a PHR query.
+/// An immutable, shareable execution plan for a PHR or a classical path
+/// expression.
 ///
 /// `Clone` is cheap (an `Arc` bump); all evaluation state lives in a
 /// caller-owned [`EvalScratch`], so one plan may be used from many threads
-/// at once.
+/// at once. Every entry point — the three modes, the index-pruned run,
+/// [`Plan::match_syms`] — serves both backends, so the worker pool and the
+/// store never ask which one they hold.
 #[derive(Clone)]
 pub struct Plan {
-    inner: Arc<CompiledPhr>,
+    backend: Backend,
     facts: Option<Arc<PlanFacts>>,
+}
+
+/// What a plan evaluates with.
+#[derive(Clone)]
+enum Backend {
+    /// Algorithm 1 over a compiled PHR (Section 7).
+    Phr(Arc<CompiledPhr>),
+    /// The top-down DFA of a classical path expression (Section 8).
+    Path(Arc<CompiledPath>),
 }
 
 impl Plan {
@@ -73,8 +88,31 @@ impl Plan {
     /// Wrap an already-compiled PHR.
     pub fn from_compiled(compiled: CompiledPhr) -> Plan {
         Plan {
-            inner: Arc::new(compiled),
+            backend: Backend::Phr(Arc::new(compiled)),
             facts: None,
+        }
+    }
+
+    /// Compile a classical path expression into a plan on the §8 DFA,
+    /// tabulated over the symbols of `ab` (symbols interned later take the
+    /// co-finite column). The plan carries the path's structural facts: its
+    /// required symbols, or `known_empty` when it denotes no paths at all.
+    pub fn path(path: &PathExpr, ab: &Alphabet) -> Plan {
+        let facts = match path.required_syms() {
+            Some(required_syms) => PlanFacts {
+                known_empty: false,
+                why_empty: None,
+                required_syms,
+            },
+            None => PlanFacts {
+                known_empty: true,
+                why_empty: Some("path expression denotes no paths".into()),
+                required_syms: Vec::new(),
+            },
+        };
+        Plan {
+            backend: Backend::Path(Arc::new(CompiledPath::compile(path, ab))),
+            facts: Some(Arc::new(facts)),
         }
     }
 
@@ -91,8 +129,14 @@ impl Plan {
     }
 
     /// The underlying compiled PHR.
+    ///
+    /// # Panics
+    /// On a path plan ([`Plan::path`]), which has no PHR automata.
     pub fn compiled(&self) -> &CompiledPhr {
-        &self.inner
+        match &self.backend {
+            Backend::Phr(c) => c,
+            Backend::Path(_) => panic!("a path plan has no compiled PHR"),
+        }
     }
 
     fn known_empty(&self) -> bool {
@@ -107,21 +151,17 @@ impl Plan {
     /// Locate all matches, allocating fresh buffers (cold-equivalent). A
     /// plan proven empty by analysis returns ∅ without reading `h`.
     pub fn locate(&self, h: &FlatHedge) -> Vec<NodeId> {
-        if self.known_empty() {
-            return Vec::new();
-        }
-        two_pass::locate(&self.inner, h)
+        let mut scratch = EvalScratch::new();
+        self.locate_into(h, &mut scratch);
+        scratch.located
     }
 
     /// Locate all matches into a reused scratch: the warm path. Returns the
     /// matches as a borrow of the scratch. A plan proven empty by analysis
     /// returns ∅ without reading `h`.
     pub fn locate_into<'s>(&self, h: &FlatHedge, scratch: &'s mut EvalScratch) -> &'s [NodeId] {
-        if self.known_empty() {
-            scratch.clear_located();
-            return scratch.located();
-        }
-        two_pass::locate_into(&self.inner, h, scratch)
+        self.eval_into(h, scratch, EvalMode::Locate);
+        scratch.located()
     }
 
     /// Sound pre-pass for the cheap modes: if analysis proved some symbols
@@ -167,10 +207,10 @@ impl Plan {
 
     /// [`Plan::count`] into a reused scratch: the warm path.
     pub fn count_into(&self, h: &FlatHedge, scratch: &mut EvalScratch) -> u64 {
-        if self.known_empty() || self.lacks_required_sym(h) {
-            return 0;
+        match self.eval_into(h, scratch, EvalMode::Count) {
+            EvalOutcome::Count(n) => n,
+            other => unreachable!("count mode returned {other:?}"),
         }
-        two_pass::count_into(&self.inner, h, scratch)
     }
 
     /// Does any node match, allocating fresh buffers. Plans proven empty
@@ -182,10 +222,7 @@ impl Plan {
 
     /// [`Plan::exists`] into a reused scratch: the warm path.
     pub fn exists_into(&self, h: &FlatHedge, scratch: &mut EvalScratch) -> bool {
-        if self.known_empty() || self.lacks_required_sym(h) {
-            return false;
-        }
-        two_pass::exists_into(&self.inner, h, scratch)
+        self.eval_into(h, scratch, EvalMode::Exists).is_match()
     }
 
     /// The indexed counterpart of the `lacks_required_sym` label scan:
@@ -220,14 +257,12 @@ impl Plan {
     ) -> (EvalOutcome, u64) {
         if self.known_empty() {
             scratch.clear_located();
-            let outcome = match mode {
-                EvalMode::Locate => EvalOutcome::Located(0),
-                EvalMode::Count => EvalOutcome::Count(0),
-                EvalMode::Exists => EvalOutcome::Exists(false),
-            };
-            return (outcome, 0);
+            return (EvalOutcome::none(mode), 0);
         }
-        two_pass::eval_pruned_into(&self.inner, h, prune, scratch, mode)
+        match &self.backend {
+            Backend::Phr(c) => two_pass::eval_pruned_into(c, h, prune, scratch, mode),
+            Backend::Path(p) => p.eval_into(h, Some(prune), scratch, mode),
+        }
     }
 
     /// Evaluate in the chosen [`EvalMode`]. The plan itself is
@@ -239,18 +274,30 @@ impl Plan {
         scratch: &mut EvalScratch,
         mode: EvalMode,
     ) -> EvalOutcome {
-        match mode {
-            EvalMode::Locate => EvalOutcome::Located(self.locate_into(h, scratch).len()),
-            EvalMode::Count => EvalOutcome::Count(self.count_into(h, scratch)),
-            EvalMode::Exists => EvalOutcome::Exists(self.exists_into(h, scratch)),
+        if self.known_empty() {
+            scratch.clear_located();
+            return EvalOutcome::none(mode);
+        }
+        match &self.backend {
+            Backend::Phr(c) => {
+                if mode != EvalMode::Locate && self.lacks_required_sym(h) {
+                    return EvalOutcome::none(mode);
+                }
+                two_pass::eval_into(c, h, scratch, mode)
+            }
+            // No label pre-scan: the DFA walk itself reads each node once
+            // at most and stops below dead states, so it is never dearer.
+            Backend::Path(p) => p.eval_into(h, None, scratch, mode).0,
         }
     }
-}
 
-impl std::ops::Deref for Plan {
-    type Target = CompiledPhr;
-    fn deref(&self) -> &CompiledPhr {
-        &self.inner
+    /// A sound bound on the labels a located node can carry (`None` when no
+    /// finite list is sound): the index uses their postings as candidates.
+    pub fn match_syms(&self) -> Option<Vec<SymId>> {
+        match &self.backend {
+            Backend::Phr(c) => c.match_syms(),
+            Backend::Path(p) => p.match_syms(),
+        }
     }
 }
 
@@ -705,6 +752,37 @@ mod tests {
         assert_eq!(plan.count(&lacks_b), 0);
         assert!(!plan.exists(&lacks_b));
         assert!(plan.locate(&lacks_b).is_empty());
+    }
+
+    #[test]
+    fn path_plans_answer_every_mode_and_carry_structural_facts() {
+        let mut ab = Alphabet::new();
+        let path = crate::parse_path("a* b", &mut ab).unwrap();
+        let plan = Plan::path(&path, &ab);
+        assert_eq!(
+            plan.facts().map(|f| f.required_syms.clone()),
+            Some(vec![ab.get_sym("b").unwrap()])
+        );
+        let f = FlatHedge::from_hedge(&parse_hedge("a<a<b> c<b>> b", &mut ab).unwrap());
+        let want = path.locate(&f);
+        assert_eq!(plan.locate(&f), want);
+        assert_eq!(plan.count(&f), want.len() as u64);
+        assert!(plan.exists(&f));
+        // A path denoting no paths at all is known empty.
+        let none = crate::PathExpr {
+            regex: hedgex_automata::Regex::Empty,
+        };
+        let empty = Plan::path(&none, &ab);
+        assert!(empty.facts().is_some_and(|f| f.known_empty));
+        assert!(empty.locate(&f).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "a path plan has no compiled PHR")]
+    fn path_plans_have_no_compiled_phr() {
+        let mut ab = Alphabet::new();
+        let path = crate::parse_path("a", &mut ab).unwrap();
+        Plan::path(&path, &ab).compiled();
     }
 
     #[test]

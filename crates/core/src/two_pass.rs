@@ -62,6 +62,15 @@ pub enum EvalOutcome {
 }
 
 impl EvalOutcome {
+    /// The verdict of `mode` on a document with no matches.
+    pub fn none(mode: EvalMode) -> EvalOutcome {
+        match mode {
+            EvalMode::Locate => EvalOutcome::Located(0),
+            EvalMode::Count => EvalOutcome::Count(0),
+            EvalMode::Exists => EvalOutcome::Exists(false),
+        }
+    }
+
     /// Did the query match at least one node, whichever mode produced it?
     pub fn is_match(&self) -> bool {
         match *self {
@@ -102,12 +111,12 @@ pub struct EvalScratch {
     /// `N`-state per node (second traversal).
     n_state: Vec<u32>,
     /// Matches of the most recent run.
-    located: Vec<NodeId>,
+    pub(crate) located: Vec<NodeId>,
     /// Per-`N`-state tallies (Count mode: no match-set writes at all).
     state_count: Vec<u64>,
-    /// Explicit DFS stack for the pruned Exists traversal:
-    /// `(node, parent N-state)`.
-    stack: Vec<(NodeId, u32)>,
+    /// Explicit DFS stack for the pruned traversals (and the path
+    /// backend's walk): `(node, parent state)`.
+    pub(crate) stack: Vec<(NodeId, u32)>,
 }
 
 impl EvalScratch {
@@ -570,7 +579,7 @@ fn exists_core(
 }
 
 /// What a structural index knows about one document: the sorted candidate
-/// nodes (every node whose label is in [`CompiledPhr::match_syms`] — in a
+/// nodes (every node whose label is in [`Plan::match_syms`](crate::Plan::match_syms) — in a
 /// store, the union of those symbols' postings) and the preorder subtree
 /// extents (`subtree_end[n]` is one past the last descendant of `n`, so
 /// the descendants-of-`n` question is the single range `n..subtree_end[n]`
@@ -622,13 +631,8 @@ pub fn eval_pruned_into(
     if locate {
         scratch.located.clear();
     }
-    let zero = || match mode {
-        EvalMode::Locate => EvalOutcome::Located(0),
-        EvalMode::Count => EvalOutcome::Count(0),
-        EvalMode::Exists => EvalOutcome::Exists(false),
-    };
     if prune.candidates.is_empty() {
-        return (zero(), h.roots().len() as u64);
+        return (EvalOutcome::none(mode), h.roots().len() as u64);
     }
     debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
     phr.m.run_into(h, &mut scratch.ha);

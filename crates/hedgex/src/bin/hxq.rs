@@ -63,6 +63,19 @@ struct Args {
     file: Option<String>,
 }
 
+impl Args {
+    /// The evaluation mode `--count`/`--exists` select.
+    fn mode(&self) -> EvalMode {
+        if self.count {
+            EvalMode::Count
+        } else if self.exists {
+            EvalMode::Exists
+        } else {
+            EvalMode::Locate
+        }
+    }
+}
+
 const HELP: &str = "\
 usage: hxq (--path EXPR | --phr EXPR) [OPTIONS] FILE|-
 
@@ -286,121 +299,55 @@ fn print_report(report: &ExplainReport) {
     eprintln!("  nodes {}, located {}", report.nodes, report.located);
 }
 
-/// `--repeat N [--jobs J]`: compile the query once, then evaluate it `n`
-/// times reusing scratches (the warm plan path) — sequentially for
-/// `jobs <= 1`, otherwise spread over `jobs` workers with one scratch
-/// each. Prints the aggregate wall time of the evaluation loop —
-/// compilation excluded — to stderr when `--repeat` was given.
-fn locate_repeated(
-    phr: &hedgex::core::Phr,
-    subhedge: Option<&hedgex::core::Hre>,
-    flat: &FlatHedge,
-    repeat: Option<u64>,
-    jobs: usize,
-) -> Vec<u32> {
-    let n = repeat.unwrap_or(1);
-    let (hits, wall) = if let Some(e) = subhedge {
-        let compiled = SelectQuery {
-            subhedge: e.clone(),
-            envelope: phr.clone(),
-        }
-        .compile();
-        if jobs > 1 {
-            let t = Instant::now();
-            let mut runs = hedgex::par::run_scoped(
-                jobs,
-                n as usize,
-                |_| SelectScratch::new(),
-                |scratch, _| {
-                    compiled.locate_into(flat, scratch);
-                    scratch.located().to_vec()
-                },
-            );
-            (runs.pop().unwrap_or_default(), t.elapsed())
-        } else {
-            let mut scratch = SelectScratch::new();
-            let t = Instant::now();
-            for _ in 0..n {
-                compiled.locate_into(flat, &mut scratch);
-            }
-            (scratch.located().to_vec(), t.elapsed())
-        }
+/// The `--repeat` summary line: aggregate wall time of the evaluation
+/// loop (compilation excluded), per-run time, and node throughput.
+fn print_repeat_summary(n: u64, wall: std::time::Duration, nodes: u64, jobs: usize) {
+    let total_ms = wall.as_secs_f64() * 1e3;
+    let nodes_per_s = (nodes * n) as f64 / wall.as_secs_f64().max(1e-9);
+    let workers = if jobs > 1 {
+        format!(", {jobs} workers")
     } else {
-        let plan = Plan::compile(phr);
-        if jobs > 1 {
-            let t = Instant::now();
-            let hits = ParallelEvaluator::new(jobs).repeat(&plan, flat, n as usize);
-            (hits, t.elapsed())
-        } else {
-            let mut scratch = EvalScratch::new();
-            let t = Instant::now();
-            for _ in 0..n {
-                plan.locate_into(flat, &mut scratch);
-            }
-            (scratch.located().to_vec(), t.elapsed())
-        }
+        String::new()
     };
-    if repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (flat.num_nodes() as u64 * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
-    }
-    hits
+    eprintln!(
+        "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
+        total_ms / n as f64
+    );
 }
 
-/// The mode-generic materialized path for `--count`/`--exists` when
-/// nothing downstream needs node ids: one mode-independent [`Plan`], the
-/// mode chosen per run. Composes with `--repeat`/`--jobs` exactly like
-/// [`locate_repeated`] (warm scratch per worker, aggregate summary line).
-fn eval_mode_repeated(
-    phr: &hedgex::core::Phr,
+/// Evaluate `run` once, or `--repeat N` times reusing scratches (the warm
+/// plan path) — sequentially into one scratch for `jobs <= 1`, otherwise
+/// spread over `jobs` workers with one scratch each — and return the last
+/// run's answer. Prints the summary line when `--repeat` was given.
+fn repeated<T: Send>(
     flat: &FlatHedge,
-    mode: EvalMode,
     repeat: Option<u64>,
     jobs: usize,
-) -> EvalOutcome {
+    run: impl Fn(&mut EvalScratch) -> T + Sync,
+) -> T {
     let n = repeat.unwrap_or(1);
-    let plan = Plan::compile(phr);
-    let (outcome, wall) = if jobs > 1 {
-        let t = Instant::now();
-        let mut runs = hedgex::par::run_scoped(
+    let t = Instant::now();
+    let out = if jobs > 1 {
+        hedgex::par::run_scoped(
             jobs,
             n as usize,
             |_| EvalScratch::new(),
-            |scratch, _| plan.eval_into(flat, scratch, mode),
-        );
-        (runs.pop().expect("at least one run"), t.elapsed())
+            |scratch, _| run(scratch),
+        )
+        .pop()
+        .expect("at least one run")
     } else {
         let mut scratch = EvalScratch::new();
-        let t = Instant::now();
-        let mut out = plan.eval_into(flat, &mut scratch, mode);
+        let mut out = run(&mut scratch);
         for _ in 1..n {
-            out = plan.eval_into(flat, &mut scratch, mode);
+            out = run(&mut scratch);
         }
-        (out, t.elapsed())
+        out
     };
     if repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (flat.num_nodes() as u64 * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
+        print_repeat_summary(n, t.elapsed(), flat.num_nodes() as u64, jobs);
     }
-    outcome
+    out
 }
 
 /// `--stream`: evaluate push-based, straight off the parser's event
@@ -582,8 +529,8 @@ fn run(args: Args) -> Result<ExitCode, String> {
 /// `--store STORE`: answer the query over every document in a persistent
 /// store. The plan carries its analysis facts, so documents missing a
 /// required symbol are rejected by one postings probe each, and the
-/// two-pass traversal visits only subtrees whose preorder range holds a
-/// candidate node (a posting under one of the query's accepting labels).
+/// traversal visits only subtrees whose preorder range holds a candidate
+/// node (a posting under one of the query's accepting labels).
 fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
     use hedgex::analyze::AnalyzedQuery;
 
@@ -593,7 +540,7 @@ fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
     // with the postings; genuinely new symbols intern past the end and
     // simply have empty postings everywhere.
     let mut ab = store.alphabet().clone();
-    let (phr, facts) = if let Some(p) = &args.phr {
+    let plan = if let Some(p) = &args.phr {
         let phr = match parse_phr(p, &mut ab) {
             Ok(p) => p,
             Err(e) => return Ok(usage_error(&format!("query: {e}"))),
@@ -601,44 +548,19 @@ fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
         // Analysis cost scales with the query's own symbols — fine for a
         // hand-written PHR.
         let facts = AnalyzedQuery::new(&phr, None).plan_facts(None);
-        (phr, facts)
+        Plan::compile(&phr).with_facts(facts)
     } else {
-        let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-            Ok(p) => p,
+        match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
+            // The §8 DFA over the store's alphabet, carrying the path's
+            // structural required-symbol facts.
+            Ok(path) => Plan::path(&path, &ab),
             Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-        };
-        // The universal embedding mentions the whole corpus alphabet, so
-        // automata-based analysis would blow up; the path's own structure
-        // gives the same required-symbol facts for free.
-        let facts = match path.required_syms() {
-            Some(required_syms) => PlanFacts {
-                known_empty: false,
-                why_empty: None,
-                required_syms,
-            },
-            None => PlanFacts {
-                known_empty: true,
-                why_empty: Some("path expression denotes no paths".into()),
-                required_syms: Vec::new(),
-            },
-        };
-        let syms: Vec<_> = ab.syms().collect();
-        let vars: Vec<_> = ab.vars().collect();
-        let z = ab.sub("hxq-universal");
-        (path.to_phr(&syms, &vars, z), facts)
+        }
     };
-    let plan = Plan::compile(&phr).with_facts(facts);
     let query = hedgex::store::StoreQuery::new(&store, &plan);
     let jobs = args.jobs.unwrap_or(1) as usize;
     let n = args.repeat.unwrap_or(1);
-
-    let mode = if args.count {
-        EvalMode::Count
-    } else if args.exists {
-        EvalMode::Exists
-    } else {
-        EvalMode::Locate
-    };
+    let mode = args.mode();
     let t = Instant::now();
     let mut located: Vec<Vec<u32>> = Vec::new();
     let mut counts: Vec<u64> = Vec::new();
@@ -650,19 +572,8 @@ fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
             EvalMode::Exists => exists = query.exists_corpus(jobs),
         }
     }
-    let wall = t.elapsed();
     if args.repeat.is_some() {
-        let total_ms = wall.as_secs_f64() * 1e3;
-        let nodes_per_s = (store.total_nodes() * n) as f64 / wall.as_secs_f64().max(1e-9);
-        let workers = if jobs > 1 {
-            format!(", {jobs} workers")
-        } else {
-            String::new()
-        };
-        eprintln!(
-            "repeat: {n} runs in {total_ms:.3} ms ({:.3} ms/run, {nodes_per_s:.0} nodes/s{workers})",
-            total_ms / n as f64
-        );
+        print_repeat_summary(n, t.elapsed(), store.total_nodes(), jobs);
     }
     match mode {
         EvalMode::Locate => {
@@ -728,78 +639,64 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
     };
 
     let want_report = args.explain || args.metrics_json.is_some();
-    // Reports, repeated runs, and worker pools all need the query as a
-    // PHR plan.
-    let want_phr = want_report || args.repeat.is_some() || args.jobs.is_some();
+    // The report evaluates the query itself; with --repeat/--jobs the
+    // answer still comes from the plan, whose runs are the ones timed.
+    let want_plan = !want_report || args.repeat.is_some() || args.jobs.is_some();
 
-    // In count/exists mode with nothing downstream needing node ids, the
-    // mode-generic plan path answers without materializing the match set.
-    let mut outcome: Option<EvalOutcome> = None;
-
-    // Envelope condition (and, through explain, the subhedge filter).
-    let (hits, report): (Vec<u32>, Option<ExplainReport>) = {
-        // The envelope as a PHR: --phr directly, --path via the Section 5
-        // embedding (universal sibling conditions).
-        let phr = if let Some(p) = &args.phr {
-            match parse_phr(p, &mut ab) {
-                Ok(p) => Some(p),
-                Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-            }
-        } else if want_phr {
-            let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-                Ok(p) => p,
-                Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-            };
-            let syms: Vec<_> = ab.syms().collect();
-            let vars: Vec<_> = ab.vars().collect();
-            let z = ab.sub("hxq-universal");
-            Some(path.to_phr(&syms, &vars, z))
-        } else {
-            None
+    // --phr as written, --path on the §8 DFA whatever the flags. Only the
+    // explain report describes PHR automata, so only it embeds a path.
+    let (plan, report) = if let Some(p) = &args.phr {
+        let phr = match parse_phr(p, &mut ab) {
+            Ok(p) => p,
+            Err(e) => return Ok(usage_error(&format!("query: {e}"))),
         };
-        match phr {
-            Some(phr) => {
-                let report = want_report.then(|| hedgex::explain(&phr, subhedge.as_ref(), &flat));
-                let hits = if (args.count || args.exists) && subhedge.is_none() && report.is_none()
-                {
-                    let mode = if args.count {
-                        EvalMode::Count
-                    } else {
-                        EvalMode::Exists
-                    };
-                    let jobs = args.jobs.unwrap_or(1) as usize;
-                    outcome = Some(eval_mode_repeated(&phr, &flat, mode, args.repeat, jobs));
-                    Vec::new()
-                } else if args.repeat.is_some() || args.jobs.is_some() {
-                    let jobs = args.jobs.unwrap_or(1) as usize;
-                    locate_repeated(&phr, subhedge.as_ref(), &flat, args.repeat, jobs)
-                } else if let Some(report) = &report {
-                    report.hits.clone()
-                } else {
-                    let compiled = CompiledPhr::compile(&phr);
-                    let mut hits = two_pass::locate(&compiled, &flat);
-                    if let Some(e) = &subhedge {
-                        let dha = hedgex::core::mark_down::compile_to_dha(e);
-                        let marks = hedgex::core::mark_run(&dha, &flat);
-                        hits.retain(|&n| marks[n as usize]);
+        let report = want_report.then(|| hedgex::explain(&phr, subhedge.as_ref(), &flat));
+        (want_plan.then(|| Plan::compile(&phr)), report)
+    } else {
+        let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
+            Ok(p) => p,
+            Err(e) => return Ok(usage_error(&format!("query: {e}"))),
+        };
+        let report =
+            want_report.then(|| hedgex::explain_path(&path, &mut ab, subhedge.as_ref(), &flat));
+        (want_plan.then(|| Plan::path(&path, &ab)), report)
+    };
+
+    let mode = args.mode();
+    let jobs = args.jobs.unwrap_or(1) as usize;
+    // In count/exists mode with nothing downstream needing node ids, the
+    // plan answers without materializing the match set.
+    let (hits, outcome): (Vec<u32>, Option<EvalOutcome>) = match &plan {
+        None => (
+            report.as_ref().map(|r| r.hits.clone()).unwrap_or_default(),
+            None,
+        ),
+        Some(plan) if mode != EvalMode::Locate && subhedge.is_none() => {
+            let outcome = repeated(&flat, args.repeat, jobs, |scratch| {
+                plan.eval_into(&flat, scratch, mode)
+            });
+            (Vec::new(), Some(outcome))
+        }
+        Some(plan) => {
+            // select(e1, e2): the envelope's matches whose content the
+            // subhedge automaton marks.
+            let dha = subhedge
+                .as_ref()
+                .map(hedgex::core::mark_down::compile_to_dha);
+            let hits = repeated(&flat, args.repeat, jobs, |scratch| {
+                let hits = plan.locate_into(&flat, scratch);
+                match &dha {
+                    Some(dha) => {
+                        let marks = hedgex::core::mark_run(dha, &flat);
+                        hits.iter()
+                            .copied()
+                            .filter(|&n| marks[n as usize])
+                            .collect()
                     }
-                    hits
-                };
-                (hits, report)
-            }
-            None => {
-                let path = match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-                    Ok(p) => p,
-                    Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-                };
-                let mut hits = path.locate(&flat);
-                if let Some(e) = &subhedge {
-                    let dha = hedgex::core::mark_down::compile_to_dha(e);
-                    let marks = hedgex::core::mark_run(&dha, &flat);
-                    hits.retain(|&n| marks[n as usize]);
+                    None => hits.to_vec(),
                 }
-                (hits, None)
-            }
+            });
+            (hits, None)
         }
     };
 

@@ -13,8 +13,8 @@ use std::time::Instant;
 use hedgex_core::mark_down::{compile_to_dha, mark_run};
 use hedgex_core::phr::Phr;
 use hedgex_core::two_pass;
-use hedgex_core::{CompiledPhr, EvalScratch, Hre, Plan};
-use hedgex_hedge::{FlatHedge, NodeId};
+use hedgex_core::{CompiledPhr, EvalScratch, Hre, PathExpr, Plan};
+use hedgex_hedge::{Alphabet, FlatHedge, NodeId};
 use hedgex_obs as obs;
 use hedgex_testkit::Json;
 
@@ -147,6 +147,22 @@ fn timed<T>(phases: &mut Vec<Phase>, name: &'static str, f: impl FnOnce() -> T) 
     out
 }
 
+/// [`explain`] for a classical path expression. The report describes PHR
+/// automata, so the path runs through its §5 embedding — universal sibling
+/// conditions over every symbol of `ab` — rather than the §8 DFA that
+/// answers every other `hxq --path` run. Its match set is the same.
+pub fn explain_path(
+    path: &PathExpr,
+    ab: &mut Alphabet,
+    subhedge: Option<&Hre>,
+    doc: &FlatHedge,
+) -> ExplainReport {
+    let syms: Vec<_> = ab.syms().collect();
+    let vars: Vec<_> = ab.vars().collect();
+    let z = ab.sub("hxq-universal");
+    explain(&path.to_phr(&syms, &vars, z), subhedge, doc)
+}
+
 /// Run the PHR pipeline on `doc`, measuring every phase: compile the
 /// envelope (and optional subhedge condition), run both traversals of
 /// Algorithm 1, and report automaton sizes, class usage, timings, and the
@@ -156,19 +172,20 @@ pub fn explain(phr: &Phr, subhedge: Option<&Hre>, doc: &FlatHedge) -> ExplainRep
     let _span = obs::span("hedgex.explain");
     let mut phases = Vec::new();
 
-    let compiled = timed(&mut phases, "compile", || {
+    let plan = timed(&mut phases, "compile", || {
         Plan::from_compiled(CompiledPhr::compile(phr))
     });
+    let compiled = plan.compiled();
     let marks = subhedge.map(|e| {
         let dha = timed(&mut phases, "subhedge_compile", || compile_to_dha(e));
         timed(&mut phases, "subhedge_mark", || mark_run(&dha, doc))
     });
 
     let fp = timed(&mut phases, "first_pass", || {
-        two_pass::first_pass(&compiled, doc)
+        two_pass::first_pass(compiled, doc)
     });
     let mut hits = timed(&mut phases, "second_pass", || {
-        two_pass::second_pass(&compiled, doc, &fp)
+        two_pass::second_pass(compiled, doc, &fp)
     });
 
     // Warm run, reported separately from the cold phases above: the
@@ -176,9 +193,9 @@ pub fn explain(phr: &Phr, subhedge: Option<&Hre>, doc: &FlatHedge) -> ExplainRep
     // and a caller-owned scratch. The first (unmeasured) pass sizes the
     // buffers; the timed pass is the steady-state, allocation-free cost.
     let mut scratch = EvalScratch::new();
-    compiled.locate_into(doc, &mut scratch);
+    plan.locate_into(doc, &mut scratch);
     let warm_hits = timed(&mut phases, "warm_run", || {
-        compiled.locate_into(doc, &mut scratch).len()
+        plan.locate_into(doc, &mut scratch).len()
     });
     debug_assert_eq!(warm_hits, hits.len(), "warm run must reproduce cold hits");
 

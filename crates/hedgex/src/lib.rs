@@ -41,7 +41,7 @@ pub use hedgex_stream as stream;
 pub use hedgex_xml as xml;
 
 pub mod explain;
-pub use explain::{explain, ExplainReport};
+pub use explain::{explain, explain_path, ExplainReport};
 
 /// Everything most programs need, one import away.
 pub mod prelude {

@@ -9,18 +9,19 @@
 //!    for `a` are empty, the answer is zero without touching a single
 //!    node. This replaces the `lacks_required_sym` label scan with O(1)
 //!    probes per document.
-//! 2. **Candidate-range pruning** — `CompiledPhr::match_syms` gives the
-//!    only labels an accepting node can carry; the union of their postings
+//! 2. **Candidate-range pruning** — `Plan::match_syms` gives the only
+//!    labels an accepting node can carry; the union of their postings
 //!    (already preorder-sorted per symbol) is the candidate set, and the
-//!    two-pass traversal then skips every subtree whose preorder range —
+//!    traversal then skips every subtree whose preorder range —
 //!    `subtree_end` from the sortable-path index — contains no candidate.
 //!    An empty candidate set skips the document entirely, including the
 //!    bottom-up automaton run.
 //!
 //! Both prunes are sound over-approximations (the pruned traversal still
 //! runs the full automata over everything it visits), so indexed answers
-//! are bit-identical to the unpruned evaluators — the property suite
-//! asserts exactly that across the mode matrix.
+//! are bit-identical to the unpruned evaluators — the property suites
+//! assert exactly that across the mode matrix, for PHR plans and for path
+//! plans on the §8 DFA alike.
 
 use hedgex_core::{EvalMode, EvalOutcome, EvalScratch, Plan, PruneInfo};
 use hedgex_hedge::{NodeId, SymId};

@@ -9,8 +9,8 @@
 //! stops reading input, which is the streaming win no materialized
 //! evaluator can have.
 
-use hedgex_automata::{DenseDfa, Nfa, StateId};
-use hedgex_core::path_expr::PathExpr;
+use hedgex_automata::StateId;
+use hedgex_core::path_expr::{CompiledPath, PathExpr};
 use hedgex_ha::Leaf;
 use hedgex_hedge::{Alphabet, NodeId, SymId};
 
@@ -24,7 +24,7 @@ use crate::{HedgeSink, StreamStats};
 /// the document stream take the DFA's co-finite edge, which is exactly the
 /// transition a never-mentioned name deserves).
 pub struct PathStream {
-    dense: DenseDfa<SymId>,
+    dfa: CompiledPath,
     exists: bool,
     count_only: bool,
     collect_deweys: bool,
@@ -45,12 +45,11 @@ pub struct PathStream {
 }
 
 impl PathStream {
-    /// Compile `path` against the symbols interned in `ab` so far.
+    /// Compile `path` against the symbols interned in `ab` so far — the
+    /// same [`CompiledPath`] a path [`Plan`](hedgex_core::Plan) evaluates.
     pub fn new(path: &PathExpr, ab: &Alphabet) -> PathStream {
-        let dfa = Nfa::from_regex(&path.regex).to_dfa();
-        let syms: Vec<SymId> = ab.syms().collect();
         PathStream {
-            dense: DenseDfa::compile(&dfa, &syms),
+            dfa: CompiledPath::compile(path, ab),
             exists: false,
             count_only: false,
             collect_deweys: false,
@@ -131,9 +130,9 @@ impl HedgeSink for PathStream {
             .stack
             .last()
             .copied()
-            .unwrap_or_else(|| self.dense.start());
-        let s = self.dense.step(from, &a);
-        let hit = self.dense.is_accepting(s);
+            .unwrap_or_else(|| self.dfa.start());
+        let s = self.dfa.step(from, a);
+        let hit = self.dfa.is_accepting(s);
         if hit {
             self.matched += 1;
             if !self.count_only {

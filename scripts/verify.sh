@@ -47,6 +47,11 @@ echo "== cargo test -q --offline --no-default-features (store properties) =="
 # Round trips and pruning soundness must hold with obs compiled out.
 cargo test -q --offline --no-default-features -p hedgex --test store_props
 
+echo "== cargo test -q --offline --no-default-features (path backend) =="
+# Path plans == PathExpr::locate == the §5 embedding, in every mode and
+# through the pool and the store, with obs compiled out.
+cargo test -q --offline --no-default-features -p hedgex --test path_plan_props
+
 echo "== cargo test -q --offline --no-default-features (store fuzz) =="
 # The loader's typed, positioned errors are independent of instrumentation.
 cargo test -q --offline --no-default-features -p hedgex --test store_fuzz

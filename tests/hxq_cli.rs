@@ -442,7 +442,8 @@ fn repeat_reuses_one_plan_and_reports_aggregate_time() {
     assert!(err.contains("ms/run"), "per-run time missing: {err}");
     assert!(err.contains("nodes/s"), "throughput missing: {err}");
 
-    // --repeat composes with --subhedge (warm SelectScratch path) and with
+    // --repeat composes with --subhedge (warm plan, matches filtered by the
+    // subhedge marks) and with
     // --phr (warm Plan path on an explicit PHR).
     let sub = hxq(&[
         "--path",
@@ -519,7 +520,7 @@ fn jobs_matches_sequential_output_byte_for_byte() {
     assert_eq!(plain.stdout, pooled.stdout);
     assert!(pooled.stderr.is_empty(), "no --repeat, no summary");
 
-    // --jobs composes with --subhedge (one SelectScratch per worker).
+    // --jobs composes with --subhedge (one scratch per worker).
     let sub_seq = hxq(&[&query[..], &["--subhedge", "ε", xml.to_str().unwrap()]].concat());
     let sub_par = hxq(&[
         &query[..],
@@ -1007,6 +1008,206 @@ fn check_usage_errors_exit_2() {
         let err = String::from_utf8_lossy(&out.stderr);
         assert!(err.contains(needle), "{err:?} should mention {needle:?}");
     }
+}
+
+/// Every flag combination runs `--path` on the same §8 DFA plan: stdout
+/// and exit code never depend on `--repeat`/`--jobs`, in any mode.
+#[test]
+fn path_answers_are_byte_identical_across_execution_flags() {
+    let w = doc_workload(400, 17);
+    let xml = scratch("path-parity.xml");
+    std::fs::write(&xml, write_xml(&w.doc, &w.ab, None)).unwrap();
+    let xml_s = xml.to_str().unwrap();
+    for query in ["article section* figure", "article nosuch"] {
+        for mode in [&[][..], &["--count"][..], &["--exists"][..]] {
+            let run =
+                |flags: &[&str]| hxq(&[&["--path", query][..], mode, flags, &[xml_s]].concat());
+            let plain = run(&[]);
+            assert!(
+                plain.status.code().is_some_and(|c| c <= 1),
+                "{query} {mode:?}"
+            );
+            for flags in [
+                &["--repeat", "3"][..],
+                &["--jobs", "2"][..],
+                &["--repeat", "3", "--jobs", "2"][..],
+            ] {
+                let out = run(flags);
+                assert_eq!(
+                    out.status.code(),
+                    plain.status.code(),
+                    "{query} {mode:?} {flags:?}"
+                );
+                assert_eq!(out.stdout, plain.stdout, "{query} {mode:?} {flags:?}");
+            }
+        }
+    }
+    std::fs::remove_file(&xml).ok();
+}
+
+/// `--store --path` prints exactly what `--path` prints file by file, each
+/// line prefixed with the document's name.
+#[test]
+fn store_path_equals_per_file_path_with_name_prefix() {
+    let corpus = scratch("path-store-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let mut names = Vec::new();
+    for seed in 0..4u64 {
+        let w = doc_workload(150 + 50 * seed as usize, 40 + seed);
+        let name = format!("doc{seed}.xml");
+        std::fs::write(corpus.join(&name), write_xml(&w.doc, &w.ab, None)).unwrap();
+        names.push(name);
+    }
+    let store = scratch("path-store.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    for query in [
+        "article section* figure",
+        "article (section|para)*",
+        "sidebar",
+    ] {
+        let mut expected = String::new();
+        let mut total = 0usize;
+        for name in &names {
+            let file = corpus.join(name);
+            let out = hxq(&["--path", query, file.to_str().unwrap()]);
+            assert_eq!(out.status.code(), Some(0));
+            for line in String::from_utf8_lossy(&out.stdout).lines() {
+                expected.push_str(&format!("{name}:{line}\n"));
+                total += 1;
+            }
+        }
+        let stored = hxq(&["--store", store.to_str().unwrap(), "--path", query]);
+        assert_eq!(stored.status.code(), Some(0));
+        assert_eq!(String::from_utf8_lossy(&stored.stdout), expected, "{query}");
+        let counted = hxq(&[
+            "--store",
+            store.to_str().unwrap(),
+            "--count",
+            "--path",
+            query,
+        ]);
+        assert_eq!(
+            String::from_utf8_lossy(&counted.stdout).trim(),
+            total.to_string()
+        );
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(&store).ok();
+}
+
+/// The engine is visible in the trace: a `--path` run never compiles PHR
+/// automata, whether it runs over a store or repeated on a worker pool.
+#[test]
+fn path_runs_never_compile_a_phr() {
+    let w = doc_workload(200, 23);
+    let corpus = scratch("trace-path-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let xml = corpus.join("doc.xml");
+    std::fs::write(&xml, write_xml(&w.doc, &w.ab, None)).unwrap();
+    let store = scratch("trace-path.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let trace = scratch("trace-path.json");
+    let span_names = |args: &[&str]| -> Vec<String> {
+        let out = hxq(&[args, &["--trace", trace.to_str().unwrap()]].concat());
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        let text = std::fs::read_to_string(&trace).unwrap();
+        Json::parse(&text)
+            .expect("trace parses")
+            .as_arr()
+            .expect("trace is an array")
+            .iter()
+            .filter_map(|e| e.get("name").and_then(Json::as_str).map(String::from))
+            .collect()
+    };
+    let query = "article section* figure";
+    for args in [
+        &["--store", store.to_str().unwrap(), "--path", query][..],
+        &[
+            "--repeat",
+            "3",
+            "--jobs",
+            "2",
+            "--path",
+            query,
+            xml.to_str().unwrap(),
+        ][..],
+    ] {
+        let names = span_names(args);
+        assert!(
+            !names.iter().any(|n| n.starts_with("core.phr_compile")),
+            "{args:?} compiled a PHR: {names:?}"
+        );
+        if hedgex::obs::is_enabled() {
+            assert!(names.iter().any(|n| n == "core.path_compile"), "{args:?}");
+        }
+    }
+    // The check can see a PHR compile when one happens.
+    if hedgex::obs::is_enabled() {
+        let names = span_names(&["--phr", "[ε ; article ; ε]", xml.to_str().unwrap()]);
+        assert!(names.iter().any(|n| n == "core.phr_compile"));
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
+/// Path query text is bounded: nesting and size up to the limits run (on
+/// the main thread, in every route), one past them is a positioned usage
+/// error instead of a stack overflow.
+#[test]
+fn path_query_limits_run_at_the_limit_and_exit_2_beyond() {
+    use hedgex::core::path_expr::{MAX_PATH_NESTING, MAX_PATH_STEPS};
+    let xml = scratch("limits.xml");
+    std::fs::write(&xml, "<a><a/></a>").unwrap();
+    let xml_s = xml.to_str().unwrap();
+    let nested = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
+    // `a a … a*`: one step per name and per juxtaposition, one for the star.
+    let long = |k: usize| format!("{}a*", "a ".repeat(k - 1));
+    for (at, past, needle) in [
+        (
+            nested(MAX_PATH_NESTING),
+            nested(MAX_PATH_NESTING + 1),
+            format!("byte {MAX_PATH_NESTING}: parentheses nested deeper"),
+        ),
+        (
+            long(MAX_PATH_STEPS / 2),
+            long(MAX_PATH_STEPS / 2 + 1),
+            format!("larger than {MAX_PATH_STEPS} steps"),
+        ),
+    ] {
+        for flags in [&[][..], &["--count"][..], &["--stream"][..]] {
+            let ok = hxq(&[&["--path", at.as_str()][..], flags, &[xml_s]].concat());
+            assert_eq!(
+                ok.status.code(),
+                Some(0),
+                "at the limit {flags:?}: {}",
+                String::from_utf8_lossy(&ok.stderr)
+            );
+            let bad = hxq(&[&["--path", past.as_str()][..], flags, &[xml_s]].concat());
+            assert_eq!(bad.status.code(), Some(2), "past the limit {flags:?}");
+            let err = String::from_utf8_lossy(&bad.stderr);
+            assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+            assert!(err.contains("query:") && err.contains(&needle), "{err}");
+        }
+    }
+    std::fs::remove_file(&xml).ok();
 }
 
 /// An `<a>` chain `depth` levels deep.
