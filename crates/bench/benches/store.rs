@@ -20,6 +20,12 @@
 //! group report carries a measured `pruned_vs_warm` pair on that query
 //! (acceptance floor: ≥ 2×), plus the store's load throughput.
 //!
+//! The store image is also held to its exact size: the header, the three
+//! alphabet tables, and per document its name and one 9-byte record per
+//! node. The structural index is derived on load, so an image that grows
+//! a serialized index fails this bench in smoke mode too, with no timing
+//! involved.
+//!
 //! The `*_path` rows answer the same two queries on the path backend
 //! (`Plan::path`, Section 8's top-down DFA), which is what `hxq --store
 //! --path` runs; the rows without the suffix keep the §5 embedding
@@ -33,6 +39,7 @@ use hedgex_testkit::{Bench, Json, Throughput};
 use hedgex_bench::sidebar_corpus;
 use hedgex_core::{parse_path, EvalScratch, Plan, PlanFacts};
 use hedgex_hedge::{Alphabet, FlatHedge};
+use hedgex_store::store::HEADER_LEN;
 use hedgex_store::{DocumentStore, StoreQuery};
 use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 
@@ -65,6 +72,26 @@ fn store_plan(src: &str, ab: &mut Alphabet) -> Plan {
     Plan::compile(&path.to_phr(&syms, &vars, z)).with_facts(facts)
 }
 
+/// The exact byte size of a store image: header, alphabet tables (a count
+/// plus a length-prefixed name each), document count, and per document a
+/// length-prefixed name, a node count and one `(tag u8, label u32,
+/// parent u32)` record per node. Nothing else: no serialized index.
+fn expected_image_len(store: &DocumentStore) -> usize {
+    fn table<'a>(names: impl Iterator<Item = &'a str>) -> usize {
+        4 + names.map(|n| 4 + n.len()).sum::<usize>()
+    }
+    let ab = store.alphabet();
+    let alphabet = table(ab.syms().map(|a| ab.sym_name(a)))
+        + table(ab.vars().map(|x| ab.var_name(x)))
+        + table(ab.subs().map(|z| ab.sub_name(z)));
+    let docs: usize = store
+        .docs()
+        .iter()
+        .map(|d| 8 + d.name().len() + 9 * d.hedge().num_nodes())
+        .sum();
+    HEADER_LEN + alphabet + 4 + docs
+}
+
 fn warm_count(plan: &Plan, docs: &[FlatHedge], scratch: &mut EvalScratch) -> u64 {
     docs.iter().map(|d| plan.count_into(d, scratch)).sum()
 }
@@ -81,6 +108,11 @@ fn main() {
     let (mut ab, named, rare_docs) = sidebar_corpus(num_docs, nodes_per_doc, 0xE11);
     let store = DocumentStore::build(ab.clone(), named.clone());
     let bytes = store.to_bytes();
+    assert_eq!(
+        bytes.len(),
+        expected_image_len(&store),
+        "the store image must hold the alphabet and node records only"
+    );
     let docs: Vec<FlatHedge> = named.iter().map(|(_, h)| h.clone()).collect();
     let sources: Vec<String> = docs.iter().map(|d| write_xml(d, &ab, None)).collect();
     let total_nodes = store.total_nodes();

@@ -582,8 +582,7 @@ fn exists_core(
 /// nodes (every node whose label is in [`Plan::match_syms`](crate::Plan::match_syms) — in a
 /// store, the union of those symbols' postings) and the preorder subtree
 /// extents (`subtree_end[n]` is one past the last descendant of `n`, so
-/// the descendants-of-`n` question is the single range `n..subtree_end[n]`
-/// — the materialized form of the sortable-path range `P0..PZW`).
+/// the descendants-of-`n` question is the single range `n..subtree_end[n]`).
 ///
 /// [`eval_pruned_into`] only ever *skips* work based on this data, and
 /// only subtrees containing no candidate, so a sound over-approximation in
@@ -917,7 +916,7 @@ mod tests {
     }
 
     /// Preorder subtree extents by reverse max-propagation (what a store
-    /// index materializes from the sortable paths).
+    /// index derives on load).
     fn subtree_ends(h: &FlatHedge) -> Vec<NodeId> {
         let n = h.num_nodes();
         let mut end: Vec<NodeId> = (1..=n as NodeId).collect();

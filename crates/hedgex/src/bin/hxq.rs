@@ -42,7 +42,6 @@ use std::process::ExitCode;
 use std::time::Instant;
 
 use hedgex::prelude::*;
-use hedgex::store::path::{path_table_len, MAX_PATH_TABLE_LEN};
 use hedgex::ExplainReport;
 
 struct Args {
@@ -131,8 +130,9 @@ static analysis (no document involved):
 
 persistent corpora:
   hxq index DIR --out STORE [--attrs]
-    parse every *.xml file in DIR (sorted by name) and write a versioned,
-    checksummed store with a per-document structural index to STORE
+    parse every *.xml file in DIR (sorted by name) and write them to STORE
+    as a versioned, checksummed store (the structural index is rebuilt
+    from the documents on every load, so depth costs nothing)
   exit code: 0 ok, 1 i/o or parse error, 2 usage error";
 
 fn usage_error(msg: &str) -> ExitCode {
@@ -1014,15 +1014,6 @@ fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
     for (name, path) in files {
         let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
         let flat = parse_flat(&src, &mut ab, cfg).map_err(|e| format!("{name}: {e}"))?;
-        // Every node stores its whole root path, so the table grows as
-        // nodes × depth; refuse what the store's u32 offsets cannot hold.
-        let table = path_table_len(&flat);
-        if table > MAX_PATH_TABLE_LEN {
-            return Err(format!(
-                "{name}: too deep to index: its sortable-path table would take {table} bytes \
-                 (limit {MAX_PATH_TABLE_LEN}); query the file directly instead"
-            ));
-        }
         docs.push((name, flat));
     }
     let store = DocumentStore::build(ab, docs);

@@ -20,8 +20,8 @@
 //! * [`stream`] — push-based streaming evaluation: answer queries during
 //!   the XML parse with memory bounded by document depth;
 //! * [`store`] — persistent document corpora: versioned, checksummed
-//!   on-disk stores with a sortable-path structural index and
-//!   index-pruned query evaluation.
+//!   on-disk stores whose structural index (postings and subtree extents)
+//!   is derived on load, and index-pruned query evaluation.
 //!
 //! See `examples/quickstart.rs` for a guided tour, and the `hedgex-core`
 //! crate docs for the paper-to-module map.

@@ -2,8 +2,8 @@
 //!
 //! The evaluators in `hedgex-core` are linear per document — but a corpus
 //! served repeatedly re-parses and re-traverses every document on every
-//! query. This crate is the "pre-compute structure once, answer by range
-//! scan" layer on top:
+//! query. This crate is the "parse once, answer by range scan" layer on
+//! top:
 //!
 //! * [`DocumentStore`] — an on-disk corpus of [`FlatHedge`]s plus their
 //!   shared [`Alphabet`]. The dense preorder arena is already
@@ -12,12 +12,14 @@
 //!   at load. The file format is versioned and checksummed; loading
 //!   truncated or corrupted bytes returns a typed [`StoreError`] with a
 //!   byte-accurate position — never a panic.
-//! * [`StructIndex`] — per stored document: a compact *sortable path* per
-//!   node (base32 child indices with `W/X/Y/Z` length escapes, so
-//!   lexicographic order over paths equals preorder and "descendants of
-//!   `P`" is the single range `P0..PZW`), per-symbol postings
-//!   (`SymId` → sorted preorder node ids), and the materialized subtree
-//!   extents those paths induce.
+//! * [`StructIndex`] — per stored document: per-symbol postings
+//!   (`SymId` → sorted preorder node ids) and each node's subtree extent
+//!   (its descendants are the preorder range `n+1..subtree_end[n]`). The
+//!   index is derived, never stored: [`DocumentStore::from_bytes`] builds
+//!   it from the validated document in one linear pass (postings by
+//!   counting sort, extents by one reverse sweep over parent links), so
+//!   the file holds only the alphabet and the node records, and depth
+//!   costs nothing.
 //! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
 //!   are checked against postings emptiness (O(1) per document instead of
 //!   a label scan), the candidate set is the union of the
@@ -36,7 +38,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod path;
 pub mod query;
 pub mod store;
 

@@ -13,7 +13,7 @@
 //!    labels an accepting node can carry; the union of their postings
 //!    (already preorder-sorted per symbol) is the candidate set, and the
 //!    traversal then skips every subtree whose preorder range —
-//!    `subtree_end` from the sortable-path index — contains no candidate.
+//!    `subtree_end` from the structural index — contains no candidate.
 //!    An empty candidate set skips the document entirely, including the
 //!    bottom-up automaton run.
 //!

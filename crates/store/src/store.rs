@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! offset 0   magic  b"HXST"
-//!        4   version u32                  (currently 1)
+//!        4   version u32                  (currently 2)
 //!        8   payload length u64           (bytes after the header)
 //!        16  checksum u64                 (FNV-1a 64 over the payload)
 //!        24  payload:
@@ -15,17 +15,16 @@
 //!              per document:
 //!                name       len u32, utf-8 bytes
 //!                nodes      count u32, count × (tag u8, label u32, parent u32)
-//!                postings   (num_syms+1) × offset u32, total u32 node ids
-//!                paths      byte len u32, bytes, (nodes+1) × offset u32
 //! ```
 //!
 //! The node records are the *entire* document — `(label, parent)` per node
 //! in preorder — because the arena's sibling/child links are derivable
-//! (`FlatHedge::from_parts` revalidates and relinks on load). The index
-//! blocks are stored so a reader never recomputes them, but the load path
-//! rebuilds both from the freshly validated hedge and compares: a store
-//! whose index disagrees with its own documents is rejected as corrupt,
-//! so pruned evaluation never trusts unverified ranges.
+//! (`FlatHedge::from_parts` revalidates and relinks on load). The
+//! structural index is derivable too, so it is never written: the loader
+//! builds it from the freshly validated hedge in time linear in the
+//! nodes, and pruned evaluation never reads anything it did not derive.
+//! Version 1 files, which also carried the index, are refused with
+//! [`StoreError::UnsupportedVersion`].
 //!
 //! Every load error is a typed [`StoreError`] carrying the byte offset at
 //! which the problem was detected; no input, however mangled, panics.
@@ -34,13 +33,11 @@ use hedgex_hedge::flat::{FlatLabel, NIL};
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
 use hedgex_obs as obs;
 
-use crate::path::{descendants_range, node_paths};
-
 /// File magic: "HedgeX STore".
 pub const MAGIC: [u8; 4] = *b"HXST";
 
 /// Current format version.
-pub const VERSION: u32 = 1;
+pub const VERSION: u32 = 2;
 
 /// Header size in bytes (magic + version + payload length + checksum).
 pub const HEADER_LEN: usize = 24;
@@ -132,7 +129,8 @@ impl std::fmt::Display for StoreError {
             }
             StoreError::UnsupportedVersion { offset, found } => write!(
                 f,
-                "unsupported store version {found} at byte {offset} (this build reads {VERSION})"
+                "unsupported store version {found} at byte {offset} (this build reads {VERSION}); \
+                 re-run `hxq index`"
             ),
             StoreError::LengthMismatch {
                 offset,
@@ -186,8 +184,9 @@ pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
 // The structural index
 // ---------------------------------------------------------------------------
 
-/// The per-document structural index: sortable paths, per-symbol postings,
-/// and the subtree extents the paths induce.
+/// The per-document structural index: per-symbol postings and subtree
+/// extents. Derived from the document whenever a store is built or loaded;
+/// never serialized.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructIndex {
     /// `postings[postings_off[s]..postings_off[s+1]]` = sorted preorder
@@ -195,18 +194,14 @@ pub struct StructIndex {
     postings_off: Vec<u32>,
     /// The flattened postings lists.
     postings: Vec<NodeId>,
-    /// Flattened sortable paths (see [`crate::path`]).
-    path_bytes: Vec<u8>,
-    /// `path_bytes[path_off[n]..path_off[n+1]]` = node `n`'s path; length
-    /// `num_nodes + 1`.
-    path_off: Vec<u32>,
-    /// One past the last preorder descendant of each node — the
-    /// `P0..PZW` range scan, materialized once at build time.
+    /// One past the last preorder descendant of each node: the
+    /// descendants of `n` are exactly `n+1..subtree_end[n]`.
     subtree_end: Vec<NodeId>,
 }
 
 impl StructIndex {
-    /// Index one document against an alphabet of `num_syms` symbols.
+    /// Index one document against an alphabet of `num_syms` symbols, in
+    /// time linear in its nodes whatever its depth.
     pub fn build(h: &FlatHedge, num_syms: usize) -> StructIndex {
         let n = h.num_nodes();
         // Postings by counting sort: dense by SymId, preorder within.
@@ -228,20 +223,20 @@ impl StructIndex {
                 cursor[a.0 as usize] += 1;
             }
         }
-        let (path_bytes, path_off) = node_paths(h);
-        // The subtree extents are exactly the sortable-path descendant
-        // ranges (binary search per node; validated against each other by
-        // the property suite).
-        let mut subtree_end: Vec<NodeId> = Vec::with_capacity(n);
-        for id in h.preorder() {
-            let (_, hi) = descendants_range(&path_bytes, &path_off, id);
-            subtree_end.push(hi);
+        // Subtree extents by one reverse sweep: ids run in preorder, so a
+        // node's descendants all come after it and are final by the time
+        // the sweep reaches it; each then extends its parent's extent.
+        let mut subtree_end: Vec<NodeId> = (1..=n as NodeId).collect();
+        for id in (0..n as NodeId).rev() {
+            if let Some(p) = h.parent(id) {
+                let end = subtree_end[id as usize];
+                let parent_end = &mut subtree_end[p as usize];
+                *parent_end = (*parent_end).max(end);
+            }
         }
         StructIndex {
             postings_off,
             postings,
-            path_bytes,
-            path_off,
             subtree_end,
         }
     }
@@ -256,20 +251,9 @@ impl StructIndex {
         &self.postings[self.postings_off[s] as usize..self.postings_off[s + 1] as usize]
     }
 
-    /// The sortable path of node `n`.
-    pub fn path(&self, n: NodeId) -> &[u8] {
-        &self.path_bytes[self.path_off[n as usize] as usize..self.path_off[n as usize + 1] as usize]
-    }
-
     /// One past the last preorder descendant of each node.
     pub fn subtree_end(&self) -> &[NodeId] {
         &self.subtree_end
-    }
-
-    /// The descendant range of `n` by sortable-path binary search — the
-    /// `[P·"0", P·"ZW")` scan itself, bypassing the materialized extents.
-    pub fn descendants_by_path(&self, n: NodeId) -> (NodeId, NodeId) {
-        descendants_range(&self.path_bytes, &self.path_off, n)
     }
 }
 
@@ -311,8 +295,8 @@ pub struct DocumentStore {
 }
 
 impl DocumentStore {
-    /// Build a store from documents flattened against a shared alphabet.
-    /// Indexing happens here (once); queries afterwards only read.
+    /// Build a store from documents flattened against a shared alphabet,
+    /// indexing each one; queries afterwards only read.
     pub fn build(alphabet: Alphabet, docs: Vec<(String, FlatHedge)>) -> DocumentStore {
         let num_syms = alphabet.num_syms();
         let docs = docs
@@ -384,19 +368,6 @@ impl DocumentStore {
                 payload.push(tag);
                 write_u32(&mut payload, label);
                 write_u32(&mut payload, h.parent(id).unwrap_or(NIL));
-            }
-            let ix = &doc.index;
-            for &o in &ix.postings_off {
-                write_u32(&mut payload, o);
-            }
-            write_u32(&mut payload, ix.postings.len() as u32);
-            for &p in &ix.postings {
-                write_u32(&mut payload, p);
-            }
-            write_u32(&mut payload, ix.path_bytes.len() as u32);
-            payload.extend_from_slice(&ix.path_bytes);
-            for &o in &ix.path_off {
-                write_u32(&mut payload, o);
             }
         }
         let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
@@ -498,40 +469,9 @@ impl DocumentStore {
                 what: "node records are not a preorder forest",
             })?;
 
-            let index_off = r.pos;
-            r.check_items(num_syms as usize + 1, 4)?;
-            let mut postings_off = Vec::with_capacity(num_syms as usize + 1);
-            for _ in 0..=num_syms {
-                postings_off.push(r.u32()?);
-            }
-            let total = r.u32()? as usize;
-            r.check_items(total, 4)?;
-            let mut postings = Vec::with_capacity(total);
-            for _ in 0..total {
-                postings.push(r.u32()?);
-            }
-            let path_len = r.u32()? as usize;
-            let path_bytes = r.bytes(path_len)?.to_vec();
-            r.check_items(node_count + 1, 4)?;
-            let mut path_off = Vec::with_capacity(node_count + 1);
-            for _ in 0..=node_count {
-                path_off.push(r.u32()?);
-            }
-            // Rather than trust offsets/ids piecemeal, rebuild the index
-            // from the freshly validated hedge and demand byte equality —
-            // O(n), and pruned evaluation afterwards needs no defensive
-            // checks at all.
+            // The index is derived from the validated hedge, never read:
+            // pruned evaluation trusts only what it computed itself.
             let index = StructIndex::build(&hedge, num_syms as usize);
-            if index.postings_off != postings_off
-                || index.postings != postings
-                || index.path_bytes != path_bytes
-                || index.path_off != path_off
-            {
-                return Err(StoreError::Corrupt {
-                    offset: index_off,
-                    what: "structural index disagrees with its document",
-                });
-            }
             docs.push(StoredDoc { name, hedge, index });
         }
         if r.pos != buf.len() {
@@ -693,25 +633,32 @@ mod tests {
     }
 
     #[test]
-    fn subtree_ends_match_path_ranges_and_parents() {
+    fn subtree_ends_match_parent_chains() {
         let store = sample_store();
+        let under = |h: &FlatHedge, d: NodeId, id: NodeId| {
+            let mut anc = h.parent(d);
+            while let Some(a) = anc {
+                if a == id {
+                    return true;
+                }
+                anc = h.parent(a);
+            }
+            false
+        };
         for doc in store.docs() {
             let h = doc.hedge();
-            let ix = doc.index();
+            let end = doc.index().subtree_end();
+            assert_eq!(end.len(), h.num_nodes());
             for id in h.preorder() {
-                let (lo, hi) = ix.descendants_by_path(id);
-                assert_eq!(lo, id + 1);
-                assert_eq!(hi, ix.subtree_end()[id as usize]);
-                // Everything in the range really descends from id.
-                for d in lo..hi {
-                    let mut anc = h.parent(d);
-                    while let Some(a) = anc {
-                        if a == id {
-                            break;
-                        }
-                        anc = h.parent(a);
-                    }
-                    assert_eq!(anc, Some(id), "node {d} not under {id}");
+                let range = id + 1..end[id as usize];
+                // Everything in the range really descends from id, and
+                // every descendant of id lies in the range.
+                for d in h.preorder() {
+                    assert_eq!(
+                        range.contains(&d),
+                        under(h, d, id),
+                        "node {d} vs the subtree of {id}"
+                    );
                 }
             }
         }

@@ -3,13 +3,15 @@
 //! suite holds it to the same standard as the XML parsers — on every
 //! mutilated store image it must return a *typed* error at a byte-accurate
 //! offset, and it must never panic, never allocate absurdly, and never
-//! hand back a store that disagrees with its own index. Corruption that
+//! hand back a store whose index is not the one its own documents derive
+//! (the file carries no index; the loader builds it). Corruption that
 //! keeps the checksum valid (the "resealed" class, a liar that did the
 //! arithmetic) must still be caught by the structural validators behind
 //! it.
 
 use hedgex::prelude::*;
 use hedgex::store::store::{fnv1a_bytes, HEADER_LEN, MAGIC};
+use hedgex::store::StructIndex;
 use hedgex_testkit::{forall, prop_assert, Config, Gen};
 
 // ---------------------------------------------------------------------------
@@ -137,6 +139,15 @@ fn corrupted_stores_fail_with_positioned_typed_errors() {
                     let again = DocumentStore::from_bytes(&reencoded)
                         .map_err(|e| format!("re-serialized store failed to load: {e}"))?;
                     prop_assert!(again == store, "re-serialization not idempotent");
+                    // The index is the one the loaded documents derive.
+                    let num_syms = store.alphabet().num_syms();
+                    for doc in store.docs() {
+                        prop_assert!(
+                            *doc.index() == StructIndex::build(doc.hedge(), num_syms),
+                            "{}: loaded index differs from its hedge's",
+                            doc.name()
+                        );
+                    }
                     if bytes == &seed {
                         prop_assert!(store == expected, "control case differs from seed");
                     }
@@ -206,6 +217,23 @@ fn pinned_hostile_images_fail_identically() {
             found: 9
         })
     ));
+
+    // A version 1 image (the format that also serialized the index) is
+    // refused by its version alone, with the re-index hint.
+    let mut bad = seed.clone();
+    bad[4..8].copy_from_slice(&1u32.to_le_bytes());
+    let err = DocumentStore::from_bytes(&bad).unwrap_err();
+    assert!(
+        matches!(
+            err,
+            StoreError::UnsupportedVersion {
+                offset: 4,
+                found: 1
+            }
+        ),
+        "{err:?}"
+    );
+    assert!(err.to_string().contains("re-run `hxq index`"), "{err}");
 
     // Payload shorter than declared: LengthMismatch at byte 8.
     let mut bad = seed.clone();

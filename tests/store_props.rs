@@ -14,7 +14,8 @@
 use std::cell::RefCell;
 
 use hedgex::core::path_expr::parse_path;
-use hedgex::hedge::{Hedge, SymId, Tree, VarId};
+use hedgex::hedge::flat::FlatLabel;
+use hedgex::hedge::{FlatBuilder, Hedge, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
 use hedgex_testkit::{forall, prop_assert_eq, zip2, Config, Gen, Rng};
@@ -148,7 +149,7 @@ fn plan_pool() -> Vec<Plan> {
 // ---------------------------------------------------------------------------
 
 /// Serialization is the identity: build → bytes → load compares equal on
-/// every field (documents, names, alphabet, postings, paths, subtree
+/// every field (documents, names, alphabet, postings, subtree
 /// ends), and the reload survives a second round trip byte-identically.
 #[test]
 fn store_round_trips_through_bytes_on_random_corpora() {
@@ -261,6 +262,113 @@ fn indexed_evaluation_agrees_with_plain_evaluation() {
                     );
                 }
             }
+            Ok(())
+        },
+    );
+}
+
+// ---------------------------------------------------------------------------
+// Subtree extents
+// ---------------------------------------------------------------------------
+
+/// One step of a random document walk: open an element, add a leaf, or
+/// close the innermost open element.
+#[derive(Debug, Clone, Copy)]
+enum Step {
+    Open(u32),
+    Leaf(u32),
+    Close,
+}
+
+/// A document as a walk of [`Step`]s. One case in three is a chain about
+/// 5 000 levels deep with leaves and short detours along it; the rest are
+/// bushy and shallow. Any sub-walk is a document too (see [`build_walk`]),
+/// so shrinking just drops steps.
+fn arb_walk() -> Gen<Vec<Step>> {
+    Gen::new(|rng| {
+        let (len, p_open, p_close) = if rng.random_range(0..3u32) == 0 {
+            (5_000 + rng.random_range(0..200usize), 0.97, 0.0)
+        } else {
+            (rng.random_range(0..60usize), 0.4, 0.35)
+        };
+        (0..len)
+            .map(|_| {
+                let sym = rng.random_range(0..2u32);
+                let roll = rng.random_range(0..1000u32) as f64 / 1000.0;
+                if roll < p_open {
+                    Step::Open(sym)
+                } else if roll < p_open + p_close {
+                    Step::Close
+                } else {
+                    Step::Leaf(sym)
+                }
+            })
+            .collect()
+    })
+    .with_shrink(|walk: &Vec<Step>| shrink_vec(walk, |_| Vec::new()))
+}
+
+/// Replay a walk into an arena: a close with nothing open is skipped and
+/// whatever is still open at the end is closed.
+fn build_walk(walk: &[Step]) -> FlatHedge {
+    let mut b = FlatBuilder::new();
+    let mut depth = 0usize;
+    for step in walk {
+        match *step {
+            Step::Open(s) => {
+                b.open(SymId(s));
+                depth += 1;
+            }
+            Step::Leaf(s) => {
+                b.leaf(FlatLabel::Sym(SymId(s)));
+            }
+            Step::Close if depth > 0 => {
+                b.close();
+                depth -= 1;
+            }
+            Step::Close => {}
+        }
+    }
+    for _ in 0..depth {
+        b.close();
+    }
+    b.finish()
+}
+
+/// `subtree_end` is the parent-chain oracle: walking up from every node
+/// credits each ancestor with one descendant, and the ancestor's extent
+/// must be exactly itself plus that many nodes, ending one past its last
+/// descendant. The loaded store derives the same index.
+#[test]
+fn subtree_ends_equal_the_parent_chain_oracle() {
+    forall(
+        "store_subtree_ends",
+        Config::with_cases(60),
+        &arb_walk(),
+        |walk| {
+            let h = build_walk(walk);
+            let n = h.num_nodes();
+            let mut count = vec![0usize; n];
+            let mut last = (0..n as u32).collect::<Vec<_>>();
+            for d in 0..n as u32 {
+                let mut anc = h.parent(d);
+                while let Some(a) = anc {
+                    count[a as usize] += 1;
+                    last[a as usize] = last[a as usize].max(d);
+                    anc = h.parent(a);
+                }
+            }
+            let ab = base_alphabet();
+            let store = DocumentStore::build(ab, vec![("walk.xml".to_string(), h)]);
+            let end = store.docs()[0].index().subtree_end();
+            prop_assert_eq!(end.len(), n);
+            for id in 0..n {
+                prop_assert_eq!(end[id] as usize, id + 1 + count[id], "extent of {}", id);
+                prop_assert_eq!(end[id], last[id] + 1, "last descendant of {}", id);
+            }
+            let reloaded = DocumentStore::from_bytes(&store.to_bytes())
+                .map_err(|e| format!("load failed: {e}"))?;
+            prop_assert_eq!(reloaded.docs()[0].index(), store.docs()[0].index());
             Ok(())
         },
     );
