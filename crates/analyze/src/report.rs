@@ -634,7 +634,10 @@ mod tests {
 
     #[test]
     fn analyzer_facts_gate_count_and_exists_soundly() {
-        use hedgex_core::Plan;
+        use hedgex_core::{EvalMode, EvalOutcome, EvalScratch, Plan};
+        let run = |plan: &Plan, flat: &FlatHedge, mode| {
+            plan.eval_into(flat, &mut EvalScratch::new(), mode)
+        };
         // End-to-end: analyzer-produced facts attached to a plan must
         // never change a count or exists verdict, only cheapen it.
         let mut ab = Alphabet::new();
@@ -647,11 +650,16 @@ mod tests {
         let b = ab.get_sym("b").unwrap();
         for d in enumerate_hedges(&[a, b], &[], 5) {
             let flat = FlatHedge::from_hedge(&d);
-            assert_eq!(informed.count(&flat), bare.count(&flat), "{d:?}");
-            assert_eq!(informed.exists(&flat), bare.exists(&flat), "{d:?}");
+            for mode in [EvalMode::Count, EvalMode::Exists] {
+                assert_eq!(
+                    run(&informed, &flat, mode),
+                    run(&bare, &flat, mode),
+                    "{d:?}"
+                );
+            }
             assert_eq!(
-                informed.count(&flat),
-                bare.locate(&flat).len() as u64,
+                run(&informed, &flat, EvalMode::Count),
+                EvalOutcome::Count(bare.locate(&flat).len() as u64),
                 "{d:?}"
             );
         }

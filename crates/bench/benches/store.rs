@@ -37,7 +37,7 @@ use std::time::Instant;
 use hedgex_testkit::{Bench, Json, Throughput};
 
 use hedgex_bench::sidebar_corpus;
-use hedgex_core::{parse_path, EvalScratch, Plan, PlanFacts};
+use hedgex_core::{parse_path, EvalMode, EvalScratch, Plan, PlanFacts};
 use hedgex_hedge::{Alphabet, FlatHedge};
 use hedgex_store::store::HEADER_LEN;
 use hedgex_store::{DocumentStore, StoreQuery};
@@ -93,7 +93,9 @@ fn expected_image_len(store: &DocumentStore) -> usize {
 }
 
 fn warm_count(plan: &Plan, docs: &[FlatHedge], scratch: &mut EvalScratch) -> u64 {
-    docs.iter().map(|d| plan.count_into(d, scratch)).sum()
+    docs.iter()
+        .map(|d| plan.eval_into(d, scratch, EvalMode::Count).matched())
+        .sum()
 }
 
 fn indexed_count(query: &StoreQuery<'_>) -> u64 {
@@ -165,7 +167,9 @@ fn main() {
                 .map(|src| {
                     let doc = parse_xml(src).expect("round-trip parses");
                     let flat = FlatHedge::from_hedge(&to_hedge(&doc, &mut cold_ab, cfg));
-                    broad.count_into(&flat, &mut scratch)
+                    broad
+                        .eval_into(&flat, &mut scratch, EvalMode::Count)
+                        .matched()
                 })
                 .sum();
             std::hint::black_box(total)

@@ -31,7 +31,7 @@ use hedgex_obs as obs;
 
 use crate::hre::{Hre, HreParseError};
 use crate::phr::{Pbhr, Phr};
-use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, PruneInfo};
+use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, GateCursor, ModeSink, PruneInfo};
 
 /// Deepest parenthesis nesting [`parse_path`] accepts.
 pub const MAX_PATH_NESTING: usize = 256;
@@ -310,14 +310,13 @@ impl CompiledPath {
 
     /// Algorithm 1's three modes over the top-down DFA: one depth-first
     /// walk in document order that steps each visited Σ node once and
-    /// never descends below a dead state. Locate leaves the matches in
-    /// `scratch.located()`, Count tallies, Exists returns at the first hit.
+    /// never descends below a dead state, reporting accepting nodes to a
+    /// [`ModeSink`] — Locate leaves the matches in `scratch.located()`,
+    /// Count tallies, Exists returns at the first hit.
     ///
     /// With a `gate` (a store's index, see [`PruneInfo`]) a subtree whose
     /// range holds no candidate is skipped too; the second value counts
-    /// those subtrees. Visits come in increasing preorder, so the
-    /// candidate cursor only moves forward: the gate costs O(candidates)
-    /// per document, not a search per node.
+    /// those subtrees. The gate is the PHR walk's [`GateCursor`].
     pub(crate) fn eval_into(
         &self,
         h: &FlatHedge,
@@ -326,12 +325,27 @@ impl CompiledPath {
         mode: EvalMode,
     ) -> (EvalOutcome, u64) {
         let _span = obs::span("core.path_eval");
+        match gate {
+            None => (self.walk(h, |_| true, scratch, mode), 0),
+            Some(prune) => {
+                let mut gate = GateCursor::new(prune);
+                let outcome = self.walk(h, |id| gate.admits(id), scratch, mode);
+                (outcome, gate.skipped)
+            }
+        }
+    }
+
+    /// The walk behind [`CompiledPath::eval_into`], monomorphized per gate.
+    fn walk(
+        &self,
+        h: &FlatHedge,
+        mut admits: impl FnMut(NodeId) -> bool,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> EvalOutcome {
         let EvalScratch { located, stack, .. } = scratch;
-        located.clear();
+        let mut sink = ModeSink::new(mode, located);
         stack.clear();
-        let mut count = 0u64;
-        let mut skipped = 0u64;
-        let mut cursor = 0usize;
         if let Some(&first) = h.roots().first() {
             stack.push((first, self.start));
         }
@@ -342,29 +356,15 @@ impl CompiledPath {
             if let Some(sibling) = h.next_sibling(id) {
                 stack.push((sibling, from));
             }
-            if let Some(g) = gate {
-                let c = g.candidates;
-                while cursor < c.len() && c[cursor] < id {
-                    cursor += 1;
-                }
-                if !matches!(c.get(cursor), Some(&next) if next < g.subtree_end[id as usize]) {
-                    skipped += 1;
-                    continue;
-                }
+            if !admits(id) {
+                continue;
             }
             let FlatLabel::Sym(a) = h.label(id) else {
                 continue;
             };
             let s = self.step(from, a);
-            if self.accept[s as usize] {
-                match mode {
-                    EvalMode::Locate => located.push(id),
-                    EvalMode::Count => count += 1,
-                    EvalMode::Exists => {
-                        obs::counter_add("core.path_eval.located", 1);
-                        return (EvalOutcome::Exists(true), skipped);
-                    }
-                }
+            if self.accept[s as usize] && sink.hit(id) {
+                break;
             }
             if self.live[s as usize] {
                 if let Some(child) = h.first_child(id) {
@@ -372,13 +372,9 @@ impl CompiledPath {
                 }
             }
         }
-        let outcome = match mode {
-            EvalMode::Locate => EvalOutcome::Located(located.len()),
-            EvalMode::Count => EvalOutcome::Count(count),
-            EvalMode::Exists => EvalOutcome::Exists(false),
-        };
-        obs::counter_add("core.path_eval.located", count + located.len() as u64);
-        (outcome, skipped)
+        let outcome = sink.outcome();
+        obs::counter_add("core.path_eval.located", outcome.matched());
+        outcome
     }
 }
 

@@ -332,7 +332,7 @@ impl CompiledPhr {
     /// steps over the achievable signatures)? A `false` answer is a sound
     /// proof that no *descendant* of a node in state `s` can be located:
     /// every descendant's state extends `s` by more signatures, and a dead
-    /// state stays dead. The exists-mode traversal prunes whole subtrees
+    /// state stays dead. The evaluation walk prunes whole subtrees
     /// on this bit.
     #[inline]
     pub fn n_live(&self, s: u32) -> bool {

@@ -199,32 +199,6 @@ impl Plan {
         true
     }
 
-    /// How many nodes match, allocating fresh buffers. Plans proven empty
-    /// (or documents missing a required symbol) answer `0` cheaply.
-    pub fn count(&self, h: &FlatHedge) -> u64 {
-        self.count_into(h, &mut EvalScratch::new())
-    }
-
-    /// [`Plan::count`] into a reused scratch: the warm path.
-    pub fn count_into(&self, h: &FlatHedge, scratch: &mut EvalScratch) -> u64 {
-        match self.eval_into(h, scratch, EvalMode::Count) {
-            EvalOutcome::Count(n) => n,
-            other => unreachable!("count mode returned {other:?}"),
-        }
-    }
-
-    /// Does any node match, allocating fresh buffers. Plans proven empty
-    /// (or documents missing a required symbol) answer `false` cheaply;
-    /// otherwise the pruned, early-exiting search runs.
-    pub fn exists(&self, h: &FlatHedge) -> bool {
-        self.exists_into(h, &mut EvalScratch::new())
-    }
-
-    /// [`Plan::exists`] into a reused scratch: the warm path.
-    pub fn exists_into(&self, h: &FlatHedge, scratch: &mut EvalScratch) -> bool {
-        self.eval_into(h, scratch, EvalMode::Exists).is_match()
-    }
-
     /// The indexed counterpart of the `lacks_required_sym` label scan:
     /// given an oracle for "does the document contain symbol `a`" (in a
     /// store, one postings-emptiness probe — O(1) per symbol instead of
@@ -242,11 +216,9 @@ impl Plan {
         }
     }
 
-    /// Index-pruned evaluation (see [`two_pass::eval_pruned_into`]): the
-    /// same answer as [`Plan::eval_into`], visiting only the
-    /// ancestors-closure of the candidate set. A plan proven empty by
-    /// analysis answers without reading the document, exactly like the
-    /// unpruned front doors. Returns the outcome plus the number of
+    /// Index-pruned evaluation: the same answer as [`Plan::eval_into`],
+    /// visiting only the ancestors-closure of the candidate set (see
+    /// [`two_pass::eval_into`]). Returns the outcome plus the number of
     /// subtrees the index pruned.
     pub fn eval_pruned_into(
         &self,
@@ -255,14 +227,7 @@ impl Plan {
         scratch: &mut EvalScratch,
         mode: EvalMode,
     ) -> (EvalOutcome, u64) {
-        if self.known_empty() {
-            scratch.clear_located();
-            return (EvalOutcome::none(mode), 0);
-        }
-        match &self.backend {
-            Backend::Phr(c) => two_pass::eval_pruned_into(c, h, prune, scratch, mode),
-            Backend::Path(p) => p.eval_into(h, Some(prune), scratch, mode),
-        }
+        self.dispatch(h, Some(prune), scratch, mode)
     }
 
     /// Evaluate in the chosen [`EvalMode`]. The plan itself is
@@ -274,20 +239,39 @@ impl Plan {
         scratch: &mut EvalScratch,
         mode: EvalMode,
     ) -> EvalOutcome {
+        self.dispatch(h, None, scratch, mode).0
+    }
+
+    /// The one backend dispatch under every entry point. A plan proven
+    /// empty by analysis answers without reading the document, and so
+    /// does a gate with no candidates: the index proved the document
+    /// barren, so not even the bottom-up `M`-run is needed. An ungated PHR
+    /// count or exists first tries the required-symbol label scan; a gated
+    /// run leaves that to the index, and the path walk never needs it (it
+    /// reads each node once at most and stops below dead states).
+    fn dispatch(
+        &self,
+        h: &FlatHedge,
+        gate: Option<&two_pass::PruneInfo<'_>>,
+        scratch: &mut EvalScratch,
+        mode: EvalMode,
+    ) -> (EvalOutcome, u64) {
         if self.known_empty() {
             scratch.clear_located();
-            return EvalOutcome::none(mode);
+            return (EvalOutcome::none(mode), 0);
+        }
+        if gate.is_some_and(|g| g.candidates.is_empty()) {
+            scratch.clear_located();
+            return (EvalOutcome::none(mode), h.roots().len() as u64);
         }
         match &self.backend {
             Backend::Phr(c) => {
-                if mode != EvalMode::Locate && self.lacks_required_sym(h) {
-                    return EvalOutcome::none(mode);
+                if gate.is_none() && mode != EvalMode::Locate && self.lacks_required_sym(h) {
+                    return (EvalOutcome::none(mode), 0);
                 }
-                two_pass::eval_into(c, h, scratch, mode)
+                two_pass::eval_into(c, h, gate, scratch, mode)
             }
-            // No label pre-scan: the DFA walk itself reads each node once
-            // at most and stops below dead states, so it is never dearer.
-            Backend::Path(p) => p.eval_into(h, None, scratch, mode).0,
+            Backend::Path(p) => p.eval_into(h, gate, scratch, mode),
         }
     }
 
@@ -651,6 +635,11 @@ mod tests {
     use crate::phr::parse_phr;
     use hedgex_hedge::{parse_hedge, Alphabet};
 
+    /// One run in `mode` on a fresh scratch.
+    fn cold(plan: &Plan, h: &FlatHedge, mode: EvalMode) -> EvalOutcome {
+        plan.eval_into(h, &mut EvalScratch::new(), mode)
+    }
+
     #[test]
     fn plan_clone_shares_the_compiled_phr() {
         let mut ab = Alphabet::new();
@@ -705,10 +694,8 @@ mod tests {
         let f = FlatHedge::from_hedge(&h);
         let plan = Plan::compile(&phr);
         let mut scratch = EvalScratch::new();
-        assert_eq!(plan.count(&f), 1);
-        assert_eq!(plan.count_into(&f, &mut scratch), 1);
-        assert!(plan.exists(&f));
-        assert!(plan.exists_into(&f, &mut scratch));
+        assert_eq!(cold(&plan, &f, EvalMode::Count), EvalOutcome::Count(1));
+        assert_eq!(cold(&plan, &f, EvalMode::Exists), EvalOutcome::Exists(true));
         assert_eq!(
             plan.eval_into(&f, &mut scratch, EvalMode::Locate),
             EvalOutcome::Located(1)
@@ -727,8 +714,11 @@ mod tests {
             why_empty: Some("test".into()),
             required_syms: Vec::new(),
         });
-        assert_eq!(empty.count(&f), 0);
-        assert!(!empty.exists(&f));
+        assert_eq!(cold(&empty, &f, EvalMode::Count), EvalOutcome::Count(0));
+        assert_eq!(
+            cold(&empty, &f, EvalMode::Exists),
+            EvalOutcome::Exists(false)
+        );
     }
 
     #[test]
@@ -745,12 +735,24 @@ mod tests {
             required_syms: vec![a, b],
         });
         // The scan sees every required symbol → evaluation runs normally.
-        assert_eq!(plan.count(&matching), 1);
-        assert!(plan.exists(&matching));
+        assert_eq!(
+            cold(&plan, &matching, EvalMode::Count),
+            EvalOutcome::Count(1)
+        );
+        assert_eq!(
+            cold(&plan, &matching, EvalMode::Exists),
+            EvalOutcome::Exists(true)
+        );
         // `b` never occurs → rejected by the label scan; the answer still
         // agrees with full evaluation.
-        assert_eq!(plan.count(&lacks_b), 0);
-        assert!(!plan.exists(&lacks_b));
+        assert_eq!(
+            cold(&plan, &lacks_b, EvalMode::Count),
+            EvalOutcome::Count(0)
+        );
+        assert_eq!(
+            cold(&plan, &lacks_b, EvalMode::Exists),
+            EvalOutcome::Exists(false)
+        );
         assert!(plan.locate(&lacks_b).is_empty());
     }
 
@@ -766,8 +768,11 @@ mod tests {
         let f = FlatHedge::from_hedge(&parse_hedge("a<a<b> c<b>> b", &mut ab).unwrap());
         let want = path.locate(&f);
         assert_eq!(plan.locate(&f), want);
-        assert_eq!(plan.count(&f), want.len() as u64);
-        assert!(plan.exists(&f));
+        assert_eq!(
+            cold(&plan, &f, EvalMode::Count),
+            EvalOutcome::Count(want.len() as u64)
+        );
+        assert_eq!(cold(&plan, &f, EvalMode::Exists), EvalOutcome::Exists(true));
         // A path denoting no paths at all is known empty.
         let none = crate::PathExpr {
             regex: hedgex_automata::Regex::Empty,

@@ -22,7 +22,7 @@ use crate::hre::Hre;
 use crate::mark_down::{compile_to_dha, mark_run_into};
 use crate::phr::Phr;
 use crate::phr_compile::CompiledPhr;
-use crate::two_pass;
+use crate::two_pass::{self, EvalMode};
 
 /// A selection query `select(e₁, e₂)` (Definition 20).
 #[derive(Debug, Clone)]
@@ -104,10 +104,12 @@ impl CompiledSelect {
     pub fn locate_into<'s>(&self, h: &FlatHedge, scratch: &'s mut SelectScratch) -> &'s [NodeId] {
         let _span = obs::span("core.query.locate");
         mark_run_into(&self.down, h, &mut scratch.down, &mut scratch.marks);
-        let envelope = two_pass::locate_into(&self.phr, h, &mut scratch.phr);
+        two_pass::eval_into(&self.phr, h, None, &mut scratch.phr, EvalMode::Locate);
         scratch.located.clear();
         scratch.located.extend(
-            envelope
+            scratch
+                .phr
+                .located()
                 .iter()
                 .copied()
                 .filter(|&n| scratch.marks[n as usize]),

@@ -20,10 +20,19 @@
 //! `N`-state is final — the decomposition of its envelope, read top-down,
 //! spells a mirror-word of `L`.
 //!
+//! [`first_pass`], [`second_pass`] and [`locate`] are the two traversals
+//! written out literally: the reference the tests and the explain report
+//! compare against. Production evaluation is [`eval_into`], one walk for
+//! every [`EvalMode`]: after the bottom-up `M`-run it fuses the class
+//! computation into a depth-first top-down search that classifies a
+//! sibling group only when it descends into it, never descends below a
+//! dead `N`-state, optionally skips subtrees a store's index proves
+//! barren ([`PruneInfo`]), and hands accepting nodes to a [`ModeSink`].
+//!
 //! All per-node steps go through [`CompiledPhr`]'s dense tables
 //! (`class_step`, `class_step_row`, `n_transition`) — no hashing — and the
-//! `_into` variants write into a caller-owned [`EvalScratch`] so warm runs
-//! allocate nothing per node.
+//! walk writes into a caller-owned [`EvalScratch`], so warm runs allocate
+//! nothing per node.
 
 use hedgex_ha::HState;
 use hedgex_hedge::flat::FlatLabel;
@@ -40,12 +49,9 @@ pub enum EvalMode {
     /// Materialize the full match set in document order (Algorithm 1).
     #[default]
     Locate,
-    /// How many nodes match. Same two traversals as `Locate`, but the
-    /// second pass tallies per-state counters instead of writing node ids.
+    /// How many nodes match, without writing a single node id.
     Count,
-    /// Does *any* node match. The second pass becomes a pruned search:
-    /// return at the first accepting state, skip whole subtrees whose
-    /// `N`-state is dead ([`CompiledPhr::n_live`]).
+    /// Does *any* node match: the walk stops at the first accepting node.
     Exists,
 }
 
@@ -71,13 +77,117 @@ impl EvalOutcome {
         }
     }
 
+    /// How many matches the outcome reports: the match set's size, the
+    /// count, or (Exists) 0 or 1.
+    pub fn matched(&self) -> u64 {
+        match *self {
+            EvalOutcome::Located(n) => n as u64,
+            EvalOutcome::Count(n) => n,
+            EvalOutcome::Exists(b) => b as u64,
+        }
+    }
+
     /// Did the query match at least one node, whichever mode produced it?
     pub fn is_match(&self) -> bool {
-        match *self {
-            EvalOutcome::Located(n) => n > 0,
-            EvalOutcome::Count(n) => n > 0,
-            EvalOutcome::Exists(b) => b,
+        self.matched() > 0
+    }
+}
+
+/// Where a walk's accepting nodes go — the only thing the three modes do
+/// differently. Locate appends the node to the match buffer, Count tallies
+/// it, Exists tells the walk to stop. The PHR walk ([`eval_into`]), the
+/// path backend's walk and the streaming finisher all report through one.
+pub struct ModeSink<'a> {
+    mode: EvalMode,
+    located: &'a mut Vec<NodeId>,
+    hits: u64,
+}
+
+impl<'a> ModeSink<'a> {
+    /// A sink for `mode`; Locate's matches go to `located`, which is
+    /// cleared here whatever the mode.
+    pub fn new(mode: EvalMode, located: &'a mut Vec<NodeId>) -> ModeSink<'a> {
+        located.clear();
+        ModeSink {
+            mode,
+            located,
+            hits: 0,
         }
+    }
+
+    /// Record an accepting node. `true` means the verdict is settled and
+    /// the walk should stop.
+    #[inline]
+    pub fn hit(&mut self, id: NodeId) -> bool {
+        self.hits += 1;
+        match self.mode {
+            EvalMode::Locate => {
+                self.located.push(id);
+                false
+            }
+            EvalMode::Count => false,
+            EvalMode::Exists => true,
+        }
+    }
+
+    /// The verdict of the walk that fed this sink.
+    pub fn outcome(&self) -> EvalOutcome {
+        match self.mode {
+            EvalMode::Locate => EvalOutcome::Located(self.located.len()),
+            EvalMode::Count => EvalOutcome::Count(self.hits),
+            EvalMode::Exists => EvalOutcome::Exists(self.hits > 0),
+        }
+    }
+}
+
+/// What a structural index knows about one document: the sorted candidate
+/// nodes (every node whose label is in [`Plan::match_syms`](crate::Plan::match_syms) — in a
+/// store, the union of those symbols' postings) and the preorder subtree
+/// extents (`subtree_end[n]` is one past the last descendant of `n`, so
+/// the descendants-of-`n` question is the single range `n..subtree_end[n]`).
+///
+/// A gated walk only ever *skips* subtrees containing no candidate, so a
+/// sound over-approximation in `candidates` keeps every answer exact.
+pub struct PruneInfo<'a> {
+    /// Candidate match nodes, strictly increasing.
+    pub candidates: &'a [NodeId],
+    /// `subtree_end[n]` = one past the last preorder descendant of `n`.
+    pub subtree_end: &'a [NodeId],
+}
+
+/// A [`PruneInfo`] read as the gate of a walk: a subtree is entered iff
+/// the first candidate at or after its root lies inside its range. Both
+/// walks visit in increasing preorder, so the cursor only moves forward
+/// and a walk pays O(candidates) for the gate, not a search per node.
+/// Walks take the gate as a closure, so the open gate (`|_| true`)
+/// compiles away.
+pub(crate) struct GateCursor<'a> {
+    prune: &'a PruneInfo<'a>,
+    next: usize,
+    /// Subtrees refused so far.
+    pub(crate) skipped: u64,
+}
+
+impl<'a> GateCursor<'a> {
+    pub(crate) fn new(prune: &'a PruneInfo<'a>) -> GateCursor<'a> {
+        GateCursor {
+            prune,
+            next: 0,
+            skipped: 0,
+        }
+    }
+
+    /// May the walk enter `id` and its subtree?
+    #[inline]
+    pub(crate) fn admits(&mut self, id: NodeId) -> bool {
+        let c = self.prune.candidates;
+        while self.next < c.len() && c[self.next] < id {
+            self.next += 1;
+        }
+        let inside =
+            matches!(c.get(self.next), Some(&n) if n < self.prune.subtree_end[id as usize]);
+        self.skipped += u64::from(!inside);
+        inside
     }
 }
 
@@ -92,10 +202,10 @@ pub struct FirstPass {
     pub younger_class: Vec<u32>,
 }
 
-/// Reusable buffers for the whole two-traversal evaluation. Allocate once
-/// (or take one from a [`crate::plan::Plan`] workflow), then every
-/// [`locate_into`] call recycles the same memory: per-node cost is table
-/// steps only, with buffer growth amortized across documents.
+/// Reusable buffers for [`eval_into`]. Allocate once (or take one from a
+/// [`crate::plan::Plan`] workflow), then every run recycles the same
+/// memory: per-node cost is table steps only, with buffer growth amortized
+/// across documents.
 #[derive(Debug, Default)]
 pub struct EvalScratch {
     /// `M`-run buffer (the bottom-up state pass).
@@ -108,14 +218,9 @@ pub struct EvalScratch {
     /// Current sibling group (children are singly linked, and the suffix
     /// pass reads them right-to-left, so they are buffered per group).
     group: Vec<NodeId>,
-    /// `N`-state per node (second traversal).
-    n_state: Vec<u32>,
-    /// Matches of the most recent run.
+    /// Matches of the most recent Locate run.
     pub(crate) located: Vec<NodeId>,
-    /// Per-`N`-state tallies (Count mode: no match-set writes at all).
-    state_count: Vec<u64>,
-    /// Explicit DFS stack for the pruned traversals (and the path
-    /// backend's walk): `(node, parent state)`.
+    /// Explicit DFS stack of both walks: `(node, parent state)`.
     pub(crate) stack: Vec<(NodeId, u32)>,
 }
 
@@ -125,7 +230,7 @@ impl EvalScratch {
         EvalScratch::default()
     }
 
-    /// The matches found by the most recent [`locate_into`] call.
+    /// The matches found by the most recent Locate run.
     pub fn located(&self) -> &[NodeId] {
         &self.located
     }
@@ -139,22 +244,20 @@ impl EvalScratch {
 
 /// Run the first traversal.
 pub fn first_pass(phr: &CompiledPhr, h: &FlatHedge) -> FirstPass {
+    let n = h.num_nodes();
+    let start = phr.classes.start();
     let states = phr.m.run(h);
-    let mut elder_class = Vec::new();
-    let mut younger_class = Vec::new();
-    let mut f = Vec::new();
-    let mut nf = Vec::new();
-    let mut group = Vec::new();
-    first_pass_core(
-        phr,
-        h,
-        &states,
-        &mut elder_class,
-        &mut younger_class,
-        &mut f,
-        &mut nf,
-        &mut group,
-    );
+    let mut elder_class = vec![start; n];
+    let mut younger_class = vec![start; n];
+    let (mut f, mut nf, mut group) = (Vec::new(), Vec::new(), Vec::new());
+    let (ec, yc) = (&mut elder_class, &mut younger_class);
+    classify(phr, &states, h.roots(), &mut f, &mut nf, ec, yc);
+    for id in h.preorder() {
+        if matches!(h.label(id), FlatLabel::Sym(_)) {
+            children_into(h, id, &mut group);
+            classify(phr, &states, &group, &mut f, &mut nf, ec, yc);
+        }
+    }
     FirstPass {
         states,
         elder_class,
@@ -162,9 +265,42 @@ pub fn first_pass(phr: &CompiledPhr, h: &FlatHedge) -> FirstPass {
     }
 }
 
+/// Collect the children of `id` into a reused buffer (`h.children()`
+/// would allocate a `Vec` per node).
+fn children_into(h: &FlatHedge, id: NodeId, group: &mut Vec<NodeId>) {
+    group.clear();
+    let mut c = h.first_child(id);
+    while let Some(cid) = c {
+        group.push(cid);
+        c = h.next_sibling(cid);
+    }
+}
+
+/// [`sibling_classes`] over one sibling group of a [`FlatHedge`], writing
+/// each member's classes at its node id.
+fn classify(
+    phr: &CompiledPhr,
+    states: &[HState],
+    g: &[NodeId],
+    f: &mut Vec<u32>,
+    nf: &mut Vec<u32>,
+    elder_class: &mut [u32],
+    younger_class: &mut [u32],
+) {
+    sibling_classes(
+        phr,
+        g.len(),
+        |i| states[g[i] as usize],
+        f,
+        nf,
+        |i, c| elder_class[g[i] as usize] = c,
+        |i, c| younger_class[g[i] as usize] = c,
+    );
+}
+
 /// The first traversal's per-group step, factored out of the tree walk so
-/// any driver can use it — the materialized evaluator below feeds it sibling
-/// groups collected from a [`FlatHedge`], and the streaming evaluator
+/// any driver can use it — the evaluators here feed it sibling groups
+/// collected from a [`FlatHedge`], and the streaming evaluator
 /// (`hedgex-stream`) feeds it the buffered children of each element as its
 /// close tag arrives.
 ///
@@ -212,100 +348,11 @@ pub fn sibling_classes(
     }
 }
 
-/// The class computation of the first traversal, over already-computed
-/// `M`-states, writing into caller-owned buffers.
-#[allow(clippy::too_many_arguments)] // the buffers ARE the interface
-fn first_pass_core(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    states: &[HState],
-    elder_class: &mut Vec<u32>,
-    younger_class: &mut Vec<u32>,
-    f: &mut Vec<u32>,
-    nf: &mut Vec<u32>,
-    group: &mut Vec<NodeId>,
-) {
-    let _span = obs::span("core.two_pass.first");
-    let n = h.num_nodes();
-    let ncl = phr.classes.num_classes();
-    let start = phr.classes.start();
-    elder_class.clear();
-    elder_class.resize(n, start);
-    younger_class.clear();
-    younger_class.resize(n, start);
-
-    // Local tallies, flushed once below — the traversal itself stays free
-    // of registry traffic.
-    let mut groups = 0u64;
-    let mut max_group = 0u64;
-
-    let mut process = |group: &[NodeId], elder_class: &mut [u32], younger_class: &mut [u32]| {
-        groups += 1;
-        max_group = max_group.max(group.len() as u64);
-        sibling_classes(
-            phr,
-            group.len(),
-            |i| states[group[i] as usize],
-            f,
-            nf,
-            |i, c| elder_class[group[i] as usize] = c,
-            |i, c| younger_class[group[i] as usize] = c,
-        );
-    };
-
-    process(h.roots(), elder_class, younger_class);
-    for id in h.preorder() {
-        if matches!(h.label(id), FlatLabel::Sym(_)) {
-            // Collect the children by walking the sibling links into the
-            // reused buffer (h.children() would allocate a Vec per node).
-            group.clear();
-            let mut c = h.first_child(id);
-            while let Some(cid) = c {
-                group.push(cid);
-                c = h.next_sibling(cid);
-            }
-            if !group.is_empty() {
-                process(group, elder_class, younger_class);
-            }
-        }
-    }
-
-    obs::counter_add("core.two_pass.first.nodes", n as u64);
-    obs::counter_add("core.two_pass.first.groups", groups);
-    obs::counter_add("core.two_pass.first.classes", ncl as u64);
-    obs::histogram_record("core.two_pass.group_size", max_group);
-}
-
 /// Run the second traversal over a finished [`FirstPass`]: step the mirror
 /// automaton `N` top-down and collect every node whose `N`-state is final.
 pub fn second_pass(phr: &CompiledPhr, h: &FlatHedge, fp: &FirstPass) -> Vec<NodeId> {
-    let mut n_state = Vec::new();
+    let mut n_state = vec![0; h.num_nodes()];
     let mut located = Vec::new();
-    second_pass_core(
-        phr,
-        h,
-        &fp.elder_class,
-        &fp.younger_class,
-        &mut n_state,
-        &mut located,
-    );
-    located
-}
-
-/// The top-down traversal, writing into caller-owned buffers. Every node
-/// costs one fused [`CompiledPhr::n_transition`] table step.
-fn second_pass_core(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    elder_class: &[u32],
-    younger_class: &[u32],
-    n_state: &mut Vec<u32>,
-    located: &mut Vec<NodeId>,
-) {
-    let _span = obs::span("core.two_pass.second");
-    located.clear();
-    n_state.clear();
-    n_state.resize(h.num_nodes(), 0);
     for id in h.preorder() {
         let FlatLabel::Sym(a) = h.label(id) else {
             continue;
@@ -316,324 +363,75 @@ fn second_pass_core(
         };
         let s = phr.n_transition(
             parent_state,
-            elder_class[id as usize],
+            fp.elder_class[id as usize],
             a,
-            younger_class[id as usize],
+            fp.younger_class[id as usize],
         );
         n_state[id as usize] = s;
         if phr.n_accepting(s) {
             located.push(id);
         }
     }
-    obs::counter_add("core.two_pass.located", located.len() as u64);
+    located
 }
 
 /// Run both traversals: every node whose envelope matches the PHR, in
-/// document order (Theorem 4 + Algorithm 1).
+/// document order (Theorem 4 + Algorithm 1). The reference evaluator —
+/// production runs go through [`eval_into`].
 pub fn locate(phr: &CompiledPhr, h: &FlatHedge) -> Vec<NodeId> {
-    let mut scratch = EvalScratch::new();
-    locate_into(phr, h, &mut scratch);
-    scratch.located
+    second_pass(phr, h, &first_pass(phr, h))
 }
 
-/// Run both traversals into a caller-owned [`EvalScratch`], returning the
-/// located nodes as a borrow of the scratch. The warm path: with a reused
-/// scratch, evaluation performs no per-node heap allocation.
-pub fn locate_into<'s>(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    scratch: &'s mut EvalScratch,
-) -> &'s [NodeId] {
-    let _span = obs::span("core.two_pass");
-    phr.m.run_into(h, &mut scratch.ha);
-    first_pass_core(
-        phr,
-        h,
-        scratch.ha.states(),
-        &mut scratch.elder_class,
-        &mut scratch.younger_class,
-        &mut scratch.f,
-        &mut scratch.nf,
-        &mut scratch.group,
-    );
-    second_pass_core(
-        phr,
-        h,
-        &scratch.elder_class,
-        &scratch.younger_class,
-        &mut scratch.n_state,
-        &mut scratch.located,
-    );
-    &scratch.located
-}
-
-/// How many nodes match the PHR. Equivalent to `locate(phr, h).len()`, but
-/// the second traversal tallies per-state counters instead of materializing
-/// the match set — no node-id writes, no match buffer growth.
-pub fn count(phr: &CompiledPhr, h: &FlatHedge) -> u64 {
-    count_into(phr, h, &mut EvalScratch::new())
-}
-
-/// [`count`] into a caller-owned scratch (the warm, allocation-free path).
-pub fn count_into(phr: &CompiledPhr, h: &FlatHedge, scratch: &mut EvalScratch) -> u64 {
-    let _span = obs::span("core.two_pass");
-    phr.m.run_into(h, &mut scratch.ha);
-    first_pass_core(
-        phr,
-        h,
-        scratch.ha.states(),
-        &mut scratch.elder_class,
-        &mut scratch.younger_class,
-        &mut scratch.f,
-        &mut scratch.nf,
-        &mut scratch.group,
-    );
-    second_pass_count_core(
-        phr,
-        h,
-        &scratch.elder_class,
-        &scratch.younger_class,
-        &mut scratch.n_state,
-        &mut scratch.state_count,
-    )
-}
-
-/// The counting variant of the top-down traversal: identical sweep, but the
-/// only write per node is `state_count[s] += 1`. The answer is the sum of
-/// the tallies over accepting states.
-fn second_pass_count_core(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    elder_class: &[u32],
-    younger_class: &[u32],
-    n_state: &mut Vec<u32>,
-    state_count: &mut Vec<u64>,
-) -> u64 {
-    let _span = obs::span("core.two_pass.second");
-    state_count.clear();
-    state_count.resize(phr.n_states_materialized(), 0);
-    n_state.clear();
-    n_state.resize(h.num_nodes(), 0);
-    for id in h.preorder() {
-        let FlatLabel::Sym(a) = h.label(id) else {
-            continue;
-        };
-        let parent_state = match h.parent(id) {
-            None => phr.n_start(),
-            Some(p) => n_state[p as usize],
-        };
-        let s = phr.n_transition(
-            parent_state,
-            elder_class[id as usize],
-            a,
-            younger_class[id as usize],
-        );
-        n_state[id as usize] = s;
-        state_count[s as usize] += 1;
-    }
-    let total: u64 = state_count
-        .iter()
-        .enumerate()
-        .filter(|&(s, _)| phr.n_accepting(s as u32))
-        .map(|(_, &c)| c)
-        .sum();
-    obs::counter_add("core.two_pass.located", total);
-    total
-}
-
-/// Does *any* node match the PHR? Equivalent to `!locate(phr, h).is_empty()`
-/// but usually far cheaper: the top-down pass becomes a depth-first search
-/// that stops at the first accepting state and prunes every subtree whose
-/// `N`-state is dead — and the first pass goes lazy with it. Sibling
-/// ≡-classes are computed per group, only when the search actually
-/// descends into that group, so a pruned subtree pays for neither
-/// traversal. Only the bottom-up `M`-run (inherently whole-document — a
-/// node's state depends on its descendants) still touches every node.
-pub fn exists(phr: &CompiledPhr, h: &FlatHedge) -> bool {
-    exists_into(phr, h, &mut EvalScratch::new())
-}
-
-/// [`exists`] into a caller-owned scratch (the warm, allocation-free path).
-pub fn exists_into(phr: &CompiledPhr, h: &FlatHedge, scratch: &mut EvalScratch) -> bool {
-    let _span = obs::span("core.two_pass");
-    phr.m.run_into(h, &mut scratch.ha);
-    let EvalScratch {
-        ha,
-        elder_class,
-        younger_class,
-        f,
-        nf,
-        group,
-        stack,
-        ..
-    } = scratch;
-    exists_core(
-        phr,
-        h,
-        ha.states(),
-        elder_class,
-        younger_class,
-        f,
-        nf,
-        group,
-        stack,
-    )
-}
-
-/// The fused, pruned search replacing both traversals in Exists mode. An
-/// explicit stack of `(node, parent N-state)` pairs: children are simply
-/// never pushed when their parent's state is dead, so barren subtrees cost
-/// nothing — not even a table step per node. A sibling group's ≡-classes
-/// are computed (via [`sibling_classes`]) at the moment the search first
-/// descends into it, so pruning skips the first pass's work too.
-#[allow(clippy::too_many_arguments)] // the buffers ARE the interface
-fn exists_core(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    states: &[HState],
-    elder_class: &mut Vec<u32>,
-    younger_class: &mut Vec<u32>,
-    f: &mut Vec<u32>,
-    nf: &mut Vec<u32>,
-    group: &mut Vec<NodeId>,
-    stack: &mut Vec<(NodeId, u32)>,
-) -> bool {
-    let _span = obs::span("core.two_pass.exists");
-    let n = h.num_nodes();
-    let cls_start = phr.classes.start();
-    // Grow-only, no clear: a group's classes are always written before any
-    // of its nodes pop, so stale entries from earlier runs are never read.
-    if elder_class.len() < n {
-        elder_class.resize(n, cls_start);
-    }
-    if younger_class.len() < n {
-        younger_class.resize(n, cls_start);
-    }
-
-    let mut visited = 0u64;
-    let mut groups = 0u64;
-    let mut classify = |g: &[NodeId],
-                        elder_class: &mut [u32],
-                        younger_class: &mut [u32],
-                        f: &mut Vec<u32>,
-                        nf: &mut Vec<u32>| {
-        groups += 1;
-        sibling_classes(
-            phr,
-            g.len(),
-            |i| states[g[i] as usize],
-            f,
-            nf,
-            |i, c| elder_class[g[i] as usize] = c,
-            |i, c| younger_class[g[i] as usize] = c,
-        );
-    };
-
-    stack.clear();
-    classify(h.roots(), elder_class, younger_class, f, nf);
-    let start = phr.n_start();
-    for &r in h.roots().iter().rev() {
-        stack.push((r, start));
-    }
-    while let Some((id, parent_state)) = stack.pop() {
-        let FlatLabel::Sym(a) = h.label(id) else {
-            continue;
-        };
-        visited += 1;
-        let s = phr.n_transition(
-            parent_state,
-            elder_class[id as usize],
-            a,
-            younger_class[id as usize],
-        );
-        if phr.n_accepting(s) {
-            obs::counter_add("core.two_pass.exists.visited", visited);
-            obs::counter_add("core.two_pass.exists.groups", groups);
-            obs::counter_add("core.two_pass.located", 1);
-            return true;
-        }
-        if !phr.n_live(s) {
-            continue;
-        }
-        // Collect the children into the reused buffer (the suffix pass
-        // inside `classify` reads them right-to-left, and pushing them in
-        // reverse makes the leftmost pop first: the search visits nodes in
-        // document order and exits at the earliest match).
-        group.clear();
-        let mut c = h.first_child(id);
-        while let Some(cid) = c {
-            group.push(cid);
-            c = h.next_sibling(cid);
-        }
-        if group.is_empty() {
-            continue;
-        }
-        classify(group, elder_class, younger_class, f, nf);
-        for &cid in group.iter().rev() {
-            stack.push((cid, s));
-        }
-    }
-    obs::counter_add("core.two_pass.exists.visited", visited);
-    obs::counter_add("core.two_pass.exists.groups", groups);
-    false
-}
-
-/// What a structural index knows about one document: the sorted candidate
-/// nodes (every node whose label is in [`Plan::match_syms`](crate::Plan::match_syms) — in a
-/// store, the union of those symbols' postings) and the preorder subtree
-/// extents (`subtree_end[n]` is one past the last descendant of `n`, so
-/// the descendants-of-`n` question is the single range `n..subtree_end[n]`).
+/// Evaluate the PHR on `h` in `mode`, behind an optional index `gate`:
+/// the answer of [`locate`], as a match set left in the scratch
+/// ([`EvalScratch::located`]), a count, or a yes/no. The second value
+/// counts the subtrees the gate alone skipped (0 without a gate).
 ///
-/// [`eval_pruned_into`] only ever *skips* work based on this data, and
-/// only subtrees containing no candidate, so a sound over-approximation in
-/// `candidates` keeps every answer exact.
-pub struct PruneInfo<'a> {
-    /// Candidate match nodes, strictly increasing.
-    pub candidates: &'a [NodeId],
-    /// `subtree_end[n]` = one past the last preorder descendant of `n`.
-    pub subtree_end: &'a [NodeId],
-}
-
-impl PruneInfo<'_> {
-    /// Is any candidate inside `n`'s subtree range `[n, subtree_end[n])`?
-    #[inline]
-    fn subtree_has_candidate(&self, n: NodeId) -> bool {
-        let i = self.candidates.partition_point(|&c| c < n);
-        self.candidates
-            .get(i)
-            .is_some_and(|&c| c < self.subtree_end[n as usize])
-    }
-}
-
-/// Index-pruned evaluation: the answer of [`eval_into`], restricted to the
-/// ancestors-closure of the candidate set. One fused traversal serves all
-/// three modes; alongside the outcome it reports how many subtrees the
-/// index alone pruned (candidate-free ranges never visited — the automaton
-/// liveness pruning of Exists mode composes on top but is not counted).
+/// After the bottom-up `M`-run — inherently whole-document, since a
+/// node's state depends on its descendants — one depth-first search
+/// replaces both remaining traversals. An explicit stack of `(node,
+/// parent N-state)` pairs visits nodes in document order; a node whose
+/// `N`-state is dead ([`CompiledPhr::n_live`]) has no children pushed, so
+/// barren subtrees cost nothing, not even a table step per node. A sibling
+/// group's ≡-classes are computed ([`sibling_classes`]) at the moment the
+/// search first descends into it, so pruning skips the first pass's class
+/// work too.
 ///
-/// Soundness: an accepting node's label is in `match_syms`, so it is a
-/// candidate, so it and all of its ancestors carry a candidate in their
-/// subtree range and are visited with exactly the states/classes the
-/// unpruned traversal would compute (classes are per sibling group, and a
-/// group is classified before any of its members is expanded). A document
-/// with *no* candidates therefore has no matches at all, and the traversal
-/// — including the bottom-up `M`-run — is skipped outright.
-pub fn eval_pruned_into(
+/// The gate composes: a subtree whose range holds no candidate is skipped
+/// before its root is stepped. Soundness: an accepting node's label is in
+/// `match_syms`, so it is a candidate, so it and all of its ancestors
+/// carry a candidate in their subtree range and are visited with exactly
+/// the states and classes the ungated walk computes (classes are per
+/// sibling group, and a group is classified before any of its members is
+/// expanded).
+pub fn eval_into(
     phr: &CompiledPhr,
     h: &FlatHedge,
-    prune: &PruneInfo<'_>,
+    gate: Option<&PruneInfo<'_>>,
     scratch: &mut EvalScratch,
     mode: EvalMode,
 ) -> (EvalOutcome, u64) {
-    let _span = obs::span("core.two_pass.pruned");
-    let locate = matches!(mode, EvalMode::Locate);
-    if locate {
-        scratch.located.clear();
+    let _span = obs::span("core.two_pass");
+    match gate {
+        None => (walk(phr, h, |_| true, scratch, mode), 0),
+        Some(prune) => {
+            debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
+            let mut gate = GateCursor::new(prune);
+            let outcome = walk(phr, h, |id| gate.admits(id), scratch, mode);
+            obs::counter_add("core.two_pass.skipped", gate.skipped);
+            (outcome, gate.skipped)
+        }
     }
-    if prune.candidates.is_empty() {
-        return (EvalOutcome::none(mode), h.roots().len() as u64);
-    }
-    debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
+}
+
+/// The walk behind [`eval_into`], monomorphized per gate.
+fn walk(
+    phr: &CompiledPhr,
+    h: &FlatHedge,
+    mut admits: impl FnMut(NodeId) -> bool,
+    scratch: &mut EvalScratch,
+    mode: EvalMode,
+) -> EvalOutcome {
     phr.m.run_into(h, &mut scratch.ha);
     let EvalScratch {
         ha,
@@ -644,48 +442,22 @@ pub fn eval_pruned_into(
         group,
         stack,
         located,
-        ..
     } = scratch;
     let states = ha.states();
     let n = h.num_nodes();
     let cls_start = phr.classes.start();
-    // Grow-only, no clear (see `exists_core`): a group's classes are
-    // always written before any of its nodes pops.
+    // Grow-only, no clear: a group's classes are always written before any
+    // of its nodes pops, so stale entries from earlier runs are never read.
     if elder_class.len() < n {
         elder_class.resize(n, cls_start);
-    }
-    if younger_class.len() < n {
         younger_class.resize(n, cls_start);
     }
-    let classify = |g: &[NodeId],
-                    elder_class: &mut [u32],
-                    younger_class: &mut [u32],
-                    f: &mut Vec<u32>,
-                    nf: &mut Vec<u32>| {
-        sibling_classes(
-            phr,
-            g.len(),
-            |i| states[g[i] as usize],
-            f,
-            nf,
-            |i, c| elder_class[g[i] as usize] = c,
-            |i, c| younger_class[g[i] as usize] = c,
-        );
-    };
-
-    let mut count = 0u64;
-    let mut skipped = 0u64;
+    let mut sink = ModeSink::new(mode, located);
+    classify(phr, states, h.roots(), f, nf, elder_class, younger_class);
     stack.clear();
-    classify(h.roots(), elder_class, younger_class, f, nf);
-    let start = phr.n_start();
-    for &r in h.roots().iter().rev() {
-        stack.push((r, start));
-    }
+    stack.extend(h.roots().iter().rev().map(|&r| (r, phr.n_start())));
     while let Some((id, parent_state)) = stack.pop() {
-        // The index gate: a subtree with no candidate can contain no
-        // accepting node — skip it before spending even one table step.
-        if !prune.subtree_has_candidate(id) {
-            skipped += 1;
+        if !admits(id) {
             continue;
         }
         let FlatLabel::Sym(a) = h.label(id) else {
@@ -697,65 +469,24 @@ pub fn eval_pruned_into(
             a,
             younger_class[id as usize],
         );
-        if phr.n_accepting(s) {
-            match mode {
-                EvalMode::Locate => located.push(id),
-                EvalMode::Count => count += 1,
-                EvalMode::Exists => {
-                    obs::counter_add("core.two_pass.pruned.skipped", skipped);
-                    obs::counter_add("core.two_pass.located", 1);
-                    return (EvalOutcome::Exists(true), skipped);
-                }
-            }
+        if phr.n_accepting(s) && sink.hit(id) {
+            break;
         }
-        // Liveness pruning composes: even inside a candidate range, a dead
-        // N-state proves every descendant barren.
         if !phr.n_live(s) {
             continue;
         }
-        group.clear();
-        let mut c = h.first_child(id);
-        while let Some(cid) = c {
-            group.push(cid);
-            c = h.next_sibling(cid);
-        }
-        if group.is_empty() {
-            continue;
-        }
-        classify(group, elder_class, younger_class, f, nf);
-        for &cid in group.iter().rev() {
-            stack.push((cid, s));
+        // Pushing the group in reverse makes the leftmost child pop first:
+        // the search visits nodes in document order, so Locate's matches
+        // come out sorted and Exists stops at the earliest one.
+        children_into(h, id, group);
+        if !group.is_empty() {
+            classify(phr, states, group, f, nf, elder_class, younger_class);
+            stack.extend(group.iter().rev().map(|&cid| (cid, s)));
         }
     }
-    obs::counter_add("core.two_pass.pruned.skipped", skipped);
-    let outcome = match mode {
-        EvalMode::Locate => {
-            obs::counter_add("core.two_pass.located", located.len() as u64);
-            EvalOutcome::Located(located.len())
-        }
-        EvalMode::Count => {
-            obs::counter_add("core.two_pass.located", count);
-            EvalOutcome::Count(count)
-        }
-        EvalMode::Exists => EvalOutcome::Exists(false),
-    };
-    (outcome, skipped)
-}
-
-/// Run the evaluation in the chosen [`EvalMode`]. For `Locate` the match
-/// set is left in the scratch ([`EvalScratch::located`]); the outcome
-/// carries only its size.
-pub fn eval_into(
-    phr: &CompiledPhr,
-    h: &FlatHedge,
-    scratch: &mut EvalScratch,
-    mode: EvalMode,
-) -> EvalOutcome {
-    match mode {
-        EvalMode::Locate => EvalOutcome::Located(locate_into(phr, h, scratch).len()),
-        EvalMode::Count => EvalOutcome::Count(count_into(phr, h, scratch)),
-        EvalMode::Exists => EvalOutcome::Exists(exists_into(phr, h, scratch)),
-    }
+    let outcome = sink.outcome();
+    obs::counter_add("core.two_pass.located", outcome.matched());
+    outcome
 }
 
 #[cfg(test)]
@@ -763,6 +494,7 @@ mod tests {
     use super::*;
     use crate::phr::parse_phr;
     use hedgex_ha::enumerate::enumerate_hedges;
+    use hedgex_hedge::flat::FlatBuilder;
     use hedgex_hedge::{parse_hedge, Alphabet};
 
     /// Compare Algorithm 1 against the declarative evaluator on every small
@@ -781,17 +513,18 @@ mod tests {
             let fast = locate(&compiled, &f);
             let slow = phr.locate_naive(&f);
             assert_eq!(fast, slow, "{phr_src} disagrees on {h:?}");
-            let warm = locate_into(&compiled, &f, &mut scratch);
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Locate);
+            let warm = scratch.located();
             assert_eq!(warm, &slow[..], "{phr_src} warm path disagrees on {h:?}");
             // The cheaper modes must agree with the full match set.
             assert_eq!(
-                count_into(&compiled, &f, &mut scratch),
-                slow.len() as u64,
+                eval_into(&compiled, &f, None, &mut scratch, EvalMode::Count).0,
+                EvalOutcome::Count(slow.len() as u64),
                 "{phr_src} count disagrees on {h:?}"
             );
             assert_eq!(
-                exists_into(&compiled, &f, &mut scratch),
-                !slow.is_empty(),
+                eval_into(&compiled, &f, None, &mut scratch, EvalMode::Exists).0,
+                EvalOutcome::Exists(!slow.is_empty()),
                 "{phr_src} exists disagrees on {h:?}"
             );
         }
@@ -899,8 +632,9 @@ mod tests {
     #[test]
     fn exists_prunes_dead_subtrees() {
         // Query demands an `a` at the root of the envelope; a document
-        // rooted at `c` sends N to a dead state immediately, so the search
-        // must answer without descending — same answer, almost no work.
+        // rooted at `c` sends N to a dead state immediately, so the walk
+        // must answer without descending — the reference answer in every
+        // mode, almost no work.
         let mut ab = Alphabet::new();
         let phr = parse_phr("[ε ; a ; ε]", &mut ab).unwrap();
         let compiled = CompiledPhr::compile(&phr);
@@ -910,9 +644,20 @@ mod tests {
             h = hedgex_hedge::Hedge::node(c, h);
         }
         let f = FlatHedge::from_hedge(&h);
-        assert!(!exists(&compiled, &f));
-        assert_eq!(count(&compiled, &f), 0);
+        let mut scratch = EvalScratch::new();
+        assert_eq!(
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Exists).0,
+            EvalOutcome::Exists(false)
+        );
+        assert_eq!(
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Count).0,
+            EvalOutcome::Count(0)
+        );
         assert!(locate(&compiled, &f).is_empty());
+        let empty = compiled.classes.start();
+        let root = compiled.n_transition(compiled.n_start(), empty, c, empty);
+        assert!(!compiled.n_live(root), "dead at the root");
+        assert_walk_matches_reference(&compiled, &f);
     }
 
     /// Preorder subtree extents by reverse max-propagation (what a store
@@ -958,15 +703,13 @@ mod tests {
                     candidates: &candidates,
                     subtree_end: &end,
                 };
-                let (out, _) =
-                    eval_pruned_into(&compiled, &f, &prune, &mut scratch, EvalMode::Locate);
+                let gate = Some(&prune);
+                let (out, _) = eval_into(&compiled, &f, gate, &mut scratch, EvalMode::Locate);
                 assert_eq!(out, EvalOutcome::Located(expected.len()), "{phr_src} {h:?}");
                 assert_eq!(scratch.located(), &expected[..], "{phr_src} {h:?}");
-                let (out, _) =
-                    eval_pruned_into(&compiled, &f, &prune, &mut scratch, EvalMode::Count);
+                let (out, _) = eval_into(&compiled, &f, gate, &mut scratch, EvalMode::Count);
                 assert_eq!(out, EvalOutcome::Count(expected.len() as u64));
-                let (out, _) =
-                    eval_pruned_into(&compiled, &f, &prune, &mut scratch, EvalMode::Exists);
+                let (out, _) = eval_into(&compiled, &f, gate, &mut scratch, EvalMode::Exists);
                 assert_eq!(out, EvalOutcome::Exists(!expected.is_empty()));
             }
         }
@@ -981,17 +724,17 @@ mod tests {
         let f = FlatHedge::from_hedge(&h);
         let mut scratch = EvalScratch::new();
         assert_eq!(
-            eval_into(&compiled, &f, &mut scratch, EvalMode::Locate),
-            EvalOutcome::Located(1)
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Locate),
+            (EvalOutcome::Located(1), 0)
         );
         assert_eq!(scratch.located(), &[2]);
         assert_eq!(
-            eval_into(&compiled, &f, &mut scratch, EvalMode::Count),
-            EvalOutcome::Count(1)
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Count),
+            (EvalOutcome::Count(1), 0)
         );
         assert_eq!(
-            eval_into(&compiled, &f, &mut scratch, EvalMode::Exists),
-            EvalOutcome::Exists(true)
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Exists),
+            (EvalOutcome::Exists(true), 0)
         );
         assert!(EvalOutcome::Located(2).is_match());
         assert!(!EvalOutcome::Count(0).is_match());
@@ -1009,9 +752,53 @@ mod tests {
         for src in ["a a b a", "b", "a b a b a b"] {
             let h = parse_hedge(src, &mut ab).unwrap();
             let f = FlatHedge::from_hedge(&h);
-            let warm: Vec<_> = locate_into(&compiled, &f, &mut scratch).to_vec();
+            eval_into(&compiled, &f, None, &mut scratch, EvalMode::Locate);
+            let warm: Vec<_> = scratch.located().to_vec();
             assert_eq!(warm, locate(&compiled, &f), "on {src}");
             assert_eq!(scratch.located(), &warm[..]);
         }
+    }
+
+    /// Every mode of the walk, ungated and behind an all-nodes gate,
+    /// against the reference two traversals.
+    fn assert_walk_matches_reference(compiled: &CompiledPhr, f: &FlatHedge) {
+        let want = locate(compiled, f);
+        let end = subtree_ends(f);
+        let all: Vec<NodeId> = f.preorder().collect();
+        let prune = PruneInfo {
+            candidates: &all,
+            subtree_end: &end,
+        };
+        let mut scratch = EvalScratch::new();
+        for gate in [None, Some(&prune)] {
+            let (out, skipped) = eval_into(compiled, f, gate, &mut scratch, EvalMode::Locate);
+            assert_eq!((out, skipped), (EvalOutcome::Located(want.len()), 0));
+            assert_eq!(scratch.located(), &want[..]);
+            let (out, _) = eval_into(compiled, f, gate, &mut scratch, EvalMode::Count);
+            assert_eq!(out, EvalOutcome::Count(want.len() as u64));
+            let (out, _) = eval_into(compiled, f, gate, &mut scratch, EvalMode::Exists);
+            assert_eq!(out, EvalOutcome::Exists(!want.is_empty()));
+        }
+    }
+
+    #[test]
+    fn walk_handles_a_hundred_thousand_deep_chain_in_every_mode() {
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.sym("a"), ab.sym("b"));
+        // a<a<…<a<b>>…>> with 100 001 nested `a`s.
+        let mut chain = FlatBuilder::with_capacity(100_002);
+        for _ in 0..=100_000 {
+            chain.open(a);
+        }
+        chain.leaf(FlatLabel::Sym(b));
+        let f = chain.finish();
+        // Every a on the chain; then only the b at the very bottom, which
+        // Exists reaches last.
+        for src in ["[ε ; a ; ε]*", "[ε ; b ; ε][ε ; a ; ε]*"] {
+            let phr = parse_phr(src, &mut ab).unwrap();
+            assert_walk_matches_reference(&CompiledPhr::compile(&phr), &f);
+        }
+        let phr = parse_phr("[ε ; b ; ε][ε ; a ; ε]*", &mut ab).unwrap();
+        assert_eq!(locate(&CompiledPhr::compile(&phr), &f), vec![100_001]);
     }
 }

@@ -421,29 +421,16 @@ fn run_stream(src: &str, args: &Args) -> Result<ExitCode, String> {
             outcome = stream_xml(src, &mut ab, cfg, &mut sink)
         });
         outcome.map_err(|e| e.to_string())?;
-        // Mode-specific finishers: count never builds the match set,
+        // One finisher for every mode: count never builds the match set,
         // exists stops the pass-2 scan at the first accepting state.
-        let mut hits = Vec::new();
-        let mut counted = 0u64;
-        let mut found = false;
+        let mut answer = EvalOutcome::none(args.mode());
         timed(&mut phases, "finish", &mut || {
-            if args.count {
-                counted = sink.finish_count();
-            } else if args.exists {
-                found = sink.finish_exists();
-            } else {
-                hits = sink.finish().to_vec();
-            }
+            answer = sink.finish_outcome(args.mode())
         });
         stats = sink.stats();
-        (hits_found, located_count) = if args.count {
-            (counted > 0, counted as usize)
-        } else if args.exists {
-            (found, found as usize)
-        } else {
-            (!hits.is_empty(), hits.len())
-        };
-        for &n in &hits {
+        hits_found = answer.is_match();
+        located_count = answer.matched() as usize;
+        for &n in sink.located() {
             let dewey: Vec<String> = sink.dewey(n).iter().map(u32::to_string).collect();
             lines.push(format!("/{}", dewey.join("/")));
         }
@@ -703,9 +690,7 @@ fn run_query(args: &Args) -> Result<ExitCode, String> {
     // One (found, counted) pair whatever route produced the answer: the
     // mode-generic plan, a repeated run, a report, or plain locate.
     let (found, counted): (bool, u64) = match outcome {
-        Some(EvalOutcome::Exists(b)) => (b, b as u64),
-        Some(EvalOutcome::Count(n)) => (n > 0, n),
-        Some(EvalOutcome::Located(n)) => (n > 0, n as u64),
+        Some(o) => (o.is_match(), o.matched()),
         None => (!hits.is_empty(), hits.len() as u64),
     };
 

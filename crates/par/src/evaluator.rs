@@ -1,11 +1,11 @@
 //! Batch evaluation of compiled plans over the worker pool.
 //!
-//! Both batch shapes share the same skeleton: the immutable [`Plan`] (or
-//! plan set) is borrowed by every worker, each worker owns one
-//! [`EvalScratch`] for its whole lifetime (buffers grow to the largest
-//! document it happens to process and are reused across tasks — the warm
-//! path of `two_pass::locate_into`, multiplied by cores), and results are
-//! returned in input order. A one-worker evaluator degenerates to exactly
+//! Every batch shares the same skeleton: the immutable [`Plan`] (or plan
+//! set) is borrowed by every worker, each worker owns one [`EvalScratch`]
+//! for its whole lifetime (buffers grow to the largest document it happens
+//! to process and are reused across tasks — the warm path of
+//! [`Plan::eval_into`], multiplied by cores), and results are returned in
+//! input order. A one-worker evaluator degenerates to exactly
 //! the sequential loop, which is what `hxq --jobs 1` relies on.
 
 use hedgex_core::plan::Plan;
@@ -58,60 +58,19 @@ impl ParallelEvaluator {
         )
     }
 
-    /// One plan counting over many documents: `out[i]` is
-    /// `plan.count_into(&docs[i], …)`. Each worker keeps its tallies in its
-    /// own scratch's per-state counters; the per-document counts come back
-    /// in input order, so the merge is trivially deterministic.
-    pub fn count_corpus(&self, plan: &Plan, docs: &[FlatHedge]) -> Vec<u64> {
-        pool::run_scoped(
-            self.jobs,
-            docs.len(),
-            |_| EvalScratch::new(),
-            |scratch, i| plan.count_into(&docs[i], scratch),
-        )
-    }
-
-    /// [`count_corpus`](ParallelEvaluator::count_corpus) reduced to one
-    /// grand total across the corpus.
-    pub fn count_total(&self, plan: &Plan, docs: &[FlatHedge]) -> u64 {
-        self.count_corpus(plan, docs).into_iter().sum()
-    }
-
-    /// One plan testing many documents: `out[i]` is
-    /// `plan.exists_into(&docs[i], …)` — each document's pruned,
-    /// early-exiting search runs on whichever worker picks it up.
-    pub fn exists_corpus(&self, plan: &Plan, docs: &[FlatHedge]) -> Vec<bool> {
-        pool::run_scoped(
-            self.jobs,
-            docs.len(),
-            |_| EvalScratch::new(),
-            |scratch, i| plan.exists_into(&docs[i], scratch),
-        )
-    }
-
-    /// The generic corpus shape under all of the above: `out[i] =
-    /// work(scratch, i)` where each worker owns one [`EvalScratch`] for
-    /// its lifetime and results return in input order. Callers that need
-    /// more than "plan × `FlatHedge` slice" — e.g. `hedgex-store` running
-    /// index-pruned queries over stored documents — plug their own
-    /// per-task closure into the same pool discipline.
+    /// The generic corpus shape under [`eval_corpus`](Self::eval_corpus):
+    /// `out[i] = work(scratch, i)` where each worker owns one
+    /// [`EvalScratch`] for its lifetime and results return in input order.
+    /// Any other batch — another [`EvalMode`](hedgex_core::EvalMode)
+    /// through [`Plan::eval_into`], many plans over one document, or
+    /// `hedgex-store` running index-pruned queries over stored documents —
+    /// plugs its own per-task closure into the same pool discipline.
     pub fn map_with_scratch<T, W>(&self, tasks: usize, work: W) -> Vec<T>
     where
         T: Send,
         W: Fn(&mut EvalScratch, usize) -> T + Sync,
     {
         pool::run_scoped(self.jobs, tasks, |_| EvalScratch::new(), work)
-    }
-
-    /// The dual: many plans over one document. `out[i]` is the matches of
-    /// `plans[i]` on `doc`.
-    pub fn eval_plans(&self, plans: &[Plan], doc: &FlatHedge) -> Vec<Vec<NodeId>> {
-        pool::run_scoped(
-            self.jobs,
-            plans.len(),
-            |_| EvalScratch::new(),
-            |scratch, i| plans[i].locate_into(doc, scratch).to_vec(),
-        )
     }
 
     /// Evaluate one plan over one document `n` times (a throughput shape:
@@ -132,6 +91,7 @@ impl ParallelEvaluator {
 mod tests {
     use super::*;
     use hedgex_core::phr::parse_phr;
+    use hedgex_core::{EvalMode, EvalOutcome};
     use hedgex_hedge::{parse_hedge, Alphabet};
 
     fn corpus(ab: &mut Alphabet) -> (Plan, Vec<FlatHedge>) {
@@ -163,13 +123,18 @@ mod tests {
         let mut ab = Alphabet::new();
         let (plan, docs) = corpus(&mut ab);
         let counts: Vec<u64> = docs.iter().map(|d| plan.locate(d).len() as u64).collect();
-        let hits: Vec<bool> = counts.iter().map(|&c| c > 0).collect();
+        let count_outcomes: Vec<_> = counts.iter().map(|&n| EvalOutcome::Count(n)).collect();
+        let hits: Vec<_> = counts.iter().map(|&n| EvalOutcome::Exists(n > 0)).collect();
         let total: u64 = counts.iter().sum();
         for jobs in [1, 2, 3, 7] {
             let ev = ParallelEvaluator::new(jobs);
-            assert_eq!(ev.count_corpus(&plan, &docs), counts, "{jobs} jobs");
-            assert_eq!(ev.count_total(&plan, &docs), total, "{jobs} jobs");
-            assert_eq!(ev.exists_corpus(&plan, &docs), hits, "{jobs} jobs");
+            let run =
+                |mode| ev.map_with_scratch(docs.len(), |s, i| plan.eval_into(&docs[i], s, mode));
+            let count_corpus = run(EvalMode::Count);
+            assert_eq!(count_corpus, count_outcomes, "{jobs} jobs");
+            let summed: u64 = count_corpus.iter().map(EvalOutcome::matched).sum();
+            assert_eq!(summed, total, "{jobs} jobs");
+            assert_eq!(run(EvalMode::Exists), hits, "{jobs} jobs");
         }
     }
 
@@ -183,7 +148,9 @@ mod tests {
         let doc = FlatHedge::from_hedge(&parse_hedge("a b a b", &mut ab).unwrap());
         let seq: Vec<Vec<NodeId>> = plans.iter().map(|p| p.locate(&doc)).collect();
         for jobs in [1, 2, 5] {
-            assert_eq!(ParallelEvaluator::new(jobs).eval_plans(&plans, &doc), seq);
+            let par = ParallelEvaluator::new(jobs)
+                .map_with_scratch(plans.len(), |s, i| plans[i].locate_into(&doc, s).to_vec());
+            assert_eq!(par, seq);
         }
     }
 

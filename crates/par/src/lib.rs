@@ -14,11 +14,11 @@
 //!   cold end). No threads outlive a call; borrowing the plan, the corpus,
 //!   and the closures from the caller's stack needs no `'static` bounds
 //!   and no `unsafe`.
-//! * [`ParallelEvaluator`] — the two batch shapes over the pool: one plan
-//!   over a corpus of documents ([`ParallelEvaluator::eval_corpus`]) and
-//!   many plans over one document ([`ParallelEvaluator::eval_plans`]),
-//!   each worker reusing one [`hedgex_core::EvalScratch`] across its
-//!   tasks. Results always come back in deterministic input order, equal
+//! * [`ParallelEvaluator`] — batches over the pool: one plan over a corpus
+//!   of documents ([`ParallelEvaluator::eval_corpus`]), one plan run
+//!   repeatedly ([`ParallelEvaluator::repeat`]), and any other per-task
+//!   closure ([`ParallelEvaluator::map_with_scratch`]), each worker
+//!   reusing one [`hedgex_core::EvalScratch`] across its tasks. Results always come back in deterministic input order, equal
 //!   element-for-element to the sequential [`hedgex_core::plan::Plan::locate_into`]
 //!   loop — scheduling can never change an answer, only its latency.
 //!

@@ -23,9 +23,10 @@
 //! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
 //!   are checked against postings emptiness (O(1) per document instead of
 //!   a label scan), the candidate set is the union of the
-//!   `CompiledPhr::match_syms` postings, and the two-pass traversal visits
-//!   only the ancestors-closure of candidate ranges
-//!   (`hedgex_core::two_pass::eval_pruned_into`). Documents whose
+//!   plan's `match_syms` postings, and the evaluation walk visits only
+//!   the ancestors-closure of candidate ranges (`Plan::eval_pruned_into`,
+//!   the walk of `hedgex_core::two_pass::eval_into` behind a gate).
+//!   Documents whose
 //!   candidate set is empty skip evaluation — including the bottom-up
 //!   automaton run — entirely.
 //!

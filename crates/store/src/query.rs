@@ -77,13 +77,9 @@ impl<'a> StoreQuery<'a> {
             candidates: &[],
             subtree_end: ix.subtree_end(),
         };
-        // Prune 1: a required symbol with empty postings proves "no
-        // matches" — answer through the pruned path with zero candidates
+        // Prune 1 — answer through the pruned path with zero candidates
         // (uniform zero outcome, located cleared, no automaton run).
-        if self
-            .plan
-            .missing_required_sym(|s| !ix.postings(s).is_empty())
-        {
+        if self.lacks_required_sym(doc) {
             obs::counter_inc("store.docs_pruned");
             let (outcome, _) = self
                 .plan
@@ -118,6 +114,14 @@ impl<'a> StoreQuery<'a> {
         outcome
     }
 
+    /// Prune 1: a required symbol with empty postings in `doc` proves it
+    /// has no matches.
+    fn lacks_required_sym(&self, doc: &StoredDoc) -> bool {
+        let ix = doc.index();
+        self.plan
+            .missing_required_sym(|s| !ix.postings(s).is_empty())
+    }
+
     /// Locate matches in every stored document, `jobs`-way parallel.
     /// Result `i` is the preorder match set of document `i`.
     pub fn locate_corpus(&self, jobs: usize) -> Vec<Vec<NodeId>> {
@@ -128,18 +132,12 @@ impl<'a> StoreQuery<'a> {
 
     /// Count matches in every stored document, `jobs`-way parallel.
     pub fn count_corpus(&self, jobs: usize) -> Vec<u64> {
-        self.map_corpus(jobs, EvalMode::Count, |_, outcome| match outcome {
-            EvalOutcome::Count(c) => c,
-            other => unreachable!("count mode returned {other:?}"),
-        })
+        self.map_corpus(jobs, EvalMode::Count, |_, outcome| outcome.matched())
     }
 
     /// Does any match exist, per stored document? `jobs`-way parallel.
     pub fn exists_corpus(&self, jobs: usize) -> Vec<bool> {
-        self.map_corpus(jobs, EvalMode::Exists, |_, outcome| match outcome {
-            EvalOutcome::Exists(e) => e,
-            other => unreachable!("exists mode returned {other:?}"),
-        })
+        self.map_corpus(jobs, EvalMode::Exists, |_, outcome| outcome.is_match())
     }
 
     fn map_corpus<T: Send>(
@@ -149,11 +147,25 @@ impl<'a> StoreQuery<'a> {
         finish: impl Fn(&EvalScratch, EvalOutcome) -> T + Sync,
     ) -> Vec<T> {
         let docs = self.store.docs();
-        ParallelEvaluator::new(jobs).map_with_scratch(docs.len(), |scratch, i| {
+        // Prune 1 up front: a document whose postings lack a required
+        // symbol costs one probe here, not a pool task.
+        let live: Vec<usize> = (0..docs.len())
+            .filter(|&i| !self.lacks_required_sym(&docs[i]))
+            .collect();
+        obs::counter_add("store.docs_pruned", (docs.len() - live.len()) as u64);
+        let answers = ParallelEvaluator::new(jobs).map_with_scratch(live.len(), |scratch, k| {
             let mut candidates = Vec::new();
-            let outcome = self.eval_doc_into(&docs[i], scratch, &mut candidates, mode);
+            let outcome = self.eval_doc_into(&docs[live[k]], scratch, &mut candidates, mode);
             finish(scratch, outcome)
-        })
+        });
+        let mut answers = live.into_iter().zip(answers).peekable();
+        let barren = EvalScratch::new();
+        (0..docs.len())
+            .map(|i| match answers.next_if(|&(j, _)| j == i) {
+                Some((_, answer)) => answer,
+                None => finish(&barren, EvalOutcome::none(mode)),
+            })
+            .collect()
     }
 }
 

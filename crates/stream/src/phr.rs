@@ -12,12 +12,12 @@
 //! transient working set is bounded by the deepest open path — the
 //! [`StreamStats::live_high_water`] the E9 bench records.
 //!
-//! The second traversal runs at [`PhrStream::finish`]: node ids are
-//! preorder ranks (allocated at open/leaf time), so parents precede
+//! The second traversal runs at [`PhrStream::finish_outcome`]: node ids
+//! are preorder ranks (allocated at open/leaf time), so parents precede
 //! children and one forward scan over the table steps the mirror automaton
 //! `N` top-down without ever rebuilding the tree.
 
-use hedgex_core::two_pass::sibling_classes;
+use hedgex_core::two_pass::{sibling_classes, ModeSink};
 use hedgex_core::{CompiledPhr, EvalMode, EvalOutcome};
 use hedgex_ha::{HorizFn, Leaf, WordPool};
 use hedgex_hedge::{NodeId, SymId};
@@ -134,9 +134,10 @@ impl<'p> PhrStream<'p> {
         self.stats.live_high_water = self.stats.live_high_water.max(self.live);
     }
 
-    /// The shared front half of every `finish_*` flavour: drain still-open
-    /// frames (a truncated stream is treated as if closed) and classify the
-    /// depth-0 sibling group, leaving the per-node class table complete.
+    /// The front half of [`finish_outcome`](PhrStream::finish_outcome):
+    /// drain still-open frames (a truncated stream is treated as if closed)
+    /// and classify the depth-0 sibling group, leaving the per-node class
+    /// table complete.
     fn seal(&mut self) {
         while !self.frames.is_empty() {
             self.close();
@@ -158,96 +159,67 @@ impl<'p> PhrStream<'p> {
         self.n_state.resize(n, 0);
     }
 
-    /// One pass-2 step for table row `id`: ids are preorder ranks, so the
-    /// parent's `N`-state is already recorded when a child is reached.
-    #[inline]
-    fn step_at(&mut self, id: usize) -> u32 {
-        let parent_state = match self.parent[id] {
-            NONE => self.phr.n_start(),
-            p => self.n_state[p as usize],
-        };
-        let s = self.phr.n_transition(
-            parent_state,
-            self.elder[id],
-            SymId(self.sym[id]),
-            self.younger[id],
-        );
-        self.n_state[id] = s;
-        s
-    }
-
-    /// Run the second traversal and return the located nodes in document
-    /// order. Call exactly once, after a balanced event stream (unclosed
-    /// frames are drained as if closed, so a truncated stream cannot
-    /// panic — but its answer is only meaningful for the part seen).
-    pub fn finish(&mut self) -> &[NodeId] {
+    /// Run the second traversal in `mode` — the one pass-2 loop behind
+    /// every finisher. Ids are preorder ranks, so parents precede children
+    /// and a forward scan over the table is a top-down walk; accepting
+    /// nodes go to the same [`ModeSink`] the materialized walks use, so
+    /// Count builds no match set and Exists stops at the first hit. For
+    /// `Locate` the match set is retained and readable via
+    /// [`located`](PhrStream::located).
+    ///
+    /// Call exactly once, after a balanced event stream (unclosed frames
+    /// are drained as if closed, so a truncated stream cannot panic — but
+    /// its answer is only meaningful for the part seen).
+    pub fn finish_outcome(&mut self, mode: EvalMode) -> EvalOutcome {
         // The second traversal is its own timeline phase: on the trace it
         // separates "while the parse streamed" from "after the last byte".
         let _span = hedgex_obs::span("stream.phr.finish");
         self.seal();
-        // Second traversal: ids are preorder ranks, so parents precede
-        // children and a forward scan is a top-down walk.
-        for id in 0..self.sym.len() {
-            if self.sym[id] == NONE {
+        let PhrStream {
+            phr,
+            sym,
+            parent,
+            elder,
+            younger,
+            n_state,
+            located,
+            ..
+        } = self;
+        let mut sink = ModeSink::new(mode, located);
+        for id in 0..sym.len() {
+            if sym[id] == NONE {
                 continue;
             }
-            let s = self.step_at(id);
-            if self.phr.n_accepting(s) {
-                self.located.push(id as NodeId);
+            let parent_state = match parent[id] {
+                NONE => phr.n_start(),
+                p => n_state[p as usize],
+            };
+            let s = phr.n_transition(parent_state, elder[id], SymId(sym[id]), younger[id]);
+            n_state[id] = s;
+            if phr.n_accepting(s) && sink.hit(id as NodeId) {
+                break;
             }
         }
+        let outcome = sink.outcome();
         self.stats.flush_obs();
+        outcome
+    }
+
+    /// [`finish_outcome`](PhrStream::finish_outcome) in Locate mode: the
+    /// located nodes in document order.
+    pub fn finish(&mut self) -> &[NodeId] {
+        self.finish_outcome(EvalMode::Locate);
         &self.located
     }
 
-    /// Count mode: the same forward scan, but the only output is a tally —
-    /// no match set is built, however many nodes match. Call exactly once,
-    /// like [`finish`](PhrStream::finish).
+    /// [`finish_outcome`](PhrStream::finish_outcome) in Count mode.
     pub fn finish_count(&mut self) -> u64 {
-        let _span = hedgex_obs::span("stream.phr.finish");
-        self.seal();
-        let mut total = 0u64;
-        for id in 0..self.sym.len() {
-            if self.sym[id] == NONE {
-                continue;
-            }
-            if self.phr.n_accepting(self.step_at(id)) {
-                total += 1;
-            }
-        }
-        self.stats.flush_obs();
-        total
+        self.finish_outcome(EvalMode::Count).matched()
     }
 
-    /// Exists mode: the forward scan stops at the first accepting state.
-    /// Subtrees that cannot match need no special bookkeeping — a dead
-    /// parent state stays dead under stepping, so barren regions cost one
-    /// table step per node and the early exit does the rest. Call exactly
-    /// once, like [`finish`](PhrStream::finish).
+    /// [`finish_outcome`](PhrStream::finish_outcome) in Exists mode.
     pub fn finish_exists(&mut self) -> bool {
-        let _span = hedgex_obs::span("stream.phr.finish");
-        self.seal();
-        for id in 0..self.sym.len() {
-            if self.sym[id] == NONE {
-                continue;
-            }
-            if self.phr.n_accepting(self.step_at(id)) {
-                self.stats.flush_obs();
-                return true;
-            }
-        }
-        self.stats.flush_obs();
-        false
-    }
-
-    /// Finish in the chosen [`EvalMode`]. For `Locate` the match set is
-    /// retained and readable via [`located`](PhrStream::located).
-    pub fn finish_outcome(&mut self, mode: EvalMode) -> EvalOutcome {
-        match mode {
-            EvalMode::Locate => EvalOutcome::Located(self.finish().len()),
-            EvalMode::Count => EvalOutcome::Count(self.finish_count()),
-            EvalMode::Exists => EvalOutcome::Exists(self.finish_exists()),
-        }
+        self.finish_outcome(EvalMode::Exists).is_match()
     }
 
     /// The matches found by [`finish`](PhrStream::finish).

@@ -97,6 +97,12 @@ echo "== E11 store bench (smoke mode: 1 sample) =="
 # Asserts indexed == warm answers and the >= 2x selective-query speedup.
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench store
 
+echo "== E12 end-to-end benchmark (smoke mode) =="
+# The benchmark is a package of its own, outside the workspace, so no step
+# above compiles it. The smoke run builds it against the workspace crates
+# and exits non-zero on any wrong answer in any of the four workloads.
+bash crates/bench/src/bin/e2e/run.sh --smoke
+
 echo "== bench_compare: committed baseline schema =="
 # Every committed BENCH_*.json must parse and carry the report schema the
 # sentinel compares on (ids, median/min/max, sample counts).

@@ -3,10 +3,11 @@
 //! one story — `count` equals `locate().len()` and `exists` equals
 //! `!locate().is_empty()` — whichever engine runs them: the materialized
 //! two-pass core, the [`Plan`] front door, the push-based [`PhrStream`]
-//! finishers, or the [`ParallelEvaluator`] worker pool. The `exists`
-//! engine prunes provably barren subtrees and stops early, the `count`
-//! engine tallies per state without materializing the match set, so the
-//! agreement is a real theorem, not three spellings of one loop.
+//! finishers, or the [`ParallelEvaluator`] worker pool. Every mode runs
+//! on one walk — it prunes provably barren subtrees, and the mode only
+//! decides what happens at an accepting node — so the walk itself is
+//! checked against the literal two traversals of Algorithm 1
+//! (`two_pass::locate`), ungated and behind an index gate.
 //!
 //! Graded child constraints (`e{>=n}` / `e{<=n}`) are checked against the
 //! declarative oracle: the parse-time desugaring must denote exactly the
@@ -20,9 +21,9 @@
 use std::cell::RefCell;
 
 use hedgex::core::phr::Phr;
-use hedgex::core::two_pass::{count, exists};
-use hedgex::core::{CompiledPhr, Hre};
-use hedgex::hedge::{Hedge, SymId, Tree, VarId};
+use hedgex::core::{CompiledPhr, Hre, PruneInfo};
+use hedgex::hedge::flat::FlatLabel;
+use hedgex::hedge::{Hedge, NodeId, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, Config, Gen, Rng};
@@ -144,20 +145,35 @@ fn count_and_exists_agree_with_locate_everywhere() {
             let some = !located.is_empty();
 
             // Materialized core.
-            prop_assert_eq!(count(compiled, &flat), n, "two_pass::count on {:?}", doc);
+            let s = &mut *scratch.borrow_mut();
             prop_assert_eq!(
-                exists(compiled, &flat),
-                some,
-                "two_pass::exists on {:?}",
+                two_pass::eval_into(compiled, &flat, None, s, EvalMode::Count).0,
+                EvalOutcome::Count(n),
+                "two_pass count on {:?}",
+                doc
+            );
+            prop_assert_eq!(
+                two_pass::eval_into(compiled, &flat, None, s, EvalMode::Exists).0,
+                EvalOutcome::Exists(some),
+                "two_pass exists on {:?}",
                 doc
             );
 
             // Plan front door (known-empty / required-symbol gates active).
-            prop_assert_eq!(plan.count(&flat), n, "Plan::count on {:?}", doc);
-            prop_assert_eq!(plan.exists(&flat), some, "Plan::exists on {:?}", doc);
+            prop_assert_eq!(
+                cold(plan, &flat, EvalMode::Count),
+                EvalOutcome::Count(n),
+                "Plan count on {:?}",
+                doc
+            );
+            prop_assert_eq!(
+                cold(plan, &flat, EvalMode::Exists),
+                EvalOutcome::Exists(some),
+                "Plan exists on {:?}",
+                doc
+            );
 
             // The mode dispatcher ties outcomes to the same answers.
-            let s = &mut *scratch.borrow_mut();
             prop_assert_eq!(
                 plan.eval_into(&flat, s, EvalMode::Locate),
                 EvalOutcome::Located(n as usize)
@@ -182,9 +198,106 @@ fn count_and_exists_agree_with_locate_everywhere() {
             // Worker pool (a singleton corpus exercises the dispatch).
             let docs = [flat];
             let ev = ParallelEvaluator::new(2);
-            prop_assert_eq!(ev.count_corpus(plan, &docs), vec![n]);
-            prop_assert_eq!(ev.count_total(plan, &docs), n);
-            prop_assert_eq!(ev.exists_corpus(plan, &docs), vec![some]);
+            let corpus =
+                |mode| ev.map_with_scratch(docs.len(), |s, i| plan.eval_into(&docs[i], s, mode));
+            prop_assert_eq!(corpus(EvalMode::Count), vec![EvalOutcome::Count(n)]);
+            prop_assert_eq!(
+                corpus(EvalMode::Count)
+                    .iter()
+                    .map(EvalOutcome::matched)
+                    .sum::<u64>(),
+                n
+            );
+            prop_assert_eq!(corpus(EvalMode::Exists), vec![EvalOutcome::Exists(some)]);
+            Ok(())
+        },
+    );
+}
+
+/// One run of `plan` in `mode` on a fresh scratch.
+fn cold(plan: &Plan, flat: &FlatHedge, mode: EvalMode) -> EvalOutcome {
+    plan.eval_into(flat, &mut EvalScratch::new(), mode)
+}
+
+/// Preorder subtree extents by reverse max-propagation over the parent
+/// links (what a store's index derives on load).
+fn subtree_ends(flat: &FlatHedge) -> Vec<NodeId> {
+    let n = flat.num_nodes();
+    let mut end: Vec<NodeId> = (1..=n as NodeId).collect();
+    for id in (0..n as NodeId).rev() {
+        if let Some(p) = flat.parent(id) {
+            end[p as usize] = end[p as usize].max(end[id as usize]);
+        }
+    }
+    end
+}
+
+/// The walk against the reference: on random (query, document) pairs,
+/// `two_pass::eval_into` in all three modes must give exactly what the
+/// literal two traversals give (`two_pass::locate` = `second_pass` over
+/// `first_pass`) — with the gate open, behind a gate admitting every
+/// node, and behind the gate a store would build from the `match_syms`
+/// postings. The gated runs must also never prune a subtree holding a
+/// match, and the all-nodes gate must prune nothing.
+#[test]
+fn walk_modes_equal_the_two_traversal_reference() {
+    let pool = phr_pool();
+    let scratch = RefCell::new(EvalScratch::new());
+    forall(
+        "walk_vs_reference",
+        Config::with_cases(300),
+        &zip2(pick_query(pool.len()), arb_doc()),
+        |(i, doc)| {
+            let (_, compiled, _) = &pool[*i];
+            let flat = FlatHedge::from_hedge(doc);
+            let want = two_pass::locate(compiled, &flat);
+            let end = subtree_ends(&flat);
+            let all: Vec<NodeId> = flat.preorder().collect();
+            let postings: Vec<NodeId> = match compiled.match_syms() {
+                None => all.clone(),
+                Some(ms) => flat
+                    .preorder()
+                    .filter(|&n| matches!(flat.label(n), FlatLabel::Sym(a) if ms.contains(&a)))
+                    .collect(),
+            };
+            let every = PruneInfo {
+                candidates: &all,
+                subtree_end: &end,
+            };
+            let indexed = PruneInfo {
+                candidates: &postings,
+                subtree_end: &end,
+            };
+            let s = &mut *scratch.borrow_mut();
+            for (gate, name) in [
+                (None, "open"),
+                (Some(&every), "all"),
+                (Some(&indexed), "postings"),
+            ] {
+                let (out, skipped) =
+                    two_pass::eval_into(compiled, &flat, gate, s, EvalMode::Locate);
+                prop_assert_eq!(out, EvalOutcome::Located(want.len()), "{} {:?}", name, doc);
+                prop_assert_eq!(s.located(), &want[..], "{} locate on {:?}", name, doc);
+                if name != "postings" {
+                    prop_assert_eq!(skipped, 0, "{} gate pruned on {:?}", name, doc);
+                }
+                let (out, _) = two_pass::eval_into(compiled, &flat, gate, s, EvalMode::Count);
+                prop_assert_eq!(
+                    out,
+                    EvalOutcome::Count(want.len() as u64),
+                    "{} {:?}",
+                    name,
+                    doc
+                );
+                let (out, _) = two_pass::eval_into(compiled, &flat, gate, s, EvalMode::Exists);
+                prop_assert_eq!(
+                    out,
+                    EvalOutcome::Exists(!want.is_empty()),
+                    "{} {:?}",
+                    name,
+                    doc
+                );
+            }
             Ok(())
         },
     );
@@ -284,8 +397,15 @@ fn graded_phrs_locate_like_their_expansions() {
             prop_assert_eq!(&graded.locate_naive(&flat), &expected, "naive on {:?}", doc);
             let (gp, mp) = &plans[*i];
             prop_assert_eq!(&gp.locate(&flat), &expected, "plan locate on {:?}", doc);
-            prop_assert_eq!(gp.count(&flat), mp.count(&flat), "count on {:?}", doc);
-            prop_assert_eq!(gp.exists(&flat), mp.exists(&flat), "exists on {:?}", doc);
+            for mode in [EvalMode::Count, EvalMode::Exists] {
+                prop_assert_eq!(
+                    cold(gp, &flat, mode),
+                    cold(mp, &flat, mode),
+                    "{:?} on {:?}",
+                    mode,
+                    doc
+                );
+            }
             Ok(())
         },
     );

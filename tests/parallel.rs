@@ -120,7 +120,9 @@ fn parallel_evaluation_equals_sequential() {
                 .map(|p| p.locate_into(&flats[0], &mut scratch).to_vec())
                 .collect();
             for jobs in [1, 2, 7] {
-                let par = ParallelEvaluator::new(jobs).eval_plans(&plans, &flats[0]);
+                let par = ParallelEvaluator::new(jobs).map_with_scratch(plans.len(), |s, i| {
+                    plans[i].locate_into(&flats[0], s).to_vec()
+                });
                 prop_assert_eq!(&par, &seq_plans);
             }
             Ok(())

@@ -159,8 +159,14 @@ fn path_plans_agree_with_locate_and_the_embedding_everywhere() {
                     i,
                     d
                 );
-                prop_assert_eq!(two_pass::count(embedding, flat), n);
-                prop_assert_eq!(two_pass::exists(embedding, flat), some);
+                prop_assert_eq!(
+                    two_pass::eval_into(embedding, flat, None, s, EvalMode::Count).0,
+                    EvalOutcome::Count(n)
+                );
+                prop_assert_eq!(
+                    two_pass::eval_into(embedding, flat, None, s, EvalMode::Exists).0,
+                    EvalOutcome::Exists(some)
+                );
                 // The path backend, every front door.
                 prop_assert_eq!(
                     plan.locate_into(flat, s),
@@ -170,8 +176,15 @@ fn path_plans_agree_with_locate_and_the_embedding_everywhere() {
                     d
                 );
                 prop_assert_eq!(plan.locate(flat), want.clone());
-                prop_assert_eq!(plan.count_into(flat, s), n);
-                prop_assert_eq!(plan.exists_into(flat, s), some);
+                let mut cold = EvalScratch::new();
+                prop_assert_eq!(
+                    plan.eval_into(flat, &mut cold, EvalMode::Count),
+                    EvalOutcome::Count(n)
+                );
+                prop_assert_eq!(
+                    plan.eval_into(flat, &mut cold, EvalMode::Exists),
+                    EvalOutcome::Exists(some)
+                );
                 prop_assert_eq!(
                     plan.eval_into(flat, s, EvalMode::Count),
                     EvalOutcome::Count(n)
@@ -187,8 +200,15 @@ fn path_plans_agree_with_locate_and_the_embedding_everywhere() {
             for jobs in [1usize, 2] {
                 let ev = ParallelEvaluator::new(jobs);
                 prop_assert_eq!(&ev.eval_corpus(plan, &flats), &wants, "pool jobs {}", jobs);
-                prop_assert_eq!(&ev.count_corpus(plan, &flats), &counts);
-                prop_assert_eq!(&ev.exists_corpus(plan, &flats), &some);
+                let corpus = |mode| {
+                    ev.map_with_scratch(flats.len(), |s, d| plan.eval_into(&flats[d], s, mode))
+                };
+                let counted: Vec<EvalOutcome> =
+                    counts.iter().map(|&n| EvalOutcome::Count(n)).collect();
+                prop_assert_eq!(&corpus(EvalMode::Count), &counted);
+                let found: Vec<EvalOutcome> =
+                    some.iter().map(|&b| EvalOutcome::Exists(b)).collect();
+                prop_assert_eq!(&corpus(EvalMode::Exists), &found);
             }
 
             // Indexed: the postings reject and the candidate-range gate.
