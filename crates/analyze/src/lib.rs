@@ -23,17 +23,15 @@
 //!
 //! Every verdict carries evidence — a witness document, a counterexample,
 //! or a reason — extracted by `hedgex_ha::analysis::accepted_witness`.
-//! [`report`] packages the procedures, [`cache`] memoizes the automaton
-//! construction, and [`AnalyzedQuery::plan_facts`] distils a report into
-//! [`hedgex_core::PlanFacts`] so a provably-empty [`hedgex_core::Plan`]
-//! skips evaluation entirely.
+//! [`report`] packages the procedures, and [`AnalyzedQuery::plan_facts`]
+//! distils a report into [`hedgex_core::PlanFacts`] for callers that want
+//! the analyzer's stronger facts on a [`hedgex_core::Plan`]. Query
+//! evaluation never needs it: every plan derives its own structural facts.
 
 #![forbid(unsafe_code)]
 
-pub mod cache;
 pub mod report;
 pub mod spine;
 
-pub use cache::AnalysisCache;
 pub use report::{analyze, AnalyzedQuery, Containment, QueryAnalysis, Satisfiability, WhyEmpty};
 pub use spine::Spine;

@@ -397,11 +397,13 @@ impl AnalyzedQuery {
         }
     }
 
-    /// The analysis distilled into [`PlanFacts`] for attachment to a
-    /// [`hedgex_core::Plan`]: a provably-empty plan answers `locate` with
-    /// ∅ — and `count`/`exists` with `0`/`false` — without touching the
-    /// document, and the required symbols gate the cheap modes behind a
-    /// single label scan.
+    /// The analysis distilled into [`PlanFacts`] for
+    /// [`hedgex_core::Plan::with_facts`]: a provably-empty plan answers
+    /// `locate` with ∅ — and `count`/`exists` with `0`/`false` — without
+    /// touching the document, and the required symbols feed a store's
+    /// postings reject. These facts can be stronger than the structural
+    /// ones every plan derives for itself, at the price of a decision
+    /// procedure.
     pub fn plan_facts(&self, schema: Option<&Dha>) -> PlanFacts {
         let report = self.analyze(schema);
         PlanFacts {

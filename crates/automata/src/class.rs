@@ -101,6 +101,14 @@ impl<S: Sym> CharClass<S> {
         matches!(self, CharClass::In(set) if set.is_empty())
     }
 
+    /// The one symbol of a singleton class.
+    pub fn single(&self) -> Option<&S> {
+        match self {
+            CharClass::In(set) if set.len() == 1 => set.first(),
+            _ => None,
+        }
+    }
+
     /// Does this class match every symbol (open-alphabet semantics)?
     pub fn is_any(&self) -> bool {
         matches!(self, CharClass::NotIn(set) if set.is_empty())

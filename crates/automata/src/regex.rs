@@ -5,6 +5,7 @@
 //! representations (regular expressions over triplets, Definition 18), and
 //! the output of Lemma 2's state elimination all live here.
 
+use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use crate::{CharClass, Sym};
@@ -123,6 +124,33 @@ impl<S: Sym> Regex<S> {
             Regex::Sym(c) => c.is_empty(),
             Regex::Concat(a, b) => a.is_empty_lang() || b.is_empty_lang(),
             Regex::Alt(a, b) => a.is_empty_lang() && b.is_empty_lang(),
+        }
+    }
+
+    /// Letters every word of the language contains, or `None` when the
+    /// language is empty. `forced` maps a non-empty class to the letter any
+    /// symbol of the class stands for, or `None` when the class forces no
+    /// single letter. Purely structural and linear in the expression: a
+    /// starred factor requires nothing, an alternation requires what *both*
+    /// branches require, and a concatenation what either factor requires.
+    pub fn required_letters<T: Ord + Clone>(
+        &self,
+        forced: &impl Fn(&CharClass<S>) -> Option<T>,
+    ) -> Option<BTreeSet<T>> {
+        match self {
+            Regex::Empty => None,
+            Regex::Epsilon | Regex::Star(_) => Some(BTreeSet::new()),
+            Regex::Sym(c) if c.is_empty() => None,
+            Regex::Sym(c) => Some(forced(c).into_iter().collect()),
+            Regex::Concat(a, b) => {
+                let (mut x, y) = (a.required_letters(forced)?, b.required_letters(forced)?);
+                x.extend(y);
+                Some(x)
+            }
+            Regex::Alt(a, b) => match (a.required_letters(forced), b.required_letters(forced)) {
+                (Some(x), Some(y)) => Some(x.intersection(&y).cloned().collect()),
+                (x, None) | (None, x) => x,
+            },
         }
     }
 
@@ -384,6 +412,36 @@ mod tests {
         let words = out.enumerate(&expand_single, 3);
         assert_eq!(words[0], vec![2, 2]);
         assert!(words.contains(&vec![2, 2, 1]));
+    }
+
+    #[test]
+    fn required_letters_follow_mandatory_steps() {
+        let req = |r: Regex<u8>| {
+            r.required_letters(&|c| c.single().copied())
+                .map(Vec::from_iter)
+        };
+        assert_eq!(req(Regex::word(&[0, 1, 0])), Some(vec![0, 1]));
+        assert_eq!(
+            req(Regex::sym(0).concat(Regex::sym(1).star())),
+            Some(vec![0])
+        );
+        assert_eq!(req(Regex::sym(0).alt(Regex::sym(1))), Some(vec![]));
+        let both = Regex::word(&[0, 2]).alt(Regex::word(&[2, 1]));
+        assert_eq!(req(both), Some(vec![2]));
+        assert_eq!(req(Regex::sym(0).opt()), Some(vec![]));
+        // A multi-symbol class forces a letter only when `forced` says so.
+        assert_eq!(req(Regex::class(CharClass::of([0, 1]))), Some(vec![]));
+        let any_of_01 = Regex::class(CharClass::of([0, 1]));
+        let first = any_of_01.required_letters(&|c| match c {
+            CharClass::In(set) => set.first().map(|_| 7u8),
+            CharClass::NotIn(_) => None,
+        });
+        assert_eq!(first, Some(BTreeSet::from([7])));
+        // The empty language requires nothing it can be asked for: `None`.
+        assert_eq!(req(Regex::Empty), None);
+        assert_eq!(req(Regex::Sym(CharClass::empty())), None);
+        let half_empty = Regex::Alt(Rc::new(Regex::Empty), Rc::new(Regex::sym(1)));
+        assert_eq!(req(half_empty), Some(vec![1]));
     }
 
     #[test]

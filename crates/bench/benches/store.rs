@@ -37,7 +37,7 @@ use std::time::Instant;
 use hedgex_testkit::{Bench, Json, Throughput};
 
 use hedgex_bench::sidebar_corpus;
-use hedgex_core::{parse_path, EvalMode, EvalScratch, Plan, PlanFacts};
+use hedgex_core::{parse_path, EvalMode, EvalScratch, Plan};
 use hedgex_hedge::{Alphabet, FlatHedge};
 use hedgex_store::store::HEADER_LEN;
 use hedgex_store::{DocumentStore, StoreQuery};
@@ -56,20 +56,15 @@ fn median_ns(k: usize, mut f: impl FnMut()) -> f64 {
     samples[k / 2] as f64
 }
 
-/// Compile a path query through the §5 embedding: universal PHR for
-/// evaluation, structural required-symbol facts for the postings
-/// quick-reject.
+/// Compile a path query through the §5 embedding: the universal PHR,
+/// whose plan derives the required-symbol facts for the postings
+/// quick-reject itself.
 fn store_plan(src: &str, ab: &mut Alphabet) -> Plan {
     let path = parse_path(src, ab).expect("bench path parses");
-    let facts = PlanFacts {
-        known_empty: false,
-        why_empty: None,
-        required_syms: path.required_syms().expect("bench paths are nonempty"),
-    };
     let syms: Vec<_> = ab.syms().collect();
     let vars: Vec<_> = ab.vars().collect();
     let z = ab.sub("bench-universal");
-    Plan::compile(&path.to_phr(&syms, &vars, z)).with_facts(facts)
+    Plan::compile(&path.to_phr(&syms, &vars, z))
 }
 
 /// The exact byte size of a store image: header, alphabet tables (a count

@@ -39,7 +39,9 @@
 //! AST grows as `n·|e|`; bounds whose expansion would exceed
 //! [`GRADED_EXPANSION_CAP`] AST nodes are rejected at parse time with a
 //! one-line diagnostic rather than silently compiling an enormous
-//! automaton.
+//! automaton. Query text as a whole is bounded the same way: at most
+//! [`MAX_QUERY_NESTING`] nested parentheses and node contents, and at most
+//! [`MAX_QUERY_STEPS`] AST nodes.
 
 use std::rc::Rc;
 
@@ -51,6 +53,18 @@ use hedgex_hedge::{Alphabet, Hedge, SubId, SymId, Tree, VarId};
 /// bound is a denial-of-service knob; past this cap the parser rejects the
 /// query with a one-line diagnostic instead.
 pub const GRADED_EXPANSION_CAP: usize = 512;
+
+/// Deepest nesting the query parsers accept: parentheses, and in an HRE
+/// also `a<…>` node contents. The algorithms downstream of a parser
+/// recurse on expression depth; this bound and [`MAX_QUERY_STEPS`] keep
+/// any query text from exhausting their stack.
+pub const MAX_QUERY_NESTING: usize = 256;
+
+/// Largest expression the query parsers accept, in AST nodes: an atom is
+/// one node (an HRE leaf `a` is two, `a⟨ε⟩`), each binary or postfix
+/// operator adds one, `e+` counts `e` twice (it expands to `e e*`), and a
+/// graded bound counts its expansion.
+pub const MAX_QUERY_STEPS: usize = 4096;
 
 /// A hedge regular expression (Definition 11).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -285,10 +299,17 @@ fn matches_env(e: &Hre, h: &[Tree], env: &Env<'_>) -> bool {
 }
 
 /// Parse the concrete HRE syntax (see the module docs), interning names
-/// into `ab`.
+/// into `ab`. Expressions nesting parentheses and `a<…>` contents deeper
+/// than [`MAX_QUERY_NESTING`], or larger than [`MAX_QUERY_STEPS`] AST
+/// nodes, are rejected at the byte where they cross the limit.
 pub fn parse_hre(src: &str, ab: &mut Alphabet) -> Result<Hre, HreParseError> {
-    let mut p = HreParser { src, pos: 0, ab };
-    let e = p.embed_level()?;
+    let mut p = HreParser {
+        src,
+        pos: 0,
+        ab,
+        depth: 0,
+    };
+    let (e, _) = p.embed_level()?;
     p.skip_ws();
     if p.pos != src.len() {
         return Err(p.err("trailing input"));
@@ -313,10 +334,16 @@ impl std::fmt::Display for HreParseError {
 
 impl std::error::Error for HreParseError {}
 
+/// A parsed sub-expression and its size in AST nodes, counted as
+/// [`Hre::size`] counts the unsimplified tree.
+type Part = (Hre, usize);
+
 struct HreParser<'a, 'b> {
     src: &'a str,
     pos: usize,
     ab: &'b mut Alphabet,
+    /// Parentheses and `a<…>` contents open at `pos`.
+    depth: usize,
 }
 
 impl HreParser<'_, '_> {
@@ -339,6 +366,25 @@ impl HreParser<'_, '_> {
             msg: msg.into(),
         }
     }
+    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
+    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
+        if size > MAX_QUERY_STEPS {
+            return Err(self.err(format!("HRE larger than {MAX_QUERY_STEPS} nodes")));
+        }
+        Ok(size)
+    }
+    /// Parse a nested `embed_level` opened at `pos`, unless it would nest
+    /// deeper than [`MAX_QUERY_NESTING`].
+    fn nested(&mut self) -> Result<Part, HreParseError> {
+        if self.depth == MAX_QUERY_NESTING {
+            return Err(self.err(format!("HRE nested deeper than {MAX_QUERY_NESTING}")));
+        }
+        self.bump();
+        self.depth += 1;
+        let part = self.embed_level();
+        self.depth -= 1;
+        part
+    }
     fn ident(&mut self) -> Result<String, HreParseError> {
         let start = self.pos;
         while matches!(self.peek(), Some(c)
@@ -354,47 +400,50 @@ impl HreParser<'_, '_> {
     }
 
     /// Lowest precedence: `seq ('@' name seq)*`.
-    fn embed_level(&mut self) -> Result<Hre, HreParseError> {
-        let mut e = self.alt_level()?;
+    fn embed_level(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.alt_level()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('@') {
                 self.bump();
                 let name = self.ident()?;
                 let z = self.ab.sub(&name);
-                let outer = self.alt_level()?;
+                let (outer, n) = self.alt_level()?;
+                size = self.bounded(size + n + 1)?;
                 e = e.embed(z, outer);
             } else {
-                return Ok(e);
+                return Ok((e, size));
             }
         }
     }
 
     /// `seq ('|' seq)*`.
-    fn alt_level(&mut self) -> Result<Hre, HreParseError> {
-        let mut e = self.seq_level()?;
+    fn alt_level(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.seq_level()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('|') {
                 self.bump();
-                let rhs = self.seq_level()?;
+                let (rhs, n) = self.seq_level()?;
+                size = self.bounded(size + n + 1)?;
                 e = e.alt(rhs);
             } else {
-                return Ok(e);
+                return Ok((e, size));
             }
         }
     }
 
     /// Juxtaposition: `factor+`.
-    fn seq_level(&mut self) -> Result<Hre, HreParseError> {
-        let mut e = self.factor()?;
+    fn seq_level(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.factor()?;
         loop {
             self.skip_ws();
             match self.peek() {
-                Some(c) if c == ')' || c == '>' || c == '|' || c == '@' => return Ok(e),
-                None => return Ok(e),
+                Some(c) if c == ')' || c == '>' || c == '|' || c == '@' => return Ok((e, size)),
+                None => return Ok((e, size)),
                 _ => {
-                    let rhs = self.factor()?;
+                    let (rhs, n) = self.factor()?;
+                    size = self.bounded(size + n + 1)?;
                     e = e.concat(rhs);
                 }
             }
@@ -402,33 +451,39 @@ impl HreParser<'_, '_> {
     }
 
     /// `atom ('*' | '+' | '?' | '^' name | '{>=' n '}' | '{<=' n '}')*`.
-    fn factor(&mut self) -> Result<Hre, HreParseError> {
-        let mut e = self.atom()?;
+    fn factor(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.atom()?;
         loop {
             self.skip_ws();
             match self.peek() {
                 Some('*') => {
                     self.bump();
+                    size = self.bounded(size + 1)?;
                     e = e.star();
                 }
                 Some('+') => {
                     self.bump();
+                    // `e+` is `e e*`: two copies of `e`, a star and a
+                    // concatenation.
+                    size = self.bounded(2 * size + 2)?;
                     e = e.plus();
                 }
                 Some('?') => {
                     self.bump();
+                    size = self.bounded(size + 1)?;
                     e = e.opt();
                 }
                 Some('^') => {
                     self.bump();
                     let name = self.ident()?;
                     let z = self.ab.sub(&name);
+                    size = self.bounded(size + 1)?;
                     e = e.iter(z);
                 }
                 Some('{') => {
-                    e = self.graded(e)?;
+                    (e, size) = self.graded(e)?;
                 }
-                _ => return Ok(e),
+                _ => return Ok((e, size)),
             }
         }
     }
@@ -437,7 +492,7 @@ impl HreParser<'_, '_> {
     /// `{>=n}` becomes n copies of `e` followed by `e*`; `{<=n}` becomes n
     /// copies of `e?`. The degenerate bounds fall out of the smart
     /// constructors: `{>=0}` is `e*` and `{<=0}` is `ε`.
-    fn graded(&mut self, e: Hre) -> Result<Hre, HreParseError> {
+    fn graded(&mut self, e: Hre) -> Result<Part, HreParseError> {
         self.bump(); // '{'
         self.skip_ws();
         let lower = match self.bump() {
@@ -480,28 +535,30 @@ impl HreParser<'_, '_> {
             let copy = if lower { e.clone() } else { e.clone().opt() };
             out = copy.concat(out);
         }
-        Ok(out)
+        Ok((out, self.bounded(cost)?))
     }
 
-    fn atom(&mut self) -> Result<Hre, HreParseError> {
+    fn atom(&mut self) -> Result<Part, HreParseError> {
         self.skip_ws();
         match self.peek() {
             Some('!') | Some('∅') => {
                 self.bump();
-                Ok(Hre::Empty)
+                Ok((Hre::Empty, 1))
             }
             Some('ε') => {
                 self.bump();
-                Ok(Hre::Epsilon)
+                Ok((Hre::Epsilon, 1))
             }
             Some('(') => {
+                let open = self.pos;
                 self.bump();
                 self.skip_ws();
                 if self.peek() == Some(')') {
                     self.bump();
-                    return Ok(Hre::Epsilon);
+                    return Ok((Hre::Epsilon, 1));
                 }
-                let e = self.embed_level()?;
+                self.pos = open;
+                let e = self.nested()?;
                 self.skip_ws();
                 if self.bump() != Some(')') {
                     return Err(self.err("expected ')'"));
@@ -511,13 +568,14 @@ impl HreParser<'_, '_> {
             Some('$') => {
                 self.bump();
                 let name = self.ident()?;
-                Ok(Hre::Var(self.ab.var(&name)))
+                Ok((Hre::Var(self.ab.var(&name)), 1))
             }
             Some(c) if !"<>|*+?^@%)!∅{}".contains(c) => {
                 let name = self.ident()?;
                 let a = self.ab.sym(&name);
                 self.skip_ws();
                 if self.peek() == Some('<') {
+                    let open = self.pos;
                     self.bump();
                     self.skip_ws();
                     if self.peek() == Some('%') {
@@ -528,20 +586,21 @@ impl HreParser<'_, '_> {
                         if self.bump() != Some('>') {
                             return Err(self.err("expected '>' after substitution symbol"));
                         }
-                        return Ok(Hre::sub_node(a, z));
+                        return Ok((Hre::sub_node(a, z), 1));
                     }
                     if self.peek() == Some('>') {
                         self.bump();
-                        return Ok(Hre::leaf(a));
+                        return Ok((Hre::leaf(a), 2));
                     }
-                    let e = self.embed_level()?;
+                    self.pos = open;
+                    let (e, n) = self.nested()?;
                     self.skip_ws();
                     if self.bump() != Some('>') {
                         return Err(self.err(format!("unclosed '<' for node '{name}'")));
                     }
-                    Ok(Hre::node(a, e))
+                    Ok((Hre::node(a, e), n + 1))
                 } else {
-                    Ok(Hre::leaf(a))
+                    Ok((Hre::leaf(a), 2))
                 }
             }
             _ => Err(self.err("expected an atom")),
@@ -723,6 +782,38 @@ mod tests {
         assert!(parse_hre("a{>2}", &mut ab).is_err());
         assert!(parse_hre("a{>=2", &mut ab).is_err());
         assert!(parse_hre("{>=2}", &mut ab).is_err());
+    }
+
+    #[test]
+    fn query_size_limits_are_positioned_errors() {
+        let mut ab = Alphabet::new();
+        let parens = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
+        assert!(parse_hre(&parens(MAX_QUERY_NESTING), &mut ab).is_ok());
+        let err = parse_hre(&parens(MAX_QUERY_NESTING + 1), &mut ab).unwrap_err();
+        assert_eq!(err.pos, MAX_QUERY_NESTING, "at the first '(' too many");
+        assert!(err.msg.contains("nested deeper"), "{err}");
+        // `a<a<…>>`: node contents nest like parentheses; `a<%z>` and
+        // `a<>` open nothing.
+        let nodes = |d: usize| format!("{}a{}", "a<".repeat(d), ">".repeat(d));
+        assert!(parse_hre(&nodes(MAX_QUERY_NESTING), &mut ab).is_ok());
+        let err = parse_hre(&nodes(MAX_QUERY_NESTING + 1), &mut ab).unwrap_err();
+        assert_eq!(err.pos, 2 * MAX_QUERY_NESTING + 1, "at the '<' too many");
+        assert!(parse_hre(
+            &format!("({}a<%z>{})", "a<".repeat(255), ">".repeat(255)),
+            &mut ab
+        )
+        .is_ok());
+        // `a a … a`: two nodes per leaf, one per juxtaposition.
+        let leaves = |k: usize| vec!["a"; k].join(" ");
+        let at = (MAX_QUERY_STEPS + 1) / 3;
+        assert!(parse_hre(&leaves(at), &mut ab).is_ok());
+        let err = parse_hre(&leaves(at + 1), &mut ab).unwrap_err();
+        assert!(err.msg.contains("larger than"), "{err}");
+        // Postfix chains count too: `a+` doubles, `a*` adds one.
+        assert!(parse_hre(&format!("a{}", "*".repeat(MAX_QUERY_STEPS - 2)), &mut ab).is_ok());
+        assert!(parse_hre(&format!("a{}", "*".repeat(MAX_QUERY_STEPS - 1)), &mut ab).is_err());
+        assert!(parse_hre(&format!("a{}", "+".repeat(11)), &mut ab).is_err());
+        assert!(parse_hre("a+++", &mut ab).is_ok());
     }
 
     #[test]

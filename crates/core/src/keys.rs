@@ -1,11 +1,4 @@
-//! Canonical query keys and their stable hash.
-//!
-//! Both plan caches ([`crate::plan::PlanCache`], [`crate::plan::SharedPlanCache`])
-//! and the analyzer's memo table key their entries by the *canonical form*
-//! of a PHR — a structural rendering that is identical for structurally
-//! identical queries however they were built — hashed with FNV-1a. Keeping
-//! the key scheme in one place guarantees every cache in the workspace
-//! agrees on what "the same query" means.
+//! Canonical query keys.
 
 use crate::phr::Phr;
 
@@ -15,30 +8,11 @@ pub fn canonical_key(phr: &Phr) -> String {
     format!("{phr:?}")
 }
 
-/// FNV-1a over the canonical form — the default plan hash. Deterministic
-/// across processes (unlike `std`'s randomized hasher), so hashes are
-/// stable cache keys.
-pub fn fnv1a(key: &str) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::phr::parse_phr;
     use hedgex_hedge::Alphabet;
-
-    #[test]
-    fn fnv1a_basis_and_determinism() {
-        assert_eq!(fnv1a(""), 0xcbf2_9ce4_8422_2325);
-        assert_eq!(fnv1a("abc"), fnv1a("abc"));
-        assert_ne!(fnv1a("abc"), fnv1a("abd"));
-    }
 
     #[test]
     fn canonical_key_is_reparse_invariant() {

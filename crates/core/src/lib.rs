@@ -71,13 +71,13 @@ pub mod two_pass;
 pub use compile::compile_hre;
 pub use decompile::decompile_dha;
 pub use hre::{parse_hre, Hre, GRADED_EXPANSION_CAP};
-pub use keys::{canonical_key, fnv1a};
+pub use keys::canonical_key;
 pub use mark_down::{mark_run, MarkDown};
 pub use mark_up::MarkUp;
 pub use path_expr::{parse_path, CompiledPath, PathExpr};
 pub use phr::{parse_phr, Pbhr, Phr};
 pub use phr_compile::CompiledPhr;
-pub use plan::{Plan, PlanCache, PlanFacts, SharedPlanCache};
+pub use plan::{Plan, PlanFacts};
 pub use query::{CompiledSelect, SelectQuery, SelectScratch};
 pub use schema::{transform_select, SelectionSchema};
 pub use two_pass::{EvalMode, EvalOutcome, EvalScratch, PruneInfo};

@@ -17,11 +17,11 @@
 //!
 //! Concrete syntax: HRE-style regex over names, e.g. `sec* fig`,
 //! `(chap|app) sec fig?`. Query text is bounded: at most
-//! [`MAX_PATH_NESTING`] open parentheses and [`MAX_PATH_STEPS`] regex
+//! [`MAX_QUERY_NESTING`] open parentheses and [`MAX_QUERY_STEPS`] regex
 //! nodes, so no query can exhaust the stack of the recursive regex
 //! algorithms downstream.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 
 use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
@@ -29,17 +29,9 @@ use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
 use hedgex_obs as obs;
 
-use crate::hre::{Hre, HreParseError};
+use crate::hre::{Hre, HreParseError, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
 use crate::phr::{Pbhr, Phr};
 use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, GateCursor, ModeSink, PruneInfo};
-
-/// Deepest parenthesis nesting [`parse_path`] accepts.
-pub const MAX_PATH_NESTING: usize = 256;
-
-/// Largest path expression [`parse_path`] accepts, in regex nodes: a name
-/// is one node, juxtaposition, `|` and each postfix operator add one, and
-/// `e+` counts `e` twice (it expands to `e e*`).
-pub const MAX_PATH_STEPS: usize = 4096;
 
 /// A classical path expression: a regular expression over Σ, read from the
 /// root down to the located node (inclusive).
@@ -121,34 +113,18 @@ impl PathExpr {
     }
 
     /// Symbols that appear on *every* root-to-node path the expression
-    /// accepts, or `None` when the expression denotes no paths at all.
-    /// Purely structural — no automata are built: a starred step requires
-    /// nothing, an alternation requires what *both* branches require, a
-    /// concatenation requires what either factor requires. Sound for
-    /// index pruning: every located node's ancestor chain spells an
-    /// accepted word, so a document lacking a required symbol cannot
-    /// contain a match.
+    /// accepts, or `None` when the expression denotes no paths at all: the
+    /// structural walk [`Regex::required_letters`], a singleton class
+    /// forcing its symbol. Sound for index pruning: every located node's
+    /// ancestor chain spells an accepted word, so a document lacking a
+    /// required symbol cannot contain a match.
     pub fn required_syms(&self) -> Option<Vec<SymId>> {
-        fn required(r: &Regex<SymId>) -> Option<BTreeSet<SymId>> {
-            match r {
-                // None = empty language (every symbol vacuously required).
-                Regex::Empty => None,
-                Regex::Epsilon | Regex::Star(_) => Some(BTreeSet::new()),
-                Regex::Sym(CharClass::In(set)) if set.is_empty() => None,
-                Regex::Sym(CharClass::In(set)) if set.len() == 1 => Some(set.clone()),
-                Regex::Sym(_) => Some(BTreeSet::new()),
-                Regex::Concat(a, b) => match (required(a), required(b)) {
-                    (Some(x), Some(y)) => Some(x.union(&y).cloned().collect()),
-                    _ => None,
-                },
-                Regex::Alt(a, b) => match (required(a), required(b)) {
-                    (Some(x), Some(y)) => Some(x.intersection(&y).cloned().collect()),
-                    (Some(x), None) => Some(x),
-                    (None, y) => y,
-                },
-            }
-        }
-        required(&self.regex).map(|set| set.into_iter().collect())
+        Some(
+            self.regex
+                .required_letters(&|c| c.single().copied())?
+                .into_iter()
+                .collect(),
+        )
     }
 
     /// Section 8's simplified match-identifying automaton for path
@@ -403,8 +379,8 @@ impl PathMarkUp {
 }
 
 /// Parse a path expression (HRE-style regex over bare names; `$`, `<`, `%`
-/// are not allowed). Queries nesting deeper than [`MAX_PATH_NESTING`] or
-/// larger than [`MAX_PATH_STEPS`] are rejected at the byte where they
+/// are not allowed). Queries nesting deeper than [`MAX_QUERY_NESTING`] or
+/// larger than [`MAX_QUERY_STEPS`] are rejected at the byte where they
 /// cross the limit.
 pub fn parse_path(src: &str, ab: &mut Alphabet) -> Result<PathExpr, HreParseError> {
     let mut p = PathParser {
@@ -455,11 +431,11 @@ impl PathParser<'_, '_> {
             msg: msg.into(),
         }
     }
-    /// `size`, unless it exceeds [`MAX_PATH_STEPS`].
+    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
     fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
-        if size > MAX_PATH_STEPS {
+        if size > MAX_QUERY_STEPS {
             return Err(self.err(format!(
-                "path expression larger than {MAX_PATH_STEPS} steps"
+                "path expression larger than {MAX_QUERY_STEPS} steps"
             )));
         }
         Ok(size)
@@ -514,10 +490,10 @@ impl PathParser<'_, '_> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
-                if self.depth == MAX_PATH_NESTING {
-                    return Err(
-                        self.err(format!("parentheses nested deeper than {MAX_PATH_NESTING}"))
-                    );
+                if self.depth == MAX_QUERY_NESTING {
+                    return Err(self.err(format!(
+                        "parentheses nested deeper than {MAX_QUERY_NESTING}"
+                    )));
                 }
                 self.bump();
                 self.depth += 1;
@@ -634,16 +610,16 @@ mod tests {
     fn query_size_limits_are_positioned_errors() {
         let mut ab = Alphabet::new();
         let nested = |d: usize| format!("{}a{}", "(".repeat(d), ")".repeat(d));
-        assert!(parse_path(&nested(MAX_PATH_NESTING), &mut ab).is_ok());
-        let err = parse_path(&nested(MAX_PATH_NESTING + 1), &mut ab).unwrap_err();
-        assert_eq!(err.pos, MAX_PATH_NESTING, "at the first '(' too many");
+        assert!(parse_path(&nested(MAX_QUERY_NESTING), &mut ab).is_ok());
+        let err = parse_path(&nested(MAX_QUERY_NESTING + 1), &mut ab).unwrap_err();
+        assert_eq!(err.pos, MAX_QUERY_NESTING, "at the first '(' too many");
         // `a a … a*`: one node per name and per juxtaposition, one per star.
         let names = |k: usize| format!("{}a*", "a ".repeat(k - 1));
-        assert!(parse_path(&names(MAX_PATH_STEPS / 2), &mut ab).is_ok());
-        let err = parse_path(&names(MAX_PATH_STEPS / 2 + 1), &mut ab).unwrap_err();
+        assert!(parse_path(&names(MAX_QUERY_STEPS / 2), &mut ab).is_ok());
+        let err = parse_path(&names(MAX_QUERY_STEPS / 2 + 1), &mut ab).unwrap_err();
         assert!(err.msg.contains("steps"), "{err}");
         // Postfix chains count too: `a+` doubles, `a?` adds one.
-        assert!(parse_path(&format!("a{}", "?".repeat(MAX_PATH_STEPS)), &mut ab).is_err());
+        assert!(parse_path(&format!("a{}", "?".repeat(MAX_QUERY_STEPS)), &mut ab).is_err());
         assert!(parse_path(&format!("a{}", "+".repeat(12)), &mut ab).is_err());
         assert!(parse_path("a+++", &mut ab).is_ok());
     }

@@ -25,11 +25,19 @@
 //! atom := '[' e ';' name ';' e ']'    -- a triplet (e₁, a, e₂)
 //!       | '(' phr ')'
 //! ```
+//!
+//! A PHR has at most [`MAX_TRIPLETS`] triplets (Algorithm 1 keeps one
+//! signature bit per triplet), and its regex is bounded like every query
+//! parser's: [`MAX_QUERY_NESTING`] parentheses, [`MAX_QUERY_STEPS`] nodes.
 
-use hedgex_automata::{Nfa, Regex};
+use hedgex_automata::{CharClass, Nfa, Regex};
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, PointedHedge, SymId};
 
-use crate::hre::{parse_hre, Hre, HreParseError};
+use crate::hre::{parse_hre, Hre, HreParseError, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
+
+/// Most triplets a PHR may have: Algorithm 1 records which triplets a
+/// node satisfies as one 64-bit signature.
+pub const MAX_TRIPLETS: usize = 64;
 
 /// A pointed base hedge representation `(e₁, a, e₂)` (Definition 16).
 #[derive(Debug, Clone)]
@@ -65,6 +73,27 @@ impl Phr {
                 .iter()
                 .map(|t| t.elder.size() + t.younger.size() + 1)
                 .sum::<usize>()
+    }
+
+    /// Symbols every matching node has on its ancestor-or-self chain, or
+    /// `None` when the regex denotes no triplet words at all: the
+    /// structural walk [`Regex::required_letters`], a class forcing the
+    /// label its triplets share. Sound for index pruning: each triplet of
+    /// a match's decomposition is read at an ancestor-or-self carrying the
+    /// triplet's label (Definition 19).
+    pub fn required_syms(&self) -> Option<Vec<SymId>> {
+        let shared_label = |c: &CharClass<TripletId>| {
+            let CharClass::In(ids) = c else { return None };
+            let mut labels = ids.iter().map(|&t| self.triplets[t as usize].label);
+            let first = labels.next()?;
+            labels.all(|a| a == first).then_some(first)
+        };
+        Some(
+            self.regex
+                .required_letters(&shared_label)?
+                .into_iter()
+                .collect(),
+        )
     }
 
     /// Definition 17: does a pointed base hedge match triplet `t`?
@@ -129,15 +158,18 @@ impl Phr {
 }
 
 /// Parse the concrete PHR syntax (see module docs), interning names into
-/// `ab`.
+/// `ab`. A triplet past [`MAX_TRIPLETS`], or a regex nesting deeper than
+/// [`MAX_QUERY_NESTING`] or larger than [`MAX_QUERY_STEPS`], is rejected
+/// at the byte where it crosses the limit.
 pub fn parse_phr(src: &str, ab: &mut Alphabet) -> Result<Phr, HreParseError> {
     let mut p = PhrParser {
         src,
         pos: 0,
         ab,
         triplets: Vec::new(),
+        depth: 0,
     };
-    let regex = p.alt()?;
+    let (regex, _) = p.alt()?;
     p.skip_ws();
     if p.pos != src.len() {
         return Err(HreParseError {
@@ -151,11 +183,16 @@ pub fn parse_phr(src: &str, ab: &mut Alphabet) -> Result<Phr, HreParseError> {
     })
 }
 
+/// A parsed sub-expression and its size in regex nodes.
+type Part = (Regex<TripletId>, usize);
+
 struct PhrParser<'a, 'b> {
     src: &'a str,
     pos: usize,
     ab: &'b mut Alphabet,
     triplets: Vec<Pbhr>,
+    /// Parentheses open at `pos`.
+    depth: usize,
 }
 
 impl PhrParser<'_, '_> {
@@ -179,62 +216,76 @@ impl PhrParser<'_, '_> {
         }
     }
 
-    fn alt(&mut self) -> Result<Regex<TripletId>, HreParseError> {
-        let mut e = self.seq()?;
+    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
+    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
+        if size > MAX_QUERY_STEPS {
+            return Err(self.err(format!("PHR larger than {MAX_QUERY_STEPS} steps")));
+        }
+        Ok(size)
+    }
+
+    fn alt(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.seq()?;
         loop {
             self.skip_ws();
             if self.peek() == Some('|') {
                 self.bump();
-                let rhs = self.seq()?;
+                let (rhs, n) = self.seq()?;
+                size = self.bounded(size + n + 1)?;
                 e = e.alt(rhs);
             } else {
-                return Ok(e);
+                return Ok((e, size));
             }
         }
     }
 
-    fn seq(&mut self) -> Result<Regex<TripletId>, HreParseError> {
-        let mut e = self.factor()?;
+    fn seq(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.factor()?;
         loop {
             self.skip_ws();
             match self.peek() {
                 Some('[') | Some('(') => {
-                    let rhs = self.factor()?;
+                    let (rhs, n) = self.factor()?;
+                    size = self.bounded(size + n + 1)?;
                     e = e.concat(rhs);
                 }
-                _ => return Ok(e),
+                _ => return Ok((e, size)),
             }
         }
     }
 
-    fn factor(&mut self) -> Result<Regex<TripletId>, HreParseError> {
-        let mut e = self.atom()?;
+    fn factor(&mut self) -> Result<Part, HreParseError> {
+        let (mut e, mut size) = self.atom()?;
         loop {
             self.skip_ws();
-            match self.peek() {
-                Some('*') => {
-                    self.bump();
-                    e = e.star();
-                }
-                Some('+') => {
-                    self.bump();
-                    e = e.plus();
-                }
-                Some('?') => {
-                    self.bump();
-                    e = e.opt();
-                }
-                _ => return Ok(e),
-            }
+            let op = match self.peek() {
+                Some(op @ ('*' | '+' | '?')) => op,
+                _ => return Ok((e, size)),
+            };
+            self.bump();
+            // `e+` is `e e*`: two copies of `e`, a star and a concatenation.
+            size = self.bounded(if op == '+' { 2 * size + 2 } else { size + 1 })?;
+            e = match op {
+                '*' => e.star(),
+                '+' => e.plus(),
+                _ => e.opt(),
+            };
         }
     }
 
-    fn atom(&mut self) -> Result<Regex<TripletId>, HreParseError> {
+    fn atom(&mut self) -> Result<Part, HreParseError> {
         self.skip_ws();
         match self.peek() {
             Some('(') => {
+                if self.depth == MAX_QUERY_NESTING {
+                    return Err(self.err(format!(
+                        "parentheses nested deeper than {MAX_QUERY_NESTING}"
+                    )));
+                }
                 self.bump();
+                self.depth += 1;
                 let e = self.alt()?;
+                self.depth -= 1;
                 self.skip_ws();
                 if self.bump() != Some(')') {
                     return Err(self.err("expected ')'"));
@@ -242,6 +293,9 @@ impl PhrParser<'_, '_> {
                 Ok(e)
             }
             Some('[') => {
+                if self.triplets.len() == MAX_TRIPLETS {
+                    return Err(self.err(format!("more than {MAX_TRIPLETS} triplets")));
+                }
                 self.bump();
                 let e1_src = self.slice_until(';')?;
                 let name_src = self.slice_until(';')?;
@@ -256,7 +310,7 @@ impl PhrParser<'_, '_> {
                     label,
                     younger,
                 });
-                Ok(Regex::sym(id))
+                Ok((Regex::sym(id), 1))
             }
             _ => Err(self.err("expected '[' or '('")),
         }
@@ -420,6 +474,58 @@ mod tests {
         assert!(parse_phr("[a ; b ; c] extra", &mut ab).is_err());
         assert!(parse_phr("*", &mut ab).is_err());
         assert!(parse_phr("(", &mut ab).is_err());
+    }
+
+    #[test]
+    fn query_size_limits_are_positioned_errors() {
+        let mut ab = Alphabet::new();
+        let triplets = |k: usize| "[ε ; a ; ε]".repeat(k);
+        assert_eq!(
+            parse_phr(&triplets(MAX_TRIPLETS), &mut ab)
+                .unwrap()
+                .triplets
+                .len(),
+            64
+        );
+        let err = parse_phr(&triplets(MAX_TRIPLETS + 1), &mut ab).unwrap_err();
+        assert_eq!(
+            err.pos,
+            MAX_TRIPLETS * "[ε ; a ; ε]".len(),
+            "at the '[' too many"
+        );
+        assert!(err.msg.contains("triplets"), "{err}");
+        let nested = |d: usize| format!("{}[ε ; a ; ε]{}", "(".repeat(d), ")".repeat(d));
+        assert!(parse_phr(&nested(MAX_QUERY_NESTING), &mut ab).is_ok());
+        let err = parse_phr(&nested(MAX_QUERY_NESTING + 1), &mut ab).unwrap_err();
+        assert_eq!(err.pos, MAX_QUERY_NESTING, "at the first '(' too many");
+        // One triplet reused under postfix operators: one node each.
+        let starred = |k: usize| format!("[ε ; a ; ε]{}", "?".repeat(k));
+        assert!(parse_phr(&starred(MAX_QUERY_STEPS - 1), &mut ab).is_ok());
+        let err = parse_phr(&starred(MAX_QUERY_STEPS), &mut ab).unwrap_err();
+        assert!(err.msg.contains("larger than"), "{err}");
+        // The triplets' own HREs are bounded by `parse_hre`.
+        let deep = format!("[{}a{} ; a ; ε]", "(".repeat(300), ")".repeat(300));
+        assert!(parse_phr(&deep, &mut ab).is_err());
+    }
+
+    #[test]
+    fn required_syms_follow_the_triplet_labels() {
+        let mut ab = Alphabet::new();
+        let (a, b) = (ab.sym("a"), ab.sym("b"));
+        let req = |src: &str, ab: &mut Alphabet| parse_phr(src, ab).unwrap().required_syms();
+        assert_eq!(req("[ε ; a ; b][b ; a ; ε]", &mut ab), Some(vec![a]));
+        assert_eq!(req("[ε ; a ; ε][ε ; b ; ε]*", &mut ab), Some(vec![a]));
+        assert_eq!(
+            req("[ε ; b ; ε]([ε ; a ; ε]|[b ; a ; b])", &mut ab),
+            Some(vec![a, b])
+        );
+        assert_eq!(req("([ε ; a ; ε]|[ε ; b ; ε])", &mut ab), Some(vec![]));
+        assert_eq!(req("[ε ; a ; ε]?", &mut ab), Some(vec![]));
+        let empty = Phr {
+            triplets: Vec::new(),
+            regex: Regex::Empty,
+        };
+        assert_eq!(empty.required_syms(), None);
     }
 
     #[test]

@@ -33,7 +33,7 @@ use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::compile::compile_hre;
-use crate::phr::Phr;
+use crate::phr::{Phr, MAX_TRIPLETS};
 
 /// A signature: the set of triplets a concrete `(C₁, a, C₂)` symbol
 /// satisfies, as a bitmask (PHRs are limited to 64 triplets).
@@ -159,8 +159,8 @@ impl CompiledPhr {
     /// exists for benchmarks and property tests that verify exactly that.
     pub fn compile_with(phr: &Phr, reduce: bool) -> CompiledPhr {
         assert!(
-            phr.triplets.len() <= 64,
-            "pointed hedge representations are limited to 64 triplets"
+            phr.triplets.len() <= MAX_TRIPLETS,
+            "pointed hedge representations are limited to {MAX_TRIPLETS} triplets"
         );
         let _span = obs::span("core.phr_compile");
         // Compile every e_i1, e_i2 and take the shared product.

@@ -12,7 +12,7 @@
 //! * a **non-deterministic** hedge automaton ([`Nha`], Definitions 6–8)
 //!   maps into sets of states; it is executed directly by a set-valued
 //!   bottom-up pass, or converted to a [`Dha`] by the subset construction
-//!   of Theorem 1 ([`determinize`]).
+//!   of Theorem 1 ([`determinize()`]).
 //!
 //! Also here: products of automata (used by Theorem 4's shared-state
 //! construction and by schema transformation), reachability analyses

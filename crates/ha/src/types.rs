@@ -6,7 +6,7 @@ use hedgex_hedge::{SubId, VarId};
 pub type HState = u32;
 
 /// A leaf label: hedge automata assign `ι`-states to variable leaves, and —
-/// following Lemma 1's proof, which "allow[s] substitution symbols as
+/// following Lemma 1's proof, which "allow\[s\] substitution symbols as
 /// variables of hedge automata" — also to substitution-symbol leaves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum Leaf {

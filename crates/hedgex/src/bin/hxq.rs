@@ -514,32 +514,27 @@ fn run(args: Args) -> Result<ExitCode, String> {
 }
 
 /// `--store STORE`: answer the query over every document in a persistent
-/// store. The plan carries its analysis facts, so documents missing a
-/// required symbol are rejected by one postings probe each, and the
-/// traversal visits only subtrees whose preorder range holds a candidate
-/// node (a posting under one of the query's accepting labels).
+/// store. The plan carries the structural facts it derives from the query,
+/// so documents missing a required symbol are rejected by one postings
+/// probe each, and the traversal visits only subtrees whose preorder range
+/// holds a candidate node (a posting under one of the query's accepting
+/// labels).
 fn run_store(store_path: &str, args: &Args) -> Result<ExitCode, String> {
-    use hedgex::analyze::AnalyzedQuery;
-
     let store = DocumentStore::load(std::path::Path::new(store_path))
         .map_err(|e| format!("{store_path}: {e}"))?;
     // Queries parse against the store's alphabet so symbol ids line up
     // with the postings; genuinely new symbols intern past the end and
     // simply have empty postings everywhere.
     let mut ab = store.alphabet().clone();
+    // The same plans `run_query` compiles; the path DFA is tabulated over
+    // the store's alphabet.
     let plan = if let Some(p) = &args.phr {
-        let phr = match parse_phr(p, &mut ab) {
-            Ok(p) => p,
+        match parse_phr(p, &mut ab) {
+            Ok(phr) => Plan::compile(&phr),
             Err(e) => return Ok(usage_error(&format!("query: {e}"))),
-        };
-        // Analysis cost scales with the query's own symbols — fine for a
-        // hand-written PHR.
-        let facts = AnalyzedQuery::new(&phr, None).plan_facts(None);
-        Plan::compile(&phr).with_facts(facts)
+        }
     } else {
         match parse_path(args.path.as_deref().expect("validated"), &mut ab) {
-            // The §8 DFA over the store's alphabet, carrying the path's
-            // structural required-symbol facts.
             Ok(path) => Plan::path(&path, &ab),
             Err(e) => return Ok(usage_error(&format!("query: {e}"))),
         }

@@ -45,17 +45,14 @@ pub use explain::{explain, explain_path, ExplainReport};
 
 /// Everything most programs need, one import away.
 pub mod prelude {
-    pub use hedgex_analyze::{analyze, AnalysisCache, AnalyzedQuery, QueryAnalysis};
+    pub use hedgex_analyze::{analyze, AnalyzedQuery, QueryAnalysis};
     pub use hedgex_core::hre::parse_hre;
     pub use hedgex_core::path_expr::parse_path;
     pub use hedgex_core::phr::parse_phr;
     pub use hedgex_core::query::{CompiledSelect, SelectQuery, SelectScratch};
     pub use hedgex_core::schema::transform_select;
     pub use hedgex_core::two_pass;
-    pub use hedgex_core::{
-        CompiledPhr, EvalMode, EvalOutcome, EvalScratch, Plan, PlanCache, PlanFacts,
-        SharedPlanCache,
-    };
+    pub use hedgex_core::{CompiledPhr, EvalMode, EvalOutcome, EvalScratch, Plan, PlanFacts};
     pub use hedgex_ha::{determinize, Dha, Nha};
     pub use hedgex_hedge::{parse_hedge, Alphabet, FlatHedge, Hedge, PointedHedge};
     pub use hedgex_par::ParallelEvaluator;

@@ -21,10 +21,6 @@
 //!   reusing one [`hedgex_core::EvalScratch`] across its tasks. Results always come back in deterministic input order, equal
 //!   element-for-element to the sequential [`hedgex_core::plan::Plan::locate_into`]
 //!   loop — scheduling can never change an answer, only its latency.
-//!
-//! For the companion concurrency-safe compile cache (so worker threads can
-//! also *obtain* plans without serializing on one lock), see
-//! [`hedgex_core::plan::SharedPlanCache`].
 
 #![forbid(unsafe_code)]
 

@@ -4,11 +4,11 @@
 //! per-document (or corpus-wide, in parallel) using the structural index
 //! to do strictly less work than the plain evaluators:
 //!
-//! 1. **Postings-emptiness reject** — if analysis proved the query needs
-//!    symbol `a` (`PlanFacts::required_syms`) and the document's postings
-//!    for `a` are empty, the answer is zero without touching a single
-//!    node. This replaces the `lacks_required_sym` label scan with O(1)
-//!    probes per document.
+//! 1. **Postings-emptiness reject** — if the plan's facts say the query
+//!    needs symbol `a` (`PlanFacts::required_syms`, which every plan
+//!    derives from its own regex) and the document's postings for `a` are
+//!    empty, the answer is zero without touching a single node: one O(1)
+//!    probe per required symbol.
 //! 2. **Candidate-range pruning** — `Plan::match_syms` gives the only
 //!    labels an accepting node can carry; the union of their postings
 //!    (already preorder-sorted per symbol) is the candidate set, and the
@@ -79,7 +79,7 @@ impl<'a> StoreQuery<'a> {
         };
         // Prune 1 — answer through the pruned path with zero candidates
         // (uniform zero outcome, located cleared, no automaton run).
-        if self.lacks_required_sym(doc) {
+        if self.rejected_by_postings(doc) {
             obs::counter_inc("store.docs_pruned");
             let (outcome, _) = self
                 .plan
@@ -116,7 +116,7 @@ impl<'a> StoreQuery<'a> {
 
     /// Prune 1: a required symbol with empty postings in `doc` proves it
     /// has no matches.
-    fn lacks_required_sym(&self, doc: &StoredDoc) -> bool {
+    fn rejected_by_postings(&self, doc: &StoredDoc) -> bool {
         let ix = doc.index();
         self.plan
             .missing_required_sym(|s| !ix.postings(s).is_empty())
@@ -150,7 +150,7 @@ impl<'a> StoreQuery<'a> {
         // Prune 1 up front: a document whose postings lack a required
         // symbol costs one probe here, not a pool task.
         let live: Vec<usize> = (0..docs.len())
-            .filter(|&i| !self.lacks_required_sym(&docs[i]))
+            .filter(|&i| !self.rejected_by_postings(&docs[i]))
             .collect();
         obs::counter_add("store.docs_pruned", (docs.len() - live.len()) as u64);
         let answers = ParallelEvaluator::new(jobs).map_with_scratch(live.len(), |scratch, k| {

@@ -11,7 +11,7 @@
 //!   `HEDGEX_SEED=<printed seed> cargo test`;
 //! * [`json`] — a minimal JSON value/writer/parser (replaces `serde` +
 //!   `serde_json`);
-//! * [`bench`] — a median-of-N wall-clock bench harness with a
+//! * [`mod@bench`] — a median-of-N wall-clock bench harness with a
 //!   criterion-shaped API (replaces `criterion`).
 
 #![forbid(unsafe_code)]

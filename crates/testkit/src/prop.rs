@@ -17,8 +17,8 @@
 //! use it, so filter to the failing test). `HEDGEX_CASES=<n>` overrides the
 //! case count of every `forall` without recompiling.
 //!
-//! Properties return [`TestResult`]; use [`prop_assert!`] /
-//! [`prop_assert_eq!`] inside them to fail with context instead of
+//! Properties return [`TestResult`]; use [`prop_assert!`](crate::prop_assert) /
+//! [`prop_assert_eq!`](crate::prop_assert_eq) inside them to fail with context instead of
 //! panicking (panics abort shrinking, `Err` drives it).
 
 use std::fmt::Debug;

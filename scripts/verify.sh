@@ -59,6 +59,11 @@ cargo test -q --offline --no-default-features -p hedgex --test store_fuzz
 echo "== cargo clippy --offline --all-targets -- -D warnings =="
 cargo clippy -q --offline --all-targets -- -D warnings
 
+echo "== rustdoc: RUSTDOCFLAGS=\"-D warnings\" cargo doc --offline --no-deps --workspace =="
+# Every intra-doc link must resolve, so a deleted public name cannot
+# survive in the docs as a dangling link.
+RUSTDOCFLAGS="-D warnings" cargo doc -q --offline --no-deps --workspace
+
 echo "== cargo fmt --check =="
 cargo fmt --check
 

@@ -2,7 +2,9 @@
 //! for: analysis verdicts are claims about `locate` on *every* document,
 //! so we check them against randomly generated documents, and we check
 //! that dead-state pruning never changes a match set — sequentially and
-//! through the parallel evaluator.
+//! through the parallel evaluator. The structural facts every `Plan`
+//! derives for itself are held to the same standard: sound on random
+//! documents, and never claiming more than the analyzer proves.
 //!
 //! Runs on `hedgex-testkit`'s shrinking `forall` runner (seed-reproducible
 //! failures) and is exercised by CI both with default features and with
@@ -12,8 +14,9 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use hedgex::analyze::AnalyzedQuery;
-use hedgex::core::phr_compile;
+use hedgex::core::path_expr::parse_path;
 use hedgex::core::Phr;
+use hedgex::core::{phr_compile, two_pass};
 use hedgex::hedge::{Hedge, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
@@ -107,6 +110,70 @@ fn pool() -> Vec<(Phr, Rc<AnalyzedQuery>)> {
 
 fn pick_query(n: usize) -> Gen<usize> {
     Gen::new(move |rng| rng.random_range(0..n))
+}
+
+/// A random regex over `atom`s: concatenation, alternation, `*` and `?`
+/// nested at most `depth` deep.
+fn gen_regex(rng: &mut Rng, depth: usize, atom: &mut dyn FnMut(&mut Rng) -> String) -> String {
+    if depth == 0 || rng.random_bool(0.3) {
+        return atom(rng);
+    }
+    match rng.random_range(0..4u32) {
+        0 => format!(
+            "{} {}",
+            gen_regex(rng, depth - 1, atom),
+            gen_regex(rng, depth - 1, atom)
+        ),
+        1 => format!(
+            "({}|{})",
+            gen_regex(rng, depth - 1, atom),
+            gen_regex(rng, depth - 1, atom)
+        ),
+        2 => format!("({})*", gen_regex(rng, depth - 1, atom)),
+        _ => format!("({})?", gen_regex(rng, depth - 1, atom)),
+    }
+}
+
+/// A random PHR source over {a, b}: a regex nested `depth` deep over up to
+/// `2^depth` triplets whose sibling conditions range over ε, leaves, the
+/// universal expression and the provably empty `a<%z>^z`.
+fn arb_phr_src(depth: usize) -> Gen<String> {
+    Gen::new(move |rng| {
+        const SIDES: [&str; 6] = ["ε", "a", "b*", "(a<%z>|b<%z>|$v)*^z", "a<%z>^z", "b a*"];
+        let mut triplet = |rng: &mut Rng| {
+            let side = |rng: &mut Rng| SIDES[rng.random_range(0..SIDES.len())];
+            let label = if rng.random_bool(0.5) { "a" } else { "b" };
+            format!("[{} ; {label} ; {}]", side(rng), side(rng))
+        };
+        gen_regex(rng, depth, &mut triplet)
+    })
+}
+
+/// A random path source over {a, b}.
+fn arb_path_src() -> Gen<String> {
+    Gen::new(|rng| {
+        gen_regex(rng, 3, &mut |rng: &mut Rng| {
+            (if rng.random_bool(0.5) { "a" } else { "b" }).to_string()
+        })
+    })
+}
+
+/// The alphabet the generators assume: `a`, `b`, then `$v`.
+fn props_alphabet() -> Alphabet {
+    let mut ab = Alphabet::new();
+    assert_eq!((ab.sym("a"), ab.sym("b")), (SymId(0), SymId(1)));
+    assert_eq!(ab.var("v"), VarId(0));
+    ab
+}
+
+/// The labels a document holds.
+fn labels(h: &FlatHedge) -> BTreeSet<SymId> {
+    h.preorder()
+        .filter_map(|n| match h.label(n) {
+            hedgex::hedge::flat::FlatLabel::Sym(a) => Some(a),
+            _ => None,
+        })
+        .collect()
 }
 
 // ---------------------------------------------------------------------------
@@ -236,6 +303,87 @@ fn pruning_never_changes_match_sets() {
                 let par = ParallelEvaluator::new(jobs).repeat(pruned, &flat, 2);
                 prop_assert_eq!(&par, &hits_u);
             }
+            Ok(())
+        },
+    );
+}
+
+/// The facts `Plan::compile` derives are sound on random (PHR, document)
+/// pairs: a document with a match holds every required label, and a
+/// known-empty plan's query matches nothing.
+#[test]
+fn derived_facts_are_sound_on_random_documents() {
+    forall(
+        "derived_facts_sound",
+        Config::with_cases(200),
+        &zip2(arb_phr_src(3), arb_doc()),
+        |(src, doc)| {
+            let mut ab = props_alphabet();
+            let phr = parse_phr(src, &mut ab).unwrap();
+            let plan = Plan::compile(&phr);
+            let flat = FlatHedge::from_hedge(doc);
+            let hits = two_pass::locate(plan.compiled(), &flat);
+            let facts = plan.facts();
+            if facts.known_empty {
+                prop_assert!(hits.is_empty(), "known-empty {src} located {hits:?}");
+            }
+            if !hits.is_empty() {
+                let present = labels(&flat);
+                for a in &facts.required_syms {
+                    prop_assert!(present.contains(a), "{src} matched without {a:?}");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The structural walk never claims more than the analyzer proves: for a
+/// satisfiable PHR, its required labels are among `required_symbols`.
+/// (Smaller PHRs than above: the analyzer is a decision procedure.)
+#[test]
+fn derived_facts_are_within_the_analyzers() {
+    forall(
+        "derived_within_analyzed",
+        Config::with_cases(40),
+        &arb_phr_src(2),
+        |src| {
+            let mut ab = props_alphabet();
+            let phr = parse_phr(src, &mut ab).unwrap();
+            let derived = Plan::compile(&phr).facts().required_syms.clone();
+            let analyzed = AnalyzedQuery::new(&phr, None);
+            if analyzed.satisfiable().satisfiable {
+                let proved: BTreeSet<SymId> = analyzed.required_symbols(None).into_iter().collect();
+                for a in &derived {
+                    prop_assert!(proved.contains(a), "{src}: {a:?} not proved required");
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A path's universal PHR embedding derives at least the path's own
+/// required labels: the PHR walk loses nothing the path walk finds.
+#[test]
+fn embedded_paths_derive_the_paths_facts() {
+    forall(
+        "embedded_path_facts",
+        Config::with_cases(100),
+        &arb_path_src(),
+        |src| {
+            let mut ab = props_alphabet();
+            let path = parse_path(src, &mut ab).unwrap();
+            let syms: Vec<_> = ab.syms().collect();
+            let vars: Vec<_> = ab.vars().collect();
+            let z = ab.sub("props-universal");
+            let embedded = Plan::compile(&path.to_phr(&syms, &vars, z));
+            let direct = Plan::path(&path, &ab);
+            let derived: BTreeSet<SymId> = embedded.facts().required_syms.iter().copied().collect();
+            for a in &direct.facts().required_syms {
+                prop_assert!(derived.contains(a), "{src}: embedding lost {a:?}");
+            }
+            prop_assert_eq!(embedded.facts().known_empty, direct.facts().known_empty);
             Ok(())
         },
     );

@@ -7,7 +7,7 @@ use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
 use hedgex::prelude::*;
-use hedgex_bench::doc_workload;
+use hedgex_bench::{doc_workload, docbook_universal};
 use hedgex_testkit::Json;
 
 fn hxq(args: &[&str]) -> Output {
@@ -1189,12 +1189,95 @@ fn path_runs_never_compile_a_phr() {
     std::fs::remove_file(&trace).ok();
 }
 
+/// A `--store --phr` run answers from the plan's own structural facts: no
+/// mode and no worker count runs the static analyzer, and every answer
+/// agrees with the per-file runs.
+#[test]
+fn store_phr_runs_never_analyze() {
+    let corpus = scratch("trace-phr-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let mut files = Vec::new();
+    for seed in 0..3u64 {
+        let w = doc_workload(150 + 50 * seed as usize, 60 + seed);
+        let file = corpus.join(format!("doc{seed}.xml"));
+        std::fs::write(&file, write_xml(&w.doc, &w.ab, None)).unwrap();
+        files.push(file);
+    }
+    let store = scratch("trace-phr.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let trace = scratch("trace-phr.json");
+    let trace_s = trace.to_str().unwrap();
+    let u = docbook_universal(&mut Alphabet::new());
+    for phr in [
+        format!("[{u} ; figure ; {u}][{u} ; section ; {u}]"),
+        format!("[{u} ; title ; {u}][{u} ; sidebar ; {u}]"),
+    ] {
+        let per_file: u64 = files
+            .iter()
+            .map(|f| {
+                let out = hxq(&["--count", "--phr", &phr, f.to_str().unwrap()]);
+                assert_eq!(out.status.code(), Some(0));
+                String::from_utf8_lossy(&out.stdout)
+                    .trim()
+                    .parse::<u64>()
+                    .unwrap()
+            })
+            .sum();
+        let store_s = store.to_str().unwrap();
+        for (flags, expect_code) in [
+            (&[][..], 0),
+            (&["--count"][..], 0),
+            (&["--count", "--jobs", "2"][..], 0),
+            (&["--exists"][..], if per_file > 0 { 0 } else { 1 }),
+        ] {
+            let args = [
+                &["--store", store_s, "--phr", &phr, "--trace", trace_s][..],
+                flags,
+            ]
+            .concat();
+            let out = hxq(&args);
+            assert_eq!(out.status.code(), Some(expect_code), "{flags:?}");
+            let stdout = String::from_utf8_lossy(&out.stdout);
+            let answer = match flags.first() {
+                None => stdout.lines().count() as u64,
+                Some(&"--count") => stdout.trim().parse().unwrap(),
+                _ => per_file,
+            };
+            assert_eq!(answer, per_file, "{flags:?}");
+            let text = std::fs::read_to_string(&trace).unwrap();
+            let names: Vec<String> = Json::parse(&text)
+                .expect("trace parses")
+                .as_arr()
+                .expect("trace is an array")
+                .iter()
+                .filter_map(|e| e.get("name").and_then(Json::as_str).map(String::from))
+                .collect();
+            assert!(
+                !names.iter().any(|n| n.starts_with("analyze.")),
+                "{flags:?} ran the analyzer: {names:?}"
+            );
+            if hedgex::obs::is_enabled() {
+                assert!(names.iter().any(|n| n == "core.phr_compile"), "{flags:?}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(&store).ok();
+    std::fs::remove_file(&trace).ok();
+}
+
 /// Path query text is bounded: nesting and size up to the limits run (on
 /// the main thread, in every route), one past them is a positioned usage
 /// error instead of a stack overflow.
 #[test]
 fn path_query_limits_run_at_the_limit_and_exit_2_beyond() {
-    use hedgex::core::path_expr::{MAX_PATH_NESTING, MAX_PATH_STEPS};
+    use hedgex::core::hre::{MAX_QUERY_NESTING, MAX_QUERY_STEPS};
     let xml = scratch("limits.xml");
     std::fs::write(&xml, "<a><a/></a>").unwrap();
     let xml_s = xml.to_str().unwrap();
@@ -1203,14 +1286,14 @@ fn path_query_limits_run_at_the_limit_and_exit_2_beyond() {
     let long = |k: usize| format!("{}a*", "a ".repeat(k - 1));
     for (at, past, needle) in [
         (
-            nested(MAX_PATH_NESTING),
-            nested(MAX_PATH_NESTING + 1),
-            format!("byte {MAX_PATH_NESTING}: parentheses nested deeper"),
+            nested(MAX_QUERY_NESTING),
+            nested(MAX_QUERY_NESTING + 1),
+            format!("byte {MAX_QUERY_NESTING}: parentheses nested deeper"),
         ),
         (
-            long(MAX_PATH_STEPS / 2),
-            long(MAX_PATH_STEPS / 2 + 1),
-            format!("larger than {MAX_PATH_STEPS} steps"),
+            long(MAX_QUERY_STEPS / 2),
+            long(MAX_QUERY_STEPS / 2 + 1),
+            format!("larger than {MAX_QUERY_STEPS} steps"),
         ),
     ] {
         for flags in [&[][..], &["--count"][..], &["--stream"][..]] {
@@ -1229,6 +1312,45 @@ fn path_query_limits_run_at_the_limit_and_exit_2_beyond() {
         }
     }
     std::fs::remove_file(&xml).ok();
+}
+
+/// PHR and HRE query text is bounded like path text: a 65th triplet and
+/// 30k-deep or 30k-long expressions are one-line usage errors on every
+/// route that parses them, never a panic or a stack overflow.
+#[test]
+fn phr_and_hre_query_limits_exit_2_on_every_route() {
+    let (dir, store) = indexed_corpus("limits");
+    let xml = dir.join("a.xml");
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    const HUGE: usize = 30_000;
+    let triplet = "[ε ; a ; ε]";
+    let parens = |inner: &str| format!("{}{inner}{}", "(".repeat(HUGE), ")".repeat(HUGE));
+    let nodes = format!("{}a{}", "a<".repeat(HUGE), ">".repeat(HUGE));
+    let flat = vec!["a"; HUGE].join(" ");
+    let hres = [parens("a"), nodes, flat];
+    let mut phrs = vec![triplet.repeat(65), parens(triplet)];
+    phrs.extend(hres.iter().map(|e| format!("[{e} ; a ; ε]")));
+    let mut runs: Vec<(Vec<&str>, &str)> = Vec::new();
+    for phr in &phrs {
+        runs.push((vec!["--phr", phr, xml], "query:"));
+        runs.push((vec!["--count", "--store", store, "--phr", phr], "query:"));
+        runs.push((vec!["check", phr], "query:"));
+    }
+    for e in &hres {
+        runs.push((vec!["--path", "r a", "--subhedge", e, xml], "subhedge:"));
+        runs.push((vec!["check", triplet, "--subhedge", e], "subhedge:"));
+    }
+    for (args, needle) in runs {
+        let out = hxq(&args);
+        let err = String::from_utf8_lossy(&out.stderr);
+        let shown: Vec<String> = args.iter().map(|a| a.chars().take(24).collect()).collect();
+        assert_eq!(out.status.code(), Some(2), "{shown:?}: {err}");
+        assert!(out.stdout.is_empty(), "{shown:?}");
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+        assert!(err.contains(needle), "{shown:?}: {err}");
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(store).ok();
 }
 
 /// An `<a>` chain `depth` levels deep.

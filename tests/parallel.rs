@@ -1,9 +1,6 @@
 //! Property tests for the parallel execution layer: `ParallelEvaluator`
 //! must be indistinguishable from the sequential evaluator on any corpus,
-//! for any worker count, and `SharedPlanCache` must compile each distinct
-//! query exactly once no matter how many threads race for it.
-
-use std::sync::Barrier;
+//! for any worker count.
 
 use hedgex::hedge::{Hedge, SymId, Tree, VarId};
 use hedgex::prelude::*;
@@ -128,58 +125,4 @@ fn parallel_evaluation_equals_sequential() {
             Ok(())
         },
     );
-}
-
-#[test]
-fn shared_cache_compiles_each_query_exactly_once() {
-    const THREADS: usize = 8;
-    let mut ab = alphabet();
-    let phrs: Vec<_> = QUERIES
-        .iter()
-        .map(|q| parse_phr(q, &mut ab).unwrap())
-        .collect();
-
-    let cache = SharedPlanCache::new();
-    let barrier = Barrier::new(THREADS);
-    let plans: Vec<Vec<Plan>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..THREADS)
-            .map(|t| {
-                let (cache, barrier) = (&cache, &barrier);
-                s.spawn(move || {
-                    // `Phr` holds `Rc`s, so each thread parses its own
-                    // copy — the canonical key is identical, which is
-                    // exactly what the cache dedups on.
-                    let mut ab = alphabet();
-                    let phrs: Vec<_> = QUERIES
-                        .iter()
-                        .map(|q| parse_phr(q, &mut ab).unwrap())
-                        .collect();
-                    barrier.wait();
-                    // Each thread asks in a different rotation to stress
-                    // every interleaving of claim/wait/hit.
-                    (0..phrs.len())
-                        .map(|i| cache.get_or_compile(&phrs[(t + i) % phrs.len()]))
-                        .collect::<Vec<_>>()
-                })
-            })
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    });
-
-    // Exactly one compilation per distinct query: the first arrival counts
-    // the miss, everyone else (waiters included) counts a hit.
-    assert_eq!(cache.misses(), QUERIES.len() as u64);
-    assert_eq!(
-        cache.hits(),
-        (THREADS * QUERIES.len() - QUERIES.len()) as u64
-    );
-    assert_eq!(cache.len(), QUERIES.len());
-
-    // Every thread got the same compiled plan back, not a private copy.
-    for (t, got) in plans.iter().enumerate() {
-        for (i, plan) in got.iter().enumerate() {
-            let canonical = cache.get(&phrs[(t + i) % phrs.len()]).unwrap();
-            assert!(std::ptr::eq(plan.compiled(), canonical.compiled()));
-        }
-    }
 }

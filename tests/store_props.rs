@@ -108,11 +108,11 @@ fn named(docs: &[Hedge]) -> Vec<(String, FlatHedge)> {
         .collect()
 }
 
-/// Query pool: plain PHRs (exercising the candidate-range prune through
-/// `match_syms`) plus path expressions compiled the way `hxq --store`
-/// compiles them — universal PHR embedding for evaluation, structural
-/// `required_syms` facts for the postings quick-reject. `c` appears in no
-/// generated document, so its plans must prune whole corpora.
+/// Query pool: plain PHRs plus path expressions through their universal
+/// PHR embedding, every plan carrying the structural facts
+/// `Plan::compile` derives (the postings quick-reject) and a `match_syms`
+/// bound (the candidate-range prune). `c` appears in no generated
+/// document, so its plans must prune whole corpora.
 fn plan_pool() -> Vec<Plan> {
     let mut ab = base_alphabet();
     let u = "(a<%z>|b<%z>|$v)*^z";
@@ -131,15 +131,10 @@ fn plan_pool() -> Vec<Plan> {
     .collect();
     for src in ["a b", "b* a", "a c"] {
         let path = parse_path(src, &mut ab).unwrap();
-        let facts = PlanFacts {
-            known_empty: false,
-            why_empty: None,
-            required_syms: path.required_syms().unwrap(),
-        };
         let syms: Vec<_> = ab.syms().collect();
         let vars: Vec<_> = ab.vars().collect();
         let z = ab.sub("props-universal");
-        plans.push(Plan::compile(&path.to_phr(&syms, &vars, z)).with_facts(facts));
+        plans.push(Plan::compile(&path.to_phr(&syms, &vars, z)));
     }
     plans
 }
