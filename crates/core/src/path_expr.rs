@@ -12,8 +12,8 @@
 //! This module provides the direct evaluator (one top-down traversal), its
 //! compiled form [`CompiledPath`] (the path backend of
 //! [`Plan`](crate::Plan)), the embedding into PHRs (for the E8 ablation
-//! benchmark and the explain report), and the simplified match-identifying
-//! NHA.
+//! benchmark and the tests' differential checks), and the simplified
+//! match-identifying NHA.
 //!
 //! Concrete syntax: HRE-style regex over names, e.g. `sec* fig`,
 //! `(chap|app) sec fig?`. Query text is bounded: at most
@@ -259,6 +259,11 @@ impl CompiledPath {
             match_syms,
             table,
         }
+    }
+
+    /// Number of DFA states.
+    pub fn num_states(&self) -> usize {
+        self.accept.len()
     }
 
     /// The start state (the state "above" a top-level node).

@@ -40,7 +40,7 @@ use crate::phr::{Phr, MAX_TRIPLETS};
 pub type SigMask = u64;
 
 /// Construction-size statistics recorded while compiling a PHR, the raw
-/// material of `hedgex::explain`'s per-phase report.
+/// material of the plan sizes in a `hedgex::run` report.
 #[derive(Debug, Clone, Default)]
 pub struct PhrStats {
     /// Per component automaton (elder, younger for each triplet in order):
@@ -70,6 +70,11 @@ impl PhrStats {
     /// Component states eliminated by the reduction pass.
     pub fn pruned_states(&self) -> u64 {
         self.total_dha_states() - self.total_reduced_states()
+    }
+
+    /// Determinization blowup: summed DHA states / summed NHA states.
+    pub fn blowup_ratio(&self) -> f64 {
+        self.total_dha_states() as f64 / self.total_nha_states().max(1) as f64
     }
 }
 

@@ -70,7 +70,8 @@ impl PlanFacts {
 /// caller-owned [`EvalScratch`], so one plan may be used from many threads
 /// at once. Every entry point — the three modes, the index-pruned run,
 /// [`Plan::match_syms`] — serves both backends, so the worker pool and the
-/// store never ask which one they hold.
+/// store never ask which one they hold; only a report sizing the automata
+/// or a streaming sink reads [`Plan::backend`].
 #[derive(Clone)]
 pub struct Plan {
     backend: Backend,
@@ -79,7 +80,7 @@ pub struct Plan {
 
 /// What a plan evaluates with.
 #[derive(Clone)]
-enum Backend {
+pub enum Backend {
     /// Algorithm 1 over a compiled PHR (Section 7).
     Phr(Arc<CompiledPhr>),
     /// The top-down DFA of a classical path expression (Section 8).
@@ -126,6 +127,11 @@ impl Plan {
     /// The facts this plan carries.
     pub fn facts(&self) -> &PlanFacts {
         &self.facts
+    }
+
+    /// The compiled automaton this plan evaluates with.
+    pub fn backend(&self) -> &Backend {
+        &self.backend
     }
 
     /// The underlying compiled PHR.

@@ -9,9 +9,10 @@
 //!   (build each node's subhedge and envelope, run the specification
 //!   matchers). Quadratic; the executable spec and benchmark baseline.
 //! * [`CompiledSelect`] — the paper's pipeline: one bottom-up traversal for
-//!   `e₁`'s marks (Theorem 3) fused with Algorithm 1's two traversals for
-//!   `e₂` (Theorem 4). Compile once, evaluate any number of hedges in time
-//!   linear in their node count.
+//!   `e₁`'s marks (Theorem 3) intersected with the envelope's matches from
+//!   a [`Plan`] — Algorithm 1's traversals for a PHR (Theorem 4), or the
+//!   Section 8 DFA for a classical path. Compile once, evaluate any number
+//!   of hedges in time linear in their node count.
 
 use hedgex_ha::Dha;
 use hedgex_hedge::flat::FlatLabel;
@@ -21,8 +22,8 @@ use hedgex_obs as obs;
 use crate::hre::Hre;
 use crate::mark_down::{compile_to_dha, mark_run_into};
 use crate::phr::Phr;
-use crate::phr_compile::CompiledPhr;
-use crate::two_pass::{self, EvalMode};
+use crate::plan::Plan;
+use crate::two_pass;
 
 /// A selection query `select(e₁, e₂)` (Definition 20).
 #[derive(Debug, Clone)]
@@ -51,30 +52,27 @@ impl SelectQuery {
 
     /// Compile for repeated linear-time evaluation.
     pub fn compile(&self) -> CompiledSelect {
-        let _span = obs::span("core.query.compile");
-        CompiledSelect {
-            down: compile_to_dha(&self.subhedge),
-            phr: CompiledPhr::compile(&self.envelope),
-        }
+        CompiledSelect::new(Plan::compile(&self.envelope), &self.subhedge)
     }
 }
 
-/// The compiled form of a selection query.
+/// The compiled form of a selection query: the envelope's plan plus the
+/// subhedge condition's automaton.
 pub struct CompiledSelect {
     /// The deterministic automaton for `e₁` (Theorem 3's base).
-    pub down: Dha,
-    /// The compiled pointed hedge representation (Theorem 4).
-    pub phr: CompiledPhr,
+    down: Dha,
+    /// The envelope condition, on either backend.
+    plan: Plan,
 }
 
 /// Reusable buffers for [`CompiledSelect::locate_into`]: the mark run, the
-/// two-traversal evaluation, and the final match list all write into the
+/// envelope's evaluation, and the final match list all write into the
 /// same recycled memory across documents.
 #[derive(Debug, Default)]
 pub struct SelectScratch {
     down: hedgex_ha::EvalScratch,
     marks: Vec<bool>,
-    phr: two_pass::EvalScratch,
+    eval: two_pass::EvalScratch,
     located: Vec<NodeId>,
 }
 
@@ -91,6 +89,17 @@ impl SelectScratch {
 }
 
 impl CompiledSelect {
+    /// `select(subhedge, envelope)` for an envelope already compiled into
+    /// `plan` — a PHR plan, or a path plan whose envelope is a classical
+    /// path expression.
+    pub fn new(plan: Plan, subhedge: &Hre) -> CompiledSelect {
+        let _span = obs::span("core.query.compile");
+        CompiledSelect {
+            down: compile_to_dha(subhedge),
+            plan,
+        }
+    }
+
     /// Locate all matches: the subhedge marks intersected with the
     /// envelope matches, in document order. Linear in the node count.
     pub fn locate(&self, h: &FlatHedge) -> Vec<NodeId> {
@@ -104,12 +113,10 @@ impl CompiledSelect {
     pub fn locate_into<'s>(&self, h: &FlatHedge, scratch: &'s mut SelectScratch) -> &'s [NodeId] {
         let _span = obs::span("core.query.locate");
         mark_run_into(&self.down, h, &mut scratch.down, &mut scratch.marks);
-        two_pass::eval_into(&self.phr, h, None, &mut scratch.phr, EvalMode::Locate);
+        let envelope = self.plan.locate_into(h, &mut scratch.eval);
         scratch.located.clear();
         scratch.located.extend(
-            scratch
-                .phr
-                .located()
+            envelope
                 .iter()
                 .copied()
                 .filter(|&n| scratch.marks[n as usize]),
@@ -196,6 +203,25 @@ mod tests {
                 assert_eq!(naive, expect, "naive on {src}");
             }
         }
+    }
+
+    #[test]
+    fn path_plans_select_like_their_embedding() {
+        let mut ab = Alphabet::new();
+        let f = FlatHedge::from_hedge(&parse_hedge("a<b<b> a<b $x>> b", &mut ab).unwrap());
+        let path = crate::parse_path("a* b", &mut ab).unwrap();
+        let subhedge = parse_hre("b*", &mut ab).unwrap();
+        let syms: Vec<_> = ab.syms().collect();
+        let vars: Vec<_> = ab.vars().collect();
+        let envelope = path.to_phr(&syms, &vars, ab.sub("u"));
+        let naive = SelectQuery {
+            subhedge: subhedge.clone(),
+            envelope,
+        }
+        .locate_naive(&f);
+        assert_eq!(naive, vec![1, 4, 6]);
+        let select = CompiledSelect::new(Plan::path(&path, &ab), &subhedge);
+        assert_eq!(select.locate(&f), naive);
     }
 
     #[test]

@@ -21,9 +21,9 @@
 //! spells a mirror-word of `L`.
 //!
 //! [`first_pass`], [`second_pass`] and [`locate`] are the two traversals
-//! written out literally: the reference the tests and the explain report
-//! compare against. Production evaluation is [`eval_into`], one walk for
-//! every [`EvalMode`]: after the bottom-up `M`-run it fuses the class
+//! written out literally: the reference the tests compare against.
+//! Production evaluation is [`eval_into`], one walk for every
+//! [`EvalMode`]: after the bottom-up `M`-run it fuses the class
 //! computation into a depth-first top-down search that classifies a
 //! sibling group only when it descends into it, never descends below a
 //! dead `N`-state, optionally skips subtrees a store's index proves

@@ -23,6 +23,9 @@
 //!   on-disk stores whose structural index (postings and subtree extents)
 //!   is derived on load, and index-pruned query evaluation.
 //!
+//! [`run()`] takes one query from its source to its answer and, on request,
+//! a [`Report`] of that same run: the pipeline behind every `hxq` query.
+//!
 //! See `examples/quickstart.rs` for a guided tour, and the `hedgex-core`
 //! crate docs for the paper-to-module map.
 
@@ -40,8 +43,8 @@ pub use hedgex_store as store;
 pub use hedgex_stream as stream;
 pub use hedgex_xml as xml;
 
-pub mod explain;
-pub use explain::{explain, explain_path, ExplainReport};
+pub mod run;
+pub use run::{run, Report, Request, RunError};
 
 /// Everything most programs need, one import away.
 pub mod prelude {

@@ -9,6 +9,8 @@
 //! stops reading input, which is the streaming win no materialized
 //! evaluator can have.
 
+use std::sync::Arc;
+
 use hedgex_automata::StateId;
 use hedgex_core::path_expr::{CompiledPath, PathExpr};
 use hedgex_ha::Leaf;
@@ -24,7 +26,7 @@ use crate::{HedgeSink, StreamStats};
 /// the document stream take the DFA's co-finite edge, which is exactly the
 /// transition a never-mentioned name deserves).
 pub struct PathStream {
-    dfa: CompiledPath,
+    dfa: Arc<CompiledPath>,
     exists: bool,
     count_only: bool,
     collect_deweys: bool,
@@ -48,8 +50,15 @@ impl PathStream {
     /// Compile `path` against the symbols interned in `ab` so far — the
     /// same [`CompiledPath`] a path [`Plan`](hedgex_core::Plan) evaluates.
     pub fn new(path: &PathExpr, ab: &Alphabet) -> PathStream {
+        PathStream::from_compiled(Arc::new(CompiledPath::compile(path, ab)))
+    }
+
+    /// A sink on an already-compiled DFA, e.g. a path plan's
+    /// ([`Backend::Path`](hedgex_core::plan::Backend::Path)), so a
+    /// streaming run evaluates the very automaton its plan holds.
+    pub fn from_compiled(dfa: Arc<CompiledPath>) -> PathStream {
         PathStream {
-            dfa: CompiledPath::compile(path, ab),
+            dfa,
             exists: false,
             count_only: false,
             collect_deweys: false,
@@ -117,6 +126,11 @@ impl PathStream {
     /// Number of matches seen so far (maintained in every mode).
     pub fn count(&self) -> u64 {
         self.matched
+    }
+
+    /// Number of nodes seen so far.
+    pub fn num_nodes(&self) -> usize {
+        self.next_id as usize
     }
 }
 

@@ -56,6 +56,17 @@ echo "== cargo test -q --offline --no-default-features (store fuzz) =="
 # The loader's typed, positioned errors are independent of instrumentation.
 cargo test -q --offline --no-default-features -p hedgex --test store_fuzz
 
+echo "== cargo test -q --offline --no-default-features (query fuzz) =="
+# Typed errors or reference answers for seeded query text, obs compiled out.
+cargo test -q --offline --no-default-features -p hedgex --test query_fuzz
+
+echo "== cargo test -q --offline --no-default-features (pinned report, closed stdout) =="
+# The report's answer and the quiet stop on a closed stdout do not depend on
+# instrumentation.
+cargo test -q --offline --no-default-features -p hedgex --test explain
+cargo test -q --offline --no-default-features -p hedgex --test hxq_cli \
+  closed_stdout_stops_quietly_on_every_route
+
 echo "== cargo clippy --offline --all-targets -- -D warnings =="
 cargo clippy -q --offline --all-targets -- -D warnings
 
@@ -84,6 +95,14 @@ echo "== hxq ingests in one pass =="
 # parser and to_hedge stay the tests' reference route, never production.
 if grep -rnE '(parse_xml|to_hedge)\(' crates/hedgex/src/bin/; then
   echo "hxq must ingest through parse_flat, not parse_xml/to_hedge"; exit 1
+fi
+
+echo "== the library's query path runs no reference traversal =="
+# A report describes the run that answered; it never re-evaluates through
+# the literal two traversals or a path's PHR embedding. Those stay the
+# tests' references.
+if grep -rnE '(two_pass::first_pass\(|two_pass::second_pass\(|two_pass::locate\(|\.to_phr\()' crates/hedgex/src; then
+  echo "crates/hedgex/src must not run the reference traversals or embed paths as PHRs"; exit 1
 fi
 
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="

@@ -73,10 +73,6 @@ fn usage_errors_exit_2_with_one_line_diagnostics() {
             "'--stream' is incompatible with '--mark'",
         ),
         (
-            &["--path", "a", "--stream", "--explain", "x.xml"][..],
-            "'--stream' is incompatible with '--explain'",
-        ),
-        (
             &["--path", "a", "--stream", "--repeat", "2", "x.xml"][..],
             "'--stream' is incompatible with '--repeat'",
         ),
@@ -232,8 +228,8 @@ fn trace_json_on_docbook_is_valid_chrome_trace() {
 
 #[test]
 fn stream_metrics_json_reports_the_streaming_run() {
-    // PR 8 lifted the PR 7 restriction: --stream + --metrics-json now
-    // emits a streaming-specific report instead of exit 2.
+    // --stream + --metrics-json reports the streaming run itself: its
+    // layers, event counts and high-water marks.
     let w = doc_workload(200, 3);
     let xml = scratch("stream-metrics.xml");
     std::fs::write(&xml, write_xml(&w.doc, &w.ab, None)).unwrap();
@@ -266,22 +262,35 @@ fn stream_metrics_json_reports_the_streaming_run() {
 
         let text = std::fs::read_to_string(&json_path).unwrap();
         let report = Json::parse(&text).expect("streaming metrics JSON parses");
-        assert_eq!(report.get("mode").and_then(Json::as_str), Some("stream"));
+        assert_eq!(report.get("source").and_then(Json::as_str), Some("stream"));
         let phases = report.get("phases").and_then(Json::as_arr).unwrap();
         let names: Vec<&str> = phases
             .iter()
             .filter_map(|p| p.get("name").and_then(Json::as_str))
             .collect();
-        assert_eq!(names, ["compile", "stream", "finish"], "{query:?}");
-        assert!(report.get("events").and_then(Json::as_u64).unwrap() > 0);
+        assert_eq!(
+            names,
+            [
+                "hedgex.read",
+                "hedgex.query_parse",
+                "hedgex.compile",
+                "hedgex.stream",
+                "hedgex.finish",
+                "hedgex.output",
+                "hedgex.report"
+            ],
+            "{query:?}"
+        );
+        let stream = report.get("stream").expect("a streaming run's stats");
+        assert!(stream.get("events").and_then(Json::as_u64).unwrap() > 0);
         assert!(
-            report
+            stream
                 .get("depth_high_water")
                 .and_then(Json::as_u64)
                 .unwrap()
                 >= 1
         );
-        assert_eq!(report.get("early_exit"), Some(&Json::Bool(false)));
+        assert_eq!(stream.get("early_exit"), Some(&Json::Bool(false)));
         assert_eq!(
             report.get("located").and_then(Json::as_u64),
             Some(printed as u64),
@@ -338,35 +347,59 @@ fn explain_metrics_json_on_docbook_is_valid_and_consistent() {
     assert!(stderr.contains("compile"));
     assert!(stderr.contains("located"));
 
-    // The JSON file parses and its fields are mutually consistent.
+    // The JSON file parses; a path run describes the DFA that answered.
     let text = std::fs::read_to_string(&json_path).unwrap();
     let report = Json::parse(&text).expect("metrics JSON parses");
-    let nha = report.get("nha_states").and_then(Json::as_u64).unwrap();
-    let dha = report.get("dha_states").and_then(Json::as_u64).unwrap();
+    let plan = report.get("plan").expect("plan sizes");
+    assert_eq!(plan.get("backend").and_then(Json::as_str), Some("path"));
+    assert!(plan.get("dfa_states").and_then(Json::as_u64).unwrap() > 0);
+
+    // Located count == printed lines == library answer.
+    let located = report.get("located").and_then(Json::as_u64).unwrap();
+    assert_eq!(located as usize, printed);
+    let mut ab = w.ab.clone();
+    let path = parse_path("article section* figure", &mut ab).unwrap();
+    assert_eq!(located as usize, path.locate(&w.doc).len());
+
+    // A --phr run's report describes its PHR automata, mutually consistent.
+    let u = docbook_universal(&mut ab);
+    let phr = format!("[{u} ; figure ; {u}]([{u} ; section ; {u}])*[{u} ; article ; {u}]");
+    let out = hxq(&[
+        "--phr",
+        &phr,
+        "--metrics-json",
+        json_path.to_str().unwrap(),
+        xml.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(String::from_utf8_lossy(&out.stdout), stdout);
+    let text = std::fs::read_to_string(&json_path).unwrap();
+    let phr_report = Json::parse(&text).expect("metrics JSON parses");
+    let sizes = phr_report.get("plan").expect("plan sizes");
+    assert_eq!(sizes.get("backend").and_then(Json::as_str), Some("phr"));
+    let nha = sizes.get("nha_states").and_then(Json::as_u64).unwrap();
+    let dha = sizes.get("dha_states").and_then(Json::as_u64).unwrap();
     assert!(nha > 0);
-    let blowup = report.get("blowup_ratio").and_then(Json::as_f64).unwrap();
+    let blowup = sizes.get("blowup_ratio").and_then(Json::as_f64).unwrap();
     assert!((blowup - dha as f64 / nha as f64).abs() < 1e-9);
-    for c in report.get("components").and_then(Json::as_arr).unwrap() {
+    for c in sizes.get("components").and_then(Json::as_arr).unwrap() {
         let n = c.get("nha_states").and_then(Json::as_u64).unwrap();
         let d = c.get("dha_states").and_then(Json::as_u64).unwrap();
         if n < 32 {
             assert!(d <= 1 << n, "subset-construction bound violated");
         }
     }
-    assert!(report.get("eq_classes").and_then(Json::as_u64).unwrap() > 0);
-
-    // Located count == printed lines == library answer.
-    let located = report.get("located").and_then(Json::as_u64).unwrap();
-    assert_eq!(located as usize, printed);
-    let mut ab = w.ab;
-    let path = parse_path("article section* figure", &mut ab).unwrap();
-    assert_eq!(located as usize, path.locate(&w.doc).len());
+    assert!(sizes.get("eq_classes").and_then(Json::as_u64).unwrap() > 0);
+    assert_eq!(
+        phr_report.get("located").and_then(Json::as_u64),
+        Some(located)
+    );
 
     // Phase timings exist and are non-negative numbers.
     let phases = report.get("phases").and_then(Json::as_arr).unwrap();
     assert!(phases
         .iter()
-        .any(|p| p.get("name").and_then(Json::as_str) == Some("compile")));
+        .any(|p| p.get("name").and_then(Json::as_str) == Some("hedgex.compile")));
     for p in phases {
         assert!(p.get("wall_ns").and_then(Json::as_f64).unwrap() >= 0.0);
     }
@@ -990,10 +1023,6 @@ fn store_usage_errors_exit_2() {
             &["--store", "s.hxst", "--path", "a", "--mark"][..],
             "'--store' is incompatible with '--mark'",
         ),
-        (
-            &["--store", "s.hxst", "--path", "a", "--explain"][..],
-            "'--store' is incompatible with '--explain'",
-        ),
         (&["--store", "s.hxst"][..], "one of --path or --phr"),
         (&["index"][..], "needs a directory"),
         (&["index", "somedir"][..], "needs '--out STORE'"),
@@ -1187,6 +1216,217 @@ fn path_runs_never_compile_a_phr() {
     std::fs::remove_dir_all(&corpus).ok();
     std::fs::remove_file(&store).ok();
     std::fs::remove_file(&trace).ok();
+}
+
+/// The span names of one run's `--trace` timeline, sorted (a multiset).
+fn traced_span_names(args: &[&str], trace: &std::path::Path) -> Vec<String> {
+    let out = hxq(&[args, &["--trace", trace.to_str().unwrap()]].concat());
+    assert!(
+        out.status.code().is_some_and(|c| c <= 1),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = std::fs::read_to_string(trace).unwrap();
+    let mut names: Vec<String> = Json::parse(&text)
+        .expect("trace parses")
+        .as_arr()
+        .expect("trace is an array")
+        .iter()
+        .filter_map(|e| e.get("name").and_then(Json::as_str).map(String::from))
+        .collect();
+    names.sort();
+    names
+}
+
+/// Report flags never change the engine: with `--explain --metrics-json`
+/// every route records exactly the spans it records without them, apart
+/// from the report's own.
+#[test]
+fn report_flags_never_change_the_engine() {
+    if !hedgex::obs::is_enabled() {
+        return;
+    }
+    let w = doc_workload(200, 29);
+    let corpus = scratch("report-engine-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let xml = corpus.join("doc.xml");
+    std::fs::write(&xml, write_xml(&w.doc, &w.ab, None)).unwrap();
+    let store = scratch("report-engine.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    let trace = scratch("report-engine-trace.json");
+    let json = scratch("report-engine.json");
+    let u = docbook_universal(&mut Alphabet::new());
+    let phr = format!("[{u} ; figure ; {u}][{u} ; section ; {u}]");
+    for query in [&["--path", "article section* figure"][..], &["--phr", &phr]] {
+        for mode in [&[][..], &["--count"][..], &["--exists"][..]] {
+            for source in [&[xml][..], &["--stream", xml][..], &["--store", store][..]] {
+                let args = [query, mode, source].concat();
+                let plain = traced_span_names(&args, &trace);
+                let reported = [&args[..], &["--explain", "--metrics-json"][..]].concat();
+                let mut reported = traced_span_names(
+                    &[&reported[..], &[json.to_str().unwrap()][..]].concat(),
+                    &trace,
+                );
+                reported.retain(|n| n != "hedgex.report");
+                assert_eq!(plain, reported, "{args:?}");
+                assert!(plain.iter().any(|n| n == "hedgex.compile"), "{args:?}");
+            }
+        }
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    for f in [store, trace.to_str().unwrap(), json.to_str().unwrap()] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// One report from every source: file, stdin, `--stream` (from a file and
+/// from stdin) and `--store` all write a report with the same top-level
+/// keys, whose phases and residual sum to its wall time.
+#[test]
+fn one_report_from_every_source() {
+    let (dir, store) = indexed_corpus("report-sources");
+    let xml = dir.join("b.xml");
+    let src = std::fs::read_to_string(&xml).unwrap();
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    let json = scratch("report-sources.json");
+    let json_s = json.to_str().unwrap();
+    let mut keys: Option<Vec<String>> = None;
+    for query in [
+        &["--path", "r a b"][..],
+        &["--phr", "[ε ; b ; ε][ε ; a ; ε]"],
+    ] {
+        for (source, stdin, expect) in [
+            (&[xml][..], false, "file"),
+            (&["-"][..], true, "stdin"),
+            (&["--stream", xml][..], false, "stream"),
+            (&["--stream", "-"][..], true, "stream"),
+            (&["--store", store][..], false, "store"),
+        ] {
+            let args = [query, source, &["--explain", "--metrics-json", json_s]].concat();
+            let out = if stdin {
+                hxq_stdin(&args, &src)
+            } else {
+                hxq(&args)
+            };
+            assert_eq!(
+                out.status.code(),
+                Some(0),
+                "{args:?}: {}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(String::from_utf8_lossy(&out.stderr).starts_with("explain:"));
+            let report = Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+            let Json::Obj(fields) = &report else {
+                panic!("a report is an object")
+            };
+            let names: Vec<String> = fields.iter().map(|(k, _)| k.clone()).collect();
+            assert_eq!(
+                keys.get_or_insert_with(|| names.clone()),
+                &names,
+                "{args:?}"
+            );
+            assert_eq!(report.get("source").and_then(Json::as_str), Some(expect));
+            assert_eq!(report.get("schema").and_then(Json::as_u64), Some(1));
+            let ns = |j: &Json, k: &str| j.get(k).and_then(Json::as_u64).unwrap();
+            let phases: u64 = report
+                .get("phases")
+                .and_then(Json::as_arr)
+                .unwrap()
+                .iter()
+                .map(|p| ns(p, "wall_ns"))
+                .sum();
+            assert_eq!(
+                phases + ns(&report, "unattributed_ns"),
+                ns(&report, "wall_ns"),
+                "{args:?}"
+            );
+            let printed = String::from_utf8_lossy(&out.stdout).lines().count() as u64;
+            assert_eq!(ns(&report, "located"), printed, "{args:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(store).ok();
+    std::fs::remove_file(&json).ok();
+}
+
+/// A path report describes the DFA that answered, so a document with more
+/// labels than a PHR has triplets is no obstacle.
+#[test]
+fn path_reports_on_a_65_label_document_exit_0() {
+    let xml = scratch("65-labels.xml");
+    let children: String = (0..64).map(|i| format!("<l{i}/>")).collect();
+    std::fs::write(&xml, format!("<r>{children}</r>")).unwrap();
+    let json = scratch("65-labels.json");
+    let out = hxq(&[
+        "--path",
+        "r l7",
+        "--explain",
+        "--metrics-json",
+        json.to_str().unwrap(),
+        xml.to_str().unwrap(),
+    ]);
+    assert_eq!(
+        out.status.code(),
+        Some(0),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert_eq!(String::from_utf8_lossy(&out.stdout), "/1/8\n");
+    let report = Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    let plan = report.get("plan").unwrap();
+    assert_eq!(plan.get("backend").and_then(Json::as_str), Some("path"));
+    std::fs::remove_file(&xml).ok();
+    std::fs::remove_file(&json).ok();
+}
+
+/// `hxq … | head -1`: when the reader closes stdout early, every route
+/// stops quietly with exit 0 — no panic, nothing on stderr.
+#[test]
+fn closed_stdout_stops_quietly_on_every_route() {
+    let corpus = scratch("closed-stdout-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let xml = corpus.join("many.xml");
+    // 50 000 matches: far more output than a pipe buffers.
+    std::fs::write(&xml, format!("<r>{}</r>", "<a/>".repeat(50_000))).unwrap();
+    let store = scratch("closed-stdout.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    for args in [
+        &["--path", "r a", xml][..],
+        &["--phr", "[ε ; a ; ε][ε ; r ; ε]", xml],
+        &["--stream", "--path", "r a", xml],
+        &["--stream", "--phr", "[ε ; a ; ε][ε ; r ; ε]", xml],
+        &["--store", store, "--path", "r a"],
+        &["--mark", "--path", "r a", xml],
+    ] {
+        let mut child = Command::new(env!("CARGO_BIN_EXE_hxq"))
+            .args(args)
+            .stdout(Stdio::piped())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("hxq spawns");
+        drop(child.stdout.take());
+        let out = child.wait_with_output().expect("hxq runs");
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert!(!err.contains("panicked"), "{args:?}: {err}");
+        assert!(err.is_empty(), "{args:?}: {err}");
+        assert_eq!(out.status.code(), Some(0), "{args:?}");
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(store).ok();
 }
 
 /// A `--store --phr` run answers from the plan's own structural facts: no

@@ -77,21 +77,65 @@ fn phr_query_hits_are_pinned() {
     assert_eq!(dewey_strings(&flat, &hits), ["/1/3"]);
 }
 
+/// The report of a `hedgex::run` describes the run that answered, and its
+/// answer equals the reference evaluators' with obs on or off.
 #[test]
 fn explain_agrees_with_locate_in_both_configs() {
+    use hedgex::core::plan::Backend;
+    use hedgex::run::{Query, Source};
+    let file = std::env::temp_dir().join(format!("hedgex-pinned-{}.xml", std::process::id()));
+    std::fs::write(&file, DOC).unwrap();
     let (mut ab, flat) = load(DOC);
     let path = parse_path("article section* figure", &mut ab).unwrap();
     let syms: Vec<_> = ab.syms().collect();
     let vars: Vec<_> = ab.vars().collect();
     let z = ab.sub("pinned-universal");
-    let phr = path.to_phr(&syms, &vars, z);
+    let embedded = path.to_phr(&syms, &vars, z);
+    let expected = path.locate(&flat);
+    assert_eq!(
+        two_pass::locate(&CompiledPhr::compile(&embedded), &flat),
+        expected
+    );
+    assert_eq!(dewey_strings(&flat, &expected), ["/1/2/2", "/1/2/3/1"]);
 
-    let report = hedgex::explain(&phr, None, &flat);
-    assert_eq!(dewey_strings(&flat, &report.hits), ["/1/2/2", "/1/2/3/1"]);
-    assert_eq!(report.located, 2);
-    assert_eq!(report.nodes, flat.num_nodes());
-    // Structural fields are independent of the obs feature.
-    assert!(report.nha_states > 0);
-    assert!(report.dha_states > 0);
-    assert!(report.m_states > 0);
+    for mode in [EvalMode::Locate, EvalMode::Count, EvalMode::Exists] {
+        let req = hedgex::Request {
+            source: Source::File(file.to_str().unwrap().into()),
+            stream: false,
+            query: Query::Path("article section* figure".into()),
+            subhedge: None,
+            mode,
+            mark: false,
+            config: HedgeConfig::default(),
+            repeat: None,
+            jobs: 1,
+            report: true,
+        };
+        let mut out = Vec::new();
+        let ran = hedgex::run(&req, &mut out).expect("the run answers");
+        let report = ran.report.expect("a report was requested");
+        let stdout = String::from_utf8(out).unwrap();
+        match mode {
+            EvalMode::Locate => {
+                assert_eq!(stdout, "/1/2/2\n/1/2/3/1\n");
+                assert_eq!(report.located, 2);
+            }
+            EvalMode::Count => {
+                assert_eq!(stdout, "2\n");
+                assert_eq!(report.located, 2);
+            }
+            EvalMode::Exists => {
+                assert!(stdout.is_empty());
+                assert_eq!(report.located, 1);
+            }
+        }
+        assert!(ran.outcome.is_match());
+        assert_eq!(report.nodes, flat.num_nodes() as u64);
+        // Structural fields are independent of the obs feature.
+        let Backend::Path(dfa) = report.plan.backend() else {
+            panic!("a path run reports its DFA")
+        };
+        assert!(dfa.num_states() > 0);
+    }
+    std::fs::remove_file(&file).ok();
 }
