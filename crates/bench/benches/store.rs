@@ -4,7 +4,8 @@
 //! Three ways to answer the same corpus query:
 //!
 //! * **cold** — no store at all: every query re-parses the XML sources and
-//!   evaluates (the "grep a directory" baseline);
+//!   evaluates, on `hxq FILE`'s route (`parse_flat`, then
+//!   `Plan::eval_into`) — the "grep a directory" baseline;
 //! * **warm** — documents pre-parsed into [`FlatHedge`]s, plain two-pass
 //!   evaluation over every node of every document;
 //! * **indexed** — a [`DocumentStore`]: per-document postings answer the
@@ -37,10 +38,11 @@ use std::time::Instant;
 use hedgex_testkit::{Bench, Json, Throughput};
 
 use hedgex_bench::sidebar_corpus;
-use hedgex_core::{parse_path, EvalMode, EvalScratch, Plan};
+use hedgex_core::{parse_path, two_pass, EvalMode, EvalScratch, Plan};
 use hedgex_hedge::{Alphabet, FlatHedge};
 use hedgex_store::store::HEADER_LEN;
 use hedgex_store::{DocumentStore, StoreQuery};
+use hedgex_stream::parse_flat;
 use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 
 /// Median wall time of `k` runs of `f`, in nanoseconds.
@@ -143,25 +145,37 @@ fn main() {
     assert_eq!(indexed_count(&selective_path_q), rare_docs as u64);
     let reloaded = DocumentStore::from_bytes(&bytes).expect("store round-trips");
     assert_eq!(reloaded.len(), docs.len());
+    // The cold route re-parses the sources: it must rebuild each document,
+    // as the tree route does, and count what the reference traversals
+    // locate on it.
+    let cfg = HedgeConfig {
+        keep_text: true,
+        keep_attrs: false,
+    };
+    let mut cold_ab = ab.clone();
+    for (src, doc) in sources.iter().zip(&docs) {
+        let flat = parse_flat(src, &mut cold_ab, cfg).expect("round-trip parses");
+        let oracle = to_hedge(&parse_xml(src).expect("parses"), &mut cold_ab, cfg);
+        assert!(flat == FlatHedge::from_hedge(&oracle) && flat == *doc);
+    }
+    let reference: usize = docs
+        .iter()
+        .map(|d| two_pass::locate(broad.compiled(), d).len())
+        .sum();
+    assert_eq!(broad_want, reference as u64);
 
     let mut group = c.benchmark_group("E11_store");
     group.sample_size(10);
     group.throughput(Throughput::Elements(total_nodes));
 
     // The no-store baseline: every query re-parses the corpus.
-    let cfg = HedgeConfig {
-        keep_text: true,
-        keep_attrs: false,
-    };
-    let mut cold_ab = ab.clone();
     group.bench_function("cold_parse_count_broad", |b| {
         b.iter(|| {
             let mut scratch = EvalScratch::new();
             let total: u64 = sources
                 .iter()
                 .map(|src| {
-                    let doc = parse_xml(src).expect("round-trip parses");
-                    let flat = FlatHedge::from_hedge(&to_hedge(&doc, &mut cold_ab, cfg));
+                    let flat = parse_flat(src, &mut cold_ab, cfg).expect("round-trip parses");
                     broad
                         .eval_into(&flat, &mut scratch, EvalMode::Count)
                         .matched()

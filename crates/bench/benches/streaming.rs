@@ -1,29 +1,46 @@
-//! Experiment E9 — streaming evaluation: answering a query straight off
-//! the parser's event stream vs the materialized pipeline
-//! (`parse_xml` → `to_hedge` → `FlatHedge` → `locate`), on the same bytes.
+//! Experiment E9 — `hxq --stream` against `hxq FILE`: answering a query
+//! off the parser's event stream vs building the arena and running the
+//! plan's walk, on the same bytes.
 //!
-//! Two claims are on trial. Throughput: streaming skips tree construction
-//! and flattening entirely, so its bytes/sec should beat the materialized
-//! pipeline on both query classes. Memory: the streaming evaluators'
-//! transient working set (the `live_high_water` node count recorded in the
-//! group extras) is bounded by document *depth* — on a wide DocBook
-//! document it sits orders of magnitude below the node count, and on a
-//! pathological element chain it tracks the depth exactly. The `exists`
-//! row shows the third win: the parse aborts at the first match, so the
-//! measured "whole document" cost collapses to a prefix.
+//! Both routes are the production ones. The *materialized* rows are what
+//! `hxq FILE` runs: [`parse_flat`] (the event parser driving a
+//! `FlatBuilder`) and then [`Plan::eval_into`]. The *streamed* rows are
+//! what `hxq --stream` runs: [`stream_xml`] into a sink on the same plan's
+//! automaton. The two query classes stream differently:
+//!
+//! * a path plan's top-down DFA ([`PathStream`]) needs only the open
+//!   ancestor chain, so it builds no arena at all, and `exists` aborts the
+//!   parse at the first match (the `streamed_path_exists` row);
+//! * Algorithm 1 cannot answer before the input ends, so [`PhrStream`]
+//!   builds the same arena `parse_flat` does and runs the same walk at the
+//!   end: `streamed_phr` should track `materialized_phr`.
+//!
+//! The `memory_proxy` extra records each sink's transient high-water (the
+//! open chain for both) against the node count. The tree route
+//! (`parse_xml` → `to_hedge` → `FlatHedge::from_hedge`) and the reference
+//! evaluators (`PathExpr::locate`, `two_pass::locate`) stay as the oracle
+//! every timed route is asserted against first.
 
 use hedgex_testkit::{Bench, BenchmarkId, Json, Throughput};
 
 use hedgex_bench::{doc_workload, figure_before_table_phr};
 use hedgex_core::path_expr::parse_path;
 use hedgex_core::phr::parse_phr;
-use hedgex_core::two_pass;
-use hedgex_core::CompiledPhr;
+use hedgex_core::plan::Backend;
+use hedgex_core::{two_pass, EvalMode, EvalScratch, Plan};
 use hedgex_hedge::FlatHedge;
-use hedgex_stream::{stream_xml, PathStream, PhrStream, StreamStats};
+use hedgex_stream::{parse_flat, stream_xml, PathStream, PhrStream, StreamStats};
 use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 
 const PATH_QUERY: &str = "article section* figure";
+
+/// A streaming sink on a path plan's own DFA, as `hxq --stream` builds it.
+fn path_sink(plan: &Plan) -> PathStream {
+    let Backend::Path(dfa) = plan.backend() else {
+        unreachable!("a path plan")
+    };
+    PathStream::from_compiled(dfa.clone())
+}
 
 fn main() {
     let mut c = Bench::from_env();
@@ -40,73 +57,64 @@ fn main() {
         let src = write_xml(&w.doc, &w.ab, None);
         let path = parse_path(PATH_QUERY, &mut w.ab).expect("path parses");
         let phr = figure_before_table_phr(&mut w.ab);
-        let compiled = CompiledPhr::compile(&phr);
         // `w.ab` already holds every symbol the document uses, so interning
-        // during streaming is read-only lookup and ids match `w.doc`'s.
+        // while parsing is read-only lookup and ids match `w.doc`'s.
         let mut ab = w.ab;
+        let path_plan = Plan::path(&path, &ab);
+        let phr_plan = Plan::compile(&phr);
+        let compiled = phr_plan.compiled();
 
-        // Correctness before time: streamed == materialized on both query
-        // classes, or the throughput numbers mean nothing.
-        let flat_mat = FlatHedge::from_hedge(&to_hedge(&parse_xml(&src).unwrap(), &mut ab, cfg));
-        let (path_hits, path_stats) = {
-            let mut sink = PathStream::new(&path, &ab);
+        // Correctness before time: every timed route answers like the
+        // reference evaluators on the tree route's arena.
+        let oracle = FlatHedge::from_hedge(&to_hedge(&parse_xml(&src).unwrap(), &mut ab, cfg));
+        let flat = parse_flat(&src, &mut ab, cfg).expect("well-formed");
+        assert!(flat == oracle, "parse_flat != the tree route");
+        let mut scratch = EvalScratch::new();
+        let path_want = path.locate(&oracle);
+        let phr_want = two_pass::locate(compiled, &oracle);
+        assert_eq!(path_plan.locate_into(&flat, &mut scratch), &path_want[..]);
+        assert_eq!(phr_plan.locate_into(&flat, &mut scratch), &phr_want[..]);
+        let path_stats = {
+            let mut sink = path_sink(&path_plan);
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
-            (sink.finish().to_vec(), sink.stats())
+            assert_eq!(sink.finish(), &path_want[..], "path: streamed");
+            sink.stats()
         };
-        assert_eq!(
-            path_hits,
-            path.locate(&flat_mat),
-            "path: streamed != materialized"
-        );
-        let (phr_hits, phr_stats) = {
-            let mut sink = PhrStream::new(&compiled);
+        let phr_stats = {
+            let mut sink = PhrStream::new(compiled);
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
-            (sink.finish().to_vec(), sink.stats())
+            assert_eq!(sink.finish(), &phr_want[..], "phr: streamed");
+            sink.stats()
         };
-        assert_eq!(
-            phr_hits,
-            two_pass::locate(&compiled, &flat_mat),
-            "phr: streamed != materialized"
-        );
-        drop(flat_mat);
+        drop((oracle, flat));
 
         group.throughput(Throughput::Bytes(src.len() as u64));
-        group.bench_with_input(
-            BenchmarkId::new("materialized_path", w.nodes),
-            &src,
-            |b, src| {
-                b.iter(|| {
-                    let flat =
-                        FlatHedge::from_hedge(&to_hedge(&parse_xml(src).unwrap(), &mut ab, cfg));
-                    std::hint::black_box(path.locate(&flat).len())
-                })
-            },
-        );
+        for (kind, plan) in [("path", &path_plan), ("phr", &phr_plan)] {
+            group.bench_with_input(
+                BenchmarkId::new(&format!("materialized_{kind}"), w.nodes),
+                &src,
+                |b, src| {
+                    b.iter(|| {
+                        let flat = parse_flat(src, &mut ab, cfg).expect("well-formed");
+                        std::hint::black_box(plan.eval_into(&flat, &mut scratch, EvalMode::Locate))
+                    })
+                },
+            );
+        }
         group.bench_with_input(
             BenchmarkId::new("streamed_path", w.nodes),
             &src,
             |b, src| {
                 b.iter(|| {
-                    let mut sink = PathStream::new(&path, &ab);
+                    let mut sink = path_sink(&path_plan);
                     stream_xml(src, &mut ab, cfg, &mut sink).expect("well-formed");
                     std::hint::black_box(sink.finish().len())
                 })
             },
         );
-        group.bench_with_input(
-            BenchmarkId::new("materialized_phr", w.nodes),
-            &src,
-            |b, src| {
-                b.iter(|| {
-                    let flat =
-                        FlatHedge::from_hedge(&to_hedge(&parse_xml(src).unwrap(), &mut ab, cfg));
-                    std::hint::black_box(two_pass::locate(&compiled, &flat).len())
-                })
-            },
-        );
         group.bench_with_input(BenchmarkId::new("streamed_phr", w.nodes), &src, |b, src| {
             b.iter(|| {
-                let mut sink = PhrStream::new(&compiled);
+                let mut sink = PhrStream::new(compiled);
                 stream_xml(src, &mut ab, cfg, &mut sink).expect("well-formed");
                 std::hint::black_box(sink.finish().len())
             })
@@ -118,7 +126,7 @@ fn main() {
             &src,
             |b, src| {
                 b.iter(|| {
-                    let mut sink = PathStream::new(&path, &ab).exists(true);
+                    let mut sink = path_sink(&path_plan).exists(true);
                     stream_xml(src, &mut ab, cfg, &mut sink).expect("well-formed");
                     std::hint::black_box(sink.finish().len())
                 })
@@ -126,7 +134,7 @@ fn main() {
         );
 
         let exists_stats = {
-            let mut sink = PathStream::new(&path, &ab).exists(true);
+            let mut sink = path_sink(&path_plan).exists(true);
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
             sink.finish();
             sink.stats()
@@ -149,21 +157,23 @@ fn main() {
         let src = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
         let mut ab = hedgex_hedge::Alphabet::new();
         let phr = parse_phr("[ε ; a ; ε]*", &mut ab).expect("phr parses");
-        let compiled = CompiledPhr::compile(&phr);
+        let phr_plan = Plan::compile(&phr);
         let path = parse_path("a* a", &mut ab).expect("path parses");
+        let path_plan = Plan::path(&path, &ab);
         let phr_stats = {
-            let mut sink = PhrStream::new(&compiled);
+            let mut sink = PhrStream::new(phr_plan.compiled());
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
             assert_eq!(sink.finish().len(), depth);
             sink.stats()
         };
         let path_stats = {
-            let mut sink = PathStream::new(&path, &ab);
+            let mut sink = path_sink(&path_plan);
             stream_xml(&src, &mut ab, cfg, &mut sink).expect("well-formed");
-            sink.finish();
+            assert_eq!(sink.finish().len(), depth);
             sink.stats()
         };
         assert_eq!(path_stats.live_high_water, depth, "path hw is the depth");
+        assert_eq!(phr_stats.live_high_water, depth, "phr hw is the depth");
         extras.push(stats_json(
             "chain",
             depth,
@@ -178,8 +188,8 @@ fn main() {
     group.finish();
 }
 
-/// One memory-proxy record: the retained-table size (`nodes`) against the
-/// transient high-waters that streaming claims are depth-bounded.
+/// One memory-proxy record: the node count (what the PHR sink's arena
+/// holds) against the transient high-waters of both sinks.
 fn stats_json(
     shape: &str,
     nodes: usize,

@@ -275,7 +275,7 @@ impl CompiledPhr {
     /// the dense equivalent of `classes.step`, requiring `q < |Q|` — which
     /// every state produced by `M`'s runs satisfies.
     #[inline]
-    pub fn class_step(&self, c: u32, q: HState) -> u32 {
+    pub(crate) fn class_step(&self, c: u32, q: HState) -> u32 {
         self.engine.class_step[q as usize * self.engine.ncl + c as usize]
     }
 
@@ -283,7 +283,7 @@ impl CompiledPhr {
     /// (what Algorithm 1's right-to-left suffix pass composes). Requires
     /// `q < |Q|`.
     #[inline]
-    pub fn class_step_row(&self, q: HState) -> &[u32] {
+    pub(crate) fn class_step_row(&self, q: HState) -> &[u32] {
         let ncl = self.engine.ncl;
         &self.engine.class_step[q as usize * ncl..(q as usize + 1) * ncl]
     }
@@ -306,7 +306,7 @@ impl CompiledPhr {
     /// `μ((C₁, a, C₂), parent)` resolved through the precomputed kind
     /// tables — two class-indexed loads, one `col3` load, one table step.
     #[inline]
-    pub fn n_transition(&self, parent: u32, c1: u32, a: SymId, c2: u32) -> u32 {
+    pub(crate) fn n_transition(&self, parent: u32, c1: u32, a: SymId, c2: u32) -> u32 {
         let e = self.engine.elder_kind[c1 as usize] as usize;
         let l = self
             .engine

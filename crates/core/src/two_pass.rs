@@ -27,7 +27,9 @@
 //! computation into a depth-first top-down search that classifies a
 //! sibling group only when it descends into it, never descends below a
 //! dead `N`-state, optionally skips subtrees a store's index proves
-//! barren ([`PruneInfo`]), and hands accepting nodes to a [`ModeSink`].
+//! barren ([`PruneInfo`]), and hands accepting nodes to a mode sink.
+//! Every PHR route runs it: a file, stdin, `--stream` (on the arena the
+//! stream builds), the pool and the store.
 //!
 //! All per-node steps go through [`CompiledPhr`]'s dense tables
 //! (`class_step`, `class_step_row`, `n_transition`) — no hashing — and the
@@ -95,9 +97,9 @@ impl EvalOutcome {
 
 /// Where a walk's accepting nodes go — the only thing the three modes do
 /// differently. Locate appends the node to the match buffer, Count tallies
-/// it, Exists tells the walk to stop. The PHR walk ([`eval_into`]), the
-/// path backend's walk and the streaming finisher all report through one.
-pub struct ModeSink<'a> {
+/// it, Exists tells the walk to stop. The PHR walk ([`eval_into`]) and the
+/// path backend's walk both report through one.
+pub(crate) struct ModeSink<'a> {
     mode: EvalMode,
     located: &'a mut Vec<NodeId>,
     hits: u64,
@@ -106,7 +108,7 @@ pub struct ModeSink<'a> {
 impl<'a> ModeSink<'a> {
     /// A sink for `mode`; Locate's matches go to `located`, which is
     /// cleared here whatever the mode.
-    pub fn new(mode: EvalMode, located: &'a mut Vec<NodeId>) -> ModeSink<'a> {
+    pub(crate) fn new(mode: EvalMode, located: &'a mut Vec<NodeId>) -> ModeSink<'a> {
         located.clear();
         ModeSink {
             mode,
@@ -118,7 +120,7 @@ impl<'a> ModeSink<'a> {
     /// Record an accepting node. `true` means the verdict is settled and
     /// the walk should stop.
     #[inline]
-    pub fn hit(&mut self, id: NodeId) -> bool {
+    pub(crate) fn hit(&mut self, id: NodeId) -> bool {
         self.hits += 1;
         match self.mode {
             EvalMode::Locate => {
@@ -131,7 +133,7 @@ impl<'a> ModeSink<'a> {
     }
 
     /// The verdict of the walk that fed this sink.
-    pub fn outcome(&self) -> EvalOutcome {
+    pub(crate) fn outcome(&self) -> EvalOutcome {
         match self.mode {
             EvalMode::Locate => EvalOutcome::Located(self.located.len()),
             EvalMode::Count => EvalOutcome::Count(self.hits),
@@ -276,8 +278,13 @@ fn children_into(h: &FlatHedge, id: NodeId, group: &mut Vec<NodeId>) {
     }
 }
 
-/// [`sibling_classes`] over one sibling group of a [`FlatHedge`], writing
-/// each member's classes at its node id.
+/// The first traversal's per-group step: the ≡-classes of every member of
+/// the sibling group `g`, written at its node id. Elder classes are a
+/// prefix scan; younger classes come from composing transition functions
+/// right to left (see the module docs for why composition, not DFA
+/// restarts, keeps the pass linear). `f`/`nf` are the class-indexed double
+/// buffers of that composition, reused across groups so the pass allocates
+/// nothing.
 fn classify(
     phr: &CompiledPhr,
     states: &[HState],
@@ -287,60 +294,26 @@ fn classify(
     elder_class: &mut [u32],
     younger_class: &mut [u32],
 ) {
-    sibling_classes(
-        phr,
-        g.len(),
-        |i| states[g[i] as usize],
-        f,
-        nf,
-        |i, c| elder_class[g[i] as usize] = c,
-        |i, c| younger_class[g[i] as usize] = c,
-    );
-}
-
-/// The first traversal's per-group step, factored out of the tree walk so
-/// any driver can use it — the evaluators here feed it sibling groups
-/// collected from a [`FlatHedge`], and the streaming evaluator
-/// (`hedgex-stream`) feeds it the buffered children of each element as its
-/// close tag arrives.
-///
-/// The group is abstract: `state_at(i)` yields the `M`-state of the `i`-th
-/// sibling (0-based, left to right, `i < len`), and the computed ≡-classes
-/// are pushed back through `elder(i, class)` / `younger(i, class)` — one
-/// call per position each, elders in ascending order, youngers in
-/// descending order. `f`/`nf` are the class-indexed double buffers for the
-/// right-to-left transition-function composition; reusing them across calls
-/// is what keeps the pass allocation-free (see the module docs for why
-/// composition, not DFA restarts, is required for linearity).
-pub fn sibling_classes(
-    phr: &CompiledPhr,
-    len: usize,
-    state_at: impl Fn(usize) -> HState,
-    f: &mut Vec<u32>,
-    nf: &mut Vec<u32>,
-    mut elder: impl FnMut(usize, u32),
-    mut younger: impl FnMut(usize, u32),
-) {
     let ncl = phr.classes.num_classes();
     let start = phr.classes.start();
     // Prefix classes, left to right.
     let mut c = start;
-    for i in 0..len {
-        elder(i, c);
-        c = phr.class_step(c, state_at(i));
+    for &id in g {
+        elder_class[id as usize] = c;
+        c = phr.class_step(c, states[id as usize]);
     }
-    // Suffix classes, right to left, by transition-function composition.
-    // f maps "class before reading the suffix" → "class after". Each of
-    // the `len` compositions costs exactly |Q*/≡| table reads into an
-    // already-allocated buffer — O(len · |Q*/≡|), zero allocation.
+    // Suffix classes, right to left. f maps "class before reading the
+    // suffix" → "class after". Each composition costs exactly |Q*/≡| table
+    // reads into an already-allocated buffer — O(|g| · |Q*/≡|), zero
+    // allocation.
     f.clear();
     f.extend(0..ncl as u32); // identity
     nf.clear();
     nf.resize(ncl, 0);
-    for i in (0..len).rev() {
-        younger(i, f[start as usize]);
+    for &id in g.iter().rev() {
+        younger_class[id as usize] = f[start as usize];
         // f := f ∘ δ_q  (read q first, then the old suffix).
-        let delta = phr.class_step_row(state_at(i));
+        let delta = phr.class_step_row(states[id as usize]);
         for cls in 0..ncl {
             nf[cls] = f[delta[cls] as usize];
         }
@@ -393,9 +366,8 @@ pub fn locate(phr: &CompiledPhr, h: &FlatHedge) -> Vec<NodeId> {
 /// parent N-state)` pairs visits nodes in document order; a node whose
 /// `N`-state is dead ([`CompiledPhr::n_live`]) has no children pushed, so
 /// barren subtrees cost nothing, not even a table step per node. A sibling
-/// group's ≡-classes are computed ([`sibling_classes`]) at the moment the
-/// search first descends into it, so pruning skips the first pass's class
-/// work too.
+/// group's ≡-classes are computed at the moment the search first descends
+/// into it, so pruning skips the first pass's class work too.
 ///
 /// The gate composes: a subtree whose range holds no candidate is skipped
 /// before its root is stepped. Soundness: an accepting node's label is in

@@ -32,7 +32,6 @@ pub mod ops;
 pub mod paper;
 pub mod product;
 pub mod reduce;
-pub mod scratch;
 pub mod types;
 
 pub use determinize::determinize;
@@ -40,5 +39,4 @@ pub use dha::{Dha, DhaBuilder, EvalScratch, HorizFn};
 pub use enumerate::enumerate_hedges;
 pub use nha::{Nha, NhaBuilder};
 pub use reduce::{reduce_dha, ReduceStats};
-pub use scratch::WordPool;
 pub use types::{HState, Leaf};

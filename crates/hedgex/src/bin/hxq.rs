@@ -67,12 +67,16 @@ usage: hxq (--path EXPR | --phr EXPR) [OPTIONS] FILE|-
                        and one scratch; print aggregate wall time to stderr
   --jobs N             spread the repeated runs over N worker threads, one
                        scratch per worker; N=1 is exactly the sequential path
-  --stream             evaluate during the parse (push-based): the document
-                       is never materialized, memory is bounded by its depth;
-                       incompatible with --mark/--subhedge/--repeat/--jobs
+  --stream             evaluate during the parse (push-based): --path keeps
+                       only the open ancestors' DFA states, O(depth), and
+                       builds no tree; --phr builds the document's arena
+                       while parsing and evaluates it at the end (a PHR match
+                       depends on younger siblings). The input is read whole
+                       before parsing; incompatible with
+                       --mark/--subhedge/--repeat/--jobs
   --exists             print nothing; exit 0 if any node matches, 1 if none
-                       (with --stream, stops reading at the first match;
-                       materialized, prunes provably barren subtrees)
+                       (with --stream --path, stops parsing at the first
+                       match; otherwise, prunes provably barren subtrees)
   --count              print the number of matching nodes instead of their
                        addresses; no match set is materialized (with
                        --stream + --path, memory stays O(depth))

@@ -17,8 +17,9 @@
 //! * [`xml`] — XML parsing/serialization and synthetic corpora;
 //! * [`baseline`] — quadratic/interpretive baselines for benchmarking;
 //! * [`par`] — scoped worker pool and parallel corpus/plan evaluation;
-//! * [`stream`] — push-based streaming evaluation: answer queries during
-//!   the XML parse with memory bounded by document depth;
+//! * [`stream`] — push-based evaluation over the XML parser's events: a
+//!   path query answers during the parse with O(depth) state, a PHR
+//!   builds the arena from the events and runs the one two-pass walk;
 //! * [`store`] — persistent document corpora: versioned, checksummed
 //!   on-disk stores whose structural index (postings and subtree extents)
 //!   is derived on load, and index-pruned query evaluation.

@@ -513,9 +513,9 @@ fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut
 }
 
 /// A file or stdin evaluated during its parse by a sink on the plan's own
-/// automaton: a path plan's DFA with O(depth) state (Exists stops reading
-/// at the first match), or a PHR plan's first traversal, keeping only the
-/// per-node class table for the second.
+/// automaton: a path plan's DFA with O(depth) state (Exists stops parsing
+/// at the first match), or a PHR plan's arena, built while parsing and
+/// evaluated by the one walk at the end.
 fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
     let (plan, _) = compile(req, &mut ab, clock)?;

@@ -1,21 +1,21 @@
-//! Push-based streaming evaluation: answer queries *during* the XML parse.
+//! Push-based evaluation over the XML parser's events.
 //!
-//! The materialized pipeline (`parse_xml` → `to_hedge` → `FlatHedge` →
-//! `locate`) holds the whole document in memory — cost proportional to
-//! document *size*. Both of the paper's evaluators admit a push-based
-//! formulation whose working set is proportional to document *depth*:
+//! What a sink can do with the events depends on the paper's evaluator:
 //!
-//! * **Classical path expressions** (Section 8): the single top-down DFA
-//!   only ever needs the states of the currently open ancestor chain —
-//!   [`PathStream`] streams fully, and in `exists` mode aborts the parse on
-//!   the first accepting node.
-//! * **General PHRs** (Sections 6–7): the bottom-up first traversal is
-//!   driven by close events — each open element buffers its children's
-//!   `M`-states, and the close tag finishes the sibling group via
-//!   [`hedgex_core::two_pass::sibling_classes`]. [`PhrStream`] retains only
-//!   the O(n) per-node class table the second traversal needs (symbol,
-//!   parent, elder/younger ≡-class per node); everything else — frames,
-//!   child-state words, scratch — is bounded by the deepest open path.
+//! * **Classical path expressions** (Section 8) stream fully: the single
+//!   top-down DFA only ever needs the states of the currently open
+//!   ancestor chain, so [`PathStream`] answers during the parse with
+//!   O(depth) state, and in `exists` mode aborts the parse on the first
+//!   accepting node.
+//! * **General PHRs** (Sections 6–7) cannot answer before the input ends:
+//!   a node's match depends on its younger siblings' `M`-states and on its
+//!   ancestors' classes. [`PhrStream`] builds the document's arena from the
+//!   events, as [`parse_flat`] does, and at the end runs
+//!   [`hedgex_core::two_pass::eval_into`], the one walk every PHR route
+//!   runs. Beyond the arena it holds only the open chain.
+//!
+//! Either way the parser works on a `&str` the caller has already read
+//! whole: an early stop saves parsing, not reading.
 //!
 //! Both evaluators implement [`HedgeSink`], fed either by
 //! [`stream_xml`] (XML text → events, via `hedgex-xml`'s event parser) or
@@ -66,10 +66,9 @@ pub struct StreamStats {
     pub events: u64,
     /// Deepest simultaneously-open element chain.
     pub depth_high_water: usize,
-    /// Peak count of *live* (transient) entries: open frames plus buffered
-    /// sibling states for [`PhrStream`], the open chain itself for
-    /// [`PathStream`]. The streaming claim is that this — not the node
-    /// count — bounds working memory beyond the retained pass-2 table.
+    /// Peak count of *live* (transient) entries: the open chain, for both
+    /// sinks. It bounds working memory beyond what a sink retains — for
+    /// [`PathStream`] its matches, for [`PhrStream`] the arena.
     pub live_high_water: usize,
     /// Whether evaluation requested an early stop (`exists` mode).
     pub early_exit: bool,

@@ -6,8 +6,8 @@
 //! reconstruction — memory exactly proportional to depth, independent of
 //! both node count and match count (unless matches are collected). In
 //! `exists` mode the first accepting node aborts the parse: the driver
-//! stops reading input, which is the streaming win no materialized
-//! evaluator can have.
+//! stops parsing, which is the streaming win no materialized evaluator
+//! can have.
 
 use std::sync::Arc;
 

@@ -1,45 +1,24 @@
-//! Streaming the general two-pass PHR evaluator (Sections 6–7).
+//! Streaming input to the general two-pass PHR evaluator (Sections 6–7).
 //!
-//! The bottom-up first traversal is close-driven: an open element starts an
-//! incremental [`HorizFn`] fold and buffers its children's ids and
-//! `M`-states; the close tag finishes the sibling group —
-//! [`sibling_classes`] assigns every child its elder/younger ≡-class — and
-//! reports the element's own `M`-state one level up. What survives past a
-//! close is exactly the *per-node class table* the second traversal needs
-//! (symbol, parent, sibling position, elder class, younger class): O(n)
-//! but flat `u32` columns, no tree. Frames, buffered child-state words and
-//! the f/nf composition scratch are all returned to pools at close, so the
-//! transient working set is bounded by the deepest open path — the
-//! [`StreamStats::live_high_water`] the E9 bench records.
-//!
-//! The second traversal runs at [`PhrStream::finish_outcome`]: node ids
-//! are preorder ranks (allocated at open/leaf time), so parents precede
-//! children and one forward scan over the table steps the mirror automaton
-//! `N` top-down without ever rebuilding the tree.
+//! Algorithm 1 cannot answer before the input ends: a node's match depends
+//! on the `M`-states of its younger siblings (known only once its parent
+//! closes) and on the classes of all its ancestors. So a streamed PHR keeps
+//! the whole document anyway, and [`PhrStream`] keeps it in the cheapest
+//! form there is: the events feed a [`FlatBuilder`], and
+//! [`PhrStream::finish_outcome`] runs [`two_pass::eval_into`] on the
+//! finished arena — the one walk every other PHR route runs, with its
+//! dead-state pruning and lazily classified sibling groups. Beyond the
+//! arena the sink holds only the builder's open chain, O(depth).
 
-use hedgex_core::two_pass::{sibling_classes, ModeSink};
+use hedgex_core::two_pass::{self, EvalScratch};
 use hedgex_core::{CompiledPhr, EvalMode, EvalOutcome};
-use hedgex_ha::{HorizFn, Leaf, WordPool};
-use hedgex_hedge::{NodeId, SymId};
+use hedgex_ha::Leaf;
+use hedgex_hedge::{FlatBuilder, FlatHedge, NodeId, SymId};
 
 use crate::{HedgeSink, StreamStats};
 
-/// The sentinel "no value" for the `u32` table columns (leaf symbol slot,
-/// root parent slot).
-const NONE: u32 = u32::MAX;
-
-/// One open element: its preorder id, the incremental horizontal fold
-/// (`None` when the symbol has no declared rules — the `M`-state will be
-/// the sink), and the buffered children awaiting the close tag.
-struct Frame<'p> {
-    id: u32,
-    hf: Option<(&'p HorizFn, u32)>,
-    child_ids: Vec<u32>,
-    child_states: Vec<u32>,
-}
-
-/// A [`HedgeSink`] running Algorithm 1's first traversal incrementally
-/// over a stream of events, then the second traversal at [`finish`].
+/// A [`HedgeSink`] that builds the document's arena from the events and
+/// evaluates a PHR on it with [`two_pass::eval_into`] at [`finish`].
 ///
 /// ```
 /// use hedgex_core::{phr::parse_phr, CompiledPhr};
@@ -58,23 +37,13 @@ struct Frame<'p> {
 /// [`finish`]: PhrStream::finish
 pub struct PhrStream<'p> {
     phr: &'p CompiledPhr,
-    // ---- retained per-node table (pass-2 input), indexed by preorder id
-    sym: Vec<u32>,
-    parent: Vec<u32>,
-    pos: Vec<u32>,
-    elder: Vec<u32>,
-    younger: Vec<u32>,
-    // ---- transient state, bounded by the deepest open path
-    frames: Vec<Frame<'p>>,
-    root_ids: Vec<u32>,
-    root_states: Vec<u32>,
-    pool: WordPool,
-    f: Vec<u32>,
-    nf: Vec<u32>,
-    // ---- pass-2 output
-    n_state: Vec<u32>,
-    located: Vec<NodeId>,
-    live: usize,
+    builder: FlatBuilder,
+    /// The finished arena, once a finisher has run.
+    flat: Option<FlatHedge>,
+    scratch: EvalScratch,
+    /// Open elements; a `close` with none open is ignored.
+    depth: usize,
+    nodes: usize,
     stats: StreamStats,
 }
 
@@ -84,123 +53,28 @@ impl<'p> PhrStream<'p> {
     pub fn new(phr: &'p CompiledPhr) -> PhrStream<'p> {
         PhrStream {
             phr,
-            sym: Vec::new(),
-            parent: Vec::new(),
-            pos: Vec::new(),
-            elder: Vec::new(),
-            younger: Vec::new(),
-            frames: Vec::new(),
-            root_ids: Vec::new(),
-            root_states: Vec::new(),
-            pool: WordPool::new(),
-            f: Vec::new(),
-            nf: Vec::new(),
-            n_state: Vec::new(),
-            located: Vec::new(),
-            live: 0,
+            builder: FlatBuilder::new(),
+            flat: None,
+            scratch: EvalScratch::new(),
+            depth: 0,
+            nodes: 0,
             stats: StreamStats::default(),
         }
     }
 
-    /// Append a row to the per-node table; returns the node's preorder id.
-    fn alloc(&mut self, sym: u32) -> u32 {
-        let id = self.sym.len() as u32;
-        self.sym.push(sym);
-        self.parent
-            .push(self.frames.last().map_or(NONE, |fr| fr.id));
-        self.pos.push(0);
-        self.elder.push(0);
-        self.younger.push(0);
-        id
-    }
-
-    /// Report a completed child (leaf, or closed element) to the enclosing
-    /// frame: buffer its id and `M`-state, assign its 1-based sibling
-    /// position, and advance the parent's horizontal fold.
-    fn push_child(&mut self, id: u32, q: u32) {
-        if let Some(parent) = self.frames.last_mut() {
-            parent.child_ids.push(id);
-            parent.child_states.push(q);
-            self.pos[id as usize] = parent.child_ids.len() as u32;
-            if let Some((hf, h)) = &mut parent.hf {
-                *h = hf.step(*h, q);
-            }
-        } else {
-            self.root_ids.push(id);
-            self.root_states.push(q);
-            self.pos[id as usize] = self.root_ids.len() as u32;
-        }
-        self.live += 1;
-        self.stats.live_high_water = self.stats.live_high_water.max(self.live);
-    }
-
-    /// The front half of [`finish_outcome`](PhrStream::finish_outcome):
-    /// drain still-open frames (a truncated stream is treated as if closed)
-    /// and classify the depth-0 sibling group, leaving the per-node class
-    /// table complete.
-    fn seal(&mut self) {
-        while !self.frames.is_empty() {
-            self.close();
-        }
-        let root_ids = std::mem::take(&mut self.root_ids);
-        let root_states = std::mem::take(&mut self.root_states);
-        let (elder, younger) = (&mut self.elder, &mut self.younger);
-        sibling_classes(
-            self.phr,
-            root_ids.len(),
-            |i| root_states[i],
-            &mut self.f,
-            &mut self.nf,
-            |i, c| elder[root_ids[i] as usize] = c,
-            |i, c| younger[root_ids[i] as usize] = c,
-        );
-        let n = self.sym.len();
-        self.n_state.clear();
-        self.n_state.resize(n, 0);
-    }
-
-    /// Run the second traversal in `mode` — the one pass-2 loop behind
-    /// every finisher. Ids are preorder ranks, so parents precede children
-    /// and a forward scan over the table is a top-down walk; accepting
-    /// nodes go to the same [`ModeSink`] the materialized walks use, so
-    /// Count builds no match set and Exists stops at the first hit. For
-    /// `Locate` the match set is retained and readable via
-    /// [`located`](PhrStream::located).
-    ///
-    /// Call exactly once, after a balanced event stream (unclosed frames
-    /// are drained as if closed, so a truncated stream cannot panic — but
-    /// its answer is only meaningful for the part seen).
+    /// Evaluate in `mode` on the document streamed so far; elements still
+    /// open are closed implicitly, so a truncated stream cannot panic, but
+    /// its answer describes only the part seen. Locate's match set stays
+    /// readable through [`located`](PhrStream::located). The first call
+    /// finishes the arena; events after it are not evaluated.
     pub fn finish_outcome(&mut self, mode: EvalMode) -> EvalOutcome {
-        // The second traversal is its own timeline phase: on the trace it
-        // separates "while the parse streamed" from "after the last byte".
+        // The walk is its own timeline phase: on the trace it separates
+        // "while the parse streamed" from "after the last byte".
         let _span = hedgex_obs::span("stream.phr.finish");
-        self.seal();
-        let PhrStream {
-            phr,
-            sym,
-            parent,
-            elder,
-            younger,
-            n_state,
-            located,
-            ..
-        } = self;
-        let mut sink = ModeSink::new(mode, located);
-        for id in 0..sym.len() {
-            if sym[id] == NONE {
-                continue;
-            }
-            let parent_state = match parent[id] {
-                NONE => phr.n_start(),
-                p => n_state[p as usize],
-            };
-            let s = phr.n_transition(parent_state, elder[id], SymId(sym[id]), younger[id]);
-            n_state[id] = s;
-            if phr.n_accepting(s) && sink.hit(id as NodeId) {
-                break;
-            }
-        }
-        let outcome = sink.outcome();
+        let flat = self
+            .flat
+            .get_or_insert_with(|| std::mem::take(&mut self.builder).finish());
+        let (outcome, _) = two_pass::eval_into(self.phr, flat, None, &mut self.scratch, mode);
         self.stats.flush_obs();
         outcome
     }
@@ -209,7 +83,7 @@ impl<'p> PhrStream<'p> {
     /// located nodes in document order.
     pub fn finish(&mut self) -> &[NodeId] {
         self.finish_outcome(EvalMode::Locate);
-        &self.located
+        self.scratch.located()
     }
 
     /// [`finish_outcome`](PhrStream::finish_outcome) in Count mode.
@@ -224,7 +98,7 @@ impl<'p> PhrStream<'p> {
 
     /// The matches found by [`finish`](PhrStream::finish).
     pub fn located(&self) -> &[NodeId] {
-        &self.located
+        self.scratch.located()
     }
 
     /// Event/memory counters gathered while streaming.
@@ -234,80 +108,48 @@ impl<'p> PhrStream<'p> {
 
     /// Number of nodes seen so far.
     pub fn num_nodes(&self) -> usize {
-        self.sym.len()
+        self.nodes
     }
 
     /// The Dewey address of a node (1-based child indices from the root),
-    /// reconstructed from the retained parent/position columns — matches
-    /// [`hedgex_hedge::FlatHedge::dewey`] on the equivalent document.
+    /// as [`FlatHedge::dewey`] gives it on the arena.
+    ///
+    /// # Panics
+    /// Before a finisher has run, or if `n` is not a node.
     pub fn dewey(&self, n: NodeId) -> Vec<u32> {
-        let mut path = vec![self.pos[n as usize]];
-        let mut cur = n;
-        while self.parent[cur as usize] != NONE {
-            cur = self.parent[cur as usize];
-            path.push(self.pos[cur as usize]);
-        }
-        path.reverse();
-        path
+        let flat = self.flat.as_ref().expect("dewey needs a finished stream");
+        flat.dewey(n)
+    }
+
+    fn node_seen(&mut self) {
+        self.stats.bump_event();
+        self.nodes += 1;
     }
 }
 
 impl HedgeSink for PhrStream<'_> {
     fn open(&mut self, a: SymId) -> bool {
-        self.stats.bump_event();
-        let id = self.alloc(a.0);
-        let hf = self.phr.m.horiz(a).map(|hf| (hf, hf.start()));
-        self.frames.push(Frame {
-            id,
-            hf,
-            child_ids: self.pool.take(),
-            child_states: self.pool.take(),
-        });
-        self.live += 1;
-        self.stats.depth_high_water = self.stats.depth_high_water.max(self.frames.len());
-        self.stats.live_high_water = self.stats.live_high_water.max(self.live);
+        self.node_seen();
+        self.builder.open(a);
+        self.depth += 1;
+        // The open chain is all the transient state the builder keeps.
+        self.stats.depth_high_water = self.stats.depth_high_water.max(self.depth);
+        self.stats.live_high_water = self.stats.depth_high_water;
         true
     }
 
     fn leaf(&mut self, l: Leaf) -> bool {
-        self.stats.bump_event();
-        let id = self.alloc(NONE);
-        let q = self.phr.m.iota(l);
-        self.push_child(id, q);
-        true
+        self.node_seen();
+        HedgeSink::leaf(&mut self.builder, l)
     }
 
     fn close(&mut self) -> bool {
         self.stats.bump_event();
-        let Some(frame) = self.frames.pop() else {
-            return true; // tolerate unbalanced input; drivers never send it
-        };
-        let Frame {
-            id,
-            hf,
-            child_ids,
-            child_states,
-        } = frame;
-        // Finish the sibling group: every buffered child gets its classes.
-        let (elder, younger) = (&mut self.elder, &mut self.younger);
-        sibling_classes(
-            self.phr,
-            child_ids.len(),
-            |i| child_states[i],
-            &mut self.f,
-            &mut self.nf,
-            |i, c| elder[child_ids[i] as usize] = c,
-            |i, c| younger[child_ids[i] as usize] = c,
-        );
-        // The element's own `M`-state, from the incremental fold.
-        let q = match hf {
-            Some((hf, h)) => hf.result(h),
-            None => self.phr.m.sink(),
-        };
-        self.live -= child_ids.len() + 1;
-        self.pool.put(child_ids);
-        self.pool.put(child_states);
-        self.push_child(id, q);
+        // Tolerate unbalanced input; the drivers never send it.
+        if self.depth > 0 {
+            self.depth -= 1;
+            self.builder.close();
+        }
         true
     }
 }
@@ -317,7 +159,7 @@ mod tests {
     use super::*;
     use crate::replay_flat;
     use hedgex_core::phr::parse_phr;
-    use hedgex_hedge::{parse_hedge, Alphabet, FlatHedge};
+    use hedgex_hedge::{parse_hedge, Alphabet};
 
     fn check(phr_src: &str, doc_src: &str) {
         let mut ab = Alphabet::new();
@@ -398,8 +240,89 @@ mod tests {
         sink.finish();
         let stats = sink.stats();
         // `b` children are (childless) elements, so the open chain peaks
-        // at 2; live peaks at the buffered sibling group + open frames.
+        // at 2, and the open chain is all the sink keeps beyond the arena.
         assert_eq!(stats.depth_high_water, 2);
         assert!(stats.live_high_water <= 203, "{stats:?}");
+    }
+
+    /// Passes on the first `left` events, then stops the replay: a stream
+    /// cut off with its open elements never closed.
+    struct Cut<S> {
+        left: usize,
+        sink: S,
+    }
+
+    impl<S> Cut<S> {
+        fn pass(&mut self) -> bool {
+            let pass = self.left > 0;
+            self.left = self.left.saturating_sub(1);
+            pass
+        }
+    }
+
+    impl<S: HedgeSink> HedgeSink for Cut<S> {
+        fn open(&mut self, a: SymId) -> bool {
+            self.pass() && self.sink.open(a)
+        }
+        fn leaf(&mut self, l: Leaf) -> bool {
+            self.pass() && self.sink.leaf(l)
+        }
+        fn close(&mut self) -> bool {
+            self.pass() && self.sink.close()
+        }
+    }
+
+    /// `sink`'s node count, answer in every mode and Dewey addresses
+    /// against the reference traversals on `want`.
+    fn assert_answers_like(mut sink: PhrStream<'_>, want: &FlatHedge) {
+        let located = hedgex_core::two_pass::locate(sink.phr, want);
+        assert_eq!(sink.num_nodes(), want.num_nodes());
+        assert_eq!(sink.finish(), &located[..]);
+        for &n in &located {
+            assert_eq!(sink.dewey(n), want.dewey(n), "node {n}");
+        }
+        assert_eq!(sink.finish_count(), located.len() as u64);
+        assert_eq!(sink.finish_exists(), !located.is_empty());
+    }
+
+    #[test]
+    fn unclosed_opens_answer_like_the_implicitly_closed_prefix() {
+        let mut ab = Alphabet::new();
+        let phr = parse_phr("[ε ; a ; b][b ; a ; ε]", &mut ab).unwrap();
+        let compiled = CompiledPhr::compile(&phr);
+        let h = parse_hedge("b a<a<b $x> b> a<a b>", &mut ab).unwrap();
+        let flat = FlatHedge::from_hedge(&h);
+        // Every cut of the event stream, as in a truncated document.
+        for left in 0..=2 * flat.num_nodes() {
+            let mut sink = Cut {
+                left,
+                sink: PhrStream::new(&compiled),
+            };
+            let mut want = Cut {
+                left,
+                sink: FlatBuilder::new(),
+            };
+            replay_flat(&flat, &mut sink);
+            replay_flat(&flat, &mut want);
+            assert_answers_like(sink.sink, &want.sink.finish());
+        }
+    }
+
+    #[test]
+    fn a_stray_close_is_ignored() {
+        let mut ab = Alphabet::new();
+        let phr = parse_phr("[ε ; a ; b][b ; a ; ε]", &mut ab).unwrap();
+        let compiled = CompiledPhr::compile(&phr);
+        let mut flat = |src| FlatHedge::from_hedge(&parse_hedge(src, &mut ab).unwrap());
+        let (first, rest, want) = (flat("b"), flat("a<a<b $x> b>"), flat("b a<a<b $x> b>"));
+        // Closes with nothing open: before the document, between its roots
+        // and after its end.
+        let mut sink = PhrStream::new(&compiled);
+        for part in [&first, &rest] {
+            assert!(sink.close());
+            assert!(replay_flat(part, &mut sink));
+        }
+        assert!(sink.close());
+        assert_answers_like(sink, &want);
     }
 }

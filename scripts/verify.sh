@@ -33,6 +33,8 @@ cargo test -q --offline --no-default-features -p hedgex --test analysis_props
 echo "== cargo test -q --offline --no-default-features (streaming differential) =="
 # Streamed == materialized must hold with the obs counters compiled out.
 cargo test -q --offline --no-default-features -p hedgex --test stream_props
+# The depth bounds of the streaming sinks hold with obs compiled out too.
+cargo test -q --offline --no-default-features -p hedgex --test stream_deep
 
 echo "== cargo test -q --offline --no-default-features (parser fuzz) =="
 # Event parser vs tree parser parity is independent of instrumentation.
@@ -103,6 +105,15 @@ echo "== the library's query path runs no reference traversal =="
 # tests' references.
 if grep -rnE '(two_pass::first_pass\(|two_pass::second_pass\(|two_pass::locate\(|\.to_phr\()' crates/hedgex/src; then
   echo "crates/hedgex/src must not run the reference traversals or embed paths as PHRs"; exit 1
+fi
+
+echo "== Algorithm 1 lives in hedgex-core only =="
+# The class computation and the N-automaton steps have one implementation,
+# the walk in crates/core/src/two_pass.rs; every other crate evaluates a PHR
+# by calling it, never by stepping the tables itself.
+if grep -rnE --include='*.rs' '(\.n_transition\(|sibling_classes\(|class_step_row\(|WordPool)' crates/*/src \
+  | grep -v '^crates/core/src/'; then
+  echo "Algorithm 1's steps must stay in crates/core/src"; exit 1
 fi
 
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="

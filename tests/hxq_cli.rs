@@ -575,37 +575,123 @@ fn jobs_matches_sequential_output_byte_for_byte() {
     std::fs::remove_file(&xml).ok();
 }
 
+/// `hxq ARGS… XML` with `--metrics-json`: its output and the report's
+/// `located` and `nodes` fields.
+fn run_with_report(args: &[&str], stdin: Option<&str>) -> (Output, u64, u64) {
+    let json = scratch("stream-parity.json");
+    let args = [args, &["--metrics-json", json.to_str().unwrap()]].concat();
+    let out = match stdin {
+        Some(src) => hxq_stdin(&args, src),
+        None => hxq(&args),
+    };
+    assert!(
+        out.status.code().is_some_and(|c| c <= 1),
+        "{args:?}: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let report = Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+    std::fs::remove_file(&json).ok();
+    let field = |k: &str| report.get(k).and_then(Json::as_u64).unwrap();
+    (out, field("located"), field("nodes"))
+}
+
+/// `--stream` from the file and from stdin answer exactly like the file
+/// route: stdout, exit code and the report's `located`; `nodes` too,
+/// except that a path `--exists` stream stops at its first match.
+fn assert_stream_parity(args: &[&str], xml: &std::path::Path, src: &str) {
+    let xml = xml.to_str().unwrap();
+    let (plain, located, nodes) = run_with_report(&[args, &[xml]].concat(), None);
+    let streams = [
+        run_with_report(&[args, &["--stream", xml]].concat(), None),
+        run_with_report(&[args, &["--stream", "-"]].concat(), Some(src)),
+    ];
+    let stops_early = args.contains(&"--path") && args.contains(&"--exists");
+    for (streamed, s_located, s_nodes) in streams {
+        assert_eq!(plain.status.code(), streamed.status.code(), "{args:?}");
+        assert_eq!(
+            plain.stdout, streamed.stdout,
+            "--stream must print the same lines ({args:?})"
+        );
+        assert_eq!(located, s_located, "{args:?}");
+        if stops_early {
+            assert!(s_nodes <= nodes, "{args:?}");
+        } else {
+            assert_eq!(nodes, s_nodes, "{args:?}");
+        }
+    }
+}
+
 #[test]
 fn stream_matches_materialized_byte_for_byte() {
     let w = doc_workload(300, 13);
     let src = write_xml(&w.doc, &w.ab, None);
     let xml = scratch("stream.xml");
     std::fs::write(&xml, &src).unwrap();
-
+    // The sibling-sensitive query: a figure whose next sibling is a table.
+    let u = docbook_universal(&mut Alphabet::new());
+    let figure_before_table = format!(
+        "[{u} ; figure ; table<{u}> ({u})][{u} ; section ; {u}]([{u} ; section ; {u}]|[{u} ; article ; {u}])*"
+    );
     for query in [
         &["--path", "article section* figure"][..],
         &["--phr", "[ε ; article ; ε]"][..],
+        &["--phr", &figure_before_table][..],
     ] {
-        let plain = hxq(&[query, &[xml.to_str().unwrap()]].concat());
-        assert_eq!(
-            plain.status.code(),
-            Some(0),
-            "stderr: {}",
-            String::from_utf8_lossy(&plain.stderr)
-        );
-        let streamed = hxq(&[query, &["--stream", xml.to_str().unwrap()]].concat());
-        assert_eq!(streamed.status.code(), Some(0));
-        assert_eq!(
-            plain.stdout, streamed.stdout,
-            "--stream must print the same Dewey lines ({query:?})"
-        );
-
-        // `-` reads stdin; streaming it must print exactly the same.
-        let piped = hxq_stdin(&[query, &["--stream", "-"]].concat(), &src);
-        assert_eq!(piped.status.code(), Some(0));
-        assert_eq!(plain.stdout, piped.stdout, "stdin must equal file input");
+        for mode in [&[][..], &["--count"][..], &["--exists"][..]] {
+            assert_stream_parity(&[query, mode].concat(), &xml, &src);
+        }
     }
     std::fs::remove_file(&xml).ok();
+
+    // A 100k-deep chain, where every node matches.
+    let depth = 100_000;
+    let chain = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
+    let xml = scratch("stream-chain.xml");
+    std::fs::write(&xml, &chain).unwrap();
+    for query in [&["--phr", "[ε ; a ; ε]*"][..], &["--path", "a* a"][..]] {
+        for mode in [&["--count"][..], &["--exists"][..]] {
+            assert_stream_parity(&[query, mode].concat(), &xml, &chain);
+        }
+    }
+    std::fs::remove_file(&xml).ok();
+}
+
+/// `--stream --phr` evaluates the streamed arena with the same walk as
+/// every other PHR route: the walk's span runs inside the stream's finish.
+#[test]
+fn stream_phr_answers_through_the_one_walk() {
+    if !hedgex::obs::is_enabled() {
+        return;
+    }
+    let xml = scratch("stream-walk.xml");
+    std::fs::write(&xml, "<a><b/><a/></a>").unwrap();
+    let trace = scratch("stream-walk-trace.json");
+    let out = hxq(&[
+        "--stream",
+        "--phr",
+        "[ε ; a ; ε]",
+        "--trace",
+        trace.to_str().unwrap(),
+        xml.to_str().unwrap(),
+    ]);
+    assert_eq!(out.stdout, b"/1\n");
+    let text = std::fs::read_to_string(&trace).unwrap();
+    let events = Json::parse(&text).expect("trace parses");
+    let events = events.as_arr().expect("trace is an array");
+    let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+    let span = |name: &str| {
+        let mut found = events
+            .iter()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+        let e = found.next().unwrap_or_else(|| panic!("no {name} span"));
+        assert!(found.next().is_none(), "one {name} span");
+        e
+    };
+    let finish = span("stream.phr.finish");
+    let walk = span("core.two_pass");
+    assert_eq!(arg(walk, "parent"), arg(finish, "id"));
+    std::fs::remove_file(&xml).ok();
+    std::fs::remove_file(&trace).ok();
 }
 
 #[test]

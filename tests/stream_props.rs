@@ -83,7 +83,7 @@ fn pick_query(n: usize) -> Gen<usize> {
 /// PHR pool over {a, b}: depth-1 triplets, sibling conditions on both
 /// sides, alternation, sequences, starred sequences (depth-matching), and
 /// an unsatisfiable elder condition — the shapes that stress the
-/// close-driven fold and the ≡-class assignment differently.
+/// bottom-up `M`-run and the ≡-class assignment differently.
 fn phr_pool() -> Vec<(Phr, CompiledPhr, Plan)> {
     let mut ab = Alphabet::new();
     let a = ab.sym("a");
@@ -132,8 +132,8 @@ fn path_pool() -> (Alphabet, Vec<hedgex::core::path_expr::PathExpr>) {
 
 /// The tentpole claim, PHR side: replaying any document through
 /// [`PhrStream`] locates exactly what the materialized two-pass plan and
-/// the naive quadratic reference locate, and the Dewey addresses
-/// reconstructed from the retained columns agree with the real tree's.
+/// the naive quadratic reference locate, and the Dewey addresses read off
+/// the streamed arena agree with the real tree's.
 #[test]
 fn streamed_phr_equals_two_pass_and_naive() {
     let pool = phr_pool();
