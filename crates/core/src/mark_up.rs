@@ -30,7 +30,7 @@ use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{FlatHedge, NodeId, SymId};
 
-use crate::phr_compile::{CompiledPhr, ExplicitN};
+use crate::phr_compile::CompiledPhr;
 
 /// The match-identifying automaton of Theorem 5.
 pub struct MarkUp {
@@ -58,10 +58,9 @@ impl MarkUp {
     /// documents and must be given `(ι_M, ⊥)` states — `M` sends them to
     /// its sink).
     pub fn build(phr: &CompiledPhr, sigma: &[SymId], vars: &[hedgex_hedge::VarId]) -> MarkUp {
-        let (n_expl, _sigs) = phr.explicit_n();
         let m = &phr.m;
         let nq = m.num_states();
-        let ns = n_expl.num_states() as u32;
+        let ns = phr.n_states_materialized() as u32;
         let mut sigma = sigma.to_vec();
         sigma.sort();
         sigma.dedup();
@@ -126,7 +125,7 @@ impl MarkUp {
         // The complement of the bad-child language, per parent N-state s.
         let good: Vec<Dfa<HState>> = (0..ns)
             .map(|s| {
-                bad_children_nfa(phr, &n_expl, s, num_states, nq, &sigma, proj_q, proj_sa)
+                bad_children_nfa(phr, s, num_states, nq, &sigma, proj_q, proj_sa)
                     .to_dfa()
                     .complement()
             })
@@ -168,11 +167,11 @@ impl MarkUp {
         // F′: every child of the virtual super-root is consistent with s₀
         // (no M-condition — M′ accepts all hedges).
         let all = Nfa::from_regex(&hedgex_automata::Regex::<HState>::any_sym().star()).to_dfa();
-        let finals = all.intersect(&good[n_expl.start() as usize]).to_nfa();
+        let finals = all.intersect(&good[phr.n_start() as usize]).to_nfa();
 
         let marked: Vec<bool> = decode
             .iter()
-            .map(|st| matches!(st, MarkUpState::Triple(_, s, _) if n_expl.is_accepting(*s)))
+            .map(|st| matches!(st, MarkUpState::Triple(_, s, _) if phr.n_accepting(*s)))
             .collect();
 
         MarkUp {
@@ -237,10 +236,8 @@ fn lift_by_projection(dfa: &Dfa<HState>, nq: HState, ids_by_q: &[Vec<HState>]) -
 /// one child `(q', s', a')` with `s' ≠ μ((C₁, a', C₂), s)` for the guessed
 /// suffix class `C₂`; phase 2 verifies the guess by running the class DFA
 /// over the remaining letters.
-#[allow(clippy::too_many_arguments)]
 fn bad_children_nfa(
     phr: &CompiledPhr,
-    n_expl: &ExplicitN,
     s: u32,
     num_states: HState,
     nq: HState,
@@ -273,7 +270,7 @@ fn bad_children_nfa(
                 let (sp, ai) = proj_sa(id).expect("triple id");
                 let a = sigma[ai as usize];
                 let sig = phr.signature(c, a, c2);
-                if n_expl.step(s, sig) != sp {
+                if phr.n_step(s, sig) != sp {
                     bad_ids.push(id);
                 }
             }

@@ -383,23 +383,6 @@ impl CompiledPhr {
                 .collect(),
         )
     }
-
-    /// Materialize `N` as an explicit table over all signatures achievable
-    /// from the class space — the finite `(S, μ, s₀, S_fin)` of Theorem 4,
-    /// needed by the Theorem 5 construction. Returns the explicit automaton
-    /// and the list of distinct signatures (its alphabet). The engine
-    /// already holds exactly this table, so this is a copy, not a rebuild.
-    pub fn explicit_n(&self) -> (ExplicitN, Vec<SigMask>) {
-        (
-            ExplicitN {
-                table: self.engine.n_table.clone(),
-                accept: self.engine.n_accept.clone(),
-                width: self.engine.sigs.len(),
-                sig_idx: self.engine.sig_idx.clone(),
-            },
-            self.engine.sigs.clone(),
-        )
-    }
 }
 
 impl Engine {
@@ -587,38 +570,6 @@ fn move_set(nfa: &Nfa<u32>, cur: &[StateId], sig: SigMask) -> Vec<StateId> {
     nfa.eps_closure(&moved.into_iter().collect::<Vec<_>>())
 }
 
-/// `N` as an explicit dense table over a closed signature alphabet
-/// (Theorem 4's `(S, μ, s₀, S_fin)` with `s₀ = 0`).
-pub struct ExplicitN {
-    table: Vec<u32>,
-    accept: Vec<bool>,
-    width: usize,
-    sig_idx: HashMap<SigMask, u32>,
-}
-
-impl ExplicitN {
-    /// Number of states `|S|`.
-    pub fn num_states(&self) -> usize {
-        self.accept.len()
-    }
-
-    /// `μ(sig, s)`.
-    pub fn step(&self, s: u32, sig: SigMask) -> u32 {
-        let j = *self.sig_idx.get(&sig).unwrap_or_else(|| &self.sig_idx[&0]);
-        self.table[s as usize * self.width + j as usize]
-    }
-
-    /// The start state `s₀`.
-    pub fn start(&self) -> u32 {
-        0
-    }
-
-    /// Is `s ∈ S_fin`?
-    pub fn is_accepting(&self, s: u32) -> bool {
-        self.accept[s as usize]
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -683,41 +634,6 @@ mod tests {
         let w1 = c.n_step(s0, 0b01);
         let w2 = c.n_step(w1, 0b10);
         assert!(!c.n_accepting(w2));
-    }
-
-    #[test]
-    fn explicit_n_agrees_with_engine() {
-        let mut ab = Alphabet::new();
-        let phr = parse_phr("([a* ; b ; a*]|[ε ; a ; ε])*", &mut ab).unwrap();
-        let c = CompiledPhr::compile(&phr);
-        let (en, sigs) = c.explicit_n();
-        // Walk every signature string up to length 3 (over the achievable
-        // alphabet) through both automata.
-        let mut words: Vec<Vec<SigMask>> = vec![vec![]];
-        for _ in 0..3 {
-            let mut next = Vec::new();
-            for w in &words {
-                for &s in &sigs {
-                    let mut w2 = w.clone();
-                    w2.push(s);
-                    next.push(w2);
-                }
-            }
-            words.extend(next);
-        }
-        for word in words {
-            let mut lazy = c.n_start();
-            let mut expl = en.start();
-            for &sig in &word {
-                lazy = c.n_step(lazy, sig);
-                expl = en.step(expl, sig);
-            }
-            assert_eq!(
-                c.n_accepting(lazy),
-                en.is_accepting(expl),
-                "disagreement on {word:?} (alphabet {sigs:?})"
-            );
-        }
     }
 
     #[test]

@@ -430,6 +430,8 @@ fn compile(
 /// The one repeat loop: evaluate `run` `runs` times reusing scratches —
 /// sequentially into one scratch for `jobs <= 1`, otherwise spread over
 /// `jobs` workers with one scratch each — and return the last answer.
+/// Every other answer is dropped as soon as it is made, so at most one
+/// answer per worker plus the kept one are alive at once, whatever `runs`.
 fn repeated<S, T: Send>(
     runs: u64,
     jobs: usize,
@@ -437,8 +439,20 @@ fn repeated<S, T: Send>(
     run: impl Fn(&mut S) -> T + Sync,
 ) -> T {
     if jobs > 1 {
-        let answers = hedgex_par::run_scoped(jobs, runs as usize, |_| scratch(), |s, _| run(s));
-        return answers.into_iter().last().expect("at least one run");
+        let last = runs.max(1) as usize - 1;
+        let mut answers = hedgex_par::run_scoped(
+            jobs,
+            last + 1,
+            |_| scratch(),
+            |s, i| {
+                let answer = run(s);
+                (i == last).then_some(answer)
+            },
+        );
+        return answers
+            .pop()
+            .flatten()
+            .expect("the last run keeps its answer");
     }
     let mut s = scratch();
     (1..runs).fold(run(&mut s), |_, _| run(&mut s))
@@ -606,4 +620,52 @@ fn run_store<W: Write>(req: &Request, path: &str, clock: &mut Clock, out: &mut W
     });
     written.map_err(RunError::Output)?;
     Ok((plan, outcome, nodes, None, repeat))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::repeated;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// An answer that counts how many of its kind are alive.
+    struct Counted<'a>(&'a AtomicUsize);
+
+    impl Drop for Counted<'_> {
+        fn drop(&mut self) {
+            self.0.fetch_sub(1, Ordering::SeqCst);
+        }
+    }
+
+    #[test]
+    fn repeat_keeps_at_most_one_answer_per_worker_alive() {
+        for jobs in [1, 2, 4] {
+            let (live, peak, runs) = (
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+                AtomicUsize::new(0),
+            );
+            let answer = repeated(
+                500,
+                jobs,
+                || (),
+                |()| {
+                    runs.fetch_add(1, Ordering::SeqCst);
+                    peak.fetch_max(live.fetch_add(1, Ordering::SeqCst) + 1, Ordering::SeqCst);
+                    Counted(&live)
+                },
+            );
+            assert_eq!(runs.load(Ordering::SeqCst), 500, "{jobs} jobs");
+            assert_eq!(
+                live.load(Ordering::SeqCst),
+                1,
+                "{jobs} jobs: only the kept answer"
+            );
+            let peak = peak.load(Ordering::SeqCst);
+            assert!(
+                peak <= jobs + 1,
+                "{jobs} jobs: {peak} answers alive at once"
+            );
+            drop(answer);
+        }
+    }
 }

@@ -31,16 +31,6 @@ impl ParallelEvaluator {
         ParallelEvaluator { jobs: jobs.max(1) }
     }
 
-    /// An evaluator sized to [`std::thread::available_parallelism`]
-    /// (1 if the platform cannot say).
-    pub fn with_available_parallelism() -> ParallelEvaluator {
-        ParallelEvaluator::new(
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(1),
-        )
-    }
-
     /// The configured worker count.
     pub fn jobs(&self) -> usize {
         self.jobs
@@ -75,15 +65,20 @@ impl ParallelEvaluator {
 
     /// Evaluate one plan over one document `n` times (a throughput shape:
     /// `hxq --repeat N --jobs J`), returning the matches once. Every run
-    /// produces the same answer; the value returned is that answer.
+    /// produces the same answer; only the last run copies it out, so
+    /// memory does not grow with `n`.
     pub fn repeat(&self, plan: &Plan, doc: &FlatHedge, n: usize) -> Vec<NodeId> {
+        let last = n.max(1) - 1;
         let mut runs = pool::run_scoped(
             self.jobs,
-            n.max(1),
+            last + 1,
             |_| EvalScratch::new(),
-            |scratch, _| plan.locate_into(doc, scratch).to_vec(),
+            |scratch, i| {
+                let located = plan.locate_into(doc, scratch);
+                (i == last).then(|| located.to_vec())
+            },
         );
-        runs.pop().expect("at least one run")
+        runs.pop().flatten().expect("the last run keeps its answer")
     }
 }
 
@@ -170,6 +165,5 @@ mod tests {
     #[test]
     fn zero_jobs_clamps_to_one() {
         assert_eq!(ParallelEvaluator::new(0).jobs(), 1);
-        assert!(ParallelEvaluator::with_available_parallelism().jobs() >= 1);
     }
 }

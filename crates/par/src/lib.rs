@@ -8,12 +8,12 @@
 //! no rayon, no crossbeam):
 //!
 //! * [`pool`] — a scoped worker pool built on [`std::thread::scope`]:
-//!   tasks are split into chunks, dealt round-robin onto per-worker
-//!   double-ended queues, and idle workers steal from the *back* of their
-//!   neighbours' queues (owners pop from the front, so a steal touches the
-//!   cold end). No threads outlive a call; borrowing the plan, the corpus,
-//!   and the closures from the caller's stack needs no `'static` bounds
-//!   and no `unsafe`.
+//!   workers take task indices from one shared atomic cursor. A batch is
+//!   a fixed set of tasks that never spawn tasks, so one counter balances
+//!   it with no per-worker queues and no stealing; at one worker the same
+//!   worker body runs inline on the calling thread. No threads outlive a
+//!   call; borrowing the plan, the corpus, and the closures from the
+//!   caller's stack needs no `'static` bounds and no `unsafe`.
 //! * [`ParallelEvaluator`] — batches over the pool: one plan over a corpus
 //!   of documents ([`ParallelEvaluator::eval_corpus`]), one plan run
 //!   repeatedly ([`ParallelEvaluator::repeat`]), and any other per-task
@@ -28,4 +28,4 @@ pub mod evaluator;
 pub mod pool;
 
 pub use evaluator::ParallelEvaluator;
-pub use pool::{run_scoped, run_scoped_with_stats, PoolStats};
+pub use pool::run_scoped;

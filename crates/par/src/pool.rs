@@ -1,67 +1,26 @@
-//! The scoped work-stealing worker pool.
+//! The scoped worker pool: one shared task cursor.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Std-only, zero `unsafe`.** Queues are `Mutex<VecDeque<Range>>` —
-//!    one lock per worker, so owners and thieves contend only when they
-//!    actually race for the same queue, never on a global lock.
+//! 1. **Std-only, zero `unsafe`.** Workers take task indices from one
+//!    [`AtomicUsize`] with `fetch_add`; there is no queue and no lock.
 //! 2. **Scoped.** [`std::thread::scope`] lets workers borrow the task
 //!    closure, the shared plan, and the input corpus straight from the
 //!    caller's stack frame; no `Arc`-wrapping, no `'static` bounds, and
 //!    every worker is joined before the call returns.
 //! 3. **Deterministic results.** Workers tag each result with its task
-//!    index and the coordinator reassembles them into input order, so the
-//!    output is independent of scheduling.
+//!    index and the results are put back into input order, so the output
+//!    is independent of scheduling.
 //!
-//! Tasks are dealt as *chunks* (contiguous index ranges) rather than one
-//! by one: a chunk amortizes one lock round-trip over several tasks, and
-//! round-robin dealing of ~4 chunks per worker leaves enough slack for
-//! stealing to rebalance skewed workloads (one giant document stalling a
-//! worker) without the lock traffic of task-granular queues. Since no task
-//! spawns further tasks, "all queues empty" is a complete termination
-//! condition — a worker that finds nothing to pop or steal simply exits.
+//! A batch is a fixed set of tasks that never spawn tasks (compilation is
+//! done before any document is examined, and evaluation is independent per
+//! document), so a worker that takes an index past the end simply exits.
+//! The cursor balances by itself: a worker stalled on one large document
+//! takes no further index, and the others drain the rest.
 
-use std::collections::VecDeque;
-use std::ops::Range;
-use std::sync::{Mutex, MutexGuard, PoisonError};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use hedgex_obs as obs;
-
-/// Chunks dealt per worker at full occupancy: enough slack for stealing to
-/// rebalance, few enough that lock traffic stays negligible.
-const CHUNKS_PER_WORKER: usize = 4;
-
-/// Per-worker execution statistics for one pool run (index = worker id).
-#[derive(Debug, Clone, Default)]
-pub struct PoolStats {
-    /// Tasks each worker executed (sums to the total task count).
-    pub tasks: Vec<u64>,
-    /// Chunks each worker took from *another* worker's queue.
-    pub steals: Vec<u64>,
-    /// High-water chunk count of each worker's queue (its initial deal).
-    pub queue_high_water: Vec<u64>,
-}
-
-/// What one worker hands back through its join handle: `(task, result)`
-/// pairs plus its task and steal tallies.
-type WorkerYield<T> = (Vec<(usize, T)>, u64, u64);
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    // A worker panic propagates through the scope join; the poisoned-lock
-    // state itself carries no broken invariant for these queues.
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Run `num_tasks` tasks on `jobs` workers and return the results in task
-/// order. See [`run_scoped_with_stats`] for the statistics-returning form.
-pub fn run_scoped<S, T, I, W>(jobs: usize, num_tasks: usize, init: I, work: W) -> Vec<T>
-where
-    T: Send,
-    I: Fn(usize) -> S + Sync,
-    W: Fn(&mut S, usize) -> T + Sync,
-{
-    run_scoped_with_stats(jobs, num_tasks, init, work).0
-}
 
 /// Run `num_tasks` tasks on up to `jobs` workers.
 ///
@@ -71,140 +30,77 @@ where
 /// what when.
 ///
 /// `jobs` is clamped to `1..=num_tasks`; with one job (or one task) the
-/// tasks run inline on the calling thread — no threads are spawned, so a
-/// single-worker run *is* the sequential loop, not a simulation of it.
-pub fn run_scoped_with_stats<S, T, I, W>(
-    jobs: usize,
-    num_tasks: usize,
-    init: I,
-    work: W,
-) -> (Vec<T>, PoolStats)
+/// worker body runs inline on the calling thread — no thread is spawned,
+/// so a single-worker run *is* the sequential loop, not a simulation of
+/// it. A panicking task panics out of this call with its own payload,
+/// after the other workers have run out of tasks.
+pub fn run_scoped<S, T, I, W>(jobs: usize, num_tasks: usize, init: I, work: W) -> Vec<T>
 where
     T: Send,
     I: Fn(usize) -> S + Sync,
     W: Fn(&mut S, usize) -> T + Sync,
 {
-    let jobs = jobs.max(1).min(num_tasks.max(1));
-    if jobs == 1 {
-        let mut state = init(0);
-        let out: Vec<T> = (0..num_tasks)
-            .map(|i| {
-                let _task = obs::span("par.task");
-                work(&mut state, i)
-            })
-            .collect();
-        let stats = PoolStats {
-            tasks: vec![num_tasks as u64],
-            steals: vec![0],
-            queue_high_water: vec![num_tasks as u64],
-        };
-        flush_obs(&stats);
-        return (out, stats);
-    }
-
-    // Deal chunks round-robin onto the per-worker queues.
-    let chunk = num_tasks.div_ceil(jobs * CHUNKS_PER_WORKER).max(1);
-    let queues: Vec<Mutex<VecDeque<Range<usize>>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    let mut queue_high_water = vec![0u64; jobs];
-    for (i, start) in (0..num_tasks).step_by(chunk).enumerate() {
-        let w = i % jobs;
-        let mut q = lock(&queues[w]);
-        q.push_back(start..(start + chunk).min(num_tasks));
-        queue_high_water[w] = queue_high_water[w].max(q.len() as u64);
-    }
-
-    let per_worker: Vec<WorkerYield<T>> = std::thread::scope(|s| {
-        let handles: Vec<_> = (0..jobs)
-            .map(|w| {
-                let (queues, init, work) = (&queues, &init, &work);
-                s.spawn(move || {
-                    // One span for the worker's whole life; every task span
-                    // below nests under it (and under it, whatever the task
-                    // itself instruments), so the trace timeline shows each
-                    // worker as one lane of attributed work.
-                    let _worker = obs::span("par.worker");
-                    let mut state = init(w);
-                    let mut done: Vec<(usize, T)> = Vec::new();
-                    let (mut tasks, mut steals) = (0u64, 0u64);
-                    loop {
-                        // Own queue first (front = the hot end)…
-                        let mut grabbed = lock(&queues[w]).pop_front();
-                        let mut stolen = false;
-                        // …then scan the others and steal from the back.
-                        if grabbed.is_none() {
-                            for off in 1..queues.len() {
-                                let victim = (w + off) % queues.len();
-                                if let Some(r) = lock(&queues[victim]).pop_back() {
-                                    steals += 1;
-                                    stolen = true;
-                                    grabbed = Some(r);
-                                    break;
-                                }
-                            }
-                        }
-                        let Some(range) = grabbed else { break };
-                        for i in range {
-                            // Distinct names give the trace steal
-                            // attribution for free: a "par.task.stolen"
-                            // lane entry ran on a thief, not its dealer.
-                            let _task = obs::span(if stolen {
-                                "par.task.stolen"
-                            } else {
-                                "par.task"
-                            });
-                            done.push((i, work(&mut state, i)));
-                            tasks += 1;
-                        }
-                    }
-                    (done, tasks, steals)
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("pool worker panicked"))
-            .collect()
-    });
-
-    // Reassemble in input order: determinism by construction.
-    let mut slots: Vec<Option<T>> = (0..num_tasks).map(|_| None).collect();
-    let mut stats = PoolStats {
-        tasks: vec![0; jobs],
-        steals: vec![0; jobs],
-        queue_high_water,
-    };
-    for (w, (done, tasks, steals)) in per_worker.into_iter().enumerate() {
-        stats.tasks[w] = tasks;
-        stats.steals[w] = steals;
-        for (i, t) in done {
-            debug_assert!(slots[i].is_none(), "task {i} ran twice");
-            slots[i] = Some(t);
+    let jobs = jobs.clamp(1, num_tasks.max(1));
+    let cursor = AtomicUsize::new(0);
+    let worker = |w: usize| {
+        // One span for the worker's whole life; every task span (and all a
+        // task instruments) nests under it: one trace lane per worker.
+        let _worker = obs::span("par.worker");
+        let mut state = init(w);
+        let mut done: Vec<(usize, T)> = Vec::new();
+        loop {
+            // Relaxed: an index publishes no data; results come back through the join.
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= num_tasks {
+                return done;
+            }
+            let _task = obs::span("par.task");
+            done.push((i, work(&mut state, i)));
         }
-    }
-    let out = slots
-        .into_iter()
-        .map(|s| s.expect("every dealt chunk is executed exactly once"))
-        .collect();
-    flush_obs(&stats);
-    (out, stats)
-}
+    };
 
-/// One registry flush per pool run — workers keep local tallies so the
-/// task loop itself generates no registry traffic.
-fn flush_obs(stats: &PoolStats) {
+    let mut results: Vec<(usize, T)> = if jobs == 1 {
+        worker(0)
+    } else {
+        let worker = &worker;
+        std::thread::scope(|s| {
+            let handles: Vec<_> = (0..jobs).map(|w| s.spawn(move || worker(w))).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    // Every index was taken exactly once, so sorting restores input order.
+    results.sort_unstable_by_key(|&(i, _)| i);
+    debug_assert!(results.iter().enumerate().all(|(k, &(i, _))| k == i));
+
+    // One registry flush per pool run: the task loop itself generates no
+    // counter traffic.
     obs::counter_inc("par.pool.runs");
-    obs::counter_add("par.pool.tasks", stats.tasks.iter().sum());
-    obs::counter_add("par.pool.steals", stats.steals.iter().sum());
-    for &hw in &stats.queue_high_water {
-        obs::histogram_record("par.pool.queue_high_water", hw);
-    }
+    obs::counter_add("par.pool.tasks", num_tasks as u64);
+    results.into_iter().map(|(_, t)| t).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::sync::atomic::AtomicU64;
+    use std::time::Duration;
+
+    /// Tasks run by each worker, tallied from `(worker, task)` results
+    /// whose worker id came from the worker's `init` state.
+    fn tasks_per_worker(out: &[(usize, usize)]) -> Vec<u64> {
+        let mut tally = Vec::new();
+        for &(w, _) in out {
+            if tally.len() <= w {
+                tally.resize(w + 1, 0);
+            }
+            tally[w] += 1;
+        }
+        tally
+    }
 
     #[test]
     fn results_come_back_in_task_order() {
@@ -221,28 +117,46 @@ mod tests {
     #[test]
     fn every_task_runs_exactly_once() {
         let hits = AtomicU64::new(0);
-        let (out, stats) = run_scoped_with_stats(
+        let out = run_scoped(
             4,
             1000,
-            |_| (),
-            |(), i| {
+            |w| w,
+            |&mut w, i| {
                 hits.fetch_add(1, Ordering::Relaxed);
-                i
+                (w, i)
             },
         );
-        assert_eq!(out.len(), 1000);
         assert_eq!(hits.load(Ordering::Relaxed), 1000);
-        assert_eq!(stats.tasks.iter().sum::<u64>(), 1000);
-        assert_eq!(stats.tasks.len(), 4);
+        let order: Vec<usize> = out.iter().map(|&(_, i)| i).collect();
+        assert_eq!(order, (0..1000).collect::<Vec<_>>());
+        let tally = tasks_per_worker(&out);
+        assert_eq!(tally.iter().sum::<u64>(), 1000);
+        assert!(tally.len() <= 4, "worker ids are 0..jobs");
     }
 
     #[test]
     fn jobs_are_clamped_to_task_count() {
-        let (_, stats) = run_scoped_with_stats(16, 3, |_| (), |(), i| i);
-        assert!(stats.tasks.len() <= 3, "never more workers than tasks");
-        let (out, stats) = run_scoped_with_stats(0, 5, |_| (), |(), i| i);
-        assert_eq!(out, vec![0, 1, 2, 3, 4]);
-        assert_eq!(stats.tasks, vec![5], "jobs=0 degrades to inline");
+        let inits = AtomicUsize::new(0);
+        let init = |w| {
+            inits.fetch_add(1, Ordering::Relaxed);
+            w
+        };
+        let out = run_scoped(16, 3, init, |&mut w, i| (w, i));
+        assert_eq!(out.len(), 3);
+        assert!(
+            inits.load(Ordering::Relaxed) <= 3,
+            "never more workers than tasks"
+        );
+        assert!(tasks_per_worker(&out).len() <= 3);
+        inits.store(0, Ordering::Relaxed);
+        let out = run_scoped(0, 5, init, |&mut w, i| (w, i));
+        assert_eq!(out, (0..5).map(|i| (0, i)).collect::<Vec<_>>());
+        assert_eq!(
+            inits.load(Ordering::Relaxed),
+            1,
+            "jobs=0 degrades to inline"
+        );
+        assert_eq!(tasks_per_worker(&out), vec![5]);
     }
 
     #[test]
@@ -255,50 +169,94 @@ mod tests {
     fn init_runs_once_per_worker_and_state_is_private() {
         // Each worker counts its own tasks in its private state; the sum
         // over workers must cover everything with no double counting.
-        let (out, stats) = run_scoped_with_stats(
+        let inits = AtomicUsize::new(0);
+        let out = run_scoped(
             3,
             200,
-            |w| (w, 0u64),
+            |w| {
+                inits.fetch_add(1, Ordering::Relaxed);
+                (w, 0u64)
+            },
             |(w, count), i| {
                 *count += 1;
                 (*w, *count, i)
             },
         );
         assert_eq!(out.len(), 200);
-        let per_worker_max: Vec<u64> = (0..stats.tasks.len() as u64)
+        assert_eq!(inits.load(Ordering::Relaxed), 3, "one init per worker");
+        let pairs: Vec<(usize, usize)> = out.iter().map(|&(w, _, i)| (w, i)).collect();
+        let tally = tasks_per_worker(&pairs);
+        let per_worker_max: Vec<u64> = (0..tally.len())
             .map(|w| {
                 out.iter()
-                    .filter(|(ww, _, _)| *ww as u64 == w)
+                    .filter(|(ww, _, _)| *ww == w)
                     .map(|(_, c, _)| *c)
                     .max()
                     .unwrap_or(0)
             })
             .collect();
         assert_eq!(per_worker_max.iter().sum::<u64>(), 200);
-        assert_eq!(stats.tasks, per_worker_max);
+        assert_eq!(tally, per_worker_max);
     }
 
     #[test]
-    fn a_stalled_worker_gets_robbed() {
-        // Worker 0 sleeps on its first task; the other worker drains its
-        // own deal in microseconds and must then steal from worker 0's
-        // queue (which still holds undealt chunks).
-        let (out, stats) = run_scoped_with_stats(
+    fn a_stalled_worker_leaves_the_rest_to_the_other() {
+        // Task 0 sleeps 50 ms (in naps, until the rest are done, so a
+        // slow thread start cannot flake the test); meanwhile the other
+        // worker must take and run all 31 remaining tasks.
+        let finished = AtomicUsize::new(0);
+        let out = run_scoped(
             2,
             32,
-            |_| (),
-            |(), i| {
+            |w| w,
+            |&mut w, i| {
                 if i == 0 {
-                    std::thread::sleep(std::time::Duration::from_millis(50));
+                    for _ in 0..100 {
+                        std::thread::sleep(Duration::from_millis(50));
+                        if finished.load(Ordering::Relaxed) == 31 {
+                            break;
+                        }
+                    }
+                } else {
+                    finished.fetch_add(1, Ordering::Relaxed);
                 }
-                i
+                (w, i)
             },
         );
-        assert_eq!(out, (0..32).collect::<Vec<_>>());
-        assert!(
-            stats.steals.iter().sum::<u64>() >= 1,
-            "expected at least one steal, got {:?}",
-            stats.steals
+        assert_eq!(
+            out.iter().map(|&(_, i)| i).collect::<Vec<_>>(),
+            (0..32).collect::<Vec<_>>()
         );
+        let stalled = out[0].0;
+        let mut tally = tasks_per_worker(&out);
+        tally.resize(2, 0);
+        assert_eq!(tally[stalled], 1, "the stalled worker ran only task 0");
+        assert_eq!(tally[1 - stalled], 31, "the other worker ran the rest");
+    }
+
+    #[test]
+    fn a_panicking_task_propagates() {
+        for jobs in [1, 2] {
+            let got = catch_unwind(AssertUnwindSafe(|| {
+                run_scoped(
+                    jobs,
+                    32,
+                    |_| (),
+                    |(), i| {
+                        assert_ne!(i, 7, "planted panic");
+                        i
+                    },
+                )
+            }));
+            let payload = got.expect_err("a panicking task must not return a Vec");
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .unwrap_or_default();
+            assert!(
+                msg.contains("planted panic"),
+                "{jobs} jobs: payload {msg:?}"
+            );
+        }
     }
 }

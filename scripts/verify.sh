@@ -26,6 +26,11 @@ echo "== cargo test -q --offline --no-default-features (parallel) =="
 # The pool must stay deterministic with the obs counters compiled out.
 cargo test -q --offline --no-default-features -p hedgex --test parallel
 
+echo "== cargo test -q --offline --no-default-features -p hedgex-par (pool unit tests) =="
+# The pool's contract (task order, one init per worker, panic propagation)
+# holds with the obs spans and counters compiled out.
+cargo test -q --offline --no-default-features -p hedgex-par
+
 echo "== cargo test -q --offline --no-default-features (analysis properties) =="
 # Analysis verdicts and pruning equivalence must not depend on instrumentation.
 cargo test -q --offline --no-default-features -p hedgex --test analysis_props
@@ -137,6 +142,13 @@ echo "== E12 end-to-end benchmark (smoke mode) =="
 # above compiles it. The smoke run builds it against the workspace crates
 # and exits non-zero on any wrong answer in any of the four workloads.
 bash crates/bench/src/bin/e2e/run.sh --smoke
+
+echo "== E12 end-to-end benchmark unit tests =="
+# The smoke run only builds the package; its own tests check the oracles,
+# including that a planted wrong answer is caught. Built in the shared
+# target directory, as run.sh does, so nothing lands beside its sources.
+CARGO_TARGET_DIR="${CARGO_TARGET_DIR:-target}" \
+  cargo test -q --offline --manifest-path crates/bench/src/bin/e2e/Cargo.toml
 
 echo "== bench_compare: committed baseline schema =="
 # Every committed BENCH_*.json must parse and carry the report schema the

@@ -4,7 +4,7 @@
 //! thread-local parent stack plus the per-thread trace id — under that
 //! worker's own task span, never under another worker's, and the exported
 //! Chrome trace is well-formed JSON. Exercised at jobs ∈ {2, 7} over a
-//! 12-document corpus so both the dealt and the stolen paths occur.
+//! 12-document corpus taken from the pool's one shared task cursor.
 
 use std::collections::HashMap;
 use std::sync::Mutex;
@@ -21,7 +21,7 @@ fn lock() -> std::sync::MutexGuard<'static, ()> {
     TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-const TASK_SPANS: [&str; 2] = ["par.task", "par.task.stolen"];
+const TASK_SPANS: [&str; 1] = ["par.task"];
 
 /// Walk `record`'s parent chain; the nearest enclosing task span, if any.
 fn enclosing_task(by_id: &HashMap<u64, &obs::SpanRecord>, record: &obs::SpanRecord) -> Option<u64> {
@@ -39,7 +39,7 @@ fn enclosing_task(by_id: &HashMap<u64, &obs::SpanRecord>, record: &obs::SpanReco
 /// Run one parallel batch and assert attribution invariants. Returns how
 /// many distinct worker threads the task spans landed on — whether the
 /// pool actually fanned out is timing-dependent (a fast worker can drain
-/// every deque before its peers wake), so the caller retries on that,
+/// the cursor before its peers wake), so the caller retries on that,
 /// while the attribution invariants must hold on every single run.
 fn check_worker_attribution(jobs: usize, seed: u64) -> usize {
     obs::reset();
