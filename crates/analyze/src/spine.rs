@@ -39,9 +39,9 @@
 //! and only the innermost universal rule accepts it; everywhere else `⊤`
 //! letters are dead, so padding never loosens a sibling condition.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, Dfa, Nfa, Regex, StateId};
+use hedgex_automata::{in_edges, CharClass, Dfa, Nfa, Regex, StateId};
 use hedgex_core::mark_down::compile_to_dha;
 use hedgex_core::phr::{Phr, TripletId};
 use hedgex_core::Hre;
@@ -85,19 +85,9 @@ enum Mode<'a> {
 /// guard described in the module docs.
 fn explicit_nfa(dfa: &Dfa<HState>, p: u32) -> Nfa<HState> {
     let n = dfa.num_states();
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(n);
-    for s in 0..n as StateId {
-        let mut by_target: BTreeMap<StateId, Vec<HState>> = BTreeMap::new();
-        for q in 0..p {
-            by_target.entry(dfa.step(s, &q)).or_default().push(q);
-        }
-        trans.push(
-            by_target
-                .into_iter()
-                .map(|(t, letters)| (CharClass::of(letters), t))
-                .collect(),
-        );
-    }
+    let trans = (0..n as StateId)
+        .map(|s| in_edges((0..p).map(|q| (q, dfa.step(s, &q)))))
+        .collect();
     let accept = (0..n as StateId).map(|s| dfa.is_accepting(s)).collect();
     Nfa::from_raw(trans, vec![Vec::new(); n], dfa.start(), accept)
 }

@@ -16,6 +16,7 @@
 
 use std::collections::HashMap;
 
+use crate::kernel::Worklist;
 use crate::{DenseDfa, Dfa, StateId, Sym};
 
 /// A class of the equivalence (an interned product-DFA state).
@@ -55,56 +56,34 @@ impl<S: Sym> SaturatingClasses<S> {
             sym_idx.insert(s.clone(), i);
         }
 
-        let mut ids: HashMap<Vec<StateId>, ClassId> = HashMap::new();
-        let mut order: Vec<Vec<StateId>> = Vec::new();
-        let mut work: Vec<ClassId> = Vec::new();
-        let start_tuple: Vec<StateId> = dense.iter().map(|d| d.start()).collect();
-        ids.insert(start_tuple.clone(), 0);
-        order.push(start_tuple);
-        work.push(0);
-        let mut table: Vec<ClassId> = Vec::new();
-
-        while let Some(c) = work.pop() {
-            let tuple = order[c as usize].clone();
-            if table.len() < order.len() * width {
-                table.resize(order.len() * width, 0);
-            }
-            for i in 0..width {
-                // Every member DenseDfa is compiled against the same
-                // alphabet, so column `i` means the same symbol in all of
-                // them (and column `nsyms` is everyone's co-finite edge).
-                let next: Vec<StateId> = dense
-                    .iter()
-                    .zip(&tuple)
-                    .map(|(d, &q)| d.step_idx(q, i))
-                    .collect();
-                let fresh = order.len() as ClassId;
-                let id = *ids.entry(next.clone()).or_insert_with(|| {
-                    order.push(next);
-                    work.push(fresh);
-                    fresh
-                });
-                table[c as usize * width + i] = id;
-            }
-        }
-        if table.len() < order.len() * width {
-            table.resize(order.len() * width, 0);
-        }
+        let mut tuples = Worklist::new();
+        let start = tuples.intern(dense.iter().map(|d| d.start()).collect::<Vec<StateId>>());
+        let rows = tuples.explore(|tuples, _, tuple| {
+            // Every member DenseDfa is compiled against the same alphabet,
+            // so column `i` means the same symbol in all of them (and
+            // column `nsyms` is everyone's co-finite edge).
+            (0..width)
+                .map(|i| {
+                    let next = dense.iter().zip(tuple).map(|(d, &q)| d.step_idx(q, i));
+                    tuples.intern(next.collect())
+                })
+                .collect::<Vec<ClassId>>()
+        });
+        let table = rows.concat();
 
         let nlangs = langs.len();
-        let mut accept = vec![false; order.len() * nlangs];
-        for (c, tuple) in order.iter().enumerate() {
-            for (j, d) in dense.iter().enumerate() {
-                accept[c * nlangs + j] = d.is_accepting(tuple[j]);
-            }
-        }
+        let accept = tuples
+            .keys()
+            .iter()
+            .flat_map(|tuple| dense.iter().zip(tuple).map(|(d, &q)| d.is_accepting(q)))
+            .collect();
         SaturatingClasses {
             alphabet: alphabet.to_vec(),
             sym_idx,
             table,
             accept,
             nlangs,
-            start: 0,
+            start,
         }
     }
 

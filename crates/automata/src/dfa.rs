@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
+use crate::kernel::{reach, row, Worklist};
 use crate::{CharClass, Nfa, StateId, Sym};
 
 /// Boolean combination applied to acceptance in a product construction.
@@ -108,107 +109,41 @@ impl<S: Sym> Dfa<S> {
     /// Subset construction from an NFA. The result is total (a sink subset —
     /// possibly the empty set — is materialized as an ordinary state).
     pub fn from_nfa(nfa: &Nfa<S>) -> Dfa<S> {
-        let mut subsets: HashMap<Vec<StateId>, StateId> = HashMap::new();
-        let mut order: Vec<Vec<StateId>> = Vec::new();
-        let mut intern = |set: Vec<StateId>,
-                          order: &mut Vec<Vec<StateId>>,
-                          work: &mut Vec<StateId>|
-         -> StateId {
-            if let Some(&id) = subsets.get(&set) {
-                return id;
-            }
-            let id = order.len() as StateId;
-            subsets.insert(set.clone(), id);
-            order.push(set);
-            work.push(id);
-            id
-        };
-
-        let mut work: Vec<StateId> = Vec::new();
-        let start_set = nfa.eps_closure(&[nfa.start()]);
-        let mut trans: Vec<Vec<(CharClass<S>, StateId)>> = Vec::new();
-        let mut accept: Vec<bool> = Vec::new();
-        let start = intern(start_set, &mut order, &mut work);
-
-        while let Some(id) = work.pop() {
-            let subset = order[id as usize].clone();
-            // Support of all outgoing labels from this subset.
-            let mut support: BTreeSet<S> = BTreeSet::new();
-            for &q in &subset {
-                for (c, _) in nfa.transitions(q) {
-                    support.extend(c.mentioned().cloned());
-                }
-            }
-            // Group mentioned symbols by target subset.
-            let mut by_target: BTreeMap<Vec<StateId>, Vec<S>> = BTreeMap::new();
-            for s in &support {
-                let mut moved: BTreeSet<StateId> = BTreeSet::new();
-                for &q in &subset {
-                    for (c, t) in nfa.transitions(q) {
-                        if c.contains(s) {
-                            moved.insert(*t);
-                        }
-                    }
-                }
-                let closed = nfa.eps_closure(&moved.into_iter().collect::<Vec<_>>());
-                by_target.entry(closed).or_default().push(s.clone());
-            }
-            // Co-finite region: transitions whose label is co-finite.
-            let mut cof_moved: BTreeSet<StateId> = BTreeSet::new();
-            for &q in &subset {
-                for (c, t) in nfa.transitions(q) {
-                    if c.contains_cofinite() {
-                        cof_moved.insert(*t);
-                    }
-                }
-            }
-            let cof_target = nfa.eps_closure(&cof_moved.into_iter().collect::<Vec<_>>());
-
-            let mut edges: Vec<(CharClass<S>, StateId)> = Vec::new();
-            for (target, syms) in by_target {
-                // Merge the finite group into the co-finite edge when they
-                // agree, keeping edge counts low.
-                if target == cof_target {
-                    continue;
-                }
-                let tid = intern(target, &mut order, &mut work);
-                edges.push((CharClass::of(syms), tid));
-            }
-            let covered: BTreeSet<S> = edges
+        // The ε-closed set of targets of the edges out of `subset` whose
+        // label `fires`.
+        let moved = |subset: &[StateId], fires: &dyn Fn(&CharClass<S>) -> bool| {
+            let targets: BTreeSet<StateId> = subset
                 .iter()
+                .flat_map(|&q| nfa.transitions(q))
+                .filter(|(c, _)| fires(c))
+                .map(|(_, t)| *t)
+                .collect();
+            nfa.eps_closure(&targets.into_iter().collect::<Vec<_>>())
+        };
+        let mut subsets = Worklist::new();
+        let start = subsets.intern(nfa.eps_closure(&[nfa.start()]));
+        let trans = subsets.explore(|subsets, _, subset: &Vec<StateId>| {
+            // Support of all outgoing labels from this subset.
+            let support: BTreeSet<S> = subset
+                .iter()
+                .flat_map(|&q| nfa.transitions(q))
                 .flat_map(|(c, _)| c.mentioned().cloned())
                 .collect();
-            // Everything not covered by a finite edge — including all fresh
-            // symbols — goes to the co-finite target.
-            let cof_id = intern(cof_target, &mut order, &mut work);
-            let mut rest: BTreeSet<S> = support;
-            rest.retain(|s| covered.contains(s));
-            edges.push((CharClass::NotIn(rest), cof_id));
-
-            if trans.len() <= id as usize {
-                trans.resize(id as usize + 1, Vec::new());
-                accept.resize(id as usize + 1, false);
-            }
-            trans[id as usize] = edges;
-            accept[id as usize] = order[id as usize].iter().any(|&q| nfa.is_accepting(q));
-        }
-        // Work items may have been interned after their row slot was sized;
-        // ensure every state has a row (states pushed last).
-        if trans.len() < order.len() {
-            trans.resize(order.len(), Vec::new());
-            accept.resize(order.len(), false);
-        }
-        // Any state that somehow kept an empty row (unreachable under the
-        // worklist, but belt-and-braces) becomes a sink.
-        for (q, row) in trans.iter_mut().enumerate() {
-            if row.is_empty() {
-                row.push((CharClass::any(), q as StateId));
-            }
-        }
-        // Recompute acceptance for rows resized late.
-        for (q, set) in order.iter().enumerate() {
-            accept[q] = set.iter().any(|&s| nfa.is_accepting(s));
-        }
+            // Everything without a finite edge of its own — including all
+            // fresh symbols — goes to the co-finite target; a mentioned
+            // symbol bound there too rides on that edge.
+            let cof = subsets.intern(moved(subset, &|c| c.contains_cofinite()));
+            let letters = support.into_iter().map(|s| {
+                let t = subsets.intern(moved(subset, &|c| c.contains(&s)));
+                (s, t)
+            });
+            row(letters.filter(|&(_, t)| t != cof), cof)
+        });
+        let accept = subsets
+            .keys()
+            .iter()
+            .map(|set| set.iter().any(|&q| nfa.is_accepting(q)))
+            .collect();
         Dfa {
             trans,
             start,
@@ -218,48 +153,25 @@ impl<S: Sym> Dfa<S> {
 
     /// Product construction over reachable state pairs.
     pub fn product(&self, other: &Dfa<S>, op: ProductOp) -> Dfa<S> {
-        let mut ids: HashMap<(StateId, StateId), StateId> = HashMap::new();
-        let mut order: Vec<(StateId, StateId)> = Vec::new();
-        let mut work: Vec<StateId> = Vec::new();
-        let mut intern = |pair: (StateId, StateId),
-                          order: &mut Vec<(StateId, StateId)>,
-                          work: &mut Vec<StateId>|
-         -> StateId {
-            *ids.entry(pair).or_insert_with(|| {
-                let id = order.len() as StateId;
-                order.push(pair);
-                work.push(id);
-                id
-            })
-        };
-        let start = intern((self.start, other.start), &mut order, &mut work);
-        let mut trans: Vec<Vec<(CharClass<S>, StateId)>> = Vec::new();
-        let mut accept: Vec<bool> = Vec::new();
-        while let Some(id) = work.pop() {
-            let (qa, qb) = order[id as usize];
+        let mut pairs = Worklist::new();
+        let start = pairs.intern((self.start, other.start));
+        let trans = pairs.explore(|pairs, _, &(qa, qb)| {
             let mut edges: Vec<(CharClass<S>, StateId)> = Vec::new();
             for (ca, ta) in &self.trans[qa as usize] {
                 for (cb, tb) in &other.trans[qb as usize] {
                     let c = ca.intersect(cb);
                     if !c.is_empty() {
-                        let tid = intern((*ta, *tb), &mut order, &mut work);
-                        edges.push((c, tid));
+                        edges.push((c, pairs.intern((*ta, *tb))));
                     }
                 }
             }
-            if trans.len() < order.len() {
-                trans.resize(order.len(), Vec::new());
-                accept.resize(order.len(), false);
-            }
-            trans[id as usize] = edges;
-        }
-        if trans.len() < order.len() {
-            trans.resize(order.len(), Vec::new());
-            accept.resize(order.len(), false);
-        }
-        for (id, (qa, qb)) in order.iter().enumerate() {
-            accept[id] = op.apply(self.accept[*qa as usize], other.accept[*qb as usize]);
-        }
+            edges
+        });
+        let accept = pairs
+            .keys()
+            .iter()
+            .map(|&(qa, qb)| op.apply(self.accept[qa as usize], other.accept[qb as usize]))
+            .collect();
         Dfa {
             trans,
             start,
@@ -293,21 +205,13 @@ impl<S: Sym> Dfa<S> {
 
     /// Is the accepted language empty?
     pub fn is_empty_lang(&self) -> bool {
-        let mut seen = vec![false; self.num_states()];
-        let mut stack = vec![self.start];
-        seen[self.start as usize] = true;
-        while let Some(q) = stack.pop() {
-            if self.accept[q as usize] {
-                return false;
-            }
-            for (c, t) in &self.trans[q as usize] {
-                if !c.is_empty() && !seen[*t as usize] {
-                    seen[*t as usize] = true;
-                    stack.push(*t);
-                }
-            }
-        }
-        true
+        let live = reach(self.num_states(), [self.start], |q| {
+            self.trans[q as usize]
+                .iter()
+                .filter(|(c, _)| !c.is_empty())
+                .map(|(_, t)| *t)
+        });
+        !live.iter().zip(&self.accept).any(|(&r, &a)| r && a)
     }
 
     /// Do two automata accept the same language?

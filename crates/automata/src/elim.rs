@@ -7,6 +7,7 @@
 
 use std::collections::HashMap;
 
+use crate::kernel::coreach;
 use crate::{Dfa, Regex, StateId, Sym};
 
 /// Convert a DFA into an equivalent regular expression.
@@ -19,30 +20,12 @@ use crate::{Dfa, Regex, StateId, Sym};
 pub fn dfa_to_regex<S: Sym>(dfa: &Dfa<S>) -> Regex<S> {
     let n = dfa.num_states();
     // States that can reach an accepting state.
-    let mut live = vec![false; n];
-    {
-        // Reverse reachability from accepting states.
-        let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); n];
-        for q in 0..n as StateId {
-            for (c, t) in dfa.transitions(q) {
-                if !c.is_empty() {
-                    rev[*t as usize].push(q);
-                }
-            }
-        }
-        let mut stack: Vec<StateId> = (0..n as StateId).filter(|&q| dfa.is_accepting(q)).collect();
-        for &q in &stack {
-            live[q as usize] = true;
-        }
-        while let Some(q) = stack.pop() {
-            for &p in &rev[q as usize] {
-                if !live[p as usize] {
-                    live[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-    }
+    let live = coreach(n, (0..n as StateId).filter(|&q| dfa.is_accepting(q)), |q| {
+        dfa.transitions(q)
+            .iter()
+            .filter(|(c, _)| !c.is_empty())
+            .map(|(_, t)| *t)
+    });
     if !live[dfa.start() as usize] {
         return Regex::Empty;
     }

@@ -31,6 +31,9 @@
 //!   Theorem 4: one product DFA that simultaneously tracks a family of
 //!   regular sets, whose states *are* the equivalence classes and which
 //!   saturates every member language by construction.
+//! * [`kernel`] — the loops every construction above and in the hedge
+//!   automata layer is built from: the [`Worklist`] of subset and product
+//!   states, the [`row`] builder, and [`reach`]/[`coreach`].
 
 #![forbid(unsafe_code)]
 
@@ -39,6 +42,7 @@ pub mod classes;
 pub mod dense;
 pub mod dfa;
 pub mod elim;
+pub mod kernel;
 pub mod nfa;
 pub mod regex;
 
@@ -47,6 +51,7 @@ pub use classes::SaturatingClasses;
 pub use dense::DenseDfa;
 pub use dfa::{Dfa, ProductOp};
 pub use elim::dfa_to_regex;
+pub use kernel::{coreach, in_edges, reach, row, Worklist};
 pub use nfa::Nfa;
 pub use regex::Regex;
 

@@ -6,6 +6,7 @@
 
 use std::collections::BTreeSet;
 
+use crate::kernel::reach;
 use crate::{CharClass, Dfa, Regex, StateId, Sym};
 
 /// An NFA with ε-moves, a single start state, and a set of accepting states.
@@ -286,28 +287,13 @@ impl<S: Sym> Nfa<S> {
 
     /// Is the accepted language empty?
     pub fn is_empty_lang(&self) -> bool {
-        // BFS over states reachable through non-empty labels.
-        let mut seen = vec![false; self.trans.len()];
-        let mut stack = vec![self.start];
-        seen[self.start as usize] = true;
-        while let Some(q) = stack.pop() {
-            if self.accept[q as usize] {
-                return false;
-            }
-            for &t in &self.eps[q as usize] {
-                if !seen[t as usize] {
-                    seen[t as usize] = true;
-                    stack.push(t);
-                }
-            }
-            for (c, t) in &self.trans[q as usize] {
-                if !c.is_empty() && !seen[*t as usize] {
-                    seen[*t as usize] = true;
-                    stack.push(*t);
-                }
-            }
-        }
-        true
+        // Reachability through ε-moves and non-empty labels.
+        let live = reach(self.trans.len(), [self.start], |q| {
+            let labelled = self.trans[q as usize].iter().filter(|(c, _)| !c.is_empty());
+            let eps = self.eps[q as usize].iter().copied();
+            labelled.map(|(_, t)| *t).chain(eps)
+        });
+        !live.iter().zip(&self.accept).any(|(&r, &a)| r && a)
     }
 
     /// All symbols mentioned by any label (the label support). The co-finite

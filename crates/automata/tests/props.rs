@@ -3,7 +3,7 @@
 //! NFA membership. Runs on `hedgex-testkit`'s shrinking `forall`; a failure
 //! prints a `HEDGEX_SEED` that replays it.
 
-use hedgex_automata::{dfa_to_regex, CharClass, Nfa, Regex};
+use hedgex_automata::{coreach, dfa_to_regex, reach, CharClass, Nfa, Regex, StateId, Worklist};
 use hedgex_testkit::prop::{shrink_u64, shrink_vec};
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, zip3, Config, Gen, Rng};
 
@@ -231,8 +231,10 @@ fn emptiness_consistent() {
         Config::with_cases(CASES),
         &arb_regex(),
         |re| {
-            let dfa = Nfa::from_regex(re).to_dfa();
+            let nfa = Nfa::from_regex(re);
+            let dfa = nfa.to_dfa();
             let empty = dfa.is_empty_lang();
+            prop_assert_eq!(nfa.is_empty_lang(), empty);
             match dfa.shortest_word() {
                 Some(w) => {
                     prop_assert!(!empty);
@@ -282,6 +284,122 @@ fn dense_agrees() {
             let dfa = Nfa::from_regex(re).to_dfa();
             let dense = hedgex_automata::DenseDfa::compile(&dfa, &[0, 1, 2]);
             prop_assert_eq!(dfa.accepts(w), dense.accepts(w));
+            Ok(())
+        },
+    );
+}
+
+/// A random directed graph on `0..n` with a seed set.
+#[derive(Debug, Clone)]
+struct Graph {
+    succ: Vec<Vec<StateId>>,
+    seeds: Vec<StateId>,
+}
+
+fn arb_graph() -> Gen<Graph> {
+    Gen::new(|rng| {
+        let n = rng.random_range(1..12u32);
+        let succ = (0..n)
+            .map(|_| {
+                let out = rng.random_range(0..4usize);
+                (0..out).map(|_| rng.random_range(0..n)).collect()
+            })
+            .collect();
+        let seeds = (0..rng.random_range(0..3usize))
+            .map(|_| rng.random_range(0..n))
+            .collect();
+        Graph { succ, seeds }
+    })
+}
+
+/// `closure[s][t]`: is `t` reachable from `s` in zero or more steps?
+fn transitive_closure(g: &Graph) -> Vec<Vec<bool>> {
+    let n = g.succ.len();
+    let mut closure = vec![vec![false; n]; n];
+    for (s, out) in g.succ.iter().enumerate() {
+        closure[s][s] = true;
+        for &t in out {
+            closure[s][t as usize] = true;
+        }
+    }
+    for k in 0..n {
+        for s in 0..n {
+            for t in 0..n {
+                closure[s][t] |= closure[s][k] && closure[k][t];
+            }
+        }
+    }
+    closure
+}
+
+/// `reach` and `coreach` agree with a brute-force transitive closure.
+#[test]
+fn reach_and_coreach_match_transitive_closure() {
+    forall(
+        "reach_and_coreach_match_transitive_closure",
+        Config::with_cases(CASES),
+        &arb_graph(),
+        |g| {
+            let n = g.succ.len();
+            let closure = transitive_closure(g);
+            let seeds = g.seeds.iter().copied();
+            let succ = |q: StateId| g.succ[q as usize].iter().copied();
+            let fwd = reach(n, seeds.clone(), succ);
+            let back = coreach(n, seeds, succ);
+            for q in 0..n {
+                let from_seed = g.seeds.iter().any(|&s| closure[s as usize][q]);
+                let to_seed = g.seeds.iter().any(|&s| closure[q][s as usize]);
+                prop_assert_eq!(fwd[q], from_seed, "reach at {q}");
+                prop_assert_eq!(back[q], to_seed, "coreach at {q}");
+            }
+            Ok(())
+        },
+    );
+}
+
+/// `Worklist` ids are dense, in order of first interning, stable under
+/// re-interning, and `explore` expands each id exactly once.
+#[test]
+fn worklist_ids_are_dense_and_stable() {
+    let keys = Gen::new(|rng| {
+        let len = rng.random_range(0..20usize);
+        (0..len)
+            .map(|_| rng.random_range(0..8u8))
+            .collect::<Vec<u8>>()
+    })
+    .with_shrink(|v: &Vec<u8>| shrink_vec(v, |_| Vec::new()));
+    forall(
+        "worklist_ids_are_dense_and_stable",
+        Config::with_cases(CASES),
+        &keys,
+        |keys| {
+            let mut wl: Worklist<u8> = Worklist::new();
+            let mut first: Vec<u8> = Vec::new();
+            for &k in keys {
+                if !first.contains(&k) {
+                    first.push(k);
+                }
+                let id = wl.intern(k);
+                prop_assert_eq!(first[id as usize], k, "id {id} of key {k}");
+            }
+            prop_assert_eq!(wl.keys(), &first[..]);
+            for (id, &k) in first.iter().enumerate() {
+                prop_assert_eq!(wl.intern(k), id as StateId);
+                prop_assert_eq!(wl.get(&k), Some(id as StateId));
+            }
+            // Each key k leads to k + 1 (mod 8): exploring closes the cycle.
+            let mut visits = vec![0u32; 8];
+            let rows = wl.explore(|wl, id, &k| {
+                visits[id as usize] += 1;
+                wl.intern((k + 1) % 8)
+            });
+            let n = if keys.is_empty() { 0 } else { 8 };
+            prop_assert_eq!(wl.len(), n);
+            prop_assert_eq!(rows.len(), n);
+            prop_assert!(visits[..n].iter().all(|&v| v == 1), "visits {visits:?}");
+            for (id, &next) in rows.iter().enumerate() {
+                prop_assert_eq!(wl.keys()[next as usize], (wl.keys()[id] + 1) % 8);
+            }
             Ok(())
         },
     );

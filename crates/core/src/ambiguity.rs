@@ -22,9 +22,9 @@
 //! below); the automaton is ambiguous iff the product accepts with the bit
 //! set somewhere at the top level.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
-use hedgex_automata::StateId;
+use hedgex_automata::{StateId, Worklist};
 use hedgex_ha::{HState, Nha};
 
 use crate::compile::compile_hre;
@@ -39,20 +39,13 @@ pub fn hre_is_ambiguous(e: &Hre) -> bool {
 /// Does some hedge admit two distinct accepting computations?
 pub fn nha_is_ambiguous(nha: &Nha) -> bool {
     // ---- Flagged pair states: (q1, q2, diverged) interned. -------------
-    let mut ids: HashMap<(HState, HState, bool), u32> = HashMap::new();
-    let mut pairs: Vec<(HState, HState, bool)> = Vec::new();
-    let mut intern = |p: (HState, HState, bool), pairs: &mut Vec<(HState, HState, bool)>| -> u32 {
-        *ids.entry(p).or_insert_with(|| {
-            pairs.push(p);
-            (pairs.len() - 1) as u32
-        })
-    };
+    let mut pairs: Worklist<(HState, HState, bool)> = Worklist::new();
 
     // Leaves: every pair of ι-states for the same leaf.
     for (_, qs) in nha.iotas() {
         for &q1 in qs {
             for &q2 in qs {
-                intern((q1, q2, q1 != q2), &mut pairs);
+                pairs.intern((q1, q2, q1 != q2));
             }
         }
     }
@@ -68,24 +61,16 @@ pub fn nha_is_ambiguous(nha: &Nha) -> bool {
                 for (d2, r2) in rules {
                     // Joint exploration: (d1 state, d2 state, any child
                     // diverged so far).
-                    let mut seen: BTreeSet<(StateId, StateId, bool)> = BTreeSet::new();
-                    let start = (d1.start(), d2.start(), false);
-                    let mut work = vec![start];
-                    seen.insert(start);
-                    while let Some((s1, s2, fl)) = work.pop() {
+                    let mut joint = Worklist::new();
+                    joint.intern((d1.start(), d2.start(), false));
+                    joint.explore(|joint, _, &(s1, s2, fl): &(StateId, StateId, bool)| {
                         if d1.is_accepting(s1) && d2.is_accepting(s2) {
-                            intern((*r1, *r2, fl || r1 != r2), &mut pairs);
+                            pairs.intern((*r1, *r2, fl || r1 != r2));
                         }
-                        let snapshot = pairs.len();
-                        #[allow(clippy::needless_range_loop)] // interning mutates the vec
-                        for i in 0..snapshot {
-                            let (q1, q2, pf) = pairs[i];
-                            let next = (d1.step(s1, &q1), d2.step(s2, &q2), fl || pf);
-                            if seen.insert(next) {
-                                work.push(next);
-                            }
+                        for &(q1, q2, pf) in pairs.keys() {
+                            joint.intern((d1.step(s1, &q1), d2.step(s2, &q2), fl || pf));
                         }
-                    }
+                    });
                 }
             }
         }
@@ -93,58 +78,43 @@ pub fn nha_is_ambiguous(nha: &Nha) -> bool {
             break;
         }
     }
+    let pairs = pairs.into_keys();
 
     // ---- Top level: ∃ word of producible pairs, flagged somewhere, both
     // projections accepted by F. -----------------------------------------
     let f = nha.finals();
     // Product-of-two-copies reachability with a flag bit.
-    let mut seen: BTreeSet<(Vec<StateId>, Vec<StateId>, bool)> = BTreeSet::new();
-    let start = (
-        f.eps_closure(&[f.start()]),
-        f.eps_closure(&[f.start()]),
-        false,
-    );
-    let mut work = vec![start.clone()];
-    seen.insert(start);
-    while let Some((s1, s2, fl)) = work.pop() {
+    let moved = |set: &[StateId], q: HState| -> Vec<StateId> {
+        let targets: BTreeSet<StateId> = set
+            .iter()
+            .flat_map(|&s| f.transitions(s))
+            .filter(|(c, _)| c.contains(&q))
+            .map(|(_, t)| *t)
+            .collect();
+        targets.into_iter().collect()
+    };
+    let mut states = Worklist::new();
+    let start = f.eps_closure(&[f.start()]);
+    states.intern((start.clone(), start, false));
+    let mut ambiguous = false;
+    states.explore(|states, _, (s1, s2, fl)| {
         // Subset simulation is exact for run *existence*: each copy i reads
         // its own projection of the word, and an accepting member in the
         // final subset witnesses an accepting run.
-        if fl && s1.iter().any(|&s| f.is_accepting(s)) && s2.iter().any(|&s| f.is_accepting(s)) {
-            return true;
+        let accepts = |set: &[StateId]| set.iter().any(|&s| f.is_accepting(s));
+        ambiguous |= *fl && accepts(s1) && accepts(s2);
+        if ambiguous {
+            return; // drain the frontier without expanding it
         }
         // One step by each producible pair.
         for &(q1, q2, pf) in &pairs {
-            let mut m1 = BTreeSet::new();
-            for &s in &s1 {
-                for (c, t) in f.transitions(s) {
-                    if c.contains(&q1) {
-                        m1.insert(*t);
-                    }
-                }
-            }
-            let mut m2 = BTreeSet::new();
-            for &s in &s2 {
-                for (c, t) in f.transitions(s) {
-                    if c.contains(&q2) {
-                        m2.insert(*t);
-                    }
-                }
-            }
-            if m1.is_empty() || m2.is_empty() {
-                continue;
-            }
-            let next = (
-                f.eps_closure(&m1.into_iter().collect::<Vec<_>>()),
-                f.eps_closure(&m2.into_iter().collect::<Vec<_>>()),
-                fl || pf,
-            );
-            if seen.insert(next.clone()) {
-                work.push(next);
+            let (m1, m2) = (moved(s1, q1), moved(s2, q2));
+            if !m1.is_empty() && !m2.is_empty() {
+                states.intern((f.eps_closure(&m1), f.eps_closure(&m2), *fl || pf));
             }
         }
-    }
-    false
+    });
+    ambiguous
 }
 
 /// Count the accepting computations of `nha` on a small hedge by explicit

@@ -16,9 +16,9 @@
 //!   theorem, needed when the marking must exist *as an automaton* (schema
 //!   transformation).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, Dfa, Nfa, Regex, StateId};
+use hedgex_automata::{row, Dfa, Nfa, Regex, StateId, Worklist};
 use hedgex_ha::dha::HorizFn;
 use hedgex_ha::{determinize, Dha, HState, Leaf};
 use hedgex_hedge::flat::FlatLabel;
@@ -105,62 +105,25 @@ impl MarkDown {
             let hf = base.horiz(a);
             // Joint automaton over doubled symbols: (horizontal state of a,
             // F-state); reading (q, m) steps both by q.
-            let mut ids: HashMap<(u32, StateId), StateId> = HashMap::new();
-            let mut order: Vec<(u32, StateId)> = Vec::new();
-            let mut work: Vec<StateId> = Vec::new();
-            let mut intern = |p: (u32, StateId),
-                              order: &mut Vec<(u32, StateId)>,
-                              work: &mut Vec<StateId>|
-             -> StateId {
-                *ids.entry(p).or_insert_with(|| {
-                    order.push(p);
-                    work.push((order.len() - 1) as StateId);
-                    (order.len() - 1) as StateId
-                })
-            };
-            let hf_start = hf.map_or(0, |h| h.start());
-            let start = intern((hf_start, f.start()), &mut order, &mut work);
-            let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::new();
-            while let Some(id) = work.pop() {
-                let (hs, fs) = order[id as usize];
-                let mut by_target: BTreeMap<(u32, StateId), Vec<HState>> = BTreeMap::new();
-                for d in 0..num_states {
+            let mut joint = Worklist::new();
+            let start = joint.intern((hf.map_or(0, |h| h.start()), f.start()));
+            let trans = joint.explore(|joint, id, &(hs, fs): &(u32, StateId)| {
+                let letters = (0..num_states).map(|d| {
                     let q = d >> 1;
                     let next_h = hf.map_or(hs, |hfn| hfn.step(hs, q));
-                    by_target
-                        .entry((next_h, f.step(fs, &q)))
-                        .or_default()
-                        .push(d);
-                }
-                let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-                let mut covered: BTreeSet<HState> = BTreeSet::new();
-                for (tgt, syms) in by_target {
-                    let tid = intern(tgt, &mut order, &mut work);
-                    covered.extend(syms.iter().copied());
-                    edges.push((CharClass::of(syms), tid));
-                }
-                edges.push((CharClass::NotIn(covered), id));
-                if trans.len() < order.len() {
-                    trans.resize(order.len(), Vec::new());
-                }
-                trans[id as usize] = edges;
-            }
-            if trans.len() < order.len() {
-                trans.resize(order.len(), Vec::new());
-            }
-            for (q, row) in trans.iter_mut().enumerate() {
-                if row.is_empty() {
-                    row.push((CharClass::any(), q as StateId));
-                }
-            }
-            let labels: Vec<HState> = order
+                    (d, joint.intern((next_h, f.step(fs, &q))))
+                });
+                row(letters, id)
+            });
+            let labels: Vec<HState> = joint
+                .keys()
                 .iter()
                 .map(|&(hs, fs)| {
                     let r = hf.map_or(base.sink(), |hfn| hfn.result(hs));
                     r * 2 + u32::from(f.is_accepting(fs))
                 })
                 .collect();
-            let accept = vec![false; order.len()];
+            let accept = vec![false; labels.len()];
             let dfa = Dfa::from_parts(trans, start, accept);
             horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
         }

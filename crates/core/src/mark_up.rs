@@ -23,9 +23,9 @@
 //!   state.
 //! * Marked states are `(q, s, a)` with `s ∈ S_fin`.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::HashMap;
 
-use hedgex_automata::{CharClass, Dfa, Nfa, StateId};
+use hedgex_automata::{in_edges, row, CharClass, Dfa, Nfa, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{FlatHedge, NodeId, SymId};
@@ -204,27 +204,17 @@ impl MarkUp {
 /// proof, `h(q) = ({q} × S × Σ) ∪ {(q, ⊥)}`).
 fn lift_by_projection(dfa: &Dfa<HState>, nq: HState, ids_by_q: &[Vec<HState>]) -> Dfa<HState> {
     let n = dfa.num_states();
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(n);
-    for st in 0..n as StateId {
-        let mut by_target: BTreeMap<StateId, Vec<HState>> = BTreeMap::new();
-        for q in 0..nq {
-            let t = dfa.step(st, &q);
-            by_target
-                .entry(t)
-                .or_default()
-                .extend(ids_by_q[q as usize].iter().copied());
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: std::collections::BTreeSet<HState> = std::collections::BTreeSet::new();
-        for (t, ids) in by_target {
-            covered.extend(ids.iter().copied());
-            edges.push((CharClass::of(ids), t));
-        }
-        // Ids outside the lift (none, since ids_by_q covers all) and fresh
-        // symbols follow the co-finite edge of the base DFA.
-        edges.push((CharClass::NotIn(covered), dfa.step_cofinite(st)));
-        trans.push(edges);
-    }
+    let trans = (0..n as StateId)
+        .map(|st| {
+            let letters = (0..nq).flat_map(|q| {
+                let t = dfa.step(st, &q);
+                ids_by_q[q as usize].iter().map(move |&id| (id, t))
+            });
+            // Ids outside the lift (none, since ids_by_q covers all) and
+            // fresh symbols follow the co-finite edge of the base DFA.
+            row(letters, dfa.step_cofinite(st))
+        })
+        .collect();
     let accept: Vec<bool> = (0..n as StateId).map(|s| dfa.is_accepting(s)).collect();
     Dfa::from_parts(trans, dfa.start(), accept)
 }
@@ -253,16 +243,13 @@ fn bad_children_nfa(
     let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = vec![Vec::new(); total];
     let mut accept = vec![false; total];
 
+    // The class step of every id's M-projection.
+    let proj_q = &proj_q;
+    let class_step = |c: u32| (0..num_states).map(move |id| (id, phr.classes.step(c, &proj_q(id))));
     // Phase-1 transitions: group ids by M-projection's class step.
     for c in 0..ncl {
-        let mut by_next: BTreeMap<u32, Vec<HState>> = BTreeMap::new();
-        for id in 0..num_states {
-            let q = proj_q(id);
-            by_next.entry(phr.classes.step(c, &q)).or_default().push(id);
-        }
-        for (next, ids) in by_next {
-            trans[p1(c) as usize].push((CharClass::of(ids), p1(next)));
-        }
+        let letters = class_step(c).map(|(id, next)| (id, p1(next)));
+        trans[p1(c) as usize].extend(in_edges(letters));
         // Middle transitions: a violating child, for each guessed C2.
         for c2 in 0..ncl {
             let mut bad_ids: Vec<HState> = Vec::new();
@@ -283,14 +270,8 @@ fn bad_children_nfa(
     for c in 0..ncl {
         for c2 in 0..ncl {
             let st = p2(c, c2);
-            let mut by_next: BTreeMap<u32, Vec<HState>> = BTreeMap::new();
-            for id in 0..num_states {
-                let q = proj_q(id);
-                by_next.entry(phr.classes.step(c, &q)).or_default().push(id);
-            }
-            for (next, ids) in by_next {
-                trans[st as usize].push((CharClass::of(ids), p2(next, c2)));
-            }
+            let letters = class_step(c).map(|(id, next)| (id, p2(next, c2)));
+            trans[st as usize].extend(in_edges(letters));
             accept[st as usize] = c == c2;
         }
     }

@@ -23,7 +23,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
+use hedgex_automata::{coreach, reach, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
@@ -220,29 +220,10 @@ impl CompiledPath {
         }
         let row = |q: usize| &table[q * width..(q + 1) * width];
         let accept: Vec<bool> = (0..n as StateId).map(|q| dfa.is_accepting(q)).collect();
-        // Backward closure of the accepting states.
-        let mut live = accept.clone();
-        let mut grew = true;
-        while grew {
-            grew = false;
-            for q in 0..n {
-                if !live[q] && row(q).iter().any(|&t| live[t as usize]) {
-                    live[q] = true;
-                    grew = true;
-                }
-            }
-        }
-        let mut reached = vec![false; n];
-        reached[dfa.start() as usize] = true;
-        let mut todo = vec![dfa.start()];
-        while let Some(q) = todo.pop() {
-            for &t in row(q as usize) {
-                if !reached[t as usize] {
-                    reached[t as usize] = true;
-                    todo.push(t);
-                }
-            }
-        }
+        let succ = |q: StateId| row(q as usize).iter().copied();
+        let accepting = (0..n as StateId).filter(|&q| accept[q as usize]);
+        let live = coreach(n, accepting, succ);
+        let reached = reach(n, [dfa.start()], succ);
         let accepts_on = |col: usize| (0..n).any(|q| reached[q] && accept[row(q)[col] as usize]);
         let match_syms = (!accepts_on(width - 1)).then(|| {
             (0..width - 1)

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{Nfa, SaturatingClasses, StateId};
+use hedgex_automata::{coreach, Nfa, SaturatingClasses, StateId, Worklist};
 use hedgex_ha::product::product_many;
 use hedgex_ha::{determinize, reduce_dha, Dha, HState};
 use hedgex_hedge::SymId;
@@ -475,61 +475,30 @@ impl Engine {
 
         // Subset-construct N over the closed signature alphabet.
         let width = sigs.len();
-        let mut states: HashMap<Vec<StateId>, u32> = HashMap::new();
-        let mut order: Vec<Vec<StateId>> = Vec::new();
-        let mut work: Vec<u32> = Vec::new();
-        let start_set = n_nfa.eps_closure(&[n_nfa.start()]);
-        states.insert(start_set.clone(), 0);
-        order.push(start_set);
-        work.push(0);
-        let mut n_table: Vec<u32> = Vec::new();
-        while let Some(id) = work.pop() {
-            if n_table.len() < order.len() * width {
-                n_table.resize(order.len() * width, 0);
-            }
-            // Take-and-restore instead of clone: `states` (not `order`)
-            // deduplicates, so the emptied slot cannot be re-interned.
-            let cur = std::mem::take(&mut order[id as usize]);
-            for (j, &sig) in sigs.iter().enumerate() {
-                let next = move_set(&n_nfa, &cur, sig);
-                let fresh = order.len() as u32;
-                let tid = *states.entry(next.clone()).or_insert_with(|| {
-                    order.push(next);
-                    work.push(fresh);
-                    fresh
-                });
-                n_table[id as usize * width + j] = tid;
-            }
-            order[id as usize] = cur;
-        }
-        if n_table.len() < order.len() * width {
-            n_table.resize(order.len() * width, 0);
-        }
-        let n_accept: Vec<bool> = order
+        let mut subsets = Worklist::new();
+        subsets.intern(n_nfa.eps_closure(&[n_nfa.start()]));
+        let rows = subsets.explore(|subsets, _, cur: &Vec<StateId>| {
+            sigs.iter()
+                .map(|&sig| subsets.intern(move_set(&n_nfa, cur, sig)))
+                .collect::<Vec<u32>>()
+        });
+        let n_table = rows.concat();
+        let n_accept: Vec<bool> = subsets
+            .keys()
             .iter()
             .map(|set| set.iter().any(|&q| n_nfa.is_accepting(q)))
             .collect();
 
-        // Liveness: backward reachability of acceptance over the dense
-        // table. A fixpoint pass is O(states² · width) in the worst case —
-        // compile-time noise next to the determinizations above.
-        let mut n_live = n_accept.clone();
-        loop {
-            let mut changed = false;
-            for s in 0..n_live.len() {
-                if !n_live[s]
-                    && n_table[s * width..(s + 1) * width]
-                        .iter()
-                        .any(|&t| n_live[t as usize])
-                {
-                    n_live[s] = true;
-                    changed = true;
-                }
-            }
-            if !changed {
-                break;
-            }
-        }
+        // Liveness: one backward search from acceptance over the table.
+        let n_live = coreach(
+            n_accept.len(),
+            (0..n_accept.len() as u32).filter(|&s| n_accept[s as usize]),
+            |s| {
+                n_table[s as usize * width..(s as usize + 1) * width]
+                    .iter()
+                    .copied()
+            },
+        );
 
         Engine {
             ncl,

@@ -12,6 +12,7 @@
 
 use std::collections::VecDeque;
 
+use hedgex_automata::{coreach, reach, CharClass, StateId};
 use hedgex_hedge::{Hedge, Tree};
 
 use crate::dha::Dha;
@@ -32,23 +33,14 @@ pub fn inhabited(dha: &Dha) -> Vec<bool> {
                 .horiz(a)
                 .expect("symbols() only yields declared symbols");
             // Horizontal states reachable reading inhabited letters.
-            let mut seen = vec![false; hf.num_classes()];
-            let mut queue = VecDeque::from([hf.start()]);
-            seen[hf.start() as usize] = true;
-            while let Some(h) = queue.pop_front() {
+            let seen = reach(hf.num_classes(), [hf.start()], |h| {
+                letters(&inh).map(move |q| hf.step(h, q))
+            });
+            for h in (0..seen.len() as u32).filter(|&h| seen[h as usize]) {
                 let r = hf.result(h) as usize;
                 if !inh[r] {
                     inh[r] = true;
                     changed = true;
-                }
-                for q in 0..dha.num_states() {
-                    if inh[q as usize] {
-                        let h2 = hf.step(h, q);
-                        if !seen[h2 as usize] {
-                            seen[h2 as usize] = true;
-                            queue.push_back(h2);
-                        }
-                    }
                 }
             }
         }
@@ -57,6 +49,49 @@ pub fn inhabited(dha: &Dha) -> Vec<bool> {
         }
     }
     inh
+}
+
+/// The letters `q` with `on[q]`.
+fn letters(on: &[bool]) -> impl Iterator<Item = HState> + '_ {
+    (0..on.len() as HState).filter(|&q| on[q as usize])
+}
+
+/// The letters among `on` that occur in some word over `on` taking a total
+/// automaton on states `0..m` from `start` to a state in `goal`: those on
+/// an edge from a reachable state to a co-reachable one.
+fn live_letters(
+    m: usize,
+    start: StateId,
+    goal: impl Fn(StateId) -> bool,
+    on: &[bool],
+    step: impl Fn(StateId, HState) -> StateId,
+) -> Vec<bool> {
+    let step = &step;
+    let succ = |s: StateId| letters(on).map(move |q| step(s, q));
+    let fwd = reach(m, [start], succ);
+    let back = coreach(m, (0..m as StateId).filter(|&s| goal(s)), succ);
+    let mut live = vec![false; on.len()];
+    for s in (0..m as StateId).filter(|&s| fwd[s as usize]) {
+        for q in letters(on) {
+            if back[step(s, q) as usize] {
+                live[q as usize] = true;
+            }
+        }
+    }
+    live
+}
+
+/// The top level of [`useful`]: the states that occur in some word over
+/// inhabited states (`inh`) that `F` accepts.
+pub(crate) fn top_level_useful(dha: &Dha, inh: &[bool]) -> Vec<bool> {
+    let f = dha.finals();
+    live_letters(
+        f.num_states(),
+        f.start(),
+        |s| f.is_accepting(s),
+        inh,
+        |s, q| f.step(s, &q),
+    )
 }
 
 /// A witness hedge per state: `witnesses(d)[q]` is a hedge whose single
@@ -173,67 +208,10 @@ pub fn is_empty(dha: &Dha) -> bool {
 /// `useful[q]` implies `inhabited[q]`; additionally some accepted hedge's
 /// computation assigns `q` to some node.
 pub fn useful(dha: &Dha) -> Vec<bool> {
-    let n = dha.num_states() as usize;
     let inh = inhabited(dha);
-    let mut useful = vec![false; n];
-
     // Top level: q is useful if F accepts some word ...q... with every
-    // letter inhabited. Forward-reachable × can-reach-accept on F's DFA.
-    let f = dha.finals();
-    let fwd = {
-        let mut seen = vec![false; f.num_states()];
-        let mut queue = VecDeque::from([f.start()]);
-        seen[f.start() as usize] = true;
-        while let Some(s) = queue.pop_front() {
-            for q in 0..dha.num_states() {
-                if inh[q as usize] {
-                    let t = f.step(s, &q);
-                    if !seen[t as usize] {
-                        seen[t as usize] = true;
-                        queue.push_back(t);
-                    }
-                }
-            }
-        }
-        seen
-    };
-    let back = {
-        // Can-reach-accept via inhabited letters: reverse BFS.
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); f.num_states()];
-        for s in 0..f.num_states() as u32 {
-            for q in 0..dha.num_states() {
-                if inh[q as usize] {
-                    rev[f.step(s, &q) as usize].push(s);
-                }
-            }
-        }
-        let mut seen = vec![false; f.num_states()];
-        let mut queue: VecDeque<u32> = (0..f.num_states() as u32)
-            .filter(|&s| f.is_accepting(s))
-            .collect();
-        for &s in &queue {
-            seen[s as usize] = true;
-        }
-        while let Some(s) = queue.pop_front() {
-            for &p in &rev[s as usize] {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    queue.push_back(p);
-                }
-            }
-        }
-        seen
-    };
-    for s in 0..f.num_states() as u32 {
-        if !fwd[s as usize] {
-            continue;
-        }
-        for q in 0..dha.num_states() {
-            if inh[q as usize] && back[f.step(s, &q) as usize] {
-                useful[q as usize] = true;
-            }
-        }
-    }
+    // letter inhabited.
+    let mut useful = top_level_useful(dha, &inh);
 
     // Downward closure: if α(a, …)'s result is useful, every letter of a
     // word reaching an accepting-for-that-result horizontal state is useful.
@@ -242,65 +220,32 @@ pub fn useful(dha: &Dha) -> Vec<bool> {
         let mut changed = false;
         for &a in &symbols {
             let hf = dha.horiz(a).expect("declared");
-            let m = hf.num_classes();
-            // Forward-reachable horizontal states (inhabited letters only).
-            let mut fwd_h = vec![false; m];
-            let mut queue = VecDeque::from([hf.start()]);
-            fwd_h[hf.start() as usize] = true;
-            while let Some(h) = queue.pop_front() {
-                for q in 0..dha.num_states() {
-                    if inh[q as usize] {
-                        let h2 = hf.step(h, q);
-                        if !fwd_h[h2 as usize] {
-                            fwd_h[h2 as usize] = true;
-                            queue.push_back(h2);
-                        }
-                    }
-                }
-            }
-            // Horizontal states from which a useful-result state is
-            // reachable (inhabited letters), including themselves.
-            let mut back_h = vec![false; m];
-            let mut rev: Vec<Vec<u32>> = vec![Vec::new(); m];
-            for h in 0..m as u32 {
-                for q in 0..dha.num_states() {
-                    if inh[q as usize] {
-                        rev[hf.step(h, q) as usize].push(h);
-                    }
-                }
-            }
-            let mut queue: VecDeque<u32> = (0..m as u32)
-                .filter(|&h| useful[hf.result(h) as usize])
-                .collect();
-            for &h in &queue {
-                back_h[h as usize] = true;
-            }
-            while let Some(h) = queue.pop_front() {
-                for &p in &rev[h as usize] {
-                    if !back_h[p as usize] {
-                        back_h[p as usize] = true;
-                        queue.push_back(p);
-                    }
-                }
-            }
-            // Every inhabited letter on a fwd→back edge is useful.
-            for h in 0..m as u32 {
-                if !fwd_h[h as usize] {
-                    continue;
-                }
-                for q in 0..dha.num_states() {
-                    if inh[q as usize] && !useful[q as usize] && back_h[hf.step(h, q) as usize] {
-                        useful[q as usize] = true;
-                        changed = true;
-                    }
-                }
-            }
+            let live = live_letters(
+                hf.num_classes(),
+                hf.start(),
+                |h| useful[hf.result(h) as usize],
+                &inh,
+                |h, q| hf.step(h, q),
+            );
+            changed |= absorb(&mut useful, &live);
         }
         if !changed {
             break;
         }
     }
     useful
+}
+
+/// `into |= from`, elementwise; did `into` grow?
+fn absorb(into: &mut [bool], from: &[bool]) -> bool {
+    let mut grew = false;
+    for (u, &l) in into.iter_mut().zip(from) {
+        if l && !*u {
+            *u = true;
+            grew = true;
+        }
+    }
+    grew
 }
 
 /// Which NHA states are inhabited (producible at some node by some
@@ -322,25 +267,11 @@ pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
                     continue;
                 }
                 // Does dfa accept some word over inhabited letters?
-                let mut seen = vec![false; dfa.num_states()];
-                let mut stack = vec![dfa.start()];
-                seen[dfa.start() as usize] = true;
-                let mut hit = false;
-                while let Some(s) = stack.pop() {
-                    if dfa.is_accepting(s) {
-                        hit = true;
-                        break;
-                    }
-                    for l in 0..nha.num_states() {
-                        if inh[l as usize] {
-                            let t = dfa.step(s, &l);
-                            if !seen[t as usize] {
-                                seen[t as usize] = true;
-                                stack.push(t);
-                            }
-                        }
-                    }
-                }
+                let seen = reach(dfa.num_states(), [dfa.start()], |s| {
+                    letters(&inh).map(move |l| dfa.step(s, &l))
+                });
+                let hit =
+                    (0..seen.len() as StateId).any(|s| seen[s as usize] && dfa.is_accepting(s));
                 if hit {
                     inh[*q as usize] = true;
                     changed = true;
@@ -363,68 +294,24 @@ pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
     let inh = nha_inhabited(nha);
     let mut useful = vec![false; n];
 
-    // Top level: letters on fwd→back edges of F's NFA (inhabited only).
+    // Top level: letters on fwd→back edges of F's NFA (inhabited only),
+    // with ε-moves as edges in both searches.
     let f = nha.finals();
-    let fwd = {
-        let mut seen = vec![false; f.num_states()];
-        let mut stack: Vec<u32> = f.eps_closure(&[f.start()]);
-        for &s in &stack {
-            seen[s as usize] = true;
-        }
-        while let Some(s) = stack.pop() {
-            for (c, t) in f.transitions(s) {
-                if (0..nha.num_states()).any(|q| inh[q as usize] && c.contains(&q)) {
-                    for u in f.eps_closure(&[*t]) {
-                        if !seen[u as usize] {
-                            seen[u as usize] = true;
-                            stack.push(u);
-                        }
-                    }
-                }
-            }
-        }
-        seen
+    let fires = |c: &CharClass<HState>| letters(&inh).any(|q| c.contains(&q));
+    let succ = |s: StateId| {
+        let labelled = f.transitions(s).iter().filter(|(c, _)| fires(c));
+        labelled
+            .map(|(_, t)| *t)
+            .chain(f.eps_transitions(s).iter().copied())
     };
-    let back = {
-        let mut seen = vec![false; f.num_states()];
-        let mut stack: Vec<u32> = (0..f.num_states() as u32)
-            .filter(|&s| f.is_accepting(s))
-            .collect();
-        for &s in &stack {
-            seen[s as usize] = true;
-        }
-        // Reverse edges (labelled with an inhabited letter, or ε).
-        let mut rev: Vec<Vec<u32>> = vec![Vec::new(); f.num_states()];
-        for s in 0..f.num_states() as u32 {
-            for (c, t) in f.transitions(s) {
-                if (0..nha.num_states()).any(|q| inh[q as usize] && c.contains(&q)) {
-                    rev[*t as usize].push(s);
-                }
-            }
-            for &t in f.eps_transitions(s) {
-                rev[t as usize].push(s);
-            }
-        }
-        while let Some(s) = stack.pop() {
-            for &p in &rev[s as usize] {
-                if !seen[p as usize] {
-                    seen[p as usize] = true;
-                    stack.push(p);
-                }
-            }
-        }
-        seen
-    };
-    for s in 0..f.num_states() as u32 {
-        if !fwd[s as usize] {
-            continue;
-        }
+    let m = f.num_states();
+    let fwd = reach(m, f.eps_closure(&[f.start()]), succ);
+    let back = coreach(m, (0..m as StateId).filter(|&s| f.is_accepting(s)), succ);
+    for s in (0..m as StateId).filter(|&s| fwd[s as usize]) {
         for (c, t) in f.transitions(s) {
             if back[*t as usize] {
-                for q in 0..nha.num_states() {
-                    if inh[q as usize] && c.contains(&q) {
-                        useful[q as usize] = true;
-                    }
+                for q in letters(&inh).filter(|q| c.contains(q)) {
+                    useful[q as usize] = true;
                 }
             }
         }
@@ -439,56 +326,14 @@ pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
                 if !useful[*r as usize] {
                     continue;
                 }
-                let m = dfa.num_states();
-                let mut fwd_d = vec![false; m];
-                let mut stack = vec![dfa.start()];
-                fwd_d[dfa.start() as usize] = true;
-                while let Some(s) = stack.pop() {
-                    for q in 0..nha.num_states() {
-                        if inh[q as usize] {
-                            let t = dfa.step(s, &q);
-                            if !fwd_d[t as usize] {
-                                fwd_d[t as usize] = true;
-                                stack.push(t);
-                            }
-                        }
-                    }
-                }
-                let mut back_d = vec![false; m];
-                let mut rev: Vec<Vec<u32>> = vec![Vec::new(); m];
-                for s in 0..m as u32 {
-                    for q in 0..nha.num_states() {
-                        if inh[q as usize] {
-                            rev[dfa.step(s, &q) as usize].push(s);
-                        }
-                    }
-                }
-                let mut stack: Vec<u32> = (0..m as u32).filter(|&s| dfa.is_accepting(s)).collect();
-                for &s in &stack {
-                    back_d[s as usize] = true;
-                }
-                while let Some(s) = stack.pop() {
-                    for &p in &rev[s as usize] {
-                        if !back_d[p as usize] {
-                            back_d[p as usize] = true;
-                            stack.push(p);
-                        }
-                    }
-                }
-                for s in 0..m as u32 {
-                    if !fwd_d[s as usize] {
-                        continue;
-                    }
-                    for q in 0..nha.num_states() {
-                        if inh[q as usize]
-                            && !useful[q as usize]
-                            && back_d[dfa.step(s, &q) as usize]
-                        {
-                            useful[q as usize] = true;
-                            changed = true;
-                        }
-                    }
-                }
+                let live = live_letters(
+                    dfa.num_states(),
+                    dfa.start(),
+                    |s| dfa.is_accepting(s),
+                    &inh,
+                    |s, q| dfa.step(s, &q),
+                );
+                changed |= absorb(&mut useful, &live);
             }
         }
         if !changed {

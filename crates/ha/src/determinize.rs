@@ -17,9 +17,9 @@
 //! (experiment E2) measures both the blow-up family and the tame typical
 //! case.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, Dfa, StateId};
+use hedgex_automata::{row, Dfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
@@ -89,21 +89,13 @@ pub fn determinize(nha: &Nha) -> Determinized {
     let _span = obs::span("ha.determinize");
     let nha_states = nha.num_states() as u64;
     // Interned subsets. Id 0 is the empty subset (the sink).
-    let mut ids: HashMap<BTreeSet<HState>, HState> = HashMap::new();
-    let mut subsets: Vec<BTreeSet<HState>> = Vec::new();
-    let mut intern = |set: BTreeSet<HState>, subsets: &mut Vec<BTreeSet<HState>>| -> HState {
-        *ids.entry(set.clone()).or_insert_with(|| {
-            subsets.push(set);
-            (subsets.len() - 1) as HState
-        })
-    };
-    intern(BTreeSet::new(), &mut subsets);
+    let mut subsets: Worklist<BTreeSet<HState>> = Worklist::new();
+    subsets.intern(BTreeSet::new());
 
     // Leaf subsets.
     let mut iota: HashMap<Leaf, HState> = HashMap::new();
     for (leaf, qs) in nha.iotas() {
-        let set: BTreeSet<HState> = qs.iter().copied().collect();
-        iota.insert(leaf, intern(set, &mut subsets));
+        iota.insert(leaf, subsets.intern(qs.iter().copied().collect()));
     }
 
     let combined: Vec<(SymId, Combined)> = nha
@@ -125,24 +117,18 @@ pub fn determinize(nha: &Nha) -> Determinized {
         rounds += 1;
         let before = subsets.len();
         for (_, comb) in &combined {
-            // BFS over lifted states, reading any currently-known subset.
-            let mut seen: BTreeSet<Lifted> = BTreeSet::new();
-            let mut work = vec![comb.initial()];
-            seen.insert(comb.initial());
-            while let Some(cur) = work.pop() {
-                max_frontier = max_frontier.max(seen.len() as u64);
-                let res = comb.results(&cur);
-                intern(res, &mut subsets);
-                // Read every currently-known subset; ones interned later in
-                // this BFS are picked up by the outer fixpoint. Nothing
-                // mutates `subsets` inside this loop, so no snapshot copy.
-                for subset in &subsets {
-                    let next = comb.step(&cur, subset);
-                    if seen.insert(next.clone()) {
-                        work.push(next);
-                    }
+            // Explore the lifted states, reading any currently-known
+            // subset; ones interned later in this search are picked up by
+            // the outer fixpoint.
+            let mut lifted = Worklist::new();
+            lifted.intern(comb.initial());
+            lifted.explore(|lifted, _, cur| {
+                max_frontier = max_frontier.max(lifted.len() as u64);
+                subsets.intern(comb.results(cur));
+                for subset in subsets.keys() {
+                    lifted.intern(comb.step(cur, subset));
                 }
-            }
+            });
         }
         if subsets.len() == before {
             break;
@@ -154,15 +140,13 @@ pub fn determinize(nha: &Nha) -> Determinized {
     // Build each symbol's horizontal function against the final subset list.
     let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
     for (a, comb) in &combined {
-        let (dfa, labels) = lift_to_dfa(comb, &subsets, &mut |set| {
-            *ids.get(set).expect("fixpoint interned every result subset")
-        });
+        let (dfa, labels) = lift_to_dfa(comb, &subsets);
         horiz.insert(*a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
     }
 
     // Lift F: the determinized automaton accepts iff some word drawn from
     // the per-root subsets is accepted by the NHA's F.
-    let finals = lift_finals(nha, &subsets);
+    let finals = lift_finals(nha, subsets.keys());
 
     obs::counter_inc("ha.determinize.calls");
     obs::counter_add("ha.determinize.nha_states", nha_states);
@@ -180,7 +164,7 @@ pub fn determinize(nha: &Nha) -> Determinized {
 
     Determinized {
         dha: Dha::from_parts(num_states, 0, iota, horiz, finals),
-        subsets,
+        subsets: subsets.into_keys(),
     }
 }
 
@@ -189,70 +173,30 @@ pub fn determinize(nha: &Nha) -> Determinized {
 /// (a subset id) per DFA state.
 fn lift_to_dfa(
     comb: &Combined,
-    subsets: &[BTreeSet<HState>],
-    lookup: &mut impl FnMut(&BTreeSet<HState>) -> HState,
+    subsets: &Worklist<BTreeSet<HState>>,
 ) -> (Dfa<HState>, Vec<HState>) {
-    let mut ids: HashMap<Lifted, StateId> = HashMap::new();
-    let mut order: Vec<Lifted> = Vec::new();
-    let mut work: Vec<StateId> = Vec::new();
-    let mut intern = |l: Lifted, order: &mut Vec<Lifted>, work: &mut Vec<StateId>| -> StateId {
-        *ids.entry(l.clone()).or_insert_with(|| {
-            order.push(l);
-            work.push((order.len() - 1) as StateId);
-            (order.len() - 1) as StateId
-        })
-    };
-    let start = intern(comb.initial(), &mut order, &mut work);
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::new();
-    while let Some(id) = work.pop() {
-        // Take `cur` out instead of cloning: `intern` may push to `order`
-        // below, and `ids` (not `order`) is what deduplicates, so the
-        // temporarily-empty slot cannot be re-interned. Restored at the end.
-        let cur = std::mem::take(&mut order[id as usize]);
-        // Group subset-symbols by target lifted state.
-        let mut by_target: BTreeMap<Vec<(StateId, Vec<StateId>)>, Vec<HState>> = BTreeMap::new();
-        let mut targets: HashMap<HState, Lifted> = HashMap::new();
-        for (i, subset) in subsets.iter().enumerate() {
-            let next = comb.step(&cur, subset);
-            // Key by a canonical encoding for grouping.
-            let key: Vec<(StateId, Vec<StateId>)> = next
-                .iter()
-                .enumerate()
-                .map(|(j, s)| (j as StateId, s.iter().copied().collect()))
-                .collect();
-            by_target.entry(key).or_default().push(i as HState);
-            targets.insert(i as HState, next);
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: BTreeSet<HState> = BTreeSet::new();
-        for (_, syms) in by_target {
-            // Each subset-symbol lands in exactly one group, so its target
-            // can be moved out rather than cloned.
-            let tgt = targets.remove(&syms[0]).expect("every symbol has a target");
-            let tid = intern(tgt, &mut order, &mut work);
-            covered.extend(syms.iter().copied());
-            edges.push((CharClass::of(syms), tid));
-        }
+    let mut lifted = Worklist::new();
+    let start = lifted.intern(comb.initial());
+    let trans = lifted.explore(|lifted, _, cur| {
         // Out-of-alphabet symbols dead-end into the empty lifted state.
-        let dead: Lifted = comb.rules.iter().map(|_| BTreeSet::new()).collect();
-        let dead_id = intern(dead, &mut order, &mut work);
-        edges.push((CharClass::NotIn(covered), dead_id));
-        if trans.len() < order.len() {
-            trans.resize(order.len(), Vec::new());
-        }
-        trans[id as usize] = edges;
-        order[id as usize] = cur;
-    }
-    if trans.len() < order.len() {
-        trans.resize(order.len(), Vec::new());
-    }
-    for (q, row) in trans.iter_mut().enumerate() {
-        if row.is_empty() {
-            row.push((CharClass::any(), q as StateId));
-        }
-    }
-    let labels: Vec<HState> = order.iter().map(|l| lookup(&comb.results(l))).collect();
-    let accept = vec![false; order.len()]; // acceptance is irrelevant here
+        let dead = lifted.intern(comb.rules.iter().map(|_| BTreeSet::new()).collect());
+        let letters = subsets.keys().iter().enumerate();
+        row(
+            letters.map(|(i, subset)| (i as HState, lifted.intern(comb.step(cur, subset)))),
+            dead,
+        )
+    });
+    let labels: Vec<HState> = lifted
+        .keys()
+        .iter()
+        .map(|l| {
+            let res = comb.results(l);
+            subsets
+                .get(&res)
+                .expect("fixpoint interned every result subset")
+        })
+        .collect();
+    let accept = vec![false; labels.len()]; // acceptance is irrelevant here
     (Dfa::from_parts(trans, start, accept), labels)
 }
 
@@ -260,27 +204,13 @@ fn lift_to_dfa(
 /// subsets is accepted iff some choice of representatives is accepted by F.
 fn lift_finals(nha: &Nha, subsets: &[BTreeSet<HState>]) -> Dfa<HState> {
     let f = nha.finals();
-    let mut ids: HashMap<Vec<StateId>, StateId> = HashMap::new();
-    let mut order: Vec<Vec<StateId>> = Vec::new();
-    let mut work: Vec<StateId> = Vec::new();
-    let mut intern =
-        |set: Vec<StateId>, order: &mut Vec<Vec<StateId>>, work: &mut Vec<StateId>| -> StateId {
-            *ids.entry(set.clone()).or_insert_with(|| {
-                order.push(set);
-                work.push((order.len() - 1) as StateId);
-                (order.len() - 1) as StateId
-            })
-        };
-    let start = intern(f.eps_closure(&[f.start()]), &mut order, &mut work);
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::new();
-    while let Some(id) = work.pop() {
-        // Same take-and-restore as `lift_to_dfa`: `ids` deduplicates, so the
-        // emptied slot is never re-interned while we hold its contents.
-        let cur = std::mem::take(&mut order[id as usize]);
-        let mut by_target: BTreeMap<Vec<StateId>, Vec<HState>> = BTreeMap::new();
-        for (i, subset) in subsets.iter().enumerate() {
+    let mut sets = Worklist::new();
+    let start = sets.intern(f.eps_closure(&[f.start()]));
+    let trans = sets.explore(|sets, _, cur: &Vec<StateId>| {
+        let dead = sets.intern(Vec::new());
+        let letters = subsets.iter().enumerate().map(|(i, subset)| {
             let mut moved: BTreeSet<StateId> = BTreeSet::new();
-            for &s in &cur {
+            for &s in cur {
                 for (c, t) in f.transitions(s) {
                     if subset.iter().any(|q| c.contains(q)) {
                         moved.insert(*t);
@@ -288,32 +218,12 @@ fn lift_finals(nha: &Nha, subsets: &[BTreeSet<HState>]) -> Dfa<HState> {
                 }
             }
             let closed = f.eps_closure(&moved.into_iter().collect::<Vec<_>>());
-            by_target.entry(closed).or_default().push(i as HState);
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: BTreeSet<HState> = BTreeSet::new();
-        for (tgt, syms) in by_target {
-            let tid = intern(tgt, &mut order, &mut work);
-            covered.extend(syms.iter().copied());
-            edges.push((CharClass::of(syms), tid));
-        }
-        let dead_id = intern(Vec::new(), &mut order, &mut work);
-        edges.push((CharClass::NotIn(covered), dead_id));
-        if trans.len() < order.len() {
-            trans.resize(order.len(), Vec::new());
-        }
-        trans[id as usize] = edges;
-        order[id as usize] = cur;
-    }
-    if trans.len() < order.len() {
-        trans.resize(order.len(), Vec::new());
-    }
-    for (q, row) in trans.iter_mut().enumerate() {
-        if row.is_empty() {
-            row.push((CharClass::any(), q as StateId));
-        }
-    }
-    let accept: Vec<bool> = order
+            (i as HState, sets.intern(closed))
+        });
+        row(letters, dead)
+    });
+    let accept: Vec<bool> = sets
+        .keys()
         .iter()
         .map(|set| set.iter().any(|&s| f.is_accepting(s)))
         .collect();

@@ -8,7 +8,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{DenseDfa, Dfa, Nfa, Regex, SaturatingClasses};
+use hedgex_automata::{row, DenseDfa, Dfa, Nfa, Regex, SaturatingClasses};
 use hedgex_hedge::{FlatHedge, Hedge, SubId, SymId, Tree};
 
 use crate::types::{HState, Leaf};
@@ -126,28 +126,14 @@ impl HorizFn {
     /// The inverse image `α⁻¹(a, q)` as a total symbolic DFA over the state
     /// alphabet: accepts exactly the words `w` with `α(a, w) = q`.
     pub fn inverse(&self, q: HState) -> Dfa<HState> {
-        use hedgex_automata::CharClass;
-        let n = self.num_classes();
-        let mut trans = Vec::with_capacity(n);
-        for h in 0..n as u32 {
-            let mut by_target: std::collections::BTreeMap<u32, Vec<HState>> =
-                std::collections::BTreeMap::new();
-            for s in 0..self.nsyms as HState {
-                by_target.entry(self.step(h, s)).or_default().push(s);
-            }
-            let cof = self.table[h as usize * (self.nsyms + 1) + self.nsyms];
-            let mut edges: Vec<(CharClass<HState>, hedgex_automata::StateId)> = Vec::new();
-            let mut covered: std::collections::BTreeSet<HState> = std::collections::BTreeSet::new();
-            for (tgt, syms) in by_target {
-                if tgt == cof {
-                    continue; // folded into the co-finite edge
-                }
-                covered.extend(syms.iter().copied());
-                edges.push((CharClass::of(syms), tgt));
-            }
-            edges.push((CharClass::NotIn(covered), cof));
-            trans.push(edges);
-        }
+        let trans = (0..self.num_classes() as u32)
+            .map(|h| {
+                // Letters bound for the co-finite target ride on its edge.
+                let cof = self.step(h, u32::MAX);
+                let letters = (0..self.nsyms as HState).map(|s| (s, self.step(h, s)));
+                row(letters.filter(|&(_, t)| t != cof), cof)
+            })
+            .collect();
         let accept: Vec<bool> = self.result.iter().map(|&r| r == q).collect();
         Dfa::from_parts(trans, self.start, accept)
     }

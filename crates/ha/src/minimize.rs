@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{CharClass, Dfa, StateId};
+use hedgex_automata::{row, Dfa, StateId};
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
@@ -42,16 +42,12 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
     // DFA state, stepping by q1 and by q2 lands in language-equal states.
     // `state_blocks` are Moore blocks of the DFA's own states given an
     // output function.
-    fn dfa_state_blocks(
-        dfa: &Dfa<HState>,
-        nq: usize,
-        letter_block: &[u32],
-        out: &dyn Fn(StateId) -> u32,
-    ) -> Vec<u32> {
+    // Refinement runs against *all* letters, not the current letter blocks:
+    // that is what makes it sound.
+    fn dfa_state_blocks(dfa: &Dfa<HState>, nq: usize, out: &dyn Fn(StateId) -> u32) -> Vec<u32> {
         let m = dfa.num_states();
         let mut block: Vec<u32> = (0..m as StateId).map(&out).collect();
         canonicalize(&mut block);
-        let _ = letter_block; // soundness: refine against *all* letters
         loop {
             let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
             let mut next = vec![0u32; m];
@@ -88,7 +84,7 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
 
         // 1. Behaviour as letters of F.
         let f = dha.finals();
-        let fb = dfa_state_blocks(f, n, &letter_block, &|s| u32::from(f.is_accepting(s)));
+        let fb = dfa_state_blocks(f, n, &|s| u32::from(f.is_accepting(s)));
         for q in 0..n {
             for s in 0..f.num_states() as StateId {
                 sigs[q].push(fb[f.step(s, &(q as HState)) as usize]);
@@ -99,10 +95,8 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
         // horizontal states are compared by (result block, successors).
         for &a in &symbols {
             let hf = dha.horiz(a).expect("declared");
-            let hdfa = horiz_as_dfa(hf, n);
-            let hb = dfa_state_blocks(&hdfa, n, &letter_block, &|h| {
-                letter_block[hf.result(h) as usize]
-            });
+            let hdfa = horiz_as_dfa(hf);
+            let hb = dfa_state_blocks(&hdfa, n, &|h| letter_block[hf.result(h) as usize]);
             for q in 0..n {
                 for h in 0..hf.num_classes() as u32 {
                     sigs[q].push(hb[hf.step(h, q as HState) as usize]);
@@ -141,10 +135,9 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
 
 /// Reconstruct a symbolic DFA view of a horizontal function so the shared
 /// refinement code can walk it.
-fn horiz_as_dfa(hf: &HorizFn, nq: usize) -> Dfa<HState> {
+fn horiz_as_dfa(hf: &HorizFn) -> Dfa<HState> {
     // `inverse` against an arbitrary result gives the right transition
     // structure; acceptance is unused by the refinement.
-    let _ = nq;
     hf.inverse(u32::MAX)
 }
 
@@ -158,6 +151,20 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
     }
     let sink = map[dha.sink() as usize];
 
+    // One representative state per block: the new letter `b` steps like
+    // any state of block `b`.
+    let mut rep_of_block: Vec<HState> = vec![0; nblocks];
+    for q in (0..dha.num_states()).rev() {
+        rep_of_block[block[q as usize] as usize] = q;
+    }
+    let letters = |step: &dyn Fn(HState) -> StateId| {
+        rep_of_block
+            .iter()
+            .enumerate()
+            .map(|(b, &q)| (b as HState, step(q)))
+            .collect::<Vec<_>>()
+    };
+
     // Horizontal tables: relabel letters and results by block; keep the
     // horizontal state space (it collapses on its own inside the dense
     // table when blocks coincide — cheap and correct).
@@ -165,30 +172,9 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
     for &a in symbols {
         let hf = dha.horiz(a).expect("declared");
         let m = hf.num_classes();
-        let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(m);
-        for h in 0..m as u32 {
-            // For each new letter (block), step by any representative.
-            let mut by_target: std::collections::BTreeMap<StateId, Vec<HState>> =
-                std::collections::BTreeMap::new();
-            let mut rep_of_block: HashMap<u32, HState> = HashMap::new();
-            for q in 0..dha.num_states() {
-                rep_of_block.entry(block[q as usize]).or_insert(q);
-            }
-            for (&b, &q) in &rep_of_block {
-                by_target
-                    .entry(hf.step(h, q))
-                    .or_default()
-                    .push(b as HState);
-            }
-            let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-            let mut covered: std::collections::BTreeSet<HState> = std::collections::BTreeSet::new();
-            for (t, letters) in by_target {
-                covered.extend(letters.iter().copied());
-                edges.push((CharClass::of(letters), t));
-            }
-            edges.push((CharClass::NotIn(covered), hf.step(h, u32::MAX)));
-            trans.push(edges);
-        }
+        let trans = (0..m as u32)
+            .map(|h| row(letters(&|q| hf.step(h, q)), hf.step(h, u32::MAX)))
+            .collect();
         let labels: Vec<HState> = (0..m as u32).map(|h| map[hf.result(h) as usize]).collect();
         let dfa = Dfa::from_parts(trans, hf.start(), vec![false; m]);
         horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, nblocks as u32));
@@ -196,29 +182,9 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
 
     // F: relabel letters by block (congruence makes this well-defined).
     let f = dha.finals();
-    let mut rep_of_block: HashMap<u32, HState> = HashMap::new();
-    for q in 0..dha.num_states() {
-        rep_of_block.entry(block[q as usize]).or_insert(q);
-    }
-    let mut ftrans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(f.num_states());
-    for s in 0..f.num_states() as StateId {
-        let mut by_target: std::collections::BTreeMap<StateId, Vec<HState>> =
-            std::collections::BTreeMap::new();
-        for (&b, &q) in &rep_of_block {
-            by_target
-                .entry(f.step(s, &q))
-                .or_default()
-                .push(b as HState);
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: std::collections::BTreeSet<HState> = std::collections::BTreeSet::new();
-        for (t, letters) in by_target {
-            covered.extend(letters.iter().copied());
-            edges.push((CharClass::of(letters), t));
-        }
-        edges.push((CharClass::NotIn(covered), f.step_cofinite(s)));
-        ftrans.push(edges);
-    }
+    let ftrans = (0..f.num_states() as StateId)
+        .map(|s| row(letters(&|q| f.step(s, &q)), f.step_cofinite(s)))
+        .collect();
     let finals = Dfa::from_parts(
         ftrans,
         f.start(),

@@ -114,35 +114,7 @@ impl Nha {
     /// The per-node state sets of all computations (Definition 7, computed
     /// as sets): `sets[n] = { q | some computation assigns q to n }`.
     pub fn run_sets(&self, h: &FlatHedge) -> Vec<StateSet> {
-        use hedgex_hedge::flat::FlatLabel;
-        let n = h.num_nodes();
-        let mut sets: Vec<StateSet> = vec![bits::empty(self.num_states); n];
-        for id in (0..n as u32).rev() {
-            match h.label(id) {
-                FlatLabel::Var(x) => {
-                    for &q in self.iota(Leaf::Var(x)) {
-                        bits::insert(&mut sets[id as usize], q);
-                    }
-                }
-                FlatLabel::Subst(z) => {
-                    for &q in self.iota(Leaf::Sub(z)) {
-                        bits::insert(&mut sets[id as usize], q);
-                    }
-                }
-                FlatLabel::Sym(a) => {
-                    let children = h.children(id);
-                    for (dfa, q) in self.rules(a) {
-                        if bits::contains(&sets[id as usize], *q) {
-                            continue;
-                        }
-                        if self.dfa_reaches_accept(dfa, &children, &sets) {
-                            bits::insert(&mut sets[id as usize], *q);
-                        }
-                    }
-                }
-            }
-        }
-        sets
+        self.run_sets_filtered(h, &|_, _| true)
     }
 
     /// Does `dfa` accept some word `w₁…w_k` with `w_i ∈ sets[child_i]`?
@@ -257,27 +229,7 @@ impl Nha {
     /// The top-level sequence is checked by simulating `F`'s NFA with the
     /// per-root state sets as symbol choices.
     pub fn accepts_flat(&self, h: &FlatHedge) -> bool {
-        let sets = self.run_sets(h);
-        let f = &self.finals;
-        let mut cur = f.eps_closure(&[f.start()]);
-        for &r in h.roots() {
-            let mut next = std::collections::BTreeSet::new();
-            for &s in &cur {
-                for (c, t) in f.transitions(s) {
-                    for q in bits::iter(&sets[r as usize]) {
-                        if c.contains(&q) {
-                            next.insert(*t);
-                            break;
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
-                return false;
-            }
-            cur = f.eps_closure(&next.into_iter().collect::<Vec<_>>());
-        }
-        cur.iter().any(|&s| f.is_accepting(s))
+        self.accepts_sets(h, &self.run_sets(h))
     }
 
     /// Acceptance on a recursive hedge.

@@ -12,9 +12,9 @@
 //!   automata to transform schemas; [`intersect`] is the binary case with
 //!   conjunctive acceptance.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{CharClass, Dfa, StateId};
+use hedgex_automata::{in_edges, row, CharClass, Dfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
@@ -67,6 +67,20 @@ impl Horiz<'_> {
     }
 }
 
+/// The joint horizontal state after reading product state `tuple`.
+fn joint_step(vs: &[Horiz], cur: &[u32], tuple: &[HState]) -> Vec<u32> {
+    vs.iter()
+        .zip(cur)
+        .zip(tuple)
+        .map(|((v, &h), &q)| v.step(h, q))
+        .collect()
+}
+
+/// The product state a joint horizontal state yields.
+fn joint_result(vs: &[Horiz], cur: &[u32]) -> Vec<HState> {
+    vs.iter().zip(cur).map(|(v, &h)| v.result(h)).collect()
+}
+
 /// Build the cross product of several deterministic hedge automata over the
 /// reachable product states.
 pub fn product_many(parts: &[&Dha]) -> ManyProduct {
@@ -75,16 +89,8 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     assert!(n > 0, "product of zero automata");
 
     // Interned product tuples. Id 0 is the all-sinks tuple.
-    let mut ids: HashMap<Vec<HState>, HState> = HashMap::new();
-    let mut tuples: Vec<Vec<HState>> = Vec::new();
-    let mut intern = |t: Vec<HState>, tuples: &mut Vec<Vec<HState>>| -> HState {
-        *ids.entry(t.clone()).or_insert_with(|| {
-            tuples.push(t);
-            (tuples.len() - 1) as HState
-        })
-    };
-    let sink_tuple: Vec<HState> = parts.iter().map(|p| p.sink()).collect();
-    let sink = intern(sink_tuple, &mut tuples);
+    let mut tuples: Worklist<Vec<HState>> = Worklist::new();
+    let sink = tuples.intern(parts.iter().map(|p| p.sink()).collect());
 
     // ι on the union of declared leaves.
     let mut leaves: BTreeSet<Leaf> = BTreeSet::new();
@@ -93,8 +99,10 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     }
     let mut iota: HashMap<Leaf, HState> = HashMap::new();
     for leaf in leaves {
-        let t: Vec<HState> = parts.iter().map(|p| p.iota(leaf)).collect();
-        iota.insert(leaf, intern(t, &mut tuples));
+        iota.insert(
+            leaf,
+            tuples.intern(parts.iter().map(|p| p.iota(leaf)).collect()),
+        );
     }
 
     // The union of declared symbols.
@@ -117,28 +125,14 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
         let before = tuples.len();
         for &a in &symbols {
             let vs = views(a);
-            let mut seen: BTreeSet<Vec<u32>> = BTreeSet::new();
-            let start: Vec<u32> = vs.iter().map(Horiz::start).collect();
-            let mut work = vec![start.clone()];
-            seen.insert(start);
-            while let Some(cur) = work.pop() {
-                let res: Vec<HState> = vs.iter().zip(&cur).map(|(v, &h)| v.result(h)).collect();
-                intern(res, &mut tuples);
-                let snapshot = tuples.len();
-                #[allow(clippy::needless_range_loop)] // interning mutates the indexed vec
-                for i in 0..snapshot {
-                    let tuple = tuples[i].clone();
-                    let next: Vec<u32> = vs
-                        .iter()
-                        .zip(&cur)
-                        .zip(&tuple)
-                        .map(|((v, &h), &q)| v.step(h, q))
-                        .collect();
-                    if seen.insert(next.clone()) {
-                        work.push(next);
-                    }
+            let mut joint = Worklist::new();
+            joint.intern(vs.iter().map(Horiz::start).collect::<Vec<u32>>());
+            joint.explore(|joint, _, cur| {
+                tuples.intern(joint_result(&vs, cur));
+                for tuple in tuples.keys() {
+                    joint.intern(joint_step(&vs, cur, tuple));
                 }
-            }
+            });
         }
         if tuples.len() == before {
             break;
@@ -152,65 +146,32 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     for &a in &symbols {
         let vs = views(a);
         // Explicit DFA over product ids: states are joint horizontal states.
-        let mut hids: HashMap<Vec<u32>, StateId> = HashMap::new();
-        let mut order: Vec<Vec<u32>> = Vec::new();
-        let mut work: Vec<StateId> = Vec::new();
-        let mut hintern =
-            |h: Vec<u32>, order: &mut Vec<Vec<u32>>, work: &mut Vec<StateId>| -> StateId {
-                *hids.entry(h.clone()).or_insert_with(|| {
-                    order.push(h);
-                    work.push((order.len() - 1) as StateId);
-                    (order.len() - 1) as StateId
-                })
-            };
-        let start = hintern(vs.iter().map(Horiz::start).collect(), &mut order, &mut work);
-        let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::new();
-        while let Some(id) = work.pop() {
-            let cur = order[id as usize].clone();
-            let mut by_target: BTreeMap<Vec<u32>, Vec<HState>> = BTreeMap::new();
-            for (i, tuple) in tuples.iter().enumerate() {
-                let next: Vec<u32> = vs
-                    .iter()
-                    .zip(&cur)
-                    .zip(tuple)
-                    .map(|((v, &h), &q)| v.step(h, q))
-                    .collect();
-                by_target.entry(next).or_default().push(i as HState);
-            }
-            let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-            let mut covered: BTreeSet<HState> = BTreeSet::new();
-            for (tgt, syms) in by_target {
-                let tid = hintern(tgt, &mut order, &mut work);
-                covered.extend(syms.iter().copied());
-                edges.push((CharClass::of(syms), tid));
-            }
+        let mut joint = Worklist::new();
+        let start = joint.intern(vs.iter().map(Horiz::start).collect::<Vec<u32>>());
+        let trans = joint.explore(|joint, id, cur| {
+            let letters = tuples.keys().iter().enumerate();
             // Out-of-alphabet product ids cannot occur in well-formed runs;
             // send them to the current state (harmless self-loop).
-            edges.push((CharClass::NotIn(covered), id));
-            if trans.len() < order.len() {
-                trans.resize(order.len(), Vec::new());
-            }
-            trans[id as usize] = edges;
-        }
-        if trans.len() < order.len() {
-            trans.resize(order.len(), Vec::new());
-        }
-        for (q, row) in trans.iter_mut().enumerate() {
-            if row.is_empty() {
-                row.push((CharClass::any(), q as StateId));
-            }
-        }
-        let labels: Vec<HState> = order
+            row(
+                letters.map(|(i, tuple)| (i as HState, joint.intern(joint_step(&vs, cur, tuple)))),
+                id,
+            )
+        });
+        let labels: Vec<HState> = joint
+            .keys()
             .iter()
             .map(|h| {
-                let res: Vec<HState> = vs.iter().zip(h).map(|(v, &hs)| v.result(hs)).collect();
-                *ids.get(&res).expect("fixpoint interned every result tuple")
+                let res = joint_result(&vs, h);
+                tuples
+                    .get(&res)
+                    .expect("fixpoint interned every result tuple")
             })
             .collect();
-        let accept = vec![false; order.len()];
+        let accept = vec![false; labels.len()];
         let dfa = Dfa::from_parts(trans, start, accept);
         horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
     }
+    let tuples = tuples.into_keys();
 
     // Lift each component's F to the product alphabet.
     let lifted_finals: Vec<Dfa<HState>> = (0..n)
@@ -238,25 +199,16 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
 /// product ids: product id `t` behaves like its `i`-th projection.
 fn lift_component_finals(f: &Dfa<HState>, tuples: &[Vec<HState>], i: usize) -> Dfa<HState> {
     let n = f.num_states();
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(n);
-    for s in 0..n as StateId {
-        let mut by_target: BTreeMap<StateId, Vec<HState>> = BTreeMap::new();
-        for (tid, tuple) in tuples.iter().enumerate() {
-            by_target
-                .entry(f.step(s, &tuple[i]))
-                .or_default()
-                .push(tid as HState);
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: BTreeSet<HState> = BTreeSet::new();
-        for (tgt, syms) in by_target {
-            covered.extend(syms.iter().copied());
-            edges.push((CharClass::of(syms), tgt));
-        }
-        // Fresh symbols behave like the component's co-finite edge.
-        edges.push((CharClass::NotIn(covered), f.step_cofinite(s)));
-        trans.push(edges);
-    }
+    let trans = (0..n as StateId)
+        .map(|s| {
+            let letters = tuples.iter().enumerate();
+            // Fresh symbols behave like the component's co-finite edge.
+            row(
+                letters.map(|(tid, tuple)| (tid as HState, f.step(s, &tuple[i]))),
+                f.step_cofinite(s),
+            )
+        })
+        .collect();
     let accept: Vec<bool> = (0..n as StateId).map(|s| f.is_accepting(s)).collect();
     Dfa::from_parts(trans, f.start(), accept)
 }
@@ -296,20 +248,13 @@ pub struct NhaProduct {
 /// The result stays an NHA whose states project onto both factors.
 pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
     use crate::nha::Nha;
-    let mut ids: HashMap<(HState, HState), HState> = HashMap::new();
-    let mut pairs: Vec<(HState, HState)> = Vec::new();
-    let mut intern = |p: (HState, HState), pairs: &mut Vec<(HState, HState)>| -> HState {
-        *ids.entry(p).or_insert_with(|| {
-            pairs.push(p);
-            (pairs.len() - 1) as HState
-        })
-    };
+    let mut pairs: Worklist<(HState, HState)> = Worklist::new();
 
     // ι: leaves present in the NHA pair with the DHA's (total) ι.
     let mut iota: HashMap<Leaf, Vec<HState>> = HashMap::new();
     for (leaf, qns) in n.iotas() {
         let qd = d.iota(leaf);
-        let states: Vec<HState> = qns.iter().map(|&qn| intern((qn, qd), &mut pairs)).collect();
+        let states: Vec<HState> = qns.iter().map(|&qn| pairs.intern((qn, qd))).collect();
         iota.insert(leaf, states);
     }
 
@@ -323,26 +268,17 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
             let hf = dview(a);
             for (dfa, qn) in n.rules(a) {
                 // Joint exploration: (rule-DFA state, D horizontal state).
-                let mut seen: BTreeSet<(StateId, u32)> = BTreeSet::new();
-                let hstart = hf.map_or(0, |h| h.start());
-                let start = (dfa.start(), hstart);
-                let mut work = vec![start];
-                seen.insert(start);
-                while let Some((ds, hs)) = work.pop() {
+                let mut joint = Worklist::new();
+                joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
+                joint.explore(|joint, _, &(ds, hs)| {
                     if dfa.is_accepting(ds) {
                         let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                        intern((*qn, qd), &mut pairs);
+                        pairs.intern((*qn, qd));
                     }
-                    let snapshot = pairs.len();
-                    #[allow(clippy::needless_range_loop)] // interning mutates the indexed vec
-                    for i in 0..snapshot {
-                        let (pn, pd) = pairs[i];
-                        let next = (dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd)));
-                        if seen.insert(next) {
-                            work.push(next);
-                        }
+                    for &(pn, pd) in pairs.keys() {
+                        joint.intern((dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd))));
                     }
-                }
+                });
             }
         }
         if pairs.len() == before {
@@ -357,63 +293,29 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
         let hf = dview(a);
         for (dfa, qn) in n.rules(a) {
             // Joint DFA over pair ids.
-            let mut jids: HashMap<(StateId, u32), StateId> = HashMap::new();
-            let mut jorder: Vec<(StateId, u32)> = Vec::new();
-            let mut jwork: Vec<StateId> = Vec::new();
-            let mut jintern = |p: (StateId, u32),
-                               jorder: &mut Vec<(StateId, u32)>,
-                               jwork: &mut Vec<StateId>|
-             -> StateId {
-                *jids.entry(p).or_insert_with(|| {
-                    jorder.push(p);
-                    jwork.push((jorder.len() - 1) as StateId);
-                    (jorder.len() - 1) as StateId
-                })
-            };
-            let hstart = hf.map_or(0, |h| h.start());
-            let start = jintern((dfa.start(), hstart), &mut jorder, &mut jwork);
-            let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::new();
-            while let Some(id) = jwork.pop() {
-                let (ds, hs) = jorder[id as usize];
-                let mut by_target: BTreeMap<(StateId, u32), Vec<HState>> = BTreeMap::new();
-                for (i, &(pn, pd)) in pairs.iter().enumerate() {
+            let mut joint = Worklist::new();
+            let start = joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
+            let trans = joint.explore(|joint, id, &(ds, hs)| {
+                let letters = pairs.keys().iter().enumerate().map(|(i, &(pn, pd))| {
                     let next = (dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd)));
-                    by_target.entry(next).or_default().push(i as HState);
-                }
-                let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-                let mut covered: BTreeSet<HState> = BTreeSet::new();
-                for (tgt, syms) in by_target {
-                    let tid = jintern(tgt, &mut jorder, &mut jwork);
-                    covered.extend(syms.iter().copied());
-                    edges.push((CharClass::of(syms), tid));
-                }
-                edges.push((CharClass::NotIn(covered), id));
-                if trans.len() < jorder.len() {
-                    trans.resize(jorder.len(), Vec::new());
-                }
-                trans[id as usize] = edges;
-            }
-            if trans.len() < jorder.len() {
-                trans.resize(jorder.len(), Vec::new());
-            }
-            for (q, row) in trans.iter_mut().enumerate() {
-                if row.is_empty() {
-                    row.push((CharClass::any(), q as StateId));
-                }
-            }
+                    (i as HState, joint.intern(next))
+                });
+                row(letters, id)
+            });
             // One rule per distinct (qn, qd) result this joint DFA reaches.
             let mut results: BTreeSet<HState> = BTreeSet::new();
-            for &(ds, hs) in &jorder {
+            for &(ds, hs) in joint.keys() {
                 if dfa.is_accepting(ds) {
                     let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                    if let Some(&pid) = ids.get(&(*qn, qd)) {
+                    if let Some(pid) = pairs.get(&(*qn, qd)) {
                         results.insert(pid);
                     }
                 }
             }
             for pid in results {
-                let (_, qd_target) = pairs[pid as usize];
-                let accept: Vec<bool> = jorder
+                let (_, qd_target) = pairs.keys()[pid as usize];
+                let accept: Vec<bool> = joint
+                    .keys()
                     .iter()
                     .map(|&(ds, hs)| {
                         dfa.is_accepting(ds) && hf.map_or(d.sink(), |h| h.result(hs)) == qd_target
@@ -424,6 +326,7 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
             }
         }
     }
+    let pairs = pairs.into_keys();
 
     // F: pair words whose N-projection is accepted by F_N and whose
     // D-projection is accepted by F_D.
@@ -444,18 +347,13 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
                 eps[st].push(fid(t, sd));
             }
             for (c, tn) in fnfa.transitions(sn) {
-                let mut by_target: BTreeMap<StateId, Vec<HState>> = BTreeMap::new();
-                for (i, &(pn, pd)) in pairs.iter().enumerate() {
-                    if c.contains(&pn) {
-                        by_target
-                            .entry(fid(*tn, fd.step(sd, &pd)))
-                            .or_default()
-                            .push(i as HState);
-                    }
-                }
-                for (tgt, syms) in by_target {
-                    trans[st].push((CharClass::of(syms), tgt));
-                }
+                let letters = pairs
+                    .iter()
+                    .enumerate()
+                    .filter(|(_, (pn, _))| c.contains(pn));
+                trans[st].extend(in_edges(
+                    letters.map(|(i, &(_, pd))| (i as HState, fid(*tn, fd.step(sd, &pd)))),
+                ));
             }
         }
     }

@@ -24,12 +24,10 @@
 //! reduced component can replace the original inside any downstream
 //! product — same match sets, smaller tables.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
-
-use hedgex_automata::{CharClass, Dfa, StateId};
+use hedgex_automata::{row, CharClass, Dfa, StateId};
 use hedgex_obs as obs;
 
-use crate::analysis::inhabited;
+use crate::analysis::{inhabited, top_level_useful};
 use crate::dha::Dha;
 use crate::minimize::minimize_dha;
 use crate::types::HState;
@@ -45,66 +43,6 @@ pub struct ReduceStats {
     pub dead_letters: u32,
 }
 
-/// Which states occur in some accepted root sequence? (`F`-liveness:
-/// inhabited, and on a `fwd → accept`-reaching edge of `F`'s automaton.)
-fn f_live_letters(dha: &Dha) -> Vec<bool> {
-    let n = dha.num_states();
-    let inh = inhabited(dha);
-    let f = dha.finals();
-    let m = f.num_states();
-
-    // Forward-reachable F states, stepping only by inhabited letters.
-    let mut fwd = vec![false; m];
-    let mut queue = VecDeque::from([f.start()]);
-    fwd[f.start() as usize] = true;
-    while let Some(s) = queue.pop_front() {
-        for q in 0..n {
-            if inh[q as usize] {
-                let t = f.step(s, &q);
-                if !fwd[t as usize] {
-                    fwd[t as usize] = true;
-                    queue.push_back(t);
-                }
-            }
-        }
-    }
-    // F states from which acceptance is reachable via inhabited letters.
-    let mut rev: Vec<Vec<StateId>> = vec![Vec::new(); m];
-    for s in 0..m as StateId {
-        for q in 0..n {
-            if inh[q as usize] {
-                rev[f.step(s, &q) as usize].push(s);
-            }
-        }
-    }
-    let mut back = vec![false; m];
-    let mut queue: VecDeque<StateId> = (0..m as StateId).filter(|&s| f.is_accepting(s)).collect();
-    for &s in &queue {
-        back[s as usize] = true;
-    }
-    while let Some(s) = queue.pop_front() {
-        for &p in &rev[s as usize] {
-            if !back[p as usize] {
-                back[p as usize] = true;
-                queue.push_back(p);
-            }
-        }
-    }
-
-    let mut live = vec![false; n as usize];
-    for s in 0..m as StateId {
-        if !fwd[s as usize] {
-            continue;
-        }
-        for q in 0..n {
-            if inh[q as usize] && back[f.step(s, &q) as usize] {
-                live[q as usize] = true;
-            }
-        }
-    }
-    live
-}
-
 /// Rebuild `F` with every edge on a dead letter (and every fresh symbol)
 /// redirected into one rejecting sink. Language-equal on all words over
 /// live letters; words touching a dead letter were rejected before and
@@ -112,27 +50,13 @@ fn f_live_letters(dha: &Dha) -> Vec<bool> {
 fn normalize_finals(f: &Dfa<HState>, live: &[bool]) -> Dfa<HState> {
     let m = f.num_states();
     let dead_sink = m as StateId;
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = Vec::with_capacity(m + 1);
-    for s in 0..m as StateId {
-        let mut by_target: BTreeMap<StateId, Vec<HState>> = BTreeMap::new();
-        for (q, &ok) in live.iter().enumerate() {
-            if ok {
-                by_target
-                    .entry(f.step(s, &(q as HState)))
-                    .or_default()
-                    .push(q as HState);
-            }
-        }
-        let mut edges: Vec<(CharClass<HState>, StateId)> = Vec::new();
-        let mut covered: BTreeSet<HState> = BTreeSet::new();
-        for (t, letters) in by_target {
-            covered.extend(letters.iter().copied());
-            edges.push((CharClass::of(letters), t));
-        }
-        edges.push((CharClass::NotIn(covered), dead_sink));
-        trans.push(edges);
-    }
-    trans.push(vec![(CharClass::NotIn(BTreeSet::new()), dead_sink)]);
+    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = (0..m as StateId)
+        .map(|s| {
+            let live_letters = (0..live.len() as HState).filter(|&q| live[q as usize]);
+            row(live_letters.map(|q| (q, f.step(s, &q))), dead_sink)
+        })
+        .collect();
+    trans.push(vec![(CharClass::any(), dead_sink)]);
     let mut accept: Vec<bool> = (0..m as StateId).map(|s| f.is_accepting(s)).collect();
     accept.push(false);
     Dfa::from_parts(trans, f.start(), accept)
@@ -145,7 +69,7 @@ fn normalize_finals(f: &Dfa<HState>, live: &[bool]) -> Dfa<HState> {
 pub fn reduce_dha(dha: &Dha) -> (Dha, ReduceStats) {
     let _span = obs::span("ha.reduce");
     let n = dha.num_states();
-    let live = f_live_letters(dha);
+    let live = top_level_useful(dha, &inhabited(dha));
     let dead_letters = live.iter().filter(|&&ok| !ok).count() as u32;
     let normalized;
     let input = if dead_letters == 0 {

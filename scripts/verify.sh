@@ -121,6 +121,15 @@ if grep -rnE --include='*.rs' '(\.n_transition\(|sibling_classes\(|class_step_ro
   echo "Algorithm 1's steps must stay in crates/core/src"; exit 1
 fi
 
+echo "== the construction kernel lives in hedgex-automata only =="
+# Subset, product and trim loops go through the three kernels in
+# crates/automata/src/kernel.rs (Worklist, row/in_edges, reach/coreach); no
+# other crate groups letters by target or builds a co-finite edge by hand.
+if grep -rnE --include='*.rs' '(by_target|NotIn\(covered)' crates/*/src \
+  | grep -v '^crates/automata/src/'; then
+  echo "transition rows must be built by hedgex_automata::row/in_edges"; exit 1
+fi
+
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench warm
 
