@@ -49,7 +49,7 @@
 //! let compiled = query.compile(); // exponential once…
 //! let hits = compiled.locate(&flat); // …linear per document
 //! assert_eq!(hits, vec![2]);
-//! assert_eq!(flat.dewey(2), vec![2, 1]);
+//! assert_eq!(flat.by_dewey(&[2, 1]), Some(2)); // the node at Dewey address 2.1
 //! ```
 
 #![forbid(unsafe_code)]

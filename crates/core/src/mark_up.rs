@@ -243,12 +243,14 @@ fn bad_children_nfa(
     let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = vec![Vec::new(); total];
     let mut accept = vec![false; total];
 
-    // The class step of every id's M-projection.
-    let proj_q = &proj_q;
-    let class_step = |c: u32| (0..num_states).map(move |id| (id, phr.classes.step(c, &proj_q(id))));
-    // Phase-1 transitions: group ids by M-projection's class step.
     for c in 0..ncl {
-        let letters = class_step(c).map(|(id, next)| (id, p1(next)));
+        // The class step from c of every id's M-projection, computed once
+        // for phase 1 and shared by the phase-2 rows of every guessed C2.
+        let steps: Vec<(HState, u32)> = (0..num_states)
+            .map(|id| (id, phr.classes.step(c, &proj_q(id))))
+            .collect();
+        // Phase-1 transitions: group ids by M-projection's class step.
+        let letters = steps.iter().map(|&(id, next)| (id, p1(next)));
         trans[p1(c) as usize].extend(in_edges(letters));
         // Middle transitions: a violating child, for each guessed C2.
         for c2 in 0..ncl {
@@ -265,12 +267,10 @@ fn bad_children_nfa(
                 trans[p1(c) as usize].push((CharClass::of(bad_ids), p2(phr.classes.start(), c2)));
             }
         }
-    }
-    // Phase-2 transitions and acceptance.
-    for c in 0..ncl {
+        // Phase-2 transitions and acceptance.
         for c2 in 0..ncl {
             let st = p2(c, c2);
-            let letters = class_step(c).map(|(id, next)| (id, p2(next, c2)));
+            let letters = steps.iter().map(|&(id, next)| (id, p2(next, c2)));
             trans[st as usize].extend(in_edges(letters));
             accept[st as usize] = c == c2;
         }

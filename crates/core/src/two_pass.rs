@@ -256,7 +256,8 @@ pub fn first_pass(phr: &CompiledPhr, h: &FlatHedge) -> FirstPass {
     classify(phr, &states, h.roots(), &mut f, &mut nf, ec, yc);
     for id in h.preorder() {
         if matches!(h.label(id), FlatLabel::Sym(_)) {
-            children_into(h, id, &mut group);
+            group.clear();
+            group.extend(h.children(id));
             classify(phr, &states, &group, &mut f, &mut nf, ec, yc);
         }
     }
@@ -264,17 +265,6 @@ pub fn first_pass(phr: &CompiledPhr, h: &FlatHedge) -> FirstPass {
         states,
         elder_class,
         younger_class,
-    }
-}
-
-/// Collect the children of `id` into a reused buffer (`h.children()`
-/// would allocate a `Vec` per node).
-fn children_into(h: &FlatHedge, id: NodeId, group: &mut Vec<NodeId>) {
-    group.clear();
-    let mut c = h.first_child(id);
-    while let Some(cid) = c {
-        group.push(cid);
-        c = h.next_sibling(cid);
     }
 }
 
@@ -450,7 +440,8 @@ fn walk(
         // Pushing the group in reverse makes the leftmost child pop first:
         // the search visits nodes in document order, so Locate's matches
         // come out sorted and Exists stops at the earliest one.
-        children_into(h, id, group);
+        group.clear();
+        group.extend(h.children(id));
         if !group.is_empty() {
             classify(phr, states, group, f, nf, elder_class, younger_class);
             stack.extend(group.iter().rev().map(|&cid| (cid, s)));

@@ -10,7 +10,7 @@
 use std::collections::HashMap;
 
 use hedgex_automata::{Dfa, Nfa, Regex};
-use hedgex_hedge::{FlatHedge, Hedge, SymId};
+use hedgex_hedge::{FlatHedge, Hedge, NodeId, SymId};
 
 use crate::types::{HState, Leaf};
 
@@ -158,6 +158,7 @@ impl Nha {
         use hedgex_hedge::flat::FlatLabel;
         let n = h.num_nodes();
         let mut sets: Vec<StateSet> = vec![bits::empty(self.num_states); n];
+        let mut children: Vec<NodeId> = Vec::new();
         for id in (0..n as u32).rev() {
             match h.label(id) {
                 FlatLabel::Var(x) => {
@@ -175,7 +176,8 @@ impl Nha {
                     }
                 }
                 FlatLabel::Sym(a) => {
-                    let children = h.children(id);
+                    children.clear();
+                    children.extend(h.children(id));
                     for (dfa, q) in self.rules(a) {
                         if !filter(id, *q) || bits::contains(&sets[id as usize], *q) {
                             continue;

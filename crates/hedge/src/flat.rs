@@ -3,8 +3,8 @@
 //! The recursive [`Hedge`] is convenient to build and compare; the
 //! evaluators instead walk a [`FlatHedge`] — a first-child/next-sibling
 //! arena with parent links — because Algorithm 1 needs, for every node,
-//! cheap access to its siblings in both directions and a stable node
-//! identity to attach states, classes and query answers to.
+//! its sibling group in document order and a stable node identity to
+//! attach states, classes and query answers to.
 //!
 //! Node identity is a dense [`NodeId`] (preorder index). Dewey addresses
 //! (footnote 3 of the paper) are derivable on demand.
@@ -35,7 +35,6 @@ struct FlatNode {
     parent: NodeId,
     first_child: NodeId,
     next_sibling: NodeId,
-    prev_sibling: NodeId,
 }
 
 /// A hedge flattened into an arena, in document (preorder) order.
@@ -163,7 +162,6 @@ impl FlatBuilder {
             parent,
             first_child: NIL,
             next_sibling: NIL,
-            prev_sibling: prev,
         });
         id
     }
@@ -283,21 +281,23 @@ impl FlatHedge {
         (s != NIL).then_some(s)
     }
 
-    /// The previous (elder) sibling of `n`.
-    pub fn prev_sibling(&self, n: NodeId) -> Option<NodeId> {
-        let s = self.nodes[n as usize].prev_sibling;
-        (s != NIL).then_some(s)
+    /// Children of `n`, left to right, without allocating.
+    pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.siblings_from(self.first_child(n))
     }
 
-    /// Children of `n`, left to right.
-    pub fn children(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut c = self.first_child(n);
-        while let Some(id) = c {
-            out.push(id);
-            c = self.next_sibling(id);
+    /// The eldest sibling of `n`: its parent's first child, or the first
+    /// root.
+    pub(crate) fn first_sibling(&self, n: NodeId) -> NodeId {
+        match self.parent(n) {
+            Some(p) => self.nodes[p as usize].first_child,
+            None => self.roots[0],
         }
-        out
+    }
+
+    /// `first` and its younger siblings, left to right.
+    fn siblings_from(&self, first: Option<NodeId>) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors(first, |&s| self.next_sibling(s))
     }
 
     /// All nodes in document (preorder) order. Since construction is
@@ -308,44 +308,31 @@ impl FlatHedge {
 
     /// The Dewey address of `n` (1-based per level, as in the paper's
     /// footnote: nodes are address–value pairs with Dewey-number addresses).
+    /// Each level is scanned from its eldest sibling: the reference for
+    /// [`DeweyWriter`](crate::DeweyWriter), which addresses whole answers.
     pub fn dewey(&self, n: NodeId) -> Vec<u32> {
-        let mut path = Vec::new();
-        let mut cur = Some(n);
-        while let Some(id) = cur {
-            let mut idx = 1u32;
-            let mut p = self.prev_sibling(id);
-            while let Some(q) = p {
-                idx += 1;
-                p = self.prev_sibling(q);
-            }
-            path.push(idx);
-            cur = self.parent(id);
-        }
+        let up = std::iter::successors(Some(n), |&id| self.parent(id));
+        let mut path: Vec<u32> = up
+            .map(|id| self.elder_siblings(id).count() as u32 + 1)
+            .collect();
         path.reverse();
         path
     }
 
     /// Find a node by its Dewey address.
     pub fn by_dewey(&self, addr: &[u32]) -> Option<NodeId> {
-        let mut level: Vec<NodeId> = self.roots.clone();
-        let mut found = None;
-        for &step in addr {
-            let id = *level.get(step.checked_sub(1)? as usize)?;
-            found = Some(id);
-            level = self.children(id);
+        let (&first, rest) = addr.split_first()?;
+        let mut id = *self.roots.get(first.checked_sub(1)? as usize)?;
+        for &step in rest {
+            id = self.children(id).nth(step.checked_sub(1)? as usize)?;
         }
-        found
+        Some(id)
     }
 
     /// The subhedge of `n` (Definition 21): the hedge of all descendants,
     /// i.e. the children sequence of `n` as a recursive hedge.
     pub fn subhedge(&self, n: NodeId) -> Hedge {
-        Hedge(
-            self.children(n)
-                .into_iter()
-                .map(|c| self.to_tree(c))
-                .collect(),
-        )
+        Hedge(self.children(n).map(|c| self.to_tree(c)).collect())
     }
 
     /// Rebuild the recursive tree rooted at `n`.
@@ -355,12 +342,7 @@ impl FlatHedge {
             FlatLabel::Subst(z) => Tree::Subst(z),
             FlatLabel::Sym(a) => Tree::Node(
                 a,
-                Hedge(
-                    self.children(n)
-                        .into_iter()
-                        .map(|c| self.to_tree(c))
-                        .collect(),
-                ),
+                Hedge(self.children(n).map(|c| self.to_tree(c)).collect()),
             ),
         }
     }
@@ -393,7 +375,6 @@ impl FlatHedge {
                         a,
                         Hedge(
                             self.children(cur)
-                                .into_iter()
                                 .map(|c| self.envelope_tree(c, target))
                                 .collect(),
                         ),
@@ -404,38 +385,15 @@ impl FlatHedge {
     }
 
     /// Elder siblings of `n`, left to right (the `u₁` of a pointed base
-    /// hedge), as full subtrees.
-    pub fn elder_siblings(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.prev_sibling(n);
-        while let Some(id) = cur {
-            out.push(id);
-            cur = self.prev_sibling(id);
-        }
-        out.reverse();
-        out
+    /// hedge): a forward scan from the eldest.
+    pub fn elder_siblings(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.siblings_from(Some(self.first_sibling(n)))
+            .take_while(move |&s| s != n)
     }
 
     /// Younger siblings of `n`, left to right (the `u₂`).
-    pub fn younger_siblings(&self, n: NodeId) -> Vec<NodeId> {
-        let mut out = Vec::new();
-        let mut cur = self.next_sibling(n);
-        while let Some(id) = cur {
-            out.push(id);
-            cur = self.next_sibling(id);
-        }
-        out
-    }
-
-    /// The depth of `n`: 1 for top-level nodes.
-    pub fn node_depth(&self, n: NodeId) -> usize {
-        let mut d = 1;
-        let mut cur = self.parent(n);
-        while let Some(p) = cur {
-            d += 1;
-            cur = self.parent(p);
-        }
-        d
+    pub fn younger_siblings(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        self.siblings_from(self.next_sibling(n))
     }
 }
 
@@ -482,11 +440,16 @@ mod tests {
         // top-level node).
         assert_eq!(f.parent(2), Some(1));
         assert_eq!(f.next_sibling(2), Some(5));
-        assert_eq!(f.prev_sibling(5), Some(2));
-        assert_eq!(f.children(2), vec![3, 4]);
+        assert_eq!(f.children(2).collect::<Vec<_>>(), vec![3, 4]);
+        assert_eq!(f.children(3).count(), 0);
         assert_eq!(f.roots(), &[0, 1]);
-        assert_eq!(f.node_depth(0), 1);
-        assert_eq!(f.node_depth(3), 3);
+        assert_eq!(f.first_sibling(5), 2);
+        assert_eq!(f.first_sibling(1), 0);
+    }
+
+    #[test]
+    fn a_node_is_a_label_and_three_links() {
+        assert_eq!(std::mem::size_of::<FlatNode>(), 20);
     }
 
     #[test]
@@ -500,6 +463,9 @@ mod tests {
             assert_eq!(f.by_dewey(&f.dewey(n)), Some(n));
         }
         assert_eq!(f.by_dewey(&[3]), None);
+        assert_eq!(f.by_dewey(&[2, 3]), None);
+        assert_eq!(f.by_dewey(&[2, 1, 2, 1]), None);
+        assert_eq!(f.by_dewey(&[0]), None);
         assert_eq!(f.by_dewey(&[]), None);
     }
 
@@ -629,10 +595,12 @@ mod tests {
     #[test]
     fn sibling_queries() {
         let (_, f) = sample();
-        assert_eq!(f.elder_siblings(5), vec![2]);
-        assert_eq!(f.younger_siblings(2), vec![5]);
-        assert!(f.elder_siblings(0).is_empty());
-        assert_eq!(f.elder_siblings(1), vec![0]);
-        assert!(f.younger_siblings(1).is_empty());
+        let elder = |n| f.elder_siblings(n).collect::<Vec<_>>();
+        let younger = |n| f.younger_siblings(n).collect::<Vec<_>>();
+        assert_eq!(elder(5), vec![2]);
+        assert_eq!(younger(2), vec![5]);
+        assert!(elder(0).is_empty());
+        assert_eq!(elder(1), vec![0]);
+        assert!(younger(1).is_empty());
     }
 }

@@ -15,8 +15,9 @@
 //! * interned alphabets ([`Alphabet`], [`SymId`], [`VarId`], [`SubId`]),
 //! * the recursive [`Hedge`]/[`Tree`] representation with `ceil`,
 //!   `subhedge`, `envelope` (Definitions 2 and 21),
-//! * a flat arena form ([`FlatHedge`]) with Dewey addresses for the
-//!   evaluators (footnote 3 of the paper identifies nodes by Dewey numbers),
+//! * a flat arena form ([`FlatHedge`]) for the evaluators, and the
+//!   [`DeweyWriter`] that names its located nodes by their Dewey addresses
+//!   (footnote 3 of the paper) in one forward pass,
 //! * pointed hedges, their product `⊕` and unique decomposition into pointed
 //!   base hedges (Definitions 13–15, Figures 1–2),
 //! * a compact text syntax (`d<p<$x> p<$y>>`) with parser and printer, and
@@ -24,6 +25,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod dewey;
 pub mod flat;
 pub mod gen;
 pub mod hedge;
@@ -31,6 +33,7 @@ pub mod pointed;
 pub mod symbols;
 pub mod text;
 
+pub use dewey::DeweyWriter;
 pub use flat::{FlatBuilder, FlatHedge, NodeId};
 pub use gen::{GenConfig, HedgeGen};
 pub use hedge::{Hedge, Tree};

@@ -22,7 +22,8 @@ use std::time::Instant;
 use hedgex_core::plan::Backend;
 use hedgex_core::{parse_hre, parse_path, parse_phr, CompiledSelect, EvalMode, EvalOutcome};
 use hedgex_core::{EvalScratch, PathExpr, Phr, Plan, SelectScratch};
-use hedgex_hedge::Alphabet;
+use hedgex_hedge::dewey::write_line;
+use hedgex_hedge::{Alphabet, DeweyWriter};
 use hedgex_obs as obs;
 use hedgex_store::{DocumentStore, StoreQuery};
 use hedgex_stream::{parse_flat, stream_xml, PathStream, PhrStream, StreamStats};
@@ -458,26 +459,18 @@ fn repeated<S, T: Send>(
     (1..runs).fold(run(&mut s), |_, _| run(&mut s))
 }
 
-/// The one answer printer. Locate writes one `[NAME:]/d₁/d₂/…` line per
-/// match, Count the number (a count of 0 is an answer too), Exists
-/// nothing. Flushes, so the output phase covers the whole write.
-fn print_answer<'n, W: Write, D: AsRef<[u32]>>(
+/// The one answer printer. Locate runs `lines`, which writes one
+/// `[NAME:]/d₁/d₂/…` line per match with [`write_line`] (from a
+/// [`DeweyWriter`] wherever there is an arena); Count writes the number (a
+/// count of 0 is an answer too), Exists nothing. Flushes, so the output
+/// phase covers the whole write.
+fn print_answer<W: Write>(
     out: &mut W,
     outcome: EvalOutcome,
-    matches: impl Iterator<Item = (Option<&'n str>, D)>,
+    lines: impl FnOnce(&mut W) -> io::Result<()>,
 ) -> io::Result<()> {
     match outcome {
-        EvalOutcome::Located(_) => {
-            for (name, dewey) in matches {
-                if let Some(name) = name {
-                    write!(out, "{name}:")?;
-                }
-                for step in dewey.as_ref() {
-                    write!(out, "/{step}")?;
-                }
-                out.write_all(b"\n")?;
-            }
-        }
+        EvalOutcome::Located(_) => lines(out)?,
         EvalOutcome::Count(n) => writeln!(out, "{n}")?,
         EvalOutcome::Exists(_) => {}
     }
@@ -513,7 +506,8 @@ fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut
     let repeat = clock.summary(req, nodes);
     let written = clock.phase("hedgex.output", || {
         if !req.mark {
-            return print_answer(out, outcome, hits.iter().map(|&n| (None, flat.dewey(n))));
+            let lines = |out: &mut W| DeweyWriter::new(&flat).write_lines(out, None, &hits);
+            return print_answer(out, outcome, lines);
         }
         let mut marks = vec![false; flat.num_nodes()];
         for &n in &hits {
@@ -540,7 +534,7 @@ fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W
             let mut sink = PathStream::from_compiled(dfa.clone())
                 .exists(mode == EvalMode::Exists)
                 .count_only(mode == EvalMode::Count)
-                .collect_deweys(mode == EvalMode::Locate);
+                .record_addresses(mode == EvalMode::Locate);
             let streamed =
                 clock.phase("hedgex.stream", || stream_xml(src, &mut ab, cfg, &mut sink));
             streamed.map_err(parse_error)?;
@@ -551,7 +545,9 @@ fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W
                 EvalMode::Exists => EvalOutcome::Exists(sink.found()),
             };
             let written = clock.phase("hedgex.output", || {
-                print_answer(out, outcome, sink.deweys().iter().map(|d| (None, d)))
+                let lines =
+                    |out: &mut W| sink.addresses().try_for_each(|a| write_line(out, None, a));
+                print_answer(out, outcome, lines)
             });
             (outcome, sink.num_nodes(), sink.stats(), written)
         }
@@ -564,8 +560,11 @@ fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W
             // set, Exists stops the second traversal at its first hit.
             let outcome = clock.phase("hedgex.finish", || sink.finish_outcome(mode));
             let written = clock.phase("hedgex.output", || {
-                let matches = sink.located().iter().map(|&n| (None, sink.dewey(n)));
-                print_answer(out, outcome, matches)
+                let lines = |out: &mut W| {
+                    let flat = sink.arena().expect("a finisher has run");
+                    DeweyWriter::new(flat).write_lines(out, None, sink.located())
+                };
+                print_answer(out, outcome, lines)
             });
             (outcome, sink.num_nodes(), sink.stats(), written)
         }
@@ -611,12 +610,13 @@ fn run_store<W: Write>(req: &Request, path: &str, clock: &mut Clock, out: &mut W
     let nodes = store.total_nodes();
     let repeat = clock.summary(req, nodes);
     let written = clock.phase("hedgex.output", || {
-        let docs = store.docs().iter().zip(&located);
-        let matches = docs.flat_map(|(doc, hits)| {
-            hits.iter()
-                .map(move |&n| (Some(doc.name()), doc.hedge().dewey(n)))
-        });
-        print_answer(out, outcome, matches)
+        let lines = |out: &mut W| {
+            let mut docs = store.docs().iter().zip(&located);
+            docs.try_for_each(|(doc, hits)| {
+                DeweyWriter::new(doc.hedge()).write_lines(out, Some(doc.name()), hits)
+            })
+        };
+        print_answer(out, outcome, lines)
     });
     written.map_err(RunError::Output)?;
     Ok((plan, outcome, nodes, None, repeat))

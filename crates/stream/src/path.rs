@@ -29,7 +29,7 @@ pub struct PathStream {
     dfa: Arc<CompiledPath>,
     exists: bool,
     count_only: bool,
-    collect_deweys: bool,
+    record_addresses: bool,
     /// DFA state per open element (the ancestor chain).
     stack: Vec<StateId>,
     /// Dewey counters: `counts[d]` is the number of children seen so far at
@@ -61,7 +61,7 @@ impl PathStream {
             dfa,
             exists: false,
             count_only: false,
-            collect_deweys: false,
+            record_addresses: false,
             stack: Vec::new(),
             counts: vec![0],
             next_id: 0,
@@ -83,9 +83,14 @@ impl PathStream {
     /// Record the Dewey address of every match as it is found (costs
     /// O(depth) per match; without it, memory is independent of matches'
     /// addresses).
-    pub fn collect_deweys(mut self, on: bool) -> PathStream {
-        self.collect_deweys = on;
+    pub fn record_addresses(mut self, on: bool) -> PathStream {
+        self.record_addresses = on;
         self
+    }
+
+    /// [`record_addresses`](PathStream::record_addresses), kept for E12.
+    pub fn collect_deweys(self, on: bool) -> PathStream {
+        self.record_addresses(on)
     }
 
     /// Count matches without recording them: memory stays O(depth) no
@@ -107,8 +112,13 @@ impl PathStream {
         &self.located
     }
 
-    /// Dewey addresses of the matches (when collected), aligned with
+    /// Dewey addresses of the matches (when recorded), aligned with
     /// [`located`](PathStream::located).
+    pub fn addresses(&self) -> impl Iterator<Item = &[u32]> {
+        self.deweys.iter().map(Vec::as_slice)
+    }
+
+    /// [`addresses`](PathStream::addresses) as stored, kept for E12.
     pub fn deweys(&self) -> &[Vec<u32>] {
         &self.deweys
     }
@@ -151,7 +161,7 @@ impl HedgeSink for PathStream {
             self.matched += 1;
             if !self.count_only {
                 self.located.push(id);
-                if self.collect_deweys {
+                if self.record_addresses {
                     self.deweys.push(self.counts.clone());
                 }
             }
@@ -195,12 +205,14 @@ mod tests {
         let path = parse_path(path_src, &mut ab).unwrap();
         let h = parse_hedge(doc_src, &mut ab).unwrap();
         let flat = FlatHedge::from_hedge(&h);
-        let mut sink = PathStream::new(&path, &ab).collect_deweys(true);
+        let mut sink = PathStream::new(&path, &ab).record_addresses(true);
         assert!(replay_flat(&flat, &mut sink));
         let streamed = sink.finish().to_vec();
         assert_eq!(streamed, path.locate(&flat), "{path_src} on {doc_src}");
-        for (i, &n) in streamed.iter().enumerate() {
-            assert_eq!(sink.deweys()[i], flat.dewey(n), "dewey of {n}");
+        // Each recorded address names its match.
+        assert_eq!(sink.addresses().count(), streamed.len());
+        for (addr, &n) in sink.addresses().zip(&streamed) {
+            assert_eq!(flat.by_dewey(addr), Some(n), "address of {n}");
         }
     }
 

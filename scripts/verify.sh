@@ -121,6 +121,16 @@ if grep -rnE --include='*.rs' '(\.n_transition\(|sibling_classes\(|class_step_ro
   echo "Algorithm 1's steps must stay in crates/core/src"; exit 1
 fi
 
+echo "== addresses come from the one writer =="
+# Every located node is printed from hedgex_hedge::DeweyWriter, one forward
+# pass per answer. The per-node FlatHedge::dewey rescans each level from its
+# eldest sibling, quadratic in a wide answer; it stays the reference in
+# flat.rs and the E12 benchmark, and PhrStream::dewey wraps it for E12 only.
+if grep -rnF --include='*.rs' '.dewey(' crates/*/src \
+  | grep -vE '^crates/(hedge/src/flat\.rs|stream/src/phr\.rs|bench/)'; then
+  echo "locate output must come from DeweyWriter, not per-node .dewey()"; exit 1
+fi
+
 echo "== the construction kernel lives in hedgex-automata only =="
 # Subset, product and trim loops go through the three kernels in
 # crates/automata/src/kernel.rs (Worklist, row/in_edges, reach/coreach); no

@@ -1737,6 +1737,81 @@ fn deep_documents_answer_without_stream_and_from_a_store() {
     std::fs::remove_file(&store).ok();
 }
 
+/// Locate output is linear in the answer however wide a level is: 200 000
+/// siblings under one root are addressed on every route, each with the
+/// same lines, well within a bound that a per-hit scan from the eldest
+/// sibling (quadratic in the width) misses by far.
+#[test]
+fn wide_documents_locate_in_linear_time_on_every_route() {
+    const WIDTH: usize = 200_000;
+    const BOUND: std::time::Duration = std::time::Duration::from_secs(20);
+    let corpus = scratch("wide-corpus");
+    std::fs::create_dir_all(&corpus).unwrap();
+    let xml = corpus.join("wide.xml");
+    let src = format!("<r>{}</r>", "<a/>".repeat(WIDTH));
+    std::fs::write(&xml, &src).unwrap();
+    let store = scratch("wide.hxst");
+    let out = hxq(&[
+        "index",
+        corpus.to_str().unwrap(),
+        "--out",
+        store.to_str().unwrap(),
+    ]);
+    assert_eq!(out.status.code(), Some(0));
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    let every_a = "[a* ; a ; a*][ε ; r ; ε]";
+    let routes: [(&[&str], Option<&str>); 7] = [
+        (&["--path", "r a", xml], None),
+        (&["--phr", every_a, xml], None),
+        (&["--path", "r a", "-"], Some(src.as_str())),
+        (&["--stream", "--path", "r a", xml], None),
+        (&["--stream", "--phr", every_a, xml], None),
+        (&["--store", store, "--path", "r a"], None),
+        (
+            &["--repeat", "2", "--jobs", "2", "--path", "r a", xml],
+            None,
+        ),
+    ];
+    let mut first: Option<String> = None;
+    for (args, stdin) in routes {
+        let started = std::time::Instant::now();
+        let out = match stdin {
+            Some(input) => hxq_stdin(args, input),
+            None => hxq(args),
+        };
+        let took = started.elapsed();
+        assert_eq!(
+            out.status.code(),
+            Some(0),
+            "{args:?}: {}",
+            String::from_utf8_lossy(&out.stderr)
+        );
+        assert!(took < BOUND, "{args:?} took {took:?}");
+        let stdout = String::from_utf8(out.stdout).unwrap();
+        let stdout = match args[0] {
+            "--store" => stdout
+                .lines()
+                .map(|line| {
+                    let line = line.strip_prefix("wide.xml:");
+                    format!("{}\n", line.expect("the store names the document"))
+                })
+                .collect(),
+            _ => stdout,
+        };
+        match &first {
+            Some(lines) => assert!(stdout == *lines, "{args:?} differs from the file route"),
+            None => first = Some(stdout),
+        }
+    }
+    let lines: Vec<&str> = first.as_deref().unwrap().lines().collect();
+    assert_eq!(lines.len(), WIDTH);
+    for k in [1, 2, 1_000, WIDTH / 2 + 1, WIDTH] {
+        assert_eq!(lines[k - 1], format!("/1/{k}"));
+    }
+    std::fs::remove_dir_all(&corpus).ok();
+    std::fs::remove_file(store).ok();
+}
+
 /// `--mark` prints one line per node indented by its depth, so its output
 /// grows with depth squared (a million levels would be terabytes). The
 /// depth check therefore shrinks the stack instead: under 128 KiB, a parser

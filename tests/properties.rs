@@ -166,6 +166,96 @@ fn dewey_bijective() {
     );
 }
 
+/// A tree of one of the shapes that stress an address writer: a random
+/// tree, a lone leaf, a wide level, or a deep chain with leaf siblings
+/// beside every link.
+fn gen_shaped_tree(rng: &mut Rng) -> Tree {
+    let leaf = |rng: &mut Rng| Tree::Node(SymId(rng.random_range(0..3u32)), Hedge::empty());
+    match rng.random_range(0..4u32) {
+        0 => gen_tree(rng, 3),
+        1 => leaf(rng),
+        2 => {
+            let width = rng.random_range(1..80usize);
+            let kids = (0..width).map(|_| {
+                if rng.random_bool(0.1) {
+                    gen_tree(rng, 2)
+                } else {
+                    leaf(rng)
+                }
+            });
+            Tree::Node(SymId(0), Hedge(kids.collect()))
+        }
+        _ => {
+            let mut t = leaf(rng);
+            for _ in 0..rng.random_range(1..40usize) {
+                let (before, after) = (rng.random_range(0..4usize), rng.random_range(0..4usize));
+                let mut kids: Vec<Tree> = (0..before).map(|_| leaf(rng)).collect();
+                kids.push(t);
+                kids.extend((0..after).map(|_| leaf(rng)));
+                t = Tree::Node(SymId(1), Hedge(kids));
+            }
+            t
+        }
+    }
+}
+
+/// Forests of up to five shaped trees, with a seed for the hit sets.
+fn arb_forest_and_seed() -> Gen<(Hedge, u64)> {
+    let forest = Gen::new(|rng| {
+        let roots = rng.random_range(0..6usize);
+        Hedge((0..roots).map(|_| gen_shaped_tree(rng)).collect())
+    })
+    .with_shrink(shrink_hedge);
+    zip2(forest, Gen::new(|rng| rng.next_u64()))
+}
+
+/// The address writer prints, for every sorted hit set and with or
+/// without a name prefix, the lines built from `FlatHedge::dewey` node by
+/// node.
+#[test]
+fn dewey_writer_lines_equal_per_node_addresses() {
+    use hedgex::hedge::DeweyWriter;
+    forall(
+        "dewey_writer_lines_equal_per_node_addresses",
+        Config::with_cases(96),
+        &arb_forest_and_seed(),
+        |(h, seed)| {
+            let f = FlatHedge::from_hedge(h);
+            let mut rng = Rng::seed_from_u64(*seed);
+            let all: Vec<u32> = f.preorder().collect();
+            let p = rng.random_f64();
+            let hit_sets = [
+                vec![],
+                all.iter().copied().filter(|_| rng.random_bool(p)).collect(),
+                all.last().map(|_| *rng.choose(&all)).into_iter().collect(),
+                all.last().copied().into_iter().collect(),
+                all.clone(),
+            ];
+            for hits in &hit_sets {
+                for prefix in [None, Some("doc.xml")] {
+                    let mut written = Vec::new();
+                    DeweyWriter::new(&f)
+                        .write_lines(&mut written, prefix, hits)
+                        .unwrap();
+                    let expected: String = hits
+                        .iter()
+                        .map(|&n| {
+                            let steps: String =
+                                f.dewey(n).iter().map(|d| format!("/{d}")).collect();
+                            match prefix {
+                                Some(name) => format!("{name}:{steps}\n"),
+                                None => format!("{steps}\n"),
+                            }
+                        })
+                        .collect();
+                    prop_assert_eq!(String::from_utf8(written).unwrap(), expected);
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 /// subhedge + envelope reassemble the original hedge (Definition 21).
 #[test]
 fn envelope_fill_inverts() {
@@ -204,7 +294,7 @@ fn decompose_compose_inverse() {
                 }
                 let env = PointedHedge::new(f.envelope(n)).unwrap();
                 let bases = env.decompose().unwrap();
-                prop_assert_eq!(bases.len(), f.node_depth(n));
+                prop_assert_eq!(bases.len(), f.dewey(n).len());
                 let back = PointedBaseHedge::compose(&bases).unwrap();
                 prop_assert_eq!(back, env);
             }
