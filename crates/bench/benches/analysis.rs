@@ -11,9 +11,10 @@
 //! 2. **Pruned vs unpruned warm throughput.** Component-level dead-state
 //!    pruning shrinks the product `M` and with it the dense transition
 //!    tables the warm path walks. The group benches both compilations on
-//!    the same documents, asserts their match sets are identical (pruning
-//!    must be invisible to evaluation), and records the dense-table entry
-//!    counts (`m_states × eq_classes`) for both.
+//!    the same documents, interleaved in one loop after a warm-up, asserts
+//!    their match sets are identical (pruning must be invisible to
+//!    evaluation), and records the dense-table entry counts
+//!    (`m_states × eq_classes`) for both.
 
 use std::time::Instant;
 
@@ -51,9 +52,12 @@ fn main() {
     };
 
     let mut group = c.benchmark_group("E8_analysis");
-    group.sample_size(15);
+    group.sample_size(101);
 
-    // Warm throughput: identical plans except for pruning.
+    // Warm throughput: identical plans except for pruning, measured side by
+    // side in one interleaved loop after a warm-up, so the two rows see the
+    // same machine and compare across runs.
+    let mut ratios = Vec::new();
     for &n in sizes {
         let mut w = doc_workload(n, 0xE8);
         let phr = figure_before_table_phr(&mut w.ab);
@@ -67,15 +71,27 @@ fn main() {
         );
         let mut scratch_p = EvalScratch::new();
         let mut scratch_u = EvalScratch::new();
-        pruned.locate_into(&w.doc, &mut scratch_p);
-        unpruned.locate_into(&w.doc, &mut scratch_u);
+        let ids = [
+            BenchmarkId::new("warm_pruned", w.nodes),
+            BenchmarkId::new("warm_unpruned", w.nodes),
+        ];
         group.throughput(Throughput::Elements(w.nodes as u64));
-        group.bench_with_input(BenchmarkId::new("warm_pruned", w.nodes), &w, |b, w| {
-            b.iter(|| std::hint::black_box(pruned.locate_into(&w.doc, &mut scratch_p).len()))
-        });
-        group.bench_with_input(BenchmarkId::new("warm_unpruned", w.nodes), &w, |b, w| {
-            b.iter(|| std::hint::black_box(unpruned.locate_into(&w.doc, &mut scratch_u).len()))
-        });
+        group.bench_interleaved(&mut [
+            (ids[0].clone(), &mut || {
+                std::hint::black_box(pruned.locate_into(&w.doc, &mut scratch_p).len());
+            }),
+            (ids[1].clone(), &mut || {
+                std::hint::black_box(unpruned.locate_into(&w.doc, &mut scratch_u).len());
+            }),
+        ]);
+        // The load of a shared host moves both rows together; their ratio
+        // is the figure that holds from run to run.
+        if let [Some(p), Some(u)] = ids.map(|id| group.median_ns(&id)) {
+            ratios.push((w.nodes.to_string(), Json::Num(p as f64 / u.max(1) as f64)));
+        }
+    }
+    if !ratios.is_empty() {
+        group.attach_extra("warm_pruned_over_unpruned", Json::Obj(ratios));
     }
 
     // One-time costs on a mid-size document: static analysis (spine build

@@ -15,13 +15,14 @@
 //! * `hedgex-core::compile` — the Lemma 1 translation to a non-deterministic
 //!   hedge automaton, which is what production evaluation uses.
 //!
-//! A concrete syntax is provided for tests, examples, and documentation:
+//! A concrete syntax is provided for tests, examples, and documentation.
+//! It is the regular grammar every query syntax shares (`crate::syntax`:
+//! juxtaposition, `|`, and the postfix `*`, `+`, `?`) with these atoms and
+//! operators of its own:
 //!
 //! ```text
-//! e := seq ('@' name seq)*          -- e₁ @z e₂  is  e₁ ∘_z e₂ (left-assoc)
-//! seq := alt+                       -- juxtaposition is concatenation
-//! alt := factor ('|' factor)*
-//! factor := atom ('*' | '+' | '?' | '^' name | '{>=' n '}' | '{<=' n '}')*
+//! e := alt ('@' name alt)*          -- e₁ @z e₂  is  e₁ ∘_z e₂ (left-assoc)
+//! postfix += '^' name | '{>=' n '}' | '{<=' n '}'
 //! atom := '!'                       -- ∅
 //!       | 'ε' | '()'                -- the empty hedge
 //!       | '$' name                  -- a variable
@@ -43,9 +44,12 @@
 //! [`MAX_QUERY_NESTING`] nested parentheses and node contents, and at most
 //! [`MAX_QUERY_STEPS`] AST nodes.
 
+use std::ops::ControlFlow;
 use std::rc::Rc;
 
 use hedgex_hedge::{Alphabet, Hedge, SubId, SymId, Tree, VarId};
+
+use crate::syntax::{self, Cursor, Grammar, Parsed, Part, Postfix};
 
 /// Largest AST (in nodes) a graded bound `e{>=n}` / `e{<=n}` may desugar
 /// to. The expansion is n-fold copying — `n·|e| + |e|` nodes — and the
@@ -303,309 +307,169 @@ fn matches_env(e: &Hre, h: &[Tree], env: &Env<'_>) -> bool {
 /// than [`MAX_QUERY_NESTING`], or larger than [`MAX_QUERY_STEPS`] AST
 /// nodes, are rejected at the byte where they cross the limit.
 pub fn parse_hre(src: &str, ab: &mut Alphabet) -> Result<Hre, HreParseError> {
-    let mut p = HreParser {
-        src,
-        pos: 0,
-        ab,
-        depth: 0,
-    };
-    let (e, _) = p.embed_level()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing input"));
-    }
-    Ok(e)
+    parse_hre_at(&mut Cursor::new(src), ab)
 }
 
-/// An HRE parse error, with byte position.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct HreParseError {
-    /// Byte offset in the input.
-    pub pos: usize,
-    /// Human-readable description.
-    pub msg: String,
+/// Parse the HRE text at `cur`, to its end; a PHR triplet slot parses its
+/// two HREs in place through this.
+pub(crate) fn parse_hre_at(cur: &mut Cursor<'_>, ab: &mut Alphabet) -> Result<Hre, HreParseError> {
+    syntax::parse(&mut HreSyntax { ab }, cur)
 }
 
-impl std::fmt::Display for HreParseError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "HRE parse error at byte {}: {}", self.pos, self.msg)
-    }
-}
+/// A query parse error: the byte where the text stops parsing, and why.
+/// The same type as a hedge text parse error.
+pub type HreParseError = hedgex_hedge::ParseError;
 
-impl std::error::Error for HreParseError {}
-
-/// A parsed sub-expression and its size in AST nodes, counted as
-/// [`Hre::size`] counts the unsimplified tree.
-type Part = (Hre, usize);
-
-struct HreParser<'a, 'b> {
-    src: &'a str,
-    pos: usize,
+/// The atoms and operators only HREs have, on the shared grammar.
+struct HreSyntax<'b> {
     ab: &'b mut Alphabet,
-    /// Parentheses and `a<…>` contents open at `pos`.
-    depth: usize,
 }
 
-impl HreParser<'_, '_> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-    fn err(&self, msg: impl Into<String>) -> HreParseError {
-        HreParseError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
-    }
-    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
-    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
-        if size > MAX_QUERY_STEPS {
-            return Err(self.err(format!("HRE larger than {MAX_QUERY_STEPS} nodes")));
-        }
-        Ok(size)
-    }
-    /// Parse a nested `embed_level` opened at `pos`, unless it would nest
-    /// deeper than [`MAX_QUERY_NESTING`].
-    fn nested(&mut self) -> Result<Part, HreParseError> {
-        if self.depth == MAX_QUERY_NESTING {
-            return Err(self.err(format!("HRE nested deeper than {MAX_QUERY_NESTING}")));
-        }
-        self.bump();
-        self.depth += 1;
-        let part = self.embed_level();
-        self.depth -= 1;
-        part
-    }
-    fn ident(&mut self) -> Result<String, HreParseError> {
-        let start = self.pos;
-        while matches!(self.peek(), Some(c)
-            if !c.is_whitespace() && !"<>$%()|*+?^@!∅{}".contains(c))
-        {
-            self.bump();
-        }
-        if self.pos == start {
-            Err(self.err("expected a name"))
-        } else {
-            Ok(self.src[start..self.pos].to_string())
-        }
+/// Characters that end a name.
+const NAME_DELIMS: &str = "<>$%()|*+?^@!∅{}";
+
+impl Grammar for HreSyntax<'_> {
+    type Expr = Hre;
+
+    fn ends_seq(&self, c: char) -> bool {
+        matches!(c, ')' | '>' | '|' | '@')
     }
 
-    /// Lowest precedence: `seq ('@' name seq)*`.
-    fn embed_level(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.alt_level()?;
+    /// Lowest precedence: `alt ('@' name alt)*`.
+    fn expr(&mut self, cur: &mut Cursor<'_>) -> Parsed<Hre> {
+        let (mut e, mut size) = syntax::alt(self, cur)?;
         loop {
-            self.skip_ws();
-            if self.peek() == Some('@') {
-                self.bump();
-                let name = self.ident()?;
-                let z = self.ab.sub(&name);
-                let (outer, n) = self.alt_level()?;
-                size = self.bounded(size + n + 1)?;
-                e = e.embed(z, outer);
-            } else {
+            cur.skip_ws();
+            if !cur.eat('@') {
                 return Ok((e, size));
             }
+            let z = self.ab.sub(cur.ident(NAME_DELIMS)?);
+            let (outer, n) = syntax::alt(self, cur)?;
+            size = cur.bounded(size + n + 1)?;
+            e = e.embed(z, outer);
         }
     }
 
-    /// `seq ('|' seq)*`.
-    fn alt_level(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.seq_level()?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('|') {
-                self.bump();
-                let (rhs, n) = self.seq_level()?;
-                size = self.bounded(size + n + 1)?;
-                e = e.alt(rhs);
-            } else {
-                return Ok((e, size));
+    /// `'^' name`, `'{>=' n '}'` and `'{<=' n '}'`.
+    fn postfix(
+        &mut self,
+        cur: &mut Cursor<'_>,
+        (e, size): Part<Hre>,
+    ) -> Result<Postfix<Hre>, HreParseError> {
+        Ok(match cur.peek() {
+            Some('^') => {
+                cur.bump();
+                let z = self.ab.sub(cur.ident(NAME_DELIMS)?);
+                ControlFlow::Continue((e.iter(z), size + 1))
             }
-        }
+            Some('{') => ControlFlow::Continue(graded(cur, e)?),
+            _ => ControlFlow::Break((e, size)),
+        })
     }
 
-    /// Juxtaposition: `factor+`.
-    fn seq_level(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.factor()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some(c) if c == ')' || c == '>' || c == '|' || c == '@' => return Ok((e, size)),
-                None => return Ok((e, size)),
-                _ => {
-                    let (rhs, n) = self.factor()?;
-                    size = self.bounded(size + n + 1)?;
-                    e = e.concat(rhs);
-                }
-            }
-        }
-    }
-
-    /// `atom ('*' | '+' | '?' | '^' name | '{>=' n '}' | '{<=' n '}')*`.
-    fn factor(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.atom()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('*') => {
-                    self.bump();
-                    size = self.bounded(size + 1)?;
-                    e = e.star();
-                }
-                Some('+') => {
-                    self.bump();
-                    // `e+` is `e e*`: two copies of `e`, a star and a
-                    // concatenation.
-                    size = self.bounded(2 * size + 2)?;
-                    e = e.plus();
-                }
-                Some('?') => {
-                    self.bump();
-                    size = self.bounded(size + 1)?;
-                    e = e.opt();
-                }
-                Some('^') => {
-                    self.bump();
-                    let name = self.ident()?;
-                    let z = self.ab.sub(&name);
-                    size = self.bounded(size + 1)?;
-                    e = e.iter(z);
-                }
-                Some('{') => {
-                    (e, size) = self.graded(e)?;
-                }
-                _ => return Ok((e, size)),
-            }
-        }
-    }
-
-    /// `e{>=n}` / `e{<=n}` — graded repetition, desugared on the spot:
-    /// `{>=n}` becomes n copies of `e` followed by `e*`; `{<=n}` becomes n
-    /// copies of `e?`. The degenerate bounds fall out of the smart
-    /// constructors: `{>=0}` is `e*` and `{<=0}` is `ε`.
-    fn graded(&mut self, e: Hre) -> Result<Part, HreParseError> {
-        self.bump(); // '{'
-        self.skip_ws();
-        let lower = match self.bump() {
-            Some('>') => true,
-            Some('<') => false,
-            _ => return Err(self.err("expected '>=' or '<=' in graded bound")),
-        };
-        if self.bump() != Some('=') {
-            return Err(self.err("expected '=' in graded bound"));
-        }
-        self.skip_ws();
-        let start = self.pos;
-        while matches!(self.peek(), Some(c) if c.is_ascii_digit()) {
-            self.bump();
-        }
-        if self.pos == start {
-            return Err(self.err("expected a number in graded bound"));
-        }
-        let n: usize = self.src[start..self.pos]
-            .parse()
-            .map_err(|_| self.err("graded bound does not fit in usize"))?;
-        self.skip_ws();
-        if self.bump() != Some('}') {
-            return Err(self.err("expected '}' after graded bound"));
-        }
-        let op = if lower { ">=" } else { "<=" };
-        let cost = n.saturating_mul(e.size()).saturating_add(e.size());
-        if cost > GRADED_EXPANSION_CAP {
-            return Err(self.err(format!(
-                "graded bound {{{op}{n}}} expands to ~{cost} AST nodes, \
-                 over the cap of {GRADED_EXPANSION_CAP}"
-            )));
-        }
-        let mut out = if lower {
-            e.clone().star()
-        } else {
-            Hre::Epsilon
-        };
-        for _ in 0..n {
-            let copy = if lower { e.clone() } else { e.clone().opt() };
-            out = copy.concat(out);
-        }
-        Ok((out, self.bounded(cost)?))
-    }
-
-    fn atom(&mut self) -> Result<Part, HreParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('!') | Some('∅') => {
-                self.bump();
+    fn atom(&mut self, cur: &mut Cursor<'_>) -> Parsed<Hre> {
+        match cur.peek() {
+            Some('!' | '∅') => {
+                cur.bump();
                 Ok((Hre::Empty, 1))
             }
             Some('ε') => {
-                self.bump();
+                cur.bump();
                 Ok((Hre::Epsilon, 1))
             }
             Some('(') => {
-                let open = self.pos;
-                self.bump();
-                self.skip_ws();
-                if self.peek() == Some(')') {
-                    self.bump();
+                let open = cur.pos;
+                cur.bump();
+                cur.skip_ws();
+                if cur.eat(')') {
                     return Ok((Hre::Epsilon, 1));
                 }
-                self.pos = open;
-                let e = self.nested()?;
-                self.skip_ws();
-                if self.bump() != Some(')') {
-                    return Err(self.err("expected ')'"));
-                }
-                Ok(e)
+                cur.pos = open;
+                syntax::group(self, cur)
             }
             Some('$') => {
-                self.bump();
-                let name = self.ident()?;
-                Ok((Hre::Var(self.ab.var(&name)), 1))
+                cur.bump();
+                Ok((Hre::Var(self.ab.var(cur.ident(NAME_DELIMS)?)), 1))
             }
             Some(c) if !"<>|*+?^@%)!∅{}".contains(c) => {
-                let name = self.ident()?;
-                let a = self.ab.sym(&name);
-                self.skip_ws();
-                if self.peek() == Some('<') {
-                    let open = self.pos;
-                    self.bump();
-                    self.skip_ws();
-                    if self.peek() == Some('%') {
-                        self.bump();
-                        let zname = self.ident()?;
-                        let z = self.ab.sub(&zname);
-                        self.skip_ws();
-                        if self.bump() != Some('>') {
-                            return Err(self.err("expected '>' after substitution symbol"));
-                        }
-                        return Ok((Hre::sub_node(a, z), 1));
-                    }
-                    if self.peek() == Some('>') {
-                        self.bump();
-                        return Ok((Hre::leaf(a), 2));
-                    }
-                    self.pos = open;
-                    let (e, n) = self.nested()?;
-                    self.skip_ws();
-                    if self.bump() != Some('>') {
-                        return Err(self.err(format!("unclosed '<' for node '{name}'")));
-                    }
-                    Ok((Hre::node(a, e), n + 1))
-                } else {
-                    Ok((Hre::leaf(a), 2))
+                let name = cur.ident(NAME_DELIMS)?;
+                let a = self.ab.sym(name);
+                cur.skip_ws();
+                if cur.peek() != Some('<') {
+                    return Ok((Hre::leaf(a), 2));
                 }
+                let open = cur.pos;
+                cur.bump();
+                cur.skip_ws();
+                if cur.eat('%') {
+                    let z = self.ab.sub(cur.ident(NAME_DELIMS)?);
+                    cur.skip_ws();
+                    if cur.bump() != Some('>') {
+                        return Err(cur.err("expected '>' after substitution symbol"));
+                    }
+                    return Ok((Hre::sub_node(a, z), 1));
+                }
+                if cur.eat('>') {
+                    return Ok((Hre::leaf(a), 2));
+                }
+                cur.pos = open;
+                let (e, n) =
+                    syntax::enclosed(self, cur, '>', || format!("unclosed '<' for node '{name}'"))?;
+                Ok((Hre::node(a, e), n + 1))
             }
-            _ => Err(self.err("expected an atom")),
+            _ => Err(cur.err("expected an atom")),
         }
     }
+}
+
+/// `e{>=n}` / `e{<=n}` — graded repetition, desugared on the spot:
+/// `{>=n}` becomes n copies of `e` followed by `e*`; `{<=n}` becomes n
+/// copies of `e?`. The degenerate bounds fall out of the smart
+/// constructors: `{>=0}` is `e*` and `{<=0}` is `ε`.
+fn graded(cur: &mut Cursor<'_>, e: Hre) -> Parsed<Hre> {
+    cur.bump(); // '{'
+    cur.skip_ws();
+    let lower = match cur.bump() {
+        Some('>') => true,
+        Some('<') => false,
+        _ => return Err(cur.err("expected '>=' or '<=' in graded bound")),
+    };
+    if cur.bump() != Some('=') {
+        return Err(cur.err("expected '=' in graded bound"));
+    }
+    cur.skip_ws();
+    let start = cur.pos;
+    while cur.peek().is_some_and(|c| c.is_ascii_digit()) {
+        cur.bump();
+    }
+    if cur.pos == start {
+        return Err(cur.err("expected a number in graded bound"));
+    }
+    let n: usize = cur.src[start..cur.pos]
+        .parse()
+        .map_err(|_| cur.err("graded bound does not fit in usize"))?;
+    cur.skip_ws();
+    if cur.bump() != Some('}') {
+        return Err(cur.err("expected '}' after graded bound"));
+    }
+    let op = if lower { ">=" } else { "<=" };
+    let cost = n.saturating_mul(e.size()).saturating_add(e.size());
+    if cost > GRADED_EXPANSION_CAP {
+        return Err(cur.err(format!(
+            "graded bound {{{op}{n}}} expands to ~{cost} AST nodes, \
+             over the cap of {GRADED_EXPANSION_CAP}"
+        )));
+    }
+    let mut out = if lower {
+        e.clone().star()
+    } else {
+        Hre::Epsilon
+    };
+    for _ in 0..n {
+        let copy = if lower { e.clone() } else { e.clone().opt() };
+        out = copy.concat(out);
+    }
+    Ok((out, cost))
 }
 
 #[cfg(test)]

@@ -66,6 +66,7 @@ pub mod phr_compile;
 pub mod plan;
 pub mod query;
 pub mod schema;
+mod syntax;
 pub mod two_pass;
 
 pub use compile::compile_hre;

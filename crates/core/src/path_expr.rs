@@ -15,11 +15,14 @@
 //! benchmark and the tests' differential checks), and the simplified
 //! match-identifying NHA.
 //!
-//! Concrete syntax: HRE-style regex over names, e.g. `sec* fig`,
-//! `(chap|app) sec fig?`. Query text is bounded: at most
-//! [`MAX_QUERY_NESTING`] open parentheses and [`MAX_QUERY_STEPS`] regex
-//! nodes, so no query can exhaust the stack of the recursive regex
-//! algorithms downstream.
+//! Concrete syntax: the regular grammar every query syntax shares
+//! (`crate::syntax`) over names, e.g. `sec* fig`, `(chap|app) sec fig?`.
+//! Query text is bounded: at most [`MAX_QUERY_NESTING`] open parentheses
+//! and [`MAX_QUERY_STEPS`] regex nodes, so no query can exhaust the stack
+//! of the recursive regex algorithms downstream.
+//!
+//! [`MAX_QUERY_NESTING`]: crate::hre::MAX_QUERY_NESTING
+//! [`MAX_QUERY_STEPS`]: crate::hre::MAX_QUERY_STEPS
 
 use std::collections::HashMap;
 
@@ -29,8 +32,9 @@ use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
 use hedgex_obs as obs;
 
-use crate::hre::{Hre, HreParseError, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
+use crate::hre::{Hre, HreParseError};
 use crate::phr::{Pbhr, Phr};
+use crate::syntax::{self, Cursor, Grammar, Parsed};
 use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, GateCursor, ModeSink, PruneInfo};
 
 /// A classical path expression: a regular expression over Σ, read from the
@@ -368,143 +372,33 @@ impl PathMarkUp {
 /// are not allowed). Queries nesting deeper than [`MAX_QUERY_NESTING`] or
 /// larger than [`MAX_QUERY_STEPS`] are rejected at the byte where they
 /// cross the limit.
+///
+/// [`MAX_QUERY_NESTING`]: crate::hre::MAX_QUERY_NESTING
+/// [`MAX_QUERY_STEPS`]: crate::hre::MAX_QUERY_STEPS
 pub fn parse_path(src: &str, ab: &mut Alphabet) -> Result<PathExpr, HreParseError> {
-    let mut p = PathParser {
-        src,
-        pos: 0,
-        ab,
-        depth: 0,
-    };
-    let (regex, _) = p.alt()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(HreParseError {
-            pos: p.pos,
-            msg: "trailing input".into(),
-        });
-    }
+    let regex = syntax::parse(&mut PathSyntax { ab }, &mut Cursor::new(src))?;
     Ok(PathExpr { regex })
 }
 
-/// A parsed sub-expression and its size in regex nodes.
-type Part = (Regex<SymId>, usize);
-
-struct PathParser<'a, 'b> {
-    src: &'a str,
-    pos: usize,
+/// The shared grammar over one atom, a name.
+struct PathSyntax<'b> {
     ab: &'b mut Alphabet,
-    /// Parentheses open at `pos`.
-    depth: usize,
 }
 
-impl PathParser<'_, '_> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+impl Grammar for PathSyntax<'_> {
+    type Expr = Regex<SymId>;
+
+    fn ends_seq(&self, c: char) -> bool {
+        matches!(c, ')' | '|')
     }
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-    fn err(&self, msg: impl Into<String>) -> HreParseError {
-        HreParseError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
-    }
-    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
-    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
-        if size > MAX_QUERY_STEPS {
-            return Err(self.err(format!(
-                "path expression larger than {MAX_QUERY_STEPS} steps"
-            )));
-        }
-        Ok(size)
-    }
-    fn alt(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.seq()?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('|') {
-                self.bump();
-                let (f, n) = self.seq()?;
-                size = self.bounded(size + n + 1)?;
-                e = e.alt(f);
-            } else {
-                return Ok((e, size));
-            }
-        }
-    }
-    fn seq(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.factor()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                None | Some(')') | Some('|') => return Ok((e, size)),
-                _ => {
-                    let (f, n) = self.factor()?;
-                    size = self.bounded(size + n + 1)?;
-                    e = e.concat(f);
-                }
-            }
-        }
-    }
-    fn factor(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.atom()?;
-        loop {
-            self.skip_ws();
-            let op = match self.peek() {
-                Some(op @ ('*' | '+' | '?')) => op,
-                _ => return Ok((e, size)),
-            };
-            self.bump();
-            // `e+` is `e e*`: two copies of `e`, a star and a concatenation.
-            size = self.bounded(if op == '+' { 2 * size + 2 } else { size + 1 })?;
-            e = match op {
-                '*' => e.star(),
-                '+' => e.plus(),
-                _ => e.opt(),
-            };
-        }
-    }
-    fn atom(&mut self) -> Result<Part, HreParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('(') => {
-                if self.depth == MAX_QUERY_NESTING {
-                    return Err(self.err(format!(
-                        "parentheses nested deeper than {MAX_QUERY_NESTING}"
-                    )));
-                }
-                self.bump();
-                self.depth += 1;
-                let e = self.alt()?;
-                self.depth -= 1;
-                self.skip_ws();
-                if self.bump() != Some(')') {
-                    return Err(self.err("expected ')'"));
-                }
-                Ok(e)
-            }
+
+    fn atom(&mut self, cur: &mut Cursor<'_>) -> Parsed<Self::Expr> {
+        match cur.peek() {
+            Some('(') => syntax::group(self, cur),
             Some(c) if !"|*+?)".contains(c) => {
-                let start = self.pos;
-                while matches!(self.peek(), Some(c)
-                    if !c.is_whitespace() && !"()|*+?".contains(c))
-                {
-                    self.bump();
-                }
-                if self.pos == start {
-                    return Err(self.err("expected a name"));
-                }
-                let name = self.src[start..self.pos].to_string();
-                Ok((Regex::sym(self.ab.sym(&name)), 1))
+                Ok((Regex::sym(self.ab.sym(cur.ident("()|*+?")?)), 1))
             }
-            _ => Err(self.err("expected an atom")),
+            _ => Err(cur.err("expected an atom")),
         }
     }
 }
@@ -512,6 +406,7 @@ impl PathParser<'_, '_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hre::{MAX_QUERY_NESTING, MAX_QUERY_STEPS};
     use crate::phr_compile::CompiledPhr;
     use crate::two_pass;
     use hedgex_ha::enumerate::enumerate_hedges;

@@ -15,13 +15,12 @@
 //! as the executable specification. Linear-time evaluation lives in
 //! `phr_compile` (Theorem 4) + `two_pass` (Algorithm 1).
 //!
-//! Concrete syntax (the `e` slots use the HRE syntax from
-//! [`crate::hre::parse_hre`]):
+//! Concrete syntax: the regular grammar every query syntax shares
+//! (`crate::syntax`) over triplets. The `e` slots use the HRE syntax of
+//! [`crate::hre::parse_hre`] and are parsed in place; `;` and `]` end a
+//! slot, and the name is the trimmed text up to the next `;`.
 //!
 //! ```text
-//! phr := seq ('|' seq)*
-//! seq := factor+
-//! factor := atom ('*' | '+' | '?')*
 //! atom := '[' e ';' name ';' e ']'    -- a triplet (e₁, a, e₂)
 //!       | '(' phr ')'
 //! ```
@@ -29,11 +28,15 @@
 //! A PHR has at most [`MAX_TRIPLETS`] triplets (Algorithm 1 keeps one
 //! signature bit per triplet), and its regex is bounded like every query
 //! parser's: [`MAX_QUERY_NESTING`] parentheses, [`MAX_QUERY_STEPS`] nodes.
+//!
+//! [`MAX_QUERY_NESTING`]: crate::hre::MAX_QUERY_NESTING
+//! [`MAX_QUERY_STEPS`]: crate::hre::MAX_QUERY_STEPS
 
 use hedgex_automata::{CharClass, Nfa, Regex};
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, PointedHedge, SymId};
 
-use crate::hre::{parse_hre, Hre, HreParseError, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
+use crate::hre::{parse_hre_at, Hre, HreParseError};
+use crate::syntax::{self, Cursor, Grammar, Parsed};
 
 /// Most triplets a PHR may have: Algorithm 1 records which triplets a
 /// node satisfies as one 64-bit signature.
@@ -161,149 +164,50 @@ impl Phr {
 /// `ab`. A triplet past [`MAX_TRIPLETS`], or a regex nesting deeper than
 /// [`MAX_QUERY_NESTING`] or larger than [`MAX_QUERY_STEPS`], is rejected
 /// at the byte where it crosses the limit.
+///
+/// [`MAX_QUERY_NESTING`]: crate::hre::MAX_QUERY_NESTING
+/// [`MAX_QUERY_STEPS`]: crate::hre::MAX_QUERY_STEPS
 pub fn parse_phr(src: &str, ab: &mut Alphabet) -> Result<Phr, HreParseError> {
-    let mut p = PhrParser {
-        src,
-        pos: 0,
+    let mut p = PhrSyntax {
         ab,
         triplets: Vec::new(),
-        depth: 0,
     };
-    let (regex, _) = p.alt()?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(HreParseError {
-            pos: p.pos,
-            msg: "trailing input".into(),
-        });
-    }
+    let regex = syntax::parse(&mut p, &mut Cursor::new(src))?;
     Ok(Phr {
         triplets: p.triplets,
         regex,
     })
 }
 
-/// A parsed sub-expression and its size in regex nodes.
-type Part = (Regex<TripletId>, usize);
-
-struct PhrParser<'a, 'b> {
-    src: &'a str,
-    pos: usize,
+/// The shared grammar over one atom, a triplet.
+struct PhrSyntax<'b> {
     ab: &'b mut Alphabet,
     triplets: Vec<Pbhr>,
-    /// Parentheses open at `pos`.
-    depth: usize,
 }
 
-impl PhrParser<'_, '_> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
-    }
-    fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
-            self.bump();
-        }
-    }
-    fn err(&self, msg: impl Into<String>) -> HreParseError {
-        HreParseError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
+impl Grammar for PhrSyntax<'_> {
+    type Expr = Regex<TripletId>;
+
+    fn ends_seq(&self, c: char) -> bool {
+        !matches!(c, '[' | '(')
     }
 
-    /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
-    fn bounded(&self, size: usize) -> Result<usize, HreParseError> {
-        if size > MAX_QUERY_STEPS {
-            return Err(self.err(format!("PHR larger than {MAX_QUERY_STEPS} steps")));
-        }
-        Ok(size)
-    }
-
-    fn alt(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.seq()?;
-        loop {
-            self.skip_ws();
-            if self.peek() == Some('|') {
-                self.bump();
-                let (rhs, n) = self.seq()?;
-                size = self.bounded(size + n + 1)?;
-                e = e.alt(rhs);
-            } else {
-                return Ok((e, size));
-            }
-        }
-    }
-
-    fn seq(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.factor()?;
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                Some('[') | Some('(') => {
-                    let (rhs, n) = self.factor()?;
-                    size = self.bounded(size + n + 1)?;
-                    e = e.concat(rhs);
-                }
-                _ => return Ok((e, size)),
-            }
-        }
-    }
-
-    fn factor(&mut self) -> Result<Part, HreParseError> {
-        let (mut e, mut size) = self.atom()?;
-        loop {
-            self.skip_ws();
-            let op = match self.peek() {
-                Some(op @ ('*' | '+' | '?')) => op,
-                _ => return Ok((e, size)),
-            };
-            self.bump();
-            // `e+` is `e e*`: two copies of `e`, a star and a concatenation.
-            size = self.bounded(if op == '+' { 2 * size + 2 } else { size + 1 })?;
-            e = match op {
-                '*' => e.star(),
-                '+' => e.plus(),
-                _ => e.opt(),
-            };
-        }
-    }
-
-    fn atom(&mut self) -> Result<Part, HreParseError> {
-        self.skip_ws();
-        match self.peek() {
-            Some('(') => {
-                if self.depth == MAX_QUERY_NESTING {
-                    return Err(self.err(format!(
-                        "parentheses nested deeper than {MAX_QUERY_NESTING}"
-                    )));
-                }
-                self.bump();
-                self.depth += 1;
-                let e = self.alt()?;
-                self.depth -= 1;
-                self.skip_ws();
-                if self.bump() != Some(')') {
-                    return Err(self.err("expected ')'"));
-                }
-                Ok(e)
-            }
+    fn atom(&mut self, cur: &mut Cursor<'_>) -> Parsed<Self::Expr> {
+        match cur.peek() {
+            Some('(') => syntax::group(self, cur),
             Some('[') => {
                 if self.triplets.len() == MAX_TRIPLETS {
-                    return Err(self.err(format!("more than {MAX_TRIPLETS} triplets")));
+                    return Err(cur.err(format!("more than {MAX_TRIPLETS} triplets")));
                 }
-                self.bump();
-                let e1_src = self.slice_until(';')?;
-                let name_src = self.slice_until(';')?;
-                let e2_src = self.slice_until(']')?;
-                let elder = parse_hre(e1_src.trim(), self.ab)?;
-                let label = self.ab.sym(name_src.trim());
-                let younger = parse_hre(e2_src.trim(), self.ab)?;
-
+                cur.bump();
+                let elder = self.slot(cur, ';')?;
+                let Some(len) = cur.src[cur.pos..].find(';') else {
+                    cur.pos = cur.src.len();
+                    return Err(cur.err("expected ';'"));
+                };
+                let label = self.ab.sym(cur.src[cur.pos..cur.pos + len].trim());
+                cur.pos += len + 1;
+                let younger = self.slot(cur, ']')?;
                 let id = self.triplets.len() as TripletId;
                 self.triplets.push(Pbhr {
                     elder,
@@ -312,50 +216,28 @@ impl PhrParser<'_, '_> {
                 });
                 Ok((Regex::sym(id), 1))
             }
-            _ => Err(self.err("expected '[' or '('")),
+            _ => Err(cur.err("expected '[' or '('")),
         }
     }
+}
 
-    /// Consume up to (and including) the next top-level `stop` character,
-    /// returning the content before it. Nesting of `<>` and `()` inside HRE
-    /// slots is respected; graded bounds `{>=n}`/`{<=n}` are skipped whole
-    /// (their comparison sign is not an angle bracket).
-    fn slice_until(&mut self, stop: char) -> Result<String, HreParseError> {
-        let start = self.pos;
-        let mut depth = 0i32;
-        loop {
-            match self.peek() {
-                None => return Err(self.err(format!("expected '{stop}'"))),
-                Some(c) if c == stop && depth == 0 => {
-                    let s = self.src[start..self.pos].to_string();
-                    self.bump();
-                    return Ok(s);
-                }
-                Some('{') => {
-                    while self.peek().is_some_and(|c| c != '}') {
-                        self.bump();
-                    }
-                    self.bump();
-                }
-                Some('<') | Some('(') => {
-                    depth += 1;
-                    self.bump();
-                }
-                Some('>') | Some(')') => {
-                    depth -= 1;
-                    self.bump();
-                }
-                Some(_) => {
-                    self.bump();
-                }
-            }
+impl PhrSyntax<'_> {
+    /// A triplet's HRE slot and the `close` after it. The slot ends at the
+    /// first `;` or `]` (no name contains either) and has its own nesting
+    /// and size budget.
+    fn slot(&mut self, cur: &mut Cursor<'_>, close: char) -> Result<Hre, HreParseError> {
+        let e = cur.within(";]", |cur| parse_hre_at(cur, self.ab))?;
+        if !cur.eat(close) {
+            return Err(cur.err(format!("expected '{close}'")));
         }
+        Ok(e)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hre::{parse_hre, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
     use hedgex_hedge::parse_hedge;
 
     fn pointed(src: &str, ab: &mut Alphabet) -> PointedHedge {
@@ -373,7 +255,7 @@ mod tests {
     #[test]
     fn graded_bounds_inside_triplets_slice_cleanly() {
         // The '>' in `{>=2}` is a comparison sign, not a closing bracket;
-        // the component slicer must still find the top-level ';' and ']'.
+        // the slot must still end at its ';' and ']'.
         let mut ab = Alphabet::new();
         let phr = parse_phr("[a{>=2} ; b ; (a|b){<=1}]", &mut ab).unwrap();
         assert_eq!(phr.triplets.len(), 1);
@@ -474,6 +356,41 @@ mod tests {
         assert!(parse_phr("[a ; b ; c] extra", &mut ab).is_err());
         assert!(parse_phr("*", &mut ab).is_err());
         assert!(parse_phr("(", &mut ab).is_err());
+    }
+
+    #[test]
+    fn slot_errors_are_positioned_in_the_whole_text() {
+        let mut ab = Alphabet::new();
+        let err = parse_phr("[ε ; b ; a{>=x}]", &mut ab).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "parse error at byte 14: expected a number in graded bound"
+        );
+        // The elder slot ends at its ';', so the '<' is unclosed there.
+        let err = parse_phr("[a< ; b ; ε]", &mut ab).unwrap_err();
+        assert_eq!(
+            (err.pos, err.msg.as_str()),
+            (4, "unclosed '<' for node 'a'")
+        );
+        let err = parse_phr("[(a ; b ; ε]", &mut ab).unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (4, "expected ')'"));
+        let err = parse_phr("[ε ; b ; a > c]", &mut ab).unwrap_err();
+        assert_eq!((err.pos, err.msg.as_str()), (12, "trailing input"));
+    }
+
+    #[test]
+    fn semicolon_and_bracket_always_end_a_slot() {
+        // No name holds ';' or ']', so inside a slot they end it, even
+        // within `<…>` or `(…)`; a bare HRE still reads them as name
+        // characters.
+        let mut ab = Alphabet::new();
+        assert!(parse_phr("[a<b;c> ; d ; ε]", &mut ab).is_err());
+        assert!(parse_phr("[ε ; d ; (a ] b)]", &mut ab).is_err());
+        assert!(parse_phr("[a;b ; c ; d]", &mut ab).is_err());
+        assert!(parse_hre("a<b;c> (a ] b)", &mut ab).is_ok());
+        // The label is the trimmed text up to the next ';'.
+        let phr = parse_phr("[ε ;  x y  ; ε]", &mut ab).unwrap();
+        assert_eq!(ab.sym_name(phr.triplets[0].label), "x y");
     }
 
     #[test]

@@ -81,12 +81,43 @@ impl<'h> DeweyWriter<'h> {
 }
 
 /// The line naming one located node: `[PREFIX:]/d₁/d₂/…` and a newline.
+///
+/// The digits are formatted into a 256-byte stack buffer and the line goes
+/// out in one `write_all`; only a line longer than the buffer (a deep node
+/// or a long prefix) is written in pieces.
 pub fn write_line(out: &mut impl Write, prefix: Option<&str>, addr: &[u32]) -> io::Result<()> {
+    /// `/` and the ten digits of `u32::MAX`.
+    const STEP: usize = 11;
+    let mut line = [0u8; 256];
+    let mut len = 0;
     if let Some(prefix) = prefix {
-        write!(out, "{prefix}:")?;
+        if prefix.len() + 1 + STEP < line.len() {
+            line[..prefix.len()].copy_from_slice(prefix.as_bytes());
+            len = prefix.len();
+        } else {
+            out.write_all(prefix.as_bytes())?;
+        }
+        line[len] = b':';
+        len += 1;
     }
-    addr.iter().try_for_each(|step| write!(out, "/{step}"))?;
-    out.write_all(b"\n")
+    for &step in addr {
+        // Keep room for this step and the newline.
+        if len + STEP >= line.len() {
+            out.write_all(&line[..len])?;
+            len = 0;
+        }
+        line[len] = b'/';
+        len += 1;
+        let digits = step.checked_ilog10().map_or(1, |d| d as usize + 1);
+        let mut rest = step;
+        for d in line[len..len + digits].iter_mut().rev() {
+            *d = b'0' + (rest % 10) as u8;
+            rest /= 10;
+        }
+        len += digits;
+    }
+    line[len] = b'\n';
+    out.write_all(&line[..len + 1])
 }
 
 #[cfg(test)]
@@ -139,5 +170,27 @@ mod tests {
         write_line(&mut out, None, &[2, 1]).unwrap();
         write_line(&mut out, Some("a.xml"), &[3]).unwrap();
         assert_eq!(out, b"/2/1\na.xml:/3\n");
+    }
+
+    #[test]
+    fn lines_longer_than_the_buffer_are_whole() {
+        let long = "d".repeat(300);
+        for prefix in [None, Some("a.xml"), Some(&long[..243]), Some(&long[..])] {
+            for addr in [
+                vec![],
+                vec![0, 9, 10, 99, 100, u32::MAX],
+                vec![u32::MAX; 40],
+                (1..200).collect(),
+            ] {
+                let mut out = Vec::new();
+                write_line(&mut out, prefix, &addr).unwrap();
+                let steps: String = addr.iter().map(|d| format!("/{d}")).collect();
+                let want = match prefix {
+                    Some(p) => format!("{p}:{steps}\n"),
+                    None => format!("{steps}\n"),
+                };
+                assert_eq!(String::from_utf8(out).unwrap(), want);
+            }
+        }
     }
 }

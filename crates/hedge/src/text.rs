@@ -14,7 +14,7 @@
 use crate::hedge::{Hedge, Tree};
 use crate::symbols::{Alphabet, SubId};
 
-/// A hedge parse error, with byte position.
+/// A parse error of hedge or query text, with byte position.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParseError {
     /// Byte offset in the input.

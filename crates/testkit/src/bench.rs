@@ -109,6 +109,9 @@ struct BenchResult {
     throughput: Option<Throughput>,
 }
 
+/// How long [`BenchGroup::bench_interleaved`] warms its closures up.
+pub const INTERLEAVED_WARMUP: Duration = Duration::from_millis(200);
+
 /// A group of benchmarks sharing a name, sample size, and report file.
 pub struct BenchGroup<'a> {
     bench: &'a mut Bench,
@@ -168,6 +171,47 @@ impl BenchGroup<'_> {
         mut f: impl FnMut(&mut Bencher, &I),
     ) -> &mut Self {
         self.bench_function(BenchmarkId(id.0), |b| f(b, input))
+    }
+
+    /// Measure closures side by side in one process. A warm-up runs them
+    /// in turn for at least [`INTERLEAVED_WARMUP`] (one call each in smoke
+    /// mode); then each sample round times every closure once, rotating
+    /// which goes first. A change in the machine's speed during the run
+    /// reaches every row alike, so the rows compare with each other.
+    pub fn bench_interleaved(&mut self, rows: &mut [(BenchmarkId, &mut dyn FnMut())]) -> &mut Self {
+        if self.bench.test_mode {
+            println!("skipping interleaved benches in {} (test mode)", self.name);
+            return self;
+        }
+        let warm = Instant::now();
+        loop {
+            rows.iter_mut().for_each(|(_, f)| f());
+            if self.bench.smoke || warm.elapsed() >= INTERLEAVED_WARMUP {
+                break;
+            }
+        }
+        let n = rows.len();
+        let mut samples = vec![Vec::with_capacity(self.sample_size); n];
+        for round in 0..self.sample_size {
+            for i in (0..n).map(|k| (round + k) % n) {
+                let t = Instant::now();
+                (rows[i].1)();
+                samples[i].push(t.elapsed());
+            }
+        }
+        for ((id, _), samples) in rows.iter().zip(samples) {
+            self.record(id.0.clone(), samples);
+        }
+        self
+    }
+
+    /// The median of a benchmark recorded in this group, in nanoseconds
+    /// (`None` before it ran, and in test mode).
+    pub fn median_ns(&self, id: &BenchmarkId) -> Option<u128> {
+        self.results
+            .iter()
+            .find(|r| r.id == id.0)
+            .map(|r| r.median_ns)
     }
 
     fn record(&mut self, id: String, mut samples: Vec<Duration>) {
@@ -326,6 +370,28 @@ mod tests {
             b.iter_with_setup(|| vec![0u8; 16], |v| v.len())
         });
         assert_eq!(g.results[0].samples, 3);
+    }
+
+    #[test]
+    fn interleaved_rows_each_get_every_sample() {
+        let mut c = quiet_bench();
+        let mut g = c.benchmark_group("unit");
+        g.sample_size(4);
+        let (mut a, mut b) = (0, 0);
+        g.bench_interleaved(&mut [
+            (BenchmarkId::new("a", 1), &mut || a += 1),
+            (BenchmarkId::new("b", 1), &mut || b += 1),
+        ]);
+        let ids: Vec<_> = g
+            .results
+            .iter()
+            .map(|r| (r.id.as_str(), r.samples))
+            .collect();
+        assert_eq!(ids, [("a/1", 4), ("b/1", 4)]);
+        assert!(g.median_ns(&BenchmarkId::new("b", 1)).is_some());
+        assert_eq!(g.median_ns(&BenchmarkId::new("c", 1)), None);
+        assert_eq!(a, b, "the warm-up runs the rows in turn");
+        assert!(a > 4);
     }
 
     #[test]

@@ -140,6 +140,15 @@ if grep -rnE --include='*.rs' '(by_target|NotIn\(covered)' crates/*/src \
   echo "transition rows must be built by hedgex_automata::row/in_edges"; exit 1
 fi
 
+echo "== one regex grammar =="
+# Path, PHR and HRE text share one alt → seq → postfix loop in
+# crates/core/src/syntax.rs, and each language supplies only its atoms. A
+# triplet parses its HRE slots in place, never by slicing them out first.
+if grep -rnE --include='*.rs' "(Some\('\|'\)|Some\('\*'\)|'\*' \| '\+'|slice_until)" crates/*/src \
+  | grep -v '^crates/core/src/syntax\.rs:'; then
+  echo "query grammars must run the one loop in crates/core/src/syntax.rs"; exit 1
+fi
+
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench warm
 

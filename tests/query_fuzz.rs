@@ -266,3 +266,46 @@ fn seeded_queries_error_or_agree_and_never_panic() {
     assert!(answered >= 60, "only {answered} cases answered");
     assert!(rejected >= 60, "only {rejected} cases were rejected");
 }
+
+/// A triplet slot is parsed in place: an HRE text whose bare parse fails
+/// before its last byte fails at the same byte, offset by the slot's
+/// start, in a triplet's younger slot. Texts holding ';' or ']' are left
+/// out, since those end a slot but are name characters in a bare HRE.
+#[test]
+fn hre_errors_keep_their_position_in_a_triplet_slot() {
+    const PREFIX: &str = "[ε ; a ; ";
+    let mut checked = 0;
+    for seed in 0..1000 {
+        let mut rng = Rng::seed_from_u64(seed);
+        let text: String = match seed % 3 {
+            0 => well_formed(&mut rng, Kind::Hre),
+            1 => {
+                let text: Vec<char> = well_formed(&mut rng, Kind::Hre).chars().collect();
+                let cut = rng.random_range(0..text.len());
+                text[..cut].iter().collect()
+            }
+            _ => token_soup(&mut rng),
+        };
+        if text.contains([';', ']']) {
+            continue;
+        }
+        let Err(bare) = parse_hre(&text, &mut Alphabet::new()) else {
+            continue;
+        };
+        if bare.pos + 1 >= text.len() {
+            continue;
+        }
+        let slot = parse_phr(&format!("{PREFIX}{text}]"), &mut Alphabet::new())
+            .expect_err("a bad slot fails the triplet");
+        assert_eq!(
+            slot.pos,
+            PREFIX.len() + bare.pos,
+            "seed {seed}: {text:?}: in a slot {slot}, bare {bare}"
+        );
+        checked += 1;
+    }
+    assert!(
+        checked >= 100,
+        "only {checked} texts failed before their end"
+    );
+}
