@@ -1,19 +1,21 @@
-//! Experiment E9 — `hxq --stream` against `hxq FILE`: answering a query
-//! off the parser's event stream vs building the arena and running the
-//! plan's walk, on the same bytes.
+//! Experiment E9 — answering a query off the parser's event stream vs
+//! building the arena and running the plan's walk, on the same bytes.
 //!
-//! Both routes are the production ones. The *materialized* rows are what
-//! `hxq FILE` runs: [`parse_flat`] (the event parser driving a
-//! `FlatBuilder`) and then [`Plan::eval_into`]. The *streamed* rows are
-//! what `hxq --stream` runs: [`stream_xml`] into a sink on the same plan's
-//! automaton. The two query classes stream differently:
+//! The *materialized* rows run [`parse_flat`] (the event parser driving a
+//! `FlatHedge` builder) and then [`Plan::eval_into`]: for a PHR that is
+//! what every `hxq --phr` query runs, and for a path query it is the arena
+//! route that `--mark`, `--subhedge` and `--repeat` take. The *streamed*
+//! rows run [`stream_xml`] into a sink on the same plan's automaton. The
+//! two query classes stream differently:
 //!
 //! * a path plan's top-down DFA ([`PathStream`]) needs only the open
 //!   ancestor chain, so it builds no arena at all, and `exists` aborts the
-//!   parse at the first match (the `streamed_path_exists` row);
+//!   parse at the first match (the `streamed_path_exists` row). This is
+//!   what `hxq --path FILE` (or `-`) runs;
 //! * Algorithm 1 cannot answer before the input ends, so [`PhrStream`]
 //!   builds the same arena `parse_flat` does and runs the same walk at the
-//!   end: `streamed_phr` should track `materialized_phr`.
+//!   end: `streamed_phr` should track `materialized_phr`. No `hxq` route
+//!   runs it; it is the library's sink.
 //!
 //! The `memory_proxy` extra records each sink's transient high-water (the
 //! open chain for both) against the node count. The tree route
@@ -34,7 +36,7 @@ use hedgex_xml::{parse_xml, to_hedge, write_xml, HedgeConfig};
 
 const PATH_QUERY: &str = "article section* figure";
 
-/// A streaming sink on a path plan's own DFA, as `hxq --stream` builds it.
+/// A streaming sink on a path plan's own DFA, as `hxq --path FILE` builds it.
 fn path_sink(plan: &Plan) -> PathStream {
     let Backend::Path(dfa) = plan.backend() else {
         unreachable!("a path plan")

@@ -13,11 +13,13 @@
 //! and a language, a [`Grammar`], supplies its atoms. This module also
 //! holds the two limits on all query text: [`MAX_QUERY_NESTING`] open
 //! brackets, checked in [`enclosed`], and [`MAX_QUERY_STEPS`] expression
-//! nodes, checked in [`Cursor::bounded`].
+//! nodes, checked in [`Cursor::bounded`]. It steps through the text with
+//! [`TextCursor`], the cursor the hedge syntax uses too.
 
-use std::ops::ControlFlow;
+use std::ops::{ControlFlow, Deref, DerefMut};
 
 use hedgex_automata::{Regex, Sym};
+use hedgex_hedge::TextCursor;
 
 use crate::hre::{Hre, HreParseError, MAX_QUERY_NESTING, MAX_QUERY_STEPS};
 
@@ -104,69 +106,33 @@ pub(crate) trait Grammar: Sized {
     }
 }
 
-/// A position in query text.
+/// A position in query text: the workspace's [`TextCursor`] and the
+/// brackets open at it.
 pub(crate) struct Cursor<'a> {
-    pub(crate) src: &'a str,
-    pub(crate) pos: usize,
+    text: TextCursor<'a>,
     /// Brackets open at `pos`.
     depth: usize,
-    /// Characters that end the text early, as `;` and `]` end a triplet
-    /// slot: [`Cursor::peek`] sees nothing there.
-    stops: &'static str,
+}
+
+impl<'a> Deref for Cursor<'a> {
+    type Target = TextCursor<'a>;
+    fn deref(&self) -> &TextCursor<'a> {
+        &self.text
+    }
+}
+
+impl DerefMut for Cursor<'_> {
+    fn deref_mut(&mut self) -> &mut Self::Target {
+        &mut self.text
+    }
 }
 
 impl<'a> Cursor<'a> {
     pub(crate) fn new(src: &'a str) -> Self {
         Cursor {
-            src,
-            pos: 0,
+            text: TextCursor::new(src),
             depth: 0,
-            stops: "",
         }
-    }
-
-    pub(crate) fn peek(&self) -> Option<char> {
-        let c = self.src[self.pos..].chars().next()?;
-        (!self.stops.contains(c)).then_some(c)
-    }
-
-    pub(crate) fn bump(&mut self) -> Option<char> {
-        let c = self.peek()?;
-        self.pos += c.len_utf8();
-        Some(c)
-    }
-
-    /// Consume `c` if it comes next.
-    pub(crate) fn eat(&mut self, c: char) -> bool {
-        self.peek() == Some(c) && self.bump().is_some()
-    }
-
-    pub(crate) fn skip_ws(&mut self) {
-        while self.peek().is_some_and(char::is_whitespace) {
-            self.bump();
-        }
-    }
-
-    pub(crate) fn err(&self, msg: impl Into<String>) -> HreParseError {
-        HreParseError {
-            pos: self.pos,
-            msg: msg.into(),
-        }
-    }
-
-    /// A name: the characters up to whitespace or one of `delims`.
-    pub(crate) fn ident(&mut self, delims: &str) -> Result<&'a str, HreParseError> {
-        let start = self.pos;
-        while self
-            .peek()
-            .is_some_and(|c| !c.is_whitespace() && !delims.contains(c))
-        {
-            self.bump();
-        }
-        if self.pos == start {
-            return Err(self.err("expected a name"));
-        }
-        Ok(&self.src[start..self.pos])
     }
 
     /// `size`, unless it exceeds [`MAX_QUERY_STEPS`].
@@ -184,12 +150,11 @@ impl<'a> Cursor<'a> {
         stops: &'static str,
         parse: impl FnOnce(&mut Self) -> T,
     ) -> T {
-        let outer = (
-            std::mem::take(&mut self.depth),
-            std::mem::replace(&mut self.stops, stops),
-        );
+        let depth = std::mem::take(&mut self.depth);
+        let stops = self.text.set_stops(stops);
         let out = parse(self);
-        (self.depth, self.stops) = outer;
+        self.depth = depth;
+        self.text.set_stops(stops);
         out
     }
 }

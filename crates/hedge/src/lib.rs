@@ -39,4 +39,4 @@ pub use gen::{GenConfig, HedgeGen};
 pub use hedge::{Hedge, Tree};
 pub use pointed::{PointedBaseHedge, PointedHedge};
 pub use symbols::{Alphabet, NamespaceSizes, SubId, SymId, VarId};
-pub use text::{parse_hedge, print_hedge, ParseError};
+pub use text::{parse_hedge, print_hedge, ParseError, TextCursor};

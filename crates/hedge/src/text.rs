@@ -31,97 +31,124 @@ impl std::fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
-struct Parser<'a> {
-    src: &'a str,
-    pos: usize,
+/// A position in hedge or query text: the primitives every text parser of
+/// the workspace steps with.
+pub struct TextCursor<'a> {
+    pub src: &'a str,
+    pub pos: usize,
+    /// Characters that end the text early, as `;` and `]` end a triplet
+    /// slot: [`TextCursor::peek`] sees nothing there.
+    stops: &'static str,
 }
 
-impl<'a> Parser<'a> {
-    fn peek(&self) -> Option<char> {
-        self.src[self.pos..].chars().next()
+impl<'a> TextCursor<'a> {
+    pub fn new(src: &'a str) -> Self {
+        TextCursor {
+            src,
+            pos: 0,
+            stops: "",
+        }
     }
 
-    fn bump(&mut self) -> Option<char> {
+    pub fn peek(&self) -> Option<char> {
+        let c = self.src[self.pos..].chars().next()?;
+        (!self.stops.contains(c)).then_some(c)
+    }
+
+    pub fn bump(&mut self) -> Option<char> {
         let c = self.peek()?;
         self.pos += c.len_utf8();
         Some(c)
     }
 
-    fn skip_ws(&mut self) {
-        while matches!(self.peek(), Some(c) if c.is_whitespace()) {
+    /// Consume `c` if it comes next.
+    pub fn eat(&mut self, c: char) -> bool {
+        self.peek() == Some(c) && self.bump().is_some()
+    }
+
+    pub fn skip_ws(&mut self) {
+        while self.peek().is_some_and(char::is_whitespace) {
             self.bump();
         }
     }
 
-    fn err(&self, msg: impl Into<String>) -> ParseError {
+    pub fn err(&self, msg: impl Into<String>) -> ParseError {
         ParseError {
             pos: self.pos,
             msg: msg.into(),
         }
     }
 
-    fn ident(&mut self) -> Result<String, ParseError> {
+    /// A name: the characters up to whitespace or one of `delims`.
+    pub fn ident(&mut self, delims: &str) -> Result<&'a str, ParseError> {
         let start = self.pos;
-        while matches!(self.peek(), Some(c) if !c.is_whitespace() && !"<>$%".contains(c)) {
+        while self
+            .peek()
+            .is_some_and(|c| !c.is_whitespace() && !delims.contains(c))
+        {
             self.bump();
         }
         if self.pos == start {
-            Err(self.err("expected a name"))
-        } else {
-            Ok(self.src[start..self.pos].to_string())
+            return Err(self.err("expected a name"));
         }
+        Ok(&self.src[start..self.pos])
     }
 
-    fn hedge(&mut self, ab: &mut Alphabet) -> Result<Hedge, ParseError> {
-        let mut trees = Vec::new();
-        loop {
-            self.skip_ws();
-            match self.peek() {
-                None | Some('>') => break,
-                Some('$') => {
-                    self.bump();
-                    let name = self.ident()?;
-                    trees.push(Tree::Var(ab.var(&name)));
-                }
-                Some('%') => {
-                    self.bump();
-                    let name = self.ident()?;
-                    let z = if name == "η" || name == "eta" {
-                        SubId::ETA
-                    } else {
-                        ab.sub(&name)
-                    };
-                    trees.push(Tree::Subst(z));
-                }
-                Some('<') => return Err(self.err("unexpected '<'")),
-                Some(_) => {
-                    let name = self.ident()?;
-                    let sym = ab.sym(&name);
-                    self.skip_ws();
-                    if self.peek() == Some('<') {
-                        self.bump();
-                        let children = self.hedge(ab)?;
-                        if self.bump() != Some('>') {
-                            return Err(self.err(format!("unclosed '<' for node '{name}'")));
-                        }
-                        trees.push(Tree::Node(sym, children));
-                    } else {
-                        trees.push(Tree::Node(sym, Hedge::empty()));
+    /// Make `stops` end the text, returning the stops they replace.
+    pub fn set_stops(&mut self, stops: &'static str) -> &'static str {
+        std::mem::replace(&mut self.stops, stops)
+    }
+}
+
+/// `tree*`, up to the end of the text or a `>`.
+fn hedge(cur: &mut TextCursor<'_>, ab: &mut Alphabet) -> Result<Hedge, ParseError> {
+    let mut trees = Vec::new();
+    loop {
+        cur.skip_ws();
+        match cur.peek() {
+            None | Some('>') => break,
+            Some('$') => {
+                cur.bump();
+                let name = cur.ident("<>$%")?;
+                trees.push(Tree::Var(ab.var(name)));
+            }
+            Some('%') => {
+                cur.bump();
+                let name = cur.ident("<>$%")?;
+                let z = if name == "η" || name == "eta" {
+                    SubId::ETA
+                } else {
+                    ab.sub(name)
+                };
+                trees.push(Tree::Subst(z));
+            }
+            Some('<') => return Err(cur.err("unexpected '<'")),
+            Some(_) => {
+                let name = cur.ident("<>$%")?;
+                let sym = ab.sym(name);
+                cur.skip_ws();
+                if cur.eat('<') {
+                    let children = hedge(cur, ab)?;
+                    if cur.bump() != Some('>') {
+                        return Err(cur.err(format!("unclosed '<' for node '{name}'")));
                     }
+                    trees.push(Tree::Node(sym, children));
+                } else {
+                    trees.push(Tree::Node(sym, Hedge::empty()));
                 }
             }
         }
-        Ok(Hedge(trees))
     }
+    Ok(Hedge(trees))
 }
 
 /// Parse the compact hedge syntax, interning names into `ab`.
 pub fn parse_hedge(src: &str, ab: &mut Alphabet) -> Result<Hedge, ParseError> {
-    let mut p = Parser { src, pos: 0 };
-    let h = p.hedge(ab)?;
-    p.skip_ws();
-    if p.pos != src.len() {
-        return Err(p.err("trailing input (unbalanced '>'?)"));
+    let mut cur = TextCursor::new(src);
+    let h = hedge(&mut cur, ab)?;
+    cur.skip_ws();
+    if cur.pos != src.len() {
+        return Err(cur.err("trailing input (unbalanced '>'?)"));
     }
     Ok(h)
 }

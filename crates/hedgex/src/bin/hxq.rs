@@ -1,11 +1,15 @@
 //! `hxq` — query XML documents with extended path expressions.
 //!
-//! Every query — a file, stdin (`-`), `--stream` or `--store`, in any mode
-//! — runs through [`hedgex::run()`]: this binary parses the arguments,
-//! checks them against one incompatibility table, and prints the run's
-//! side channels (`--repeat` summary, `--explain`, `--metrics-json`,
-//! `--trace`). `hxq check` analyzes a query statically and `hxq index`
-//! builds a store; `hxq --help` lists every flag.
+//! Every query — a file, stdin (`-`) or `--store`, in any mode — runs
+//! through [`hedgex::run()`], which picks the route from the request: a
+//! `--path` query over a file or stdin streams unless `--mark`,
+//! `--subhedge` or `--repeat` needs the document's arena, and a `--phr`
+//! query always runs on the arena. `--stream` is accepted and ignored.
+//! This binary parses the arguments, checks them against one
+//! incompatibility table, and prints the run's side channels (`--repeat`
+//! summary, `--explain`, `--metrics-json`, `--trace`). `hxq check`
+//! analyzes a query statically and `hxq index` builds a store; `hxq
+//! --help` lists every flag.
 //!
 //! Matches go to stdout: one Dewey address per line (`NAME:/…` over a
 //! store), the count with `--count`, nothing with `--exists`, or with
@@ -38,7 +42,6 @@ struct Args {
     trace: Option<String>,
     repeat: Option<u64>,
     jobs: Option<u64>,
-    stream: bool,
     exists: bool,
     count: bool,
     store: Option<String>,
@@ -57,8 +60,9 @@ usage: hxq (--path EXPR | --phr EXPR) [OPTIONS] FILE|-
   --attrs              map attributes to attr:name children (queryable)
   --explain            print a report of this run to stderr: per-layer
                        timings, the sizes of the automaton that answered,
-                       match counts (and, with --stream, event counts and
-                       high-water marks); works with every source and mode
+                       match counts (and, when the run streamed, event
+                       counts and high-water marks); works with every
+                       source and mode
   --metrics-json PATH  write the same report as JSON to PATH
   --trace PATH         write the run's span timeline as Chrome trace-event
                        JSON to PATH (open in Perfetto or chrome://tracing;
@@ -67,19 +71,21 @@ usage: hxq (--path EXPR | --phr EXPR) [OPTIONS] FILE|-
                        and one scratch; print aggregate wall time to stderr
   --jobs N             spread the repeated runs over N worker threads, one
                        scratch per worker; N=1 is exactly the sequential path
-  --stream             evaluate during the parse (push-based): --path keeps
-                       only the open ancestors' DFA states, O(depth), and
-                       builds no tree; --phr builds the document's arena
-                       while parsing and evaluates it at the end (a PHR match
-                       depends on younger siblings). The input is read whole
-                       before parsing; incompatible with
-                       --mark/--subhedge/--repeat/--jobs
+  --stream             accepted and ignored: the query picks the route. A
+                       --path query over FILE or stdin always evaluates
+                       during the parse, keeping only the open ancestors'
+                       DFA states, O(depth), and builds no tree, unless
+                       --mark/--subhedge/--repeat needs the document's
+                       arena; a --phr query always builds the arena (a PHR
+                       match depends on younger siblings). The input is
+                       read whole before parsing
   --exists             print nothing; exit 0 if any node matches, 1 if none
-                       (with --stream --path, stops parsing at the first
-                       match; otherwise, prunes provably barren subtrees)
+                       (a streamed --path query stops parsing at the first
+                       match, so input malformed after it is not an error;
+                       otherwise, prunes provably barren subtrees)
   --count              print the number of matching nodes instead of their
-                       addresses; no match set is materialized (with
-                       --stream + --path, memory stays O(depth))
+                       addresses; no match set is materialized (a streamed
+                       --path query keeps O(depth) memory beyond the input)
   --store STORE        query every document in a persistent store built by
                        'hxq index' instead of a FILE: answers use the
                        store's structural index to skip documents and
@@ -169,7 +175,7 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ExitCode> {
             "--mark" => a.mark = true,
             "--attrs" => a.keep_attrs = true,
             "--explain" => a.explain = true,
-            "--stream" => a.stream = true,
+            "--stream" => {}
             "--exists" => a.exists = true,
             "--count" => a.count = true,
             _ => return Ok(false),
@@ -198,20 +204,13 @@ fn parse_args(argv: impl Iterator<Item = String>) -> Result<Args, ExitCode> {
         return Err(usage_error("--path and --phr are mutually exclusive"));
     }
     // The one incompatibility table. A store holds no text to mark, match
-    // a subhedge against or re-read with attributes; --mark and --subhedge
-    // need the materialized tree, so they cannot stream; a stream is read
-    // once, so it cannot repeat. The report flags go with every source.
+    // a subhedge against or re-read with attributes. The report flags go
+    // with every source.
     let store = a.store.is_some();
-    let subhedge = a.subhedge.is_some();
     for (x, x_flag, y, y_flag) in [
-        (store, "--store", a.stream, "--stream"),
         (store, "--store", a.mark, "--mark"),
-        (store, "--store", subhedge, "--subhedge"),
+        (store, "--store", a.subhedge.is_some(), "--subhedge"),
         (store, "--store", a.keep_attrs, "--attrs"),
-        (a.stream, "--stream", a.mark, "--mark"),
-        (a.stream, "--stream", subhedge, "--subhedge"),
-        (a.stream, "--stream", a.repeat.is_some(), "--repeat"),
-        (a.stream, "--stream", a.jobs.is_some(), "--jobs"),
         (a.exists, "--exists", a.mark, "--mark"),
         (a.count, "--count", a.exists, "--exists"),
         (a.count, "--count", a.mark, "--mark"),
@@ -244,7 +243,6 @@ fn run(args: Args) -> Result<ExitCode, String> {
     };
     let req = Request {
         source,
-        stream: args.stream,
         query,
         subhedge: args.subhedge.clone(),
         mode: match (args.count, args.exists) {

@@ -1,19 +1,23 @@
 //! One run of one query: the pipeline every `hxq` query goes through.
 //!
-//! [`run`] takes a [`Request`] from its source (a file or stdin, parsed or
-//! streamed, or a persistent store) through
+//! [`run`] takes a [`Request`] from its source (a file or stdin, or a
+//! persistent store) through
 //!
 //! ```text
 //! read | load → parse → query parse → compile → eval | stream + finish → output
 //! ```
 //!
-//! with one [`Plan`] (a streaming run builds its sink from the automaton
-//! that plan holds) and one caller-supplied writer. Each layer is timed
-//! once, with `Instant` and an obs span of the same name, so a [`Report`]'s
-//! phases are spans of the `--trace` timeline. The report describes that
-//! same run: sizes are read off the plan that answered, and nothing is
-//! compiled or evaluated again to be measured. Its `metrics` and `trace`
-//! are rendered only when a report is requested.
+//! with one [`Plan`] and one caller-supplied writer. The request picks the
+//! route: a path query only needs the DFA states of a node's open
+//! ancestors (§8), so from a file or stdin it streams through the plan's
+//! own automaton and builds no tree, unless `mark`, `subhedge` or `repeat`
+//! needs the arena; a PHR match depends on its younger siblings (§7), so a
+//! PHR always runs on the document's arena. Each layer is timed once, with
+//! `Instant` and an obs span of the same name, so a [`Report`]'s phases are
+//! spans of the `--trace` timeline. The report describes that same run:
+//! sizes are read off the plan that answered, and nothing is compiled or
+//! evaluated again to be measured. Its `metrics` and `trace` are rendered
+//! only when a report is requested.
 
 use std::fmt;
 use std::io::{self, Write};
@@ -26,7 +30,7 @@ use hedgex_hedge::dewey::write_line;
 use hedgex_hedge::{Alphabet, DeweyWriter};
 use hedgex_obs as obs;
 use hedgex_store::{DocumentStore, StoreQuery};
-use hedgex_stream::{parse_flat, stream_xml, PathStream, PhrStream, StreamStats};
+use hedgex_stream::{parse_flat, stream_xml, PathStream, StreamStats};
 use hedgex_testkit::Json;
 use hedgex_xml::{write_xml, HedgeConfig};
 
@@ -53,18 +57,16 @@ pub enum Query {
     Phr(String),
 }
 
-/// Everything one run needs. Combinations `hxq` rejects (a streamed or
-/// stored `mark`/`subhedge`, a repeated stream) are not checked here.
+/// Everything one run needs; the route follows from it. Combinations
+/// `hxq` rejects (a stored `mark`/`subhedge`) are not checked here.
 #[derive(Debug, Clone)]
 pub struct Request {
     /// Where the documents come from.
     pub source: Source,
-    /// Evaluate a file or stdin during its parse, never materializing it.
-    pub stream: bool,
     /// The query.
     pub query: Query,
-    /// The subhedge condition of `select(e₁, e₂)`, as HRE text (parsed
-    /// documents only: a stream or a store run parses but ignores it).
+    /// The subhedge condition of `select(e₁, e₂)`, as HRE text (a file or
+    /// stdin only: a store run parses but ignores it).
     pub subhedge: Option<String>,
     /// Locate, count or exists.
     pub mode: EvalMode,
@@ -333,14 +335,14 @@ pub fn run<W: Write>(req: &Request, out: &mut W) -> Result<RunResult, RunError> 
         start: Instant::now(),
         phases: Vec::new(),
     };
+    let needs_arena = req.mark || req.subhedge.is_some() || req.repeat.is_some();
     let (plan, outcome, nodes, stats, repeat) = match &req.source {
         Source::Store(path) => run_store(req, path, &mut clock, out)?,
         source => {
             let src = clock.phase("hedgex.read", || read(source))?;
-            if req.stream {
-                run_stream(req, &src, &mut clock, out)?
-            } else {
-                run_document(req, &src, &mut clock, out)?
+            match req.query {
+                Query::Path(_) if !needs_arena => run_stream(req, &src, &mut clock, out)?,
+                _ => run_document(req, &src, &mut clock, out)?,
             }
         }
     };
@@ -352,7 +354,7 @@ pub fn run<W: Write>(req: &Request, out: &mut W) -> Result<RunResult, RunError> 
         let attributed: u64 = clock.phases.iter().map(|p| p.wall_ns).sum();
         let unattributed_ns = (clock.start.elapsed().as_nanos() as u64).saturating_sub(attributed);
         Report {
-            source: match (&req.source, req.stream) {
+            source: match (&req.source, stats.is_some()) {
                 (Source::Store(_), _) => "store",
                 (_, true) => "stream",
                 (Source::File(_), _) => "file",
@@ -520,57 +522,37 @@ fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut
     Ok((plan, outcome, nodes, None, repeat))
 }
 
-/// A file or stdin evaluated during its parse by a sink on the plan's own
-/// automaton: a path plan's DFA with O(depth) state (Exists stops parsing
-/// at the first match), or a PHR plan's arena, built while parsing and
-/// evaluated by the one walk at the end.
+/// A path query over a file or stdin, evaluated during its parse by a sink
+/// on the plan's own DFA with O(depth) state: Exists stops parsing at the
+/// first match, and Count records no match.
 fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
     let (plan, _) = compile(req, &mut ab, clock)?;
-    let (cfg, mode) = (req.config, req.mode);
-    let parse_error = |e: hedgex_xml::XmlError| RunError::Input(e.to_string());
-    let (outcome, nodes, stats, written) = match plan.backend() {
-        Backend::Path(dfa) => {
-            let mut sink = PathStream::from_compiled(dfa.clone())
-                .exists(mode == EvalMode::Exists)
-                .count_only(mode == EvalMode::Count)
-                .record_addresses(mode == EvalMode::Locate);
-            let streamed =
-                clock.phase("hedgex.stream", || stream_xml(src, &mut ab, cfg, &mut sink));
-            streamed.map_err(parse_error)?;
-            clock.phase("hedgex.finish", || sink.finish().len());
-            let outcome = match mode {
-                EvalMode::Locate => EvalOutcome::Located(sink.located().len()),
-                EvalMode::Count => EvalOutcome::Count(sink.count()),
-                EvalMode::Exists => EvalOutcome::Exists(sink.found()),
-            };
-            let written = clock.phase("hedgex.output", || {
-                let lines =
-                    |out: &mut W| sink.addresses().try_for_each(|a| write_line(out, None, a));
-                print_answer(out, outcome, lines)
-            });
-            (outcome, sink.num_nodes(), sink.stats(), written)
-        }
-        Backend::Phr(compiled) => {
-            let mut sink = PhrStream::new(compiled);
-            let streamed =
-                clock.phase("hedgex.stream", || stream_xml(src, &mut ab, cfg, &mut sink));
-            streamed.map_err(parse_error)?;
-            // One finisher for every mode: Count never builds the match
-            // set, Exists stops the second traversal at its first hit.
-            let outcome = clock.phase("hedgex.finish", || sink.finish_outcome(mode));
-            let written = clock.phase("hedgex.output", || {
-                let lines = |out: &mut W| {
-                    let flat = sink.arena().expect("a finisher has run");
-                    DeweyWriter::new(flat).write_lines(out, None, sink.located())
-                };
-                print_answer(out, outcome, lines)
-            });
-            (outcome, sink.num_nodes(), sink.stats(), written)
-        }
+    let Backend::Path(dfa) = plan.backend() else {
+        unreachable!("a path query compiles to a path plan")
     };
+    let mode = req.mode;
+    let mut sink = PathStream::from_compiled(dfa.clone())
+        .exists(mode == EvalMode::Exists)
+        .count_only(mode == EvalMode::Count)
+        .record_addresses(mode == EvalMode::Locate);
+    let streamed = clock.phase("hedgex.stream", || {
+        stream_xml(src, &mut ab, req.config, &mut sink)
+    });
+    streamed.map_err(|e| RunError::Input(e.to_string()))?;
+    clock.phase("hedgex.finish", || sink.finish().len());
+    let outcome = match mode {
+        EvalMode::Locate => EvalOutcome::Located(sink.located().len()),
+        EvalMode::Count => EvalOutcome::Count(sink.count()),
+        EvalMode::Exists => EvalOutcome::Exists(sink.found()),
+    };
+    let written = clock.phase("hedgex.output", || {
+        let lines = |out: &mut W| sink.addresses().try_for_each(|a| write_line(out, None, a));
+        print_answer(out, outcome, lines)
+    });
     written.map_err(RunError::Output)?;
-    Ok((plan, outcome, nodes as u64, Some(stats), None))
+    let nodes = sink.num_nodes() as u64;
+    Ok((plan, outcome, nodes, Some(sink.stats()), None))
 }
 
 /// Every document of a store. The plan carries the structural facts it

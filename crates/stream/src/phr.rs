@@ -111,18 +111,12 @@ impl<'p> PhrStream<'p> {
         self.nodes
     }
 
-    /// The arena the stream built, once a finisher has run.
-    pub fn arena(&self) -> Option<&FlatHedge> {
-        self.flat.as_ref()
-    }
-
-    /// [`FlatHedge::dewey`] on the [`arena`](PhrStream::arena), kept for
-    /// E12.
+    /// [`FlatHedge::dewey`] on the arena the stream built, kept for E12.
     ///
     /// # Panics
     /// Before a finisher has run, or if `n` is not a node.
     pub fn dewey(&self, n: NodeId) -> Vec<u32> {
-        let flat = self.arena().expect("dewey needs a finished stream");
+        let flat = self.flat.as_ref().expect("dewey needs a finished stream");
         flat.dewey(n)
     }
 

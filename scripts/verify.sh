@@ -131,6 +131,16 @@ if grep -rnF --include='*.rs' '.dewey(' crates/*/src \
   echo "locate output must come from DeweyWriter, not per-node .dewey()"; exit 1
 fi
 
+echo "== one route per query =="
+# hedgex::run picks the evaluator from the request, never from a flag: a
+# path query over a file or stdin streams unless --mark/--subhedge/--repeat
+# needs the arena, and a PHR always runs on the arena, so no hxq route
+# builds a PhrStream. The prelude still re-exports it, for E12's layer pass.
+if grep -rnE 'PhrStream|req\.stream' crates/hedgex/src \
+  | grep -vE '^crates/hedgex/src/lib\.rs:[0-9]+: +parse_flat, replay_flat, stream_xml, HedgeSink, PathStream, PhrStream,$'; then
+  echo "the request, not --stream, picks the route; only the prelude names PhrStream"; exit 1
+fi
+
 echo "== the construction kernel lives in hedgex-automata only =="
 # Subset, product and trim loops go through the three kernels in
 # crates/automata/src/kernel.rs (Worklist, row/in_edges, reach/coreach); no

@@ -36,7 +36,6 @@ fn docbook_file(name: &str, nodes: usize, seed: u64) -> PathBuf {
 fn report_on(file: &Path, query: Query, subhedge: Option<&str>) -> (String, Report) {
     let req = Request {
         source: Source::File(file.to_str().unwrap().into()),
-        stream: false,
         query,
         subhedge: subhedge.map(String::from),
         mode: EvalMode::Locate,

@@ -69,18 +69,6 @@ fn usage_errors_exit_2_with_one_line_diagnostics() {
             "positive integer",
         ),
         (
-            &["--path", "a", "--stream", "--mark", "x.xml"][..],
-            "'--stream' is incompatible with '--mark'",
-        ),
-        (
-            &["--path", "a", "--stream", "--repeat", "2", "x.xml"][..],
-            "'--stream' is incompatible with '--repeat'",
-        ),
-        (
-            &["--path", "a", "--stream", "--jobs", "2", "x.xml"][..],
-            "'--stream' is incompatible with '--jobs'",
-        ),
-        (
             &["--path", "a", "--exists", "--mark", "x.xml"][..],
             "'--exists' is incompatible with '--mark'",
         ),
@@ -228,8 +216,9 @@ fn trace_json_on_docbook_is_valid_chrome_trace() {
 
 #[test]
 fn stream_metrics_json_reports_the_streaming_run() {
-    // --stream + --metrics-json reports the streaming run itself: its
-    // layers, event counts and high-water marks.
+    // --stream + --metrics-json reports the run that answered: a path
+    // query streams, with its layers, event counts and high-water marks; a
+    // PHR runs on the document's arena whatever the flag says.
     let w = doc_workload(200, 3);
     let xml = scratch("stream-metrics.xml");
     std::fs::write(&xml, write_xml(&w.doc, &w.ab, None)).unwrap();
@@ -239,6 +228,7 @@ fn stream_metrics_json_reports_the_streaming_run() {
         &["--path", "article section* figure"][..],
         &["--phr", "[\u{3b5} ; figure ; \u{3b5}]"][..],
     ] {
+        let streams = query[0] == "--path";
         let out = hxq(&[
             query,
             &[
@@ -262,12 +252,36 @@ fn stream_metrics_json_reports_the_streaming_run() {
 
         let text = std::fs::read_to_string(&json_path).unwrap();
         let report = Json::parse(&text).expect("streaming metrics JSON parses");
-        assert_eq!(report.get("source").and_then(Json::as_str), Some("stream"));
         let phases = report.get("phases").and_then(Json::as_arr).unwrap();
         let names: Vec<&str> = phases
             .iter()
             .filter_map(|p| p.get("name").and_then(Json::as_str))
             .collect();
+        assert_eq!(
+            report.get("located").and_then(Json::as_u64),
+            Some(printed as u64),
+            "{query:?}"
+        );
+        assert!(report.get("metrics").is_some());
+        if !streams {
+            assert_eq!(report.get("source").and_then(Json::as_str), Some("file"));
+            assert_eq!(
+                names,
+                [
+                    "hedgex.read",
+                    "hedgex.parse",
+                    "hedgex.query_parse",
+                    "hedgex.compile",
+                    "hedgex.eval",
+                    "hedgex.output",
+                    "hedgex.report"
+                ],
+                "{query:?}"
+            );
+            assert_eq!(report.get("stream"), Some(&Json::Null), "{query:?}");
+            continue;
+        }
+        assert_eq!(report.get("source").and_then(Json::as_str), Some("stream"));
         assert_eq!(
             names,
             [
@@ -291,12 +305,6 @@ fn stream_metrics_json_reports_the_streaming_run() {
                 >= 1
         );
         assert_eq!(stream.get("early_exit"), Some(&Json::Bool(false)));
-        assert_eq!(
-            report.get("located").and_then(Json::as_u64),
-            Some(printed as u64),
-            "{query:?}"
-        );
-        assert!(report.get("metrics").is_some());
     }
 
     std::fs::remove_file(&xml).ok();
@@ -596,8 +604,8 @@ fn run_with_report(args: &[&str], stdin: Option<&str>) -> (Output, u64, u64) {
 }
 
 /// `--stream` from the file and from stdin answer exactly like the file
-/// route: stdout, exit code and the report's `located`; `nodes` too,
-/// except that a path `--exists` stream stops at its first match.
+/// route: stdout, exit code and the report's `located` and `nodes` (a path
+/// `--exists` stops at its first match on every one of them).
 fn assert_stream_parity(args: &[&str], xml: &std::path::Path, src: &str) {
     let xml = xml.to_str().unwrap();
     let (plain, located, nodes) = run_with_report(&[args, &[xml]].concat(), None);
@@ -605,7 +613,6 @@ fn assert_stream_parity(args: &[&str], xml: &std::path::Path, src: &str) {
         run_with_report(&[args, &["--stream", xml]].concat(), None),
         run_with_report(&[args, &["--stream", "-"]].concat(), Some(src)),
     ];
-    let stops_early = args.contains(&"--path") && args.contains(&"--exists");
     for (streamed, s_located, s_nodes) in streams {
         assert_eq!(plain.status.code(), streamed.status.code(), "{args:?}");
         assert_eq!(
@@ -613,11 +620,7 @@ fn assert_stream_parity(args: &[&str], xml: &std::path::Path, src: &str) {
             "--stream must print the same lines ({args:?})"
         );
         assert_eq!(located, s_located, "{args:?}");
-        if stops_early {
-            assert!(s_nodes <= nodes, "{args:?}");
-        } else {
-            assert_eq!(nodes, s_nodes, "{args:?}");
-        }
+        assert_eq!(nodes, s_nodes, "{args:?}");
     }
 }
 
@@ -656,42 +659,135 @@ fn stream_matches_materialized_byte_for_byte() {
     std::fs::remove_file(&xml).ok();
 }
 
-/// `--stream --phr` evaluates the streamed arena with the same walk as
-/// every other PHR route: the walk's span runs inside the stream's finish.
+/// `--stream --phr` is `--phr`: the same output and phases, and the one
+/// walk of every PHR route, under the eval phase.
 #[test]
 fn stream_phr_answers_through_the_one_walk() {
-    if !hedgex::obs::is_enabled() {
-        return;
-    }
     let xml = scratch("stream-walk.xml");
     std::fs::write(&xml, "<a><b/><a/></a>").unwrap();
-    let trace = scratch("stream-walk-trace.json");
-    let out = hxq(&[
-        "--stream",
-        "--phr",
-        "[ε ; a ; ε]",
-        "--trace",
-        trace.to_str().unwrap(),
-        xml.to_str().unwrap(),
-    ]);
-    assert_eq!(out.stdout, b"/1\n");
-    let text = std::fs::read_to_string(&trace).unwrap();
-    let events = Json::parse(&text).expect("trace parses");
-    let events = events.as_arr().expect("trace is an array");
-    let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
-    let span = |name: &str| {
-        let mut found = events
+    let (trace, json) = (
+        scratch("stream-walk-trace.json"),
+        scratch("stream-walk.json"),
+    );
+    let mut runs = Vec::new();
+    for extra in [&[][..], &["--stream"][..]] {
+        let out = hxq(&[
+            extra,
+            &[
+                "--phr",
+                "[ε ; a ; ε]",
+                "--trace",
+                trace.to_str().unwrap(),
+                "--metrics-json",
+                json.to_str().unwrap(),
+                xml.to_str().unwrap(),
+            ],
+        ]
+        .concat());
+        assert_eq!(out.status.code(), Some(0), "{extra:?}");
+        assert_eq!(out.stdout, b"/1\n", "{extra:?}");
+        let report = Json::parse(&std::fs::read_to_string(&json).unwrap()).unwrap();
+        let phases = report.get("phases").and_then(Json::as_arr).unwrap();
+        let names: Vec<String> = phases
             .iter()
-            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
-        let e = found.next().unwrap_or_else(|| panic!("no {name} span"));
-        assert!(found.next().is_none(), "one {name} span");
-        e
-    };
-    let finish = span("stream.phr.finish");
-    let walk = span("core.two_pass");
-    assert_eq!(arg(walk, "parent"), arg(finish, "id"));
-    std::fs::remove_file(&xml).ok();
-    std::fs::remove_file(&trace).ok();
+            .filter_map(|p| p.get("name").and_then(Json::as_str).map(String::from))
+            .collect();
+        assert_eq!(report.get("stream"), Some(&Json::Null), "{extra:?}");
+        runs.push((out.stdout, names));
+
+        if !hedgex::obs::is_enabled() {
+            continue;
+        }
+        let text = std::fs::read_to_string(&trace).unwrap();
+        let events = Json::parse(&text).expect("trace parses");
+        let events = events.as_arr().expect("trace is an array");
+        let arg = |e: &Json, k: &str| e.get("args").and_then(|a| a.get(k)).and_then(Json::as_u64);
+        let span = |name: &str| {
+            let mut found = events
+                .iter()
+                .filter(|e| e.get("name").and_then(Json::as_str) == Some(name));
+            let e = found.next().unwrap_or_else(|| panic!("no {name} span"));
+            assert!(found.next().is_none(), "one {name} span");
+            e
+        };
+        let eval = span("hedgex.eval");
+        let walk = span("core.two_pass");
+        assert_eq!(arg(walk, "parent"), arg(eval, "id"), "{extra:?}");
+    }
+    assert_eq!(runs[0], runs[1], "--stream must not change a PHR run");
+    for f in [&xml, &trace, &json] {
+        std::fs::remove_file(f).ok();
+    }
+}
+
+/// The flag never changes the answer. On input that is malformed after a
+/// path query's first match, `--exists` stops reading at that match with
+/// or without `--stream`, from a file or stdin; `--count` and every
+/// `--phr` query read to the end and fail on the bad byte.
+#[test]
+fn malformed_tail_gets_one_answer_on_every_route() {
+    let src = "<a><b/><c>";
+    let xml = scratch("malformed-tail.xml");
+    std::fs::write(&xml, src).unwrap();
+    let xml = xml.to_str().unwrap();
+    for extra in [&[][..], &["--stream"][..]] {
+        for (file, stdin) in [(xml, None), ("-", Some(src))] {
+            let run = |args: &[&str]| {
+                let args = [args, extra, &[file]].concat();
+                match stdin {
+                    Some(input) => hxq_stdin(&args, input),
+                    None => hxq(&args),
+                }
+            };
+            let hit = run(&["--exists", "--path", "a b"]);
+            assert_eq!(hit.status.code(), Some(0), "{extra:?} {file}");
+            assert!(hit.stdout.is_empty(), "{extra:?} {file}");
+            assert!(hit.stderr.is_empty(), "{extra:?} {file}");
+            for args in [
+                &["--count", "--path", "a b"][..],
+                &["--exists", "--phr", "[ε ; b ; ε]"],
+            ] {
+                let out = run(args);
+                assert_eq!(out.status.code(), Some(1), "{args:?} {extra:?} {file}");
+                assert!(out.stdout.is_empty(), "{args:?} {extra:?} {file}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(err.lines().count(), 1, "one diagnostic: {err}");
+                assert!(err.contains("XML error at byte"), "positioned: {err}");
+            }
+        }
+    }
+    std::fs::remove_file(xml).ok();
+}
+
+/// `--stream` is accepted and ignored: with each flag that used to refuse
+/// it, a request prints and exits exactly as it does without it.
+#[test]
+fn stream_flag_changes_no_answer() {
+    let (dir, store) = indexed_corpus("stream-flag");
+    let xml = dir.join("b.xml");
+    let (xml, store) = (xml.to_str().unwrap(), store.to_str().unwrap());
+    let query = ["--path", "r a b"];
+    for flags in [
+        &["--mark", xml][..],
+        &["--subhedge", "ε", xml],
+        &["--repeat", "2", xml],
+        &["--jobs", "2", xml],
+        &["--store", store],
+    ] {
+        let plain = hxq(&[&query[..], flags].concat());
+        let flagged = hxq(&[&query[..], flags, &["--stream"]].concat());
+        assert_eq!(plain.status.code(), Some(0), "{flags:?}");
+        assert_eq!(flagged.status.code(), plain.status.code(), "{flags:?}");
+        assert!(!plain.stdout.is_empty(), "{flags:?}");
+        assert_eq!(flagged.stdout, plain.stdout, "{flags:?}");
+        // A --repeat summary carries its timings; everything else on
+        // stderr must match too.
+        if flags[0] != "--repeat" {
+            assert_eq!(flagged.stderr, plain.stderr, "{flags:?}");
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_file(store).ok();
 }
 
 #[test]
@@ -1102,10 +1198,6 @@ fn store_usage_errors_exit_2() {
             "takes no FILE argument",
         ),
         (
-            &["--store", "s.hxst", "--path", "a", "--stream"][..],
-            "'--store' is incompatible with '--stream'",
-        ),
-        (
             &["--store", "s.hxst", "--path", "a", "--mark"][..],
             "'--store' is incompatible with '--mark'",
         ),
@@ -1388,11 +1480,18 @@ fn one_report_from_every_source() {
         &["--path", "r a b"][..],
         &["--phr", "[ε ; b ; ε][ε ; a ; ε]"],
     ] {
+        // A path query streams from a file or stdin; a PHR never does.
+        let path = query[0] == "--path";
+        let (file, stdin) = if path {
+            ("stream", "stream")
+        } else {
+            ("file", "stdin")
+        };
         for (source, stdin, expect) in [
-            (&[xml][..], false, "file"),
-            (&["-"][..], true, "stdin"),
-            (&["--stream", xml][..], false, "stream"),
-            (&["--stream", "-"][..], true, "stream"),
+            (&[xml][..], false, file),
+            (&["-"][..], true, stdin),
+            (&["--stream", xml][..], false, file),
+            (&["--stream", "-"][..], true, stdin),
             (&["--store", store][..], false, "store"),
         ] {
             let args = [query, source, &["--explain", "--metrics-json", json_s]].concat();
