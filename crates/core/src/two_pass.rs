@@ -457,8 +457,7 @@ mod tests {
     use super::*;
     use crate::phr::parse_phr;
     use hedgex_ha::enumerate::enumerate_hedges;
-    use hedgex_hedge::flat::FlatBuilder;
-    use hedgex_hedge::{parse_hedge, Alphabet};
+    use hedgex_hedge::{parse_hedge, Alphabet, FlatBuilder, HedgeSink};
 
     /// Compare Algorithm 1 against the declarative evaluator on every small
     /// hedge over the PHR's alphabet.
@@ -753,7 +752,7 @@ mod tests {
         for _ in 0..=100_000 {
             chain.open(a);
         }
-        chain.leaf(FlatLabel::Sym(b));
+        chain.open(b);
         let f = chain.finish();
         // Every a on the chain; then only the b at the very bottom, which
         // Exists reaches last.

@@ -10,7 +10,7 @@
 //! (footnote 3 of the paper) are derivable on demand.
 
 use crate::hedge::{Hedge, Tree};
-use crate::symbols::{SubId, SymId, VarId};
+use crate::symbols::{Leaf, SubId, SymId, VarId};
 
 /// Dense node identifier: the node's preorder (document-order) index.
 pub type NodeId = u32;
@@ -24,6 +24,46 @@ pub enum FlatLabel {
     Var(VarId),
     /// A substitution-symbol leaf.
     Subst(SubId),
+}
+
+impl From<Leaf> for FlatLabel {
+    fn from(l: Leaf) -> Self {
+        match l {
+            Leaf::Var(x) => FlatLabel::Var(x),
+            Leaf::Sub(z) => FlatLabel::Subst(z),
+        }
+    }
+}
+
+/// A label that is no leaf is the Σ symbol of the node it opens.
+impl TryFrom<FlatLabel> for Leaf {
+    type Error = SymId;
+
+    fn try_from(label: FlatLabel) -> Result<Leaf, SymId> {
+        match label {
+            FlatLabel::Sym(a) => Err(a),
+            FlatLabel::Var(x) => Ok(Leaf::Var(x)),
+            FlatLabel::Subst(z) => Ok(Leaf::Sub(z)),
+        }
+    }
+}
+
+/// A push-based consumer of hedge structure events, in document order:
+/// the one event interface between XML bytes (`hedgex_xml::stream_xml`)
+/// and whatever takes the document — a [`FlatBuilder`] building the
+/// arena, or a streaming evaluator answering during the parse.
+///
+/// Every callback returns `true` to keep going or `false` to request an
+/// early stop (the parser then stops and reports how far it got). A
+/// well-formed event stream is balanced: every `open` is eventually
+/// matched by a `close`, and `leaf`/nested events happen in between.
+pub trait HedgeSink {
+    /// A Σ node opens (its children follow, then a matching `close`).
+    fn open(&mut self, a: SymId) -> bool;
+    /// A childless leaf: a variable or substitution symbol.
+    fn leaf(&mut self, l: Leaf) -> bool;
+    /// The most recent unmatched `open` closes.
+    fn close(&mut self) -> bool;
 }
 
 /// Sentinel for "no node".
@@ -62,11 +102,12 @@ impl std::fmt::Display for FromPartsError {
 
 impl std::error::Error for FromPartsError {}
 
-/// Builds a [`FlatHedge`] from preorder structure events — `open` a Σ
-/// node, add a `leaf`, `close` the innermost open node — owning the
-/// sibling/child link bookkeeping every construction route shares
-/// ([`FlatHedge::from_hedge`], [`FlatHedge::from_parts`], and the XML event
-/// parser through `hedgex-stream`).
+/// Builds a [`FlatHedge`] from preorder structure events — it is a
+/// [`HedgeSink`]: `open` a Σ node, add a `leaf`, `close` the innermost
+/// open node — owning the sibling/child link bookkeeping every
+/// construction route shares ([`FlatHedge::from_hedge`],
+/// [`FlatHedge::from_parts`], and `hedgex_xml::parse_flat`, where the XML
+/// event parser drives it directly).
 ///
 /// Nodes get their ids in arrival order, which is preorder. Only open
 /// nodes can still gain children, so the builder keeps just the open
@@ -106,30 +147,6 @@ impl FlatBuilder {
         }
     }
 
-    /// Open a Σ node as the youngest child of the innermost open node (or
-    /// as the youngest root). Its children follow until the matching
-    /// [`close`](Self::close).
-    pub fn open(&mut self, a: SymId) -> NodeId {
-        let id = self.push(FlatLabel::Sym(a));
-        self.open.push((id, NIL));
-        id
-    }
-
-    /// Add a childless node — typically a variable or substitution leaf; a
-    /// `Sym` label makes an empty Σ node, like `open` directly followed by
-    /// `close`.
-    pub fn leaf(&mut self, label: FlatLabel) -> NodeId {
-        self.push(label)
-    }
-
-    /// Close the innermost open node.
-    ///
-    /// # Panics
-    /// If no node is open.
-    pub fn close(&mut self) {
-        self.open.pop().expect("close without a matching open");
-    }
-
     /// The innermost open node, if any: the parent the next node gets.
     fn innermost_open(&self) -> Option<NodeId> {
         self.open.last().map(|&(id, _)| id)
@@ -167,6 +184,33 @@ impl FlatBuilder {
     }
 }
 
+/// The builder never asks to stop.
+impl HedgeSink for FlatBuilder {
+    /// Open a Σ node as the youngest child of the innermost open node (or
+    /// as the youngest root). Its children follow until the matching
+    /// [`close`](Self::close).
+    fn open(&mut self, a: SymId) -> bool {
+        let id = self.push(FlatLabel::Sym(a));
+        self.open.push((id, NIL));
+        true
+    }
+
+    /// Add a variable or substitution leaf.
+    fn leaf(&mut self, l: Leaf) -> bool {
+        self.push(l.into());
+        true
+    }
+
+    /// Close the innermost open node.
+    ///
+    /// # Panics
+    /// If no node is open.
+    fn close(&mut self) -> bool {
+        self.open.pop().expect("close without a matching open");
+        true
+    }
+}
+
 impl FlatHedge {
     /// Flatten a recursive hedge.
     ///
@@ -189,12 +233,14 @@ impl FlatHedge {
                     stack.extend(children.0.iter().rev().map(Some));
                 }
                 Some(Tree::Var(x)) => {
-                    b.leaf(FlatLabel::Var(*x));
+                    b.leaf(Leaf::Var(*x));
                 }
                 Some(Tree::Subst(z)) => {
-                    b.leaf(FlatLabel::Subst(*z));
+                    b.leaf(Leaf::Sub(*z));
                 }
-                None => b.close(),
+                None => {
+                    b.close();
+                }
             }
         }
         b.finish()
@@ -240,9 +286,9 @@ impl FlatHedge {
                     reason: "parent is not an open Σ ancestor (records are not in preorder)",
                 });
             }
-            match label {
-                FlatLabel::Sym(a) => b.open(a),
-                leaf => b.leaf(leaf),
+            match Leaf::try_from(label) {
+                Err(a) => b.open(a),
+                Ok(leaf) => b.leaf(leaf),
             };
         }
         Ok(b.finish())
@@ -546,33 +592,22 @@ mod tests {
 
     #[test]
     fn builder_events_round_trip_from_hedge_and_from_parts() {
-        // b a⟨a⟨b x⟩ b⟩ spelled as builder events, with the empty b's once
-        // as open+close and once as Sym leaves: all four routes agree.
+        // b a⟨a⟨b x⟩ b⟩ spelled as sink events: ids arrive in preorder, no
+        // event asks to stop, and all three routes agree.
         let (mut ab, f) = sample();
         let (a, b, x) = (ab.sym("a"), ab.sym("b"), ab.var("x"));
-        for b_as_leaf in [false, true] {
-            let mut fb = FlatBuilder::new();
-            let empty_b = |fb: &mut FlatBuilder| {
-                if b_as_leaf {
-                    fb.leaf(FlatLabel::Sym(b))
-                } else {
-                    let id = fb.open(b);
-                    fb.close();
-                    id
-                }
-            };
-            assert_eq!(empty_b(&mut fb), 0);
-            assert_eq!(fb.open(a), 1);
-            assert_eq!(fb.open(a), 2);
-            assert_eq!(fb.innermost_open(), Some(2));
-            assert_eq!(empty_b(&mut fb), 3);
-            assert_eq!(fb.leaf(FlatLabel::Var(x)), 4);
-            fb.close();
-            assert_eq!(fb.innermost_open(), Some(1));
-            assert_eq!(empty_b(&mut fb), 5);
-            // The outer a is left open: finish closes it.
-            assert_eq!(fb.finish(), f, "b_as_leaf={b_as_leaf}");
-        }
+        let mut fb = FlatBuilder::new();
+        let empty_b = |fb: &mut FlatBuilder| fb.open(b) && fb.close();
+        assert!(empty_b(&mut fb));
+        assert!(fb.open(a) && fb.open(a));
+        assert_eq!(fb.innermost_open(), Some(2));
+        assert!(empty_b(&mut fb));
+        assert_eq!(fb.out.num_nodes(), 4, "the next node gets id 4");
+        assert!(fb.leaf(Leaf::Var(x)) && fb.close());
+        assert_eq!(fb.innermost_open(), Some(1));
+        assert!(empty_b(&mut fb));
+        // The outer a is left open: finish closes it.
+        assert_eq!(fb.finish(), f);
 
         // from_parts and from_hedge both go through the builder; each
         // reproduces the other's output.

@@ -12,9 +12,12 @@
 //!
 //! This crate provides:
 //!
-//! * interned alphabets ([`Alphabet`], [`SymId`], [`VarId`], [`SubId`]),
+//! * interned alphabets ([`Alphabet`], [`SymId`], [`VarId`], [`SubId`])
+//!   and leaf labels ([`Leaf`]),
 //! * the recursive [`Hedge`]/[`Tree`] representation with `ceil`,
 //!   `subhedge`, `envelope` (Definitions 2 and 21),
+//! * [`HedgeSink`], the one preorder event interface from XML bytes to
+//!   the evaluators, and the [`FlatBuilder`] that takes its events,
 //! * a flat arena form ([`FlatHedge`]) for the evaluators, and the
 //!   [`DeweyWriter`] that names its located nodes by their Dewey addresses
 //!   (footnote 3 of the paper) in one forward pass,
@@ -34,9 +37,9 @@ pub mod symbols;
 pub mod text;
 
 pub use dewey::DeweyWriter;
-pub use flat::{FlatBuilder, FlatHedge, NodeId};
+pub use flat::{FlatBuilder, FlatHedge, HedgeSink, NodeId};
 pub use gen::{GenConfig, HedgeGen};
 pub use hedge::{Hedge, Tree};
 pub use pointed::{PointedBaseHedge, PointedHedge};
-pub use symbols::{Alphabet, NamespaceSizes, SubId, SymId, VarId};
+pub use symbols::{Alphabet, Leaf, NamespaceSizes, SubId, SymId, VarId};
 pub use text::{parse_hedge, print_hedge, ParseError, TextCursor};

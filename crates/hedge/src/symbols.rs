@@ -43,6 +43,29 @@ impl SubId {
     pub const ETA: SubId = SubId(u32::MAX);
 }
 
+/// A leaf label: hedge automata assign `ι`-states to variable leaves, and —
+/// following Lemma 1's proof, which "allow\[s\] substitution symbols as
+/// variables of hedge automata" — also to substitution-symbol leaves.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub enum Leaf {
+    /// A variable of X.
+    Var(VarId),
+    /// A substitution symbol of Z (including the reserved η).
+    Sub(SubId),
+}
+
+impl From<VarId> for Leaf {
+    fn from(v: VarId) -> Self {
+        Leaf::Var(v)
+    }
+}
+
+impl From<SubId> for Leaf {
+    fn from(z: SubId) -> Self {
+        Leaf::Sub(z)
+    }
+}
+
 impl std::fmt::Display for SymId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "s{}", self.0)

@@ -1,18 +1,22 @@
 //! One run of one query: the pipeline every `hxq` query goes through.
 //!
 //! [`run`] takes a [`Request`] from its source (a file or stdin, or a
-//! persistent store) through
+//! persistent store) through one of three phase sequences
 //!
 //! ```text
-//! read | load → parse → query parse → compile → eval | stream + finish → output
+//! arena:  read → query parse → parse → compile → eval → output
+//! stream: read → query parse → compile → stream → finish → output
+//! store:  load → query parse → compile → eval → output
 //! ```
 //!
-//! with one [`Plan`] and one caller-supplied writer. The request picks the
-//! route: a path query only needs the DFA states of a node's open
-//! ancestors (§8), so from a file or stdin it streams through the plan's
-//! own automaton and builds no tree, unless `mark`, `subhedge` or `repeat`
-//! needs the arena; a PHR match depends on its younger siblings (§7), so a
-//! PHR always runs on the document's arena. Each layer is timed once, with
+//! with one [`Plan`] and one caller-supplied writer. The query is parsed
+//! first on every route, so a malformed query is a usage error whatever
+//! the document holds. The request picks the route: a path query only
+//! needs the DFA states of a node's open ancestors (§8), so from a file or
+//! stdin it streams through the plan's own automaton and builds no tree,
+//! unless `mark`, `subhedge` or `repeat` needs the arena; a PHR match
+//! depends on its younger siblings (§7), so a PHR always runs on the
+//! document's arena. Each layer is timed once, with
 //! `Instant` and an obs span of the same name, so a [`Report`]'s phases are
 //! spans of the `--trace` timeline. The report describes that same run:
 //! sizes are read off the plan that answered, and nothing is compiled or
@@ -25,14 +29,14 @@ use std::time::Instant;
 
 use hedgex_core::plan::Backend;
 use hedgex_core::{parse_hre, parse_path, parse_phr, CompiledSelect, EvalMode, EvalOutcome};
-use hedgex_core::{EvalScratch, PathExpr, Phr, Plan, SelectScratch};
+use hedgex_core::{EvalScratch, Hre, PathExpr, Phr, Plan, SelectScratch};
 use hedgex_hedge::dewey::write_line;
 use hedgex_hedge::{Alphabet, DeweyWriter};
 use hedgex_obs as obs;
 use hedgex_store::{DocumentStore, StoreQuery};
-use hedgex_stream::{parse_flat, stream_xml, PathStream, StreamStats};
+use hedgex_stream::{PathStream, StreamStats};
 use hedgex_testkit::Json;
-use hedgex_xml::{write_xml, HedgeConfig};
+use hedgex_xml::{parse_flat, stream_xml, write_xml, HedgeConfig};
 
 /// Version of the [`Report`] JSON layout.
 pub const REPORT_SCHEMA: u32 = 1;
@@ -392,21 +396,20 @@ fn read(source: &Source) -> Result<String, RunError> {
     text.map_err(|e| RunError::Input(format!("{name}: {e}")))
 }
 
-/// A parsed query, ready to compile into its [`Plan`].
-enum Parsed {
+/// A parsed query, ready to compile into its [`Plan`], and the parsed
+/// subhedge of `select(e₁, e₂)`, if any.
+type Parsed = (ParsedQuery, Option<Hre>);
+
+enum ParsedQuery {
     Path(PathExpr),
     Phr(Phr),
 }
 
-/// Parse the subhedge (if any) and the query into `ab`, then compile the
-/// plan — `--phr` on Algorithm 1, `--path` on the §8 DFA tabulated over
-/// `ab` — and `select(e₁, e₂)` over it: one phase each.
-fn compile(
-    req: &Request,
-    ab: &mut Alphabet,
-    clock: &mut Clock,
-) -> Result<(Plan, Option<CompiledSelect>), RunError> {
-    let (query, subhedge) = clock.phase("hedgex.query_parse", || {
+/// Parse the subhedge (if any) and the query into `ab`: one phase, run
+/// before the document is parsed on every route, so a malformed query is
+/// a usage error whatever the document holds.
+fn query_parse(req: &Request, ab: &mut Alphabet, clock: &mut Clock) -> Result<Parsed, RunError> {
+    clock.phase("hedgex.query_parse", || {
         let subhedge = req
             .subhedge
             .as_deref()
@@ -414,20 +417,29 @@ fn compile(
             .transpose();
         let subhedge = subhedge.map_err(|e| RunError::Query(format!("subhedge: {e}")))?;
         let query = match &req.query {
-            Query::Path(text) => parse_path(text, ab).map(Parsed::Path),
-            Query::Phr(text) => parse_phr(text, ab).map(Parsed::Phr),
+            Query::Path(text) => parse_path(text, ab).map(ParsedQuery::Path),
+            Query::Phr(text) => parse_phr(text, ab).map(ParsedQuery::Phr),
         };
         let query = query.map_err(|e| RunError::Query(format!("query: {e}")))?;
         Ok((query, subhedge))
-    })?;
-    Ok(clock.phase("hedgex.compile", || {
+    })
+}
+
+/// Compile the plan — `--phr` on Algorithm 1, `--path` on the §8 DFA
+/// tabulated over `ab` — and `select(e₁, e₂)` over it: one phase.
+fn compile(
+    (query, subhedge): Parsed,
+    ab: &Alphabet,
+    clock: &mut Clock,
+) -> (Plan, Option<CompiledSelect>) {
+    clock.phase("hedgex.compile", || {
         let plan = match query {
-            Parsed::Path(path) => Plan::path(&path, ab),
-            Parsed::Phr(phr) => Plan::compile(&phr),
+            ParsedQuery::Path(path) => Plan::path(&path, ab),
+            ParsedQuery::Phr(phr) => Plan::compile(&phr),
         };
         let select = subhedge.map(|e| CompiledSelect::new(plan.clone(), &e));
         (plan, select)
-    }))
+    })
 }
 
 /// The one repeat loop: evaluate `run` `runs` times reusing scratches —
@@ -482,9 +494,10 @@ fn print_answer<W: Write>(
 /// A file or stdin, parsed into one arena and evaluated on it.
 fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
+    let parsed = query_parse(req, &mut ab, clock)?;
     let flat = clock.phase("hedgex.parse", || parse_flat(src, &mut ab, req.config));
     let flat = flat.map_err(|e| RunError::Input(e.to_string()))?;
-    let (plan, select) = compile(req, &mut ab, clock)?;
+    let (plan, select) = compile(parsed, &ab, clock);
     let (mode, jobs, runs) = (req.mode, req.jobs, req.repeat.unwrap_or(1));
     let (outcome, hits) = clock.phase("hedgex.eval", || match &select {
         // select(e₁, e₂) filters the envelope's match list in every mode.
@@ -527,7 +540,8 @@ fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut
 /// first match, and Count records no match.
 fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
-    let (plan, _) = compile(req, &mut ab, clock)?;
+    let parsed = query_parse(req, &mut ab, clock)?;
+    let (plan, _) = compile(parsed, &ab, clock);
     let Backend::Path(dfa) = plan.backend() else {
         unreachable!("a path query compiles to a path plan")
     };
@@ -566,7 +580,8 @@ fn run_store<W: Write>(req: &Request, path: &str, clock: &mut Clock, out: &mut W
     // with the postings; new symbols intern past the end and simply have
     // empty postings everywhere.
     let mut ab = store.alphabet().clone();
-    let (plan, _) = compile(req, &mut ab, clock)?;
+    let parsed = query_parse(req, &mut ab, clock)?;
+    let (plan, _) = compile(parsed, &ab, clock);
     let (mode, jobs, runs) = (req.mode, req.jobs, req.repeat.unwrap_or(1));
     // Each run sweeps the corpus on `jobs` workers, so the runs themselves
     // go one after another.

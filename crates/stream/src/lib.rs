@@ -17,43 +17,59 @@
 //! Either way the parser works on a `&str` the caller has already read
 //! whole: an early stop saves parsing, not reading.
 //!
-//! Both evaluators implement [`HedgeSink`], fed either by
-//! [`stream_xml`] (XML text → events, via `hedgex-xml`'s event parser) or
-//! by [`replay_flat`] (an already-materialized [`hedgex_hedge::FlatHedge`]
-//! — the bridge the differential test suite uses to prove streamed ==
-//! materialized on identical inputs). Node ids assigned by the sinks are
-//! preorder ranks, so they coincide with materialized
-//! [`hedgex_hedge::NodeId`]s and match sets compare with `==`.
+//! Both evaluators implement [`HedgeSink`] (defined in `hedgex-hedge`,
+//! re-exported here), fed either by [`stream_xml`] — `hedgex-xml`'s event
+//! parser, which applies the XML → hedge mapping itself and drives the
+//! sink directly — or by [`replay_flat`] (an already-materialized
+//! [`FlatHedge`] — the bridge the differential test suite uses to prove
+//! streamed == materialized on identical inputs). Node ids assigned by the
+//! sinks are preorder ranks, so they coincide with materialized
+//! [`NodeId`]s and match sets compare with `==`.
 //!
 //! See DESIGN.md §11 for the invariants and EXPERIMENTS.md E9 for the
 //! throughput/peak-memory measurements.
 
 #![forbid(unsafe_code)]
 
-pub mod driver;
 pub mod path;
 pub mod phr;
 
-pub use driver::{parse_flat, replay_flat, stream_xml, XmlDriver};
+pub use hedgex_hedge::HedgeSink;
+pub use hedgex_xml::{parse_flat, stream_xml};
 pub use path::PathStream;
 pub use phr::PhrStream;
 
-use hedgex_ha::Leaf;
-use hedgex_hedge::SymId;
+use hedgex_hedge::{FlatHedge, Leaf, NodeId};
 
-/// A push-based consumer of hedge structure events, in document order.
-///
-/// Every callback returns `true` to keep going or `false` to request an
-/// early stop (drivers abort the parse and report how far they got).
-/// A well-formed event stream is balanced: every `open` is eventually
-/// matched by a `close`, and `leaf`/nested events happen in between.
-pub trait HedgeSink {
-    /// A Σ node opens (its children follow, then a matching `close`).
-    fn open(&mut self, a: SymId) -> bool;
-    /// A childless leaf: a variable or substitution symbol.
-    fn leaf(&mut self, l: Leaf) -> bool;
-    /// The most recent unmatched `open` closes.
-    fn close(&mut self) -> bool;
+/// Replay a materialized hedge as a stream of events, preorder. Returns
+/// `false` if `eval` stopped early (remaining events are not delivered).
+pub fn replay_flat<E: HedgeSink + ?Sized>(h: &FlatHedge, eval: &mut E) -> bool {
+    let mut open: Vec<NodeId> = Vec::new();
+    for id in h.preorder() {
+        // Close elements until the top of the open stack is our parent.
+        while open.last().copied() != h.parent(id) {
+            if !eval.close() {
+                return false;
+            }
+            open.pop();
+        }
+        let go = match Leaf::try_from(h.label(id)) {
+            Ok(l) => eval.leaf(l),
+            Err(a) => {
+                open.push(id);
+                eval.open(a)
+            }
+        };
+        if !go {
+            return false;
+        }
+    }
+    while open.pop().is_some() {
+        if !eval.close() {
+            return false;
+        }
+    }
+    true
 }
 
 /// Counters a streaming evaluator gathers while consuming events — the
@@ -88,6 +104,86 @@ impl StreamStats {
         hedgex_obs::gauge_set("stream.live_high_water.last", self.live_high_water as f64);
         if self.early_exit {
             hedgex_obs::counter_inc("stream.early_exits");
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use hedgex_core::phr::parse_phr;
+    use hedgex_core::CompiledPhr;
+    use hedgex_hedge::{Alphabet, SymId};
+    use hedgex_xml::{parse_xml, to_hedge, HedgeConfig, StreamOutcome};
+
+    /// Records events to compare event sources.
+    struct Tape(Vec<String>);
+
+    impl HedgeSink for Tape {
+        fn open(&mut self, a: SymId) -> bool {
+            self.0.push(format!("open {}", a.0));
+            true
+        }
+        fn leaf(&mut self, l: Leaf) -> bool {
+            self.0.push(format!("leaf {l:?}"));
+            true
+        }
+        fn close(&mut self) -> bool {
+            self.0.push("close".into());
+            true
+        }
+    }
+
+    /// The load-bearing invariant: for any document and either attribute
+    /// mapping, `stream_xml` emits exactly the event sequence that
+    /// replaying the materialized hedge does — same symbols, same order,
+    /// same interned ids.
+    #[test]
+    fn xml_events_equal_materialized_replay() {
+        let src = r#"<doc date="x"><sec>intro<fig width="10"/></sec><sec/> tail </doc>"#;
+        for keep_attrs in [false, true] {
+            let cfg = HedgeConfig {
+                keep_text: true,
+                keep_attrs,
+            };
+            let mut ab1 = Alphabet::new();
+            let mut streamed = Tape(Vec::new());
+            stream_xml(src, &mut ab1, cfg, &mut streamed).unwrap();
+
+            let mut ab2 = Alphabet::new();
+            let nodes = parse_xml(src).unwrap();
+            let h = to_hedge(&nodes, &mut ab2, cfg);
+            let flat = FlatHedge::from_hedge(&h);
+            let mut replayed = Tape(Vec::new());
+            assert!(replay_flat(&flat, &mut replayed));
+
+            assert_eq!(streamed.0, replayed.0, "keep_attrs={keep_attrs}");
+        }
+    }
+
+    #[test]
+    fn end_to_end_xml_phr() {
+        let src = "<doc><sec><fig/></sec><fig/></doc>";
+        // A depth-1 query (one triplet consumes the whole path), and a
+        // sibling-sensitive one locating the root-level doc.
+        for (query, expected) in [("[ε ; fig ; ε]", 0), ("[ε ; doc ; ε]", 1)] {
+            let mut ab = Alphabet::new();
+            let phr = parse_phr(query, &mut ab).unwrap();
+            let compiled = CompiledPhr::compile(&phr);
+            let mut sink = PhrStream::new(&compiled);
+            let out = stream_xml(src, &mut ab, HedgeConfig::default(), &mut sink).unwrap();
+            assert_eq!(out, StreamOutcome::Finished);
+            let streamed = sink.finish().to_vec();
+
+            let nodes = parse_xml(src).unwrap();
+            let h = to_hedge(&nodes, &mut ab, HedgeConfig::default());
+            let flat = FlatHedge::from_hedge(&h);
+            assert_eq!(
+                streamed,
+                hedgex_core::two_pass::locate(&compiled, &flat),
+                "{query}"
+            );
+            assert_eq!(streamed.len(), expected, "{query}");
         }
     }
 }

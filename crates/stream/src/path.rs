@@ -5,18 +5,16 @@
 //! stack of DFA states plus a stack of sibling counters for Dewey
 //! reconstruction — memory exactly proportional to depth, independent of
 //! both node count and match count (unless matches are collected). In
-//! `exists` mode the first accepting node aborts the parse: the driver
-//! stops parsing, which is the streaming win no materialized evaluator
-//! can have.
+//! `exists` mode the first accepting node aborts the parse, which is the
+//! streaming win no materialized evaluator can have.
 
 use std::sync::Arc;
 
 use hedgex_automata::StateId;
 use hedgex_core::path_expr::{CompiledPath, PathExpr};
-use hedgex_ha::Leaf;
-use hedgex_hedge::{Alphabet, NodeId, SymId};
+use hedgex_hedge::{Alphabet, HedgeSink, Leaf, NodeId, SymId};
 
-use crate::{HedgeSink, StreamStats};
+use crate::StreamStats;
 
 /// A [`HedgeSink`] evaluating a classical path expression with one
 /// top-down DFA, O(depth) state.
@@ -72,9 +70,9 @@ impl PathStream {
         }
     }
 
-    /// Stop the stream at the first match (grep's `-q`): the driver aborts
-    /// the parse, [`StreamStats::early_exit`] is set, and `located` holds
-    /// that single witness.
+    /// Stop the stream at the first match (grep's `-q`): the parser stops,
+    /// [`StreamStats::early_exit`] is set, and `located` holds that single
+    /// witness.
     pub fn exists(mut self, on: bool) -> PathStream {
         self.exists = on;
         self

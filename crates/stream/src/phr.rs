@@ -12,10 +12,9 @@
 
 use hedgex_core::two_pass::{self, EvalScratch};
 use hedgex_core::{CompiledPhr, EvalMode, EvalOutcome};
-use hedgex_ha::Leaf;
-use hedgex_hedge::{FlatBuilder, FlatHedge, NodeId, SymId};
+use hedgex_hedge::{FlatBuilder, FlatHedge, HedgeSink, Leaf, NodeId, SymId};
 
-use crate::{HedgeSink, StreamStats};
+use crate::StreamStats;
 
 /// A [`HedgeSink`] that builds the document's arena from the events and
 /// evaluates a PHR on it with [`two_pass::eval_into`] at [`finish`].
@@ -139,7 +138,7 @@ impl HedgeSink for PhrStream<'_> {
 
     fn leaf(&mut self, l: Leaf) -> bool {
         self.node_seen();
-        HedgeSink::leaf(&mut self.builder, l)
+        self.builder.leaf(l)
     }
 
     fn close(&mut self) -> bool {

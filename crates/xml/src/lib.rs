@@ -1,18 +1,27 @@
 //! XML front end for the extended-path-expressions stack.
 //!
 //! The paper models XML documents as hedges; this crate supplies the
-//! bridge: a small, dependency-free XML 1.0 subset parser ([`parse_xml`]),
-//! the document ↔ hedge mapping ([`to_hedge`], [`write_xml`]), and seeded
-//! synthetic corpora ([`corpus`]) standing in for the real-world documents
-//! the paper does not name (see DESIGN.md §5 — all algorithms are
-//! structure-driven, so generators controlling node count, depth, fanout
-//! and label mix exercise the same code paths).
+//! bridge. One dependency-free XML 1.0 subset scanner serves two parsers:
+//!
+//! * the recursive tree parser [`parse_xml`], whose [`XmlNode`]s
+//!   [`to_hedge`] maps to a hedge — the reference the tests compare
+//!   against;
+//! * the event parser [`stream_xml`], which applies the same mapping while
+//!   it scans and drives a [`hedgex_hedge::HedgeSink`] directly: a
+//!   `FlatBuilder` in [`parse_flat`], or a streaming evaluator of
+//!   `hedgex-stream`.
+//!
+//! [`write_xml`] writes a hedge back, and seeded synthetic corpora
+//! ([`corpus`]) stand in for the real-world documents the paper does not
+//! name (see DESIGN.md §5 — all algorithms are structure-driven, so
+//! generators controlling node count, depth, fanout and label mix
+//! exercise the same code paths).
 //!
 //! Supported XML subset: elements, attributes, text, comments, processing
 //! instructions, CDATA, the five predefined entities and numeric character
 //! references. No DTDs; namespaces are treated as plain name characters.
 //!
-//! Mapping (configurable via [`HedgeConfig`]):
+//! Mapping (configurable via [`HedgeConfig`]; no other crate applies it):
 //!
 //! * element `<a>…</a>` → `a⟨…⟩` with the name interned into Σ;
 //! * text → a single designated variable leaf (`#text`), or dropped;
@@ -28,7 +37,7 @@ pub mod parser;
 pub mod writer;
 
 pub use corpus::{docbook, DocbookConfig};
-pub use parser::{parse_xml, parse_xml_stream, Flow, StreamOutcome, StreamSink, XmlError, XmlNode};
+pub use parser::{parse_flat, parse_xml, stream_xml, StreamOutcome, XmlError, XmlNode};
 pub use writer::write_xml;
 
 use hedgex_hedge::{Alphabet, Hedge, Tree};
@@ -54,6 +63,9 @@ impl Default for HedgeConfig {
 /// The variable name used for text leaves.
 pub const TEXT_VAR: &str = "#text";
 
+/// The prefix that turns an attribute name into its Σ symbol.
+pub const ATTR_PREFIX: &str = "attr:";
+
 /// Convert parsed XML nodes into a hedge.
 pub fn to_hedge(nodes: &[XmlNode], ab: &mut Alphabet, cfg: HedgeConfig) -> Hedge {
     let mut trees = Vec::new();
@@ -73,7 +85,7 @@ pub fn to_hedge(nodes: &[XmlNode], ab: &mut Alphabet, cfg: HedgeConfig) -> Hedge
                 let mut content = Vec::new();
                 if cfg.keep_attrs {
                     for (k, _) in attrs {
-                        let asym = ab.sym(&format!("attr:{k}"));
+                        let asym = ab.sym(&format!("{ATTR_PREFIX}{k}"));
                         content.push(Tree::Node(asym, Hedge(vec![Tree::Var(ab.var(TEXT_VAR))])));
                     }
                 }

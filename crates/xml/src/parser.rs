@@ -1,10 +1,24 @@
-//! A small XML 1.0 subset parser.
+//! A small XML 1.0 subset parser: two loops over one scanner.
 //!
 //! Hand-rolled and dependency-free on purpose: the repository implements
 //! every substrate the paper needs from scratch. Covers the features real
 //! document corpora exercise structurally — elements, attributes, text,
 //! comments, PIs, CDATA, predefined and numeric entities — and rejects
 //! malformed input with byte-accurate errors. DTDs are not supported.
+//!
+//! [`parse_xml`] builds an [`XmlNode`] tree recursively: the reference
+//! the tests compare against. [`stream_xml`] applies the [`to_hedge`]
+//! mapping as it scans and drives a [`HedgeSink`] directly, holding only
+//! the open elements' symbols; [`parse_flat`] is that loop feeding a
+//! [`FlatBuilder`]. Both loops share the tag, entity and markup
+//! scanners, so they accept the same inputs and reject the rest with the
+//! same message at the same byte.
+//!
+//! [`to_hedge`]: crate::to_hedge
+
+use hedgex_hedge::{Alphabet, FlatBuilder, FlatHedge, HedgeSink, Leaf, SymId};
+
+use crate::{HedgeConfig, ATTR_PREFIX, TEXT_VAR};
 
 /// A parsed XML node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -44,19 +58,10 @@ impl std::error::Error for XmlError {}
 /// consumed and dropped.
 pub fn parse_xml(src: &str) -> Result<Vec<XmlNode>, XmlError> {
     let _span = hedgex_obs::span("xml.parse");
-    let mut p = P {
-        src,
-        pos: 0,
-        tally: Tally::default(),
-    };
-    let nodes = p.nodes(None)?;
+    let mut p = P::new(src);
+    let nodes = p.nodes(false)?;
     // Tallied locally during the parse, flushed once here.
-    hedgex_obs::counter_add("xml.parse.bytes", src.len() as u64);
-    hedgex_obs::counter_add("xml.parse.elements", p.tally.elements);
-    hedgex_obs::counter_add("xml.parse.text_nodes", p.tally.text_nodes);
-    hedgex_obs::counter_add("xml.parse.attrs", p.tally.attrs);
-    hedgex_obs::counter_add("xml.parse.entities", p.tally.entities);
-    p.skip_misc();
+    p.tally.flush(src.len());
     if p.pos != src.len() {
         return Err(p.err("trailing content"));
     }
@@ -78,16 +83,6 @@ pub fn parse_xml(src: &str) -> Result<Vec<XmlNode>, XmlError> {
     Ok(roots)
 }
 
-/// A consumer decision after each streamed event: keep parsing, or abort
-/// (e.g. an `exists`-style query already found its answer).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Flow {
-    /// Keep feeding events.
-    Continue,
-    /// Stop the parse; `parse_xml_stream` returns [`StreamOutcome::Stopped`].
-    Stop,
-}
-
 /// How a streaming parse ended (when no [`XmlError`] occurred).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamOutcome {
@@ -100,49 +95,41 @@ pub enum StreamOutcome {
     },
 }
 
-/// A push-based consumer of XML structure events.
+/// Parse `src`, pushing the hedge [`to_hedge`](crate::to_hedge) would
+/// build into `sink` as preorder events while scanning: an element opens a
+/// Σ node, each kept attribute becomes an `attr:name⟨#text⟩` child, and
+/// each kept run of non-whitespace text a `#text` leaf. Names are interned
+/// into `ab` in `to_hedge`'s order, so ids and leaves equal the
+/// materialized pipeline's. Memory is bounded by document *depth* (one
+/// symbol per open element): text and attribute values are scanned, never
+/// copied.
 ///
-/// `parse_xml_stream` calls these in document order: `open_element` at each
-/// start tag (self-closing elements get an immediate `close_element`), `text`
-/// for each maximal run of character data inside an element (entities and
-/// CDATA already resolved, exactly the runs the tree parser would store as
-/// [`XmlNode::Text`]), and `close_element` at each end tag. Top-level
-/// whitespace is dropped and top-level character data is a well-formedness
-/// error, mirroring [`parse_xml`] — neither reaches the sink.
-pub trait StreamSink {
-    /// A start tag with its attributes in document order.
-    fn open_element(&mut self, name: &str, attrs: &[(String, String)]) -> Flow;
-    /// Coalesced character data inside the current element.
-    fn text(&mut self, text: &str) -> Flow;
-    /// The end tag matching the most recent unclosed `open_element`.
-    fn close_element(&mut self) -> Flow;
-}
-
-/// Parse a document, pushing events into `sink` as they are scanned —
-/// nothing is materialized, so memory is bounded by document *depth*
-/// (one open-tag name per ancestor) rather than document size.
-///
-/// Accepts exactly the inputs [`parse_xml`] accepts and rejects the rest
-/// with the same message at the same byte position: both parsers share the
-/// low-level tag/entity scanners, and the differential fuzz suite
-/// (`tests/xml_stream_fuzz.rs`) holds them to it.
-pub fn parse_xml_stream<S: StreamSink + ?Sized>(
+/// Returns `Finished` for a fully consumed well-formed document, `Stopped`
+/// when `sink` requested an early exit (the rest is not scanned), and on
+/// malformed input the same [`XmlError`] [`parse_xml`] reports.
+pub fn stream_xml<S: HedgeSink + ?Sized>(
     src: &str,
+    ab: &mut Alphabet,
+    cfg: HedgeConfig,
     sink: &mut S,
 ) -> Result<StreamOutcome, XmlError> {
     let _span = hedgex_obs::span("xml.parse_stream");
-    let mut p = P {
-        src,
-        pos: 0,
-        tally: Tally::default(),
-    };
-    let outcome = p.stream(sink);
-    hedgex_obs::counter_add("xml.parse.bytes", p.pos as u64);
-    hedgex_obs::counter_add("xml.parse.elements", p.tally.elements);
-    hedgex_obs::counter_add("xml.parse.text_nodes", p.tally.text_nodes);
-    hedgex_obs::counter_add("xml.parse.attrs", p.tally.attrs);
-    hedgex_obs::counter_add("xml.parse.entities", p.tally.entities);
+    let mut p = P::new(src);
+    let outcome = p.stream(ab, cfg, sink);
+    p.tally.flush(p.pos);
     outcome
+}
+
+/// Parse `src` straight into a [`FlatHedge`]: [`stream_xml`] drives a
+/// [`FlatBuilder`], so ingestion is one iterative pass whatever the
+/// document depth. Node ids, leaves and interning order equal
+/// `FlatHedge::from_hedge(&to_hedge(&parse_xml(src)?, ab, cfg))`, and
+/// malformed input fails with the same [`XmlError`].
+pub fn parse_flat(src: &str, ab: &mut Alphabet, cfg: HedgeConfig) -> Result<FlatHedge, XmlError> {
+    let mut builder = FlatBuilder::new();
+    // A builder never stops the parse, so it always finishes.
+    stream_xml(src, ab, cfg, &mut builder)?;
+    Ok(builder.finish())
 }
 
 /// Parse-time counts, kept local so the scanning loops never touch the
@@ -155,8 +142,49 @@ struct Tally {
     entities: u64,
 }
 
-/// (name, attributes in document order, self-closing?) scanned from a start tag.
-type OpenTag = (String, Vec<(String, String)>, bool);
+impl Tally {
+    /// Publish the counts, with `bytes` scanned.
+    fn flush(&self, bytes: usize) {
+        hedgex_obs::counter_add("xml.parse.bytes", bytes as u64);
+        hedgex_obs::counter_add("xml.parse.elements", self.elements);
+        hedgex_obs::counter_add("xml.parse.text_nodes", self.text_nodes);
+        hedgex_obs::counter_add("xml.parse.attrs", self.attrs);
+        hedgex_obs::counter_add("xml.parse.entities", self.entities);
+    }
+}
+
+/// Where scanned character data goes: the tree parser keeps it, the event
+/// parser keeps only what the hedge mapping asks of it.
+trait CharData {
+    fn push_str(&mut self, s: &str);
+}
+
+impl CharData for String {
+    fn push_str(&mut self, s: &str) {
+        String::push_str(self, s);
+    }
+}
+
+/// Attribute values, which the event parser checks but does not keep.
+impl CharData for () {
+    fn push_str(&mut self, _: &str) {}
+}
+
+/// A text run as `to_hedge` sees it: does it hold a character at all (the
+/// tree parser would store a text node), and a non-whitespace one (the
+/// mapping would keep it)?
+#[derive(Default)]
+struct Run {
+    any: bool,
+    solid: bool,
+}
+
+impl CharData for Run {
+    fn push_str(&mut self, s: &str) {
+        self.any |= !s.is_empty();
+        self.solid = self.solid || s.chars().any(|c| !c.is_whitespace());
+    }
+}
 
 struct P<'a> {
     src: &'a str,
@@ -165,6 +193,13 @@ struct P<'a> {
 }
 
 impl<'a> P<'a> {
+    fn new(src: &'a str) -> P<'a> {
+        P {
+            src,
+            pos: 0,
+            tally: Tally::default(),
+        }
+    }
     fn rest(&self) -> &'a str {
         &self.src[self.pos..]
     }
@@ -196,31 +231,7 @@ impl<'a> P<'a> {
         }
     }
 
-    /// Skip comments, PIs and the XML declaration between nodes at the top
-    /// level.
-    fn skip_misc(&mut self) {
-        loop {
-            let before = self.pos;
-            self.skip_ws();
-            if self.rest().starts_with("<?") {
-                if let Some(end) = self.rest().find("?>") {
-                    self.pos += end + 2;
-                    continue;
-                }
-            }
-            if self.rest().starts_with("<!--") {
-                if let Some(end) = self.rest().find("-->") {
-                    self.pos += end + 3;
-                    continue;
-                }
-            }
-            if self.pos == before {
-                return;
-            }
-        }
-    }
-
-    fn name(&mut self) -> Result<String, XmlError> {
+    fn name(&mut self) -> Result<&'a str, XmlError> {
         let start = self.pos;
         while matches!(self.peek(), Some(c)
             if c.is_alphanumeric() || "_-.:@#".contains(c))
@@ -230,12 +241,12 @@ impl<'a> P<'a> {
         if self.pos == start {
             Err(self.err("expected a name"))
         } else {
-            Ok(self.src[start..self.pos].to_string())
+            Ok(&self.src[start..self.pos])
         }
     }
 
-    /// Parse sibling nodes until `</` (when inside `parent`) or EOF.
-    fn nodes(&mut self, parent: Option<&str>) -> Result<Vec<XmlNode>, XmlError> {
+    /// Parse sibling nodes until `</` (when `inside` an element) or EOF.
+    fn nodes(&mut self, inside: bool) -> Result<Vec<XmlNode>, XmlError> {
         let mut out: Vec<XmlNode> = Vec::new();
         let mut text = String::new();
         macro_rules! flush_text {
@@ -249,7 +260,7 @@ impl<'a> P<'a> {
         loop {
             match self.peek() {
                 None => {
-                    if parent.is_some() {
+                    if inside {
                         return Err(self.err("unexpected end of input inside element"));
                     }
                     flush_text!();
@@ -260,77 +271,61 @@ impl<'a> P<'a> {
                         flush_text!();
                         return Ok(out);
                     }
-                    if self.rest().starts_with("<!--") {
-                        match self.rest().find("-->") {
-                            Some(end) => self.pos += end + 3,
-                            None => return Err(self.err("unterminated comment")),
-                        }
+                    if self.markup(&mut text)? {
                         continue;
-                    }
-                    if self.rest().starts_with("<![CDATA[") {
-                        self.pos += "<![CDATA[".len();
-                        match self.rest().find("]]>") {
-                            Some(end) => {
-                                text.push_str(&self.rest()[..end]);
-                                self.pos += end + 3;
-                            }
-                            None => return Err(self.err("unterminated CDATA")),
-                        }
-                        continue;
-                    }
-                    if self.rest().starts_with("<?") {
-                        match self.rest().find("?>") {
-                            Some(end) => self.pos += end + 2,
-                            None => return Err(self.err("unterminated PI")),
-                        }
-                        continue;
-                    }
-                    if self.rest().starts_with("<!") {
-                        return Err(self.err("DTD declarations are not supported"));
                     }
                     flush_text!();
                     out.push(self.element()?);
                 }
-                Some('&') => {
-                    text.push(self.entity()?);
-                }
-                Some(_) => {
-                    text.push(self.bump().expect("peeked"));
-                }
+                Some(_) => self.char_data(b'<', &mut text)?,
             }
         }
     }
 
-    /// The event-parser main loop. Iterative (the open-tag stack lives on
-    /// the heap), so arbitrarily deep documents stream in constant Rust
-    /// stack space — unlike the recursive tree parser, which is kept
+    /// The event-parser main loop. Iterative (the open elements' symbols
+    /// live on the heap), so arbitrarily deep documents stream in constant
+    /// Rust stack space — unlike the recursive tree parser, which is kept
     /// recursive on purpose as an independent reference implementation.
-    fn stream<S: StreamSink + ?Sized>(&mut self, sink: &mut S) -> Result<StreamOutcome, XmlError> {
-        let mut open: Vec<String> = Vec::new();
-        let mut text = String::new();
+    fn stream<S: HedgeSink + ?Sized>(
+        &mut self,
+        ab: &mut Alphabet,
+        cfg: HedgeConfig,
+        sink: &mut S,
+    ) -> Result<StreamOutcome, XmlError> {
+        let mut open: Vec<SymId> = Vec::new();
+        let mut text = Run::default();
+        // The current start tag's attribute names, and the `attr:name`
+        // symbol being spelled: buffers reused across tags.
+        let mut attrs: Vec<&'a str> = Vec::new();
+        let mut attr_sym = String::new();
+        // Interned lazily on first use, like `to_hedge`.
+        let mut text_var = None;
         // Non-whitespace character data between roots is only reported
         // after the rest of the document parses, matching `parse_xml`
         // (whose roots filter runs last) — remember it, keep scanning.
         let mut toplevel_text = false;
         macro_rules! emit {
             ($call:expr) => {
-                if let Flow::Stop = $call {
+                if !$call {
                     return Ok(StreamOutcome::Stopped { pos: self.pos });
                 }
             };
         }
+        macro_rules! text_leaf {
+            () => {
+                Leaf::Var(*text_var.get_or_insert_with(|| ab.var(TEXT_VAR)))
+            };
+        }
         macro_rules! flush_text {
             () => {
-                if !text.is_empty() {
+                if std::mem::take(&mut text.any) {
                     self.tally.text_nodes += 1;
+                    let solid = std::mem::take(&mut text.solid);
                     if open.is_empty() {
-                        if !text.trim().is_empty() {
-                            toplevel_text = true;
-                        }
-                    } else {
-                        emit!(sink.text(&text));
+                        toplevel_text |= solid;
+                    } else if cfg.keep_text && solid {
+                        emit!(sink.leaf(text_leaf!()));
                     }
-                    text.clear();
                 }
             };
         }
@@ -351,99 +346,124 @@ impl<'a> P<'a> {
                 }
                 Some('<') => {
                     if self.rest().starts_with("</") {
-                        if open.is_empty() {
-                            // Same position and message `parse_xml` produces
-                            // for an end tag after the last root.
+                        let Some(&a) = open.last() else {
+                            // Same position and message `parse_xml`
+                            // produces for an end tag after the last root.
                             return Err(self.err("trailing content"));
-                        }
+                        };
                         flush_text!();
-                        let name = open.pop().expect("checked non-empty");
-                        self.close_tag(&name)?;
-                        emit!(sink.close_element());
+                        open.pop();
+                        self.close_tag(ab.sym_name(a))?;
+                        emit!(sink.close());
                         continue;
                     }
-                    if self.rest().starts_with("<!--") {
-                        match self.rest().find("-->") {
-                            Some(end) => self.pos += end + 3,
-                            None => return Err(self.err("unterminated comment")),
-                        }
+                    if self.markup(&mut text)? {
                         continue;
-                    }
-                    if self.rest().starts_with("<![CDATA[") {
-                        self.pos += "<![CDATA[".len();
-                        match self.rest().find("]]>") {
-                            Some(end) => {
-                                text.push_str(&self.rest()[..end]);
-                                self.pos += end + 3;
-                            }
-                            None => return Err(self.err("unterminated CDATA")),
-                        }
-                        continue;
-                    }
-                    if self.rest().starts_with("<?") {
-                        match self.rest().find("?>") {
-                            Some(end) => self.pos += end + 2,
-                            None => return Err(self.err("unterminated PI")),
-                        }
-                        continue;
-                    }
-                    if self.rest().starts_with("<!") {
-                        return Err(self.err("DTD declarations are not supported"));
                     }
                     flush_text!();
-                    let (name, attrs, self_closing) = self.open_tag()?;
-                    emit!(sink.open_element(&name, &attrs));
+                    attrs.clear();
+                    let (name, self_closing) = self.open_tag(|k, ()| attrs.push(k))?;
+                    let a = ab.sym(name);
+                    emit!(sink.open(a));
+                    if cfg.keep_attrs {
+                        for k in &attrs {
+                            attr_sym.clear();
+                            attr_sym.push_str(ATTR_PREFIX);
+                            attr_sym.push_str(k);
+                            let asym = ab.sym(&attr_sym);
+                            emit!(sink.open(asym) && sink.leaf(text_leaf!()) && sink.close());
+                        }
+                    }
                     if self_closing {
-                        emit!(sink.close_element());
+                        emit!(sink.close());
                     } else {
-                        open.push(name);
+                        open.push(a);
                     }
                 }
-                Some('&') => {
-                    text.push(self.entity()?);
-                }
-                Some(_) => {
-                    // Copy character data one run at a time, up to the next
-                    // markup or entity byte. Both are ASCII, so the cut is
-                    // always a char boundary.
-                    let rest = self.rest();
-                    let run = rest
-                        .bytes()
-                        .position(|b| b == b'<' || b == b'&')
-                        .unwrap_or(rest.len());
-                    text.push_str(&rest[..run]);
-                    self.pos += run;
-                }
+                Some(_) => self.char_data(b'<', &mut text)?,
             }
         }
     }
 
-    fn element(&mut self) -> Result<XmlNode, XmlError> {
-        let (name, attrs, self_closing) = self.open_tag()?;
-        if self_closing {
-            return Ok(XmlNode::Element {
-                name,
-                attrs,
-                children: Vec::new(),
-            });
+    /// At a `<` that opens no element: skip a comment or PI, add a CDATA
+    /// section's content to `text`, refuse a DTD. `false` when the `<`
+    /// starts a tag, which the caller scans.
+    fn markup(&mut self, text: &mut impl CharData) -> Result<bool, XmlError> {
+        let rest = self.rest();
+        if rest.starts_with("<!--") {
+            self.skip_past("-->", "unterminated comment")?;
+        } else if rest.starts_with("<![CDATA[") {
+            self.pos += "<![CDATA[".len();
+            let start = self.pos;
+            self.skip_past("]]>", "unterminated CDATA")?;
+            text.push_str(&self.src[start..self.pos - "]]>".len()]);
+        } else if rest.starts_with("<?") {
+            self.skip_past("?>", "unterminated PI")?;
+        } else if rest.starts_with("<!") {
+            return Err(self.err("DTD declarations are not supported"));
+        } else {
+            return Ok(false);
         }
-        let children = self.nodes(Some(&name))?;
-        self.close_tag(&name)?;
+        Ok(true)
+    }
+
+    /// Move past the next `end`, or fail with `msg` where the search began.
+    fn skip_past(&mut self, end: &str, msg: &str) -> Result<(), XmlError> {
+        match self.rest().find(end) {
+            Some(at) => {
+                self.pos += at + end.len();
+                Ok(())
+            }
+            None => Err(self.err(msg)),
+        }
+    }
+
+    /// Character data before the next `stop` byte: one entity reference,
+    /// or a run of plain characters up to the next `&` or `stop` (both
+    /// ASCII, so the cut is always a char boundary).
+    fn char_data(&mut self, stop: u8, text: &mut impl CharData) -> Result<(), XmlError> {
+        if self.rest().starts_with('&') {
+            text.push_str(self.entity()?.encode_utf8(&mut [0; 4]));
+        } else {
+            let rest = self.rest();
+            let run = rest
+                .bytes()
+                .position(|b| b == stop || b == b'&')
+                .unwrap_or(rest.len());
+            text.push_str(&rest[..run]);
+            self.pos += run;
+        }
+        Ok(())
+    }
+
+    fn element(&mut self) -> Result<XmlNode, XmlError> {
+        let mut attrs = Vec::new();
+        let (name, self_closing) = self.open_tag(|k, v: String| attrs.push((k.to_string(), v)))?;
+        let children = if self_closing {
+            Vec::new()
+        } else {
+            let children = self.nodes(true)?;
+            self.close_tag(name)?;
+            children
+        };
         Ok(XmlNode::Element {
-            name,
+            name: name.to_string(),
             attrs,
             children,
         })
     }
 
-    /// Scan an opening tag from its `<`: name, attributes, and whether it
-    /// was self-closing. Shared by the tree parser and the event parser so
-    /// both report identical errors at identical byte positions.
-    fn open_tag(&mut self) -> Result<OpenTag, XmlError> {
+    /// Scan a start tag from its `<`: its name, whether it closes itself,
+    /// and each attribute handed to `attr` with its value, in document
+    /// order. Shared by the tree parser and the event parser so both
+    /// report identical errors at identical byte positions.
+    fn open_tag<V: CharData + Default>(
+        &mut self,
+        mut attr: impl FnMut(&'a str, V),
+    ) -> Result<(&'a str, bool), XmlError> {
         assert!(self.eat("<"));
         self.tally.elements += 1;
         let name = self.name()?;
-        let mut attrs = Vec::new();
         loop {
             self.skip_ws();
             match self.peek() {
@@ -452,11 +472,11 @@ impl<'a> P<'a> {
                     if !self.eat(">") {
                         return Err(self.err("expected '>' after '/'"));
                     }
-                    return Ok((name, attrs, true));
+                    return Ok((name, true));
                 }
                 Some('>') => {
                     self.bump();
-                    return Ok((name, attrs, false));
+                    return Ok((name, false));
                 }
                 Some(_) => {
                     let k = self.name()?;
@@ -469,7 +489,7 @@ impl<'a> P<'a> {
                         Some(q @ ('"' | '\'')) => q,
                         _ => return Err(self.err("expected quoted attribute value")),
                     };
-                    let mut v = String::new();
+                    let mut v = V::default();
                     loop {
                         match self.peek() {
                             None => return Err(self.err("unterminated attribute value")),
@@ -477,12 +497,11 @@ impl<'a> P<'a> {
                                 self.bump();
                                 break;
                             }
-                            Some('&') => v.push(self.entity()?),
-                            Some(_) => v.push(self.bump().expect("peeked")),
+                            Some(_) => self.char_data(quote as u8, &mut v)?,
                         }
                     }
                     self.tally.attrs += 1;
-                    attrs.push((k, v));
+                    attr(k, v);
                 }
                 None => return Err(self.err("unexpected end of input in tag")),
             }
@@ -622,70 +641,98 @@ mod tests {
         assert!(e.to_string().contains("mismatched"));
     }
 
+    /// One hedge event, as a [`HedgeSink`] receives it.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Event {
+        Open(SymId),
+        Leaf(Leaf),
+        Close,
+    }
+
     /// Records every event; optionally stops after a fixed number.
+    #[derive(Default)]
     struct Recorder {
-        events: Vec<String>,
+        events: Vec<Event>,
         stop_after: Option<usize>,
     }
 
     impl Recorder {
-        fn new() -> Self {
-            Recorder {
-                events: Vec::new(),
-                stop_after: None,
-            }
-        }
-        fn push(&mut self, ev: String) -> Flow {
+        fn push(&mut self, ev: Event) -> bool {
             self.events.push(ev);
-            match self.stop_after {
-                Some(n) if self.events.len() >= n => Flow::Stop,
-                _ => Flow::Continue,
-            }
+            !matches!(self.stop_after, Some(n) if self.events.len() >= n)
+        }
+
+        fn spelled(&self, ab: &Alphabet) -> Vec<String> {
+            let spell = |ev: &Event| match *ev {
+                Event::Open(a) => format!("open {}", ab.sym_name(a)),
+                Event::Leaf(Leaf::Var(x)) => format!("leaf ${}", ab.var_name(x)),
+                Event::Leaf(Leaf::Sub(z)) => format!("leaf {z}"),
+                Event::Close => "close".into(),
+            };
+            self.events.iter().map(spell).collect()
         }
     }
 
-    impl StreamSink for Recorder {
-        fn open_element(&mut self, name: &str, attrs: &[(String, String)]) -> Flow {
-            let attrs: Vec<String> = attrs.iter().map(|(k, v)| format!("{k}={v}")).collect();
-            self.push(format!("open {name} [{}]", attrs.join(",")))
+    impl HedgeSink for Recorder {
+        fn open(&mut self, a: SymId) -> bool {
+            self.push(Event::Open(a))
         }
-        fn text(&mut self, text: &str) -> Flow {
-            self.push(format!("text {text}"))
+        fn leaf(&mut self, l: Leaf) -> bool {
+            self.push(Event::Leaf(l))
         }
-        fn close_element(&mut self) -> Flow {
-            self.push("close".into())
+        fn close(&mut self) -> bool {
+            self.push(Event::Close)
         }
     }
+
+    const WITH_ATTRS: HedgeConfig = HedgeConfig {
+        keep_text: true,
+        keep_attrs: true,
+    };
 
     #[test]
     fn stream_event_order() {
-        let mut r = Recorder::new();
-        let out = parse_xml_stream(
+        let mut r = Recorder::default();
+        let mut ab = Alphabet::new();
+        let out = stream_xml(
             "<?xml version=\"1.0\"?><a x=\"1\">hi<b/><!-- c -->&amp;<![CDATA[<]]></a>",
+            &mut ab,
+            WITH_ATTRS,
             &mut r,
         )
         .unwrap();
         assert_eq!(out, StreamOutcome::Finished);
         assert_eq!(
-            r.events,
+            r.spelled(&ab),
             vec![
-                "open a [x=1]",
-                "text hi",
-                "open b []",
+                "open a",
+                "open attr:x",
+                "leaf $#text",
                 "close",
-                "text &<",
+                "leaf $#text",
+                "open b",
+                "close",
+                "leaf $#text",
                 "close",
             ]
+        );
+        // to_hedge's interning order: a, attr:x, then #text, then b.
+        assert_eq!(
+            ab.syms().map(|a| ab.sym_name(a)).collect::<Vec<_>>(),
+            ["a", "attr:x", "b"]
         );
     }
 
     #[test]
     fn stream_early_stop() {
-        let mut r = Recorder::new();
-        r.stop_after = Some(2);
-        let out = parse_xml_stream("<a><b><c/></b></a>", &mut r).unwrap();
+        let mut r = Recorder {
+            stop_after: Some(2),
+            ..Recorder::default()
+        };
+        let src = "<a><b><c/></b></a>";
+        let out = stream_xml(src, &mut Alphabet::new(), HedgeConfig::default(), &mut r).unwrap();
         match out {
-            StreamOutcome::Stopped { pos } => assert!(pos < "<a><b><c/></b></a>".len()),
+            StreamOutcome::Stopped { pos } => assert!(pos < src.len()),
             other => panic!("expected Stopped, got {other:?}"),
         }
         assert_eq!(r.events.len(), 2);
@@ -694,12 +741,12 @@ mod tests {
     #[test]
     fn stream_deep_chain_is_iterative() {
         // Deep enough to overflow a recursive parser's call stack; the
-        // event parser keeps only the open-tag name stack on the heap.
+        // event parser keeps only the open elements' symbols on the heap.
         let depth = 10_000;
         let src = format!("{}{}", "<a>".repeat(depth), "</a>".repeat(depth));
-        let mut r = Recorder::new();
+        let mut r = Recorder::default();
         assert_eq!(
-            parse_xml_stream(&src, &mut r).unwrap(),
+            stream_xml(&src, &mut Alphabet::new(), HedgeConfig::default(), &mut r).unwrap(),
             StreamOutcome::Finished
         );
         assert_eq!(r.events.len(), 2 * depth);
@@ -719,10 +766,53 @@ mod tests {
             "<a><!-- nope</a>",
             "<a><![CDATA[x</a>",
             "<a><?pi</a>",
+            "<a k='&bad;'/>",
         ] {
             let tree = parse_xml(src).unwrap_err();
-            let ev = parse_xml_stream(src, &mut Recorder::new()).unwrap_err();
+            let ev = stream_xml(
+                src,
+                &mut Alphabet::new(),
+                WITH_ATTRS,
+                &mut Recorder::default(),
+            )
+            .unwrap_err();
             assert_eq!(ev, tree, "error mismatch on {src:?}");
+        }
+    }
+
+    /// Text the event parser never copies is judged by what it would have
+    /// held: whitespace from character references or CDATA gives no
+    /// `#text` leaf, as in `to_hedge`, yet still counts as a text node
+    /// whenever the tree parser would store one (an empty CDATA section
+    /// adds no character, so alone it makes none).
+    #[test]
+    fn whitespace_references_and_cdata_give_no_text_leaf() {
+        for (body, text_nodes) in [
+            ("&#32;", 1),
+            ("&#x9;", 1),
+            ("<![CDATA[ ]]>", 1),
+            ("<![CDATA[]]>", 0),
+            ("&#32;<!-- c --><![CDATA[]]>&#x9;", 1),
+            ("<![CDATA[]]><b/>&#x20;", 1),
+        ] {
+            let src = format!("<a>{body}<b/></a>");
+            let mut ab = Alphabet::new();
+            let flat = parse_flat(&src, &mut ab, HedgeConfig::default()).unwrap();
+            let mut ab_ref = Alphabet::new();
+            let doc = parse_xml(&src).unwrap();
+            let reference = crate::to_hedge(&doc, &mut ab_ref, HedgeConfig::default());
+            assert_eq!(flat, FlatHedge::from_hedge(&reference), "{src:?}");
+            assert_eq!((&ab, ab.num_vars()), (&ab_ref, 0), "{src:?}");
+
+            let mut tree = P::new(&src);
+            tree.nodes(false).unwrap();
+            let mut events = P::new(&src);
+            let cfg = HedgeConfig::default();
+            events
+                .stream(&mut Alphabet::new(), cfg, &mut Recorder::default())
+                .unwrap();
+            assert_eq!(tree.tally.text_nodes, text_nodes, "{src:?}");
+            assert_eq!(events.tally.text_nodes, text_nodes, "{src:?}");
         }
     }
 }

@@ -106,7 +106,7 @@ fn escape_name(name: &str) -> String {
 mod tests {
     use super::*;
     use crate::{parse_xml, to_hedge, HedgeConfig};
-    use hedgex_hedge::Hedge;
+    use hedgex_hedge::{Hedge, HedgeSink};
 
     #[test]
     fn roundtrip_structure() {

@@ -141,6 +141,19 @@ if grep -rnE 'PhrStream|req\.stream' crates/hedgex/src \
   echo "the request, not --stream, picks the route; only the prelude names PhrStream"; exit 1
 fi
 
+echo "== one event interface =="
+# XML bytes reach every consumer through one trait, hedgex_hedge::HedgeSink:
+# hedgex_xml::stream_xml applies the document → hedge mapping while it scans
+# and drives the sink directly, and FlatBuilder is a sink itself. No second
+# event trait or adapter re-applies the mapping, and its `attr:` spelling
+# lives in crates/xml/src only.
+if grep -rnE --include='*.rs' '(StreamSink|XmlDriver|parse_xml_stream|\bFlow::)' crates/*/src; then
+  echo "XML events must reach sinks through hedgex_hedge::HedgeSink only"; exit 1
+fi
+if grep -rnF --include='*.rs' '"attr:' crates/*/src | grep -v '^crates/xml/src/'; then
+  echo "the XML → hedge mapping must stay in crates/xml/src"; exit 1
+fi
+
 echo "== the construction kernel lives in hedgex-automata only =="
 # Subset, product and trim loops go through the three kernels in
 # crates/automata/src/kernel.rs (Worklist, row/in_edges, reach/coreach); no

@@ -91,8 +91,8 @@ fn docbook_report_is_consistent() {
         names,
         [
             "hedgex.read",
-            "hedgex.parse",
             "hedgex.query_parse",
+            "hedgex.parse",
             "hedgex.compile",
             "hedgex.eval",
             "hedgex.output",
@@ -157,8 +157,8 @@ fn subhedge_filter_matches_manual_marking() {
         names,
         [
             "hedgex.read",
-            "hedgex.parse",
             "hedgex.query_parse",
+            "hedgex.parse",
             "hedgex.compile",
             "hedgex.eval",
             "hedgex.output",

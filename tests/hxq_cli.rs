@@ -117,25 +117,33 @@ fn help_exits_0_and_documents_the_flags() {
 fn malformed_queries_are_usage_errors_in_every_mode() {
     // The exit-code contract pins 2 for bad queries whether the document
     // was readable or not: a query error is the user's, not the input's.
+    // Every route parses the query before the document, so a malformed
+    // document changes nothing, whether the query streams or (with
+    // `--repeat`, or as a PHR) runs on the arena.
     let xml = scratch("bad-query.xml");
     std::fs::write(&xml, "<a><b/></a>").unwrap();
-    for extra in [
-        &[][..],
-        &["--stream"][..],
-        &["--exists"][..],
-        &["--count"][..],
-    ] {
-        for query in [&["--path", "a (("][..], &["--phr", "[ε ; a"][..]] {
-            let out = hxq(&[query, extra, &[xml.to_str().unwrap()]].concat());
-            assert_eq!(
-                out.status.code(),
-                Some(2),
-                "bad query must exit 2 ({query:?} {extra:?})"
-            );
-            assert!(out.stdout.is_empty());
-            let err = String::from_utf8_lossy(&out.stderr);
-            assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
-            assert!(err.contains("query:"), "{err:?} should name the query");
+    let bad_xml = scratch("bad-query-bad-doc.xml");
+    std::fs::write(&bad_xml, "<a><b/>").unwrap();
+    for doc in [&xml, &bad_xml] {
+        for extra in [
+            &[][..],
+            &["--stream"][..],
+            &["--exists"][..],
+            &["--count"][..],
+            &["--repeat", "1"][..],
+        ] {
+            for query in [&["--path", "a (("][..], &["--phr", "[ε ; a"][..]] {
+                let out = hxq(&[query, extra, &[doc.to_str().unwrap()]].concat());
+                assert_eq!(
+                    out.status.code(),
+                    Some(2),
+                    "bad query must exit 2 ({query:?} {extra:?} {doc:?})"
+                );
+                assert!(out.stdout.is_empty());
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+                assert!(err.contains("query:"), "{err:?} should name the query");
+            }
         }
     }
     // A bad subhedge too.
@@ -143,6 +151,7 @@ fn malformed_queries_are_usage_errors_in_every_mode() {
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("subhedge:"));
     std::fs::remove_file(&xml).ok();
+    std::fs::remove_file(&bad_xml).ok();
 }
 
 #[test]
@@ -269,8 +278,8 @@ fn stream_metrics_json_reports_the_streaming_run() {
                 names,
                 [
                     "hedgex.read",
-                    "hedgex.parse",
                     "hedgex.query_parse",
+                    "hedgex.parse",
                     "hedgex.compile",
                     "hedgex.eval",
                     "hedgex.output",

@@ -14,7 +14,6 @@
 use std::cell::RefCell;
 
 use hedgex::core::path_expr::parse_path;
-use hedgex::hedge::flat::FlatLabel;
 use hedgex::hedge::{FlatBuilder, Hedge, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
@@ -315,7 +314,8 @@ fn build_walk(walk: &[Step]) -> FlatHedge {
                 depth += 1;
             }
             Step::Leaf(s) => {
-                b.leaf(FlatLabel::Sym(SymId(s)));
+                b.open(SymId(s));
+                b.close();
             }
             Step::Close if depth > 0 => {
                 b.close();

@@ -1,57 +1,57 @@
 //! Parser-robustness fuzzing: the event parser and the tree parser are two
-//! drivers over the same tag/entity scanners, and this suite holds them to
-//! *behavioral* equality on hostile input — well-formed documents rebuild
-//! to the identical tree, malformed and truncated documents fail with the
-//! same message at the same byte position, and nothing panics. The
-//! streaming evaluators ride along: every generated input also runs
-//! through `XmlDriver` → `PhrStream`, which must never panic and must
-//! agree with the materialized answer whenever the input parses.
+//! loops over the same tag/entity/markup scanners, and this suite holds
+//! them to *behavioral* equality on hostile input — on well-formed
+//! documents the event parser's hedge events, arena and alphabet equal the
+//! reference route's (tree parser → `to_hedge` → `from_hedge`) under both
+//! attribute mappings, malformed and truncated documents fail with the
+//! same message at the same byte position, an early stop delivers a
+//! prefix of those events, and nothing panics. The streaming evaluators
+//! ride along: every generated input also runs through `stream_xml` →
+//! `PhrStream`, which must never panic and must agree with the
+//! materialized answer whenever the input parses.
 
 use hedgex::core::CompiledPhr;
+use hedgex::hedge::{Leaf, SymId};
 use hedgex::prelude::*;
-use hedgex::xml::{parse_xml_stream, Flow, StreamOutcome, StreamSink, XmlNode};
+use hedgex::xml::StreamOutcome;
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, Config, Gen, Rng, TestResult};
 
 // ---------------------------------------------------------------------------
-// An event consumer that rebuilds the tree, iteratively
+// An event consumer that records, and may stop early
 // ---------------------------------------------------------------------------
 
-/// One open element: (name, attributes, children accumulated so far).
-type OpenFrame = (String, Vec<(String, String)>, Vec<XmlNode>);
-
-/// Rebuilds `Vec<XmlNode>` from events with an explicit stack — no
-/// recursion, so arbitrarily deep input cannot overflow here.
-#[derive(Default)]
-struct TreeSink {
-    stack: Vec<OpenFrame>,
-    roots: Vec<XmlNode>,
+/// Records hedge events, asking to stop once `left` reaches zero.
+struct Tape {
+    events: Vec<String>,
+    left: usize,
 }
 
-impl StreamSink for TreeSink {
-    fn open_element(&mut self, name: &str, attrs: &[(String, String)]) -> Flow {
-        self.stack
-            .push((name.to_string(), attrs.to_vec(), Vec::new()));
-        Flow::Continue
-    }
-
-    fn text(&mut self, text: &str) -> Flow {
-        let (_, _, children) = self.stack.last_mut().expect("text only inside elements");
-        children.push(XmlNode::Text(text.to_string()));
-        Flow::Continue
-    }
-
-    fn close_element(&mut self) -> Flow {
-        let (name, attrs, children) = self.stack.pop().expect("balanced events");
-        let el = XmlNode::Element {
-            name,
-            attrs,
-            children,
-        };
-        match self.stack.last_mut() {
-            Some((_, _, siblings)) => siblings.push(el),
-            None => self.roots.push(el),
+impl Tape {
+    fn new(left: usize) -> Tape {
+        Tape {
+            events: Vec::new(),
+            left,
         }
-        Flow::Continue
+    }
+
+    fn push(&mut self, ev: String) -> bool {
+        self.events.push(ev);
+        self.left = self.left.saturating_sub(1);
+        self.left > 0
+    }
+}
+
+impl HedgeSink for Tape {
+    fn open(&mut self, a: SymId) -> bool {
+        self.push(format!("open {}", a.0))
+    }
+
+    fn leaf(&mut self, l: Leaf) -> bool {
+        self.push(format!("leaf {l:?}"))
+    }
+
+    fn close(&mut self) -> bool {
+        self.push("close".into())
     }
 }
 
@@ -60,7 +60,18 @@ impl StreamSink for TreeSink {
 // ---------------------------------------------------------------------------
 
 const NAMES: [&str; 4] = ["a", "b", "item", "x-y"];
-const TEXTS: [&str; 5] = ["hi", " ", "a &lt; b", "&#65;&amp;", "t&#x41;il"];
+const TEXTS: [&str; 9] = [
+    "hi",
+    " ",
+    "a &lt; b",
+    "&#65;&amp;",
+    "t&#x41;il",
+    // Whitespace the event parser must judge without copying the text.
+    "&#32;",
+    "&#x9;",
+    "<![CDATA[ ]]>",
+    "<![CDATA[]]>",
+];
 const SOUP: [&str; 12] = [
     "<",
     ">",
@@ -174,35 +185,86 @@ fn arb_input() -> Gen<String> {
 // Properties
 // ---------------------------------------------------------------------------
 
-/// Tree parser and event parser agree on *everything*: the rebuilt tree on
-/// success, the error position and message on failure.
+/// `stream_xml`'s events against the reference route's, under both
+/// attribute mappings: on success the events of `replay_flat` over
+/// `from_hedge(to_hedge(parse_xml(src)))` and the same alphabet; on
+/// failure the same error, verbatim. A sink that stops after `k` events
+/// gets exactly the first `k` of them, whenever the unstopped parse
+/// delivers that many before it finishes or fails.
+fn events_match_tree_pipeline(src: &str) -> TestResult {
+    for keep_attrs in [false, true] {
+        let cfg = HedgeConfig {
+            keep_text: true,
+            keep_attrs,
+        };
+        let run = |stop_after: usize| {
+            let mut ab = Alphabet::new();
+            let mut tape = Tape::new(stop_after);
+            let outcome = stream_xml(src, &mut ab, cfg, &mut tape);
+            (outcome, tape.events, ab)
+        };
+        let (outcome, events, ab) = run(usize::MAX);
+        let mut ab_ref = Alphabet::new();
+        let reference = parse_xml(src).map(|nodes| {
+            let flat = FlatHedge::from_hedge(&to_hedge(&nodes, &mut ab_ref, cfg));
+            let mut tape = Tape::new(usize::MAX);
+            replay_flat(&flat, &mut tape);
+            tape.events
+        });
+        match (&outcome, reference) {
+            (Ok(StreamOutcome::Finished), Ok(want)) => {
+                prop_assert_eq!(
+                    &events,
+                    &want,
+                    "events differ on {:?} (attrs={})",
+                    src,
+                    keep_attrs
+                );
+                prop_assert_eq!(&ab, &ab_ref, "alphabets differ on {:?}", src);
+            }
+            (Err(se), Err(te)) => {
+                prop_assert_eq!(se, &te, "errors differ on {:?} (attrs={})", src, keep_attrs)
+            }
+            (s, t) => prop_assert!(
+                false,
+                "parsers disagree on {:?}: stream={:?} tree={:?}",
+                src,
+                s,
+                t.map(|e| e.len())
+            ),
+        }
+        let cuts = [1, events.len() / 2, events.len()];
+        for k in cuts.into_iter().filter(|&k| k >= 1 && k <= events.len()) {
+            let (stopped, prefix, _) = run(k);
+            match stopped {
+                Ok(StreamOutcome::Stopped { pos }) => {
+                    prop_assert!(pos <= src.len(), "stop past the end on {:?}", src);
+                    prop_assert_eq!(&prefix[..], &events[..k], "stop at {} on {:?}", k, src);
+                }
+                other => prop_assert!(
+                    false,
+                    "a stop after {} of {} events was not honoured on {:?}: {:?}",
+                    k,
+                    events.len(),
+                    src,
+                    other
+                ),
+            }
+        }
+    }
+    Ok(())
+}
+
+/// The event parser agrees with the tree parser on *everything* the hedge
+/// keeps: the events on success, the error position and message on
+/// failure, and the prefix an early stop delivers.
 #[test]
 fn event_parser_agrees_with_tree_parser_on_hostile_input() {
     forall(
         "event_vs_tree_parser",
         Config::with_cases(300),
         &arb_input(),
-        |src| {
-            let tree = parse_xml(src);
-            let mut sink = TreeSink::default();
-            let streamed = parse_xml_stream(src, &mut sink);
-            match (tree, streamed) {
-                (Ok(roots), Ok(StreamOutcome::Finished)) => {
-                    prop_assert_eq!(&roots, &sink.roots, "trees differ on {:?}", src)
-                }
-                (Err(te), Err(se)) => {
-                    prop_assert_eq!(&te, &se, "errors differ on {:?}", src)
-                }
-                (t, s) => prop_assert!(
-                    false,
-                    "parsers disagree on {:?}: tree={:?} stream={:?}",
-                    src,
-                    t,
-                    s
-                ),
-            }
-            Ok(())
-        },
+        |src| events_match_tree_pipeline(src),
     );
 }
 
@@ -279,16 +341,7 @@ const PINNED: [&str; 22] = [
 #[test]
 fn pinned_hostile_inputs_fail_identically() {
     for src in PINNED {
-        let tree = parse_xml(src);
-        let mut sink = TreeSink::default();
-        let streamed = parse_xml_stream(src, &mut sink);
-        match (&tree, &streamed) {
-            (Ok(roots), Ok(StreamOutcome::Finished)) => {
-                assert_eq!(roots, &sink.roots, "trees differ on {src:?}")
-            }
-            (Err(te), Err(se)) => assert_eq!(te, se, "errors differ on {src:?}"),
-            _ => panic!("parsers disagree on {src:?}: tree={tree:?} stream={streamed:?}"),
-        }
+        events_match_tree_pipeline(src).unwrap();
     }
 }
 
