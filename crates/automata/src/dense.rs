@@ -1,53 +1,74 @@
-//! Flat-table DFAs for hot execution paths.
+//! The dense table every tabulated automaton of the stack is built on.
 //!
-//! Symbolic [`Dfa`]s are flexible but step by scanning label lists. Hedge
-//! automaton runs evaluate a horizontal DFA once per tree node, so the
-//! executor compiles each horizontal automaton against its concrete alphabet
-//! (the hedge automaton's state set) into a dense `state × symbol` table.
+//! Symbolic [`Dfa`]s are flexible but step by scanning label lists. Every
+//! automaton the evaluators step per node — Theorem 1's horizontal
+//! functions `α(a, ·)` over `Q`, Theorem 4's `≡` classes and mirror
+//! automaton `N`, §8's path DFA, a hedge automaton's `F` — is a
+//! [`DenseDfa`] instead: one `u32` row per state, one column per letter of
+//! a concrete alphabet, and one co-finite column that every letter past
+//! the end takes. Constructions fill the rows directly
+//! ([`DenseDfa::from_rows`]); a symbolic automaton is tabulated against an
+//! alphabet with [`DenseDfa::compile`].
 
-use std::collections::HashMap;
-
+use crate::kernel::coreach;
 use crate::{Dfa, StateId, Sym};
 
-/// A [`Dfa`] compiled against a concrete, finite alphabet.
+/// A total DFA over the letters `0, 1, 2, …`, stored as a flat
+/// `state × column` table.
 ///
-/// Symbols outside the compiled alphabet take the automaton's co-finite
-/// ("anything else") edges, so a `DenseDfa` still agrees with its source on
-/// every possible input.
+/// Column `i < letters()` is letter `i`; the last column is the co-finite
+/// one, taken by every letter `≥ letters()`. Alongside the table: the
+/// start state, the accepting states, and the *live* states (those from
+/// which an accepting state is reachable).
 #[derive(Debug, Clone)]
-pub struct DenseDfa<S> {
-    nsyms: usize,
-    sym_idx: HashMap<S, usize>,
-    /// `table[q * (nsyms + 1) + i]` — column `nsyms` is the co-finite edge.
+pub struct DenseDfa {
+    /// Columns per state: the letters, then the co-finite column.
+    width: usize,
+    /// `table[q * width + col]` is the successor of `q` on column `col`.
     table: Vec<StateId>,
     start: StateId,
     accept: Vec<bool>,
+    live: Vec<bool>,
 }
 
-impl<S: Sym> DenseDfa<S> {
-    /// Compile `dfa` against `alphabet`. Duplicate alphabet entries are
-    /// tolerated (last occurrence wins; behaviour is identical either way).
-    pub fn compile(dfa: &Dfa<S>, alphabet: &[S]) -> DenseDfa<S> {
-        let nsyms = alphabet.len();
-        let mut sym_idx = HashMap::with_capacity(nsyms);
-        for (i, s) in alphabet.iter().enumerate() {
-            sym_idx.insert(s.clone(), i);
-        }
-        let n = dfa.num_states();
-        let width = nsyms + 1;
-        let mut table = vec![0 as StateId; n * width];
-        for q in 0..n as StateId {
-            for (i, s) in alphabet.iter().enumerate() {
-                table[q as usize * width + i] = dfa.step(q, s);
-            }
-            table[q as usize * width + nsyms] = dfa.step_cofinite(q);
-        }
+impl DenseDfa {
+    /// Tabulate `dfa` against `alphabet`: column `i` is `alphabet[i]`, and
+    /// the co-finite column is `dfa`'s co-finite edge, which every symbol
+    /// outside `alphabet` takes.
+    pub fn compile<S: Sym>(dfa: &Dfa<S>, alphabet: &[S]) -> DenseDfa {
+        let rows = (0..dfa.num_states() as StateId).map(|q| {
+            let letters = alphabet.iter().map(|s| dfa.step(q, s));
+            letters.chain([dfa.step_cofinite(q)]).collect()
+        });
+        let accept = (0..dfa.num_states() as StateId)
+            .map(|q| dfa.is_accepting(q))
+            .collect();
+        DenseDfa::from_rows(rows.collect(), dfa.start(), accept)
+    }
+
+    /// A DFA from one row per state, each the successors on the letters
+    /// `0..k` followed by the co-finite successor. All rows have the same
+    /// length `k + 1`, and `accept` has one entry per row.
+    pub fn from_rows(rows: Vec<Vec<StateId>>, start: StateId, accept: Vec<bool>) -> DenseDfa {
+        let n = rows.len();
+        assert_eq!(accept.len(), n, "one acceptance bit per row");
+        let width = rows.first().map_or(1, Vec::len);
+        assert!(
+            width > 0 && rows.iter().all(|r| r.len() == width),
+            "every row holds its letters plus the co-finite column"
+        );
+        let table = rows.concat();
+        let live = coreach(n, (0..n as StateId).filter(|&q| accept[q as usize]), |q| {
+            table[q as usize * width..(q as usize + 1) * width]
+                .iter()
+                .copied()
+        });
         DenseDfa {
-            nsyms,
-            sym_idx,
+            width,
             table,
-            start: dfa.start(),
-            accept: (0..n as StateId).map(|q| dfa.is_accepting(q)).collect(),
+            start,
+            accept,
+            live,
         }
     }
 
@@ -56,58 +77,57 @@ impl<S: Sym> DenseDfa<S> {
         self.accept.len()
     }
 
+    /// Number of letters with a column of their own (the co-finite column
+    /// is column `letters()`).
+    pub fn letters(&self) -> usize {
+        self.width - 1
+    }
+
     /// The start state.
     pub fn start(&self) -> StateId {
         self.start
     }
 
     /// Is `q` accepting?
+    #[inline]
     pub fn is_accepting(&self, q: StateId) -> bool {
         self.accept[q as usize]
     }
 
-    /// Successor of `q` on `s`.
+    /// Can an accepting state be reached from `q` (in zero or more steps)?
     #[inline]
-    pub fn step(&self, q: StateId, s: &S) -> StateId {
-        let i = self.sym_idx.get(s).copied().unwrap_or(self.nsyms);
-        self.table[q as usize * (self.nsyms + 1) + i]
+    pub fn is_live(&self, q: StateId) -> bool {
+        self.live[q as usize]
     }
 
-    /// Successor of `q` on the pre-resolved symbol index (see
-    /// [`DenseDfa::sym_index`]); the fastest stepping path.
+    /// Successor of `q` on `letter`; a letter past the last column takes
+    /// the co-finite one.
     #[inline]
-    pub fn step_idx(&self, q: StateId, i: usize) -> StateId {
-        self.table[q as usize * (self.nsyms + 1) + i]
+    pub fn step(&self, q: StateId, letter: u32) -> StateId {
+        let col = (letter as usize).min(self.width - 1);
+        self.table[q as usize * self.width + col]
     }
 
-    /// Resolve a symbol to its table column (the co-finite column for
-    /// unknown symbols). Resolve once, step many times.
+    /// Successor of `q` on column `col ≤ letters()`, unclamped: for callers
+    /// whose columns are in range by construction.
     #[inline]
-    pub fn sym_index(&self, s: &S) -> usize {
-        self.sym_idx.get(s).copied().unwrap_or(self.nsyms)
+    pub fn cell(&self, q: StateId, col: usize) -> StateId {
+        self.table[q as usize * self.width + col]
+    }
+
+    /// The row of `q`: its successors on every column, co-finite last.
+    pub fn row(&self, q: StateId) -> &[StateId] {
+        &self.table[q as usize * self.width..(q as usize + 1) * self.width]
     }
 
     /// Run on a word from the start state.
-    pub fn run(&self, word: &[S]) -> StateId {
-        let mut q = self.start;
-        for s in word {
-            q = self.step(q, s);
-        }
-        q
+    pub fn run(&self, word: impl IntoIterator<Item = u32>) -> StateId {
+        word.into_iter().fold(self.start, |q, a| self.step(q, a))
     }
 
     /// Membership test.
-    pub fn accepts(&self, word: &[S]) -> bool {
-        self.accept[self.run(word) as usize]
-    }
-
-    /// The transition function of column `i` as a state-indexed table.
-    /// Composition of these tables, right-to-left, is Algorithm 1's
-    /// linear-time suffix-class computation.
-    pub fn column_fn(&self, i: usize) -> Vec<StateId> {
-        (0..self.num_states())
-            .map(|q| self.table[q * (self.nsyms + 1) + i])
-            .collect()
+    pub fn accepts(&self, word: impl IntoIterator<Item = u32>) -> bool {
+        self.is_accepting(self.run(word))
     }
 }
 
@@ -116,20 +136,28 @@ mod tests {
     use super::*;
     use crate::{Nfa, Regex};
 
-    fn dense(r: Regex<u8>, alphabet: &[u8]) -> (Dfa<u8>, DenseDfa<u8>) {
+    fn dense(r: Regex<u8>, alphabet: &[u8]) -> (Dfa<u8>, DenseDfa) {
         let d = Nfa::from_regex(&r).to_dfa();
         let dd = DenseDfa::compile(&d, alphabet);
         (d, dd)
     }
 
+    /// The columns of a word over `alphabet`, letters outside it past the end.
+    fn cols(alphabet: &[u8], w: &[u8]) -> Vec<u32> {
+        w.iter()
+            .map(|s| alphabet.iter().position(|a| a == s).unwrap_or(99) as u32)
+            .collect()
+    }
+
     #[test]
     fn dense_agrees_with_symbolic() {
+        let alphabet = [1u8, 2, 3];
         let (d, dd) = dense(
             Regex::sym(1u8)
                 .alt(Regex::sym(2))
                 .star()
                 .concat(Regex::sym(3)),
-            &[1, 2, 3],
+            &alphabet,
         );
         for w in [
             vec![3u8],
@@ -139,32 +167,28 @@ mod tests {
             vec![],
             vec![2],
         ] {
-            assert_eq!(d.accepts(&w), dd.accepts(&w), "word {w:?}");
+            assert_eq!(d.accepts(&w), dd.accepts(cols(&alphabet, &w)), "word {w:?}");
         }
     }
 
     #[test]
     fn out_of_alphabet_symbols_take_cofinite_edge() {
-        let (d, dd) = dense(Regex::any_sym().star(), &[1, 2]);
-        assert_eq!(d.accepts(&[99]), dd.accepts(&[99]));
-        assert!(dd.accepts(&[99, 1, 2]));
+        let alphabet = [1u8, 2];
+        let (d, dd) = dense(Regex::any_sym().star(), &alphabet);
+        assert_eq!(d.accepts(&[99]), dd.accepts(cols(&alphabet, &[99])));
+        assert!(dd.accepts(cols(&alphabet, &[99, 1, 2])));
+        assert_eq!(dd.step(dd.start(), 2), dd.cell(dd.start(), 2));
+        assert_eq!(dd.step(dd.start(), u32::MAX), dd.cell(dd.start(), 2));
     }
 
     #[test]
-    fn column_fn_matches_step() {
-        let (_, dd) = dense(Regex::word(&[1u8, 2]).star(), &[1, 2]);
-        for i in 0..=2 {
-            let col = dd.column_fn(i);
-            for q in 0..dd.num_states() as StateId {
-                assert_eq!(col[q as usize], dd.step_idx(q, i));
-            }
-        }
-    }
-
-    #[test]
-    fn sym_index_resolves_unknown_to_cofinite() {
-        let (_, dd) = dense(Regex::sym(1u8), &[1]);
-        assert_eq!(dd.sym_index(&1), 0);
-        assert_eq!(dd.sym_index(&42), 1); // the co-finite column
+    fn live_states_reach_acceptance() {
+        // a b: after `b` first, nothing is accepted any more.
+        let alphabet = [1u8, 2];
+        let (_, dd) = dense(Regex::word(&[1u8, 2]), &alphabet);
+        assert!(dd.is_live(dd.start()));
+        assert!(dd.is_live(dd.run([0, 1])));
+        assert!(!dd.is_live(dd.step(dd.start(), 1)));
+        assert!(!dd.is_live(dd.run([0, 1, 0])));
     }
 }

@@ -97,15 +97,6 @@ impl<S: Sym> Dfa<S> {
         self.accept[self.run(word) as usize]
     }
 
-    /// The transition *function* of symbol `s`: a table mapping every state
-    /// to its successor. Composing these right-to-left is how Algorithm 1
-    /// computes the ≡-classes of all sibling *suffixes* in linear time.
-    pub fn step_fn(&self, s: &S) -> Vec<StateId> {
-        (0..self.num_states() as StateId)
-            .map(|q| self.step(q, s))
-            .collect()
-    }
-
     /// Subset construction from an NFA. The result is total (a sink subset —
     /// possibly the empty set — is materialized as an ordinary state).
     pub fn from_nfa(nfa: &Nfa<S>) -> Dfa<S> {
@@ -523,17 +514,6 @@ mod tests {
         assert!(m.accepts(&[]));
         assert!(!m.accepts(&[1]));
         assert!(m.accepts(&[1, 1]));
-    }
-
-    #[test]
-    fn step_fn_matches_step() {
-        let d = dfa(Regex::sym(1u8).star().concat(Regex::sym(2)));
-        let f1 = d.step_fn(&1);
-        let f2 = d.step_fn(&2);
-        for q in 0..d.num_states() as StateId {
-            assert_eq!(f1[q as usize], d.step(q, &1));
-            assert_eq!(f2[q as usize], d.step(q, &2));
-        }
     }
 
     #[test]

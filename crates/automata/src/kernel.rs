@@ -177,12 +177,17 @@ pub fn reach<I: IntoIterator<Item = StateId>>(
 }
 
 /// The states from which some seed is reachable (seeds included): one
-/// backward search over the predecessor lists of `succ`.
+/// backward search over the predecessor lists of `succ`, which are not
+/// built at all when there is no seed.
 pub fn coreach<I: IntoIterator<Item = StateId>>(
     n: usize,
     seeds: impl IntoIterator<Item = StateId>,
     mut succ: impl FnMut(StateId) -> I,
 ) -> Vec<bool> {
+    let seeds: Vec<StateId> = seeds.into_iter().collect();
+    if seeds.is_empty() {
+        return vec![false; n];
+    }
     let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
     for q in 0..n as StateId {
         for t in succ(q) {

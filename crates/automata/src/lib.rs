@@ -25,12 +25,17 @@
 //!   difference), complement, Moore minimization, emptiness, language
 //!   equivalence, and state-elimination back to a [`Regex`] (Lemma 2's base
 //!   case).
-//! * [`DenseDfa`] — a flat-table compilation of a [`Dfa`] against a concrete
-//!   alphabet; the hot path of hedge-automaton execution.
+//! * [`DenseDfa`] — the one dense table: a total DFA over the letters
+//!   `0..k` plus a co-finite column, with its start, accepting and live
+//!   states. Every automaton the evaluators step per node is one:
+//!   Theorem 1's horizontal functions (`hedgex_ha::HorizFn`), Theorem 4's
+//!   `≡` classes and mirror automaton `N`, §8's path DFA, and a hedge
+//!   automaton's `F`. Constructions fill its rows directly, or tabulate a
+//!   [`Dfa`] against an alphabet.
 //! * [`SaturatingClasses`] — the right-invariant equivalence `≡` of
-//!   Theorem 4: one product DFA that simultaneously tracks a family of
-//!   regular sets, whose states *are* the equivalence classes and which
-//!   saturates every member language by construction.
+//!   Theorem 4: one product [`DenseDfa`] that simultaneously tracks a
+//!   family of regular sets, whose states *are* the equivalence classes
+//!   and which saturates every member language by construction.
 //! * [`kernel`] — the loops every construction above and in the hedge
 //!   automata layer is built from: the [`Worklist`] of subset and product
 //!   states, the [`row`] builder, and [`reach`]/[`coreach`].

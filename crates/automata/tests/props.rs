@@ -3,7 +3,9 @@
 //! NFA membership. Runs on `hedgex-testkit`'s shrinking `forall`; a failure
 //! prints a `HEDGEX_SEED` that replays it.
 
-use hedgex_automata::{coreach, dfa_to_regex, reach, CharClass, Nfa, Regex, StateId, Worklist};
+use hedgex_automata::{
+    coreach, dfa_to_regex, reach, row, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId, Worklist,
+};
 use hedgex_testkit::prop::{shrink_u64, shrink_vec};
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, zip3, Config, Gen, Rng};
 
@@ -273,17 +275,87 @@ fn emptiness_consistent() {
     );
 }
 
-/// Dense compilation agrees with the symbolic DFA.
+/// A random dense DFA: `rows[q]` holds the successors of `q` on the
+/// letters `0..letters`, then its co-finite successor.
+#[derive(Debug, Clone)]
+struct Rows {
+    letters: usize,
+    rows: Vec<Vec<StateId>>,
+    start: StateId,
+    accept: Vec<bool>,
+}
+
+impl Rows {
+    /// The symbolic DFA `row` builds from the same rows, started at `start`.
+    fn symbolic(&self, start: StateId) -> Dfa<u32> {
+        let trans = self
+            .rows
+            .iter()
+            .map(|r| {
+                let (rest, letters) = r.split_last().unwrap();
+                row((0..).zip(letters.iter().copied()), *rest)
+            })
+            .collect();
+        Dfa::from_parts(trans, start, self.accept.clone())
+    }
+}
+
+fn arb_rows() -> Gen<Rows> {
+    Gen::new(|rng| {
+        let n = rng.random_range(1..8u32);
+        let letters = rng.random_range(0..4usize);
+        let rows = (0..n)
+            .map(|_| (0..=letters).map(|_| rng.random_range(0..n)).collect())
+            .collect();
+        Rows {
+            letters,
+            rows,
+            start: rng.random_range(0..n),
+            accept: (0..n).map(|_| rng.random_bool(0.3)).collect(),
+        }
+    })
+}
+
+/// Words over the letters `0..8`: past the last column of every
+/// [`arb_rows`] table, so the co-finite column gets exercised.
+fn arb_letters() -> Gen<Vec<u32>> {
+    Gen::new(|rng| {
+        let len = rng.random_range(0..8usize);
+        (0..len).map(|_| rng.random_range(0..8u32)).collect()
+    })
+    .with_shrink(|w: &Vec<u32>| {
+        shrink_vec(w, |&b| {
+            shrink_u64(b as u64).into_iter().map(|x| x as u32).collect()
+        })
+    })
+}
+
+/// A `DenseDfa` built from rows agrees with the symbolic DFA `row` builds
+/// from the same rows on every word, letters past the last column
+/// included; its live states are those with a non-empty language, and
+/// tabulating the symbolic DFA gives the rows back.
 #[test]
 fn dense_agrees() {
     forall(
         "dense_agrees",
-        Config::with_cases(128),
-        &zip2(arb_regex(), arb_word()),
-        |(re, w)| {
-            let dfa = Nfa::from_regex(re).to_dfa();
-            let dense = hedgex_automata::DenseDfa::compile(&dfa, &[0, 1, 2]);
-            prop_assert_eq!(dfa.accepts(w), dense.accepts(w));
+        Config::with_cases(CASES),
+        &zip2(arb_rows(), arb_letters()),
+        |(r, w)| {
+            let dense = DenseDfa::from_rows(r.rows.clone(), r.start, r.accept.clone());
+            let dfa = r.symbolic(r.start);
+            prop_assert_eq!(dense.letters(), r.letters);
+            prop_assert_eq!(
+                dense.accepts(w.iter().copied()),
+                dfa.accepts(w),
+                "word {w:?}"
+            );
+            let alphabet: Vec<u32> = (0..r.letters as u32).collect();
+            let compiled = DenseDfa::compile(&dfa, &alphabet);
+            for q in 0..r.rows.len() as StateId {
+                prop_assert_eq!(compiled.row(q), &r.rows[q as usize][..], "row {q}");
+                let nonempty = !r.symbolic(q).is_empty_lang();
+                prop_assert_eq!(dense.is_live(q), nonempty, "live {q}");
+            }
             Ok(())
         },
     );

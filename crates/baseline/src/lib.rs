@@ -54,7 +54,7 @@ fn node_matches(phr: &CompiledPhr, h: &FlatHedge, n: NodeId) -> bool {
             let mut c = phr.classes.start();
             for sib in h.elder_siblings(node) {
                 let tree = h.to_tree(sib);
-                c = phr.classes.step(c, &phr.m.state_of_tree(&tree));
+                c = phr.classes.step(c, phr.m.state_of_tree(&tree));
             }
             c
         };
@@ -62,7 +62,7 @@ fn node_matches(phr: &CompiledPhr, h: &FlatHedge, n: NodeId) -> bool {
             let mut c = phr.classes.start();
             for sib in h.younger_siblings(node) {
                 let tree = h.to_tree(sib);
-                c = phr.classes.step(c, &phr.m.state_of_tree(&tree));
+                c = phr.classes.step(c, phr.m.state_of_tree(&tree));
             }
             c
         };

@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{row, Dfa, Nfa, Regex, StateId, Worklist};
+use hedgex_automata::{Nfa, Regex, StateId, Worklist};
 use hedgex_ha::dha::HorizFn;
 use hedgex_ha::{determinize, Dha, HState, Leaf};
 use hedgex_hedge::flat::FlatLabel;
@@ -63,7 +63,7 @@ pub fn mark_run_into(
         let mut s = f.start();
         let mut c = h.first_child(id);
         while let Some(cid) = c {
-            s = f.step_idx(s, states[cid as usize] as usize);
+            s = f.cell(s, states[cid as usize] as usize);
             c = h.next_sibling(cid);
         }
         marks[id as usize] = f.is_accepting(s);
@@ -88,7 +88,7 @@ impl MarkDown {
     /// `L(e)`, even if the node's own label never occurs inside `e`.
     pub fn build(e: &Hre, sigma: &[SymId]) -> MarkDown {
         let base = compile_to_dha(e);
-        let f = base.finals();
+        let f = base.finals_dense();
         let nq = base.num_states();
         let num_states = nq * 2;
         let sink = base.sink() * 2;
@@ -107,13 +107,15 @@ impl MarkDown {
             // F-state); reading (q, m) steps both by q.
             let mut joint = Worklist::new();
             let start = joint.intern((hf.map_or(0, |h| h.start()), f.start()));
-            let trans = joint.explore(|joint, id, &(hs, fs): &(u32, StateId)| {
+            let rows = joint.explore(|joint, id, &(hs, fs): &(u32, StateId)| {
                 let letters = (0..num_states).map(|d| {
                     let q = d >> 1;
                     let next_h = hf.map_or(hs, |hfn| hfn.step(hs, q));
-                    (d, joint.intern((next_h, f.step(fs, &q))))
+                    joint.intern((next_h, f.step(fs, q)))
                 });
-                row(letters, id)
+                let mut row: Vec<StateId> = letters.collect();
+                row.push(id);
+                row
             });
             let labels: Vec<HState> = joint
                 .keys()
@@ -123,9 +125,7 @@ impl MarkDown {
                     r * 2 + u32::from(f.is_accepting(fs))
                 })
                 .collect();
-            let accept = vec![false; labels.len()];
-            let dfa = Dfa::from_parts(trans, start, accept);
-            horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
+            horiz.insert(a, HorizFn::from_rows(rows, start, labels));
         }
 
         // F' is universal: M↓e accepts every hedge.

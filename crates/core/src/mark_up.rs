@@ -65,7 +65,7 @@ impl MarkUp {
         sigma.sort();
         sigma.dedup();
         let na = sigma.len() as u32;
-        let sym_idx: HashMap<SymId, u32> = sigma
+        let sigma_pos: HashMap<SymId, u32> = sigma
             .iter()
             .enumerate()
             .map(|(i, &a)| (a, i as u32))
@@ -135,7 +135,7 @@ impl MarkUp {
         // language h(α⁻¹(a, q)) ∩ good(s), labelled (q, s, a).
         let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
         for &a in &sigma {
-            let ai = sym_idx[&a];
+            let ai = sigma_pos[&a];
             for q in 0..nq {
                 // h-image of α⁻¹(a, q): relabel each state letter by the
                 // set of M′ ids projecting to it.
@@ -247,7 +247,7 @@ fn bad_children_nfa(
         // The class step from c of every id's M-projection, computed once
         // for phase 1 and shared by the phase-2 rows of every guessed C2.
         let steps: Vec<(HState, u32)> = (0..num_states)
-            .map(|id| (id, phr.classes.step(c, &proj_q(id))))
+            .map(|id| (id, phr.classes.step(c, proj_q(id))))
             .collect();
         // Phase-1 transitions: group ids by M-projection's class step.
         let letters = steps.iter().map(|&(id, next)| (id, p1(next)));

@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{coreach, reach, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
+use hedgex_automata::{reach, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_ha::{HState, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
@@ -51,16 +51,16 @@ impl PathExpr {
     /// ancestor down to itself.
     pub fn locate(&self, h: &FlatHedge) -> Vec<NodeId> {
         let dfa = Nfa::from_regex(&self.regex).to_dfa();
-        // Compile against the labels that actually occur.
-        let mut labels: Vec<SymId> = h
+        // Compile against every label up to the largest that occurs.
+        let letters = h
             .preorder()
             .filter_map(|n| match h.label(n) {
-                FlatLabel::Sym(a) => Some(a),
+                FlatLabel::Sym(a) => Some(a.0 + 1),
                 _ => None,
             })
-            .collect();
-        labels.sort();
-        labels.dedup();
+            .max()
+            .unwrap_or(0);
+        let labels: Vec<SymId> = (0..letters).map(SymId).collect();
         let dense = DenseDfa::compile(&dfa, &labels);
         let mut located = Vec::new();
         let mut state: Vec<u32> = vec![0; h.num_nodes()];
@@ -72,7 +72,7 @@ impl PathExpr {
                 None => dense.start(),
                 Some(p) => state[p as usize],
             };
-            let s = dense.step(from, &a);
+            let s = dense.step(from, a.0);
             state[n as usize] = s;
             if dense.is_accepting(s) {
                 located.push(n);
@@ -189,22 +189,13 @@ impl PathExpr {
 /// backend of [`Plan::path`](crate::Plan::path) and the engine inside the
 /// streaming `PathStream`.
 ///
-/// The transition table is dense and its columns are indexed by
-/// [`SymId`]: one column per symbol interned at compile time, then one
-/// co-finite column that every later symbol takes (the query cannot
-/// mention those, so they step like any name it does not mention).
+/// The [`DenseDfa`]'s letters are the symbols interned at compile time,
+/// by [`SymId`]; every later symbol takes the co-finite column (the query
+/// cannot mention those, so they step like any name it does not mention).
 /// Stepping a node is one array load.
 #[derive(Debug, Clone)]
 pub struct CompiledPath {
-    /// Columns per state: the compiled symbols, then the co-finite one.
-    width: usize,
-    /// `table[q * width + min(a, width - 1)]` is the successor of `q` on `a`.
-    table: Vec<StateId>,
-    start: StateId,
-    accept: Vec<bool>,
-    /// Can an accepting state still be reached from `q`? Below a node in a
-    /// dead state nothing matches, so its subtree is never visited.
-    live: Vec<bool>,
+    dfa: DenseDfa,
     /// Labels that step some reachable state into an accepting one;
     /// `None` when the co-finite column does.
     match_syms: Option<Vec<SymId>>,
@@ -214,59 +205,43 @@ impl CompiledPath {
     /// Determinize `path` and tabulate it over the symbols of `ab`.
     pub fn compile(path: &PathExpr, ab: &Alphabet) -> CompiledPath {
         let _span = obs::span("core.path_compile");
-        let dfa = Nfa::from_regex(&path.regex).to_dfa();
+        let syms: Vec<SymId> = ab.syms().collect();
+        let dfa = DenseDfa::compile(&Nfa::from_regex(&path.regex).to_dfa(), &syms);
         let n = dfa.num_states();
-        let width = ab.num_syms() + 1;
-        let mut table = Vec::with_capacity(n * width);
-        for q in 0..n as StateId {
-            table.extend(ab.syms().map(|a| dfa.step(q, &a)));
-            table.push(dfa.step_cofinite(q));
-        }
-        let row = |q: usize| &table[q * width..(q + 1) * width];
-        let accept: Vec<bool> = (0..n as StateId).map(|q| dfa.is_accepting(q)).collect();
-        let succ = |q: StateId| row(q as usize).iter().copied();
-        let accepting = (0..n as StateId).filter(|&q| accept[q as usize]);
-        let live = coreach(n, accepting, succ);
-        let reached = reach(n, [dfa.start()], succ);
-        let accepts_on = |col: usize| (0..n).any(|q| reached[q] && accept[row(q)[col] as usize]);
-        let match_syms = (!accepts_on(width - 1)).then(|| {
-            (0..width - 1)
+        let reached = reach(n, [dfa.start()], |q| dfa.row(q).iter().copied());
+        let accepts_on = |col: u32| {
+            (0..n as StateId).any(|q| reached[q as usize] && dfa.is_accepting(dfa.step(q, col)))
+        };
+        let match_syms = (!accepts_on(u32::MAX)).then(|| {
+            (0..syms.len() as u32)
                 .filter(|&a| accepts_on(a))
-                .map(|a| SymId(a as u32))
+                .map(SymId)
                 .collect()
         });
         obs::counter_add("core.path_compile.states", n as u64);
-        CompiledPath {
-            width,
-            start: dfa.start(),
-            accept,
-            live,
-            match_syms,
-            table,
-        }
+        CompiledPath { dfa, match_syms }
     }
 
     /// Number of DFA states.
     pub fn num_states(&self) -> usize {
-        self.accept.len()
+        self.dfa.num_states()
     }
 
     /// The start state (the state "above" a top-level node).
     pub fn start(&self) -> StateId {
-        self.start
+        self.dfa.start()
     }
 
     /// Successor of `q` on label `a`.
     #[inline]
     pub fn step(&self, q: StateId, a: SymId) -> StateId {
-        let col = (a.0 as usize).min(self.width - 1);
-        self.table[q as usize * self.width + col]
+        self.dfa.step(q, a.0)
     }
 
     /// Is a node in state `q` located?
     #[inline]
     pub fn is_accepting(&self, q: StateId) -> bool {
-        self.accept[q as usize]
+        self.dfa.is_accepting(q)
     }
 
     /// The labels a located node can carry (`None` = no finite bound).
@@ -313,7 +288,7 @@ impl CompiledPath {
         let mut sink = ModeSink::new(mode, located);
         stack.clear();
         if let Some(&first) = h.roots().first() {
-            stack.push((first, self.start));
+            stack.push((first, self.start()));
         }
         // A stack entry is the next node to visit and its parent's state;
         // siblings are pushed below first children, so the walk is preorder
@@ -329,10 +304,10 @@ impl CompiledPath {
                 continue;
             };
             let s = self.step(from, a);
-            if self.accept[s as usize] && sink.hit(id) {
+            if self.dfa.is_accepting(s) && sink.hit(id) {
                 break;
             }
-            if self.live[s as usize] {
+            if self.dfa.is_live(s) {
                 if let Some(child) = h.first_child(id) {
                     stack.push((child, s));
                 }

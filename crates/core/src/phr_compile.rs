@@ -26,7 +26,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{coreach, Nfa, SaturatingClasses, StateId, Worklist};
+use hedgex_automata::{DenseDfa, Nfa, SaturatingClasses, StateId, Worklist};
 use hedgex_ha::product::product_many;
 use hedgex_ha::{determinize, reduce_dha, Dha, HState};
 use hedgex_hedge::SymId;
@@ -85,7 +85,7 @@ pub struct CompiledPhr {
     pub m: Dha,
     /// The right-invariant equivalence `≡`: classes are its states; member
     /// languages `2i` / `2i+1` are the lifted `F_{i1}` / `F_{i2}`.
-    pub classes: SaturatingClasses<HState>,
+    pub classes: SaturatingClasses,
     /// Sizes recorded during compilation.
     pub stats: PhrStats,
     /// Triplet labels `a_i`.
@@ -122,7 +122,7 @@ struct Engine {
     /// Number of distinct label / younger kinds (strides of `col3`).
     n_label_kinds: usize,
     n_younger_kinds: usize,
-    /// `(elder kind, label kind, younger kind)` → column of `n_table`:
+    /// `(elder kind, label kind, younger kind)` → column of `n`:
     /// `col3[(e · n_label_kinds + l) · n_younger_kinds + y]`.
     col3: Vec<u32>,
     /// The achievable signatures — `N`'s concrete alphabet.
@@ -132,15 +132,12 @@ struct Engine {
     ///
     /// [`n_step`]: CompiledPhr::n_step
     sig_idx: HashMap<SigMask, u32>,
-    /// Column of the all-zero signature (fallback for foreign masks).
-    zero_col: u32,
-    /// `N` determinized over `sigs`: `n_table[s · sigs.len() + col]`.
-    n_table: Vec<u32>,
-    /// Is `s` a final state of `N`?
-    n_accept: Vec<bool>,
-    /// Can `s` still reach a final state of `N` (zero or more steps over
-    /// the achievable signatures)? `false` proves a whole subtree barren.
-    n_live: Vec<bool>,
+    /// `N` determinized over `sigs`: letter `i` is `sigs[i]`, and the
+    /// co-finite column, taken by masks no class/label combination can
+    /// produce, steps like the all-zero signature. Its live states are
+    /// those from which a final state is still reachable: a dead one
+    /// proves a whole subtree barren.
+    n: DenseDfa,
 }
 
 impl CompiledPhr {
@@ -211,7 +208,7 @@ impl CompiledPhr {
             u64::from(prod.dha.num_states()),
         );
         obs::counter_add("core.phr_compile.eq_classes", classes.num_classes() as u64);
-        obs::counter_add("core.phr_compile.n_states", engine.n_accept.len() as u64);
+        obs::counter_add("core.phr_compile.n_states", engine.n.num_states() as u64);
         obs::counter_add("core.phr_compile.pruned_states", stats.pruned_states());
         obs::event("core.phr_compile", || {
             format!(
@@ -224,7 +221,7 @@ impl CompiledPhr {
                 stats.pruned_states(),
                 prod.dha.num_states(),
                 classes.num_classes(),
-                engine.n_accept.len(),
+                engine.n.num_states(),
                 engine.sigs.len()
             )
         });
@@ -241,7 +238,7 @@ impl CompiledPhr {
     /// over every achievable signature at compile time, so this is the full
     /// reachable state count of Theorem 4's `(S, μ, s₀, S_fin)`.
     pub fn n_states_materialized(&self) -> usize {
-        self.engine.n_accept.len()
+        self.engine.n.num_states()
     }
 
     /// Number of distinct achievable signatures (`N`'s concrete alphabet).
@@ -290,16 +287,12 @@ impl CompiledPhr {
 
     /// Step the mirror automaton `N` (used top-down by Algorithm 1). Takes
     /// an explicit signature mask; masks no class/label combination can
-    /// produce take the all-zero signature's column, matching the lazy
-    /// determinization's behaviour on dead input.
+    /// produce take the co-finite column, which steps like the all-zero
+    /// signature, matching the lazy determinization's behaviour on dead
+    /// input.
     pub fn n_step(&self, s: u32, sig: SigMask) -> u32 {
-        let col = self
-            .engine
-            .sig_idx
-            .get(&sig)
-            .copied()
-            .unwrap_or(self.engine.zero_col);
-        self.engine.n_table[s as usize * self.engine.sigs.len() + col as usize]
+        let col = self.engine.sig_idx.get(&sig).copied().unwrap_or(u32::MAX);
+        self.engine.n.step(s, col)
     }
 
     /// The fused per-node step of the second traversal:
@@ -318,19 +311,19 @@ impl CompiledPhr {
         let col = self.engine.col3
             [(e * self.engine.n_label_kinds + l) * self.engine.n_younger_kinds + y]
             as usize;
-        self.engine.n_table[parent as usize * self.engine.sigs.len() + col]
+        self.engine.n.cell(parent, col)
     }
 
     /// `N`'s start state.
     pub fn n_start(&self) -> u32 {
-        0
+        self.engine.n.start()
     }
 
     /// Is `s` a final state of `N` (i.e. the decomposition read so far, in
     /// mirror order, spells a word of `L`)?
     #[inline]
     pub fn n_accepting(&self, s: u32) -> bool {
-        self.engine.n_accept[s as usize]
+        self.engine.n.is_accepting(s)
     }
 
     /// Is any final state of `N` still reachable from `s` (in zero or more
@@ -341,7 +334,7 @@ impl CompiledPhr {
     /// on this bit.
     #[inline]
     pub fn n_live(&self, s: u32) -> bool {
-        self.engine.n_live[s as usize]
+        self.engine.n.is_live(s)
     }
 
     /// A sound over-approximation of the symbols that can label a located
@@ -358,7 +351,6 @@ impl CompiledPhr {
     /// seen) may match, and no finite symbol list is a sound restriction.
     pub fn match_syms(&self) -> Option<Vec<SymId>> {
         let e = &self.engine;
-        let width = e.sigs.len();
         let lk_yk = e.n_label_kinds * e.n_younger_kinds;
         let n_elder_kinds = e.col3.len().checked_div(lk_yk).unwrap_or(0);
         let kind_accepts: Vec<bool> = (0..e.n_label_kinds)
@@ -367,8 +359,7 @@ impl CompiledPhr {
                     (0..e.n_younger_kinds).any(|y| {
                         let col =
                             e.col3[(ek * e.n_label_kinds + l) * e.n_younger_kinds + y] as usize;
-                        (0..e.n_accept.len())
-                            .any(|s| e.n_accept[e.n_table[s * width + col] as usize])
+                        (0..e.n.num_states() as u32).any(|s| e.n.is_accepting(e.n.cell(s, col)))
                     })
                 })
             })
@@ -390,20 +381,16 @@ impl Engine {
     /// three mask families with their kind interning, the achievable
     /// signature alphabet, `N` determinized over it, and the `col3` map
     /// from kind triples to `N`-table columns.
-    fn build(
-        m: &Dha,
-        classes: &SaturatingClasses<HState>,
-        labels: &[SymId],
-        n_nfa: Nfa<u32>,
-    ) -> Engine {
+    fn build(m: &Dha, classes: &SaturatingClasses, labels: &[SymId], n_nfa: Nfa<u32>) -> Engine {
         let ncl = classes.num_classes();
         let num_states = m.num_states();
 
         // ≡'s transitions, state-major, so δ_q is a contiguous row.
         let mut class_step = vec![0u32; num_states as usize * ncl];
-        for q in 0..num_states {
-            for c in 0..ncl as u32 {
-                class_step[q as usize * ncl + c as usize] = classes.step(c, &q);
+        for c in 0..ncl as u32 {
+            let row = classes.dfa().row(c);
+            for q in 0..num_states as usize {
+                class_step[q * ncl + c as usize] = row[q];
             }
         }
 
@@ -469,36 +456,26 @@ impl Engine {
                 }
             }
         }
-        let zero_col = *sig_idx
-            .get(&0)
-            .expect("zero signature is always achievable");
+        let zero_col = sig_idx[&0] as usize;
 
-        // Subset-construct N over the closed signature alphabet.
-        let width = sigs.len();
+        // Subset-construct N over the closed signature alphabet; the
+        // co-finite column repeats the zero signature's.
         let mut subsets = Worklist::new();
-        subsets.intern(n_nfa.eps_closure(&[n_nfa.start()]));
+        let start = subsets.intern(n_nfa.eps_closure(&[n_nfa.start()]));
         let rows = subsets.explore(|subsets, _, cur: &Vec<StateId>| {
-            sigs.iter()
+            let mut row: Vec<u32> = sigs
+                .iter()
                 .map(|&sig| subsets.intern(move_set(&n_nfa, cur, sig)))
-                .collect::<Vec<u32>>()
+                .collect();
+            row.push(row[zero_col]);
+            row
         });
-        let n_table = rows.concat();
-        let n_accept: Vec<bool> = subsets
+        let accept: Vec<bool> = subsets
             .keys()
             .iter()
             .map(|set| set.iter().any(|&q| n_nfa.is_accepting(q)))
             .collect();
-
-        // Liveness: one backward search from acceptance over the table.
-        let n_live = coreach(
-            n_accept.len(),
-            (0..n_accept.len() as u32).filter(|&s| n_accept[s as usize]),
-            |s| {
-                n_table[s as usize * width..(s as usize + 1) * width]
-                    .iter()
-                    .copied()
-            },
-        );
+        let n = DenseDfa::from_rows(rows, start, accept);
 
         Engine {
             ncl,
@@ -515,10 +492,7 @@ impl Engine {
             col3,
             sigs,
             sig_idx,
-            zero_col,
-            n_table,
-            n_accept,
-            n_live,
+            n,
         }
     }
 }
@@ -638,8 +612,8 @@ mod tests {
         for q in 0..c.m.num_states() {
             let row = c.class_step_row(q);
             for cl in 0..ncl {
-                assert_eq!(c.class_step(cl, q), c.classes.step(cl, &q));
-                assert_eq!(row[cl as usize], c.classes.step(cl, &q));
+                assert_eq!(c.class_step(cl, q), c.classes.step(cl, q));
+                assert_eq!(row[cl as usize], c.classes.step(cl, q));
             }
         }
     }

@@ -138,11 +138,10 @@ pub fn determinize(nha: &Nha) -> Determinized {
     let num_states = subsets.len() as u32;
 
     // Build each symbol's horizontal function against the final subset list.
-    let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
-    for (a, comb) in &combined {
-        let (dfa, labels) = lift_to_dfa(comb, &subsets);
-        horiz.insert(*a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
-    }
+    let horiz: HashMap<SymId, HorizFn> = combined
+        .iter()
+        .map(|(a, comb)| (*a, lift_horiz(comb, &subsets)))
+        .collect();
 
     // Lift F: the determinized automaton accepts iff some word drawn from
     // the per-root subsets is accepted by the NHA's F.
@@ -169,22 +168,21 @@ pub fn determinize(nha: &Nha) -> Determinized {
 }
 
 /// Determinize a combined rule automaton against the (now fixed) subset
-/// alphabet, producing a total `Dfa` over subset ids plus a result label
-/// (a subset id) per DFA state.
-fn lift_to_dfa(
-    comb: &Combined,
-    subsets: &Worklist<BTreeSet<HState>>,
-) -> (Dfa<HState>, Vec<HState>) {
+/// alphabet: one row per lifted state over the subset ids, labelled with
+/// the subset of results the lifted state yields.
+fn lift_horiz(comb: &Combined, subsets: &Worklist<BTreeSet<HState>>) -> HorizFn {
     let mut lifted = Worklist::new();
     let start = lifted.intern(comb.initial());
-    let trans = lifted.explore(|lifted, _, cur| {
+    let rows = lifted.explore(|lifted, _, cur| {
         // Out-of-alphabet symbols dead-end into the empty lifted state.
         let dead = lifted.intern(comb.rules.iter().map(|_| BTreeSet::new()).collect());
-        let letters = subsets.keys().iter().enumerate();
-        row(
-            letters.map(|(i, subset)| (i as HState, lifted.intern(comb.step(cur, subset)))),
-            dead,
-        )
+        let mut row: Vec<StateId> = subsets
+            .keys()
+            .iter()
+            .map(|subset| lifted.intern(comb.step(cur, subset)))
+            .collect();
+        row.push(dead);
+        row
     });
     let labels: Vec<HState> = lifted
         .keys()
@@ -196,8 +194,7 @@ fn lift_to_dfa(
                 .expect("fixpoint interned every result subset")
         })
         .collect();
-    let accept = vec![false; labels.len()]; // acceptance is irrelevant here
-    (Dfa::from_parts(trans, start, accept), labels)
+    HorizFn::from_rows(rows, start, labels)
 }
 
 /// Lift the NHA's `F` (an NFA over Q) to a DFA over subset ids: a word of

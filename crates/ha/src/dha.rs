@@ -1,32 +1,29 @@
 //! Deterministic hedge automata (Definitions 3–5).
 //!
-//! `α` is represented per symbol as a [`HorizFn`]: a single product DFA over
-//! the state alphabet `Q` (built with [`SaturatingClasses`]) whose
-//! product-states each carry the result state `α(a, w)`. This keeps `α`
-//! total — every word over `Q` lands in exactly one product state — and
-//! makes a run linear in the number of nodes: one table step per child edge.
+//! `α` is represented per symbol as a [`HorizFn`]: a single [`DenseDfa`]
+//! over the state alphabet `Q` (for declared rules, the product DFA of
+//! [`SaturatingClasses`]) whose states each carry the result state
+//! `α(a, w)`. This keeps `α` total — every word over `Q` lands in exactly
+//! one horizontal state — and makes a run linear in the number of nodes:
+//! one table step per child edge.
 
 use std::collections::HashMap;
 
-use hedgex_automata::{row, DenseDfa, Dfa, Nfa, Regex, SaturatingClasses};
+use hedgex_automata::{row, DenseDfa, Dfa, Nfa, Regex, SaturatingClasses, StateId};
 use hedgex_hedge::{FlatHedge, Hedge, SubId, SymId, Tree};
 
 use crate::types::{HState, Leaf};
 
 /// The horizontal transition function of one symbol: `w ↦ α(a, w)`.
 ///
-/// A dense table: horizontal states × (state alphabet + one "fresh symbol"
-/// column), each horizontal state labelled with the result `α(a, w)`.
+/// A [`DenseDfa`] whose letters are the states `0..|Q|` — a child state
+/// past them (only reachable through malformed input) takes the co-finite
+/// column — with each horizontal state labelled by the result `α(a, w)`.
 #[derive(Debug, Clone)]
 pub struct HorizFn {
-    /// Size of the state alphabet `|Q|`.
-    nsyms: usize,
-    /// `table[h * (nsyms + 1) + q]`; column `nsyms` handles out-of-range
-    /// child states (only reachable through malformed input).
-    table: Vec<u32>,
+    dfa: DenseDfa,
     /// Result state per horizontal state.
     result: Vec<HState>,
-    start: u32,
 }
 
 impl HorizFn {
@@ -40,8 +37,7 @@ impl HorizFn {
         let alphabet: Vec<HState> = (0..num_states).collect();
         let dfas: Vec<Dfa<HState>> = rules.iter().map(|(d, _)| d.clone()).collect();
         let classes = SaturatingClasses::build(&dfas, &alphabet);
-        let nclasses = classes.num_classes();
-        let result: Vec<HState> = (0..nclasses as u32)
+        let result: Vec<HState> = (0..classes.num_classes() as u32)
             .map(|c| {
                 rules
                     .iter()
@@ -51,56 +47,34 @@ impl HorizFn {
                     .unwrap_or(sink)
             })
             .collect();
-        let nsyms = num_states as usize;
-        let mut table = vec![0u32; nclasses * (nsyms + 1)];
-        for h in 0..nclasses as u32 {
-            for q in 0..num_states {
-                table[h as usize * (nsyms + 1) + q as usize] = classes.step(h, &q);
-            }
-            // Out-of-range child states behave like a fresh symbol.
-            table[h as usize * (nsyms + 1) + nsyms] = classes.step(h, &u32::MAX);
-        }
         HorizFn {
-            nsyms,
-            table,
+            dfa: classes.into_dfa(),
             result,
-            start: classes.start(),
         }
     }
 
-    /// Build from an explicit DFA over the state alphabet together with one
-    /// result per DFA state (used by determinization and products, whose
-    /// horizontal automata are constructed directly).
-    pub fn from_labeled_dfa(dfa: &Dfa<HState>, labels: &[HState], num_states: u32) -> HorizFn {
-        assert_eq!(dfa.num_states(), labels.len());
-        let nsyms = num_states as usize;
-        let n = dfa.num_states();
-        let mut table = vec![0u32; n * (nsyms + 1)];
-        for h in 0..n as u32 {
-            for q in 0..num_states {
-                table[h as usize * (nsyms + 1) + q as usize] = dfa.step(h, &q);
-            }
-            table[h as usize * (nsyms + 1) + nsyms] = dfa.step_cofinite(h);
-        }
+    /// Build from one row per horizontal state — its successors on the
+    /// child states `0..|Q|`, then on any other — and one result per row.
+    /// Determinization, products, minimization and Theorem 3's marking
+    /// fill these rows directly.
+    pub fn from_rows(rows: Vec<Vec<StateId>>, start: StateId, result: Vec<HState>) -> HorizFn {
+        let accept = vec![false; rows.len()];
         HorizFn {
-            nsyms,
-            table,
-            result: labels.to_vec(),
-            start: dfa.start(),
+            dfa: DenseDfa::from_rows(rows, start, accept),
+            result,
         }
     }
 
     /// The horizontal state for the empty child sequence.
     #[inline]
     pub fn start(&self) -> u32 {
-        self.start
+        self.dfa.start()
     }
 
     /// Extend a horizontal state by one child state.
     #[inline]
     pub fn step(&self, h: u32, q: HState) -> u32 {
-        let col = (q as usize).min(self.nsyms);
-        self.table[h as usize * (self.nsyms + 1) + col]
+        self.dfa.step(h, q)
     }
 
     /// The result `α(a, w)` at horizontal state `h`.
@@ -118,6 +92,11 @@ impl HorizFn {
         self.result(h)
     }
 
+    /// The horizontal DFA itself.
+    pub fn dfa(&self) -> &DenseDfa {
+        &self.dfa
+    }
+
     /// Number of horizontal states (used by size metrics in the benches).
     pub fn num_classes(&self) -> usize {
         self.result.len()
@@ -128,14 +107,14 @@ impl HorizFn {
     pub fn inverse(&self, q: HState) -> Dfa<HState> {
         let trans = (0..self.num_classes() as u32)
             .map(|h| {
+                let (cof, letters) = self.dfa.row(h).split_last().expect("a co-finite column");
                 // Letters bound for the co-finite target ride on its edge.
-                let cof = self.step(h, u32::MAX);
-                let letters = (0..self.nsyms as HState).map(|s| (s, self.step(h, s)));
-                row(letters.filter(|&(_, t)| t != cof), cof)
+                let letters = (0..).zip(letters.iter().copied());
+                row(letters.filter(|&(_, t)| t != *cof), *cof)
             })
             .collect();
         let accept: Vec<bool> = self.result.iter().map(|&r| r == q).collect();
-        Dfa::from_parts(trans, self.start, accept)
+        Dfa::from_parts(trans, self.start(), accept)
     }
 }
 
@@ -197,7 +176,7 @@ pub struct Dha {
     /// `F` compiled against the concrete state alphabet `0..|Q|`: the
     /// executor backend for acceptance (the symbolic [`Dfa`] is kept for
     /// constructions that rewrite `F`).
-    finals_dense: DenseDfa<HState>,
+    finals_dense: DenseDfa,
 }
 
 impl Dha {
@@ -242,8 +221,8 @@ impl Dha {
 
     /// `F` compiled against the concrete state alphabet `0..|Q|` — the
     /// executor form. Because the alphabet is the identity, a state doubles
-    /// as its own column index: step with `step_idx(s, q as usize)`.
-    pub fn finals_dense(&self) -> &DenseDfa<HState> {
+    /// as its own column index: step with `cell(s, q as usize)`.
+    pub fn finals_dense(&self) -> &DenseDfa {
         &self.finals_dense
     }
 
@@ -337,7 +316,7 @@ impl Dha {
         for &r in h.roots() {
             // Root states are always < |Q|, and the dense alphabet is the
             // identity 0..|Q|, so the state doubles as its column index.
-            q = self.finals_dense.step_idx(q, states[r as usize] as usize);
+            q = self.finals_dense.cell(q, states[r as usize] as usize);
         }
         self.finals_dense.is_accepting(q)
     }

@@ -21,7 +21,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{row, Dfa, StateId};
+use hedgex_automata::{row, DenseDfa, Dfa, StateId};
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
@@ -38,13 +38,13 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
         v
     };
 
-    // Letter-equivalence induced by a DFA over Q: q1 ~ q2 iff from every
-    // DFA state, stepping by q1 and by q2 lands in language-equal states.
-    // `state_blocks` are Moore blocks of the DFA's own states given an
-    // output function.
+    // Letter-equivalence induced by a dense DFA over Q: q1 ~ q2 iff from
+    // every DFA state, stepping by q1 and by q2 lands in language-equal
+    // states. `state_blocks` are Moore blocks of the DFA's own states given
+    // an output function.
     // Refinement runs against *all* letters, not the current letter blocks:
     // that is what makes it sound.
-    fn dfa_state_blocks(dfa: &Dfa<HState>, nq: usize, out: &dyn Fn(StateId) -> u32) -> Vec<u32> {
+    fn dfa_state_blocks(dfa: &DenseDfa, nq: usize, out: &dyn Fn(StateId) -> u32) -> Vec<u32> {
         let m = dfa.num_states();
         let mut block: Vec<u32> = (0..m as StateId).map(&out).collect();
         canonicalize(&mut block);
@@ -53,7 +53,7 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
             let mut next = vec![0u32; m];
             for s in 0..m as StateId {
                 let sig: Vec<u32> = (0..nq as HState)
-                    .map(|q| block[dfa.step(s, &q) as usize])
+                    .map(|q| block[dfa.step(s, q) as usize])
                     .collect();
                 let key = (block[s as usize], sig);
                 let fresh = sig_ids.len() as u32;
@@ -83,11 +83,11 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
         let mut sigs: Vec<Vec<u32>> = vec![Vec::new(); n];
 
         // 1. Behaviour as letters of F.
-        let f = dha.finals();
+        let f = dha.finals_dense();
         let fb = dfa_state_blocks(f, n, &|s| u32::from(f.is_accepting(s)));
         for q in 0..n {
             for s in 0..f.num_states() as StateId {
-                sigs[q].push(fb[f.step(s, &(q as HState)) as usize]);
+                sigs[q].push(fb[f.step(s, q as HState) as usize]);
             }
         }
 
@@ -95,8 +95,7 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
         // horizontal states are compared by (result block, successors).
         for &a in &symbols {
             let hf = dha.horiz(a).expect("declared");
-            let hdfa = horiz_as_dfa(hf);
-            let hb = dfa_state_blocks(&hdfa, n, &|h| letter_block[hf.result(h) as usize]);
+            let hb = dfa_state_blocks(hf.dfa(), n, &|h| letter_block[hf.result(h) as usize]);
             for q in 0..n {
                 for h in 0..hf.num_classes() as u32 {
                     sigs[q].push(hb[hf.step(h, q as HState) as usize]);
@@ -133,14 +132,6 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
     out
 }
 
-/// Reconstruct a symbolic DFA view of a horizontal function so the shared
-/// refinement code can walk it.
-fn horiz_as_dfa(hf: &HorizFn) -> Dfa<HState> {
-    // `inverse` against an arbitrary result gives the right transition
-    // structure; acceptance is unused by the refinement.
-    hf.inverse(u32::MAX)
-}
-
 fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, Vec<HState>) {
     let nblocks = block.iter().copied().max().map_or(0, |m| m as usize + 1);
     let map: Vec<HState> = block.iter().map(|&b| b as HState).collect();
@@ -171,13 +162,15 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
     let mut horiz = HashMap::new();
     for &a in symbols {
         let hf = dha.horiz(a).expect("declared");
-        let m = hf.num_classes();
-        let trans = (0..m as u32)
-            .map(|h| row(letters(&|q| hf.step(h, q)), hf.step(h, u32::MAX)))
+        let m = hf.num_classes() as u32;
+        let rows = (0..m)
+            .map(|h| {
+                let letters = rep_of_block.iter().map(|&q| hf.step(h, q));
+                letters.chain([hf.step(h, u32::MAX)]).collect()
+            })
             .collect();
-        let labels: Vec<HState> = (0..m as u32).map(|h| map[hf.result(h) as usize]).collect();
-        let dfa = Dfa::from_parts(trans, hf.start(), vec![false; m]);
-        horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, nblocks as u32));
+        let labels: Vec<HState> = (0..m).map(|h| map[hf.result(h) as usize]).collect();
+        horiz.insert(a, HorizFn::from_rows(rows, hf.start(), labels));
     }
 
     // F: relabel letters by block (congruence makes this well-defined).

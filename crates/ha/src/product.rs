@@ -145,17 +145,19 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
     for &a in &symbols {
         let vs = views(a);
-        // Explicit DFA over product ids: states are joint horizontal states.
+        // One row per joint horizontal state, over the product ids.
         let mut joint = Worklist::new();
         let start = joint.intern(vs.iter().map(Horiz::start).collect::<Vec<u32>>());
-        let trans = joint.explore(|joint, id, cur| {
-            let letters = tuples.keys().iter().enumerate();
+        let rows = joint.explore(|joint, id, cur| {
+            let mut row: Vec<StateId> = tuples
+                .keys()
+                .iter()
+                .map(|tuple| joint.intern(joint_step(&vs, cur, tuple)))
+                .collect();
             // Out-of-alphabet product ids cannot occur in well-formed runs;
             // send them to the current state (harmless self-loop).
-            row(
-                letters.map(|(i, tuple)| (i as HState, joint.intern(joint_step(&vs, cur, tuple)))),
-                id,
-            )
+            row.push(id);
+            row
         });
         let labels: Vec<HState> = joint
             .keys()
@@ -167,9 +169,7 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
                     .expect("fixpoint interned every result tuple")
             })
             .collect();
-        let accept = vec![false; labels.len()];
-        let dfa = Dfa::from_parts(trans, start, accept);
-        horiz.insert(a, HorizFn::from_labeled_dfa(&dfa, &labels, num_states));
+        horiz.insert(a, HorizFn::from_rows(rows, start, labels));
     }
     let tuples = tuples.into_keys();
 

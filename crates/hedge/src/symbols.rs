@@ -109,9 +109,9 @@ pub struct Alphabet {
     syms: Vec<String>,
     vars: Vec<String>,
     subs: Vec<String>,
-    sym_idx: HashMap<String, SymId>,
-    var_idx: HashMap<String, VarId>,
-    sub_idx: HashMap<String, SubId>,
+    sym_ids: HashMap<String, SymId>,
+    var_ids: HashMap<String, VarId>,
+    sub_ids: HashMap<String, SubId>,
 }
 
 impl ToJson for Alphabet {
@@ -134,9 +134,9 @@ impl FromJson for Alphabet {
             syms: field("syms")?,
             vars: field("vars")?,
             subs: field("subs")?,
-            sym_idx: HashMap::new(),
-            var_idx: HashMap::new(),
-            sub_idx: HashMap::new(),
+            sym_ids: HashMap::new(),
+            var_ids: HashMap::new(),
+            sub_ids: HashMap::new(),
         };
         ab.rebuild_index();
         Ok(ab)
@@ -151,51 +151,51 @@ impl Alphabet {
 
     /// Intern a Σ symbol name.
     pub fn sym(&mut self, name: &str) -> SymId {
-        if let Some(&id) = self.sym_idx.get(name) {
+        if let Some(&id) = self.sym_ids.get(name) {
             return id;
         }
         let id = SymId(self.syms.len() as u32);
         self.syms.push(name.to_string());
-        self.sym_idx.insert(name.to_string(), id);
+        self.sym_ids.insert(name.to_string(), id);
         id
     }
 
     /// Intern a variable name.
     pub fn var(&mut self, name: &str) -> VarId {
-        if let Some(&id) = self.var_idx.get(name) {
+        if let Some(&id) = self.var_ids.get(name) {
             return id;
         }
         let id = VarId(self.vars.len() as u32);
         self.vars.push(name.to_string());
-        self.var_idx.insert(name.to_string(), id);
+        self.var_ids.insert(name.to_string(), id);
         id
     }
 
     /// Intern a substitution-symbol name.
     pub fn sub(&mut self, name: &str) -> SubId {
-        if let Some(&id) = self.sub_idx.get(name) {
+        if let Some(&id) = self.sub_ids.get(name) {
             return id;
         }
         let id = SubId(self.subs.len() as u32);
         assert!(id != SubId::ETA, "substitution-symbol space exhausted");
         self.subs.push(name.to_string());
-        self.sub_idx.insert(name.to_string(), id);
+        self.sub_ids.insert(name.to_string(), id);
         id
     }
 
     /// Look up a Σ symbol without interning.
     pub fn get_sym(&self, name: &str) -> Option<SymId> {
-        self.sym_idx.get(name).copied()
+        self.sym_ids.get(name).copied()
     }
 
     /// Look up a variable without interning.
     pub fn get_var(&self, name: &str) -> Option<VarId> {
-        self.var_idx.get(name).copied()
+        self.var_ids.get(name).copied()
     }
 
     /// Look up a substitution symbol without interning.
     pub fn get_sub(&self, name: &str) -> Option<SubId> {
-        self.sub_idx.get(name).copied()
+        self.sub_ids.get(name).copied()
     }
 
     /// The name of a Σ symbol.
@@ -260,19 +260,19 @@ impl Alphabet {
     /// Rebuild the lookup maps (needed after deserialization, since the
     /// reverse indices are skipped on the wire).
     pub fn rebuild_index(&mut self) {
-        self.sym_idx = self
+        self.sym_ids = self
             .syms
             .iter()
             .enumerate()
             .map(|(i, s)| (s.clone(), SymId(i as u32)))
             .collect();
-        self.var_idx = self
+        self.var_ids = self
             .vars
             .iter()
             .enumerate()
             .map(|(i, s)| (s.clone(), VarId(i as u32)))
             .collect();
-        self.sub_idx = self
+        self.sub_ids = self
             .subs
             .iter()
             .enumerate()

@@ -16,9 +16,15 @@
 //!
 //! [`to_hedge`]: crate::to_hedge
 
+use std::collections::HashSet;
+
 use hedgex_hedge::{Alphabet, FlatBuilder, FlatHedge, HedgeSink, Leaf, SymId};
 
 use crate::{HedgeConfig, ATTR_PREFIX, TEXT_VAR};
+
+/// Attribute names per start tag checked for repeats by direct comparison;
+/// a tag with more checks the rest through a hash set.
+const LINEAR_ATTRS: usize = 8;
 
 /// A parsed XML node.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -457,6 +463,12 @@ impl<'a> P<'a> {
     /// and each attribute handed to `attr` with its value, in document
     /// order. Shared by the tree parser and the event parser so both
     /// report identical errors at identical byte positions.
+    ///
+    /// A name may appear once per tag (XML 1.0's Unique Att Spec); a
+    /// repeat is an error at the repeated name. The first
+    /// [`LINEAR_ATTRS`] names are compared one by one on the stack, and a
+    /// tag with more keeps them in a hash set, so no tag costs quadratic
+    /// time and only such a tag allocates.
     fn open_tag<V: CharData + Default>(
         &mut self,
         mut attr: impl FnMut(&'a str, V),
@@ -464,6 +476,9 @@ impl<'a> P<'a> {
         assert!(self.eat("<"));
         self.tally.elements += 1;
         let name = self.name()?;
+        let mut first = [""; LINEAR_ATTRS];
+        let mut count = 0;
+        let mut more: Option<HashSet<&'a str>> = None;
         loop {
             self.skip_ws();
             match self.peek() {
@@ -479,7 +494,22 @@ impl<'a> P<'a> {
                     return Ok((name, false));
                 }
                 Some(_) => {
+                    let at = self.pos;
                     let k = self.name()?;
+                    let repeated = if count < LINEAR_ATTRS {
+                        first[count] = k;
+                        first[..count].contains(&k)
+                    } else {
+                        let seen = more.get_or_insert_with(|| first.into_iter().collect());
+                        !seen.insert(k)
+                    };
+                    if repeated {
+                        return Err(XmlError {
+                            pos: at,
+                            msg: format!("attribute '{k}' repeated in tag '{name}'"),
+                        });
+                    }
+                    count += 1;
                     self.skip_ws();
                     if !self.eat("=") {
                         return Err(self.err(format!("expected '=' after attribute '{k}'")));
@@ -767,6 +797,7 @@ mod tests {
             "<a><![CDATA[x</a>",
             "<a><?pi</a>",
             "<a k='&bad;'/>",
+            "<a k='1' k='2'/>",
         ] {
             let tree = parse_xml(src).unwrap_err();
             let ev = stream_xml(
@@ -778,6 +809,51 @@ mod tests {
             .unwrap_err();
             assert_eq!(ev, tree, "error mismatch on {src:?}");
         }
+    }
+
+    /// A start tag names each attribute once: a repeat is an error at the
+    /// repeated name, in both parsers and whether attributes are kept or
+    /// not, among the first few names and past the hash-set threshold.
+    /// A tag with 100k distinct names parses, so the check is not
+    /// quadratic.
+    #[test]
+    fn repeated_attribute_names_are_errors() {
+        let wide = |n: usize, repeat: Option<usize>| {
+            let mut src = String::from("<a");
+            for i in 0..n {
+                src.push_str(&format!(" k{i}='v'"));
+            }
+            if let Some(i) = repeat {
+                src.push_str(&format!(" k{i}='w'"));
+            }
+            src + "/>"
+        };
+        let long = wide(LINEAR_ATTRS + 3, Some(1));
+        for (src, pos, name, tag) in [
+            ("<a k='1' k='2'/>", 9, "k", "a"),
+            ("<a k='1' j='2' k=\"3\"></a>", 15, "k", "a"),
+            ("<r><b x='' y='' x=''/></r>", 16, "x", "b"),
+            (long.as_str(), long.len() - 8, "k1", "a"),
+        ] {
+            let tree = parse_xml(src).unwrap_err();
+            assert_eq!(tree.pos, pos, "position on {src:?}");
+            assert_eq!(
+                tree.msg,
+                format!("attribute '{name}' repeated in tag '{tag}'")
+            );
+            for cfg in [WITH_ATTRS, HedgeConfig::default()] {
+                let ev = stream_xml(src, &mut Alphabet::new(), cfg, &mut Recorder::default());
+                assert_eq!(ev.unwrap_err(), tree, "event parser on {src:?}");
+            }
+        }
+        let many = wide(100_000, None);
+        assert!(parse_xml(&many).is_ok());
+        let mut ab = Alphabet::new();
+        let flat = parse_flat(&many, &mut ab, WITH_ATTRS).unwrap();
+        assert_eq!(flat.num_nodes(), 1 + 2 * 100_000);
+        let repeated = wide(100_000, Some(99_999));
+        let e = parse_xml(&repeated).unwrap_err();
+        assert_eq!(e.pos, repeated.len() - 12);
     }
 
     /// Text the event parser never copies is judged by what it would have

@@ -163,6 +163,19 @@ if grep -rnE --include='*.rs' '(by_target|NotIn\(covered)' crates/*/src \
   echo "transition rows must be built by hedgex_automata::row/in_edges"; exit 1
 fi
 
+echo "== dense tables live in hedgex-automata =="
+# Every tabulated automaton (horizontal functions, ≡ classes, N, the path
+# DFA, F) is a hedgex_automata::DenseDfa, and constructions hand it rows
+# directly; no crate expands a symbolic DFA back into a table or lays out
+# its own state × symbol table with a column lookup.
+if grep -rnF --include='*.rs' 'from_labeled_dfa' crates tests examples; then
+  echo "horizontal functions are built from rows, never from a symbolic DFA"; exit 1
+fi
+if grep -rnE --include='*.rs' '(nsyms \+ 1|sym_idx)' crates/*/src \
+  | grep -v '^crates/automata/src/'; then
+  echo "dense tables must be hedgex_automata::DenseDfa"; exit 1
+fi
+
 echo "== one regex grammar =="
 # Path, PHR and HRE text share one alt → seq → postfix loop in
 # crates/core/src/syntax.rs, and each language supplies only its atoms. A

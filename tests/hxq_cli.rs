@@ -768,6 +768,44 @@ fn malformed_tail_gets_one_answer_on_every_route() {
     std::fs::remove_file(xml).ok();
 }
 
+/// A start tag that repeats an attribute name is malformed (XML 1.0's
+/// Unique Att Spec): every route, with or without `--attrs`, from a file
+/// or stdin, exits 1 with one positioned diagnostic and prints nothing.
+#[test]
+fn repeated_attribute_is_a_positioned_error_on_every_route() {
+    let src = "<a k='1' k='2'/>";
+    let xml = scratch("repeated-attr.xml");
+    std::fs::write(&xml, src).unwrap();
+    let xml = xml.to_str().unwrap();
+    for attrs in [&[][..], &["--attrs"][..]] {
+        for (file, stdin) in [(xml, None), ("-", Some(src))] {
+            for query in [
+                &["--count", "--path", "a attr:k"][..],
+                &["--exists", "--path", "a"],
+                &["--path", "a"],
+                &["--mark", "--path", "a"],
+                &["--count", "--phr", "[ε ; a ; ε]"],
+                &["--repeat", "2", "--count", "--path", "a"],
+            ] {
+                let args = [attrs, query, &[file]].concat();
+                let out = match stdin {
+                    Some(input) => hxq_stdin(&args, input),
+                    None => hxq(&args),
+                };
+                assert_eq!(out.status.code(), Some(1), "{args:?}");
+                assert!(out.stdout.is_empty(), "{args:?}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(err.lines().count(), 1, "one diagnostic: {err}");
+                assert!(
+                    err.contains("XML error at byte 9: attribute 'k' repeated in tag 'a'"),
+                    "{args:?}: {err}"
+                );
+            }
+        }
+    }
+    std::fs::remove_file(xml).ok();
+}
+
 /// `--stream` is accepted and ignored: with each flag that used to refuse
 /// it, a request prints and exits exactly as it does without it.
 #[test]

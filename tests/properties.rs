@@ -411,6 +411,61 @@ fn marks_equal_spec() {
     );
 }
 
+/// `HorizFn::inverse(q)` accepts a word `w` iff `eval(w) == q`, letters
+/// `≥ |Q|` included, on the horizontal functions of every construction
+/// that builds them: `from_rules` (the paper's `M₀`, and rules made from a
+/// compiled automaton's inverse images), Theorem 1's subset construction,
+/// the product, minimization, and Theorem 3's `M↓e`.
+#[test]
+fn horiz_inverse_accepts_exactly_the_preimage() {
+    use hedgex::core::mark_down::MarkDown;
+    use hedgex::ha::minimize::minimize_dha;
+    use hedgex::ha::product::product_many;
+    use hedgex::ha::HorizFn;
+    forall(
+        "horiz_inverse_accepts_exactly_the_preimage",
+        Config::with_cases(48),
+        &zip3(arb_hre(), arb_hre(), Gen::new(|rng| rng.next_u64())),
+        |(e1, e2, seed)| {
+            let d1 = compile_to_dha(e1);
+            let d2 = compile_to_dha(e2);
+            let sigma: Vec<SymId> = (0..3).map(SymId).collect();
+            let automata = [
+                ("from_rules", hedgex::ha::paper::m0(&mut Alphabet::new())),
+                ("product", product_many(&[&d1, &d2]).dha),
+                ("minimize", minimize_dha(&d1).0),
+                ("mark_down", MarkDown::build(e1, &sigma).dha),
+                ("determinize", d1),
+            ];
+            let mut rng = Rng::seed_from_u64(*seed);
+            for (built_by, dha) in &automata {
+                let n = dha.num_states();
+                for a in dha.symbols() {
+                    let hf = dha.horiz(a).expect("declared");
+                    let rules: Vec<_> = (0..n).map(|q| (hf.inverse(q), q)).collect();
+                    let ruled = HorizFn::from_rules(&rules, n, dha.sink());
+                    for (how, f) in [(*built_by, hf), ("from_rules", &ruled)] {
+                        for _ in 0..12 {
+                            let len = rng.random_range(0..6usize);
+                            let w: Vec<u32> =
+                                (0..len).map(|_| rng.random_range(0..n + 2)).collect();
+                            let image = f.eval(w.iter().copied());
+                            for q in [image, rng.random_range(0..n), dha.sink()] {
+                                prop_assert_eq!(
+                                    f.inverse(q).accepts(&w),
+                                    q == image,
+                                    "{how} (from {built_by}): {a:?} on {w:?}, q = {q}"
+                                );
+                            }
+                        }
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
 // ---------------------------------------------------------------------------
 // Evaluator oracles
 // ---------------------------------------------------------------------------

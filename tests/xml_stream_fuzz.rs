@@ -72,7 +72,7 @@ const TEXTS: [&str; 9] = [
     "<![CDATA[ ]]>",
     "<![CDATA[]]>",
 ];
-const SOUP: [&str; 12] = [
+const SOUP: [&str; 13] = [
     "<",
     ">",
     "</",
@@ -85,6 +85,7 @@ const SOUP: [&str; 12] = [
     "&",
     "&#x",
     "=\"",
+    "<a k='1' k='2'/>",
 ];
 
 /// A well-formed document string: elements with occasional attributes,
@@ -313,7 +314,7 @@ fn streaming_evaluator_never_panics_and_agrees_when_input_parses() {
 
 /// Hand-picked regressions: the truncations and malformations most likely
 /// to hit a scanner edge, pinned so a fuzz-shrunk failure stays fixed.
-const PINNED: [&str; 22] = [
+const PINNED: [&str; 24] = [
     "",
     "<",
     "<a",
@@ -336,6 +337,9 @@ const PINNED: [&str; 22] = [
     "<a>x</a><a>y</a>",
     "<a>naïve — 文字 &amp; ünïcode</a>",
     "<a k=\"1\" j='2'><b x=\"&amp;\" y=\"z\"/>t</a>",
+    // XML 1.0's Unique Att Spec: a repeated attribute name is an error.
+    "<a k='1' k='2'/>",
+    "<a k=\"1\" j='2'><b x=\"&amp;\" y=\"z\" x=''/>t</a>",
 ];
 
 #[test]
