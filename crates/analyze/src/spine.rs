@@ -46,7 +46,7 @@ use hedgex_core::mark_down::compile_to_dha;
 use hedgex_core::phr::{Phr, TripletId};
 use hedgex_core::Hre;
 use hedgex_ha::product::{product_many, ManyProduct};
-use hedgex_ha::{determinize, reduce_dha, Dha, DhaBuilder, HState, Leaf, Nha};
+use hedgex_ha::{determinize, reduce_dha, Dha, DhaBuilder, HState, LangId, Leaf, Nha};
 use hedgex_hedge::{SubId, SymId};
 use hedgex_obs as obs;
 
@@ -218,14 +218,19 @@ impl Spine {
             }
             iota.entry(leaf).or_default().push(self.prod.dha.iota(leaf));
         }
-        let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
+        let mut langs: Vec<Dfa<HState>> = Vec::new();
+        let mut lang = |dfa: Dfa<HState>| {
+            langs.push(dfa);
+            (langs.len() - 1) as LangId
+        };
+        let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
 
         // Plain rules: off-spine trees evaluate exactly as in the product.
         for a in self.prod.dha.symbols().collect::<Vec<_>>() {
             let hf = self.prod.dha.horiz(a).expect("declared symbol");
-            let bucket = rules.entry(a).or_default();
             for q in 0..p {
-                bucket.push((explicit_nfa(&hf.inverse(q), p).to_dfa(), q));
+                let l = lang(explicit_nfa(&hf.inverse(q), p).to_dfa());
+                rules.entry(a).or_default().push((l, q));
             }
         }
 
@@ -241,11 +246,9 @@ impl Spine {
                 // innermost universal rule below ever accepts it.
                 let mut admissible: Vec<HState> = (0..p).collect();
                 admissible.push(top);
+                let any = lang(loop_nfa(admissible).to_dfa());
                 for &a in pad_syms.iter() {
-                    rules
-                        .entry(a)
-                        .or_default()
-                        .push((loop_nfa(admissible.clone()).to_dfa(), top));
+                    rules.entry(a).or_default().push((any, top));
                 }
                 for &leaf in pad_leaves.iter() {
                     if matches!(leaf, Leaf::Sub(_)) {
@@ -271,13 +274,13 @@ impl Spine {
                 }
             },
         };
-        let content_dfa = content.to_dfa();
+        let content = lang(content.to_dfa());
         for (t, &a) in self.labels.iter().enumerate() {
             let d1 = self.rdfa.step(self.rdfa.start(), &(t as TripletId));
             rules
                 .entry(a)
                 .or_default()
-                .push((content_dfa.clone(), spine_id(d1, t as u32)));
+                .push((content, spine_id(d1, t as u32)));
         }
 
         // Sibling language of a pending triplet `t` around the spine
@@ -290,15 +293,21 @@ impl Spine {
         };
 
         // Spine rules: a node above the spine child verifies the child's
-        // pending sibling conditions and chooses its own triplet.
+        // pending sibling conditions and chooses its own triplet. Each
+        // pending language is one DFA, whichever triplet reads it.
+        let ntrip = self.labels.len();
+        let pending_langs: Vec<LangId> = (0..self.rdfa.num_states() as StateId)
+            .flat_map(|d| (0..ntrip).map(move |t| (d, t)))
+            .map(|(d, t)| lang(pending(d, t).to_dfa()))
+            .collect();
         for (t_next, &a) in self.labels.iter().enumerate() {
             for d in 0..self.rdfa.num_states() as StateId {
-                for t in 0..self.labels.len() {
+                for t in 0..ntrip {
                     let d2 = self.rdfa.step(d, &(t_next as TripletId));
-                    rules
-                        .entry(a)
-                        .or_default()
-                        .push((pending(d, t).to_dfa(), spine_id(d2, t_next as u32)));
+                    rules.entry(a).or_default().push((
+                        pending_langs[d as usize * ntrip + t],
+                        spine_id(d2, t_next as u32),
+                    ));
                 }
             }
         }
@@ -314,7 +323,7 @@ impl Spine {
             }
         }
 
-        Nha::from_parts(num_states, iota, rules, finals)
+        Nha::from_parts(num_states, iota, langs, rules, finals)
     }
 }
 

@@ -6,7 +6,10 @@
 //! * `hre_determinize/w` — Lemma 1 + Theorem 1 on alternation fans
 //!   `(a₁⟨…⟩|…|a_w⟨…⟩)*` (the potentially exponential step);
 //! * `phr_compile/t` — Theorem 4 with t triplets (the shared product M,
-//!   the ≡ classes, and N);
+//!   the ≡ classes, and N), every triplet distinct;
+//! * `phr_compile/figure_before_table` — Theorem 4 on the benchmark query,
+//!   whose eight sibling slots hold two distinct expressions: the row that
+//!   shows each distinct component being compiled once;
 //! * `decompile/…` — Lemma 2 on the paper's M₀ (HA → HRE).
 
 use hedgex_testkit::{Bench, BenchmarkId};
@@ -68,6 +71,15 @@ fn bench_compile(c: &mut Bench) {
             )
         });
     }
+    group.bench_function("phr_compile/figure_before_table", |b| {
+        b.iter_with_setup(
+            || {
+                let mut ab = Alphabet::new();
+                hedgex_bench::figure_before_table_phr(&mut ab)
+            },
+            |phr| std::hint::black_box(CompiledPhr::compile(&phr).m.num_states()),
+        )
+    });
     group.bench_function("decompile_m0", |b| {
         b.iter_with_setup(
             || {

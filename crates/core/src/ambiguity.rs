@@ -57,15 +57,16 @@ pub fn nha_is_ambiguous(nha: &Nha) -> bool {
         let before = pairs.len();
         for &a in &symbols {
             let rules = nha.rules(a);
-            for (d1, r1) in rules {
-                for (d2, r2) in rules {
+            for &(l1, r1) in rules {
+                for &(l2, r2) in rules {
+                    let (d1, d2) = (nha.lang(l1), nha.lang(l2));
                     // Joint exploration: (d1 state, d2 state, any child
                     // diverged so far).
                     let mut joint = Worklist::new();
                     joint.intern((d1.start(), d2.start(), false));
                     joint.explore(|joint, _, &(s1, s2, fl): &(StateId, StateId, bool)| {
                         if d1.is_accepting(s1) && d2.is_accepting(s2) {
-                            pairs.intern((*r1, *r2, fl || r1 != r2));
+                            pairs.intern((r1, r2, fl || r1 != r2));
                         }
                         for &(q1, q2, pf) in pairs.keys() {
                             joint.intern((d1.step(s1, &q1), d2.step(s2, &q2), fl || pf));
@@ -136,7 +137,7 @@ pub fn count_computations(nha: &Nha, h: &hedgex_hedge::Hedge) -> u64 {
                     let member = nha
                         .rules(*a)
                         .iter()
-                        .any(|(dfa, r)| *r == q && dfa.accepts(&w));
+                        .any(|&(l, r)| r == q && nha.lang(l).accepts(&w));
                     if member {
                         total += count;
                     }

@@ -13,14 +13,20 @@
 //!   symbols appear in hedges only as the full content `a⟨z⟩`), so case 9's
 //!   `α₂⁻¹(i, q) \ {z̄}` is a single-word removal ([`Nfa::remove_word`]) and
 //!   case 10's variant keeps `z̄` while adding `F`.
+//! * **One table of horizontal languages.** Rules name their language by a
+//!   [`LangId`] into the context's table instead of owning an NFA. The word
+//!   `z̄` is one language, made with the state `z̄`, so every `aᵢ⟨z⟩` rule
+//!   (case 8) names it, and cases 9 and 10 rewrite each distinct language once
+//!   per embedding, not once per rule: in `(a₁⟨z⟩|…|a₈⟨z⟩)*^z` all eight
+//!   rules end up naming the one language `z̄ ∪ F`.
 //! * Horizontal languages stay as NFAs during composition (cheap union /
-//!   concat / star) and are determinized once, when the final [`Nha`] is
-//!   assembled.
+//!   concat / star) and are determinized when the final [`Nha`] is
+//!   assembled, once per distinct language its rules name.
 
 use std::collections::HashMap;
 
 use hedgex_automata::Nfa;
-use hedgex_ha::{HState, Leaf, Nha};
+use hedgex_ha::{HState, LangId, Leaf, Nha};
 use hedgex_hedge::{SubId, SymId};
 use hedgex_obs as obs;
 
@@ -30,16 +36,20 @@ use crate::hre::Hre;
 /// from the surrounding [`Ctx`].
 struct Frag {
     iota: HashMap<Leaf, Vec<HState>>,
-    /// `α⁻¹` pieces: `(a, L, q)` meaning `α(a, w) ∋ q` for `w ∈ L`.
-    rules: Vec<(SymId, Nfa<HState>, HState)>,
+    /// `α⁻¹` pieces: `(a, L, q)` meaning `α(a, w) ∋ q` for `w ∈ L`, with
+    /// `L` an index into [`Ctx::langs`].
+    rules: Vec<(SymId, LangId, HState)>,
     finals: Nfa<HState>,
 }
 
-/// Shared compilation context: the global state counter and the reserved
-/// `z̄` states.
+/// Shared compilation context: the global state counter, the reserved
+/// `z̄` states and the table of horizontal languages.
 struct Ctx {
     next_state: HState,
-    zbar: HashMap<SubId, HState>,
+    /// Per substitution symbol: its state `z̄` and the language `{z̄}`.
+    zbar: HashMap<SubId, (HState, LangId)>,
+    /// Every horizontal language a rule has named; a [`LangId`] indexes it.
+    langs: Vec<Nfa<HState>>,
     /// Tally per construction case (Lemma 1's cases 1–10), flushed to the
     /// obs registry once per [`compile_hre`] call.
     cases: [u64; 10],
@@ -66,13 +76,50 @@ impl Ctx {
         q
     }
 
-    fn zbar(&mut self, z: SubId) -> HState {
-        if let Some(&q) = self.zbar.get(&z) {
-            return q;
+    /// The reserved state `z̄` and the language `{z̄}`, made on first use.
+    fn zbar(&mut self, z: SubId) -> (HState, LangId) {
+        if let Some(&reserved) = self.zbar.get(&z) {
+            return reserved;
         }
         let q = self.fresh();
-        self.zbar.insert(z, q);
-        q
+        let l = self.lang(Nfa::word(&[q]));
+        self.zbar.insert(z, (q, l));
+        (q, l)
+    }
+
+    /// Add a language to the table.
+    fn lang(&mut self, nfa: Nfa<HState>) -> LangId {
+        self.langs.push(nfa);
+        (self.langs.len() - 1) as LangId
+    }
+
+    /// Cases 9 and 10: every rule whose language holds the word `z̄` gets
+    /// `splice(L)` instead. Each distinct language is rewritten once, so
+    /// rules that shared a language before still share one after.
+    fn splice_zbar(
+        &mut self,
+        rules: &mut [(SymId, LangId, HState)],
+        z: SubId,
+        splice: impl Fn(&Nfa<HState>) -> Nfa<HState>,
+    ) {
+        let zword = [self.zbar(z).0];
+        let mut rewritten: HashMap<LangId, LangId> = HashMap::new();
+        for (_, l, _) in rules {
+            *l = match rewritten.get(l) {
+                Some(&new) => new,
+                None => {
+                    let old = &self.langs[*l as usize];
+                    let new = if old.accepts(&zword) {
+                        let spliced = splice(old);
+                        self.lang(spliced)
+                    } else {
+                        *l
+                    };
+                    rewritten.insert(*l, new);
+                    new
+                }
+            };
+        }
     }
 }
 
@@ -133,7 +180,7 @@ fn compile_frag(e: &Hre, ctx: &mut Ctx) -> Frag {
             let f = compile_frag(inner, ctx);
             let q = ctx.fresh();
             let mut rules = f.rules;
-            rules.push((*a, f.finals, q));
+            rules.push((*a, ctx.lang(f.finals), q));
             Frag {
                 iota: f.iota,
                 rules,
@@ -175,11 +222,11 @@ fn compile_frag(e: &Hre, ctx: &mut Ctx) -> Frag {
         }
         // Case 8: a⟨z⟩ — the reserved state z̄ as sole content.
         Hre::SubNode(a, z) => {
-            let zb = ctx.zbar(*z);
+            let (zb, l) = ctx.zbar(*z);
             let q = ctx.fresh();
             Frag {
                 iota: HashMap::from([(Leaf::Sub(*z), vec![zb])]),
-                rules: vec![(*a, Nfa::word(&[zb]), q)],
+                rules: vec![(*a, l, q)],
                 finals: Nfa::word(&[q]),
             }
         }
@@ -188,18 +235,13 @@ fn compile_frag(e: &Hre, ctx: &mut Ctx) -> Frag {
         // e₂ are no longer variables of the result.
         Hre::Embed(e1, z, e2) => {
             let f1 = compile_frag(e1, ctx);
-            let f2 = compile_frag(e2, ctx);
-            let zb = ctx.zbar(*z);
-            let zword = [zb];
+            let mut f2 = compile_frag(e2, ctx);
+            let zword = [ctx.zbar(*z).0];
+            ctx.splice_zbar(&mut f2.rules, *z, |lang| {
+                lang.remove_word(&zword).union(&f1.finals)
+            });
             let mut rules = f1.rules;
-            for (a, lang, q) in f2.rules {
-                let lang = if lang.accepts(&zword) {
-                    lang.remove_word(&zword).union(&f1.finals)
-                } else {
-                    lang
-                };
-                rules.push((a, lang, q));
-            }
+            rules.extend(f2.rules);
             let mut iota2 = f2.iota;
             iota2.remove(&Leaf::Sub(*z));
             Frag {
@@ -211,26 +253,10 @@ fn compile_frag(e: &Hre, ctx: &mut Ctx) -> Frag {
         // Case 10: e^z — as case 9 with e embedded into itself, but the
         // literal z̄ word is kept (the base e^{1,z} = e leaves z in place).
         Hre::Iter(inner, z) => {
-            let f = compile_frag(inner, ctx);
-            let zb = ctx.zbar(*z);
-            let zword = [zb];
-            let rules = f
-                .rules
-                .into_iter()
-                .map(|(a, lang, q)| {
-                    let lang = if lang.accepts(&zword) {
-                        lang.union(&f.finals)
-                    } else {
-                        lang
-                    };
-                    (a, lang, q)
-                })
-                .collect();
-            Frag {
-                iota: f.iota,
-                rules,
-                finals: f.finals,
-            }
+            let mut f = compile_frag(inner, ctx);
+            let finals = &f.finals;
+            ctx.splice_zbar(&mut f.rules, *z, |lang| lang.union(finals));
+            f
         }
     }
 }
@@ -242,24 +268,33 @@ pub fn compile_hre(e: &Hre) -> Nha {
     let mut ctx = Ctx {
         next_state: 0,
         zbar: HashMap::new(),
+        langs: Vec::new(),
         cases: [0; 10],
     };
     let frag = compile_frag(e, &mut ctx);
-    let mut rules: HashMap<SymId, Vec<(hedgex_automata::Dfa<HState>, HState)>> = HashMap::new();
-    let mut num_rules = 0u64;
-    for (a, lang, q) in frag.rules {
-        rules.entry(a).or_default().push((lang.to_dfa(), q));
-        num_rules += 1;
+    // Determinize each language the final rules name, once, renumbering
+    // the survivors densely.
+    let mut renumber: HashMap<LangId, LangId> = HashMap::new();
+    let mut langs = Vec::new();
+    let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
+    let num_rules = frag.rules.len() as u64;
+    for (a, l, q) in frag.rules {
+        let id = *renumber.entry(l).or_insert_with(|| {
+            langs.push(ctx.langs[l as usize].to_dfa());
+            (langs.len() - 1) as LangId
+        });
+        rules.entry(a).or_default().push((id, q));
     }
     obs::counter_inc("core.compile.calls");
     obs::counter_add("core.compile.states", u64::from(ctx.next_state.max(1)));
     obs::counter_add("core.compile.rules", num_rules);
+    obs::counter_add("core.compile.languages", langs.len() as u64);
     for (name, &n) in CASE_NAMES.iter().zip(&ctx.cases) {
         if n > 0 {
             obs::counter_add(name, n);
         }
     }
-    Nha::from_parts(ctx.next_state.max(1), frag.iota, rules, frag.finals)
+    Nha::from_parts(ctx.next_state.max(1), frag.iota, langs, rules, frag.finals)
 }
 
 #[cfg(test)]
@@ -390,6 +425,41 @@ mod tests {
             assert_eq!(nha.accepts(&h), det.dha.accepts(&h));
             assert_eq!(e.matches(&h), det.dha.accepts(&h));
         }
+    }
+
+    #[test]
+    fn universal_rules_share_one_language() {
+        // Case 8 interns z̄ once and case 10 rewrites it once, so all eight
+        // aᵢ⟨z⟩ rules name the language z̄ ∪ F.
+        let names = [
+            "article", "section", "title", "para", "figure", "caption", "table", "note",
+        ];
+        let alts: Vec<String> = names.iter().map(|s| format!("{s}<%z>")).collect();
+        let mut ab = Alphabet::new();
+        let e = parse_hre(&format!("({}|$#text)*^z", alts.join("|")), &mut ab).unwrap();
+        let nha = compile_hre(&e);
+        let rules: Vec<(LangId, HState)> = nha
+            .symbols()
+            .flat_map(|a| nha.rules(a).iter().copied())
+            .collect();
+        assert_eq!(rules.len(), 8);
+        assert!(rules.iter().all(|&(l, _)| l == rules[0].0));
+    }
+
+    #[test]
+    fn embedding_rewrites_each_language_once() {
+        // Both a-rules name {z̄} before the embedding and b's language
+        // after it, and c's rule keeps its own.
+        let mut ab = Alphabet::new();
+        let e = parse_hre("b @z (a<%z> a<%z> c<ε>)", &mut ab).unwrap();
+        let nha = compile_hre(&e);
+        let a = ab.get_sym("a").unwrap();
+        let c = ab.get_sym("c").unwrap();
+        let a_langs: Vec<LangId> = nha.rules(a).iter().map(|&(l, _)| l).collect();
+        assert_eq!(a_langs.len(), 2);
+        assert_eq!(a_langs[0], a_langs[1]);
+        assert_ne!(nha.rules(c)[0].0, a_langs[0]);
+        check_equiv("b @z (a<%z> a<%z> c<ε>)", 5);
     }
 
     #[test]

@@ -26,7 +26,7 @@
 use std::collections::HashMap;
 
 use hedgex_automata::{in_edges, row, CharClass, Dfa, Nfa, StateId};
-use hedgex_ha::{HState, Leaf, Nha};
+use hedgex_ha::{HState, LangId, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{FlatHedge, NodeId, SymId};
 
@@ -133,7 +133,8 @@ impl MarkUp {
 
         // Rules: for each symbol a, parent-choice s and result q, the
         // language h(α⁻¹(a, q)) ∩ good(s), labelled (q, s, a).
-        let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
+        let mut langs: Vec<Dfa<HState>> = Vec::new();
+        let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
         for &a in &sigma {
             let ai = sigma_pos[&a];
             for q in 0..nq {
@@ -158,7 +159,9 @@ impl MarkUp {
                 for s in 0..ns {
                     let lang = lifted.intersect(&good[s as usize]);
                     if !lang.is_empty_lang() {
-                        rules.entry(a).or_default().push((lang, triple(q, s, ai)));
+                        langs.push(lang);
+                        let l = (langs.len() - 1) as LangId;
+                        rules.entry(a).or_default().push((l, triple(q, s, ai)));
                     }
                 }
             }
@@ -175,7 +178,7 @@ impl MarkUp {
             .collect();
 
         MarkUp {
-            nha: Nha::from_parts(num_states, iota, rules, finals),
+            nha: Nha::from_parts(num_states, iota, langs, rules, finals),
             marked,
             decode,
         }

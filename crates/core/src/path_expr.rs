@@ -27,7 +27,7 @@
 use std::collections::HashMap;
 
 use hedgex_automata::{reach, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
-use hedgex_ha::{HState, Leaf, Nha};
+use hedgex_ha::{HState, LangId, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
 use hedgex_obs as obs;
@@ -158,14 +158,18 @@ impl PathExpr {
             Regex::class(CharClass::of(ids)).star()
         };
 
-        let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
+        // The allowed-children language depends on s only: one per N-state,
+        // shared by every symbol.
+        let langs: Vec<Dfa<HState>> = (0..ns)
+            .map(|s| Nfa::from_regex(&allowed(s)).to_dfa())
+            .collect();
+        let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
         for (ai, &a) in sigma.iter().enumerate() {
             for s in 0..ns {
-                let lang = Nfa::from_regex(&allowed(s)).to_dfa();
                 rules
                     .entry(a)
                     .or_default()
-                    .push((lang, triple(s, ai as u32)));
+                    .push((s as LangId, triple(s, ai as u32)));
             }
         }
         let finals = Nfa::from_regex(&allowed(n.start()));
@@ -179,7 +183,7 @@ impl PathExpr {
             })
             .collect();
         PathMarkUp {
-            nha: Nha::from_parts(num_states, iota, rules, finals),
+            nha: Nha::from_parts(num_states, iota, langs, rules, finals),
             marked,
         }
     }

@@ -5,7 +5,11 @@
 //!   `e_{i2}` of the representation. The paper's "without loss of
 //!   generality they share `Q`, `ι`, `α`" is realized by the cross product
 //!   of the individually compiled automata (`product_many`), with each
-//!   original final set lifted to the product states.
+//!   original final set lifted to the product states. Equal expressions
+//!   are compiled, determinized and reduced once and enter the product as
+//!   one factor: the universal `U` that fills most sibling slots costs one
+//!   component however many slots it fills, and every slot it fills reads
+//!   its lifted final set.
 //! * `≡` — a right-invariant equivalence of finite index over `Q*`
 //!   saturating every lifted final set ([`SaturatingClasses`]): its classes
 //!   are the states of the product DFA tracking all the `F_{ij}` at once.
@@ -33,6 +37,7 @@ use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::compile::compile_hre;
+use crate::hre::Hre;
 use crate::phr::{Phr, MAX_TRIPLETS};
 
 /// A signature: the set of triplets a concrete `(C₁, a, C₂)` symbol
@@ -165,30 +170,40 @@ impl CompiledPhr {
             "pointed hedge representations are limited to {MAX_TRIPLETS} triplets"
         );
         let _span = obs::span("core.phr_compile");
-        // Compile every e_i1, e_i2 and take the shared product.
+        // Compile every distinct e_i1, e_i2 once and take the shared
+        // product of those; `rep[j]` is side j's factor (sides in triplet
+        // order, elder before younger). `PhrStats` keeps one entry per
+        // side, a repeated one reporting its factor's sizes.
         let mut stats = PhrStats::default();
-        let dhas: Vec<Dha> = phr
-            .triplets
-            .iter()
-            .flat_map(|t| [&t.elder, &t.younger])
-            .map(|e| {
-                let nha = compile_hre(e);
-                let mut dha = determinize(&nha).dha;
-                stats.components.push((nha.num_states(), dha.num_states()));
-                if reduce {
-                    let _span = obs::span("core.phr_compile.reduce");
-                    dha = reduce_dha(&dha).0;
+        let mut distinct: Vec<(&Hre, Dha, (u32, u32))> = Vec::new();
+        let mut rep: Vec<usize> = Vec::new();
+        for e in phr.triplets.iter().flat_map(|t| [&t.elder, &t.younger]) {
+            let r = match distinct.iter().position(|(seen, ..)| *seen == e) {
+                Some(r) => r,
+                None => {
+                    let nha = compile_hre(e);
+                    let mut dha = determinize(&nha).dha;
+                    let sizes = (nha.num_states(), dha.num_states());
+                    if reduce {
+                        let _span = obs::span("core.phr_compile.reduce");
+                        dha = reduce_dha(&dha).0;
+                    }
+                    distinct.push((e, dha, sizes));
+                    distinct.len() - 1
                 }
-                stats.reduced_components.push(dha.num_states());
-                dha
-            })
-            .collect();
-        let refs: Vec<&Dha> = dhas.iter().collect();
+            };
+            let (_, dha, sizes) = &distinct[r];
+            stats.components.push(*sizes);
+            stats.reduced_components.push(dha.num_states());
+            rep.push(r);
+        }
+        let refs: Vec<&Dha> = distinct.iter().map(|(_, dha, _)| dha).collect();
         let prod = product_many(&refs);
         let alphabet: Vec<HState> = (0..prod.dha.num_states()).collect();
         let classes = {
             let _span = obs::span("core.phr_compile.classes");
-            SaturatingClasses::build(&prod.lifted_finals, &alphabet)
+            let sides: Vec<_> = rep.iter().map(|&r| prod.lifted_finals[r].clone()).collect();
+            SaturatingClasses::build(&sides, &alphabet)
         };
         let labels: Vec<SymId> = phr.triplets.iter().map(|t| t.label).collect();
         // N accepts the mirror of L: reverse the triplet regex, then read it

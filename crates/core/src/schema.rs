@@ -84,15 +84,10 @@ pub fn transform_select(
             .filter(|&q| live_marked[q as usize])
             .map(|q| Regex::sym(q as HState)),
     );
-    let output = Nha::from_parts(
-        prod.nha.num_states(),
-        prod.nha.iotas().map(|(l, v)| (l, v.to_vec())).collect(),
-        prod.nha
-            .symbols()
-            .map(|a| (a, prod.nha.rules(a).to_vec()))
-            .collect(),
-        hedgex_automata::Nfa::from_regex(&finals_re),
-    );
+    let output = prod
+        .nha
+        .clone()
+        .with_finals(hedgex_automata::Nfa::from_regex(&finals_re));
 
     hedgex_obs::counter_inc("core.schema.transforms");
     hedgex_obs::counter_add(

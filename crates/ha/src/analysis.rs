@@ -262,10 +262,11 @@ pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
     loop {
         let mut changed = false;
         for &a in &symbols {
-            for (dfa, q) in nha.rules(a) {
-                if inh[*q as usize] {
+            for &(l, q) in nha.rules(a) {
+                if inh[q as usize] {
                     continue;
                 }
+                let dfa = nha.lang(l);
                 // Does dfa accept some word over inhabited letters?
                 let seen = reach(dfa.num_states(), [dfa.start()], |s| {
                     letters(&inh).map(move |l| dfa.step(s, &l))
@@ -273,7 +274,7 @@ pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
                 let hit =
                     (0..seen.len() as StateId).any(|s| seen[s as usize] && dfa.is_accepting(s));
                 if hit {
-                    inh[*q as usize] = true;
+                    inh[q as usize] = true;
                     changed = true;
                 }
             }
@@ -322,10 +323,11 @@ pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
     loop {
         let mut changed = false;
         for &a in &symbols {
-            for (dfa, r) in nha.rules(a) {
-                if !useful[*r as usize] {
+            for &(l, r) in nha.rules(a) {
+                if !useful[r as usize] {
                     continue;
                 }
+                let dfa = nha.lang(l);
                 let live = live_letters(
                     dfa.num_states(),
                     dfa.start(),

@@ -12,19 +12,22 @@
 //! The lifted horizontal automaton for a symbol is the disjoint union of all
 //! rule DFAs simulated as an NFA (a set of rule-DFA states), because a word
 //! of subsets can satisfy several rules at once — exactly the `{q_p1, q_p2}`
-//! effect in the paper's M₁ example. The worst case is exponential in the
+//! effect in the paper's M₁ example. It is indexed by the distinct
+//! languages the rules name ([`Nha::lang`]), so symbols whose rules name
+//! the same languages share one lifted exploration; only the result labels
+//! differ per symbol. The worst case is exponential in the
 //! number of NHA states, as Theorem 1 admits; the determinization benchmark
 //! (experiment E2) measures both the blow-up family and the tame typical
 //! case.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet, HashMap};
 
 use hedgex_automata::{row, Dfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
-use crate::nha::Nha;
+use crate::nha::{LangId, Nha};
 use crate::types::{HState, Leaf};
 
 /// The result of determinizing: the DHA plus, for every DHA state, the NHA
@@ -36,31 +39,62 @@ pub struct Determinized {
     pub subsets: Vec<BTreeSet<HState>>,
 }
 
-/// One symbol's combined rule automaton: all rule DFAs side by side, with
-/// accepting states labelled by the rule's result state.
-struct Combined {
-    /// (rule DFA, result) pairs.
-    rules: Vec<(Dfa<HState>, HState)>,
+/// The combined rule automaton of every symbol whose rules name one set
+/// of languages: those languages' DFAs side by side. The lifted states are
+/// the same for all of these symbols; each symbol labels them with its own
+/// rules' results.
+struct Combined<'a> {
+    /// The distinct languages, as rule DFAs.
+    langs: Vec<&'a Dfa<HState>>,
+    /// Per symbol: its rules as (index into `langs`, result).
+    syms: Vec<(SymId, Vec<(usize, HState)>)>,
 }
 
-/// A lifted horizontal state: for each rule, the set of its DFA states the
-/// NFA-simulation may currently be in.
+/// A lifted horizontal state: for each language, the set of its DFA states
+/// the NFA-simulation may currently be in.
 type Lifted = Vec<BTreeSet<StateId>>;
 
-impl Combined {
+impl Combined<'_> {
+    /// Group `nha`'s symbols by the languages their rules name.
+    fn group(nha: &Nha) -> Vec<Combined<'_>> {
+        let mut symbols: Vec<SymId> = nha.symbols().collect();
+        symbols.sort();
+        let mut groups: BTreeMap<Vec<LangId>, Vec<SymId>> = BTreeMap::new();
+        for a in symbols {
+            let mut key: Vec<LangId> = nha.rules(a).iter().map(|&(l, _)| l).collect();
+            key.sort();
+            key.dedup();
+            groups.entry(key).or_default().push(a);
+        }
+        groups
+            .into_iter()
+            .map(|(key, syms)| Combined {
+                langs: key.iter().map(|&l| nha.lang(l)).collect(),
+                syms: syms
+                    .into_iter()
+                    .map(|a| {
+                        let rules = nha.rules(a).iter();
+                        let at = |l| key.binary_search(&l).expect("grouped by language");
+                        (a, rules.map(|&(l, q)| (at(l), q)).collect())
+                    })
+                    .collect(),
+            })
+            .collect()
+    }
+
     fn initial(&self) -> Lifted {
-        self.rules
+        self.langs
             .iter()
-            .map(|(d, _)| std::iter::once(d.start()).collect())
+            .map(|d| std::iter::once(d.start()).collect())
             .collect()
     }
 
     /// Step the lifted state by a subset of NHA states.
     fn step(&self, cur: &Lifted, subset: &BTreeSet<HState>) -> Lifted {
-        self.rules
+        self.langs
             .iter()
             .zip(cur)
-            .map(|((d, _), states)| {
+            .map(|(d, states)| {
                 let mut next = BTreeSet::new();
                 for &s in states {
                     for q in subset {
@@ -72,13 +106,13 @@ impl Combined {
             .collect()
     }
 
-    /// The result subset at a lifted state: which rules can accept here.
-    fn results(&self, cur: &Lifted) -> BTreeSet<HState> {
-        self.rules
+    /// The result subset of one symbol's rules at a lifted state: which of
+    /// them can accept here.
+    fn results(&self, rules: &[(usize, HState)], cur: &Lifted) -> BTreeSet<HState> {
+        rules
             .iter()
-            .zip(cur)
-            .filter(|((d, _), states)| states.iter().any(|&s| d.is_accepting(s)))
-            .map(|((_, q), _)| *q)
+            .filter(|&&(l, _)| cur[l].iter().any(|&s| self.langs[l].is_accepting(s)))
+            .map(|&(_, q)| q)
             .collect()
     }
 }
@@ -98,17 +132,7 @@ pub fn determinize(nha: &Nha) -> Determinized {
         iota.insert(leaf, subsets.intern(qs.iter().copied().collect()));
     }
 
-    let combined: Vec<(SymId, Combined)> = nha
-        .symbols()
-        .map(|a| {
-            (
-                a,
-                Combined {
-                    rules: nha.rules(a).to_vec(),
-                },
-            )
-        })
-        .collect();
+    let combined = Combined::group(nha);
 
     // Fixpoint: discover all reachable subsets.
     let mut rounds = 0u64;
@@ -116,7 +140,7 @@ pub fn determinize(nha: &Nha) -> Determinized {
     loop {
         rounds += 1;
         let before = subsets.len();
-        for (_, comb) in &combined {
+        for comb in &combined {
             // Explore the lifted states, reading any currently-known
             // subset; ones interned later in this search are picked up by
             // the outer fixpoint.
@@ -124,7 +148,9 @@ pub fn determinize(nha: &Nha) -> Determinized {
             lifted.intern(comb.initial());
             lifted.explore(|lifted, _, cur| {
                 max_frontier = max_frontier.max(lifted.len() as u64);
-                subsets.intern(comb.results(cur));
+                for (_, rules) in &comb.syms {
+                    subsets.intern(comb.results(rules, cur));
+                }
                 for subset in subsets.keys() {
                     lifted.intern(comb.step(cur, subset));
                 }
@@ -140,7 +166,7 @@ pub fn determinize(nha: &Nha) -> Determinized {
     // Build each symbol's horizontal function against the final subset list.
     let horiz: HashMap<SymId, HorizFn> = combined
         .iter()
-        .map(|(a, comb)| (*a, lift_horiz(comb, &subsets)))
+        .flat_map(|comb| lift_horiz(comb, &subsets))
         .collect();
 
     // Lift F: the determinized automaton accepts iff some word drawn from
@@ -168,14 +194,15 @@ pub fn determinize(nha: &Nha) -> Determinized {
 }
 
 /// Determinize a combined rule automaton against the (now fixed) subset
-/// alphabet: one row per lifted state over the subset ids, labelled with
-/// the subset of results the lifted state yields.
-fn lift_horiz(comb: &Combined, subsets: &Worklist<BTreeSet<HState>>) -> HorizFn {
+/// alphabet: one row per lifted state over the subset ids, shared by the
+/// group's symbols, each of which labels the rows with the subset of
+/// results its rules yield there.
+fn lift_horiz(comb: &Combined, subsets: &Worklist<BTreeSet<HState>>) -> Vec<(SymId, HorizFn)> {
     let mut lifted = Worklist::new();
     let start = lifted.intern(comb.initial());
     let rows = lifted.explore(|lifted, _, cur| {
         // Out-of-alphabet symbols dead-end into the empty lifted state.
-        let dead = lifted.intern(comb.rules.iter().map(|_| BTreeSet::new()).collect());
+        let dead = lifted.intern(comb.langs.iter().map(|_| BTreeSet::new()).collect());
         let mut row: Vec<StateId> = subsets
             .keys()
             .iter()
@@ -184,17 +211,22 @@ fn lift_horiz(comb: &Combined, subsets: &Worklist<BTreeSet<HState>>) -> HorizFn 
         row.push(dead);
         row
     });
-    let labels: Vec<HState> = lifted
-        .keys()
+    comb.syms
         .iter()
-        .map(|l| {
-            let res = comb.results(l);
-            subsets
-                .get(&res)
-                .expect("fixpoint interned every result subset")
+        .map(|(a, rules)| {
+            let labels: Vec<HState> = lifted
+                .keys()
+                .iter()
+                .map(|l| {
+                    let res = comb.results(rules, l);
+                    subsets
+                        .get(&res)
+                        .expect("fixpoint interned every result subset")
+                })
+                .collect();
+            (*a, HorizFn::from_rows(rows.clone(), start, labels))
         })
-        .collect();
-    HorizFn::from_rows(rows, start, labels)
+        .collect()
 }
 
 /// Lift the NHA's `F` (an NFA over Q) to a DFA over subset ids: a word of

@@ -37,6 +37,6 @@ pub mod types;
 pub use determinize::determinize;
 pub use dha::{Dha, DhaBuilder, EvalScratch, HorizFn};
 pub use enumerate::enumerate_hedges;
-pub use nha::{Nha, NhaBuilder};
+pub use nha::{LangId, Nha, NhaBuilder};
 pub use reduce::{reduce_dha, ReduceStats};
 pub use types::{HState, Leaf};

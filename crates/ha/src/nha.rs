@@ -3,6 +3,9 @@
 //! Transitions are stored as rules `(a, L, q)` meaning `α(a, w) ∋ q` for all
 //! `w ∈ L`; each `L` is kept as a total DFA over the state set so that both
 //! direct execution and the subset construction can step it mechanically.
+//! The languages live in one table and rules name them by [`LangId`], so
+//! rules (of one symbol or of several) with the same language share one
+//! DFA, and the subset construction steps it once.
 //! Direct execution computes, for every node, the set of states reachable by
 //! *some* computation — a bottom-up pass that is linear in the number of
 //! nodes (with automaton-size-dependent constants).
@@ -13,6 +16,9 @@ use hedgex_automata::{Dfa, Nfa, Regex};
 use hedgex_hedge::{FlatHedge, Hedge, NodeId, SymId};
 
 use crate::types::{HState, Leaf};
+
+/// The index of a horizontal language in an [`Nha`]'s language table.
+pub type LangId = u32;
 
 /// A compact set of hedge-automaton states.
 pub type StateSet = Vec<u64>;
@@ -59,8 +65,10 @@ pub mod bits {
 pub struct Nha {
     num_states: u32,
     iota: HashMap<Leaf, Vec<HState>>,
-    /// Per symbol: rules `(L, q)` with `L` a total DFA over `Q`.
-    rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>>,
+    /// The horizontal languages, each a total DFA over `Q`.
+    langs: Vec<Dfa<HState>>,
+    /// Per symbol: rules `(L, q)` with `L` an index into `langs`.
+    rules: HashMap<SymId, Vec<(LangId, HState)>>,
     finals: Nfa<HState>,
 }
 
@@ -80,9 +88,14 @@ impl Nha {
         self.iota.iter().map(|(l, v)| (*l, v.as_slice()))
     }
 
-    /// The rules of a symbol.
-    pub fn rules(&self, a: SymId) -> &[(Dfa<HState>, HState)] {
+    /// The rules of a symbol, each naming its language in [`Nha::lang`].
+    pub fn rules(&self, a: SymId) -> &[(LangId, HState)] {
         self.rules.get(&a).map(Vec::as_slice).unwrap_or(&[])
+    }
+
+    /// A horizontal language, as a total DFA over `Q`.
+    pub fn lang(&self, l: LangId) -> &Dfa<HState> {
+        &self.langs[l as usize]
     }
 
     /// All symbols with declared rules.
@@ -96,19 +109,31 @@ impl Nha {
     }
 
     /// Assemble from raw parts (used by Lemma 1's compiler and Theorem 5's
-    /// match-identifying construction).
+    /// match-identifying construction): every rule's [`LangId`] indexes
+    /// `langs`.
     pub fn from_parts(
         num_states: u32,
         iota: HashMap<Leaf, Vec<HState>>,
-        rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>>,
+        langs: Vec<Dfa<HState>>,
+        rules: HashMap<SymId, Vec<(LangId, HState)>>,
         finals: Nfa<HState>,
     ) -> Nha {
+        debug_assert!(rules
+            .values()
+            .flatten()
+            .all(|&(l, _)| (l as usize) < langs.len()));
         Nha {
             num_states,
             iota,
+            langs,
             rules,
             finals,
         }
+    }
+
+    /// The same automaton with `finals` as its final state sequence set.
+    pub fn with_finals(self, finals: Nfa<HState>) -> Nha {
+        Nha { finals, ..self }
     }
 
     /// The per-node state sets of all computations (Definition 7, computed
@@ -178,12 +203,12 @@ impl Nha {
                 FlatLabel::Sym(a) => {
                     children.clear();
                     children.extend(h.children(id));
-                    for (dfa, q) in self.rules(a) {
-                        if !filter(id, *q) || bits::contains(&sets[id as usize], *q) {
+                    for &(l, q) in self.rules(a) {
+                        if !filter(id, q) || bits::contains(&sets[id as usize], q) {
                             continue;
                         }
-                        if self.dfa_reaches_accept(dfa, &children, &sets) {
-                            bits::insert(&mut sets[id as usize], *q);
+                        if self.dfa_reaches_accept(self.lang(l), &children, &sets) {
+                            bits::insert(&mut sets[id as usize], q);
                         }
                     }
                 }
@@ -245,7 +270,8 @@ impl Nha {
 pub struct NhaBuilder {
     num_states: u32,
     iota: HashMap<Leaf, Vec<HState>>,
-    rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>>,
+    langs: Vec<Dfa<HState>>,
+    rules: HashMap<SymId, Vec<(LangId, HState)>>,
     finals: Option<Nfa<HState>>,
 }
 
@@ -255,6 +281,7 @@ impl NhaBuilder {
         NhaBuilder {
             num_states,
             iota: HashMap::new(),
+            langs: Vec::new(),
             rules: HashMap::new(),
             finals: None,
         }
@@ -270,8 +297,9 @@ impl NhaBuilder {
     /// Declare `α(a, w) ∋ q` for all `w ∈ L(re)`.
     pub fn rule(&mut self, a: SymId, re: Regex<HState>, q: HState) -> &mut Self {
         assert!(q < self.num_states);
-        let dfa = Nfa::from_regex(&re).to_dfa();
-        self.rules.entry(a).or_default().push((dfa, q));
+        self.langs.push(Nfa::from_regex(&re).to_dfa());
+        let l = (self.langs.len() - 1) as LangId;
+        self.rules.entry(a).or_default().push((l, q));
         self
     }
 
@@ -286,6 +314,7 @@ impl NhaBuilder {
         Nha {
             num_states: self.num_states,
             iota: self.iota,
+            langs: self.langs,
             rules: self.rules,
             finals: self.finals.unwrap_or_else(Nfa::empty_lang),
         }

@@ -19,6 +19,7 @@ use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
+use crate::nha::LangId;
 use crate::types::{HState, Leaf};
 
 /// The result of an n-ary product.
@@ -266,14 +267,15 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
         let before = pairs.len();
         for &a in &symbols {
             let hf = dview(a);
-            for (dfa, qn) in n.rules(a) {
+            for &(l, qn) in n.rules(a) {
+                let dfa = n.lang(l);
                 // Joint exploration: (rule-DFA state, D horizontal state).
                 let mut joint = Worklist::new();
                 joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
                 joint.explore(|joint, _, &(ds, hs)| {
                     if dfa.is_accepting(ds) {
                         let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                        pairs.intern((*qn, qd));
+                        pairs.intern((qn, qd));
                     }
                     for &(pn, pd) in pairs.keys() {
                         joint.intern((dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd))));
@@ -288,10 +290,12 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
     let num_states = pairs.len().max(1) as u32;
 
     // Build the product rules against the final pair alphabet.
-    let mut rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>> = HashMap::new();
+    let mut langs: Vec<Dfa<HState>> = Vec::new();
+    let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
     for &a in &symbols {
         let hf = dview(a);
-        for (dfa, qn) in n.rules(a) {
+        for &(l, qn) in n.rules(a) {
+            let dfa = n.lang(l);
             // Joint DFA over pair ids.
             let mut joint = Worklist::new();
             let start = joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
@@ -307,7 +311,7 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
             for &(ds, hs) in joint.keys() {
                 if dfa.is_accepting(ds) {
                     let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                    if let Some(pid) = pairs.get(&(*qn, qd)) {
+                    if let Some(pid) = pairs.get(&(qn, qd)) {
                         results.insert(pid);
                     }
                 }
@@ -321,8 +325,9 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
                         dfa.is_accepting(ds) && hf.map_or(d.sink(), |h| h.result(hs)) == qd_target
                     })
                     .collect();
-                let jdfa = Dfa::from_parts(trans.clone(), start, accept);
-                rules.entry(a).or_default().push((jdfa, pid));
+                langs.push(Dfa::from_parts(trans.clone(), start, accept));
+                let jl = (langs.len() - 1) as LangId;
+                rules.entry(a).or_default().push((jl, pid));
             }
         }
     }
@@ -360,7 +365,7 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
     let finals = hedgex_automata::Nfa::from_raw(trans, eps, fid(fnfa.start(), fd.start()), accept);
 
     NhaProduct {
-        nha: Nha::from_parts(num_states, iota, rules, finals),
+        nha: Nha::from_parts(num_states, iota, langs, rules, finals),
         pairs,
     }
 }

@@ -561,7 +561,7 @@ fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W
         EvalMode::Exists => EvalOutcome::Exists(sink.found()),
     };
     let written = clock.phase("hedgex.output", || {
-        let lines = |out: &mut W| sink.addresses().try_for_each(|a| write_line(out, None, a));
+        let lines = |out: &mut W| sink.try_for_each_address(|a| write_line(out, None, a));
         print_answer(out, outcome, lines)
     });
     written.map_err(RunError::Output)?;

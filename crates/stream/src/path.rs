@@ -4,10 +4,15 @@
 //! the state of each currently open ancestor, so the whole evaluator is a
 //! stack of DFA states plus a stack of sibling counters for Dewey
 //! reconstruction — memory exactly proportional to depth, independent of
-//! both node count and match count (unless matches are collected). In
+//! both node count and match count (unless matches are collected).
+//! Collected addresses are prefix-coded against the previous match, so
+//! they take O(nodes + matches) words, not O(matches × depth), and the
+//! events between matches do no extra work but a `min` per close. In
 //! `exists` mode the first accepting node aborts the parse, which is the
 //! streaming win no materialized evaluator can have.
 
+use std::cell::OnceCell;
+use std::convert::Infallible;
 use std::sync::Arc;
 
 use hedgex_automata::StateId;
@@ -33,6 +38,14 @@ pub struct PathStream {
     /// Dewey counters: `counts[d]` is the number of children seen so far at
     /// depth `d`; always one longer than `stack`.
     counts: Vec<u32>,
+    /// Length of the last recorded address.
+    last_len: usize,
+    /// The shortest `counts` has been since that address was recorded,
+    /// minus one (`usize::MAX` if no element has closed since): the depth
+    /// from which the next address differs from it. Without a close, only
+    /// depths past `last_len` have changed; after one, the next address
+    /// must re-open the depth the close returned to.
+    closed_to: usize,
     /// Preorder rank of the next node, kept aligned with materialized
     /// [`NodeId`]s (leaves consume ranks too).
     next_id: u32,
@@ -40,7 +53,12 @@ pub struct PathStream {
     /// output of `count_only`).
     matched: u64,
     located: Vec<NodeId>,
-    deweys: Vec<Vec<u32>>,
+    /// The recorded addresses, prefix-coded: per match, the length it
+    /// shares with the previous address, the number of steps after that,
+    /// then those steps.
+    codes: Vec<u32>,
+    /// `codes` decoded, built on first request.
+    deweys: OnceCell<Vec<Vec<u32>>>,
     stats: StreamStats,
 }
 
@@ -62,10 +80,13 @@ impl PathStream {
             record_addresses: false,
             stack: Vec::new(),
             counts: vec![0],
+            last_len: 0,
+            closed_to: usize::MAX,
             next_id: 0,
             matched: 0,
             located: Vec::new(),
-            deweys: Vec::new(),
+            codes: Vec::new(),
+            deweys: OnceCell::new(),
             stats: StreamStats::default(),
         }
     }
@@ -78,9 +99,10 @@ impl PathStream {
         self
     }
 
-    /// Record the Dewey address of every match as it is found (costs
-    /// O(depth) per match; without it, memory is independent of matches'
-    /// addresses).
+    /// Record the Dewey address of every match as it is found. Each one is
+    /// stored as its difference from the previous match's, so a whole
+    /// answer costs O(nodes + matches) words; without it, memory is
+    /// independent of matches' addresses.
     pub fn record_addresses(mut self, on: bool) -> PathStream {
         self.record_addresses = on;
         self
@@ -110,15 +132,42 @@ impl PathStream {
         &self.located
     }
 
-    /// Dewey addresses of the matches (when recorded), aligned with
-    /// [`located`](PathStream::located).
-    pub fn addresses(&self) -> impl Iterator<Item = &[u32]> {
-        self.deweys.iter().map(Vec::as_slice)
+    /// Call `f` on the Dewey address of each match (when recorded), in the
+    /// order of [`located`](PathStream::located), stopping at its first
+    /// error. The addresses are decoded into one reused buffer.
+    pub fn try_for_each_address<E>(
+        &self,
+        mut f: impl FnMut(&[u32]) -> Result<(), E>,
+    ) -> Result<(), E> {
+        let mut addr: Vec<u32> = Vec::new();
+        let mut i = 0;
+        while i < self.codes.len() {
+            let (common, tail) = (self.codes[i] as usize, self.codes[i + 1] as usize);
+            addr.truncate(common);
+            addr.extend_from_slice(&self.codes[i + 2..i + 2 + tail]);
+            f(&addr)?;
+            i += 2 + tail;
+        }
+        Ok(())
     }
 
-    /// [`addresses`](PathStream::addresses) as stored, kept for E12.
+    /// Number of words the recorded addresses occupy.
+    pub fn address_words(&self) -> usize {
+        self.codes.len()
+    }
+
+    /// The recorded addresses, one `Vec` each, decoded on first request
+    /// (for E12; [`try_for_each_address`](PathStream::try_for_each_address)
+    /// allocates nothing per address).
     pub fn deweys(&self) -> &[Vec<u32>] {
-        &self.deweys
+        self.deweys.get_or_init(|| {
+            let mut all = Vec::new();
+            let Ok(()) = self.try_for_each_address(|a| {
+                all.push(a.to_vec());
+                Ok::<(), Infallible>(())
+            });
+            all
+        })
     }
 
     /// Event/memory counters gathered while streaming.
@@ -160,7 +209,7 @@ impl HedgeSink for PathStream {
             if !self.count_only {
                 self.located.push(id);
                 if self.record_addresses {
-                    self.deweys.push(self.counts.clone());
+                    self.record_address();
                 }
             }
         }
@@ -186,8 +235,22 @@ impl HedgeSink for PathStream {
         self.stats.bump_event();
         if self.stack.pop().is_some() {
             self.counts.pop();
+            self.closed_to = self.closed_to.min(self.counts.len() - 1);
         }
         true
+    }
+}
+
+impl PathStream {
+    /// Append the current address, coded against the last recorded one.
+    fn record_address(&mut self) {
+        let common = self.closed_to.min(self.last_len);
+        let tail = &self.counts[common..];
+        self.codes.push(common as u32);
+        self.codes.push(tail.len() as u32);
+        self.codes.extend_from_slice(tail);
+        self.last_len = self.counts.len();
+        self.closed_to = usize::MAX;
     }
 }
 
@@ -208,8 +271,8 @@ mod tests {
         let streamed = sink.finish().to_vec();
         assert_eq!(streamed, path.locate(&flat), "{path_src} on {doc_src}");
         // Each recorded address names its match.
-        assert_eq!(sink.addresses().count(), streamed.len());
-        for (addr, &n) in sink.addresses().zip(&streamed) {
+        assert_eq!(sink.deweys().len(), streamed.len());
+        for (addr, &n) in sink.deweys().iter().zip(&streamed) {
             assert_eq!(flat.by_dewey(addr), Some(n), "address of {n}");
         }
     }

@@ -22,6 +22,11 @@ echo "== cargo test -q --offline --no-default-features (pinned two-pass) =="
 # Same match sets with instrumentation compiled out: observe, never perturb.
 cargo test -q --offline --no-default-features -p hedgex --test two_pass_pinned
 
+echo "== cargo test -q --offline --no-default-features (pinned construction sizes) =="
+# The paper's constructions reach the same state spaces, component sharing
+# included, whether or not the obs counters are compiled in.
+cargo test -q --offline --no-default-features -p hedgex --test construction_sizes
+
 echo "== cargo test -q --offline --no-default-features (parallel) =="
 # The pool must stay deterministic with the obs counters compiled out.
 cargo test -q --offline --no-default-features -p hedgex --test parallel

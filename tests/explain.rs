@@ -273,3 +273,33 @@ fn report_json_round_trips() {
     }
     std::fs::remove_file(&file).ok();
 }
+
+/// Each distinct component compiles once: the figure-before-table PHR has
+/// eight sibling slots but two distinct expressions (`U` and
+/// `table<U> (U)`), so Lemma 1 and Theorem 1 each run twice.
+#[test]
+fn figure_before_table_compiles_each_distinct_component_once() {
+    if !hedgex::obs::is_enabled() {
+        return;
+    }
+    let file = docbook_file("sharing.xml", 200, 4);
+    let json_path = file.with_extension("json");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_hxq"))
+        .args(["--count", "--phr", &figure_before_table(), "--metrics-json"])
+        .arg(&json_path)
+        .arg(&file)
+        .output()
+        .unwrap();
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let json = Json::parse(&std::fs::read_to_string(&json_path).unwrap()).unwrap();
+    let counters = json.get("metrics").and_then(|m| m.get("counters")).unwrap();
+    for name in ["core.compile.calls", "ha.determinize.calls"] {
+        assert_eq!(counters.get(name).and_then(Json::as_u64), Some(2), "{name}");
+    }
+    std::fs::remove_file(&json_path).ok();
+    std::fs::remove_file(&file).ok();
+}

@@ -571,3 +571,81 @@ fn two_pass_equals_baselines() {
         },
     );
 }
+
+/// A PHR of 2–3 triplets whose sibling slots are drawn from a pool of
+/// three expressions, so at least one component fills several slots (4–6
+/// slots). The pool mixes the universal expression, ε, "some sibling is an
+/// `sₖ` tree", "every tree is built of `sₖ`" and random expressions, so
+/// that matches are common. The triplet regex is their sequence, that
+/// sequence starred, or (half the time) their alternation repeated.
+fn arb_repeating_phr() -> Gen<hedgex::core::phr::Phr> {
+    use hedgex::core::phr::{Pbhr, Phr};
+    use hedgex_automata::Regex;
+    Gen::new(|rng| {
+        let mut ab = Alphabet::new();
+        for name in ["s0", "s1", "s2"] {
+            ab.sym(name);
+        }
+        ab.var("v0");
+        ab.var("v1");
+        let u = "(s0<%z>|s1<%z>|s2<%z>|$v0|$v1)*^z";
+        let pool: Vec<Hre> = (0..3)
+            .map(|_| {
+                let k = rng.random_range(0..3u32);
+                let src = match rng.random_range(0..6u32) {
+                    0 | 1 => u.to_string(),
+                    2 => "ε".to_string(),
+                    3 => format!("{u} s{k}<{u}> ({u})"),
+                    4 => format!("(s{k}<%z>|$v0)*^z"),
+                    _ => return gen_hre(rng, 2),
+                };
+                parse_hre(&src, &mut ab).unwrap()
+            })
+            .collect();
+        // Labels rotate through the symbols, so most nodes have a triplet.
+        let n = rng.random_range(2..4u32);
+        let first = rng.random_range(0..3u32);
+        let triplets = (0..n)
+            .map(|t| Pbhr {
+                elder: pool[rng.random_range(0..3usize)].clone(),
+                label: SymId((first + t) % 3),
+                younger: pool[rng.random_range(0..3usize)].clone(),
+            })
+            .collect();
+        let seq = (1..n).fold(Regex::sym(0), |r, t| r.concat(Regex::sym(t)));
+        let regex = match rng.random_range(0..4u32) {
+            0 => seq,
+            1 => seq.star(),
+            _ => Regex::any_of((0..n).map(Regex::sym)).plus(),
+        };
+        Phr { triplets, regex }
+    })
+}
+
+/// Components compiled once and shared across the slots they fill give
+/// the match sets of the quadratic baseline and of the declarative
+/// evaluator, which compiles nothing.
+#[test]
+fn repeated_components_match_the_baselines() {
+    forall(
+        "repeated_components_match_the_baselines",
+        Config::with_cases(64),
+        &zip2(arb_hedge(), arb_repeating_phr()),
+        |(h, phr)| {
+            let compiled = CompiledPhr::compile(phr);
+            let f = FlatHedge::from_hedge(h);
+            let fast = hedgex::core::two_pass::locate(&compiled, &f);
+            prop_assert_eq!(
+                &fast,
+                &hedgex::baseline::quadratic_locate_phr(&compiled, &f),
+                "quadratic baseline disagrees"
+            );
+            prop_assert_eq!(
+                &fast,
+                &phr.locate_naive(&f),
+                "declarative evaluator disagrees"
+            );
+            Ok(())
+        },
+    );
+}

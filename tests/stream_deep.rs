@@ -126,3 +126,35 @@ fn exists_aborts_the_parse_after_the_first_match() {
         assert!(events > before.1);
     }
 }
+
+/// A streamed locate stores each address as its difference from the
+/// previous one: on a 10k-deep chain where every node matches, the
+/// addresses spell 50M steps, yet occupy at most 2 × (nodes + matches)
+/// words, and they decode to the right answer.
+#[test]
+fn streamed_addresses_stay_linear_on_a_deep_chain() {
+    let depth = 10_000;
+    let src = chain(depth);
+    let mut ab = Alphabet::new();
+    let path = parse_path("a*a", &mut ab).unwrap();
+    let mut sink = PathStream::new(&path, &ab).record_addresses(true);
+    let outcome = stream_xml(&src, &mut ab, HedgeConfig::default(), &mut sink).unwrap();
+    assert_eq!(outcome, StreamOutcome::Finished);
+    assert_eq!(sink.finish().len(), depth);
+    let words = sink.address_words();
+    assert!(
+        words <= 2 * (depth + depth),
+        "{words} address words for {depth} nodes and matches"
+    );
+    // The k-th match is the chain's k-th node, at /1/1/…/1 (k steps).
+    let mut k = 0;
+    let decoded = sink.try_for_each_address(|addr| {
+        k += 1;
+        match addr.len() == k && addr.iter().all(|&d| d == 1) {
+            true => Ok(()),
+            false => Err(k),
+        }
+    });
+    assert_eq!(decoded, Ok(()));
+    assert_eq!(k, depth);
+}
