@@ -84,30 +84,13 @@ pub struct FlatHedge {
     roots: Vec<NodeId>,
 }
 
-/// Why a `(label, parent)` record sequence is not a valid preorder forest
-/// (see [`FlatHedge::from_parts`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct FromPartsError {
-    /// Index of the offending record.
-    pub index: usize,
-    /// What was wrong with it.
-    pub reason: &'static str,
-}
-
-impl std::fmt::Display for FromPartsError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "node {}: {}", self.index, self.reason)
-    }
-}
-
-impl std::error::Error for FromPartsError {}
-
 /// Builds a [`FlatHedge`] from preorder structure events — it is a
 /// [`HedgeSink`]: `open` a Σ node, add a `leaf`, `close` the innermost
 /// open node — owning the sibling/child link bookkeeping every
 /// construction route shares ([`FlatHedge::from_hedge`],
-/// [`FlatHedge::from_parts`], and `hedgex_xml::parse_flat`, where the XML
-/// event parser drives it directly).
+/// `hedgex_xml::parse_flat`, where the XML event parser drives it
+/// directly, and the store loader, which replays each document's
+/// `(label, parent)` records).
 ///
 /// Nodes get their ids in arrival order, which is preorder. Only open
 /// nodes can still gain children, so the builder keeps just the open
@@ -148,7 +131,8 @@ impl FlatBuilder {
     }
 
     /// The innermost open node, if any: the parent the next node gets.
-    fn innermost_open(&self) -> Option<NodeId> {
+    #[inline]
+    pub fn innermost_open(&self) -> Option<NodeId> {
         self.open.last().map(|&(id, _)| id)
     }
 
@@ -157,6 +141,9 @@ impl FlatBuilder {
         self.out
     }
 
+    // Always inlined: a plain hint leaves it a call in the store loader's
+    // per-record loop, one per node.
+    #[inline(always)]
     fn push(&mut self, label: FlatLabel) -> NodeId {
         let id = NodeId::try_from(self.out.nodes.len())
             .ok()
@@ -189,6 +176,7 @@ impl HedgeSink for FlatBuilder {
     /// Open a Σ node as the youngest child of the innermost open node (or
     /// as the youngest root). Its children follow until the matching
     /// [`close`](Self::close).
+    #[inline]
     fn open(&mut self, a: SymId) -> bool {
         let id = self.push(FlatLabel::Sym(a));
         self.open.push((id, NIL));
@@ -196,6 +184,7 @@ impl HedgeSink for FlatBuilder {
     }
 
     /// Add a variable or substitution leaf.
+    #[inline]
     fn leaf(&mut self, l: Leaf) -> bool {
         self.push(l.into());
         true
@@ -205,6 +194,7 @@ impl HedgeSink for FlatBuilder {
     ///
     /// # Panics
     /// If no node is open.
+    #[inline]
     fn close(&mut self) -> bool {
         self.open.pop().expect("close without a matching open");
         true
@@ -244,54 +234,6 @@ impl FlatHedge {
             }
         }
         b.finish()
-    }
-
-    /// Rebuild a flat hedge from its essential data: one `(label, parent)`
-    /// record per node, in preorder (`NIL` parent marks a root). The
-    /// sibling/child links are derivable — in preorder a node always
-    /// arrives as the *youngest* child of its parent so far — which is what
-    /// makes the dense layout serialization-shaped: an on-disk format needs
-    /// to persist only these records (see `hedgex-store`).
-    ///
-    /// The sequence is validated, not trusted: each record's parent must be
-    /// an *open ancestor* — a `Σ`-labelled node on the rightmost path at
-    /// that point of the walk. That single rule enforces everything the
-    /// evaluators rely on (parents precede children, only `Σ` nodes have
-    /// children, and every subtree occupies a contiguous preorder range);
-    /// violations return an error naming the offending record.
-    ///
-    /// Round-trip law: for any flat hedge `h`,
-    /// `from_parts(h.preorder().map(|n| (h.label(n), h.parent(n)…))) == h`.
-    pub fn from_parts(
-        records: impl IntoIterator<Item = (FlatLabel, NodeId)>,
-    ) -> Result<FlatHedge, FromPartsError> {
-        let records = records.into_iter();
-        let mut b = FlatBuilder::with_capacity(records.size_hint().0);
-        for (i, (label, parent)) in records.enumerate() {
-            if i >= NIL as usize {
-                return Err(FromPartsError {
-                    index: i,
-                    reason: "too many nodes for a u32 arena",
-                });
-            }
-            // Close subtrees until the claimed parent is the innermost open
-            // ancestor (a root closes them all); each node is opened and
-            // closed at most once, so the whole rebuild stays linear.
-            while b.innermost_open().is_some_and(|a| a != parent) {
-                b.close();
-            }
-            if parent != NIL && b.innermost_open() != Some(parent) {
-                return Err(FromPartsError {
-                    index: i,
-                    reason: "parent is not an open Σ ancestor (records are not in preorder)",
-                });
-            }
-            match Leaf::try_from(label) {
-                Err(a) => b.open(a),
-                Ok(leaf) => b.leaf(leaf),
-            };
-        }
-        Ok(b.finish())
     }
 
     /// Number of nodes.
@@ -560,40 +502,9 @@ mod tests {
     }
 
     #[test]
-    fn from_parts_round_trips_and_rejects_non_preorder() {
-        let (_, f) = sample();
-        let records: Vec<(FlatLabel, NodeId)> = f
-            .preorder()
-            .map(|n| (f.label(n), f.parent(n).unwrap_or(NIL)))
-            .collect();
-        let rebuilt = FlatHedge::from_parts(records.clone()).unwrap();
-        assert_eq!(rebuilt, f, "links are fully derivable from (label, parent)");
-
-        // Forward parent reference.
-        let mut bad = records.clone();
-        bad[1].1 = 3;
-        assert_eq!(FlatHedge::from_parts(bad).unwrap_err().index, 1);
-        // Self parent.
-        let mut bad = records.clone();
-        bad[2].1 = 2;
-        assert_eq!(FlatHedge::from_parts(bad).unwrap_err().index, 2);
-        // Parent already closed: node 5's subtree-range parent is 1, but 0
-        // left the rightmost path as soon as node 1 arrived.
-        let mut bad = records.clone();
-        bad[5].1 = 0;
-        assert_eq!(FlatHedge::from_parts(bad).unwrap_err().index, 5);
-        // A non-Σ parent (node 4 is the $x leaf) is never open.
-        let mut bad = records;
-        bad[5].1 = 4;
-        assert_eq!(FlatHedge::from_parts(bad).unwrap_err().index, 5);
-        // The empty hedge is fine.
-        assert_eq!(FlatHedge::from_parts([]).unwrap().num_nodes(), 0);
-    }
-
-    #[test]
-    fn builder_events_round_trip_from_hedge_and_from_parts() {
+    fn builder_events_round_trip_from_hedge() {
         // b a⟨a⟨b x⟩ b⟩ spelled as sink events: ids arrive in preorder, no
-        // event asks to stop, and all three routes agree.
+        // event asks to stop, and both routes agree.
         let (mut ab, f) = sample();
         let (a, b, x) = (ab.sym("a"), ab.sym("b"), ab.var("x"));
         let mut fb = FlatBuilder::new();
@@ -609,15 +520,8 @@ mod tests {
         // The outer a is left open: finish closes it.
         assert_eq!(fb.finish(), f);
 
-        // from_parts and from_hedge both go through the builder; each
-        // reproduces the other's output.
-        let records: Vec<(FlatLabel, NodeId)> = f
-            .preorder()
-            .map(|n| (f.label(n), f.parent(n).unwrap_or(NIL)))
-            .collect();
-        let from_parts = FlatHedge::from_parts(records).unwrap();
-        assert_eq!(FlatHedge::from_hedge(&from_parts.to_hedge()), f);
-        assert_eq!(from_parts, f);
+        // from_hedge goes through the builder too and reproduces it.
+        assert_eq!(FlatHedge::from_hedge(&f.to_hedge()), f);
         assert_eq!(FlatBuilder::new().finish().num_nodes(), 0);
     }
 

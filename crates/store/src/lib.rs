@@ -8,18 +8,20 @@
 //! * [`DocumentStore`] — an on-disk corpus of [`FlatHedge`]s plus their
 //!   shared [`Alphabet`]. The dense preorder arena is already
 //!   serialization-shaped: one `(label, parent)` record per node is the
-//!   whole document, and `FlatHedge::from_parts` validates and relinks it
-//!   at load. The file format is versioned and checksummed; loading
-//!   truncated or corrupted bytes returns a typed [`StoreError`] with a
-//!   byte-accurate position — never a panic.
+//!   whole document. The file format is versioned and checksummed, and a
+//!   load takes one pass per document: each record goes straight into a
+//!   [`FlatBuilder`], which validates the preorder forest as it relinks
+//!   it. Loading truncated or corrupted bytes returns a typed
+//!   [`StoreError`] with a byte-accurate position — never a panic.
 //! * [`StructIndex`] — per stored document: per-symbol postings
 //!   (`SymId` → sorted preorder node ids) and each node's subtree extent
 //!   (its descendants are the preorder range `n+1..subtree_end[n]`). The
-//!   index is derived, never stored: [`DocumentStore::from_bytes`] builds
-//!   it from the validated document in one linear pass (postings by
-//!   counting sort, extents by one reverse sweep over parent links), so
-//!   the file holds only the alphabet and the node records, and depth
-//!   costs nothing.
+//!   index is derived, never stored: the load's decode loop takes each
+//!   extent from the builder's open stack as it pops, and the postings
+//!   are counting-sorted from the same record bytes, so the file holds
+//!   only the alphabet and the node records, and depth costs nothing.
+//!   [`StructIndex::build`] derives the same index from an in-memory
+//!   document.
 //! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
 //!   are checked against postings emptiness (O(1) per document instead of
 //!   a label scan), the candidate set is the union of the
@@ -35,6 +37,7 @@
 //!
 //! [`FlatHedge`]: hedgex_hedge::FlatHedge
 //! [`Alphabet`]: hedgex_hedge::Alphabet
+//! [`FlatBuilder`]: hedgex_hedge::FlatBuilder
 //! [`CompiledPhr::match_syms`]: hedgex_core::CompiledPhr::match_syms
 
 #![forbid(unsafe_code)]

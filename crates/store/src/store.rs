@@ -5,9 +5,9 @@
 //!
 //! ```text
 //! offset 0   magic  b"HXST"
-//!        4   version u32                  (currently 2)
+//!        4   version u32                  (currently 3)
 //!        8   payload length u64           (bytes after the header)
-//!        16  checksum u64                 (FNV-1a 64 over the payload)
+//!        16  checksum u64                 (see [`checksum`])
 //!        24  payload:
 //!              alphabet   3 × [count u32, count × (len u32, utf-8 bytes)]
 //!                         (symbols, variables, substitution symbols)
@@ -18,26 +18,38 @@
 //! ```
 //!
 //! The node records are the *entire* document — `(label, parent)` per node
-//! in preorder — because the arena's sibling/child links are derivable
-//! (`FlatHedge::from_parts` revalidates and relinks on load). The
-//! structural index is derivable too, so it is never written: the loader
-//! builds it from the freshly validated hedge in time linear in the
-//! nodes, and pruned evaluation never reads anything it did not derive.
-//! Version 1 files, which also carried the index, are refused with
-//! [`StoreError::UnsupportedVersion`].
+//! in preorder — because the arena's sibling/child links are derivable.
+//! The structural index is derivable too, so it is never written.
+//!
+//! A load makes two passes over the bytes through one bounded buffer. The
+//! first checks the header and the checksum, so nothing is parsed before
+//! the whole payload is known intact. The second decodes: each document's
+//! records are read into one reused buffer and replayed into a
+//! [`FlatBuilder`], which validates the preorder forest as it links it,
+//! while the same loop derives the subtree extents from the open stack and
+//! counts the postings. [`DocumentStore::load`] streams a file, and
+//! [`DocumentStore::from_bytes`] runs the same decoder over a slice.
+//! Versions 1 (which also carried the index) and 2 (an FNV-1a checksum)
+//! are refused with [`StoreError::UnsupportedVersion`].
 //!
 //! Every load error is a typed [`StoreError`] carrying the byte offset at
 //! which the problem was detected; no input, however mangled, panics.
 
+use std::fs::File;
+use std::io::{self, Read, Seek, SeekFrom};
+use std::path::Path;
+
 use hedgex_hedge::flat::{FlatLabel, NIL};
-use hedgex_hedge::{Alphabet, FlatHedge, NodeId, SubId, SymId, VarId};
+use hedgex_hedge::{
+    Alphabet, FlatBuilder, FlatHedge, HedgeSink, Leaf, NodeId, SubId, SymId, VarId,
+};
 use hedgex_obs as obs;
 
 /// File magic: "HedgeX STore".
 pub const MAGIC: [u8; 4] = *b"HXST";
 
 /// Current format version.
-pub const VERSION: u32 = 2;
+pub const VERSION: u32 = 3;
 
 /// Header size in bytes (magic + version + payload length + checksum).
 pub const HEADER_LEN: usize = 24;
@@ -170,14 +182,46 @@ impl From<std::io::Error> for StoreError {
     }
 }
 
-/// FNV-1a 64 over raw bytes (the payload checksum).
-pub fn fnv1a_bytes(bytes: &[u8]) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        h ^= u64::from(b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
+/// The payload checksum: four lanes over little-endian `u64` words (word
+/// `i` feeds lane `i % 4`), folded into one, then the bytes past the last
+/// whole 32-byte block one at a time. Every `mix` step is a bijection of
+/// the running value and of its input, so any one changed word or byte
+/// changes the sum.
+pub fn checksum(bytes: &[u8]) -> u64 {
+    finish_checksum(LANES, bytes)
+}
+
+/// The lanes of [`checksum`] before any input.
+const LANES: [u64; 4] = {
+    let seed = 0xcbf2_9ce4_8422_2325;
+    [seed, seed ^ 1, seed ^ 2, seed ^ 3]
+};
+
+/// One step of [`checksum`]: xor the input in, multiply by an odd
+/// constant, and xor-shift right, so high bits reach low ones.
+fn mix(h: u64, input: u64) -> u64 {
+    let h = (h ^ input).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    h ^ (h >> 29)
+}
+
+/// Mix the whole 32-byte blocks of `bytes` into `lanes`, kept in locals so
+/// the four multiply chains overlap.
+fn mix_blocks(mut lanes: [u64; 4], bytes: &[u8]) -> [u64; 4] {
+    for block in bytes.chunks_exact(32) {
+        for (lane, word) in lanes.iter_mut().zip(block.chunks_exact(8)) {
+            *lane = mix(*lane, u64::from_le_bytes(word.try_into().expect("8")));
+        }
     }
-    h
+    lanes
+}
+
+/// [`checksum`] of input whose leading whole blocks are already in `lanes`
+/// and whose last bytes are `rest`.
+fn finish_checksum(lanes: [u64; 4], rest: &[u8]) -> u64 {
+    let [first, others @ ..] = mix_blocks(lanes, rest);
+    let h = others.into_iter().fold(first, mix);
+    let tail = rest.chunks_exact(32).remainder();
+    tail.iter().fold(h, |h, &b| mix(h, u64::from(b)))
 }
 
 // ---------------------------------------------------------------------------
@@ -200,29 +244,17 @@ pub struct StructIndex {
 }
 
 impl StructIndex {
-    /// Index one document against an alphabet of `num_syms` symbols, in
-    /// time linear in its nodes whatever its depth.
+    /// Index one in-memory document against an alphabet of `num_syms`
+    /// symbols, in time linear in its nodes whatever its depth. A load
+    /// derives the same index while it decodes instead.
     pub fn build(h: &FlatHedge, num_syms: usize) -> StructIndex {
         let n = h.num_nodes();
-        // Postings by counting sort: dense by SymId, preorder within.
-        let mut counts = vec![0u32; num_syms + 1];
-        for id in h.preorder() {
-            if let FlatLabel::Sym(a) = h.label(id) {
-                counts[a.0 as usize + 1] += 1;
-            }
-        }
-        for s in 0..num_syms {
-            counts[s + 1] += counts[s];
-        }
-        let postings_off = counts.clone();
-        let mut cursor = counts;
-        let mut postings = vec![0 as NodeId; postings_off[num_syms] as usize];
-        for id in h.preorder() {
-            if let FlatLabel::Sym(a) = h.label(id) {
-                postings[cursor[a.0 as usize] as usize] = id;
-                cursor[a.0 as usize] += 1;
-            }
-        }
+        let syms = || {
+            h.preorder().filter_map(|id| match h.label(id) {
+                FlatLabel::Sym(a) => Some((id, a)),
+                _ => None,
+            })
+        };
         // Subtree extents by one reverse sweep: ids run in preorder, so a
         // node's descendants all come after it and are final by the time
         // the sweep reaches it; each then extends its parent's extent.
@@ -233,6 +265,32 @@ impl StructIndex {
                 let parent_end = &mut subtree_end[p as usize];
                 *parent_end = (*parent_end).max(end);
             }
+        }
+        let mut counts = vec![0u32; num_syms + 1];
+        for (_, a) in syms() {
+            counts[a.0 as usize + 1] += 1;
+        }
+        StructIndex::with_postings(counts, syms(), subtree_end)
+    }
+
+    /// The index over `subtree_end`, with postings counting-sorted:
+    /// `counts[s + 1]` nodes carry `SymId(s)`, and `syms` lists them in
+    /// preorder.
+    fn with_postings(
+        counts: Vec<u32>,
+        syms: impl Iterator<Item = (NodeId, SymId)>,
+        subtree_end: Vec<NodeId>,
+    ) -> StructIndex {
+        let mut postings_off = counts;
+        let num_syms = postings_off.len() - 1;
+        for s in 0..num_syms {
+            postings_off[s + 1] += postings_off[s];
+        }
+        let mut cursor = postings_off.clone();
+        let mut postings = vec![0 as NodeId; postings_off[num_syms] as usize];
+        for (id, a) in syms {
+            postings[cursor[a.0 as usize] as usize] = id;
+            cursor[a.0 as usize] += 1;
         }
         StructIndex {
             postings_off,
@@ -337,55 +395,95 @@ impl DocumentStore {
 
     // -- serialization ------------------------------------------------------
 
-    /// Serialize to the versioned, checksummed byte format.
+    /// Serialize to the versioned, checksummed byte format. The payload is
+    /// written in place behind the header, whose length and checksum are
+    /// filled in last.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut payload = Vec::new();
+        let mut out = Vec::new();
+        out.extend_from_slice(&MAGIC);
+        out.extend_from_slice(&VERSION.to_le_bytes());
+        out.resize(HEADER_LEN, 0);
         let ab = &self.alphabet;
         write_names(
-            &mut payload,
+            &mut out,
             (0..ab.num_syms()).map(|i| ab.sym_name(SymId(i as u32))),
         );
         write_names(
-            &mut payload,
+            &mut out,
             (0..ab.num_vars()).map(|i| ab.var_name(VarId(i as u32))),
         );
         write_names(
-            &mut payload,
+            &mut out,
             (0..ab.num_subs()).map(|i| ab.sub_name(SubId(i as u32))),
         );
-        write_u32(&mut payload, self.docs.len() as u32);
+        write_u32(&mut out, self.docs.len() as u32);
+        let doc_bytes = |d: &StoredDoc| 8 + d.name.len() + 9 * d.hedge.num_nodes();
+        out.reserve_exact(self.docs.iter().map(doc_bytes).sum());
         for doc in &self.docs {
-            write_u32(&mut payload, doc.name.len() as u32);
-            payload.extend_from_slice(doc.name.as_bytes());
+            write_u32(&mut out, doc.name.len() as u32);
+            out.extend_from_slice(doc.name.as_bytes());
             let h = &doc.hedge;
-            write_u32(&mut payload, h.num_nodes() as u32);
+            write_u32(&mut out, h.num_nodes() as u32);
             for id in h.preorder() {
                 let (tag, label) = match h.label(id) {
                     FlatLabel::Sym(a) => (0u8, a.0),
                     FlatLabel::Var(x) => (1u8, x.0),
                     FlatLabel::Subst(z) => (2u8, z.0),
                 };
-                payload.push(tag);
-                write_u32(&mut payload, label);
-                write_u32(&mut payload, h.parent(id).unwrap_or(NIL));
+                out.push(tag);
+                write_u32(&mut out, label);
+                write_u32(&mut out, h.parent(id).unwrap_or(NIL));
             }
         }
-        let mut out = Vec::with_capacity(HEADER_LEN + payload.len());
-        out.extend_from_slice(&MAGIC);
-        out.extend_from_slice(&VERSION.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u64).to_le_bytes());
-        out.extend_from_slice(&fnv1a_bytes(&payload).to_le_bytes());
-        out.extend_from_slice(&payload);
+        let payload_len = (out.len() - HEADER_LEN) as u64;
+        let sum = checksum(&out[HEADER_LEN..]);
+        out[8..16].copy_from_slice(&payload_len.to_le_bytes());
+        out[16..24].copy_from_slice(&sum.to_le_bytes());
         out
     }
 
     /// Parse the byte format. Never panics; every malformation returns a
     /// positioned [`StoreError`].
     pub fn from_bytes(buf: &[u8]) -> Result<DocumentStore, StoreError> {
+        DocumentStore::decode(io::Cursor::new(buf), buf.len())
+    }
+
+    /// Write the store to a file.
+    pub fn save(&self, path: &Path) -> Result<(), StoreError> {
+        let _span = obs::span("store.save");
+        std::fs::write(path, self.to_bytes())?;
+        Ok(())
+    }
+
+    /// Read a store from a regular file. The file is read twice, in 64 KB
+    /// chunks, and never held whole.
+    pub fn load(path: &Path) -> Result<DocumentStore, StoreError> {
+        let file = File::open(path)?;
+        let meta = file.metadata()?;
+        if !meta.is_file() {
+            let e = io::Error::new(
+                io::ErrorKind::InvalidInput,
+                "a store must be a regular file",
+            );
+            return Err(e.into());
+        }
+        let src = io::BufReader::with_capacity(1 << 16, file);
+        DocumentStore::decode(src, usize::try_from(meta.len()).unwrap_or(usize::MAX))
+    }
+
+    /// The one decoder behind [`from_bytes`](Self::from_bytes) and
+    /// [`load`](Self::load), over the `len` bytes of `src`. The first pass
+    /// checks the header and the checksum, so nothing is parsed from bytes
+    /// the checksum has not cleared; the second decodes the payload.
+    fn decode(src: impl Read + Seek, len: usize) -> Result<DocumentStore, StoreError> {
         let _span = obs::span("store.load");
-        let mut r = Reader { buf, pos: 0 };
-        let magic = r.bytes(4)?;
-        if magic != MAGIC {
+        let mut r = Reader {
+            src,
+            pos: 0,
+            len,
+            buf: Vec::new(),
+        };
+        if r.bytes(4)? != MAGIC {
             return Err(StoreError::BadMagic { offset: 0 });
         }
         let version = r.u32()?;
@@ -397,15 +495,15 @@ impl DocumentStore {
         }
         let declared = r.u64()?;
         let stored_sum = r.u64()?;
-        let payload = &buf[HEADER_LEN..];
-        if declared != payload.len() as u64 {
+        let actual = (len - HEADER_LEN) as u64;
+        if declared != actual {
             return Err(StoreError::LengthMismatch {
                 offset: 8,
                 declared,
-                actual: payload.len() as u64,
+                actual,
             });
         }
-        let computed = fnv1a_bytes(payload);
+        let computed = r.checksum_rest()?;
         if computed != stored_sum {
             return Err(StoreError::ChecksumMismatch {
                 offset: 16,
@@ -418,63 +516,13 @@ impl DocumentStore {
         read_names(&mut r, |n| alphabet.sym(n).0)?;
         read_names(&mut r, |n| alphabet.var(n).0)?;
         read_names(&mut r, |n| alphabet.sub(n).0)?;
-        let num_syms = alphabet.num_syms() as u32;
-        let num_vars = alphabet.num_vars() as u32;
-        let num_subs = alphabet.num_subs() as u32;
-
         let doc_count = r.u32()? as usize;
         let mut docs = Vec::new();
         r.check_items(doc_count, 8)?;
         for _ in 0..doc_count {
-            let name_len = r.u32()? as usize;
-            let name_off = r.pos;
-            let name = std::str::from_utf8(r.bytes(name_len)?)
-                .map_err(|_| StoreError::Corrupt {
-                    offset: name_off,
-                    what: "document name is not valid UTF-8",
-                })?
-                .to_string();
-
-            let node_count = r.u32()? as usize;
-            r.check_items(node_count, 9)?;
-            let nodes_off = r.pos;
-            let mut records: Vec<(FlatLabel, NodeId)> = Vec::with_capacity(node_count);
-            for _ in 0..node_count {
-                let tag = r.u8()?;
-                let label = r.u32()?;
-                let parent = r.u32()?;
-                let label = match tag {
-                    0 if label < num_syms => FlatLabel::Sym(SymId(label)),
-                    1 if label < num_vars => FlatLabel::Var(VarId(label)),
-                    2 if label < num_subs || label == SubId::ETA.0 => {
-                        FlatLabel::Subst(SubId(label))
-                    }
-                    0..=2 => {
-                        return Err(StoreError::Corrupt {
-                            offset: nodes_off,
-                            what: "node label id out of the alphabet's range",
-                        })
-                    }
-                    _ => {
-                        return Err(StoreError::Corrupt {
-                            offset: nodes_off,
-                            what: "unknown node label tag",
-                        })
-                    }
-                };
-                records.push((label, parent));
-            }
-            let hedge = FlatHedge::from_parts(records).map_err(|_| StoreError::Corrupt {
-                offset: nodes_off,
-                what: "node records are not a preorder forest",
-            })?;
-
-            // The index is derived from the validated hedge, never read:
-            // pruned evaluation trusts only what it computed itself.
-            let index = StructIndex::build(&hedge, num_syms as usize);
-            docs.push(StoredDoc { name, hedge, index });
+            docs.push(read_doc(&mut r, &alphabet)?);
         }
-        if r.pos != buf.len() {
+        if r.pos != len {
             return Err(StoreError::Corrupt {
                 offset: r.pos,
                 what: "trailing bytes after the last document",
@@ -482,19 +530,6 @@ impl DocumentStore {
         }
         obs::counter_add("store.load.docs", docs.len() as u64);
         Ok(DocumentStore { alphabet, docs })
-    }
-
-    /// Write the store to a file.
-    pub fn save(&self, path: &std::path::Path) -> Result<(), StoreError> {
-        let _span = obs::span("store.save");
-        std::fs::write(path, self.to_bytes())?;
-        Ok(())
-    }
-
-    /// Read a store from a file.
-    pub fn load(path: &std::path::Path) -> Result<DocumentStore, StoreError> {
-        let bytes = std::fs::read(path)?;
-        DocumentStore::from_bytes(&bytes)
     }
 }
 
@@ -510,7 +545,10 @@ fn write_names<'a>(out: &mut Vec<u8>, names: impl ExactSizeIterator<Item = &'a s
     }
 }
 
-fn read_names(r: &mut Reader<'_>, mut intern: impl FnMut(&str) -> u32) -> Result<(), StoreError> {
+fn read_names<R: Read + Seek>(
+    r: &mut Reader<R>,
+    mut intern: impl FnMut(&str) -> u32,
+) -> Result<(), StoreError> {
     let count = r.u32()? as usize;
     r.check_items(count, 4)?;
     for i in 0..count {
@@ -530,15 +568,95 @@ fn read_names(r: &mut Reader<'_>, mut intern: impl FnMut(&str) -> u32) -> Result
     Ok(())
 }
 
-/// A positioned, bounds-checked little-endian reader.
-struct Reader<'a> {
-    buf: &'a [u8],
-    pos: usize,
+/// Decode one document in one pass over its node records: each record is
+/// checked and replayed into a [`FlatBuilder`], whose open stack is the
+/// rightmost path, so a record's parent must be on it, and every node it
+/// pops has its subtree end at the record that popped it. The same loop
+/// counts each symbol's nodes, and one more scan of the record bytes, now
+/// known valid, fills the postings. Every record error is reported at the
+/// document's first record.
+fn read_doc<R: Read + Seek>(r: &mut Reader<R>, ab: &Alphabet) -> Result<StoredDoc, StoreError> {
+    let name_len = r.u32()? as usize;
+    let name_off = r.pos;
+    let name = std::str::from_utf8(r.bytes(name_len)?)
+        .map_err(|_| StoreError::Corrupt {
+            offset: name_off,
+            what: "document name is not valid UTF-8",
+        })?
+        .to_string();
+
+    let node_count = r.u32()? as usize;
+    r.check_items(node_count, 9)?;
+    let nodes_off = r.pos;
+    let records = r.bytes(9 * node_count)?;
+    let corrupt = |what| StoreError::Corrupt {
+        offset: nodes_off,
+        what,
+    };
+    let field = |rec: &[u8], at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4"));
+    let (num_syms, num_vars, num_subs) = (ab.num_syms(), ab.num_vars(), ab.num_subs());
+    let mut b = FlatBuilder::with_capacity(node_count);
+    let mut subtree_end: Vec<NodeId> = Vec::with_capacity(node_count);
+    let mut counts = vec![0u32; num_syms + 1];
+    for (id, rec) in (0..).zip(records.chunks_exact(9)) {
+        let (label, parent) = (field(rec, 1), field(rec, 5));
+        let label = match rec[0] {
+            0 if (label as usize) < num_syms => FlatLabel::Sym(SymId(label)),
+            1 if (label as usize) < num_vars => FlatLabel::Var(VarId(label)),
+            2 if (label as usize) < num_subs || label == SubId::ETA.0 => {
+                FlatLabel::Subst(SubId(label))
+            }
+            0..=2 => return Err(corrupt("node label id out of the alphabet's range")),
+            _ => return Err(corrupt("unknown node label tag")),
+        };
+        // Close subtrees until the claimed parent is the innermost open
+        // node (a root closes them all); each node is opened and closed at
+        // most once, so the document decodes in linear time. A parent that
+        // is not open empties the stack.
+        while let Some(top) = b.innermost_open().filter(|&top| top != parent) {
+            b.close();
+            subtree_end[top as usize] = id;
+        }
+        if parent != NIL && b.innermost_open().is_none() {
+            return Err(corrupt("node records are not a preorder forest"));
+        }
+        subtree_end.push(id + 1);
+        match Leaf::try_from(label) {
+            Err(a) => {
+                counts[a.0 as usize + 1] += 1;
+                b.open(a)
+            }
+            Ok(leaf) => b.leaf(leaf),
+        };
+    }
+    while let Some(top) = b.innermost_open() {
+        b.close();
+        subtree_end[top as usize] = node_count as NodeId;
+    }
+    let syms = (0..)
+        .zip(records.chunks_exact(9))
+        .filter(|(_, rec)| rec[0] == 0)
+        .map(|(id, rec)| (id, SymId(field(rec, 1))));
+    let index = StructIndex::with_postings(counts, syms, subtree_end);
+    Ok(StoredDoc {
+        name,
+        hedge: b.finish(),
+        index,
+    })
 }
 
-impl<'a> Reader<'a> {
-    fn bytes(&mut self, n: usize) -> Result<&'a [u8], StoreError> {
-        let available = self.buf.len() - self.pos;
+/// A positioned, bounds-checked little-endian reader over the `len` bytes
+/// of `src`. Every variable-length read lands in the one reused `buf`.
+struct Reader<R> {
+    src: R,
+    pos: usize,
+    len: usize,
+    buf: Vec<u8>,
+}
+
+impl<R: Read + Seek> Reader<R> {
+    fn bytes(&mut self, n: usize) -> Result<&[u8], StoreError> {
+        let available = self.len - self.pos;
         if n > available {
             return Err(StoreError::Truncated {
                 offset: self.pos,
@@ -546,13 +664,10 @@ impl<'a> Reader<'a> {
                 available,
             });
         }
-        let out = &self.buf[self.pos..self.pos + n];
+        self.buf.resize(n, 0);
+        self.src.read_exact(&mut self.buf)?;
         self.pos += n;
-        Ok(out)
-    }
-
-    fn u8(&mut self) -> Result<u8, StoreError> {
-        Ok(self.bytes(1)?[0])
+        Ok(&self.buf)
     }
 
     fn u32(&mut self) -> Result<u32, StoreError> {
@@ -567,7 +682,7 @@ impl<'a> Reader<'a> {
     /// bytes) *before* allocating: a corrupted count can therefore demand
     /// at most the input's own size, never an absurd allocation.
     fn check_items(&self, count: usize, min_size: usize) -> Result<(), StoreError> {
-        let available = self.buf.len() - self.pos;
+        let available = self.len - self.pos;
         let needed = count.saturating_mul(min_size);
         if needed > available {
             return Err(StoreError::Truncated {
@@ -577,6 +692,24 @@ impl<'a> Reader<'a> {
             });
         }
         Ok(())
+    }
+
+    /// The [`checksum`] of every byte after `pos`, read through `buf` in
+    /// 64 KB chunks; the reader is then back at `pos`.
+    fn checksum_rest(&mut self) -> Result<u64, StoreError> {
+        const CHUNK: usize = 1 << 16;
+        let mut lanes = LANES;
+        let mut left = self.len - self.pos;
+        self.buf.resize(CHUNK, 0);
+        while left > CHUNK {
+            self.src.read_exact(&mut self.buf)?;
+            lanes = mix_blocks(lanes, &self.buf);
+            left -= CHUNK;
+        }
+        self.buf.resize(left, 0);
+        self.src.read_exact(&mut self.buf)?;
+        self.src.seek(SeekFrom::Start(self.pos as u64))?;
+        Ok(finish_checksum(lanes, &self.buf))
     }
 }
 
@@ -712,7 +845,7 @@ mod tests {
         // Re-seal the checksum after corrupting the payload, so the parse
         // itself must catch the damage.
         let reseal = |mut bytes: Vec<u8>| -> Vec<u8> {
-            let sum = fnv1a_bytes(&bytes[HEADER_LEN..]);
+            let sum = checksum(&bytes[HEADER_LEN..]);
             bytes[16..24].copy_from_slice(&sum.to_le_bytes());
             bytes
         };
@@ -755,5 +888,35 @@ mod tests {
         assert_eq!(loaded, store);
         std::fs::remove_dir_all(&dir).unwrap();
         assert!(matches!(DocumentStore::load(&path), Err(StoreError::Io(_))));
+    }
+
+    #[test]
+    fn a_file_of_several_read_chunks_checksums_like_its_bytes() {
+        // 22 500 nodes: a payload of three 64 KB read chunks and a partial
+        // one, whose length is no multiple of the checksum's 32-byte block.
+        let mut ab = Alphabet::new();
+        let src = "a<b $x> ".repeat(7_500);
+        let doc = FlatHedge::from_hedge(&parse_hedge(&src, &mut ab).unwrap());
+        let store = DocumentStore::build(ab, vec![("big.xml".into(), doc)]);
+        let mut bytes = store.to_bytes();
+        let payload = bytes.len() - HEADER_LEN;
+        assert!(
+            payload > 3 << 16 && !payload.is_multiple_of(32),
+            "{payload}"
+        );
+
+        let dir = std::env::temp_dir().join(format!("hedgex-store-chunks-{}", std::process::id()));
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("big.hxst");
+        std::fs::write(&path, &bytes).unwrap();
+        assert_eq!(DocumentStore::load(&path).unwrap(), store);
+        // A flip in the tail past the last whole block is caught too.
+        *bytes.last_mut().unwrap() ^= 1;
+        std::fs::write(&path, &bytes).unwrap();
+        assert!(matches!(
+            DocumentStore::load(&path),
+            Err(StoreError::ChecksumMismatch { offset: 16, .. })
+        ));
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 }

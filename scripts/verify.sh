@@ -190,6 +190,18 @@ if grep -rnE --include='*.rs' "(Some\('\|'\)|Some\('\*'\)|'\*' \| '\+'|slice_unt
   echo "query grammars must run the one loop in crates/core/src/syntax.rs"; exit 1
 fi
 
+echo "== a store loads in one pass =="
+# DocumentStore::load streams its file through one bounded buffer, and each
+# document's node records go straight into a FlatBuilder, in the same loop
+# that derives the index. No second decoder rebuilds an arena from
+# (label, parent) pairs, and the loader never holds the whole file.
+if grep -rnE --include='*.rs' '(FlatHedge::from_parts|FromPartsError)' crates tests examples; then
+  echo "store records are decoded in one pass, not through FlatHedge::from_parts"; exit 1
+fi
+if grep -rnF --include='*.rs' 'fs::read(' crates/store/src; then
+  echo "the store loader must stream its file, not read it whole"; exit 1
+fi
+
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench warm
 

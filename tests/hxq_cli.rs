@@ -1215,20 +1215,26 @@ fn store_runtime_errors_exit_1_with_one_line_diagnostics() {
 #[test]
 fn stores_in_an_older_format_ask_for_a_reindex() {
     // Stamp a fresh store with version 1, the format that also serialized
-    // the index: loading refuses it by version, in one line, exit 1.
+    // the index, or version 2, whose checksum was FNV-1a: loading refuses
+    // either by version, in one line naming the file, exit 1.
     let (dir, store) = indexed_corpus("old-version");
-    let mut bytes = std::fs::read(&store).unwrap();
-    bytes[4..8].copy_from_slice(&1u32.to_le_bytes());
-    std::fs::write(&store, &bytes).unwrap();
-    let out = hxq(&["--store", store.to_str().unwrap(), "--count", "--path", "a"]);
-    assert_eq!(out.status.code(), Some(1));
-    assert!(out.stdout.is_empty());
-    let err = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
-    assert!(
-        err.contains("unsupported store version 1") && err.contains("re-run `hxq index`"),
-        "{err}"
-    );
+    let fresh = std::fs::read(&store).unwrap();
+    for version in [1u32, 2] {
+        let mut bytes = fresh.clone();
+        bytes[4..8].copy_from_slice(&version.to_le_bytes());
+        std::fs::write(&store, &bytes).unwrap();
+        let out = hxq(&["--store", store.to_str().unwrap(), "--count", "--path", "a"]);
+        assert_eq!(out.status.code(), Some(1));
+        assert!(out.stdout.is_empty());
+        let err = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(err.lines().count(), 1, "one-line diagnostic: {err}");
+        assert!(
+            err.contains(&format!("unsupported store version {version}"))
+                && err.contains("re-run `hxq index`")
+                && err.contains(store.to_str().unwrap()),
+            "{err}"
+        );
+    }
     std::fs::remove_dir_all(&dir).ok();
     std::fs::remove_file(&store).ok();
 }

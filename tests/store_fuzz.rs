@@ -10,7 +10,7 @@
 //! it.
 
 use hedgex::prelude::*;
-use hedgex::store::store::{fnv1a_bytes, HEADER_LEN, MAGIC};
+use hedgex::store::store::{checksum, HEADER_LEN, MAGIC};
 use hedgex::store::StructIndex;
 use hedgex_testkit::{forall, prop_assert, Config, Gen};
 
@@ -40,7 +40,7 @@ fn valid_image() -> Vec<u8> {
 fn reseal(bytes: &mut [u8]) {
     let payload_len = (bytes.len() - HEADER_LEN) as u64;
     bytes[8..16].copy_from_slice(&payload_len.to_le_bytes());
-    let sum = fnv1a_bytes(&bytes[HEADER_LEN..]);
+    let sum = checksum(&bytes[HEADER_LEN..]);
     bytes[16..24].copy_from_slice(&sum.to_le_bytes());
 }
 
@@ -218,22 +218,22 @@ fn pinned_hostile_images_fail_identically() {
         })
     ));
 
-    // A version 1 image (the format that also serialized the index) is
-    // refused by its version alone, with the re-index hint.
-    let mut bad = seed.clone();
-    bad[4..8].copy_from_slice(&1u32.to_le_bytes());
-    let err = DocumentStore::from_bytes(&bad).unwrap_err();
-    assert!(
-        matches!(
-            err,
-            StoreError::UnsupportedVersion {
-                offset: 4,
-                found: 1
-            }
-        ),
-        "{err:?}"
-    );
-    assert!(err.to_string().contains("re-run `hxq index`"), "{err}");
+    // Version 1 (the format that also serialized the index) and version 2
+    // (an FNV-1a checksum) images are refused by their version alone, with
+    // the re-index hint.
+    for version in [1u32, 2] {
+        let mut bad = seed.clone();
+        bad[4..8].copy_from_slice(&version.to_le_bytes());
+        let err = DocumentStore::from_bytes(&bad).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                StoreError::UnsupportedVersion { offset: 4, found } if found == version
+            ),
+            "{err:?}"
+        );
+        assert!(err.to_string().contains("re-run `hxq index`"), "{err}");
+    }
 
     // Payload shorter than declared: LengthMismatch at byte 8.
     let mut bad = seed.clone();
@@ -273,5 +273,123 @@ fn pinned_hostile_images_fail_identically() {
         // The guard fires right after the count field is consumed.
         Err(StoreError::Truncated { offset, .. }) => assert_eq!(offset, HEADER_LEN + 4),
         other => panic!("count bomb: expected Truncated, got {other:?}"),
+    }
+}
+
+/// Every single-bit flip anywhere in the payload is caught by the checksum
+/// before any parsing, and so is a pair of flips that cancels in a lane
+/// that only multiplies.
+#[test]
+fn every_payload_bit_flip_fails_the_checksum() {
+    use hedgex::store::StoreError;
+    let seed = valid_image();
+    let payload_len = seed.len() - HEADER_LEN;
+    assert_ne!(payload_len % 32, 0, "the seed payload must have a tail");
+    let caught = |bad: &[u8]| {
+        matches!(
+            DocumentStore::from_bytes(bad),
+            Err(StoreError::ChecksumMismatch { offset: 16, .. })
+        )
+    };
+    for at in HEADER_LEN..seed.len() {
+        for bit in 0..8 {
+            let mut bad = seed.clone();
+            bad[at] ^= 1 << bit;
+            assert!(
+                caught(&bad),
+                "flip of bit {bit} at byte {at} went unnoticed"
+            );
+        }
+    }
+
+    // Bit 63 of payload words 0 and 4, both in lane 0. A lane that only
+    // xors and multiplies by an odd constant carries a bit-63 difference
+    // through unchanged, so the second flip cancels the first.
+    let mut bad = seed.clone();
+    for word in [0, 4] {
+        bad[HEADER_LEN + 8 * word + 7] ^= 0x80;
+    }
+    let plain_lane = |image: &[u8]| {
+        let words = image[HEADER_LEN..].chunks_exact(8).step_by(4).take(5);
+        words.fold(0u64, |h, w| {
+            (h ^ u64::from_le_bytes(w.try_into().unwrap())).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+        })
+    };
+    assert_eq!(
+        plain_lane(&bad),
+        plain_lane(&seed),
+        "the pair cancels there"
+    );
+    assert!(caught(&bad), "the planted bit-63 pair went unnoticed");
+}
+
+/// Byte offset of document 0's first node record in a store image.
+fn first_doc_records(image: &[u8]) -> usize {
+    let u32_at = |at: usize| u32::from_le_bytes(image[at..at + 4].try_into().unwrap()) as usize;
+    let mut at = HEADER_LEN;
+    // The symbol, variable and substitution tables.
+    for _ in 0..3 {
+        let count = u32_at(at);
+        at += 4;
+        for _ in 0..count {
+            at += 4 + u32_at(at);
+        }
+    }
+    // The document count, document 0's name, then its node count.
+    at += 4;
+    at += 4 + u32_at(at);
+    at + 4
+}
+
+/// Node records that are not a preorder forest, or whose labels are out of
+/// range, are refused at their document's first record even when the
+/// checksum is resealed over them.
+#[test]
+fn resealed_records_that_are_not_a_forest_are_corrupt() {
+    use hedgex::store::StoreError;
+    let seed = valid_image();
+    let records = first_doc_records(&seed);
+    // Document 0 is b a⟨a⟨b $x⟩ b⟩: ids 0..6 in preorder, parents
+    // NIL, NIL, 1, 2, 2, 1.
+    let parent_of = |image: &[u8], id: usize| {
+        let at = records + 9 * id + 5;
+        u32::from_le_bytes(image[at..at + 4].try_into().unwrap())
+    };
+    assert_eq!(
+        (0..6).map(|id| parent_of(&seed, id)).collect::<Vec<_>>(),
+        [u32::MAX, u32::MAX, 1, 2, 2, 1]
+    );
+    let forest = "node records are not a preorder forest";
+    let cases: [(&str, usize, usize, u32, &str); 6] = [
+        ("a forward parent", 1, 5, 3, forest),
+        ("a self parent", 2, 5, 2, forest),
+        // Node 0 left the rightmost path as soon as root 1 arrived.
+        ("an already-closed parent", 5, 5, 0, forest),
+        // Node 4 is the $x leaf, which is never open.
+        ("a non-Σ parent", 5, 5, 4, forest),
+        (
+            "a label past the alphabet",
+            0,
+            1,
+            999,
+            "node label id out of the alphabet's range",
+        ),
+        ("an unknown tag", 0, 0, 7, "unknown node label tag"),
+    ];
+    for (case, id, field, value, want) in cases {
+        let mut bad = seed.clone();
+        let at = records + 9 * id + field;
+        if field == 0 {
+            bad[at] = value as u8;
+        } else {
+            bad[at..at + 4].copy_from_slice(&value.to_le_bytes());
+        }
+        reseal(&mut bad);
+        match DocumentStore::from_bytes(&bad) {
+            Err(StoreError::Corrupt { offset, what }) => {
+                assert_eq!((offset, what), (records, want), "{case}")
+            }
+            other => panic!("{case}: expected Corrupt, got {other:?}"),
+        }
     }
 }
