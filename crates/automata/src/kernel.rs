@@ -1,10 +1,15 @@
-//! The construction kernel: the three loops every automaton construction
-//! in the stack is built from.
+//! The construction kernel: the loops every automaton construction in the
+//! stack is built from.
 //!
-//! * [`Worklist`] — a subset construction (Theorem 1) or a cross product
-//!   (Theorem 4, "the cross product of all state sets") interns each
-//!   construction state — a subset, a tuple, a pair — to a dense
-//!   [`StateId`] and explores the ids not yet expanded.
+//! * [`Worklist`] — a construction interns each of its states — a subset,
+//!   a tuple, a pair — to a dense [`StateId`] and explores the ids not yet
+//!   expanded.
+//! * [`saturate`] — the one bottom-up exploration of a hedge-automaton
+//!   construction. A subset construction (Theorem 1) or a cross product
+//!   (Theorem 4, "the cross product of all state sets") builds only the
+//!   vertical states some hedge reaches, by running horizontal machines
+//!   over the vertical states found so far; each (horizontal state,
+//!   vertical state) pair is stepped once, and the steps are the rows.
 //! * [`row`] / [`in_edges`] — one transition row from explicit per-letter
 //!   targets: letters grouped by target into `In` edges, plus the one
 //!   co-finite edge that keeps a DFA total.
@@ -49,14 +54,22 @@ impl<K: Clone + Eq + Hash> Worklist<K> {
     /// The id of `key`. A key seen for the first time gets the next id and
     /// joins the frontier; it is cloned once, into the id-ordered key list.
     pub fn intern(&mut self, key: K) -> StateId {
+        let (id, new) = self.insert(key);
+        if new {
+            self.todo.push(id);
+        }
+        id
+    }
+
+    /// The id of `key`, and whether it is new; the frontier is left alone.
+    fn insert(&mut self, key: K) -> (StateId, bool) {
         match self.ids.entry(key) {
-            Entry::Occupied(e) => *e.get(),
+            Entry::Occupied(e) => (*e.get(), false),
             Entry::Vacant(e) => {
                 let id = self.keys.len() as StateId;
                 self.keys.push(e.key().clone());
                 e.insert(id);
-                self.todo.push(id);
-                id
+                (id, true)
             }
         }
     }
@@ -113,6 +126,75 @@ impl<K: Clone + Eq + Hash + Default> Worklist<K> {
         rows.resize_with(self.keys.len(), R::default);
         rows
     }
+}
+
+/// One horizontal machine as [`saturate`] leaves it: its states in order
+/// of discovery (the start is state 0) and, per state, its successor on
+/// every vertical state, indexed by vertical id.
+#[derive(Debug, Clone)]
+pub struct Horizontal<H> {
+    /// The states, indexed by id.
+    pub states: Vec<H>,
+    /// Per state, its successors on the vertical states `0..verticals.len()`.
+    pub rows: Vec<Vec<StateId>>,
+}
+
+/// Find every vertical state some hedge reaches bottom-up, and the rows of
+/// the horizontal machines that read them.
+///
+/// Machine `m` starts at the `m`-th of `starts` and interns its states as
+/// it reaches them. `yields(m, h, verticals)` runs once per new state `h`,
+/// in id order, and interns the vertical states (subsets, tuples, pairs) a
+/// node whose children took `m` to `h` can get. Each state's row grows by
+/// one `step(m, h, v)` per vertical state `v`, in id order, as vertical
+/// states appear, machine after machine; the loop ends when a whole pass
+/// grows nothing. So every (horizontal state, vertical state) pair is
+/// stepped exactly once, and each row covers every vertical state.
+pub fn saturate<V, H>(
+    verticals: &mut Worklist<V>,
+    starts: impl IntoIterator<Item = H>,
+    mut yields: impl FnMut(usize, &H, &mut Worklist<V>),
+    mut step: impl FnMut(usize, &H, &V) -> H,
+) -> Vec<Horizontal<H>>
+where
+    V: Clone + Eq + Hash,
+    H: Clone + Eq + Hash,
+{
+    let mut machines: Vec<(Worklist<H>, Vec<Vec<StateId>>)> = Vec::new();
+    for (m, start) in starts.into_iter().enumerate() {
+        yields(m, &start, verticals);
+        let mut states = Worklist::new();
+        states.insert(start);
+        machines.push((states, vec![Vec::new()]));
+    }
+    let mut grew = true;
+    while grew {
+        grew = false;
+        for (m, (states, rows)) in machines.iter_mut().enumerate() {
+            let mut h = 0;
+            while h < rows.len() {
+                while rows[h].len() < verticals.len() {
+                    let v = rows[h].len();
+                    let next = step(m, &states.keys[h], &verticals.keys[v]);
+                    let (id, new) = states.insert(next);
+                    if new {
+                        yields(m, &states.keys[id as usize], verticals);
+                        rows.push(Vec::new());
+                    }
+                    rows[h].push(id);
+                    grew = true;
+                }
+                h += 1;
+            }
+        }
+    }
+    machines
+        .into_iter()
+        .map(|(states, rows)| Horizontal {
+            states: states.keys,
+            rows,
+        })
+        .collect()
 }
 
 /// One total row of a symbolic DFA from explicit `(letter, target)` pairs:
@@ -217,6 +299,62 @@ mod tests {
         assert_eq!(visited, [0, 2, 1]);
         assert_eq!(rows, [vec![1, 2], vec![0], vec![0]]);
         assert_eq!(wl.keys(), &[0, 1, 2], "every key is put back");
+    }
+
+    #[test]
+    fn saturate_steps_each_pair_once() {
+        // Two machines counting modulo 3 and 4 by the vertical key; every
+        // state yields its own value as a vertical key.
+        let mut verticals: Worklist<u32> = Worklist::new();
+        verticals.intern(1);
+        let mut steps = 0usize;
+        let machines = saturate(
+            &mut verticals,
+            [0u32, 0],
+            |_, &h, verticals| {
+                verticals.intern(h);
+            },
+            |m, &h, &v| {
+                steps += 1;
+                (h + v) % (m as u32 + 3)
+            },
+        );
+        assert_eq!(verticals.keys(), &[1, 0, 2, 3]);
+        let cells: usize = machines.iter().flat_map(|m| &m.rows).map(Vec::len).sum();
+        assert_eq!(steps, cells, "each (state, vertical) pair is stepped once");
+        for m in &machines {
+            assert_eq!(m.rows.len(), m.states.len());
+            assert!(m.rows.iter().all(|r| r.len() == verticals.len()));
+        }
+        assert_eq!(machines[0].states, [0, 1, 2]);
+        assert_eq!(machines[1].states, [0, 1, 2, 3]);
+    }
+
+    #[test]
+    fn saturate_extends_rows_of_machines_already_passed() {
+        // Machine 0 stays put and yields nothing. Machine 1 moves from 'b'
+        // to 'c', which yields vertical 7, after machine 0 has stepped its
+        // one state by vertical 5.
+        let mut verticals: Worklist<u32> = Worklist::new();
+        verticals.intern(5);
+        let machines = saturate(
+            &mut verticals,
+            ['a', 'b'],
+            |_, &h, verticals| {
+                if h == 'c' {
+                    verticals.intern(7);
+                }
+            },
+            |m, &h, _| if m == 1 { 'c' } else { h },
+        );
+        assert_eq!(verticals.keys(), &[5, 7]);
+        assert_eq!(
+            machines[0].rows,
+            [vec![0, 0]],
+            "vertical 7 reaches machine 0"
+        );
+        assert_eq!(machines[1].states, ['b', 'c']);
+        assert_eq!(machines[1].rows, [vec![1, 1], vec![1, 1]]);
     }
 
     #[test]

@@ -38,7 +38,8 @@
 //!   and which saturates every member language by construction.
 //! * [`kernel`] — the loops every construction above and in the hedge
 //!   automata layer is built from: the [`Worklist`] of subset and product
-//!   states, the [`row`] builder, and [`reach`]/[`coreach`].
+//!   states, the one bottom-up exploration [`saturate`], the [`row`]
+//!   builder, and [`reach`]/[`coreach`].
 
 #![forbid(unsafe_code)]
 
@@ -56,7 +57,7 @@ pub use classes::SaturatingClasses;
 pub use dense::DenseDfa;
 pub use dfa::{Dfa, ProductOp};
 pub use elim::dfa_to_regex;
-pub use kernel::{coreach, in_edges, reach, row, Worklist};
+pub use kernel::{coreach, in_edges, reach, row, saturate, Horizontal, Worklist};
 pub use nfa::Nfa;
 pub use regex::Regex;
 

@@ -3,8 +3,11 @@
 //! NFA membership. Runs on `hedgex-testkit`'s shrinking `forall`; a failure
 //! prints a `HEDGEX_SEED` that replays it.
 
+use std::collections::BTreeSet;
+
 use hedgex_automata::{
-    coreach, dfa_to_regex, reach, row, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId, Worklist,
+    coreach, dfa_to_regex, reach, row, saturate, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId,
+    Worklist,
 };
 use hedgex_testkit::prop::{shrink_u64, shrink_vec};
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, zip3, Config, Gen, Rng};
@@ -471,6 +474,143 @@ fn worklist_ids_are_dense_and_stable() {
             prop_assert!(visits[..n].iter().all(|&v| v == 1), "visits {visits:?}");
             for (id, &next) in rows.iter().enumerate() {
                 prop_assert_eq!(wl.keys()[next as usize], (wl.keys()[id] + 1) % 8);
+            }
+            Ok(())
+        },
+    );
+}
+
+/// Random horizontal machines over vertical keys `0..6`: machine `m` in
+/// state `h` steps to `step[m][h][v]` on vertical `v` and yields the
+/// verticals `yields[m][h]`.
+#[derive(Debug, Clone)]
+struct Machines {
+    seeds: Vec<u8>,
+    starts: Vec<u8>,
+    step: Vec<Vec<Vec<u8>>>,
+    yields: Vec<Vec<Vec<u8>>>,
+}
+
+const VERTICALS: u8 = 6;
+
+fn arb_machines() -> Gen<Machines> {
+    Gen::new(|rng| {
+        let machines = rng.random_range(1..4usize);
+        let states = rng.random_range(1..7u8);
+        let pick = |rng: &mut Rng, n: u8, max: usize| -> Vec<u8> {
+            (0..rng.random_range(0..=max))
+                .map(|_| rng.random_range(0..n))
+                .collect()
+        };
+        Machines {
+            seeds: pick(rng, VERTICALS, 2),
+            starts: (0..machines).map(|_| rng.random_range(0..states)).collect(),
+            step: (0..machines)
+                .map(|_| {
+                    (0..states)
+                        .map(|_| {
+                            (0..VERTICALS)
+                                .map(|_| rng.random_range(0..states))
+                                .collect()
+                        })
+                        .collect()
+                })
+                .collect(),
+            yields: (0..machines)
+                .map(|_| (0..states).map(|_| pick(rng, VERTICALS, 2)).collect())
+                .collect(),
+        }
+    })
+}
+
+/// The naive reference: rounds of "explore every machine over the
+/// verticals known so far" until a round finds no new vertical, then one
+/// more exploration per machine over the final verticals.
+fn naive_saturate(ms: &Machines) -> (BTreeSet<u8>, Vec<BTreeSet<u8>>) {
+    let mut verticals: BTreeSet<u8> = ms.seeds.iter().copied().collect();
+    let explore = |m: usize, verticals: &BTreeSet<u8>| -> BTreeSet<u8> {
+        let mut seen = BTreeSet::from([ms.starts[m]]);
+        let mut stack = vec![ms.starts[m]];
+        while let Some(h) = stack.pop() {
+            for &v in verticals {
+                let next = ms.step[m][h as usize][v as usize];
+                if seen.insert(next) {
+                    stack.push(next);
+                }
+            }
+        }
+        seen
+    };
+    loop {
+        let mut found = verticals.clone();
+        for m in 0..ms.starts.len() {
+            for h in explore(m, &verticals) {
+                found.extend(&ms.yields[m][h as usize]);
+            }
+        }
+        if found == verticals {
+            break;
+        }
+        verticals = found;
+    }
+    let states = (0..ms.starts.len())
+        .map(|m| explore(m, &verticals))
+        .collect();
+    (verticals, states)
+}
+
+/// `saturate` finds the same verticals and the same states as the naive
+/// reference, keeps the seeds' ids, starts each machine at state 0, and
+/// gives every state a full row of the steps the tables say.
+#[test]
+fn saturate_matches_naive_rounds() {
+    forall(
+        "saturate_matches_naive_rounds",
+        Config::with_cases(CASES),
+        &arb_machines(),
+        |ms| {
+            let mut verticals: Worklist<u8> = Worklist::new();
+            for &v in &ms.seeds {
+                verticals.intern(v);
+            }
+            let mut yielded = vec![0usize; ms.starts.len()];
+            let machines = saturate(
+                &mut verticals,
+                ms.starts.iter().copied(),
+                |m, &h, verticals| {
+                    yielded[m] += 1;
+                    for &v in &ms.yields[m][h as usize] {
+                        verticals.intern(v);
+                    }
+                },
+                |m, &h, &v| ms.step[m][h as usize][v as usize],
+            );
+            let (want_verticals, want_states) = naive_saturate(ms);
+            let got: BTreeSet<u8> = verticals.keys().iter().copied().collect();
+            prop_assert_eq!(got, want_verticals);
+            prop_assert_eq!(verticals.len(), want_verticals.len(), "no vertical twice");
+            let mut seeds: Vec<u8> = Vec::new();
+            for &v in &ms.seeds {
+                if !seeds.contains(&v) {
+                    seeds.push(v);
+                }
+            }
+            prop_assert_eq!(&verticals.keys()[..seeds.len()], &seeds[..]);
+            for (m, machine) in machines.iter().enumerate() {
+                let states: BTreeSet<u8> = machine.states.iter().copied().collect();
+                prop_assert_eq!(&states, &want_states[m], "states of machine {m}");
+                prop_assert_eq!(machine.states.len(), states.len(), "no state twice");
+                prop_assert_eq!(machine.states[0], ms.starts[m]);
+                prop_assert_eq!(yielded[m], machine.states.len(), "one yield per state");
+                prop_assert_eq!(machine.rows.len(), machine.states.len());
+                for (h, row) in machine.rows.iter().enumerate() {
+                    prop_assert_eq!(row.len(), verticals.len(), "row {h} of machine {m}");
+                    for (v, &next) in row.iter().enumerate() {
+                        let key = machine.states[h] as usize;
+                        let letter = verticals.keys()[v] as usize;
+                        prop_assert_eq!(machine.states[next as usize], ms.step[m][key][letter]);
+                    }
+                }
             }
             Ok(())
         },

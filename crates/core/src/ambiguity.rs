@@ -24,7 +24,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use hedgex_automata::{StateId, Worklist};
+use hedgex_automata::{saturate, StateId, Worklist};
 use hedgex_ha::{HState, Nha};
 
 use crate::compile::compile_hre;
@@ -50,35 +50,33 @@ pub fn nha_is_ambiguous(nha: &Nha) -> bool {
         }
     }
 
-    let symbols: Vec<_> = nha.symbols().collect();
-
-    // Discovery fixpoint over producible flagged pairs.
-    loop {
-        let before = pairs.len();
-        for &a in &symbols {
-            let rules = nha.rules(a);
-            for &(l1, r1) in rules {
-                for &(l2, r2) in rules {
-                    let (d1, d2) = (nha.lang(l1), nha.lang(l2));
-                    // Joint exploration: (d1 state, d2 state, any child
-                    // diverged so far).
-                    let mut joint = Worklist::new();
-                    joint.intern((d1.start(), d2.start(), false));
-                    joint.explore(|joint, _, &(s1, s2, fl): &(StateId, StateId, bool)| {
-                        if d1.is_accepting(s1) && d2.is_accepting(s2) {
-                            pairs.intern((r1, r2, fl || r1 != r2));
-                        }
-                        for &(q1, q2, pf) in pairs.keys() {
-                            joint.intern((d1.step(s1, &q1), d2.step(s2, &q2), fl || pf));
-                        }
-                    });
-                }
+    // Discovery of producible flagged pairs: one machine per pair of rules
+    // of a symbol, over (d1 state, d2 state, any child diverged so far).
+    let machines: Vec<_> = nha
+        .symbols()
+        .flat_map(|a| {
+            let rules = nha.rules(a).iter().map(|&(l, r)| (nha.lang(l), r));
+            rules
+                .clone()
+                .flat_map(move |(d1, r1)| rules.clone().map(move |(d2, r2)| (d1, r1, d2, r2)))
+        })
+        .collect();
+    saturate(
+        &mut pairs,
+        machines
+            .iter()
+            .map(|&(d1, _, d2, _)| (d1.start(), d2.start(), false)),
+        |m, &(s1, s2, fl), pairs| {
+            let (d1, r1, d2, r2) = machines[m];
+            if d1.is_accepting(s1) && d2.is_accepting(s2) {
+                pairs.intern((r1, r2, fl || r1 != r2));
             }
-        }
-        if pairs.len() == before {
-            break;
-        }
-    }
+        },
+        |m, &(s1, s2, fl), &(q1, q2, pf)| {
+            let (d1, _, d2, _) = machines[m];
+            (d1.step(s1, &q1), d2.step(s2, &q2), fl || pf)
+        },
+    );
     let pairs = pairs.into_keys();
 
     // ---- Top level: ∃ word of producible pairs, flagged somewhere, both

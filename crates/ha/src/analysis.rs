@@ -12,7 +12,7 @@
 
 use std::collections::VecDeque;
 
-use hedgex_automata::{coreach, reach, CharClass, StateId};
+use hedgex_automata::{coreach, reach, saturate, CharClass, StateId, Worklist};
 use hedgex_hedge::{Hedge, Tree};
 
 use crate::dha::Dha;
@@ -20,35 +20,29 @@ use crate::types::{HState, Leaf};
 
 /// Which states are inhabited (reachable bottom-up by some hedge)?
 pub fn inhabited(dha: &Dha) -> Vec<bool> {
-    let n = dha.num_states() as usize;
-    let mut inh = vec![false; n];
+    let mut found: Worklist<HState> = Worklist::new();
     for leaf in dha.leaves() {
-        inh[dha.iota(leaf) as usize] = true;
+        found.intern(dha.iota(leaf));
     }
-    let symbols: Vec<_> = dha.symbols().collect();
-    loop {
-        let mut changed = false;
-        for &a in &symbols {
-            let hf = dha
-                .horiz(a)
-                .expect("symbols() only yields declared symbols");
-            // Horizontal states reachable reading inhabited letters.
-            let seen = reach(hf.num_classes(), [hf.start()], |h| {
-                letters(&inh).map(move |q| hf.step(h, q))
-            });
-            for h in (0..seen.len() as u32).filter(|&h| seen[h as usize]) {
-                let r = hf.result(h) as usize;
-                if !inh[r] {
-                    inh[r] = true;
-                    changed = true;
-                }
-            }
-        }
-        if !changed {
-            break;
-        }
+    let horiz: Vec<_> = dha.symbols().filter_map(|a| dha.horiz(a)).collect();
+    saturate(
+        &mut found,
+        horiz.iter().map(|hf| hf.start()),
+        |m, &h, found| {
+            found.intern(horiz[m].result(h));
+        },
+        |m, &h, &q| horiz[m].step(h, q),
+    );
+    mark(dha.num_states() as usize, found.keys())
+}
+
+/// The states `0..n` with those in `on` set.
+fn mark(n: usize, on: &[HState]) -> Vec<bool> {
+    let mut marked = vec![false; n];
+    for &q in on {
+        marked[q as usize] = true;
     }
-    inh
+    marked
 }
 
 /// The letters `q` with `on[q]`.
@@ -251,39 +245,30 @@ fn absorb(into: &mut [bool], from: &[bool]) -> bool {
 /// Which NHA states are inhabited (producible at some node by some
 /// computation)?
 pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
-    let n = nha.num_states() as usize;
-    let mut inh = vec![false; n];
+    let mut found: Worklist<HState> = Worklist::new();
     for (_, qs) in nha.iotas() {
         for &q in qs {
-            inh[q as usize] = true;
+            found.intern(q);
         }
     }
-    let symbols: Vec<_> = nha.symbols().collect();
-    loop {
-        let mut changed = false;
-        for &a in &symbols {
-            for &(l, q) in nha.rules(a) {
-                if inh[q as usize] {
-                    continue;
-                }
-                let dfa = nha.lang(l);
-                // Does dfa accept some word over inhabited letters?
-                let seen = reach(dfa.num_states(), [dfa.start()], |s| {
-                    letters(&inh).map(move |l| dfa.step(s, &l))
-                });
-                let hit =
-                    (0..seen.len() as StateId).any(|s| seen[s as usize] && dfa.is_accepting(s));
-                if hit {
-                    inh[q as usize] = true;
-                    changed = true;
-                }
+    // One machine per rule; an accepting state yields the rule's result.
+    let rules: Vec<_> = nha
+        .symbols()
+        .flat_map(|a| nha.rules(a))
+        .map(|&(l, q)| (nha.lang(l), q))
+        .collect();
+    saturate(
+        &mut found,
+        rules.iter().map(|(dfa, _)| dfa.start()),
+        |m, &s, found| {
+            let (dfa, q) = rules[m];
+            if dfa.is_accepting(s) {
+                found.intern(q);
             }
-        }
-        if !changed {
-            break;
-        }
-    }
-    inh
+        },
+        |m, &s, q| rules[m].0.step(s, q),
+    );
+    mark(nha.num_states() as usize, found.keys())
 }
 
 /// Which NHA states occur in at least one *accepting* computation?

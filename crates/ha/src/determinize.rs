@@ -1,13 +1,14 @@
 //! Theorem 1: the subset construction for hedge automata.
 //!
-//! States of the determinized automaton are *sets* of NHA states. The
-//! construction has two intertwined fixpoints:
-//!
-//! 1. discover which subsets are reachable (a subset is reachable when some
-//!    hedge's set-valued computation produces it at a node), and
-//! 2. for each symbol, determinize the *lifted* horizontal automaton, whose
-//!    alphabet is the set of reachable subsets: reading subset `S` means
-//!    "some child state drawn from `S`".
+//! States of the determinized automaton are *sets* of NHA states. A subset
+//! is reachable when some hedge's set-valued computation produces it at a
+//! node. For each symbol, the *lifted* horizontal automaton reads the
+//! reachable subsets as its alphabet: reading subset `S` means "some child
+//! state drawn from `S`". Both come out of one bottom-up exploration
+//! ([`saturate`]): the lifted automata step by the subsets found so far,
+//! each new lifted state yields the subsets its rules accept there, and
+//! every (lifted state, subset) pair is stepped once, so the steps are the
+//! horizontal functions' rows.
 //!
 //! The lifted horizontal automaton for a symbol is the disjoint union of all
 //! rule DFAs simulated as an NFA (a set of rule-DFA states), because a word
@@ -22,7 +23,7 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use hedgex_automata::{row, Dfa, StateId, Worklist};
+use hedgex_automata::{row, saturate, Dfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
@@ -132,42 +133,42 @@ pub fn determinize(nha: &Nha) -> Determinized {
         iota.insert(leaf, subsets.intern(qs.iter().copied().collect()));
     }
 
+    // One bottom-up exploration: each group's lifted states read every
+    // reachable subset, and each lifted state yields, per symbol, the
+    // subset of results its rules accept there, which labels it.
     let combined = Combined::group(nha);
-
-    // Fixpoint: discover all reachable subsets.
-    let mut rounds = 0u64;
-    let mut max_frontier = 0u64;
-    loop {
-        rounds += 1;
-        let before = subsets.len();
-        for comb in &combined {
-            // Explore the lifted states, reading any currently-known
-            // subset; ones interned later in this search are picked up by
-            // the outer fixpoint.
-            let mut lifted = Worklist::new();
-            lifted.intern(comb.initial());
-            lifted.explore(|lifted, _, cur| {
-                max_frontier = max_frontier.max(lifted.len() as u64);
-                for (_, rules) in &comb.syms {
-                    subsets.intern(comb.results(rules, cur));
-                }
-                for subset in subsets.keys() {
-                    lifted.intern(comb.step(cur, subset));
-                }
-            });
-        }
-        if subsets.len() == before {
-            break;
-        }
-    }
-
+    let mut labels: Vec<Vec<Vec<HState>>> = combined
+        .iter()
+        .map(|comb| vec![Vec::new(); comb.syms.len()])
+        .collect();
+    let machines = saturate(
+        &mut subsets,
+        combined.iter().map(Combined::initial),
+        |m, cur, subsets| {
+            let comb = &combined[m];
+            for ((_, rules), labels) in comb.syms.iter().zip(&mut labels[m]) {
+                labels.push(subsets.intern(comb.results(rules, cur)));
+            }
+        },
+        |m, cur, subset| combined[m].step(cur, subset),
+    );
     let num_states = subsets.len() as u32;
 
-    // Build each symbol's horizontal function against the final subset list.
-    let horiz: HashMap<SymId, HorizFn> = combined
-        .iter()
-        .flat_map(|comb| lift_horiz(comb, &subsets))
-        .collect();
+    // Each symbol's horizontal function: its group's rows, its own labels.
+    let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
+    let mut max_lifted = 0u64;
+    for ((comb, machine), labels) in combined.iter().zip(machines).zip(labels) {
+        max_lifted = max_lifted.max(machine.states.len() as u64);
+        let mut rows = machine.rows;
+        // Out-of-alphabet symbols dead-end into the empty lifted state,
+        // where the empty subset (id 0) leads.
+        for row in &mut rows {
+            row.push(row[0]);
+        }
+        for ((a, _), labels) in comb.syms.iter().zip(labels) {
+            horiz.insert(*a, HorizFn::from_rows(rows.clone(), 0, labels));
+        }
+    }
 
     // Lift F: the determinized automaton accepts iff some word drawn from
     // the per-root subsets is accepted by the NHA's F.
@@ -176,13 +177,12 @@ pub fn determinize(nha: &Nha) -> Determinized {
     obs::counter_inc("ha.determinize.calls");
     obs::counter_add("ha.determinize.nha_states", nha_states);
     obs::counter_add("ha.determinize.dha_states", u64::from(num_states));
-    obs::counter_add("ha.determinize.rounds", rounds);
-    obs::histogram_record("ha.determinize.frontier", max_frontier);
+    obs::histogram_record("ha.determinize.frontier", max_lifted);
     obs::histogram_record("ha.determinize.subsets", u64::from(num_states));
     obs::event("ha.determinize", || {
         format!(
-            "nha_states={nha_states} dha_states={num_states} rounds={rounds} \
-             max_frontier={max_frontier} blowup={:.2}",
+            "nha_states={nha_states} dha_states={num_states} \
+             max_lifted={max_lifted} blowup={:.2}",
             f64::from(num_states) / nha_states.max(1) as f64
         )
     });
@@ -191,42 +191,6 @@ pub fn determinize(nha: &Nha) -> Determinized {
         dha: Dha::from_parts(num_states, 0, iota, horiz, finals),
         subsets: subsets.into_keys(),
     }
-}
-
-/// Determinize a combined rule automaton against the (now fixed) subset
-/// alphabet: one row per lifted state over the subset ids, shared by the
-/// group's symbols, each of which labels the rows with the subset of
-/// results its rules yield there.
-fn lift_horiz(comb: &Combined, subsets: &Worklist<BTreeSet<HState>>) -> Vec<(SymId, HorizFn)> {
-    let mut lifted = Worklist::new();
-    let start = lifted.intern(comb.initial());
-    let rows = lifted.explore(|lifted, _, cur| {
-        // Out-of-alphabet symbols dead-end into the empty lifted state.
-        let dead = lifted.intern(comb.langs.iter().map(|_| BTreeSet::new()).collect());
-        let mut row: Vec<StateId> = subsets
-            .keys()
-            .iter()
-            .map(|subset| lifted.intern(comb.step(cur, subset)))
-            .collect();
-        row.push(dead);
-        row
-    });
-    comb.syms
-        .iter()
-        .map(|(a, rules)| {
-            let labels: Vec<HState> = lifted
-                .keys()
-                .iter()
-                .map(|l| {
-                    let res = comb.results(rules, l);
-                    subsets
-                        .get(&res)
-                        .expect("fixpoint interned every result subset")
-                })
-                .collect();
-            (*a, HorizFn::from_rows(rows.clone(), start, labels))
-        })
-        .collect()
 }
 
 /// Lift the NHA's `F` (an NFA over Q) to a DFA over subset ids: a word of

@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{in_edges, row, CharClass, Dfa, StateId, Worklist};
+use hedgex_automata::{in_edges, row, saturate, CharClass, Dfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
@@ -111,66 +111,42 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     for p in parts {
         symbols.extend(p.symbols());
     }
-    let views = |a: SymId| -> Vec<Horiz<'_>> {
-        parts
+    let views: Vec<Vec<Horiz>> = symbols
+        .iter()
+        .map(|&a| {
+            parts
+                .iter()
+                .map(|p| match p.horiz(a) {
+                    Some(h) => Horiz::Real(h),
+                    None => Horiz::Sink(p.sink()),
+                })
+                .collect()
+        })
+        .collect();
+
+    // One bottom-up exploration: per symbol, the joint horizontal states
+    // read every reachable product state, and each yields the product
+    // state that labels it.
+    let mut labels: Vec<Vec<HState>> = vec![Vec::new(); symbols.len()];
+    let machines = saturate(
+        &mut tuples,
+        views
             .iter()
-            .map(|p| match p.horiz(a) {
-                Some(h) => Horiz::Real(h),
-                None => Horiz::Sink(p.sink()),
-            })
-            .collect()
-    };
-
-    // Discovery fixpoint: find all product states producible at a node.
-    loop {
-        let before = tuples.len();
-        for &a in &symbols {
-            let vs = views(a);
-            let mut joint = Worklist::new();
-            joint.intern(vs.iter().map(Horiz::start).collect::<Vec<u32>>());
-            joint.explore(|joint, _, cur| {
-                tuples.intern(joint_result(&vs, cur));
-                for tuple in tuples.keys() {
-                    joint.intern(joint_step(&vs, cur, tuple));
-                }
-            });
-        }
-        if tuples.len() == before {
-            break;
-        }
-    }
-
+            .map(|vs| vs.iter().map(Horiz::start).collect::<Vec<u32>>()),
+        |m, cur, tuples| labels[m].push(tuples.intern(joint_result(&views[m], cur))),
+        |m, cur, tuple| joint_step(&views[m], cur, tuple),
+    );
     let num_states = tuples.len() as u32;
 
-    // Horizontal functions over the final product alphabet.
     let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
-    for &a in &symbols {
-        let vs = views(a);
-        // One row per joint horizontal state, over the product ids.
-        let mut joint = Worklist::new();
-        let start = joint.intern(vs.iter().map(Horiz::start).collect::<Vec<u32>>());
-        let rows = joint.explore(|joint, id, cur| {
-            let mut row: Vec<StateId> = tuples
-                .keys()
-                .iter()
-                .map(|tuple| joint.intern(joint_step(&vs, cur, tuple)))
-                .collect();
-            // Out-of-alphabet product ids cannot occur in well-formed runs;
-            // send them to the current state (harmless self-loop).
-            row.push(id);
-            row
-        });
-        let labels: Vec<HState> = joint
-            .keys()
-            .iter()
-            .map(|h| {
-                let res = joint_result(&vs, h);
-                tuples
-                    .get(&res)
-                    .expect("fixpoint interned every result tuple")
-            })
-            .collect();
-        horiz.insert(a, HorizFn::from_rows(rows, start, labels));
+    for ((&a, machine), labels) in symbols.iter().zip(machines).zip(labels) {
+        let mut rows = machine.rows;
+        // Out-of-alphabet product ids cannot occur in well-formed runs;
+        // send them to the current state (harmless self-loop).
+        for (id, row) in rows.iter_mut().enumerate() {
+            row.push(id as StateId);
+        }
+        horiz.insert(a, HorizFn::from_rows(rows, 0, labels));
     }
     let tuples = tuples.into_keys();
 
@@ -259,76 +235,55 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
         iota.insert(leaf, states);
     }
 
-    let symbols: Vec<SymId> = n.symbols().collect();
-    let dview = |a: SymId| -> Option<&crate::dha::HorizFn> { d.horiz(a) };
-
-    // Discovery fixpoint over producible pairs.
-    loop {
-        let before = pairs.len();
-        for &a in &symbols {
-            let hf = dview(a);
-            for &(l, qn) in n.rules(a) {
-                let dfa = n.lang(l);
-                // Joint exploration: (rule-DFA state, D horizontal state).
-                let mut joint = Worklist::new();
-                joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
-                joint.explore(|joint, _, &(ds, hs)| {
-                    if dfa.is_accepting(ds) {
-                        let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                        pairs.intern((qn, qd));
-                    }
-                    for &(pn, pd) in pairs.keys() {
-                        joint.intern((dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd))));
-                    }
-                });
-            }
-        }
-        if pairs.len() == before {
-            break;
-        }
-    }
+    // One machine per rule: (rule-DFA state, D horizontal state) pairs
+    // reading every reachable product pair; an accepting one yields the
+    // pair of the rule's result and D's result there.
+    let machines: Vec<_> = n
+        .symbols()
+        .flat_map(|a| {
+            let hf = d.horiz(a);
+            n.rules(a)
+                .iter()
+                .map(move |&(l, qn)| (a, n.lang(l), hf, qn))
+        })
+        .collect();
+    let mut yielded: Vec<Vec<Option<HState>>> = vec![Vec::new(); machines.len()];
+    let joints = saturate(
+        &mut pairs,
+        machines
+            .iter()
+            .map(|&(_, dfa, hf, _)| (dfa.start(), hf.map_or(0, |h| h.start()))),
+        |m, &(ds, hs), pairs| {
+            let (_, dfa, hf, qn) = machines[m];
+            yielded[m].push(dfa.is_accepting(ds).then(|| {
+                let qd = hf.map_or(d.sink(), |h| h.result(hs));
+                pairs.intern((qn, qd))
+            }));
+        },
+        |m, &(ds, hs), &(pn, pd)| {
+            let (_, dfa, hf, _) = machines[m];
+            (dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd)))
+        },
+    );
     let num_states = pairs.len().max(1) as u32;
 
-    // Build the product rules against the final pair alphabet.
+    // One product rule per distinct pair a rule's joint DFA yields, over
+    // the joint DFA with the states that yield it accepting.
     let mut langs: Vec<Dfa<HState>> = Vec::new();
     let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
-    for &a in &symbols {
-        let hf = dview(a);
-        for &(l, qn) in n.rules(a) {
-            let dfa = n.lang(l);
-            // Joint DFA over pair ids.
-            let mut joint = Worklist::new();
-            let start = joint.intern((dfa.start(), hf.map_or(0, |h| h.start())));
-            let trans = joint.explore(|joint, id, &(ds, hs)| {
-                let letters = pairs.keys().iter().enumerate().map(|(i, &(pn, pd))| {
-                    let next = (dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd)));
-                    (i as HState, joint.intern(next))
-                });
-                row(letters, id)
-            });
-            // One rule per distinct (qn, qd) result this joint DFA reaches.
-            let mut results: BTreeSet<HState> = BTreeSet::new();
-            for &(ds, hs) in joint.keys() {
-                if dfa.is_accepting(ds) {
-                    let qd = hf.map_or(d.sink(), |h| h.result(hs));
-                    if let Some(pid) = pairs.get(&(qn, qd)) {
-                        results.insert(pid);
-                    }
-                }
-            }
-            for pid in results {
-                let (_, qd_target) = pairs.keys()[pid as usize];
-                let accept: Vec<bool> = joint
-                    .keys()
-                    .iter()
-                    .map(|&(ds, hs)| {
-                        dfa.is_accepting(ds) && hf.map_or(d.sink(), |h| h.result(hs)) == qd_target
-                    })
-                    .collect();
-                langs.push(Dfa::from_parts(trans.clone(), start, accept));
-                let jl = (langs.len() - 1) as LangId;
-                rules.entry(a).or_default().push((jl, pid));
-            }
+    for ((&(a, ..), joint), yielded) in machines.iter().zip(joints).zip(yielded) {
+        let trans: Vec<_> = joint
+            .rows
+            .into_iter()
+            .enumerate()
+            .map(|(id, targets)| row((0..).zip(targets), id as StateId))
+            .collect();
+        let results: BTreeSet<HState> = yielded.iter().flatten().copied().collect();
+        for pid in results {
+            let accept = yielded.iter().map(|&y| y == Some(pid)).collect();
+            langs.push(Dfa::from_parts(trans.clone(), 0, accept));
+            let jl = (langs.len() - 1) as LangId;
+            rules.entry(a).or_default().push((jl, pid));
         }
     }
     let pairs = pairs.into_keys();

@@ -1,7 +1,7 @@
 //! Dead-state reduction of deterministic hedge automata.
 //!
 //! The product construction of Theorem 4 never *materializes* dead
-//! states — its discovery fixpoint interns exactly the tuples reachable
+//! states — its bottom-up exploration interns exactly the tuples reachable
 //! bottom-up — so pruning must happen **per component**, before the
 //! product multiplies the waste. Two language-preserving steps compose:
 //!

@@ -168,6 +168,16 @@ if grep -rnE --include='*.rs' '(by_target|NotIn\(covered)' crates/*/src \
   echo "transition rows must be built by hedgex_automata::row/in_edges"; exit 1
 fi
 
+echo "== one bottom-up exploration =="
+# Theorem 1's subsets, Theorem 4's products, the ambiguity self-product and
+# the inhabitation analyses find their states and their rows in one loop,
+# hedgex_automata::saturate, which steps each (horizontal state, vertical
+# state) pair once. No construction repeats its own rounds until nothing
+# new turns up, or explores a horizontal machine again to build its rows.
+if grep -rnE --include='*.rs' '(fn lift_horiz|len\(\) == before)' crates/*/src; then
+  echo "bottom-up discovery must go through hedgex_automata::saturate"; exit 1
+fi
+
 echo "== dense tables live in hedgex-automata =="
 # Every tabulated automaton (horizontal functions, ≡ classes, N, the path
 # DFA, F) is a hedgex_automata::DenseDfa, and constructions hand it rows

@@ -132,10 +132,14 @@ fn corrupted_stores_fail_with_positioned_typed_errors() {
                 Ok(store) => {
                     // A successful load of mutated bytes is only
                     // acceptable if the mutation was semantically null:
-                    // the reload must re-serialize to a canonical image
-                    // that loads back equal (and the control case must
-                    // equal the seed store exactly).
+                    // the reload must re-serialize to exactly the bytes it
+                    // was loaded from, which load back equal (and the
+                    // control case must equal the seed store exactly).
                     let reencoded = store.to_bytes();
+                    prop_assert!(
+                        reencoded == *bytes,
+                        "a loaded image does not re-serialize byte-identically"
+                    );
                     let again = DocumentStore::from_bytes(&reencoded)
                         .map_err(|e| format!("re-serialized store failed to load: {e}"))?;
                     prop_assert!(again == store, "re-serialization not idempotent");
