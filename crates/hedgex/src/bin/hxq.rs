@@ -27,6 +27,7 @@ use std::time::Instant;
 
 use hedgex::prelude::*;
 use hedgex::run::{Query, Source};
+use hedgex::xml::{parse_flat_read, ReadError};
 use hedgex::{Request, RunError};
 use hedgex_testkit::Json;
 
@@ -77,15 +78,17 @@ usage: hxq (--path EXPR | --phr EXPR) [OPTIONS] FILE|-
                        DFA states, O(depth), and builds no tree, unless
                        --mark/--subhedge/--repeat needs the document's
                        arena; a --phr query always builds the arena (a PHR
-                       match depends on younger siblings). The input is
-                       read whole before parsing
+                       match depends on younger siblings). FILE and stdin
+                       are read in chunks through one 64 KB window, never
+                       whole
   --exists             print nothing; exit 0 if any node matches, 1 if none
-                       (a streamed --path query stops parsing at the first
-                       match, so input malformed after it is not an error;
-                       otherwise, prunes provably barren subtrees)
+                       (a streamed --path query stops reading and parsing
+                       at the first match, so input malformed after it is
+                       not an error; otherwise, prunes provably barren
+                       subtrees)
   --count              print the number of matching nodes instead of their
                        addresses; no match set is materialized (a streamed
-                       --path query keeps O(depth) memory beyond the input)
+                       --path query keeps O(depth) memory plus the window)
   --store STORE        query every document in a persistent store built by
                        'hxq index' instead of a FILE: answers use the
                        store's structural index to skip documents and
@@ -517,8 +520,11 @@ fn run_index(args: IndexArgs) -> Result<ExitCode, String> {
     let mut ab = Alphabet::new();
     let mut docs: Vec<(String, FlatHedge)> = Vec::with_capacity(files.len());
     for (name, path) in files {
-        let src = std::fs::read_to_string(&path).map_err(|e| format!("{}: {e}", path.display()))?;
-        let flat = parse_flat(&src, &mut ab, cfg).map_err(|e| format!("{name}: {e}"))?;
+        let file = std::fs::File::open(&path).map_err(|e| format!("{}: {e}", path.display()))?;
+        let flat = parse_flat_read(file, &mut ab, cfg).map_err(|e| match e {
+            ReadError::Io(e) => format!("{}: {e}", path.display()),
+            ReadError::Xml(e) => format!("{name}: {e}"),
+        })?;
         docs.push((name, flat));
     }
     let store = DocumentStore::build(ab, docs);

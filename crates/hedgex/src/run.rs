@@ -4,17 +4,21 @@
 //! persistent store) through one of three phase sequences
 //!
 //! ```text
-//! arena:  read → query parse → parse → compile → eval → output
-//! stream: read → query parse → compile → stream → finish → output
+//! arena:  query parse → parse → compile → eval → output
+//! stream: query parse → compile → stream → finish → output
 //! store:  load → query parse → compile → eval → output
 //! ```
 //!
 //! with one [`Plan`] and one caller-supplied writer. The query is parsed
 //! first on every route, so a malformed query is a usage error whatever
-//! the document holds. The request picks the route: a path query only
-//! needs the DFA states of a node's open ancestors (§8), so from a file or
-//! stdin it streams through the plan's own automaton and builds no tree,
-//! unless `mark`, `subhedge` or `repeat` needs the arena; a PHR match
+//! the document holds. A file or stdin is never read whole: the parse (or
+//! the stream) reads it in chunks through one reused window, so its read
+//! is part of that phase, and the obs counter `xml.read_ns` says how much
+//! of it was spent inside `read`. The request picks the route: a path
+//! query only needs the DFA states of a node's open ancestors (§8), so
+//! from a file or stdin it streams through the plan's own automaton and
+//! builds no tree, unless `mark`, `subhedge` or `repeat` needs the
+//! arena; a PHR match
 //! depends on its younger siblings (§7), so a PHR always runs on the
 //! document's arena. Each layer is timed once, with
 //! `Instant` and an obs span of the same name, so a [`Report`]'s phases are
@@ -24,7 +28,8 @@
 //! only when a report is requested.
 
 use std::fmt;
-use std::io::{self, Write};
+use std::fs::File;
+use std::io::{self, Read, Write};
 use std::time::Instant;
 
 use hedgex_core::plan::Backend;
@@ -36,7 +41,7 @@ use hedgex_obs as obs;
 use hedgex_store::{DocumentStore, StoreQuery};
 use hedgex_stream::{PathStream, StreamStats};
 use hedgex_testkit::Json;
-use hedgex_xml::{parse_flat, stream_xml, write_xml, HedgeConfig};
+use hedgex_xml::{parse_flat_read, stream_read, write_xml, HedgeConfig, ReadError};
 
 /// Version of the [`Report`] JSON layout.
 pub const REPORT_SCHEMA: u32 = 1;
@@ -339,15 +344,15 @@ pub fn run<W: Write>(req: &Request, out: &mut W) -> Result<RunResult, RunError> 
         start: Instant::now(),
         phases: Vec::new(),
     };
-    let needs_arena = req.mark || req.subhedge.is_some() || req.repeat.is_some();
     let (plan, outcome, nodes, stats, repeat) = match &req.source {
         Source::Store(path) => run_store(req, path, &mut clock, out)?,
-        source => {
-            let src = clock.phase("hedgex.read", || read(source))?;
-            match req.query {
-                Query::Path(_) if !needs_arena => run_stream(req, &src, &mut clock, out)?,
-                _ => run_document(req, &src, &mut clock, out)?,
-            }
+        Source::File(path) => {
+            let file = File::open(path).map_err(|e| RunError::Input(format!("{path}: {e}")))?;
+            run_input(req, (path, Box::new(file)), &mut clock, out)?
+        }
+        Source::Stdin => {
+            let stdin = Box::new(io::stdin().lock());
+            run_input(req, ("stdin", stdin), &mut clock, out)?
         }
     };
     let report = req.report.then(|| {
@@ -387,13 +392,15 @@ pub fn run<W: Write>(req: &Request, out: &mut W) -> Result<RunResult, RunError> 
     })
 }
 
-fn read(source: &Source) -> Result<String, RunError> {
-    let (name, text) = match source {
-        Source::File(path) => (path.as_str(), std::fs::read_to_string(path)),
-        Source::Stdin => ("stdin", io::read_to_string(io::stdin())),
-        Source::Store(_) => unreachable!("a store is loaded, not read"),
-    };
-    text.map_err(|e| RunError::Input(format!("{name}: {e}")))
+/// A file or stdin, named for its read errors.
+type Input<'a> = (&'a str, Box<dyn Read>);
+
+/// A failed read names its input; a malformed document says where.
+fn input_error(name: &str, e: ReadError) -> RunError {
+    match e {
+        ReadError::Io(e) => RunError::Input(format!("{name}: {e}")),
+        ReadError::Xml(e) => RunError::Input(e.to_string()),
+    }
 }
 
 /// A parsed query, ready to compile into its [`Plan`], and the parsed
@@ -491,12 +498,25 @@ fn print_answer<W: Write>(
     out.flush()
 }
 
+/// A file or stdin: a path query streams, unless `mark`, `subhedge` or
+/// `repeat` needs the arena.
+fn run_input<W: Write>(req: &Request, input: Input, clock: &mut Clock, out: &mut W) -> Ran {
+    let needs_arena = req.mark || req.subhedge.is_some() || req.repeat.is_some();
+    match req.query {
+        Query::Path(_) if !needs_arena => run_stream(req, input, clock, out),
+        _ => run_document(req, input, clock, out),
+    }
+}
+
 /// A file or stdin, parsed into one arena and evaluated on it.
-fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
+fn run_document<W: Write>(req: &Request, input: Input, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
     let parsed = query_parse(req, &mut ab, clock)?;
-    let flat = clock.phase("hedgex.parse", || parse_flat(src, &mut ab, req.config));
-    let flat = flat.map_err(|e| RunError::Input(e.to_string()))?;
+    let (name, reader) = input;
+    let flat = clock.phase("hedgex.parse", || {
+        parse_flat_read(reader, &mut ab, req.config)
+    });
+    let flat = flat.map_err(|e| input_error(name, e))?;
     let (plan, select) = compile(parsed, &ab, clock);
     let (mode, jobs, runs) = (req.mode, req.jobs, req.repeat.unwrap_or(1));
     let (outcome, hits) = clock.phase("hedgex.eval", || match &select {
@@ -536,9 +556,9 @@ fn run_document<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut
 }
 
 /// A path query over a file or stdin, evaluated during its parse by a sink
-/// on the plan's own DFA with O(depth) state: Exists stops parsing at the
-/// first match, and Count records no match.
-fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W) -> Ran {
+/// on the plan's own DFA with O(depth) state: Exists stops parsing, and
+/// reading, at the first match, and Count records no match.
+fn run_stream<W: Write>(req: &Request, input: Input, clock: &mut Clock, out: &mut W) -> Ran {
     let mut ab = Alphabet::new();
     let parsed = query_parse(req, &mut ab, clock)?;
     let (plan, _) = compile(parsed, &ab, clock);
@@ -550,10 +570,11 @@ fn run_stream<W: Write>(req: &Request, src: &str, clock: &mut Clock, out: &mut W
         .exists(mode == EvalMode::Exists)
         .count_only(mode == EvalMode::Count)
         .record_addresses(mode == EvalMode::Locate);
+    let (name, reader) = input;
     let streamed = clock.phase("hedgex.stream", || {
-        stream_xml(src, &mut ab, req.config, &mut sink)
+        stream_read(reader, &mut ab, req.config, &mut sink)
     });
-    streamed.map_err(|e| RunError::Input(e.to_string()))?;
+    streamed.map_err(|e| input_error(name, e))?;
     clock.phase("hedgex.finish", || sink.finish().len());
     let outcome = match mode {
         EvalMode::Locate => EvalOutcome::Located(sink.located().len()),

@@ -14,13 +14,15 @@
 //!   [`hedgex_core::two_pass::eval_into`], the one walk every PHR route
 //!   runs. Beyond the arena it holds only the open chain.
 //!
-//! Either way the parser works on a `&str` the caller has already read
-//! whole: an early stop saves parsing, not reading.
+//! Either way the parser reads its input in chunks through one window
+//! ([`stream_read`]) and never holds it whole, so an early stop saves
+//! reading as well as parsing: nothing past the window that holds the
+//! stop is read.
 //!
 //! Both evaluators implement [`HedgeSink`] (defined in `hedgex-hedge`,
-//! re-exported here), fed either by [`stream_xml`] — `hedgex-xml`'s event
-//! parser, which applies the XML → hedge mapping itself and drives the
-//! sink directly — or by [`replay_flat`] (an already-materialized
+//! re-exported here), fed either by [`stream_read`] or [`stream_xml`] —
+//! `hedgex-xml`'s event parser over a reader or a `&str`, which applies
+//! the XML → hedge mapping itself and drives the sink directly — or by [`replay_flat`] (an already-materialized
 //! [`FlatHedge`] — the bridge the differential test suite uses to prove
 //! streamed == materialized on identical inputs). Node ids assigned by the
 //! sinks are preorder ranks, so they coincide with materialized
@@ -35,7 +37,7 @@ pub mod path;
 pub mod phr;
 
 pub use hedgex_hedge::HedgeSink;
-pub use hedgex_xml::{parse_flat, stream_xml};
+pub use hedgex_xml::{parse_flat, stream_read, stream_xml};
 pub use path::PathStream;
 pub use phr::PhrStream;
 

@@ -6,10 +6,11 @@
 //! * the recursive tree parser [`parse_xml`], whose [`XmlNode`]s
 //!   [`to_hedge`] maps to a hedge — the reference the tests compare
 //!   against;
-//! * the event parser [`stream_xml`], which applies the same mapping while
-//!   it scans and drives a [`hedgex_hedge::HedgeSink`] directly: a
-//!   `FlatBuilder` in [`parse_flat`], or a streaming evaluator of
-//!   `hedgex-stream`.
+//! * the event parser [`stream_read`], which reads its input in chunks
+//!   through one window, applies the same mapping while it scans, and
+//!   drives a [`hedgex_hedge::HedgeSink`] directly: a `FlatBuilder` in
+//!   [`parse_flat_read`], or a streaming evaluator of `hedgex-stream`.
+//!   [`stream_xml`] and [`parse_flat`] are the same loop over a `&str`.
 //!
 //! [`write_xml`] writes a hedge back, and seeded synthetic corpora
 //! ([`corpus`]) stand in for the real-world documents the paper does not
@@ -37,7 +38,10 @@ pub mod parser;
 pub mod writer;
 
 pub use corpus::{docbook, DocbookConfig};
-pub use parser::{parse_flat, parse_xml, stream_xml, StreamOutcome, XmlError, XmlNode};
+pub use parser::{
+    parse_flat, parse_flat_read, parse_xml, stream_read, stream_xml, ReadError, StreamOutcome,
+    XmlError, XmlNode,
+};
 pub use writer::write_xml;
 
 use hedgex_hedge::{Alphabet, Hedge, Tree};

@@ -212,6 +212,14 @@ if grep -rnF --include='*.rs' 'fs::read(' crates/store/src; then
   echo "the store loader must stream its file, not read it whole"; exit 1
 fi
 
+echo "== documents are read in chunks =="
+# hxq reads a file or stdin through the event parser's window
+# (stream_read / parse_flat_read) and never holds a document whole:
+# neither hxq's run nor its binary reads one into a String or a Vec.
+if grep -rnE --include='*.rs' '(read_to_string|fs::read\(|read_to_end)' crates/hedgex/src; then
+  echo "a document must be read through the event parser's window, not read whole"; exit 1
+fi
+
 echo "== E6 warm-throughput bench (smoke mode: 1 sample) =="
 HEDGEX_BENCH_SMOKE=1 cargo bench -q --offline -p hedgex-bench --bench warm
 

@@ -90,7 +90,6 @@ fn docbook_report_is_consistent() {
     assert_eq!(
         names,
         [
-            "hedgex.read",
             "hedgex.query_parse",
             "hedgex.parse",
             "hedgex.compile",
@@ -156,7 +155,6 @@ fn subhedge_filter_matches_manual_marking() {
     assert_eq!(
         names,
         [
-            "hedgex.read",
             "hedgex.query_parse",
             "hedgex.parse",
             "hedgex.compile",

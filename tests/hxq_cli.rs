@@ -2,7 +2,7 @@
 //! and `--metrics-json` output, and agreement between the CLI's match set
 //! and the library pipeline.
 
-use std::io::Write;
+use std::io::{ErrorKind, Write};
 use std::path::PathBuf;
 use std::process::{Command, Output, Stdio};
 
@@ -17,8 +17,10 @@ fn hxq(args: &[&str]) -> Output {
         .expect("hxq runs")
 }
 
-/// Run hxq with `input` piped to stdin (for the `-` file argument).
-fn hxq_stdin(args: &[&str], input: &str) -> Output {
+/// Run hxq with `input` piped to stdin (for the `-` file argument). A run
+/// that has its answer before the end of its input (a streamed `--exists`)
+/// stops reading and exits, so a closed pipe ends the write.
+fn hxq_stdin(args: &[&str], input: impl AsRef<[u8]>) -> Output {
     let mut child = Command::new(env!("CARGO_BIN_EXE_hxq"))
         .args(args)
         .stdin(Stdio::piped())
@@ -26,12 +28,14 @@ fn hxq_stdin(args: &[&str], input: &str) -> Output {
         .stderr(Stdio::piped())
         .spawn()
         .expect("hxq spawns");
-    child
+    let written = child
         .stdin
         .take()
         .expect("stdin is piped")
-        .write_all(input.as_bytes())
-        .expect("write to hxq stdin");
+        .write_all(input.as_ref());
+    if let Err(e) = written {
+        assert_eq!(e.kind(), ErrorKind::BrokenPipe, "write to hxq stdin: {e}");
+    }
     child.wait_with_output().expect("hxq runs")
 }
 
@@ -277,7 +281,6 @@ fn stream_metrics_json_reports_the_streaming_run() {
             assert_eq!(
                 names,
                 [
-                    "hedgex.read",
                     "hedgex.query_parse",
                     "hedgex.parse",
                     "hedgex.compile",
@@ -294,7 +297,6 @@ fn stream_metrics_json_reports_the_streaming_run() {
         assert_eq!(
             names,
             [
-                "hedgex.read",
                 "hedgex.query_parse",
                 "hedgex.compile",
                 "hedgex.stream",
@@ -766,6 +768,143 @@ fn malformed_tail_gets_one_answer_on_every_route() {
         }
     }
     std::fs::remove_file(xml).ok();
+}
+
+/// A byte that is not UTF-8 is a positioned XML error, exit 1 with one
+/// line, from a file and from stdin on every route: an invalid byte, and a
+/// sequence the input ends inside. A streamed `--exists` that matches
+/// before the bad byte exits 0, as on any input malformed after a match.
+#[test]
+fn invalid_utf8_is_a_positioned_error_on_every_route() {
+    for (src, at) in [
+        (&b"<a><b/>\xff<c/></a>"[..], 7),
+        (b"<a><b/><c/>\xe5\x90", 11),
+    ] {
+        let xml = scratch("invalid-utf8.xml");
+        std::fs::write(&xml, src).unwrap();
+        let xml = xml.to_str().unwrap();
+        for (file, stdin) in [(xml, None), ("-", Some(src))] {
+            let run = |args: &[&str]| {
+                let args = [args, &[file]].concat();
+                match stdin {
+                    Some(input) => hxq_stdin(&args, input),
+                    None => hxq(&args),
+                }
+            };
+            for args in [
+                &["--count", "--path", "a b"][..],
+                &["--path", "a c"],
+                &["--exists", "--path", "a d"],
+                &["--mark", "--path", "a b"],
+                &["--count", "--phr", "[ε ; b ; ε]"],
+                &["--exists", "--phr", "[ε ; b ; ε]"],
+            ] {
+                let out = run(args);
+                assert_eq!(out.status.code(), Some(1), "{args:?} {file}");
+                assert!(out.stdout.is_empty(), "{args:?} {file}");
+                let err = String::from_utf8_lossy(&out.stderr);
+                assert_eq!(err.lines().count(), 1, "one diagnostic: {err}");
+                let want = format!("XML error at byte {at}: invalid UTF-8");
+                assert!(err.contains(&want), "{args:?} {file}: {err}");
+            }
+            let hit = run(&["--exists", "--path", "a b"]);
+            assert_eq!(hit.status.code(), Some(0), "{file}");
+            assert!(hit.stdout.is_empty() && hit.stderr.is_empty(), "{file}");
+        }
+        std::fs::remove_file(xml).ok();
+    }
+}
+
+/// The largest resident set `/proc/PID/status` reports, polled every
+/// half millisecond until the child exits, in kB.
+fn peak_rss_kb(child: &mut std::process::Child) -> u64 {
+    let status = format!("/proc/{}/status", child.id());
+    let mut peak = 0;
+    while child.try_wait().expect("hxq runs").is_none() {
+        let hwm = std::fs::read_to_string(&status).ok().and_then(|s| {
+            let line = s.lines().find(|l| l.starts_with("VmHWM:"))?;
+            line.split_whitespace().nth(1)?.parse::<u64>().ok()
+        });
+        peak = peak.max(hwm.unwrap_or(0));
+        std::thread::sleep(std::time::Duration::from_micros(500));
+    }
+    peak
+}
+
+/// A streamed `--count --path` over a 64 MB pipe holds one window of the
+/// input, not all of it: its peak resident set stays far below the input.
+#[test]
+fn streamed_count_over_a_large_pipe_keeps_memory_bounded() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hxq"))
+        .args(["--count", "--path", "r a", "-"])
+        .stdin(Stdio::piped())
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("hxq spawns");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    let writer = std::thread::spawn(move || {
+        let chunk = "<a>text</a>\n<b/>\n".repeat(4096);
+        let (mut written, mut elements) = (0, 0);
+        stdin.write_all(b"<r>")?;
+        while written < 64 << 20 {
+            stdin.write_all(chunk.as_bytes())?;
+            (written, elements) = (written + chunk.len(), elements + 4096);
+        }
+        stdin.write_all(b"</r>")?;
+        Ok::<_, std::io::Error>(elements)
+    });
+    let peak = peak_rss_kb(&mut child);
+    let elements = writer.join().unwrap().expect("hxq reads all of its input");
+    let out = child.wait_with_output().expect("hxq runs");
+    assert_eq!(out.status.code(), Some(0));
+    assert_eq!(
+        String::from_utf8_lossy(&out.stdout),
+        format!("{elements}\n")
+    );
+    assert!(peak > 0, "VmHWM was read");
+    assert!(peak < 12_000, "peak RSS {peak} kB over a 64 MB input");
+}
+
+/// A streamed `--exists --path` whose first chunk matches exits 0 and
+/// stops reading: the writer of a pipe that never ends sees it closed.
+/// The writer sends 16 MB and then holds the pipe open without writing, so
+/// a reader that waits for the end of its input times out with bounded
+/// memory instead of reading forever.
+#[test]
+fn streamed_exists_stops_reading_an_endless_pipe() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_hxq"))
+        .args(["--exists", "--path", "r a", "-"])
+        .stdin(Stdio::piped())
+        .spawn()
+        .expect("hxq spawns");
+    let mut stdin = child.stdin.take().expect("stdin is piped");
+    let (done, wait) = std::sync::mpsc::channel::<()>();
+    let writer = std::thread::spawn(move || {
+        let more = "<b/>".repeat(1024);
+        stdin.write_all(b"<r><a/>")?;
+        for _ in 0..4096 {
+            stdin.write_all(more.as_bytes())?;
+        }
+        // Never end the input: hold the pipe open until the test is over.
+        wait.recv().ok();
+        Ok::<_, std::io::Error>(())
+    });
+    let start = std::time::Instant::now();
+    let status = loop {
+        if let Some(status) = child.try_wait().expect("hxq runs") {
+            break status;
+        }
+        if start.elapsed().as_secs() > 60 {
+            child.kill().ok();
+            drop(done);
+            panic!("hxq kept reading a pipe that never ends");
+        }
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    };
+    drop(done);
+    assert_eq!(status.code(), Some(0));
+    let closed = writer.join().unwrap();
+    assert_eq!(closed.unwrap_err().kind(), ErrorKind::BrokenPipe);
 }
 
 /// A start tag that repeats an attribute name is malformed (XML 1.0's
@@ -1587,6 +1726,15 @@ fn one_report_from_every_source() {
             );
             let printed = String::from_utf8_lossy(&out.stdout).lines().count() as u64;
             assert_eq!(ns(&report, "located"), printed, "{args:?}");
+            // A file or stdin is read inside its parse, in chunks: the time
+            // spent in `read` is a counter, not a phase.
+            let metrics = report.get("metrics").unwrap();
+            if metrics.get("enabled") == Some(&Json::Bool(true)) {
+                let counters = metrics.get("counters").unwrap();
+                let read_ns = counters.get("xml.read_ns").and_then(Json::as_u64);
+                let read = read_ns.is_some_and(|ns| ns > 0);
+                assert_eq!(read, expect != "store", "{args:?}");
+            }
         }
     }
     std::fs::remove_dir_all(&dir).ok();

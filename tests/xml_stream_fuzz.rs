@@ -9,11 +9,18 @@
 //! ride along: every generated input also runs through `stream_xml` →
 //! `PhrStream`, which must never panic and must agree with the
 //! materialized answer whenever the input parses.
+//!
+//! The generators emit non-ASCII names, text and whitespace, so the byte
+//! scanner's fallbacks for bytes ≥ 0x80 run too. And the reader loop
+//! must not depend on how its input is cut: any chunking of the bytes
+//! gives the events, alphabet, arena, outcome and error (message and
+//! absolute byte) of one chunk.
 
 use hedgex::core::CompiledPhr;
 use hedgex::hedge::{Leaf, SymId};
 use hedgex::prelude::*;
-use hedgex::xml::StreamOutcome;
+use hedgex::xml::parser::WINDOW;
+use hedgex::xml::{parse_flat_read, stream_read, ReadError, StreamOutcome, XmlError};
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, Config, Gen, Rng, TestResult};
 
 // ---------------------------------------------------------------------------
@@ -59,8 +66,14 @@ impl HedgeSink for Tape {
 // Generators: well-formed documents, then adversarial mutations
 // ---------------------------------------------------------------------------
 
-const NAMES: [&str; 4] = ["a", "b", "item", "x-y"];
-const TEXTS: [&str; 9] = [
+// `ļ` (C4 BC) and `Ħ` (C4 A6) have continuation bytes whose low seven bits
+// are `<` and `&`.
+const NAMES: [&str; 8] = ["a", "b", "item", "x-y", "é", "名", "ļĦ", "aĦ"];
+/// What may separate a tag's name from its attributes: ASCII or Unicode
+/// whitespace.
+const SPACES: [&str; 6] = [" ", "\n", "\u{a0}", "\u{2003}", "\u{85}", "\u{3000}\t"];
+const VALUES: [&str; 5] = ["1", "ļĦ", "&amp;é", "\u{3000}", "·"];
+const TEXTS: [&str; 22] = [
     "hi",
     " ",
     "a &lt; b",
@@ -71,8 +84,24 @@ const TEXTS: [&str; 9] = [
     "&#x9;",
     "<![CDATA[ ]]>",
     "<![CDATA[]]>",
+    // DocBook's text placeholder, and chars with `<`/`&` in their
+    // continuation bytes' low bits.
+    "·",
+    "ļ",
+    "Ħ",
+    "naïve 名",
+    // Unicode whitespace, alone and inside runs: no `#text` leaf.
+    "\u{a0}",
+    "\u{85}",
+    "\u{2003}",
+    "\u{3000}",
+    "\n  \u{a0}\u{3000} \u{85}\t",
+    "\x0b",
+    "\x0c",
+    " \x0b\x0c\r\n",
+    "\u{3000}<![CDATA[\u{2003}]]>",
 ];
-const SOUP: [&str; 13] = [
+const SOUP: [&str; 16] = [
     "<",
     ">",
     "</",
@@ -86,6 +115,9 @@ const SOUP: [&str; 13] = [
     "&#x",
     "=\"",
     "<a k='1' k='2'/>",
+    "ļ",
+    "\u{85}",
+    "</é>",
 ];
 
 /// A well-formed document string: elements with occasional attributes,
@@ -96,9 +128,10 @@ fn gen_doc(rng: &mut Rng, depth: usize, out: &mut String) {
     out.push_str(name);
     if rng.random_bool(0.3) {
         out.push_str(&format!(
-            " {}=\"{}\"",
+            "{}{}=\"{}\"",
+            SPACES[rng.random_range(0..SPACES.len())],
             NAMES[rng.random_range(0..NAMES.len())],
-            rng.random_range(0..100u32)
+            VALUES[rng.random_range(0..VALUES.len())]
         ));
     }
     if rng.random_bool(0.2) {
@@ -115,7 +148,12 @@ fn gen_doc(rng: &mut Rng, depth: usize, out: &mut String) {
             _ => out.push_str("<?pi data?>"),
         }
     }
-    out.push_str(&format!("</{name}>"));
+    let space = if rng.random_bool(0.2) {
+        SPACES[rng.random_range(0..SPACES.len())]
+    } else {
+        ""
+    };
+    out.push_str(&format!("</{name}{space}>"));
 }
 
 /// Truncate at a random char boundary (the classic "connection dropped"
@@ -400,5 +438,196 @@ fn parse_flat_equals_the_tree_pipeline_on_hostile_input() {
     );
     for src in PINNED {
         parse_flat_matches_tree_pipeline(src).unwrap();
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Chunked reads: the reader loop must not depend on where its input is cut
+// ---------------------------------------------------------------------------
+
+/// A reader that hands out `src` in chunks of the given sizes (cycled; a
+/// read never returns more than it is asked for).
+struct Chunked<'a> {
+    src: &'a [u8],
+    sizes: Vec<usize>,
+    next: usize,
+}
+
+impl<'a> Chunked<'a> {
+    fn new(src: &'a [u8], sizes: Vec<usize>) -> Self {
+        Chunked {
+            src,
+            sizes,
+            next: 0,
+        }
+    }
+}
+
+impl std::io::Read for Chunked<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.next % self.sizes.len()].max(1);
+        self.next += 1;
+        let n = size.min(buf.len()).min(self.src.len());
+        buf[..n].copy_from_slice(&self.src[..n]);
+        self.src = &self.src[n..];
+        Ok(n)
+    }
+}
+
+/// What one parse of a document shows: its events, outcome or error,
+/// alphabet, and the arena `parse_flat_read` builds.
+type Seen = (
+    Vec<String>,
+    Result<StreamOutcome, XmlError>,
+    Alphabet,
+    Result<FlatHedge, XmlError>,
+);
+
+fn xml_error(e: ReadError) -> XmlError {
+    match e {
+        ReadError::Xml(e) => e,
+        ReadError::Io(e) => panic!("an in-memory reader does not fail: {e}"),
+    }
+}
+
+/// Parse `src` through a reader cut into `sizes` chunks, with a sink that
+/// stops after `stop_after` events, under `cfg`.
+fn seen(src: &[u8], sizes: &[usize], stop_after: usize, cfg: HedgeConfig) -> Seen {
+    let mut ab = Alphabet::new();
+    let mut tape = Tape::new(stop_after);
+    let outcome = stream_read(Chunked::new(src, sizes.to_vec()), &mut ab, cfg, &mut tape);
+    let mut ab_flat = Alphabet::new();
+    let flat = parse_flat_read(Chunked::new(src, sizes.to_vec()), &mut ab_flat, cfg);
+    (
+        tape.events,
+        outcome.map_err(xml_error),
+        ab,
+        flat.map_err(xml_error),
+    )
+}
+
+/// Every chunking in `chunkings` sees what one chunk sees, and over valid
+/// UTF-8 that is what `stream_xml` and `parse_flat` see on the `&str`:
+/// under both attribute mappings, unstopped and stopped after one event
+/// and after half of them.
+fn chunkings_agree(src: &[u8], chunkings: &[Vec<usize>]) -> TestResult {
+    for keep_attrs in [false, true] {
+        let cfg = HedgeConfig {
+            keep_text: true,
+            keep_attrs,
+        };
+        let whole = seen(src, &[usize::MAX], usize::MAX, cfg);
+        if let Ok(text) = std::str::from_utf8(src) {
+            let mut ab = Alphabet::new();
+            let mut tape = Tape::new(usize::MAX);
+            let outcome = stream_xml(text, &mut ab, cfg, &mut tape);
+            let mut ab_flat = Alphabet::new();
+            let flat = parse_flat(text, &mut ab_flat, cfg);
+            prop_assert_eq!(
+                &whole,
+                &(tape.events, outcome, ab, flat),
+                "one chunk vs &str on {:?}",
+                text
+            );
+        }
+        let stops = [usize::MAX, 1, whole.0.len() / 2 + 1];
+        for stop_after in stops {
+            let want = seen(src, &[usize::MAX], stop_after, cfg);
+            for sizes in chunkings {
+                let got = seen(src, sizes, stop_after, cfg);
+                prop_assert_eq!(
+                    &got,
+                    &want,
+                    "chunks {:?} (stop after {}, attrs={}) on {:?}",
+                    sizes,
+                    stop_after,
+                    keep_attrs,
+                    String::from_utf8_lossy(src)
+                );
+            }
+        }
+    }
+    Ok(())
+}
+
+/// Hostile documents, some with a byte that is not UTF-8 spliced in, read
+/// one byte at a time and in random chunk sizes.
+#[test]
+fn any_chunking_reads_like_one_chunk() {
+    let docs = arb_input();
+    let gen = Gen::new(move |rng| {
+        let mut bytes = docs.generate(rng).into_bytes();
+        if rng.random_bool(0.2) {
+            let at = rng.random_range(0..=bytes.len());
+            let bad: &[u8] = [&[0xff][..], &[0xc4], &[0xe5, 0x90], &[0xed, 0xa0, 0x80]]
+                [rng.random_range(0..4usize)];
+            bytes.splice(at..at, bad.iter().copied());
+        }
+        let sizes: Vec<usize> = (0..rng.random_range(1..6usize))
+            .map(|_| rng.random_range(1..40usize))
+            .collect();
+        (bytes, sizes)
+    });
+    forall(
+        "chunked_reads",
+        Config::with_cases(200),
+        &gen,
+        |(src, sizes)| chunkings_agree(src, &[vec![1], sizes.clone()]),
+    );
+}
+
+/// Every split offset of small documents, so a cut falls inside every
+/// token: a name, an entity, `<![CDATA[`, `-->`, an attribute value and a
+/// multi-byte char (`ļ`, whose second byte has `<` in its low bits).
+#[test]
+fn every_split_offset_reads_like_one_chunk() {
+    for src in [
+        "<?xml version='1.0'?><doc><é k=\"a&amp;ļ\" 名='Ħ'>x &#x41;&lt;<![CDATA[<]]>\u{3000}</é><!-- c --></doc>",
+        "<a>\n  \u{85}·\n  <b/><!---->&#32;</a >",
+        "<a><![CDATA[x]]]]><!-- -- --></a><?pi ?>",
+        "<a><b></a>",
+        "<a>&unknown;</a>",
+        "<a k='1' k='2'/>",
+        "<ļ>text",
+    ] {
+        let src = src.as_bytes();
+        let splits: Vec<Vec<usize>> = (1..src.len()).map(|k| vec![k, usize::MAX]).collect();
+        chunkings_agree(src, &splits).unwrap();
+    }
+}
+
+/// A start tag far larger than the window — 100k attributes, the tag from
+/// the parser's repeated-attribute test — grows the window, and reads the
+/// same from chunks of mixed sizes; a repeated last name is still an
+/// error at its absolute byte.
+#[test]
+fn a_tag_larger_than_the_window_reads_like_one_chunk() {
+    let wide = |repeat: bool| {
+        let mut src = String::from("<a");
+        for i in 0..100_000 {
+            src.push_str(&format!(" k{i}='v'"));
+        }
+        if repeat {
+            src.push_str(" k99999='w'");
+        }
+        src + "/>"
+    };
+    // Attributes dropped, so the check is the reading, not 200k events.
+    let read = |src: &[u8], sizes: Vec<usize>| {
+        let (mut ab, mut tape) = (Alphabet::new(), Tape::new(usize::MAX));
+        let cfg = HedgeConfig::default();
+        let outcome = stream_read(Chunked::new(src, sizes), &mut ab, cfg, &mut tape);
+        (tape.events, outcome.map_err(xml_error), ab)
+    };
+    for repeat in [false, true] {
+        let src = wide(repeat);
+        assert!(src.len() > 8 * WINDOW, "{} bytes", src.len());
+        let want = read(src.as_bytes(), vec![usize::MAX]);
+        assert!(read(src.as_bytes(), vec![997, 65536, 7]) == want);
+        match (&want.1, repeat) {
+            (Ok(StreamOutcome::Finished), false) => assert_eq!(want.0, ["open 0", "close"]),
+            (Err(e), true) => assert_eq!(e.pos, src.len() - 12),
+            (other, _) => panic!("unexpected {other:?}"),
+        }
     }
 }
