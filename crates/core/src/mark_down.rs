@@ -60,12 +60,9 @@ pub fn mark_run_into(
         if !matches!(h.label(id), FlatLabel::Sym(_)) {
             continue;
         }
-        let mut s = f.start();
-        let mut c = h.first_child(id);
-        while let Some(cid) = c {
-            s = f.cell(s, states[cid as usize] as usize);
-            c = h.next_sibling(cid);
-        }
+        let s = h
+            .children(id)
+            .fold(f.start(), |s, c| f.cell(s, states[c as usize] as usize));
         marks[id as usize] = f.is_accepting(s);
     }
 }

@@ -35,7 +35,9 @@ use hedgex_obs as obs;
 use crate::hre::{Hre, HreParseError};
 use crate::phr::{Pbhr, Phr};
 use crate::syntax::{self, Cursor, Grammar, Parsed};
-use crate::two_pass::{EvalMode, EvalOutcome, EvalScratch, GateCursor, ModeSink, PruneInfo};
+use crate::two_pass::{
+    next_in_group, EvalMode, EvalOutcome, EvalScratch, GateCursor, ModeSink, PruneInfo,
+};
 
 /// A classical path expression: a regular expression over Σ, read from the
 /// root down to the located node (inclusive).
@@ -273,7 +275,7 @@ impl CompiledPath {
         match gate {
             None => (self.walk(h, |_| true, scratch, mode), 0),
             Some(prune) => {
-                let mut gate = GateCursor::new(prune);
+                let mut gate = GateCursor::new(prune, h);
                 let outcome = self.walk(h, |id| gate.admits(id), scratch, mode);
                 (outcome, gate.skipped)
             }
@@ -290,17 +292,12 @@ impl CompiledPath {
     ) -> EvalOutcome {
         let EvalScratch { located, stack, .. } = scratch;
         let mut sink = ModeSink::new(mode, located);
+        let ends = h.subtree_ends();
         stack.clear();
-        if let Some(&first) = h.roots().first() {
-            stack.push((first, self.start()));
-        }
-        // A stack entry is the next node to visit and its parent's state;
-        // siblings are pushed below first children, so the walk is preorder
-        // and the stack never holds more than two entries per level.
-        while let Some((id, from)) = stack.pop() {
-            if let Some(sibling) = h.next_sibling(id) {
-                stack.push((sibling, from));
-            }
+        stack.push((0, h.num_nodes() as NodeId, self.start()));
+        // One stack entry per open level: the rest of a sibling group and
+        // its parent's state, so the walk is preorder.
+        while let Some((id, from)) = next_in_group(stack, ends) {
             if !admits(id) {
                 continue;
             }
@@ -311,10 +308,9 @@ impl CompiledPath {
             if self.dfa.is_accepting(s) && sink.hit(id) {
                 break;
             }
-            if self.dfa.is_live(s) {
-                if let Some(child) = h.first_child(id) {
-                    stack.push((child, s));
-                }
+            let end = ends[id as usize];
+            if self.dfa.is_live(s) && id + 1 < end {
+                stack.push((id + 1, end, s));
             }
         }
         let outcome = sink.outcome();
@@ -497,14 +493,8 @@ mod tests {
             for h in enumerate_hedges(&syms, &[], 5) {
                 let f = FlatHedge::from_hedge(&h);
                 let want = p.locate(&f);
-                let ends: Vec<NodeId> = (0..f.num_nodes() as NodeId)
-                    .map(|n| n + 1 + f.subhedge(n).size() as NodeId)
-                    .collect();
                 let all: Vec<NodeId> = f.preorder().collect();
-                let gate = PruneInfo {
-                    candidates: &all,
-                    subtree_end: &ends,
-                };
+                let gate = PruneInfo { candidates: &all };
                 for g in [None, Some(&gate)] {
                     let (out, _) = compiled.eval_into(&f, g, &mut scratch, EvalMode::Locate);
                     assert_eq!(out, EvalOutcome::Located(want.len()), "{src} {h:?}");

@@ -144,36 +144,36 @@ impl<'a> ModeSink<'a> {
 
 /// What a structural index knows about one document: the sorted candidate
 /// nodes (every node whose label is in [`Plan::match_syms`](crate::Plan::match_syms) — in a
-/// store, the union of those symbols' postings) and the preorder subtree
-/// extents (`subtree_end[n]` is one past the last descendant of `n`, so
-/// the descendants-of-`n` question is the single range `n..subtree_end[n]`).
+/// store, the union of those symbols' postings). The subtree of `n` is the
+/// one preorder range `n..end(n)` of the arena's own extents
+/// ([`FlatHedge::subtree_ends`]), so a candidate list is all a gate needs.
 ///
 /// A gated walk only ever *skips* subtrees containing no candidate, so a
 /// sound over-approximation in `candidates` keeps every answer exact.
 pub struct PruneInfo<'a> {
     /// Candidate match nodes, strictly increasing.
     pub candidates: &'a [NodeId],
-    /// `subtree_end[n]` = one past the last preorder descendant of `n`.
-    pub subtree_end: &'a [NodeId],
 }
 
-/// A [`PruneInfo`] read as the gate of a walk: a subtree is entered iff
-/// the first candidate at or after its root lies inside its range. Both
-/// walks visit in increasing preorder, so the cursor only moves forward
-/// and a walk pays O(candidates) for the gate, not a search per node.
-/// Walks take the gate as a closure, so the open gate (`|_| true`)
-/// compiles away.
+/// A [`PruneInfo`] read as the gate of a walk over `h`: a subtree is
+/// entered iff the first candidate at or after its root lies inside its
+/// range. Both walks visit in increasing preorder, so the cursor only
+/// moves forward and a walk pays O(candidates) for the gate, not a search
+/// per node. Walks take the gate as a closure, so the open gate
+/// (`|_| true`) compiles away.
 pub(crate) struct GateCursor<'a> {
-    prune: &'a PruneInfo<'a>,
+    candidates: &'a [NodeId],
+    ends: &'a [NodeId],
     next: usize,
     /// Subtrees refused so far.
     pub(crate) skipped: u64,
 }
 
 impl<'a> GateCursor<'a> {
-    pub(crate) fn new(prune: &'a PruneInfo<'a>) -> GateCursor<'a> {
+    pub(crate) fn new(prune: &PruneInfo<'a>, h: &'a FlatHedge) -> GateCursor<'a> {
         GateCursor {
-            prune,
+            candidates: prune.candidates,
+            ends: h.subtree_ends(),
             next: 0,
             skipped: 0,
         }
@@ -182,15 +182,34 @@ impl<'a> GateCursor<'a> {
     /// May the walk enter `id` and its subtree?
     #[inline]
     pub(crate) fn admits(&mut self, id: NodeId) -> bool {
-        let c = self.prune.candidates;
+        let c = self.candidates;
         while self.next < c.len() && c[self.next] < id {
             self.next += 1;
         }
-        let inside =
-            matches!(c.get(self.next), Some(&n) if n < self.prune.subtree_end[id as usize]);
+        let inside = matches!(c.get(self.next), Some(&n) if n < self.ends[id as usize]);
         self.skipped += u64::from(!inside);
         inside
     }
+}
+
+/// The next node of a depth-first walk in document order, and its
+/// parent's state. The walk's stack holds one entry per open level: a
+/// sibling group's next member, where the group ends, and the parent's
+/// state; a member is stepped past by its subtree end.
+#[inline]
+pub(crate) fn next_in_group(
+    stack: &mut Vec<(NodeId, NodeId, u32)>,
+    ends: &[NodeId],
+) -> Option<(NodeId, u32)> {
+    while let Some(top) = stack.last_mut() {
+        let (id, end, state) = *top;
+        if id < end {
+            top.0 = ends[id as usize];
+            return Some((id, state));
+        }
+        stack.pop();
+    }
+    None
 }
 
 /// The per-node artifacts of the first traversal (exposed for tests and for
@@ -217,13 +236,14 @@ pub struct EvalScratch {
     /// Double-buffered suffix transition functions (class-indexed).
     f: Vec<u32>,
     nf: Vec<u32>,
-    /// Current sibling group (children are singly linked, and the suffix
-    /// pass reads them right-to-left, so they are buffered per group).
+    /// Current sibling group (siblings are reached left to right, each
+    /// at its elder's subtree end, and the suffix pass reads them right to
+    /// left, so they are buffered per group).
     group: Vec<NodeId>,
     /// Matches of the most recent Locate run.
     pub(crate) located: Vec<NodeId>,
-    /// Explicit DFS stack of both walks: `(node, parent state)`.
-    pub(crate) stack: Vec<(NodeId, u32)>,
+    /// Explicit DFS stack of both walks (see [`next_in_group`]).
+    pub(crate) stack: Vec<(NodeId, NodeId, u32)>,
 }
 
 impl EvalScratch {
@@ -352,9 +372,10 @@ pub fn locate(phr: &CompiledPhr, h: &FlatHedge) -> Vec<NodeId> {
 ///
 /// After the bottom-up `M`-run — inherently whole-document, since a
 /// node's state depends on its descendants — one depth-first search
-/// replaces both remaining traversals. An explicit stack of `(node,
-/// parent N-state)` pairs visits nodes in document order; a node whose
-/// `N`-state is dead ([`CompiledPhr::n_live`]) has no children pushed, so
+/// replaces both remaining traversals. An explicit stack of sibling
+/// groups, each with its parent's `N`-state, visits nodes in document
+/// order; a node whose `N`-state is dead ([`CompiledPhr::n_live`]) has
+/// no children pushed, so
 /// barren subtrees cost nothing, not even a table step per node. A sibling
 /// group's ≡-classes are computed at the moment the search first descends
 /// into it, so pruning skips the first pass's class work too.
@@ -377,8 +398,7 @@ pub fn eval_into(
     match gate {
         None => (walk(phr, h, |_| true, scratch, mode), 0),
         Some(prune) => {
-            debug_assert_eq!(prune.subtree_end.len(), h.num_nodes());
-            let mut gate = GateCursor::new(prune);
+            let mut gate = GateCursor::new(prune, h);
             let outcome = walk(phr, h, |id| gate.admits(id), scratch, mode);
             obs::counter_add("core.two_pass.skipped", gate.skipped);
             (outcome, gate.skipped)
@@ -415,10 +435,11 @@ fn walk(
         younger_class.resize(n, cls_start);
     }
     let mut sink = ModeSink::new(mode, located);
+    let ends = h.subtree_ends();
     classify(phr, states, h.roots(), f, nf, elder_class, younger_class);
     stack.clear();
-    stack.extend(h.roots().iter().rev().map(|&r| (r, phr.n_start())));
-    while let Some((id, parent_state)) = stack.pop() {
+    stack.push((0, n as NodeId, phr.n_start()));
+    while let Some((id, parent_state)) = next_in_group(stack, ends) {
         if !admits(id) {
             continue;
         }
@@ -437,14 +458,15 @@ fn walk(
         if !phr.n_live(s) {
             continue;
         }
-        // Pushing the group in reverse makes the leftmost child pop first:
-        // the search visits nodes in document order, so Locate's matches
-        // come out sorted and Exists stops at the earliest one.
-        group.clear();
-        group.extend(h.children(id));
-        if !group.is_empty() {
+        // The group is visited from its leftmost child on: the search
+        // visits nodes in document order, so Locate's matches come out
+        // sorted and Exists stops at the earliest one.
+        let end = ends[id as usize];
+        if id + 1 < end {
+            group.clear();
+            group.extend(h.children(id));
             classify(phr, states, group, f, nf, elder_class, younger_class);
-            stack.extend(group.iter().rev().map(|&cid| (cid, s)));
+            stack.push((id + 1, end, s));
         }
     }
     let outcome = sink.outcome();
@@ -622,19 +644,6 @@ mod tests {
         assert_walk_matches_reference(&compiled, &f);
     }
 
-    /// Preorder subtree extents by reverse max-propagation (what a store
-    /// index derives on load).
-    fn subtree_ends(h: &FlatHedge) -> Vec<NodeId> {
-        let n = h.num_nodes();
-        let mut end: Vec<NodeId> = (1..=n as NodeId).collect();
-        for id in (0..n as NodeId).rev() {
-            if let Some(p) = h.parent(id) {
-                end[p as usize] = end[p as usize].max(end[id as usize]);
-            }
-        }
-        end
-    }
-
     #[test]
     fn pruned_eval_agrees_with_unpruned_on_enumerated_hedges() {
         for phr_src in [
@@ -653,7 +662,6 @@ mod tests {
             for h in enumerate_hedges(&syms, &vars, 4) {
                 let f = FlatHedge::from_hedge(&h);
                 let expected = locate(&compiled, &f);
-                let end = subtree_ends(&f);
                 let candidates: Vec<NodeId> = match &match_syms {
                     None => f.preorder().collect(),
                     Some(ms) => f
@@ -663,7 +671,6 @@ mod tests {
                 };
                 let prune = PruneInfo {
                     candidates: &candidates,
-                    subtree_end: &end,
                 };
                 let gate = Some(&prune);
                 let (out, _) = eval_into(&compiled, &f, gate, &mut scratch, EvalMode::Locate);
@@ -725,12 +732,8 @@ mod tests {
     /// against the reference two traversals.
     fn assert_walk_matches_reference(compiled: &CompiledPhr, f: &FlatHedge) {
         let want = locate(compiled, f);
-        let end = subtree_ends(f);
         let all: Vec<NodeId> = f.preorder().collect();
-        let prune = PruneInfo {
-            candidates: &all,
-            subtree_end: &end,
-        };
+        let prune = PruneInfo { candidates: &all };
         let mut scratch = EvalScratch::new();
         for gate in [None, Some(&prune)] {
             let (out, skipped) = eval_into(compiled, f, gate, &mut scratch, EvalMode::Locate);

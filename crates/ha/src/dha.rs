@@ -278,6 +278,7 @@ impl Dha {
         hedgex_obs::counter_inc("ha.dha.runs");
         states.clear();
         states.resize(n, self.sink);
+        let ends = h.subtree_ends();
         // Preorder ids: children have larger ids than their parent, so a
         // reverse scan sees every child before its parent.
         for id in (0..n as u32).rev() {
@@ -288,11 +289,13 @@ impl Dha {
                     states[id as usize] = match self.horiz(a) {
                         None => self.sink,
                         Some(hf) => {
+                            // The children: from the first, each sibling at
+                            // its elder's subtree end.
+                            let (mut c, end) = (id + 1, ends[id as usize]);
                             let mut hs = hf.start();
-                            let mut c = h.first_child(id);
-                            while let Some(cid) = c {
-                                hs = hf.step(hs, states[cid as usize]);
-                                c = h.next_sibling(cid);
+                            while c < end {
+                                hs = hf.step(hs, states[c as usize]);
+                                c = ends[c as usize];
                             }
                             hf.result(hs)
                         }

@@ -8,10 +8,14 @@ use crate::flat::{FlatHedge, NodeId};
 /// Writes the Dewey addresses of nodes given in preorder, lending each as
 /// one `&[u32]`: O(n + output) for a whole answer, no allocation per node.
 ///
-/// The next node shares a prefix with the last one's ancestor chain. Its
-/// first differing level resumes the sibling scan where the last node
-/// left it, and deeper levels scan from the first child, so no sibling is
-/// stepped over twice ([`FlatHedge::dewey`] rescans every level).
+/// The next node shares a prefix with the last one's ancestor chain: the
+/// chain's nodes whose subtree range holds it. At the first level that
+/// differs, the last node's entry is an elder sibling of the next node's
+/// ancestor, so the sibling scan resumes there; deeper levels scan from
+/// the first child. A scan steps from a node to its subtree end, the next
+/// sibling, until the subtree holds the target, so no sibling is stepped
+/// over twice and no parent is read ([`FlatHedge::dewey`] rescans every
+/// level).
 #[derive(Debug)]
 pub struct DeweyWriter<'h> {
     h: &'h FlatHedge,
@@ -19,8 +23,6 @@ pub struct DeweyWriter<'h> {
     chain: Vec<NodeId>,
     /// Their 1-based sibling indices: the last node's address.
     steps: Vec<u32>,
-    /// The next node's ancestors-or-self, node first.
-    up: Vec<NodeId>,
 }
 
 impl<'h> DeweyWriter<'h> {
@@ -30,40 +32,29 @@ impl<'h> DeweyWriter<'h> {
             h,
             chain: Vec::new(),
             steps: Vec::new(),
-            up: Vec::new(),
         }
     }
 
     /// The Dewey address of `n`. A node that precedes the last one is
     /// addressed too, scanning its differing levels from the eldest sibling.
     fn address(&mut self, n: NodeId) -> &[u32] {
-        let h = self.h;
-        self.up.clear();
-        self.up
-            .extend(std::iter::successors(Some(n), |&id| h.parent(id)));
-        let up = self.up.iter().rev();
-        let shared = self
-            .chain
-            .iter()
-            .zip(up.clone())
-            .take_while(|(a, b)| a == b)
-            .count();
-        // At the first differing level the last node's ancestor is an elder
-        // sibling of this node's (in preorder): the scan resumes from it.
-        let mut resume = self.chain.get(shared).map(|&at| (at, self.steps[shared]));
+        let ends = self.h.subtree_ends();
+        let holds = |at: NodeId| at <= n && n < ends[at as usize];
+        let shared = self.chain.iter().take_while(|&&at| holds(at)).count();
+        let (mut at, mut idx) = match self.chain.get(shared) {
+            Some(&at) if at <= n => (at, self.steps[shared]),
+            _ => (shared.checked_sub(1).map_or(0, |up| self.chain[up] + 1), 1),
+        };
         self.chain.truncate(shared);
         self.steps.truncate(shared);
-        for &target in up.skip(shared) {
-            let (mut at, mut idx) = match resume.take() {
-                Some((at, idx)) if at <= target => (at, idx),
-                _ => (h.first_sibling(target), 1),
-            };
-            while at != target {
-                at = h.next_sibling(at).expect("younger siblings follow");
+        while self.chain.last() != Some(&n) {
+            while !holds(at) {
+                at = ends[at as usize];
                 idx += 1;
             }
-            self.chain.push(target);
+            self.chain.push(at);
             self.steps.push(idx);
+            (at, idx) = (at + 1, 1);
         }
         &self.steps
     }

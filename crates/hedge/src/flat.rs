@@ -1,12 +1,13 @@
 //! Arena (flat) hedges: the evaluators' working representation.
 //!
 //! The recursive [`Hedge`] is convenient to build and compare; the
-//! evaluators instead walk a [`FlatHedge`] — a first-child/next-sibling
-//! arena with parent links — because Algorithm 1 needs, for every node,
-//! its sibling group in document order and a stable node identity to
-//! attach states, classes and query answers to.
+//! evaluators instead walk a [`FlatHedge`] — a preorder arena of a packed
+//! label, a parent and a subtree end per node — because Algorithm 1
+//! needs, for every node, its sibling group in document order and a
+//! stable node identity to attach states, classes and query answers to.
 //!
-//! Node identity is a dense [`NodeId`] (preorder index). Dewey addresses
+//! Node identity is a dense [`NodeId`] (preorder index). Child and
+//! sibling links derive from the subtree ends, and Dewey addresses
 //! (footnote 3 of the paper) are derivable on demand.
 
 use crate::hedge::{Hedge, Tree};
@@ -48,6 +49,52 @@ impl TryFrom<FlatLabel> for Leaf {
     }
 }
 
+/// Label ids from here on do not fit a packed label: it has 30 id bits,
+/// and their top code stands for `η` ([`SubId::ETA`]).
+pub const LABEL_ID_LIMIT: u32 = (1 << 30) - 1;
+
+/// A label id at or past [`LABEL_ID_LIMIT`]: the typed error of every
+/// route that mints ids for an arena.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LabelOverflow(pub u32);
+
+impl std::fmt::Display for LabelOverflow {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "label id {} is past the limit {LABEL_ID_LIMIT}", self.0)
+    }
+}
+
+impl std::error::Error for LabelOverflow {}
+
+impl FlatLabel {
+    /// The label in one `u32`: the tag (0 Σ, 1 variable, 2 substitution)
+    /// in the top two bits, the id below. Refuses an id past the limit
+    /// rather than truncate it; `η` takes the reserved top code.
+    pub fn pack(self) -> Result<u32, LabelOverflow> {
+        let (tag, id) = match self {
+            FlatLabel::Sym(a) => (0, a.0),
+            FlatLabel::Var(x) => (1, x.0),
+            FlatLabel::Subst(SubId::ETA) => return Ok(2 << 30 | LABEL_ID_LIMIT),
+            FlatLabel::Subst(z) => (2, z.0),
+        };
+        (id < LABEL_ID_LIMIT)
+            .then_some(tag << 30 | id)
+            .ok_or(LabelOverflow(id))
+    }
+
+    /// The label [`pack`](Self::pack) made `code` from.
+    #[inline]
+    fn unpack(code: u32) -> FlatLabel {
+        let id = code & LABEL_ID_LIMIT;
+        match code >> 30 {
+            0 => FlatLabel::Sym(SymId(id)),
+            1 => FlatLabel::Var(VarId(id)),
+            _ if id == LABEL_ID_LIMIT => FlatLabel::Subst(SubId::ETA),
+            _ => FlatLabel::Subst(SubId(id)),
+        }
+    }
+}
+
 /// A push-based consumer of hedge structure events, in document order:
 /// the one event interface between XML bytes (`hedgex_xml::stream_xml`)
 /// and whatever takes the document — a [`FlatBuilder`] building the
@@ -69,41 +116,37 @@ pub trait HedgeSink {
 /// Sentinel for "no node".
 pub const NIL: NodeId = u32::MAX;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct FlatNode {
-    label: FlatLabel,
-    parent: NodeId,
-    first_child: NodeId,
-    next_sibling: NodeId,
-}
-
-/// A hedge flattened into an arena, in document (preorder) order.
+/// A hedge flattened into an arena, in document (preorder) order: three
+/// columns indexed by [`NodeId`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatHedge {
-    nodes: Vec<FlatNode>,
+    /// Packed labels ([`FlatLabel::pack`]).
+    labels: Vec<u32>,
+    /// Parents, [`NIL`] at top level.
+    parents: Vec<NodeId>,
+    /// One past the last preorder descendant: the subtree of `n` is the
+    /// range `n..ends[n]`.
+    ends: Vec<NodeId>,
     roots: Vec<NodeId>,
 }
 
 /// Builds a [`FlatHedge`] from preorder structure events — it is a
 /// [`HedgeSink`]: `open` a Σ node, add a `leaf`, `close` the innermost
-/// open node — owning the sibling/child link bookkeeping every
-/// construction route shares ([`FlatHedge::from_hedge`],
-/// `hedgex_xml::parse_flat`, where the XML event parser drives it
-/// directly, and the store loader, which replays each document's
-/// `(label, parent)` records).
+/// open node. Every construction route goes through it
+/// ([`FlatHedge::from_hedge`], `hedgex_xml::parse_flat`, where the XML
+/// event parser drives it directly, and the store loader, which replays
+/// each document's `(label, parent)` records).
 ///
-/// Nodes get their ids in arrival order, which is preorder. Only open
-/// nodes can still gain children, so the builder keeps just the open
-/// ancestors (with each one's youngest child so far) on a heap stack:
-/// memory beyond the arena is O(depth), and no event recurses.
+/// Nodes get their ids in arrival order, which is preorder, and a node's
+/// end is written when it closes, so the builder keeps just the open
+/// nodes on a heap stack: memory beyond the arena is O(depth), and no
+/// event recurses. It panics on a label id past [`LABEL_ID_LIMIT`], which
+/// the routes that mint ids refuse with a typed error first.
 #[derive(Debug)]
 pub struct FlatBuilder {
     out: FlatHedge,
-    /// The rightmost path: `(node, its youngest child so far)` per open Σ
-    /// node, innermost last.
-    open: Vec<(NodeId, NodeId)>,
-    /// The youngest root so far.
-    last_root: NodeId,
+    /// The open Σ nodes, innermost last.
+    open: Vec<NodeId>,
 }
 
 impl Default for FlatBuilder {
@@ -122,22 +165,26 @@ impl FlatBuilder {
     pub fn with_capacity(nodes: usize) -> FlatBuilder {
         FlatBuilder {
             out: FlatHedge {
-                nodes: Vec::with_capacity(nodes),
+                labels: Vec::with_capacity(nodes),
+                parents: Vec::with_capacity(nodes),
+                ends: Vec::with_capacity(nodes),
                 roots: Vec::new(),
             },
             open: Vec::new(),
-            last_root: NIL,
         }
     }
 
     /// The innermost open node, if any: the parent the next node gets.
     #[inline]
     pub fn innermost_open(&self) -> Option<NodeId> {
-        self.open.last().map(|&(id, _)| id)
+        self.open.last().copied()
     }
 
     /// The finished hedge. Nodes still open are closed implicitly.
-    pub fn finish(self) -> FlatHedge {
+    pub fn finish(mut self) -> FlatHedge {
+        while !self.open.is_empty() {
+            self.close();
+        }
         self.out
     }
 
@@ -145,28 +192,18 @@ impl FlatBuilder {
     // per-record loop, one per node.
     #[inline(always)]
     fn push(&mut self, label: FlatLabel) -> NodeId {
-        let id = NodeId::try_from(self.out.nodes.len())
+        let id = NodeId::try_from(self.out.labels.len())
             .ok()
             .filter(|&id| id != NIL)
             .expect("too many nodes for a u32 arena");
-        let (parent, prev) = match self.open.last_mut() {
-            Some((parent, youngest)) => (*parent, std::mem::replace(youngest, id)),
-            None => {
-                self.out.roots.push(id);
-                (NIL, std::mem::replace(&mut self.last_root, id))
-            }
-        };
-        if prev != NIL {
-            self.out.nodes[prev as usize].next_sibling = id;
-        } else if parent != NIL {
-            self.out.nodes[parent as usize].first_child = id;
+        let label = label.pack().expect("label id past LABEL_ID_LIMIT");
+        let parent = self.innermost_open().unwrap_or(NIL);
+        if parent == NIL {
+            self.out.roots.push(id);
         }
-        self.out.nodes.push(FlatNode {
-            label,
-            parent,
-            first_child: NIL,
-            next_sibling: NIL,
-        });
+        self.out.labels.push(label);
+        self.out.parents.push(parent);
+        self.out.ends.push(id + 1);
         id
     }
 }
@@ -179,7 +216,7 @@ impl HedgeSink for FlatBuilder {
     #[inline]
     fn open(&mut self, a: SymId) -> bool {
         let id = self.push(FlatLabel::Sym(a));
-        self.open.push((id, NIL));
+        self.open.push(id);
         true
     }
 
@@ -196,7 +233,8 @@ impl HedgeSink for FlatBuilder {
     /// If no node is open.
     #[inline]
     fn close(&mut self) -> bool {
-        self.open.pop().expect("close without a matching open");
+        let top = self.open.pop().expect("close without a matching open");
+        self.out.ends[top as usize] = self.out.labels.len() as NodeId;
         true
     }
 }
@@ -238,7 +276,7 @@ impl FlatHedge {
 
     /// Number of nodes.
     pub fn num_nodes(&self) -> usize {
-        self.nodes.len()
+        self.labels.len()
     }
 
     /// The top-level nodes, left to right.
@@ -247,51 +285,56 @@ impl FlatHedge {
     }
 
     /// The label of `n`.
+    #[inline]
     pub fn label(&self, n: NodeId) -> FlatLabel {
-        self.nodes[n as usize].label
+        FlatLabel::unpack(self.labels[n as usize])
     }
 
     /// The parent of `n` (`None` at top level).
     pub fn parent(&self, n: NodeId) -> Option<NodeId> {
-        let p = self.nodes[n as usize].parent;
+        let p = self.parents[n as usize];
         (p != NIL).then_some(p)
+    }
+
+    /// One past the last preorder descendant of each node: the subtree of
+    /// `n` is the range `n..subtree_ends()[n]`, and the next sibling of a
+    /// node that has one is its end.
+    #[inline]
+    pub fn subtree_ends(&self) -> &[NodeId] {
+        &self.ends
     }
 
     /// The first child of `n`.
     pub fn first_child(&self, n: NodeId) -> Option<NodeId> {
-        let c = self.nodes[n as usize].first_child;
-        (c != NIL).then_some(c)
+        let c = n + 1;
+        (c < self.ends[n as usize]).then_some(c)
     }
 
     /// The next (younger) sibling of `n`.
     pub fn next_sibling(&self, n: NodeId) -> Option<NodeId> {
-        let s = self.nodes[n as usize].next_sibling;
-        (s != NIL).then_some(s)
+        self.younger_siblings(n).next()
     }
 
     /// Children of `n`, left to right, without allocating.
+    #[inline]
     pub fn children(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.siblings_from(self.first_child(n))
+        self.group(n + 1, self.ends[n as usize])
     }
 
-    /// The eldest sibling of `n`: its parent's first child, or the first
-    /// root.
-    pub(crate) fn first_sibling(&self, n: NodeId) -> NodeId {
-        match self.parent(n) {
-            Some(p) => self.nodes[p as usize].first_child,
-            None => self.roots[0],
-        }
-    }
-
-    /// `first` and its younger siblings, left to right.
-    fn siblings_from(&self, first: Option<NodeId>) -> impl Iterator<Item = NodeId> + '_ {
-        std::iter::successors(first, |&s| self.next_sibling(s))
+    /// The siblings from `first` on that start before `bound`, left to
+    /// right: each one's successor is its end.
+    #[inline]
+    fn group(&self, first: NodeId, bound: NodeId) -> impl Iterator<Item = NodeId> + '_ {
+        std::iter::successors((first < bound).then_some(first), move |&s| {
+            let next = self.ends[s as usize];
+            (next < bound).then_some(next)
+        })
     }
 
     /// All nodes in document (preorder) order. Since construction is
     /// preorder, this is just `0..num_nodes`.
     pub fn preorder(&self) -> impl Iterator<Item = NodeId> {
-        0..self.nodes.len() as NodeId
+        0..self.labels.len() as NodeId
     }
 
     /// The Dewey address of `n` (1-based per level, as in the paper's
@@ -375,13 +418,14 @@ impl FlatHedge {
     /// Elder siblings of `n`, left to right (the `u₁` of a pointed base
     /// hedge): a forward scan from the eldest.
     pub fn elder_siblings(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.siblings_from(Some(self.first_sibling(n)))
-            .take_while(move |&s| s != n)
+        self.group(self.parent(n).map_or(0, |p| p + 1), n)
     }
 
     /// Younger siblings of `n`, left to right (the `u₂`).
     pub fn younger_siblings(&self, n: NodeId) -> impl Iterator<Item = NodeId> + '_ {
-        self.siblings_from(self.next_sibling(n))
+        let len = self.labels.len() as NodeId;
+        let bound = self.parent(n).map_or(len, |p| self.ends[p as usize]);
+        self.group(self.ends[n as usize], bound)
     }
 }
 
@@ -431,13 +475,81 @@ mod tests {
         assert_eq!(f.children(2).collect::<Vec<_>>(), vec![3, 4]);
         assert_eq!(f.children(3).count(), 0);
         assert_eq!(f.roots(), &[0, 1]);
-        assert_eq!(f.first_sibling(5), 2);
-        assert_eq!(f.first_sibling(1), 0);
+        assert_eq!(f.elder_siblings(5).next(), Some(2));
+        assert_eq!(f.elder_siblings(1).next(), Some(0));
     }
 
     #[test]
     fn a_node_is_a_label_and_three_links() {
-        assert_eq!(std::mem::size_of::<FlatNode>(), 20);
+        // The columns, named in full so a new one fails to compile here: a
+        // packed label, a parent and an end, 12 bytes per node.
+        let (_, f) = sample();
+        let FlatHedge {
+            labels,
+            parents,
+            ends,
+            roots: _,
+        } = &f;
+        let column = |c: &Vec<u32>| std::mem::size_of_val(&c[..]);
+        assert_eq!(column(labels) + column(parents) + column(ends), 12 * 6);
+    }
+
+    #[test]
+    fn labels_pack_up_to_the_id_limit() {
+        let last = LABEL_ID_LIMIT - 1;
+        for label in [
+            FlatLabel::Sym(SymId(0)),
+            FlatLabel::Sym(SymId(last)),
+            FlatLabel::Var(VarId(last)),
+            FlatLabel::Subst(SubId(last)),
+            FlatLabel::Subst(SubId::ETA),
+        ] {
+            let code = label.pack().unwrap();
+            assert_eq!(FlatLabel::unpack(code), label);
+        }
+        for label in [
+            FlatLabel::Sym(SymId(LABEL_ID_LIMIT)),
+            FlatLabel::Var(VarId(LABEL_ID_LIMIT)),
+            FlatLabel::Subst(SubId(LABEL_ID_LIMIT)),
+            FlatLabel::Sym(SymId(u32::MAX)),
+            FlatLabel::Var(VarId(1 << 30)),
+        ] {
+            let id = match label {
+                FlatLabel::Sym(a) => a.0,
+                FlatLabel::Var(x) => x.0,
+                FlatLabel::Subst(z) => z.0,
+            };
+            assert_eq!(label.pack(), Err(LabelOverflow(id)), "{label:?}");
+        }
+        // The reserved code is η's alone, and the tags stay apart.
+        assert_ne!(
+            FlatLabel::Subst(SubId(last)).pack(),
+            FlatLabel::Subst(SubId::ETA).pack()
+        );
+        assert_ne!(
+            FlatLabel::Sym(SymId(3)).pack(),
+            FlatLabel::Var(VarId(3)).pack()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "label id past LABEL_ID_LIMIT")]
+    fn builder_refuses_an_unpackable_label() {
+        FlatBuilder::new().open(SymId(LABEL_ID_LIMIT));
+    }
+
+    #[test]
+    fn extents_give_the_family_links() {
+        // b a⟨a⟨b x⟩ b⟩: every subtree is one preorder range.
+        let (_, f) = sample();
+        assert_eq!(f.subtree_ends(), &[1, 6, 5, 4, 5, 6]);
+        assert_eq!(f.first_child(0), None);
+        assert_eq!(f.first_child(1), Some(2));
+        assert_eq!(f.next_sibling(0), Some(1));
+        assert_eq!(f.next_sibling(1), None);
+        assert_eq!(f.next_sibling(4), None, "bounded by the parent's end");
+        assert_eq!(f.next_sibling(5), None);
+        assert_eq!(f.children(1).collect::<Vec<_>>(), vec![2, 5]);
     }
 
     #[test]

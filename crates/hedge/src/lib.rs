@@ -37,7 +37,7 @@ pub mod symbols;
 pub mod text;
 
 pub use dewey::DeweyWriter;
-pub use flat::{FlatBuilder, FlatHedge, HedgeSink, NodeId};
+pub use flat::{FlatBuilder, FlatHedge, HedgeSink, LabelOverflow, NodeId, LABEL_ID_LIMIT};
 pub use gen::{GenConfig, HedgeGen};
 pub use hedge::{Hedge, Tree};
 pub use pointed::{PointedBaseHedge, PointedHedge};

@@ -21,8 +21,8 @@
 //!   path query answers during the parse with O(depth) state, a PHR
 //!   builds the arena from the events and runs the one two-pass walk;
 //! * [`store`] — persistent document corpora: versioned, checksummed
-//!   on-disk stores whose structural index (postings and subtree extents)
-//!   is derived on load, and index-pruned query evaluation.
+//!   on-disk stores whose structural index (per-symbol postings) is
+//!   derived on load, and index-pruned query evaluation.
 //!
 //! [`run()`] takes one query from its source to its answer and, on request,
 //! a [`Report`] of that same run: the pipeline behind every `hxq` query.

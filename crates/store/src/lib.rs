@@ -10,18 +10,18 @@
 //!   serialization-shaped: one `(label, parent)` record per node is the
 //!   whole document. The file format is versioned and checksummed, and a
 //!   load takes one pass per document: each record goes straight into a
-//!   [`FlatBuilder`], which validates the preorder forest as it relinks
-//!   it. Loading truncated or corrupted bytes returns a typed
-//!   [`StoreError`] with a byte-accurate position — never a panic.
+//!   [`FlatBuilder`], which validates the preorder forest as it builds
+//!   it and writes each node's subtree end when the node closes.
+//!   Loading truncated or corrupted bytes returns a typed [`StoreError`]
+//!   with a byte-accurate position — never a panic.
 //! * [`StructIndex`] — per stored document: per-symbol postings
-//!   (`SymId` → sorted preorder node ids) and each node's subtree extent
-//!   (its descendants are the preorder range `n+1..subtree_end[n]`). The
-//!   index is derived, never stored: the load's decode loop takes each
-//!   extent from the builder's open stack as it pops, and the postings
-//!   are counting-sorted from the same record bytes, so the file holds
-//!   only the alphabet and the node records, and depth costs nothing.
-//!   [`StructIndex::build`] derives the same index from an in-memory
-//!   document.
+//!   (`SymId` → sorted preorder node ids). The subtree extents a pruned
+//!   query needs are the arena's own
+//!   ([`hedgex_hedge::FlatHedge::subtree_ends`]: the descendants of `n`
+//!   are the preorder range `n+1..end(n)`). The index is derived, never
+//!   stored: [`StructIndex::build`] counting-sorts the postings from the
+//!   arena's labels, on load and for an in-memory document alike, so the
+//!   file holds only the alphabet and the node records.
 //! * [`StoreQuery`] — index-pruned evaluation: a plan's required symbols
 //!   are checked against postings emptiness (O(1) per document instead of
 //!   a label scan), the candidate set is the union of the

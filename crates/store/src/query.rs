@@ -12,8 +12,8 @@
 //! 2. **Candidate-range pruning** — `Plan::match_syms` gives the only
 //!    labels an accepting node can carry; the union of their postings
 //!    (already preorder-sorted per symbol) is the candidate set, and the
-//!    traversal then skips every subtree whose preorder range —
-//!    `subtree_end` from the structural index — contains no candidate.
+//!    traversal then skips every subtree whose preorder range — the
+//!    arena's own extent — contains no candidate.
 //!    An empty candidate set skips the document entirely, including the
 //!    bottom-up automaton run.
 //!
@@ -73,14 +73,11 @@ impl<'a> StoreQuery<'a> {
     ) -> EvalOutcome {
         let _span = obs::span("store.query.doc");
         let ix = doc.index();
-        let prune_all = PruneInfo {
-            candidates: &[],
-            subtree_end: ix.subtree_end(),
-        };
         // Prune 1 — answer through the pruned path with zero candidates
         // (uniform zero outcome, located cleared, no automaton run).
         if self.rejected_by_postings(doc) {
             obs::counter_inc("store.docs_pruned");
+            let prune_all = PruneInfo { candidates: &[] };
             let (outcome, _) = self
                 .plan
                 .eval_pruned_into(doc.hedge(), &prune_all, scratch, mode);
@@ -103,10 +100,7 @@ impl<'a> StoreQuery<'a> {
         if candidates.is_empty() {
             obs::counter_inc("store.docs_pruned");
         }
-        let prune = PruneInfo {
-            candidates,
-            subtree_end: ix.subtree_end(),
-        };
+        let prune = PruneInfo { candidates };
         let (outcome, skipped) = self
             .plan
             .eval_pruned_into(doc.hedge(), &prune, scratch, mode);

@@ -25,9 +25,9 @@
 //! first checks the header and the checksum, so nothing is parsed before
 //! the whole payload is known intact. The second decodes: each document's
 //! records are read into one reused buffer and replayed into a
-//! [`FlatBuilder`], which validates the preorder forest as it links it,
-//! while the same loop derives the subtree extents from the open stack and
-//! counts the postings. [`DocumentStore::load`] streams a file, and
+//! [`FlatBuilder`], which validates the preorder forest and writes each
+//! node's subtree end as the node closes; the postings are then indexed
+//! from the arena. [`DocumentStore::load`] streams a file, and
 //! [`DocumentStore::from_bytes`] runs the same decoder over a slice.
 //! Versions 1 (which also carried the index) and 2 (an FNV-1a checksum)
 //! are refused with [`StoreError::UnsupportedVersion`].
@@ -39,7 +39,7 @@ use std::fs::File;
 use std::io::{self, Read, Seek, SeekFrom};
 use std::path::Path;
 
-use hedgex_hedge::flat::{FlatLabel, NIL};
+use hedgex_hedge::flat::{FlatLabel, LABEL_ID_LIMIT, NIL};
 use hedgex_hedge::{
     Alphabet, FlatBuilder, FlatHedge, HedgeSink, Leaf, NodeId, SubId, SymId, VarId,
 };
@@ -228,9 +228,9 @@ fn finish_checksum(lanes: [u64; 4], rest: &[u8]) -> u64 {
 // The structural index
 // ---------------------------------------------------------------------------
 
-/// The per-document structural index: per-symbol postings and subtree
-/// extents. Derived from the document whenever a store is built or loaded;
-/// never serialized.
+/// The per-document structural index: per-symbol postings. Derived from
+/// the document whenever a store is built or loaded; never serialized.
+/// Subtree extents are the arena's own ([`FlatHedge::subtree_ends`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct StructIndex {
     /// `postings[postings_off[s]..postings_off[s+1]]` = sorted preorder
@@ -238,64 +238,35 @@ pub struct StructIndex {
     postings_off: Vec<u32>,
     /// The flattened postings lists.
     postings: Vec<NodeId>,
-    /// One past the last preorder descendant of each node: the
-    /// descendants of `n` are exactly `n+1..subtree_end[n]`.
-    subtree_end: Vec<NodeId>,
 }
 
 impl StructIndex {
-    /// Index one in-memory document against an alphabet of `num_syms`
-    /// symbols, in time linear in its nodes whatever its depth. A load
-    /// derives the same index while it decodes instead.
+    /// Index one document against an alphabet of `num_syms` symbols, in
+    /// time linear in its nodes: the postings are counting-sorted from the
+    /// arena's label column, scanned twice.
     pub fn build(h: &FlatHedge, num_syms: usize) -> StructIndex {
-        let n = h.num_nodes();
         let syms = || {
             h.preorder().filter_map(|id| match h.label(id) {
                 FlatLabel::Sym(a) => Some((id, a)),
                 _ => None,
             })
         };
-        // Subtree extents by one reverse sweep: ids run in preorder, so a
-        // node's descendants all come after it and are final by the time
-        // the sweep reaches it; each then extends its parent's extent.
-        let mut subtree_end: Vec<NodeId> = (1..=n as NodeId).collect();
-        for id in (0..n as NodeId).rev() {
-            if let Some(p) = h.parent(id) {
-                let end = subtree_end[id as usize];
-                let parent_end = &mut subtree_end[p as usize];
-                *parent_end = (*parent_end).max(end);
-            }
-        }
-        let mut counts = vec![0u32; num_syms + 1];
+        let mut postings_off = vec![0u32; num_syms + 1];
         for (_, a) in syms() {
-            counts[a.0 as usize + 1] += 1;
+            postings_off[a.0 as usize + 1] += 1;
         }
-        StructIndex::with_postings(counts, syms(), subtree_end)
-    }
-
-    /// The index over `subtree_end`, with postings counting-sorted:
-    /// `counts[s + 1]` nodes carry `SymId(s)`, and `syms` lists them in
-    /// preorder.
-    fn with_postings(
-        counts: Vec<u32>,
-        syms: impl Iterator<Item = (NodeId, SymId)>,
-        subtree_end: Vec<NodeId>,
-    ) -> StructIndex {
-        let mut postings_off = counts;
-        let num_syms = postings_off.len() - 1;
         for s in 0..num_syms {
             postings_off[s + 1] += postings_off[s];
         }
         let mut cursor = postings_off.clone();
         let mut postings = vec![0 as NodeId; postings_off[num_syms] as usize];
-        for (id, a) in syms {
+        for (id, a) in syms() {
             postings[cursor[a.0 as usize] as usize] = id;
             cursor[a.0 as usize] += 1;
         }
         StructIndex {
             postings_off,
             postings,
-            subtree_end,
         }
     }
 
@@ -307,11 +278,6 @@ impl StructIndex {
             return &[];
         }
         &self.postings[self.postings_off[s] as usize..self.postings_off[s + 1] as usize]
-    }
-
-    /// One past the last preorder descendant of each node.
-    pub fn subtree_end(&self) -> &[NodeId] {
-        &self.subtree_end
     }
 }
 
@@ -549,8 +515,10 @@ fn read_names<R: Read + Seek>(
     r: &mut Reader<R>,
     mut intern: impl FnMut(&str) -> u32,
 ) -> Result<(), StoreError> {
+    let count_off = r.pos;
     let count = r.u32()? as usize;
     r.check_items(count, 4)?;
+    check_label_ids(count, count_off)?;
     for i in 0..count {
         let len = r.u32()? as usize;
         let off = r.pos;
@@ -568,13 +536,24 @@ fn read_names<R: Read + Seek>(
     Ok(())
 }
 
+/// The ids an alphabet table of `count` names (at `offset`) mints must
+/// all fit a packed arena label.
+fn check_label_ids(count: usize, offset: usize) -> Result<(), StoreError> {
+    if count > LABEL_ID_LIMIT as usize {
+        return Err(StoreError::Corrupt {
+            offset,
+            what: "alphabet table has more names than an arena label holds",
+        });
+    }
+    Ok(())
+}
+
 /// Decode one document in one pass over its node records: each record is
 /// checked and replayed into a [`FlatBuilder`], whose open stack is the
 /// rightmost path, so a record's parent must be on it, and every node it
-/// pops has its subtree end at the record that popped it. The same loop
-/// counts each symbol's nodes, and one more scan of the record bytes, now
-/// known valid, fills the postings. Every record error is reported at the
-/// document's first record.
+/// pops gets its subtree end from the builder. The postings are then
+/// indexed from the arena ([`StructIndex::build`]). Every record error is
+/// reported at the document's first record.
 fn read_doc<R: Read + Seek>(r: &mut Reader<R>, ab: &Alphabet) -> Result<StoredDoc, StoreError> {
     let name_len = r.u32()? as usize;
     let name_off = r.pos;
@@ -596,9 +575,7 @@ fn read_doc<R: Read + Seek>(r: &mut Reader<R>, ab: &Alphabet) -> Result<StoredDo
     let field = |rec: &[u8], at: usize| u32::from_le_bytes(rec[at..at + 4].try_into().expect("4"));
     let (num_syms, num_vars, num_subs) = (ab.num_syms(), ab.num_vars(), ab.num_subs());
     let mut b = FlatBuilder::with_capacity(node_count);
-    let mut subtree_end: Vec<NodeId> = Vec::with_capacity(node_count);
-    let mut counts = vec![0u32; num_syms + 1];
-    for (id, rec) in (0..).zip(records.chunks_exact(9)) {
+    for rec in records.chunks_exact(9) {
         let (label, parent) = (field(rec, 1), field(rec, 5));
         let label = match rec[0] {
             0 if (label as usize) < num_syms => FlatLabel::Sym(SymId(label)),
@@ -613,36 +590,20 @@ fn read_doc<R: Read + Seek>(r: &mut Reader<R>, ab: &Alphabet) -> Result<StoredDo
         // node (a root closes them all); each node is opened and closed at
         // most once, so the document decodes in linear time. A parent that
         // is not open empties the stack.
-        while let Some(top) = b.innermost_open().filter(|&top| top != parent) {
+        while b.innermost_open().is_some_and(|top| top != parent) {
             b.close();
-            subtree_end[top as usize] = id;
         }
         if parent != NIL && b.innermost_open().is_none() {
             return Err(corrupt("node records are not a preorder forest"));
         }
-        subtree_end.push(id + 1);
         match Leaf::try_from(label) {
-            Err(a) => {
-                counts[a.0 as usize + 1] += 1;
-                b.open(a)
-            }
+            Err(a) => b.open(a),
             Ok(leaf) => b.leaf(leaf),
         };
     }
-    while let Some(top) = b.innermost_open() {
-        b.close();
-        subtree_end[top as usize] = node_count as NodeId;
-    }
-    let syms = (0..)
-        .zip(records.chunks_exact(9))
-        .filter(|(_, rec)| rec[0] == 0)
-        .map(|(id, rec)| (id, SymId(field(rec, 1))));
-    let index = StructIndex::with_postings(counts, syms, subtree_end);
-    Ok(StoredDoc {
-        name,
-        hedge: b.finish(),
-        index,
-    })
+    let hedge = b.finish();
+    let index = StructIndex::build(&hedge, num_syms);
+    Ok(StoredDoc { name, hedge, index })
 }
 
 /// A positioned, bounds-checked little-endian reader over the `len` bytes
@@ -780,7 +741,7 @@ mod tests {
         };
         for doc in store.docs() {
             let h = doc.hedge();
-            let end = doc.index().subtree_end();
+            let end = h.subtree_ends();
             assert_eq!(end.len(), h.num_nodes());
             for id in h.preorder() {
                 let range = id + 1..end[id as usize];
@@ -866,6 +827,18 @@ mod tests {
         assert!(matches!(
             DocumentStore::from_bytes(&bad),
             Err(StoreError::LengthMismatch { offset: 8, .. })
+        ));
+    }
+
+    #[test]
+    fn alphabet_tables_stop_at_the_label_id_limit() {
+        // A table of LABEL_ID_LIMIT names mints ids up to LABEL_ID_LIMIT - 1,
+        // the last a packed label holds; one more name is corrupt.
+        let limit = LABEL_ID_LIMIT as usize;
+        assert!(check_label_ids(limit, 24).is_ok());
+        assert!(matches!(
+            check_label_ids(limit + 1, 24),
+            Err(StoreError::Corrupt { offset: 24, .. })
         ));
     }
 

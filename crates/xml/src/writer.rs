@@ -19,15 +19,18 @@ use crate::TEXT_VAR;
 /// (both inside comments, since they have no XML equivalent). Each node
 /// gets a line of its own, indented two spaces per level.
 ///
-/// The walk follows the arena's child, sibling and parent links instead
-/// of recursing, so documents of any depth serialize in constant
-/// call-stack space.
+/// The walk is one pass over the nodes in preorder with a stack of the
+/// open elements and their subtree ends, so documents of any depth
+/// serialize in constant call-stack space.
 pub fn write_xml(h: &FlatHedge, ab: &Alphabet, marks: Option<&[bool]>) -> String {
     let mut out = String::new();
-    let mut depth = 0;
-    let mut cur = h.roots().first().copied();
-    while let Some(n) = cur {
-        indent(&mut out, depth);
+    let ends = h.subtree_ends();
+    // The open elements, innermost last: where each one's subtree ends, and
+    // its escaped name.
+    let mut open: Vec<(NodeId, String)> = Vec::new();
+    for n in h.preorder() {
+        close_ended(&mut out, &mut open, n);
+        indent(&mut out, open.len());
         match h.label(n) {
             FlatLabel::Var(x) => {
                 let name = ab.var_name(x);
@@ -47,35 +50,28 @@ pub fn write_xml(h: &FlatHedge, ab: &Alphabet, marks: Option<&[bool]>) -> String
                 } else {
                     ""
                 };
-                if let Some(child) = h.first_child(n) {
+                let end = ends[n as usize];
+                if n + 1 < end {
                     writeln!(out, "<{name}{attr}>").expect("writing to a String");
-                    depth += 1;
-                    cur = Some(child);
-                    continue;
+                    open.push((end, name));
+                } else {
+                    writeln!(out, "<{name}{attr}/>").expect("writing to a String");
                 }
-                writeln!(out, "<{name}{attr}/>").expect("writing to a String");
             }
         }
-        // `n` is done: move on to its next sibling, closing every ancestor
-        // whose last child has just been written.
-        let mut done = n;
-        cur = loop {
-            if let Some(next) = h.next_sibling(done) {
-                break Some(next);
-            }
-            let Some(parent) = h.parent(done) else {
-                break None;
-            };
-            depth -= 1;
-            indent(&mut out, depth);
-            let FlatLabel::Sym(a) = h.label(parent) else {
-                unreachable!("only Σ nodes have children");
-            };
-            writeln!(out, "</{}>", escape_name(ab.sym_name(a))).expect("writing to a String");
-            done = parent;
-        };
     }
+    close_ended(&mut out, &mut open, h.num_nodes() as NodeId);
     out
+}
+
+/// Write the end tag of every open element whose subtree ends at or
+/// before node `n`, innermost first.
+fn close_ended(out: &mut String, open: &mut Vec<(NodeId, String)>, n: NodeId) {
+    while open.last().is_some_and(|&(end, _)| end <= n) {
+        let (_, name) = open.pop().expect("an open element");
+        indent(out, open.len());
+        writeln!(out, "</{name}>").expect("writing to a String");
+    }
 }
 
 fn indent(out: &mut String, depth: usize) {

@@ -212,6 +212,22 @@ if grep -rnF --include='*.rs' 'fs::read(' crates/store/src; then
   echo "the store loader must stream its file, not read it whole"; exit 1
 fi
 
+echo "== one extent encoding =="
+# A node's subtree end is stored once, in the arena's own column
+# (FlatHedge::subtree_ends), and its child and sibling links are derived
+# from it. The store's index keeps postings only, the gate's PruneInfo
+# only its candidates, and the arena stores no first-child or
+# next-sibling link.
+if grep -rnE --include='*.rs' '(subtree_ends?[[:space:]]*:|let (mut )?subtree_ends?\b)' crates/store/src; then
+  echo "the store must read subtree extents from the arena, not keep its own"; exit 1
+fi
+if sed -n '/^pub struct PruneInfo/,/^}/p' crates/core/src/two_pass.rs | grep -nE '(subtree_end|ends)'; then
+  echo "PruneInfo is the candidate list; the gate reads the arena's extents"; exit 1
+fi
+if grep -nE '^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?(first_child|next_sibling)s?[[:space:]]*:' crates/hedge/src/flat.rs; then
+  echo "flat.rs derives first-child and next-sibling links from the extents"; exit 1
+fi
+
 echo "== documents are read in chunks =="
 # hxq reads a file or stdin through the event parser's window
 # (stream_read / parse_flat_read) and never holds a document whole:

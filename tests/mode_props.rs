@@ -219,19 +219,6 @@ fn cold(plan: &Plan, flat: &FlatHedge, mode: EvalMode) -> EvalOutcome {
     plan.eval_into(flat, &mut EvalScratch::new(), mode)
 }
 
-/// Preorder subtree extents by reverse max-propagation over the parent
-/// links (what a store's index derives on load).
-fn subtree_ends(flat: &FlatHedge) -> Vec<NodeId> {
-    let n = flat.num_nodes();
-    let mut end: Vec<NodeId> = (1..=n as NodeId).collect();
-    for id in (0..n as NodeId).rev() {
-        if let Some(p) = flat.parent(id) {
-            end[p as usize] = end[p as usize].max(end[id as usize]);
-        }
-    }
-    end
-}
-
 /// The walk against the reference: on random (query, document) pairs,
 /// `two_pass::eval_into` in all three modes must give exactly what the
 /// literal two traversals give (`two_pass::locate` = `second_pass` over
@@ -251,7 +238,6 @@ fn walk_modes_equal_the_two_traversal_reference() {
             let (_, compiled, _) = &pool[*i];
             let flat = FlatHedge::from_hedge(doc);
             let want = two_pass::locate(compiled, &flat);
-            let end = subtree_ends(&flat);
             let all: Vec<NodeId> = flat.preorder().collect();
             let postings: Vec<NodeId> = match compiled.match_syms() {
                 None => all.clone(),
@@ -260,13 +246,9 @@ fn walk_modes_equal_the_two_traversal_reference() {
                     .filter(|&n| matches!(flat.label(n), FlatLabel::Sym(a) if ms.contains(&a)))
                     .collect(),
             };
-            let every = PruneInfo {
-                candidates: &all,
-                subtree_end: &end,
-            };
+            let every = PruneInfo { candidates: &all };
             let indexed = PruneInfo {
                 candidates: &postings,
-                subtree_end: &end,
             };
             let s = &mut *scratch.borrow_mut();
             for (gate, name) in [

@@ -9,6 +9,7 @@
 //! arithmetic) must still be caught by the structural validators behind
 //! it.
 
+use hedgex::hedge::flat::FlatLabel;
 use hedgex::prelude::*;
 use hedgex::store::store::{checksum, HEADER_LEN, MAGIC};
 use hedgex::store::StructIndex;
@@ -143,7 +144,9 @@ fn corrupted_stores_fail_with_positioned_typed_errors() {
                     let again = DocumentStore::from_bytes(&reencoded)
                         .map_err(|e| format!("re-serialized store failed to load: {e}"))?;
                     prop_assert!(again == store, "re-serialization not idempotent");
-                    // The index is the one the loaded documents derive.
+                    // The index is the one the loaded documents derive, and
+                    // each symbol's postings are its nodes, found by a scan of
+                    // the labels that shares no code with the index.
                     let num_syms = store.alphabet().num_syms();
                     for doc in store.docs() {
                         prop_assert!(
@@ -151,6 +154,19 @@ fn corrupted_stores_fail_with_positioned_typed_errors() {
                             "{}: loaded index differs from its hedge's",
                             doc.name()
                         );
+                        let h = doc.hedge();
+                        for a in store.alphabet().syms() {
+                            let scan: Vec<u32> = h
+                                .preorder()
+                                .filter(|&n| h.label(n) == FlatLabel::Sym(a))
+                                .collect();
+                            prop_assert!(
+                                doc.index().postings(a) == &scan[..],
+                                "{}: postings of {:?} differ from the label scan",
+                                doc.name(),
+                                a
+                            );
+                        }
                     }
                     if bytes == &seed {
                         prop_assert!(store == expected, "control case differs from seed");

@@ -330,10 +330,11 @@ fn build_walk(walk: &[Step]) -> FlatHedge {
     b.finish()
 }
 
-/// `subtree_end` is the parent-chain oracle: walking up from every node
-/// credits each ancestor with one descendant, and the ancestor's extent
-/// must be exactly itself plus that many nodes, ending one past its last
-/// descendant. The loaded store derives the same index.
+/// The arena's subtree ends against the parent-chain oracle: walking up
+/// from every node credits each ancestor with one descendant, and the
+/// ancestor's extent must be exactly itself plus that many nodes, ending
+/// one past its last descendant. The loaded store derives the same ends
+/// and the same index.
 #[test]
 fn subtree_ends_equal_the_parent_chain_oracle() {
     forall(
@@ -355,7 +356,7 @@ fn subtree_ends_equal_the_parent_chain_oracle() {
             }
             let ab = base_alphabet();
             let store = DocumentStore::build(ab, vec![("walk.xml".to_string(), h)]);
-            let end = store.docs()[0].index().subtree_end();
+            let end = store.docs()[0].hedge().subtree_ends();
             prop_assert_eq!(end.len(), n);
             for id in 0..n {
                 prop_assert_eq!(end[id] as usize, id + 1 + count[id], "extent of {}", id);
@@ -363,6 +364,7 @@ fn subtree_ends_equal_the_parent_chain_oracle() {
             }
             let reloaded = DocumentStore::from_bytes(&store.to_bytes())
                 .map_err(|e| format!("load failed: {e}"))?;
+            prop_assert_eq!(reloaded.docs()[0].hedge().subtree_ends(), end);
             prop_assert_eq!(reloaded.docs()[0].index(), store.docs()[0].index());
             Ok(())
         },
