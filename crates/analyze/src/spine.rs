@@ -41,7 +41,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{in_edges, CharClass, Dfa, Nfa, Regex, StateId};
+use hedgex_automata::{in_edges, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
 use hedgex_core::mark_down::compile_to_dha;
 use hedgex_core::phr::{Phr, TripletId};
 use hedgex_core::Hre;
@@ -79,14 +79,14 @@ enum Mode<'a> {
     },
 }
 
-/// Rebuild a DFA whose letters are `M`-states as an NFA over the larger
+/// Rebuild a table whose letters are `M`-states as an NFA over the larger
 /// spine letter space: transitions on `0..p` are kept verbatim (as
 /// explicit `In` classes), every other letter dies. This is the cofinite
 /// guard described in the module docs.
-fn explicit_nfa(dfa: &Dfa<HState>, p: u32) -> Nfa<HState> {
+fn explicit_nfa(dfa: &DenseDfa, p: u32) -> Nfa<HState> {
     let n = dfa.num_states();
     let trans = (0..n as StateId)
-        .map(|s| in_edges((0..p).map(|q| (q, dfa.step(s, &q)))))
+        .map(|s| in_edges((0..p).map(|q| (q, dfa.cell(s, q as usize)))))
         .collect();
     let accept = (0..n as StateId).map(|s| dfa.is_accepting(s)).collect();
     Nfa::from_raw(trans, vec![Vec::new(); n], dfa.start(), accept)
@@ -218,9 +218,11 @@ impl Spine {
             }
             iota.entry(leaf).or_default().push(self.prod.dha.iota(leaf));
         }
-        let mut langs: Vec<Dfa<HState>> = Vec::new();
-        let mut lang = |dfa: Dfa<HState>| {
-            langs.push(dfa);
+        // Every rule language is a table over the spine's own states.
+        let k = num_states as usize;
+        let mut langs: Vec<DenseDfa> = Vec::new();
+        let mut lang = |nfa: Nfa<HState>| {
+            langs.push(nfa.to_dense(k));
             (langs.len() - 1) as LangId
         };
         let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
@@ -229,7 +231,7 @@ impl Spine {
         for a in self.prod.dha.symbols().collect::<Vec<_>>() {
             let hf = self.prod.dha.horiz(a).expect("declared symbol");
             for q in 0..p {
-                let l = lang(explicit_nfa(&hf.inverse(q), p).to_dfa());
+                let l = lang(explicit_nfa(&hf.preimage(q), p));
                 rules.entry(a).or_default().push((l, q));
             }
         }
@@ -246,7 +248,7 @@ impl Spine {
                 // innermost universal rule below ever accepts it.
                 let mut admissible: Vec<HState> = (0..p).collect();
                 admissible.push(top);
-                let any = lang(loop_nfa(admissible).to_dfa());
+                let any = lang(loop_nfa(admissible));
                 for &a in pad_syms.iter() {
                     rules.entry(a).or_default().push((any, top));
                 }
@@ -274,7 +276,7 @@ impl Spine {
                 }
             },
         };
-        let content = lang(content.to_dfa());
+        let content = lang(content);
         for (t, &a) in self.labels.iter().enumerate() {
             let d1 = self.rdfa.step(self.rdfa.start(), &(t as TripletId));
             rules
@@ -298,7 +300,7 @@ impl Spine {
         let ntrip = self.labels.len();
         let pending_langs: Vec<LangId> = (0..self.rdfa.num_states() as StateId)
             .flat_map(|d| (0..ntrip).map(move |t| (d, t)))
-            .map(|(d, t)| lang(pending(d, t).to_dfa()))
+            .map(|(d, t)| lang(pending(d, t)))
             .collect();
         for (t_next, &a) in self.labels.iter().enumerate() {
             for d in 0..self.rdfa.num_states() as StateId {

@@ -15,7 +15,7 @@
 //!   tracked state of `F_i`'s DFA), so each `F_i` is a union of classes.
 
 use crate::kernel::Worklist;
-use crate::{DenseDfa, Dfa, StateId, Sym};
+use crate::{DenseDfa, StateId};
 
 /// A class of the equivalence (an interned product-DFA state).
 pub type ClassId = u32;
@@ -35,26 +35,24 @@ pub struct SaturatingClasses {
 }
 
 impl SaturatingClasses {
-    /// Build the equivalence for `langs` over the concrete `alphabet`;
-    /// letter `i` of the result is `alphabet[i]`.
+    /// Build the equivalence for `langs`, tables over one alphabet: column
+    /// `i` of the result is column `i` of every member.
     ///
     /// All words agreeing on their runs through every member DFA fall into
-    /// the same class. Symbols outside `alphabet` are collapsed into a single
-    /// "fresh symbol" column, which is sound because every member DFA treats
-    /// unmentioned symbols uniformly (they all take co-finite edges).
-    pub fn build<S: Sym>(langs: &[Dfa<S>], alphabet: &[S]) -> SaturatingClasses {
-        let dense: Vec<DenseDfa> = langs
-            .iter()
-            .map(|d| DenseDfa::compile(d, alphabet))
-            .collect();
-
+    /// the same class; the co-finite column stays the one every letter past
+    /// the last takes.
+    pub fn build(dense: &[DenseDfa]) -> SaturatingClasses {
+        let width = dense.first().map_or(1, |d| d.letters() + 1);
+        assert!(
+            dense.iter().all(|d| d.letters() + 1 == width),
+            "one alphabet"
+        );
         let mut tuples = Worklist::new();
         let start = tuples.intern(dense.iter().map(|d| d.start()).collect::<Vec<StateId>>());
         let rows = tuples.explore(|tuples, _, tuple| {
-            // Every member DenseDfa is compiled against the same alphabet,
-            // so column `i` means the same symbol in all of them (and the
+            // Column `i` means the same letter in every member (and the
             // last column is everyone's co-finite edge).
-            (0..=alphabet.len())
+            (0..width)
                 .map(|i| {
                     let next = dense.iter().zip(tuple).map(|(d, &q)| d.cell(q, i));
                     tuples.intern(next.collect())
@@ -62,7 +60,7 @@ impl SaturatingClasses {
                 .collect::<Vec<ClassId>>()
         });
 
-        let nlangs = langs.len();
+        let nlangs = dense.len();
         let accept = tuples
             .keys()
             .iter()
@@ -132,11 +130,9 @@ mod tests {
     use super::*;
     use crate::{Nfa, Regex};
 
-    /// The letters 0, 1, 2, so that a symbol is its own column.
-    const ABC: [u32; 3] = [0, 1, 2];
-
-    fn dfa(r: Regex<u32>) -> Dfa<u32> {
-        Nfa::from_regex(&r).to_dfa()
+    /// A table over the letters 0, 1, 2, so that a symbol is its own column.
+    fn dfa(r: Regex<u32>) -> DenseDfa {
+        Nfa::from_regex(&r).to_dense(3)
     }
 
     #[test]
@@ -144,7 +140,7 @@ mod tests {
         // F0 = (1 2)*, F1 = 1 .* over alphabet {0,1,2}.
         let f0 = dfa(Regex::word(&[1u32, 2]).star());
         let f1 = dfa(Regex::sym(1u32).concat(Regex::any_sym().star()));
-        let eq = SaturatingClasses::build(&[f0.clone(), f1.clone()], &ABC);
+        let eq = SaturatingClasses::build(&[f0.clone(), f1.clone()]);
         for w in [
             vec![],
             vec![1],
@@ -155,15 +151,23 @@ mod tests {
             vec![1, 1],
             vec![1, 2, 1, 2],
         ] {
-            assert_eq!(eq.word_in_lang(&w, 0), f0.accepts(&w), "F0 on {w:?}");
-            assert_eq!(eq.word_in_lang(&w, 1), f1.accepts(&w), "F1 on {w:?}");
+            assert_eq!(
+                eq.word_in_lang(&w, 0),
+                f0.accepts(w.iter().copied()),
+                "F0 on {w:?}"
+            );
+            assert_eq!(
+                eq.word_in_lang(&w, 1),
+                f1.accepts(w.iter().copied()),
+                "F1 on {w:?}"
+            );
         }
     }
 
     #[test]
     fn right_invariance() {
         let f0 = dfa(Regex::word(&[1u32, 2]).star());
-        let eq = SaturatingClasses::build(&[f0], &ABC);
+        let eq = SaturatingClasses::build(&[f0]);
         // If u ≡ v then u·w ≡ v·w for all w: step from equal classes is equal.
         let u = eq.class_of(&[1, 2]);
         let v = eq.class_of(&[1, 2, 1, 2]);
@@ -175,7 +179,7 @@ mod tests {
     #[test]
     fn classes_distinguish_differing_futures() {
         let f0 = dfa(Regex::word(&[1u32, 2]).star());
-        let eq = SaturatingClasses::build(&[f0], &ABC);
+        let eq = SaturatingClasses::build(&[f0]);
         // ε ∈ F0 but "1" ∉ F0, so their classes must differ.
         assert_ne!(eq.class_of(&[]), eq.class_of(&[1]));
         // "2" and "1 1" are both dead; they may share a class.
@@ -186,7 +190,7 @@ mod tests {
     fn finite_index() {
         let f0 = dfa(Regex::word(&[1u32, 2]).star());
         let f1 = dfa(Regex::sym(1u32).star());
-        let eq = SaturatingClasses::build(&[f0, f1], &ABC);
+        let eq = SaturatingClasses::build(&[f0, f1]);
         assert!(eq.num_classes() <= 12);
         assert_eq!(eq.num_langs(), 2);
     }
@@ -194,11 +198,11 @@ mod tests {
     #[test]
     fn unknown_symbols_collapse_to_fresh_column() {
         let f0 = dfa(Regex::any_sym().star());
-        let eq = SaturatingClasses::build(&[f0], &ABC);
+        let eq = SaturatingClasses::build(&[f0]);
         assert!(eq.word_in_lang(&[77, 78], 0));
         // A letter past the end steps like an unmentioned one in range.
         let f1 = dfa(Regex::word(&[1u32, 2]).star());
-        let eq = SaturatingClasses::build(&[f1], &ABC);
+        let eq = SaturatingClasses::build(&[f1]);
         assert_eq!(eq.class_of(&[1, 77]), eq.class_of(&[1, 0]));
     }
 }

@@ -7,11 +7,16 @@
 //! [`DenseDfa`] instead: one `u32` row per state, one column per letter of
 //! a concrete alphabet, and one co-finite column that every letter past
 //! the end takes. Constructions fill the rows directly
-//! ([`DenseDfa::from_rows`]); a symbolic automaton is tabulated against an
-//! alphabet with [`DenseDfa::compile`].
+//! ([`DenseDfa::from_rows`]) or determinize an NFA over the closed
+//! alphabet ([`Nfa::to_dense`](crate::Nfa::to_dense)); a symbolic
+//! automaton is tabulated against an alphabet with [`DenseDfa::compile`],
+//! and [`DenseDfa::to_dfa`] gives the symbolic view back where a
+//! construction needs one.
 
-use crate::kernel::coreach;
-use crate::{Dfa, StateId, Sym};
+use std::borrow::Borrow;
+
+use crate::kernel::{coreach, row, Worklist};
+use crate::{Dfa, ProductOp, StateId, Sym};
 
 /// A total DFA over the letters `0, 1, 2, …`, stored as a flat
 /// `state × column` table.
@@ -20,7 +25,7 @@ use crate::{Dfa, StateId, Sym};
 /// one, taken by every letter `≥ letters()`. Alongside the table: the
 /// start state, the accepting states, and the *live* states (those from
 /// which an accepting state is reachable).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DenseDfa {
     /// Columns per state: the letters, then the co-finite column.
     width: usize,
@@ -59,9 +64,12 @@ impl DenseDfa {
         );
         let table = rows.concat();
         let live = coreach(n, (0..n as StateId).filter(|&q| accept[q as usize]), |q| {
-            table[q as usize * width..(q as usize + 1) * width]
-                .iter()
-                .copied()
+            // A row's cells repeat their neighbours' targets in long runs
+            // (every letter past the mentioned ones shares one); each run
+            // is one edge.
+            let mut prev = None;
+            let row = table[q as usize * width..(q as usize + 1) * width].iter();
+            row.copied().filter(move |&t| prev.replace(t) != Some(t))
         });
         DenseDfa {
             width,
@@ -70,6 +78,54 @@ impl DenseDfa {
             accept,
             live,
         }
+    }
+
+    /// The same table with `accept` as its accepting states.
+    pub fn with_accept(&self, accept: Vec<bool>) -> DenseDfa {
+        let rows = self.table.chunks(self.width).map(<[StateId]>::to_vec);
+        DenseDfa::from_rows(rows.collect(), self.start, accept)
+    }
+
+    /// The complement (the table is total, so acceptance flips).
+    pub fn complement(&self) -> DenseDfa {
+        self.with_accept(self.accept.iter().map(|&a| !a).collect())
+    }
+
+    /// Product over the reachable state pairs of two tables of one width.
+    pub fn product(&self, other: &DenseDfa, op: ProductOp) -> DenseDfa {
+        assert_eq!(self.width, other.width, "one alphabet");
+        let mut pairs = Worklist::new();
+        let start = pairs.intern((self.start, other.start));
+        let rows = pairs.explore(|pairs, _, &(a, b)| {
+            (0..self.width)
+                .map(|col| pairs.intern((self.cell(a, col), other.cell(b, col))))
+                .collect()
+        });
+        let accept = pairs
+            .keys()
+            .iter()
+            .map(|&(a, b)| op.apply(self.is_accepting(a), other.is_accepting(b)))
+            .collect();
+        DenseDfa::from_rows(rows, start, accept)
+    }
+
+    /// Is the accepted language empty?
+    pub fn is_empty_lang(&self) -> bool {
+        !self.is_live(self.start)
+    }
+
+    /// The symbolic view: letter `i` is column `i`, and every other
+    /// symbol takes the co-finite column's edge.
+    pub fn to_dfa(&self) -> Dfa<StateId> {
+        let trans = (0..self.num_states() as StateId)
+            .map(|q| {
+                let (cof, letters) = self.row(q).split_last().expect("a co-finite column");
+                // Letters bound for the co-finite target ride on its edge.
+                let letters = (0..).zip(letters.iter().copied());
+                row(letters.filter(|&(_, t)| t != *cof), *cof)
+            })
+            .collect();
+        Dfa::from_parts(trans, self.start, self.accept.clone())
     }
 
     /// Number of states.
@@ -120,13 +176,15 @@ impl DenseDfa {
         &self.table[q as usize * self.width..(q as usize + 1) * self.width]
     }
 
-    /// Run on a word from the start state.
-    pub fn run(&self, word: impl IntoIterator<Item = u32>) -> StateId {
-        word.into_iter().fold(self.start, |q, a| self.step(q, a))
+    /// Run on a word (of letters or references to them) from the start
+    /// state.
+    pub fn run<W: IntoIterator<Item: Borrow<u32>>>(&self, word: W) -> StateId {
+        word.into_iter()
+            .fold(self.start, |q, a| self.step(q, *a.borrow()))
     }
 
     /// Membership test.
-    pub fn accepts(&self, word: impl IntoIterator<Item = u32>) -> bool {
+    pub fn accepts<W: IntoIterator<Item: Borrow<u32>>>(&self, word: W) -> bool {
         self.is_accepting(self.run(word))
     }
 }
@@ -179,6 +237,18 @@ mod tests {
         assert!(dd.accepts(cols(&alphabet, &[99, 1, 2])));
         assert_eq!(dd.step(dd.start(), 2), dd.cell(dd.start(), 2));
         assert_eq!(dd.step(dd.start(), u32::MAX), dd.cell(dd.start(), 2));
+    }
+
+    #[test]
+    fn complement_flips_membership() {
+        let d = Nfa::from_regex(&Regex::sym(1u32).star()).to_dense(3);
+        let c = d.complement();
+        assert!(d.accepts([1, 1]));
+        assert!(!c.accepts([1, 1]));
+        assert!(!d.accepts([2]));
+        assert!(c.accepts([2]));
+        assert!(c.accepts([7]), "a letter past the columns");
+        assert!(!c.accepts([0u32; 0]));
     }
 
     #[test]

@@ -4,8 +4,8 @@
 //! labels are pairwise disjoint and jointly cover the whole (open) symbol
 //! space — exactly one label matches any symbol, mentioned or fresh. All
 //! constructors (subset construction, products) maintain this invariant,
-//! which is what makes complementation a simple accept-flip and makes
-//! per-symbol stepping well-defined.
+//! which is what makes a difference a product with an accept rule and
+//! makes per-symbol stepping well-defined.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -24,7 +24,7 @@ pub enum ProductOp {
 }
 
 impl ProductOp {
-    fn apply(self, a: bool, b: bool) -> bool {
+    pub(crate) fn apply(self, a: bool, b: bool) -> bool {
         match self {
             ProductOp::And => a && b,
             ProductOp::Or => a || b,
@@ -170,28 +170,9 @@ impl<S: Sym> Dfa<S> {
         }
     }
 
-    /// Intersection of languages.
-    pub fn intersect(&self, other: &Dfa<S>) -> Dfa<S> {
-        self.product(other, ProductOp::And)
-    }
-
-    /// Union of languages.
-    pub fn union(&self, other: &Dfa<S>) -> Dfa<S> {
-        self.product(other, ProductOp::Or)
-    }
-
     /// Difference of languages (`self \ other`).
     pub fn difference(&self, other: &Dfa<S>) -> Dfa<S> {
         self.product(other, ProductOp::Diff)
-    }
-
-    /// Complement (valid because the automaton is total).
-    pub fn complement(&self) -> Dfa<S> {
-        let mut out = self.clone();
-        for a in &mut out.accept {
-            *a = !*a;
-        }
-        out
     }
 
     /// Is the accepted language empty?
@@ -441,17 +422,6 @@ mod tests {
     }
 
     #[test]
-    fn complement_flips_membership() {
-        let d = dfa(Regex::sym(1u8).star());
-        let c = d.complement();
-        assert!(d.accepts(&[1, 1]));
-        assert!(!c.accepts(&[1, 1]));
-        assert!(!d.accepts(&[2]));
-        assert!(c.accepts(&[2]));
-        assert!(!c.accepts(&[]));
-    }
-
-    #[test]
     fn product_intersection() {
         // Words over {1,2} containing at least one 1  ∩  words of length 2.
         let a = dfa(Regex::any_sym()
@@ -459,7 +429,7 @@ mod tests {
             .concat(Regex::sym(1u8))
             .concat(Regex::any_sym().star()));
         let b = dfa(Regex::any_sym().concat(Regex::any_sym()));
-        let i = a.intersect(&b);
+        let i = a.product(&b, ProductOp::And);
         assert!(i.accepts(&[1, 2]));
         assert!(i.accepts(&[2, 1]));
         assert!(!i.accepts(&[2, 2]));
@@ -471,7 +441,7 @@ mod tests {
     fn union_and_difference() {
         let a = dfa(Regex::sym(1u8));
         let b = dfa(Regex::sym(2u8));
-        let u = a.union(&b);
+        let u = a.product(&b, ProductOp::Or);
         assert!(u.accepts(&[1]) && u.accepts(&[2]) && !u.accepts(&[3]));
         let d = u.difference(&a);
         assert!(!d.accepts(&[1]) && d.accepts(&[2]));

@@ -22,15 +22,54 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BTreeSet, HashMap};
-use std::hash::Hash;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 use crate::{CharClass, StateId, Sym};
+
+/// A multiply-rotate hash of machine words. Construction keys are small
+/// integers and bit sets made by the constructions themselves, not by an
+/// adversary, so interning them needs no keyed hash; this one costs a few
+/// cycles per word.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct WordHasher(u64);
+
+impl WordHasher {
+    #[inline]
+    fn add(&mut self, w: u64) {
+        self.0 = (self.0.rotate_left(5) ^ w).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
+}
+
+impl Hasher for WordHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.add(u64::from_le_bytes(word));
+        }
+    }
+    fn write_u32(&mut self, n: u32) {
+        self.add(u64::from(n));
+    }
+    fn write_u64(&mut self, n: u64) {
+        self.add(n);
+    }
+    fn write_usize(&mut self, n: usize) {
+        self.add(n as u64);
+    }
+    fn finish(&self) -> u64 {
+        // The product carries a word's high bits only upward; fold them
+        // back into the low bits, which pick the bucket.
+        let h = self.0;
+        (h ^ (h >> 32)).wrapping_mul(0x9e37_79b9_7f4a_7c15) ^ (h >> 29)
+    }
+}
 
 /// Construction states interned to dense ids `0, 1, 2, …` in order of
 /// discovery, with a last-in-first-out frontier of ids not yet explored.
 #[derive(Debug, Clone)]
 pub struct Worklist<K> {
-    ids: HashMap<K, StateId>,
+    ids: HashMap<K, StateId, BuildHasherDefault<WordHasher>>,
     keys: Vec<K>,
     todo: Vec<StateId>,
 }
@@ -38,7 +77,7 @@ pub struct Worklist<K> {
 impl<K: Clone + Eq + Hash> Default for Worklist<K> {
     fn default() -> Self {
         Worklist {
-            ids: HashMap::new(),
+            ids: HashMap::default(),
             keys: Vec::new(),
             todo: Vec::new(),
         }
@@ -74,8 +113,11 @@ impl<K: Clone + Eq + Hash> Worklist<K> {
         }
     }
 
-    /// The id of an already interned `key`.
-    pub fn get(&self, key: &K) -> Option<StateId> {
+    /// The id of an already interned `key` (or of a borrowed form of it).
+    pub fn get<Q: ?Sized + Hash + Eq>(&self, key: &Q) -> Option<StateId>
+    where
+        K: std::borrow::Borrow<Q>,
+    {
         self.ids.get(key).copied()
     }
 
@@ -270,13 +312,30 @@ pub fn coreach<I: IntoIterator<Item = StateId>>(
     if seeds.is_empty() {
         return vec![false; n];
     }
-    let mut preds: Vec<Vec<StateId>> = vec![Vec::new(); n];
+    // The predecessor lists, packed: those of `t` are
+    // `preds[start[t]..start[t + 1]]`.
+    let mut start = vec![0usize; n + 1];
     for q in 0..n as StateId {
         for t in succ(q) {
-            preds[t as usize].push(q);
+            start[t as usize + 1] += 1;
         }
     }
-    reach(n, seeds, |q| preds[q as usize].iter().copied())
+    for t in 0..n {
+        start[t + 1] += start[t];
+    }
+    let mut fill = start.clone();
+    let mut preds = vec![0; start[n]];
+    for q in 0..n as StateId {
+        for t in succ(q) {
+            preds[fill[t as usize]] = q;
+            fill[t as usize] += 1;
+        }
+    }
+    reach(n, seeds, |q| {
+        preds[start[q as usize]..start[q as usize + 1]]
+            .iter()
+            .copied()
+    })
 }
 
 #[cfg(test)]

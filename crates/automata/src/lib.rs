@@ -9,7 +9,9 @@
 //!    `Q` (which doubles as the horizontal alphabet) keeps growing. Transition
 //!    labels are therefore [`CharClass`] values — finite sets (`In`) or
 //!    co-finite sets (`NotIn`) of symbols — so "any symbol" and "anything but
-//!    z̄" stay meaningful as the alphabet grows.
+//!    z̄" stay meaningful as the alphabet grows. Once it stops growing, the
+//!    alphabet is closed (`0..k`), and [`Nfa::to_dense`] determinizes
+//!    straight into a [`DenseDfa`] with [`bits`] sets for subsets.
 //! 2. **Generic symbols.** The same machinery runs over hedge-automaton
 //!    states (`u32`), interned XML element names, equivalence classes, and
 //!    triplet signatures, so everything is generic over a symbol type `S`.
@@ -21,17 +23,18 @@
 //! * [`Nfa`] — Thompson construction, union/concat/star, reversal (mirror
 //!   image, needed by Theorem 4's automaton `N`), word removal (Lemma 1,
 //!   case 9).
-//! * [`Dfa`] — subset construction, products (intersection / union /
-//!   difference), complement, Moore minimization, emptiness, language
-//!   equivalence, and state-elimination back to a [`Regex`] (Lemma 2's base
-//!   case).
+//! * [`Dfa`] — subset construction, products (an accept rule per
+//!   [`ProductOp`]), Moore minimization, emptiness, language equivalence,
+//!   and state-elimination back to a [`Regex`] (Lemma 2's base case).
 //! * [`DenseDfa`] — the one dense table: a total DFA over the letters
 //!   `0..k` plus a co-finite column, with its start, accepting and live
 //!   states. Every automaton the evaluators step per node is one:
 //!   Theorem 1's horizontal functions (`hedgex_ha::HorizFn`), Theorem 4's
 //!   `≡` classes and mirror automaton `N`, §8's path DFA, and a hedge
-//!   automaton's `F`. Constructions fill its rows directly, or tabulate a
-//!   [`Dfa`] against an alphabet.
+//!   automaton's `F`, and a hedge automaton's rule languages.
+//!   Constructions fill its rows directly, determinize an NFA over a
+//!   closed alphabet ([`Nfa::to_dense`], via [`ClosedMoves`]), or
+//!   tabulate a [`Dfa`] against an alphabet.
 //! * [`SaturatingClasses`] — the right-invariant equivalence `≡` of
 //!   Theorem 4: one product [`DenseDfa`] that simultaneously tracks a
 //!   family of regular sets, whose states *are* the equivalence classes
@@ -43,6 +46,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod bits;
 pub mod class;
 pub mod classes;
 pub mod dense;
@@ -57,8 +61,8 @@ pub use classes::SaturatingClasses;
 pub use dense::DenseDfa;
 pub use dfa::{Dfa, ProductOp};
 pub use elim::dfa_to_regex;
-pub use kernel::{coreach, in_edges, reach, row, saturate, Horizontal, Worklist};
-pub use nfa::Nfa;
+pub use kernel::{coreach, in_edges, reach, row, saturate, Horizontal, WordHasher, Worklist};
+pub use nfa::{ClosedMoves, Nfa};
 pub use regex::Regex;
 
 /// Automaton state identifier. Interned, dense, starts at 0.

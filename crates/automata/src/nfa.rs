@@ -6,8 +6,9 @@
 
 use std::collections::BTreeSet;
 
-use crate::kernel::reach;
-use crate::{CharClass, Dfa, Regex, StateId, Sym};
+use crate::bits::{self, StateSet};
+use crate::kernel::{reach, Worklist};
+use crate::{CharClass, DenseDfa, Dfa, Regex, StateId, Sym};
 
 /// An NFA with ε-moves, a single start state, and a set of accepting states.
 #[derive(Debug, Clone)]
@@ -149,9 +150,9 @@ impl<S: Sym> Nfa<S> {
         (self.trans.len() - 1) as StateId
     }
 
-    /// Language union.
-    pub fn union(&self, other: &Nfa<S>) -> Nfa<S> {
-        let mut out = self.clone();
+    /// Language union (`self` is reused, not copied).
+    pub fn union(self, other: &Nfa<S>) -> Nfa<S> {
+        let mut out = self;
         let off = out.absorb(other);
         let ns = out.push_state(false);
         let (s1, s2) = (out.start, other.start + off);
@@ -160,9 +161,9 @@ impl<S: Sym> Nfa<S> {
         out
     }
 
-    /// Language concatenation.
-    pub fn concat(&self, other: &Nfa<S>) -> Nfa<S> {
-        let mut out = self.clone();
+    /// Language concatenation (`self` is reused, not copied).
+    pub fn concat(self, other: &Nfa<S>) -> Nfa<S> {
+        let mut out = self;
         let off = out.absorb(other);
         let s2 = other.start + off;
         for q in 0..off {
@@ -174,9 +175,9 @@ impl<S: Sym> Nfa<S> {
         out
     }
 
-    /// Kleene star.
-    pub fn star(&self) -> Nfa<S> {
-        let mut out = self.clone();
+    /// Kleene star (`self` is reused, not copied).
+    pub fn star(self) -> Nfa<S> {
+        let mut out = self;
         let ns = out.push_state(true);
         out.eps[ns as usize].push(out.start);
         let old_n = out.trans.len() as StateId - 1;
@@ -334,6 +335,180 @@ impl<S: Sym> Nfa<S> {
             start: self.start,
             accept: self.accept.clone(),
         }
+    }
+}
+
+/// An NFA's moves over a closed alphabet: the letters `0..k` plus one
+/// co-finite column, taken by any letter no label mentions. Per state and
+/// column, the ε-closed set of successors, as a bit set over the NFA's
+/// states; a subset steps by the union of its members' sets. Only the
+/// letters some label mentions get a column of their own: every other
+/// letter moves like the co-finite column, so it reads that one.
+#[derive(Debug, Clone)]
+pub struct ClosedMoves {
+    /// The letters below `k` some label mentions, ascending: column `c`
+    /// is `letters[c]`'s, and the last column is the co-finite one.
+    letters: Vec<StateId>,
+    width: usize,
+    words: usize,
+    /// `moves[(q * width + col) * words..][..words]`.
+    moves: Vec<u64>,
+    start: StateSet,
+    accept: StateSet,
+}
+
+impl ClosedMoves {
+    /// The ε-closure of the start state.
+    pub fn start(&self) -> &[u64] {
+        &self.start
+    }
+
+    /// The column letter `a` reads; a letter past `k` reads the co-finite
+    /// one.
+    fn column(&self, a: u32) -> usize {
+        self.letters.binary_search(&a).unwrap_or(self.width - 1)
+    }
+
+    /// The ε-closed successors of `set` on every column at once, into
+    /// `out`; [`ClosedMoves::cell`] reads a letter's set from it. One pass
+    /// over each member's row, so it costs per member, not per cell.
+    pub fn row_into(&self, set: &[u64], out: &mut Vec<u64>) {
+        let len = self.width * self.words;
+        out.clear();
+        out.resize(len, 0);
+        for q in bits::iter(set) {
+            bits::union_into(out, &self.moves[q as usize * len..(q as usize + 1) * len]);
+        }
+    }
+
+    /// Letter `a`'s set in a row filled by [`ClosedMoves::row_into`].
+    pub fn cell<'a>(&self, row: &'a [u64], a: u32) -> &'a [u64] {
+        let at = self.column(a) * self.words;
+        &row[at..at + self.words]
+    }
+
+    /// The ε-closed successors of `set` on any of `letters`.
+    pub fn step<L: IntoIterator<Item = u32> + Clone>(&self, set: &[u64], letters: L) -> StateSet {
+        let mut out = vec![0; self.words];
+        for q in bits::iter(set) {
+            for a in letters.clone() {
+                let at = (q as usize * self.width + self.column(a)) * self.words;
+                bits::union_into(&mut out, &self.moves[at..at + self.words]);
+            }
+        }
+        out
+    }
+
+    /// Does `set` hold an accepting state?
+    pub fn accepts(&self, set: &[u64]) -> bool {
+        bits::meets(set, &self.accept)
+    }
+}
+
+impl Nfa<StateId> {
+    /// Tabulate the moves over the closed alphabet `0..k`: the co-finite
+    /// column stands for every letter no label mentions, so a `NotIn`
+    /// label fills every column it does not exclude, that one included.
+    pub fn closed_moves(&self, k: usize) -> ClosedMoves {
+        let n = self.num_states();
+        let labels = self.trans.iter().flatten().map(|(c, _)| c);
+        let mut letters: Vec<StateId> = labels
+            .flat_map(CharClass::mentioned)
+            .copied()
+            .filter(|&a| (a as usize) < k)
+            .collect();
+        letters.sort_unstable();
+        letters.dedup();
+        let (width, words) = (letters.len() + 1, n.div_ceil(64));
+        // The ε-closure of `q` is `closure[q * words..][..words]`.
+        let mut closure = vec![0u64; n * words];
+        let mut stack = Vec::new();
+        for (q, set) in closure.chunks_mut(words).enumerate() {
+            bits::insert(set, q as StateId);
+            stack.push(q as StateId);
+            while let Some(p) = stack.pop() {
+                for &t in &self.eps[p as usize] {
+                    if bits::insert(set, t) {
+                        stack.push(t);
+                    }
+                }
+            }
+        }
+        let closed = |t: StateId| &closure[t as usize * words..(t as usize + 1) * words];
+        let mut moves = vec![0u64; n * width * words];
+        for (q, edges) in self.trans.iter().enumerate() {
+            let cells = &mut moves[q * width * words..(q + 1) * width * words];
+            let mut add = |c: usize, t: StateId| {
+                bits::union_into(&mut cells[c * words..(c + 1) * words], closed(t));
+            };
+            for (class, t) in edges {
+                match class {
+                    CharClass::In(set) => {
+                        for &a in set.iter().filter(|&&a| (a as usize) < k) {
+                            add(letters.binary_search(&a).expect("mentioned"), *t);
+                        }
+                    }
+                    CharClass::NotIn(set) => {
+                        for (c, a) in letters.iter().enumerate() {
+                            if !set.contains(a) {
+                                add(c, *t);
+                            }
+                        }
+                        add(width - 1, *t);
+                    }
+                }
+            }
+        }
+        let mut accept = bits::empty(n as u32);
+        for q in (0..n as StateId).filter(|&q| self.accept[q as usize]) {
+            bits::insert(&mut accept, q);
+        }
+        ClosedMoves {
+            letters,
+            width,
+            words,
+            moves,
+            start: closed(self.start).to_vec(),
+            accept,
+        }
+    }
+
+    /// The subset construction over the closed alphabet `0..k`: a total
+    /// [`DenseDfa`] whose column `k` is the co-finite one. It accepts the
+    /// same words as [`Nfa::to_dfa`] over those letters, a letter no label
+    /// mentions taking column `k`.
+    pub fn to_dense(&self, k: usize) -> DenseDfa {
+        let moves = self.closed_moves(k);
+        let mut subsets = Worklist::new();
+        let start = subsets.intern(moves.start.clone());
+        // Letters `0..free` are all mentioned, and `free` is the first
+        // letter that reads the co-finite column.
+        let free = (0..)
+            .zip(&moves.letters)
+            .take_while(|&(i, &a)| i == a)
+            .count();
+        let cof = moves.width - 1;
+        let mut cells = Vec::new();
+        let rows = subsets.explore(|subsets, _, set: &StateSet| {
+            moves.row_into(set, &mut cells);
+            // Each column's target, interned in the order of the column's
+            // first letter; every letter no label mentions reads the last.
+            let mut target = |c: usize| {
+                let next = &cells[c * moves.words..(c + 1) * moves.words];
+                subsets
+                    .get(next)
+                    .unwrap_or_else(|| subsets.intern(next.to_vec()))
+            };
+            let below: Vec<StateId> = (0..free).map(&mut target).collect();
+            let mut row = vec![target(cof); k + 1];
+            row[..free].copy_from_slice(&below);
+            for (c, &a) in moves.letters.iter().enumerate().skip(free) {
+                row[a as usize] = target(c);
+            }
+            row
+        });
+        let accept = subsets.keys().iter().map(|s| moves.accepts(s)).collect();
+        DenseDfa::from_rows(rows, start, accept)
     }
 }
 

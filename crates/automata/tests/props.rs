@@ -6,8 +6,8 @@
 use std::collections::BTreeSet;
 
 use hedgex_automata::{
-    coreach, dfa_to_regex, reach, row, saturate, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId,
-    Worklist,
+    coreach, dfa_to_regex, reach, row, saturate, CharClass, DenseDfa, Dfa, Nfa, ProductOp, Regex,
+    StateId, Worklist,
 };
 use hedgex_testkit::prop::{shrink_u64, shrink_vec};
 use hedgex_testkit::{forall, prop_assert, prop_assert_eq, zip2, zip3, Config, Gen, Rng};
@@ -143,10 +143,12 @@ fn boolean_ops_pointwise() {
             let a = Nfa::from_regex(ra).to_dfa();
             let b = Nfa::from_regex(rb).to_dfa();
             let (x, y) = (a.accepts(w), b.accepts(w));
-            prop_assert_eq!(a.intersect(&b).accepts(w), x && y);
-            prop_assert_eq!(a.union(&b).accepts(w), x || y);
+            prop_assert_eq!(a.product(&b, ProductOp::And).accepts(w), x && y);
+            prop_assert_eq!(a.product(&b, ProductOp::Or).accepts(w), x || y);
             prop_assert_eq!(a.difference(&b).accepts(w), x && !y);
-            prop_assert_eq!(a.complement().accepts(w), !x);
+            // The complement: everything but L(a).
+            let all = Nfa::from_regex(&Regex::any_sym().star()).to_dfa();
+            prop_assert_eq!(all.difference(&a).accepts(w), !x);
             Ok(())
         },
     );
@@ -182,8 +184,8 @@ fn equivalence_reflexive() {
             let a = Nfa::from_regex(re).to_dfa();
             prop_assert!(a.equivalent(&a.minimize()));
             // L ∪ L = L, L ∩ L = L.
-            prop_assert!(a.union(&a).equivalent(&a));
-            prop_assert!(a.intersect(&a).equivalent(&a));
+            prop_assert!(a.product(&a, ProductOp::Or).equivalent(&a));
+            prop_assert!(a.product(&a, ProductOp::And).equivalent(&a));
             Ok(())
         },
     );
@@ -609,6 +611,97 @@ fn saturate_matches_naive_rounds() {
                         let key = machine.states[h] as usize;
                         let letter = verticals.keys()[v] as usize;
                         prop_assert_eq!(machine.states[next as usize], ms.step[m][key][letter]);
+                    }
+                }
+            }
+            Ok(())
+        },
+    );
+}
+
+/// A random NFA over the closed alphabet `0..letters`: labelled edges with
+/// `In` and `NotIn` classes over those letters, and ε-moves.
+#[derive(Debug, Clone)]
+struct RawNfa {
+    letters: u32,
+    trans: Vec<Vec<(CharClass<u32>, StateId)>>,
+    eps: Vec<Vec<StateId>>,
+    start: StateId,
+    accept: Vec<bool>,
+}
+
+impl RawNfa {
+    fn nfa(&self) -> Nfa<u32> {
+        Nfa::from_raw(
+            self.trans.clone(),
+            self.eps.clone(),
+            self.start,
+            self.accept.clone(),
+        )
+    }
+}
+
+fn arb_raw_nfa() -> Gen<RawNfa> {
+    Gen::new(|rng| {
+        let n = rng.random_range(1..7u32);
+        let letters = rng.random_range(1..4u32);
+        let class = |rng: &mut Rng| {
+            let set: Vec<u32> = (0..letters).filter(|_| rng.random_bool(0.4)).collect();
+            if rng.random_bool(0.5) {
+                CharClass::of(set)
+            } else {
+                CharClass::all_except(set)
+            }
+        };
+        let trans = (0..n)
+            .map(|_| {
+                (0..rng.random_range(0..3usize))
+                    .map(|_| (class(rng), rng.random_range(0..n)))
+                    .collect()
+            })
+            .collect();
+        // ε-moves often enough that closures chain over several hops.
+        let eps = (0..n)
+            .map(|_| {
+                (0..rng.random_range(0..3usize))
+                    .map(|_| rng.random_range(0..n))
+                    .collect()
+            })
+            .collect();
+        RawNfa {
+            letters,
+            trans,
+            eps,
+            start: rng.random_range(0..n),
+            accept: (0..n).map(|_| rng.random_bool(0.3)).collect(),
+        }
+    })
+}
+
+/// The closed-alphabet subset construction agrees with the symbolic one on
+/// every word of length ≤ 5 over the letters `0..=k`; letter `k` is
+/// mentioned by no label, so it takes the co-finite column.
+#[test]
+fn dense_subset_construction_agrees_with_to_dfa() {
+    forall(
+        "dense_subset_construction_agrees_with_to_dfa",
+        Config::with_cases(64),
+        &arb_raw_nfa(),
+        |raw| {
+            let nfa = raw.nfa();
+            let k = raw.letters;
+            let dense = nfa.to_dense(k as usize);
+            let dfa = nfa.to_dfa();
+            prop_assert_eq!(dense.letters(), k as usize);
+            let mut words: Vec<Vec<u32>> = vec![vec![]];
+            while let Some(w) = words.pop() {
+                prop_assert_eq!(dense.accepts(&w), dfa.accepts(&w), "word {:?}", w);
+                prop_assert_eq!(dense.accepts(&w), nfa.accepts(&w), "word {:?}", w);
+                if w.len() < 5 {
+                    for a in 0..=k {
+                        let mut longer = w.clone();
+                        longer.push(a);
+                        words.push(longer);
                     }
                 }
             }

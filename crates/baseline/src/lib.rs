@@ -89,7 +89,7 @@ pub fn quadratic_marks(dha: &Dha, h: &FlatHedge) -> Vec<bool> {
             let mut s = f.start();
             for c in h.children(n) {
                 let tree = h.to_tree(c);
-                s = f.step(s, &dha.state_of_tree(&tree));
+                s = f.step(s, dha.state_of_tree(&tree));
             }
             f.is_accepting(s)
         })

@@ -22,9 +22,9 @@
 //! below); the automaton is ambiguous iff the product accepts with the bit
 //! set somewhere at the top level.
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 
-use hedgex_automata::{saturate, StateId, Worklist};
+use hedgex_automata::{bits, saturate, Worklist};
 use hedgex_ha::{HState, Nha};
 
 use crate::compile::compile_hre;
@@ -74,42 +74,33 @@ pub fn nha_is_ambiguous(nha: &Nha) -> bool {
         },
         |m, &(s1, s2, fl), &(q1, q2, pf)| {
             let (d1, _, d2, _) = machines[m];
-            (d1.step(s1, &q1), d2.step(s2, &q2), fl || pf)
+            (d1.step(s1, q1), d2.step(s2, q2), fl || pf)
         },
     );
     let pairs = pairs.into_keys();
 
     // ---- Top level: ∃ word of producible pairs, flagged somewhere, both
     // projections accepted by F. -----------------------------------------
-    let f = nha.finals();
-    // Product-of-two-copies reachability with a flag bit.
-    let moved = |set: &[StateId], q: HState| -> Vec<StateId> {
-        let targets: BTreeSet<StateId> = set
-            .iter()
-            .flat_map(|&s| f.transitions(s))
-            .filter(|(c, _)| c.contains(&q))
-            .map(|(_, t)| *t)
-            .collect();
-        targets.into_iter().collect()
-    };
+    let f = nha.finals().closed_moves(nha.num_states() as usize);
+    // Product-of-two-copies reachability with a flag bit, each copy an
+    // ε-closed set of F's states.
     let mut states = Worklist::new();
-    let start = f.eps_closure(&[f.start()]);
+    let start = f.start().to_vec();
     states.intern((start.clone(), start, false));
     let mut ambiguous = false;
     states.explore(|states, _, (s1, s2, fl)| {
         // Subset simulation is exact for run *existence*: each copy i reads
         // its own projection of the word, and an accepting member in the
         // final subset witnesses an accepting run.
-        let accepts = |set: &[StateId]| set.iter().any(|&s| f.is_accepting(s));
-        ambiguous |= *fl && accepts(s1) && accepts(s2);
+        ambiguous |= *fl && f.accepts(s1) && f.accepts(s2);
         if ambiguous {
             return; // drain the frontier without expanding it
         }
         // One step by each producible pair.
         for &(q1, q2, pf) in &pairs {
-            let (m1, m2) = (moved(s1, q1), moved(s2, q2));
-            if !m1.is_empty() && !m2.is_empty() {
-                states.intern((f.eps_closure(&m1), f.eps_closure(&m2), *fl || pf));
+            let (m1, m2) = (f.step(s1, [q1]), f.step(s2, [q2]));
+            if !bits::is_empty(&m1) && !bits::is_empty(&m2) {
+                states.intern((m1, m2, *fl || pf));
             }
         }
     });

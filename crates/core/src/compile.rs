@@ -19,9 +19,11 @@
 //!   (case 8) names it, and cases 9 and 10 rewrite each distinct language once
 //!   per embedding, not once per rule: in `(a₁⟨z⟩|…|a₈⟨z⟩)*^z` all eight
 //!   rules end up naming the one language `z̄ ∪ F`.
-//! * Horizontal languages stay as NFAs during composition (cheap union /
-//!   concat / star) and are determinized when the final [`Nha`] is
-//!   assembled, once per distinct language its rules name.
+//! * Horizontal languages stay symbolic NFAs during composition (cheap
+//!   union / concat / star while the state set still grows). Once the
+//!   last fragment is built, `Q` is closed, and each distinct language the
+//!   final rules name is determinized once, straight into a dense table
+//!   over `0..|Q|` ([`Nfa::to_dense`]).
 
 use std::collections::HashMap;
 
@@ -255,7 +257,7 @@ fn compile_frag(e: &Hre, ctx: &mut Ctx) -> Frag {
         Hre::Iter(inner, z) => {
             let mut f = compile_frag(inner, ctx);
             let finals = &f.finals;
-            ctx.splice_zbar(&mut f.rules, *z, |lang| lang.union(finals));
+            ctx.splice_zbar(&mut f.rules, *z, |lang| lang.clone().union(finals));
             f
         }
     }
@@ -272,21 +274,23 @@ pub fn compile_hre(e: &Hre) -> Nha {
         cases: [0; 10],
     };
     let frag = compile_frag(e, &mut ctx);
-    // Determinize each language the final rules name, once, renumbering
-    // the survivors densely.
+    // The state alphabet is closed: determinize each language the final
+    // rules name, once, into a table over it, renumbering the survivors
+    // densely.
+    let num_states = ctx.next_state.max(1);
     let mut renumber: HashMap<LangId, LangId> = HashMap::new();
     let mut langs = Vec::new();
     let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
     let num_rules = frag.rules.len() as u64;
     for (a, l, q) in frag.rules {
         let id = *renumber.entry(l).or_insert_with(|| {
-            langs.push(ctx.langs[l as usize].to_dfa());
+            langs.push(ctx.langs[l as usize].to_dense(num_states as usize));
             (langs.len() - 1) as LangId
         });
         rules.entry(a).or_default().push((id, q));
     }
     obs::counter_inc("core.compile.calls");
-    obs::counter_add("core.compile.states", u64::from(ctx.next_state.max(1)));
+    obs::counter_add("core.compile.states", u64::from(num_states));
     obs::counter_add("core.compile.rules", num_rules);
     obs::counter_add("core.compile.languages", langs.len() as u64);
     for (name, &n) in CASE_NAMES.iter().zip(&ctx.cases) {
@@ -294,7 +298,7 @@ pub fn compile_hre(e: &Hre) -> Nha {
             obs::counter_add(name, n);
         }
     }
-    Nha::from_parts(ctx.next_state.max(1), frag.iota, langs, rules, frag.finals)
+    Nha::from_parts(num_states, frag.iota, langs, rules, frag.finals)
 }
 
 #[cfg(test)]

@@ -82,7 +82,7 @@ pub fn decompile_dha(dha: &Dha, ab: &mut Alphabet) -> Hre {
     for a in dha.symbols() {
         let hf = dha.horiz(a).expect("declared symbol");
         for q in 0..dha.num_states() {
-            if use_states[q as usize] && !hf.inverse(q).is_empty_lang() {
+            if use_states[q as usize] && !hf.preimage(q).is_empty_lang() {
                 universe.push(NodeSt { a, q });
             }
         }
@@ -112,7 +112,7 @@ pub fn decompile_dha(dha: &Dha, ab: &mut Alphabet) -> Hre {
     } else {
         (!0u64) >> (64 - d.universe.len())
     };
-    let f_regex = dfa_to_regex(dha.finals());
+    let f_regex = dfa_to_regex(&dha.finals().to_dfa());
     let universe_snapshot = d.universe.clone();
     regex_to_hre(&f_regex, &mut |c| {
         let mut alt = Hre::Empty;

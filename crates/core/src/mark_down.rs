@@ -18,7 +18,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{Nfa, Regex, StateId, Worklist};
+use hedgex_automata::{DenseDfa, StateId, Worklist};
 use hedgex_ha::dha::HorizFn;
 use hedgex_ha::{determinize, Dha, HState, Leaf};
 use hedgex_hedge::flat::FlatLabel;
@@ -53,7 +53,7 @@ pub fn mark_run_into(
     marks: &mut Vec<bool>,
 ) {
     let states = dha.run_into(h, scratch);
-    let f = dha.finals_dense();
+    let f = dha.finals();
     marks.clear();
     marks.resize(h.num_nodes(), false);
     for id in h.preorder() {
@@ -85,7 +85,7 @@ impl MarkDown {
     /// `L(e)`, even if the node's own label never occurs inside `e`.
     pub fn build(e: &Hre, sigma: &[SymId]) -> MarkDown {
         let base = compile_to_dha(e);
-        let f = base.finals_dense();
+        let f = base.finals();
         let nq = base.num_states();
         let num_states = nq * 2;
         let sink = base.sink() * 2;
@@ -126,7 +126,7 @@ impl MarkDown {
         }
 
         // F' is universal: M↓e accepts every hedge.
-        let universal = Nfa::from_regex(&Regex::<HState>::any_sym().star()).to_dfa();
+        let universal = DenseDfa::from_rows(vec![vec![0; num_states as usize + 1]], 0, vec![true]);
         let marked = (0..num_states).map(|d| d % 2 == 1).collect();
         MarkDown {
             dha: Dha::from_parts(num_states, sink, iota, horiz, universal),

@@ -25,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{in_edges, row, CharClass, Dfa, Nfa, StateId};
+use hedgex_automata::{in_edges, CharClass, DenseDfa, Nfa, ProductOp, StateId};
 use hedgex_ha::{HState, LangId, Leaf, Nha};
 use hedgex_hedge::flat::FlatLabel;
 use hedgex_hedge::{FlatHedge, NodeId, SymId};
@@ -116,24 +116,18 @@ impl MarkUp {
             }
         };
 
-        // Group M′ ids by their M-projection (used by every h-image lift).
-        let mut ids_by_q: Vec<Vec<HState>> = vec![Vec::new(); nq as usize];
-        for id in 0..num_states {
-            ids_by_q[proj_q(id) as usize].push(id);
-        }
-
         // The complement of the bad-child language, per parent N-state s.
-        let good: Vec<Dfa<HState>> = (0..ns)
+        let good: Vec<DenseDfa> = (0..ns)
             .map(|s| {
                 bad_children_nfa(phr, s, num_states, nq, &sigma, proj_q, proj_sa)
-                    .to_dfa()
+                    .to_dense(num_states as usize)
                     .complement()
             })
             .collect();
 
         // Rules: for each symbol a, parent-choice s and result q, the
         // language h(α⁻¹(a, q)) ∩ good(s), labelled (q, s, a).
-        let mut langs: Vec<Dfa<HState>> = Vec::new();
+        let mut langs: Vec<DenseDfa> = Vec::new();
         let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
         for &a in &sigma {
             let ai = sigma_pos[&a];
@@ -141,23 +135,17 @@ impl MarkUp {
                 // h-image of α⁻¹(a, q): relabel each state letter by the
                 // set of M′ ids projecting to it.
                 let inv = match m.horiz(a) {
-                    Some(hf) => hf.inverse(q),
-                    None => {
-                        if q == m.sink() {
-                            // α(a, ·) ≡ sink for undeclared symbols.
-                            Nfa::from_regex(&hedgex_automata::Regex::<HState>::any_sym().star())
-                                .to_dfa()
-                        } else {
-                            continue;
-                        }
-                    }
+                    Some(hf) => hf.preimage(q),
+                    // α(a, ·) ≡ sink for undeclared symbols.
+                    None if q == m.sink() => universal(nq),
+                    None => continue,
                 };
                 if inv.is_empty_lang() {
                     continue;
                 }
-                let lifted = lift_by_projection(&inv, nq, &ids_by_q);
+                let lifted = lift_by_projection(&inv, num_states, proj_q);
                 for s in 0..ns {
-                    let lang = lifted.intersect(&good[s as usize]);
+                    let lang = lifted.product(&good[s as usize], ProductOp::And);
                     if !lang.is_empty_lang() {
                         langs.push(lang);
                         let l = (langs.len() - 1) as LangId;
@@ -169,8 +157,7 @@ impl MarkUp {
 
         // F′: every child of the virtual super-root is consistent with s₀
         // (no M-condition — M′ accepts all hedges).
-        let all = Nfa::from_regex(&hedgex_automata::Regex::<HState>::any_sym().star()).to_dfa();
-        let finals = all.intersect(&good[phr.n_start() as usize]).to_nfa();
+        let finals = good[phr.n_start() as usize].to_dfa().to_nfa();
 
         let marked: Vec<bool> = decode
             .iter()
@@ -202,24 +189,27 @@ impl MarkUp {
     }
 }
 
-/// The `h`-image of a DFA over `Q`: relabel every state letter `q` by the
-/// class of all M′ ids projecting to `q` (the homomorphism `h` of the
-/// proof, `h(q) = ({q} × S × Σ) ∪ {(q, ⊥)}`).
-fn lift_by_projection(dfa: &Dfa<HState>, nq: HState, ids_by_q: &[Vec<HState>]) -> Dfa<HState> {
-    let n = dfa.num_states();
-    let trans = (0..n as StateId)
-        .map(|st| {
-            let letters = (0..nq).flat_map(|q| {
-                let t = dfa.step(st, &q);
-                ids_by_q[q as usize].iter().map(move |&id| (id, t))
-            });
-            // Ids outside the lift (none, since ids_by_q covers all) and
-            // fresh symbols follow the co-finite edge of the base DFA.
-            row(letters, dfa.step_cofinite(st))
-        })
-        .collect();
-    let accept: Vec<bool> = (0..n as StateId).map(|s| dfa.is_accepting(s)).collect();
-    Dfa::from_parts(trans, dfa.start(), accept)
+/// Every word over the letters `0..k`, and any other.
+fn universal(k: HState) -> DenseDfa {
+    DenseDfa::from_rows(vec![vec![0; k as usize + 1]], 0, vec![true])
+}
+
+/// The `h`-image of a table over `Q`: every M′ id steps like the state
+/// letter `q` it projects to (the homomorphism `h` of the proof,
+/// `h(q) = ({q} × S × Σ) ∪ {(q, ⊥)}`), and any other letter like the
+/// base table's co-finite column.
+fn lift_by_projection(
+    dfa: &DenseDfa,
+    num_states: HState,
+    proj_q: impl Fn(HState) -> HState,
+) -> DenseDfa {
+    let states = 0..dfa.num_states() as StateId;
+    let rows = states.clone().map(|st| {
+        let letters = (0..num_states).map(|id| dfa.cell(st, proj_q(id) as usize));
+        letters.chain([dfa.cell(st, dfa.letters())]).collect()
+    });
+    let accept = states.map(|s| dfa.is_accepting(s)).collect();
+    DenseDfa::from_rows(rows.collect(), dfa.start(), accept)
 }
 
 /// The "some child violates μ" NFA (the `⋃_{C₁,C₂} h(C₁) Ω h(C₂)` of the

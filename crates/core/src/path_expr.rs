@@ -162,8 +162,8 @@ impl PathExpr {
 
         // The allowed-children language depends on s only: one per N-state,
         // shared by every symbol.
-        let langs: Vec<Dfa<HState>> = (0..ns)
-            .map(|s| Nfa::from_regex(&allowed(s)).to_dfa())
+        let langs: Vec<DenseDfa> = (0..ns)
+            .map(|s| Nfa::from_regex(&allowed(s)).to_dense(num_states as usize))
             .collect();
         let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
         for (ai, &a) in sigma.iter().enumerate() {

@@ -30,7 +30,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{DenseDfa, Nfa, SaturatingClasses, StateId, Worklist};
+use hedgex_automata::{DenseDfa, Nfa, SaturatingClasses, Worklist};
 use hedgex_ha::product::product_many;
 use hedgex_ha::{determinize, reduce_dha, Dha, HState};
 use hedgex_hedge::SymId;
@@ -93,8 +93,6 @@ pub struct CompiledPhr {
     pub classes: SaturatingClasses,
     /// Sizes recorded during compilation.
     pub stats: PhrStats,
-    /// Triplet labels `a_i`.
-    labels: Vec<SymId>,
     /// The dense execution tables (see [`Engine`]).
     engine: Engine,
 }
@@ -199,11 +197,10 @@ impl CompiledPhr {
         }
         let refs: Vec<&Dha> = distinct.iter().map(|(_, dha, _)| dha).collect();
         let prod = product_many(&refs);
-        let alphabet: Vec<HState> = (0..prod.dha.num_states()).collect();
         let classes = {
             let _span = obs::span("core.phr_compile.classes");
             let sides: Vec<_> = rep.iter().map(|&r| prod.lifted_finals[r].clone()).collect();
-            SaturatingClasses::build(&sides, &alphabet)
+            SaturatingClasses::build(&sides)
         };
         let labels: Vec<SymId> = phr.triplets.iter().map(|t| t.label).collect();
         // N accepts the mirror of L: reverse the triplet regex, then read it
@@ -244,7 +241,6 @@ impl CompiledPhr {
             m: prod.dha,
             classes,
             stats,
-            labels,
             engine,
         }
     }
@@ -254,16 +250,6 @@ impl CompiledPhr {
     /// reachable state count of Theorem 4's `(S, μ, s₀, S_fin)`.
     pub fn n_states_materialized(&self) -> usize {
         self.engine.n.num_states()
-    }
-
-    /// Number of distinct achievable signatures (`N`'s concrete alphabet).
-    pub fn num_signatures(&self) -> usize {
-        self.engine.sigs.len()
-    }
-
-    /// Number of triplets.
-    pub fn num_triplets(&self) -> usize {
-        self.labels.len()
     }
 
     /// The signature of a concrete symbol `(C₁, a, C₂)`: which triplets
@@ -473,22 +459,27 @@ impl Engine {
         }
         let zero_col = sig_idx[&0] as usize;
 
-        // Subset-construct N over the closed signature alphabet; the
-        // co-finite column repeats the zero signature's.
+        // Subset-construct N over the closed signature alphabet: a
+        // signature moves by every triplet in it (any one may fire), and
+        // the co-finite column repeats the zero signature's.
+        let moves = n_nfa.closed_moves(SigMask::BITS as usize);
         let mut subsets = Worklist::new();
-        let start = subsets.intern(n_nfa.eps_closure(&[n_nfa.start()]));
-        let rows = subsets.explore(|subsets, _, cur: &Vec<StateId>| {
+        let start = subsets.intern(moves.start().to_vec());
+        let rows = subsets.explore(|subsets, _, cur: &Vec<u64>| {
             let mut row: Vec<u32> = sigs
                 .iter()
-                .map(|&sig| subsets.intern(move_set(&n_nfa, cur, sig)))
+                .map(|&sig| {
+                    let fired = (0..SigMask::BITS).filter(move |&i| sig & (1 << i) != 0);
+                    subsets.intern(moves.step(cur, fired))
+                })
                 .collect();
             row.push(row[zero_col]);
             row
         });
-        let accept: Vec<bool> = subsets
+        let accept = subsets
             .keys()
             .iter()
-            .map(|set| set.iter().any(|&q| n_nfa.is_accepting(q)))
+            .map(|set| moves.accepts(set))
             .collect();
         let n = DenseDfa::from_rows(rows, start, accept);
 
@@ -510,22 +501,6 @@ impl Engine {
             n,
         }
     }
-}
-
-/// One NFA-subset move by a signature (any triplet in the mask fires).
-fn move_set(nfa: &Nfa<u32>, cur: &[StateId], sig: SigMask) -> Vec<StateId> {
-    let mut moved = std::collections::BTreeSet::new();
-    for &q in cur {
-        for (c, t) in nfa.transitions(q) {
-            let fires = (0..64)
-                .filter(|i| sig & (1 << i) != 0)
-                .any(|i| c.contains(&(i as u32)));
-            if fires {
-                moved.insert(*t);
-            }
-        }
-    }
-    nfa.eps_closure(&moved.into_iter().collect::<Vec<_>>())
 }
 
 #[cfg(test)]

@@ -24,14 +24,22 @@ pub fn inhabited(dha: &Dha) -> Vec<bool> {
     for leaf in dha.leaves() {
         found.intern(dha.iota(leaf));
     }
-    let horiz: Vec<_> = dha.symbols().filter_map(|a| dha.horiz(a)).collect();
+    // Symbols that share a table share one machine; each labels its
+    // states with its own results.
+    let groups: Vec<Vec<_>> = dha
+        .symbol_groups()
+        .into_iter()
+        .map(|g| g.iter().map(|&a| dha.horiz(a).expect("declared")).collect())
+        .collect();
     saturate(
         &mut found,
-        horiz.iter().map(|hf| hf.start()),
+        groups.iter().map(|g| g[0].start()),
         |m, &h, found| {
-            found.intern(horiz[m].result(h));
+            for hf in &groups[m] {
+                found.intern(hf.result(h));
+            }
         },
-        |m, &h, &q| horiz[m].step(h, q),
+        |m, &h, &q| groups[m][0].step(h, q),
     );
     mark(dha.num_states() as usize, found.keys())
 }
@@ -84,7 +92,7 @@ pub(crate) fn top_level_useful(dha: &Dha, inh: &[bool]) -> Vec<bool> {
         f.start(),
         |s| f.is_accepting(s),
         inh,
-        |s, q| f.step(s, &q),
+        |s, q| f.step(s, q),
     )
 }
 
@@ -182,7 +190,7 @@ pub fn accepted_witness(dha: &Dha) -> Option<Hedge> {
             if wit[q as usize].is_none() {
                 continue;
             }
-            let t = f.step(s, &q);
+            let t = f.step(s, q);
             if prev[t as usize].is_none() {
                 prev[t as usize] = Some((s, Some(q)));
                 queue.push_back(t);
@@ -266,7 +274,7 @@ pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
                 found.intern(q);
             }
         },
-        |m, &s, q| rules[m].0.step(s, q),
+        |m, &s, &q| rules[m].0.step(s, q),
     );
     mark(nha.num_states() as usize, found.keys())
 }
@@ -318,7 +326,7 @@ pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
                     dfa.start(),
                     |s| dfa.is_accepting(s),
                     &inh,
-                    |s, q| dfa.step(s, &q),
+                    |s, q| dfa.step(s, q),
                 );
                 changed |= absorb(&mut useful, &live);
             }

@@ -20,15 +20,21 @@
 //! number of NHA states, as Theorem 1 admits; the determinization benchmark
 //! (experiment E2) measures both the blow-up family and the tame typical
 //! case.
+//!
+//! The state alphabet `0..|Q|` is closed here, so everything is dense: the
+//! rule languages are [`DenseDfa`] tables, a subset is a bit set over `Q`,
+//! a lifted state is one bit set over the disjoint union of its group's
+//! DFA states, a lifted step reads one table cell per (DFA state, subset
+//! member), and the lifted `F` is filled as a table over subset ids.
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, HashMap};
 
-use hedgex_automata::{row, saturate, Dfa, StateId, Worklist};
+use hedgex_automata::{saturate, DenseDfa, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
-use crate::nha::{LangId, Nha};
+use crate::nha::{bits, LangId, Nha, StateSet};
 use crate::types::{HState, Leaf};
 
 /// The result of determinizing: the DHA plus, for every DHA state, the NHA
@@ -36,24 +42,28 @@ use crate::types::{HState, Leaf};
 pub struct Determinized {
     /// The deterministic automaton.
     pub dha: Dha,
-    /// DHA state → NHA state set.
-    pub subsets: Vec<BTreeSet<HState>>,
+    /// DHA state → NHA state set, as a bit set over the NHA's states.
+    pub subsets: Vec<StateSet>,
 }
 
 /// The combined rule automaton of every symbol whose rules name one set
-/// of languages: those languages' DFAs side by side. The lifted states are
-/// the same for all of these symbols; each symbol labels them with its own
-/// rules' results.
+/// of languages: those languages' DFAs side by side, their states laid
+/// out one after the other. The lifted states are the same for all of
+/// these symbols; each symbol labels them with its own rules' results.
 struct Combined<'a> {
     /// The distinct languages, as rule DFAs.
-    langs: Vec<&'a Dfa<HState>>,
+    langs: Vec<&'a DenseDfa>,
+    /// Per position of a lifted state: its language and that DFA's state.
+    pos: Vec<(usize, StateId)>,
+    /// Where each language's positions start.
+    offsets: Vec<u32>,
     /// Per symbol: its rules as (index into `langs`, result).
     syms: Vec<(SymId, Vec<(usize, HState)>)>,
 }
 
-/// A lifted horizontal state: for each language, the set of its DFA states
-/// the NFA-simulation may currently be in.
-type Lifted = Vec<BTreeSet<StateId>>;
+/// A lifted horizontal state: one bit per state of every language's DFA,
+/// set for the states the NFA-simulation may currently be in.
+type Lifted = StateSet;
 
 impl Combined<'_> {
     /// Group `nha`'s symbols by the languages their rules name.
@@ -69,52 +79,64 @@ impl Combined<'_> {
         }
         groups
             .into_iter()
-            .map(|(key, syms)| Combined {
-                langs: key.iter().map(|&l| nha.lang(l)).collect(),
-                syms: syms
+            .map(|(key, syms)| {
+                let langs: Vec<&DenseDfa> = key.iter().map(|&l| nha.lang(l)).collect();
+                let (mut pos, mut offsets) = (Vec::new(), Vec::new());
+                for (i, d) in langs.iter().enumerate() {
+                    offsets.push(pos.len() as u32);
+                    pos.extend((0..d.num_states() as StateId).map(|s| (i, s)));
+                }
+                let at = |l| key.binary_search(&l).expect("grouped by language");
+                let syms = syms
                     .into_iter()
-                    .map(|a| {
-                        let rules = nha.rules(a).iter();
-                        let at = |l| key.binary_search(&l).expect("grouped by language");
-                        (a, rules.map(|&(l, q)| (at(l), q)).collect())
-                    })
-                    .collect(),
+                    .map(|a| (a, nha.rules(a).iter().map(|&(l, q)| (at(l), q)).collect()))
+                    .collect();
+                Combined {
+                    langs,
+                    pos,
+                    offsets,
+                    syms,
+                }
             })
             .collect()
     }
 
     fn initial(&self) -> Lifted {
-        self.langs
-            .iter()
-            .map(|d| std::iter::once(d.start()).collect())
-            .collect()
+        let mut cur = bits::empty(self.pos.len() as u32);
+        for (d, &off) in self.langs.iter().zip(&self.offsets) {
+            bits::insert(&mut cur, off + d.start());
+        }
+        cur
     }
 
-    /// Step the lifted state by a subset of NHA states.
-    fn step(&self, cur: &Lifted, subset: &BTreeSet<HState>) -> Lifted {
-        self.langs
-            .iter()
-            .zip(cur)
-            .map(|(d, states)| {
-                let mut next = BTreeSet::new();
-                for &s in states {
-                    for q in subset {
-                        next.insert(d.step(s, q));
-                    }
-                }
-                next
-            })
-            .collect()
+    /// Step the lifted state by a subset of NHA states: every DFA state
+    /// in it by every member, one table read each.
+    fn step(&self, cur: &Lifted, subset: &StateSet) -> Lifted {
+        let mut next = bits::empty(self.pos.len() as u32);
+        for p in bits::iter(cur) {
+            let (i, s) = self.pos[p as usize];
+            let row = self.langs[i].row(s);
+            for q in bits::iter(subset) {
+                bits::insert(&mut next, self.offsets[i] + row[q as usize]);
+            }
+        }
+        next
     }
 
     /// The result subset of one symbol's rules at a lifted state: which of
     /// them can accept here.
-    fn results(&self, rules: &[(usize, HState)], cur: &Lifted) -> BTreeSet<HState> {
-        rules
-            .iter()
-            .filter(|&&(l, _)| cur[l].iter().any(|&s| self.langs[l].is_accepting(s)))
-            .map(|&(_, q)| q)
-            .collect()
+    fn results(&self, rules: &[(usize, HState)], cur: &Lifted, n: u32) -> StateSet {
+        let mut out = bits::empty(n);
+        for &(l, q) in rules {
+            let accepting = |p: u32| {
+                let (i, s) = self.pos[p as usize];
+                i == l && self.langs[i].is_accepting(s)
+            };
+            if bits::iter(cur).any(accepting) {
+                bits::insert(&mut out, q);
+            }
+        }
+        out
     }
 }
 
@@ -122,15 +144,20 @@ impl Combined<'_> {
 /// accepting the same language (Theorem 1).
 pub fn determinize(nha: &Nha) -> Determinized {
     let _span = obs::span("ha.determinize");
-    let nha_states = nha.num_states() as u64;
+    let n = nha.num_states();
+    let nha_states = u64::from(n);
     // Interned subsets. Id 0 is the empty subset (the sink).
-    let mut subsets: Worklist<BTreeSet<HState>> = Worklist::new();
-    subsets.intern(BTreeSet::new());
+    let mut subsets: Worklist<StateSet> = Worklist::new();
+    subsets.intern(bits::empty(n));
 
     // Leaf subsets.
     let mut iota: HashMap<Leaf, HState> = HashMap::new();
     for (leaf, qs) in nha.iotas() {
-        iota.insert(leaf, subsets.intern(qs.iter().copied().collect()));
+        let mut set = bits::empty(n);
+        for &q in qs {
+            bits::insert(&mut set, q);
+        }
+        iota.insert(leaf, subsets.intern(set));
     }
 
     // One bottom-up exploration: each group's lifted states read every
@@ -147,7 +174,7 @@ pub fn determinize(nha: &Nha) -> Determinized {
         |m, cur, subsets| {
             let comb = &combined[m];
             for ((_, rules), labels) in comb.syms.iter().zip(&mut labels[m]) {
-                labels.push(subsets.intern(comb.results(rules, cur)));
+                labels.push(subsets.intern(comb.results(rules, cur, n)));
             }
         },
         |m, cur, subset| combined[m].step(cur, subset),
@@ -193,34 +220,36 @@ pub fn determinize(nha: &Nha) -> Determinized {
     }
 }
 
-/// Lift the NHA's `F` (an NFA over Q) to a DFA over subset ids: a word of
-/// subsets is accepted iff some choice of representatives is accepted by F.
-fn lift_finals(nha: &Nha, subsets: &[BTreeSet<HState>]) -> Dfa<HState> {
-    let f = nha.finals();
+/// Lift the NHA's `F` (an NFA over Q) to a table over subset ids: a word
+/// of subsets is accepted iff some choice of representatives is accepted
+/// by F. Its states are ε-closed sets of F's states, and any other letter
+/// takes the co-finite column to the empty set.
+fn lift_finals(nha: &Nha, subsets: &[StateSet]) -> DenseDfa {
+    let f = nha.finals().closed_moves(nha.num_states() as usize);
     let mut sets = Worklist::new();
-    let start = sets.intern(f.eps_closure(&[f.start()]));
-    let trans = sets.explore(|sets, _, cur: &Vec<StateId>| {
-        let dead = sets.intern(Vec::new());
-        let letters = subsets.iter().enumerate().map(|(i, subset)| {
-            let mut moved: BTreeSet<StateId> = BTreeSet::new();
-            for &s in cur {
-                for (c, t) in f.transitions(s) {
-                    if subset.iter().any(|q| c.contains(q)) {
-                        moved.insert(*t);
-                    }
+    let start = sets.intern(f.start().to_vec());
+    let (mut cells, mut moved) = (Vec::new(), Vec::new());
+    let rows = sets.explore(|sets, _, cur: &StateSet| {
+        let dead = sets.intern(vec![0; cur.len()]);
+        // `cur`'s successors on each letter, then each subset's union.
+        f.row_into(cur, &mut cells);
+        let mut row: Vec<StateId> = subsets
+            .iter()
+            .map(|subset| {
+                moved.clear();
+                moved.resize(cur.len(), 0);
+                for q in bits::iter(subset) {
+                    bits::union_into(&mut moved, f.cell(&cells, q));
                 }
-            }
-            let closed = f.eps_closure(&moved.into_iter().collect::<Vec<_>>());
-            (i as HState, sets.intern(closed))
-        });
-        row(letters, dead)
+                sets.get(&moved)
+                    .unwrap_or_else(|| sets.intern(moved.clone()))
+            })
+            .collect();
+        row.push(dead);
+        row
     });
-    let accept: Vec<bool> = sets
-        .keys()
-        .iter()
-        .map(|set| set.iter().any(|&s| f.is_accepting(s)))
-        .collect();
-    Dfa::from_parts(trans, start, accept)
+    let accept = sets.keys().iter().map(|set| f.accepts(set)).collect();
+    DenseDfa::from_rows(rows, start, accept)
 }
 
 #[cfg(test)]
@@ -295,8 +324,8 @@ mod tests {
         let f = hedgex_hedge::FlatHedge::from_hedge(&h);
         let states = det.dha.run(&f);
         let p_state = states[1] as usize;
-        let expected: BTreeSet<HState> = [1, 2].into_iter().collect();
-        assert_eq!(det.subsets[p_state], expected);
+        let members: Vec<HState> = bits::iter(&det.subsets[p_state]).collect();
+        assert_eq!(members, [1, 2]);
     }
 
     #[test]
@@ -305,12 +334,12 @@ mod tests {
         let nha = m1(&mut ab);
         let det = determinize(&nha);
         assert_eq!(det.dha.sink(), 0);
-        assert!(det.subsets[0].is_empty());
+        assert!(bits::is_empty(&det.subsets[0]));
         // A hedge with an unmapped variable lands in the sink.
         let h = parse_hedge("d<p<$y>>", &mut ab).unwrap();
         let f = hedgex_hedge::FlatHedge::from_hedge(&h);
         let states = det.dha.run(&f);
-        assert_eq!(det.subsets[states[2] as usize], BTreeSet::new());
+        assert!(bits::is_empty(&det.subsets[states[2] as usize]));
     }
 
     #[test]

@@ -9,7 +9,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{row, DenseDfa, Dfa, Nfa, Regex, SaturatingClasses, StateId};
+use hedgex_automata::{DenseDfa, Dfa, Nfa, Regex, SaturatingClasses, StateId};
 use hedgex_hedge::{FlatHedge, Hedge, SubId, SymId, Tree};
 
 use crate::types::{HState, Leaf};
@@ -33,10 +33,11 @@ impl HorizFn {
     /// First-match-wins keeps `α` a *function* even when rule languages
     /// overlap; a well-formed deterministic automaton has disjoint rule
     /// languages anyway, and then the priority is irrelevant.
-    pub fn from_rules(rules: &[(Dfa<HState>, HState)], num_states: u32, sink: HState) -> HorizFn {
-        let alphabet: Vec<HState> = (0..num_states).collect();
-        let dfas: Vec<Dfa<HState>> = rules.iter().map(|(d, _)| d.clone()).collect();
-        let classes = SaturatingClasses::build(&dfas, &alphabet);
+    /// Every `L_j` is a table over the letters `0..num_states`.
+    pub fn from_rules(rules: &[(DenseDfa, HState)], num_states: u32, sink: HState) -> HorizFn {
+        let dfas: Vec<DenseDfa> = rules.iter().map(|(d, _)| d.clone()).collect();
+        debug_assert!(dfas.iter().all(|d| d.letters() == num_states as usize));
+        let classes = SaturatingClasses::build(&dfas);
         let result: Vec<HState> = (0..classes.num_classes() as u32)
             .map(|c| {
                 rules
@@ -102,19 +103,17 @@ impl HorizFn {
         self.result.len()
     }
 
-    /// The inverse image `α⁻¹(a, q)` as a total symbolic DFA over the state
-    /// alphabet: accepts exactly the words `w` with `α(a, w) = q`.
+    /// The inverse image `α⁻¹(a, q)` as a table over the state alphabet:
+    /// accepts exactly the words `w` with `α(a, w) = q`.
+    pub fn preimage(&self, q: HState) -> DenseDfa {
+        self.dfa
+            .with_accept(self.result.iter().map(|&r| r == q).collect())
+    }
+
+    /// The inverse image `α⁻¹(a, q)` as a total symbolic DFA, for the
+    /// constructions that need a regex of it (Lemma 2).
     pub fn inverse(&self, q: HState) -> Dfa<HState> {
-        let trans = (0..self.num_classes() as u32)
-            .map(|h| {
-                let (cof, letters) = self.dfa.row(h).split_last().expect("a co-finite column");
-                // Letters bound for the co-finite target ride on its edge.
-                let letters = (0..).zip(letters.iter().copied());
-                row(letters.filter(|&(_, t)| t != *cof), *cof)
-            })
-            .collect();
-        let accept: Vec<bool> = self.result.iter().map(|&r| r == q).collect();
-        Dfa::from_parts(trans, self.start(), accept)
+        self.preimage(q).to_dfa()
     }
 }
 
@@ -172,11 +171,8 @@ pub struct Dha {
     horiz: Vec<Option<HorizFn>>,
     /// The declared symbol set, sorted.
     declared_syms: Vec<SymId>,
-    finals: Dfa<HState>,
-    /// `F` compiled against the concrete state alphabet `0..|Q|`: the
-    /// executor backend for acceptance (the symbolic [`Dfa`] is kept for
-    /// constructions that rewrite `F`).
-    finals_dense: DenseDfa,
+    /// `F` as a table over the state alphabet `0..|Q|`.
+    finals: DenseDfa,
 }
 
 impl Dha {
@@ -214,21 +210,32 @@ impl Dha {
         self.horiz.get(a.0 as usize).and_then(Option::as_ref)
     }
 
-    /// The final state sequence set `F` as a DFA over `Q`.
-    pub fn finals(&self) -> &Dfa<HState> {
+    /// The final state sequence set `F`, a table over the state alphabet
+    /// `0..|Q|`. Because the alphabet is the identity, a state doubles as
+    /// its own column index: step with `cell(s, q as usize)`.
+    pub fn finals(&self) -> &DenseDfa {
         &self.finals
-    }
-
-    /// `F` compiled against the concrete state alphabet `0..|Q|` — the
-    /// executor form. Because the alphabet is the identity, a state doubles
-    /// as its own column index: step with `cell(s, q as usize)`.
-    pub fn finals_dense(&self) -> &DenseDfa {
-        &self.finals_dense
     }
 
     /// All symbols with declared horizontal rules, in id order.
     pub fn symbols(&self) -> impl Iterator<Item = SymId> + '_ {
         self.declared_syms.iter().copied()
+    }
+
+    /// The declared symbols grouped by horizontal table: symbols in one
+    /// group step by the same rows and differ at most in their results.
+    /// Groups and their members are in id order of first occurrence.
+    pub fn symbol_groups(&self) -> Vec<Vec<SymId>> {
+        let mut groups: Vec<Vec<SymId>> = Vec::new();
+        for a in self.symbols() {
+            let dfa = self.horiz(a).expect("declared").dfa();
+            let same = |g: &&mut Vec<SymId>| self.horiz(g[0]).expect("declared").dfa() == dfa;
+            match groups.iter_mut().find(same) {
+                Some(g) => g.push(a),
+                None => groups.push(vec![a]),
+            }
+        }
+        groups
     }
 
     /// All leaf labels with a declared `ι` value, in sorted order.
@@ -238,11 +245,9 @@ impl Dha {
 
     /// Replace the final state sequence set (used when deriving automata
     /// that share `(Q, ι, α)` but differ in `F`, as in Theorem 4).
-    pub fn with_finals(mut self, finals: Dfa<HState>) -> Dha {
-        let alphabet: Vec<HState> = (0..self.num_states).collect();
-        self.finals_dense = DenseDfa::compile(&finals, &alphabet);
-        self.finals = finals;
-        self
+    pub fn with_finals(self, finals: DenseDfa) -> Dha {
+        debug_assert_eq!(finals.letters(), self.num_states as usize);
+        Dha { finals, ..self }
     }
 
     /// `α(a, w)` for an explicit word (sink for undeclared symbols).
@@ -315,13 +320,13 @@ impl Dha {
     /// `F` directly over the root states — no intermediate ceil vector.
     pub fn accepts_flat(&self, h: &FlatHedge) -> bool {
         let states = self.run(h);
-        let mut q = self.finals_dense.start();
+        let mut q = self.finals.start();
         for &r in h.roots() {
             // Root states are always < |Q|, and the dense alphabet is the
             // identity 0..|Q|, so the state doubles as its column index.
-            q = self.finals_dense.cell(q, states[r as usize] as usize);
+            q = self.finals.cell(q, states[r as usize] as usize);
         }
-        self.finals_dense.is_accepting(q)
+        self.finals.is_accepting(q)
     }
 
     /// Acceptance on a recursive hedge.
@@ -350,8 +355,9 @@ impl Dha {
         sink: HState,
         iota: HashMap<Leaf, HState>,
         horiz: HashMap<SymId, HorizFn>,
-        finals: Dfa<HState>,
+        finals: DenseDfa,
     ) -> Dha {
+        debug_assert_eq!(finals.letters(), num_states as usize);
         let mut iota_var = Vec::new();
         let mut iota_sub = Vec::new();
         let mut iota_eta = sink;
@@ -384,8 +390,6 @@ impl Dha {
         for (a, hf) in horiz {
             horiz_dense[a.0 as usize] = Some(hf);
         }
-        let alphabet: Vec<HState> = (0..num_states).collect();
-        let finals_dense = DenseDfa::compile(&finals, &alphabet);
         Dha {
             num_states,
             sink,
@@ -396,7 +400,6 @@ impl Dha {
             horiz: horiz_dense,
             declared_syms,
             finals,
-            finals_dense,
         }
     }
 }
@@ -407,8 +410,8 @@ pub struct DhaBuilder {
     num_states: u32,
     sink: HState,
     iota: HashMap<Leaf, HState>,
-    rules: HashMap<SymId, Vec<(Dfa<HState>, HState)>>,
-    finals: Option<Dfa<HState>>,
+    rules: HashMap<SymId, Vec<(DenseDfa, HState)>>,
+    finals: Option<DenseDfa>,
 }
 
 impl DhaBuilder {
@@ -434,14 +437,14 @@ impl DhaBuilder {
     /// Declare `α(a, w) = q` for all `w ∈ L(re)` (first matching rule wins).
     pub fn rule(&mut self, a: SymId, re: Regex<HState>, q: HState) -> &mut Self {
         assert!(q < self.num_states);
-        let dfa = Nfa::from_regex(&re).to_dfa();
+        let dfa = Nfa::from_regex(&re).to_dense(self.num_states as usize);
         self.rules.entry(a).or_default().push((dfa, q));
         self
     }
 
     /// Declare the final state sequence set `F = L(re)`.
     pub fn finals(&mut self, re: Regex<HState>) -> &mut Self {
-        self.finals = Some(Nfa::from_regex(&re).to_dfa());
+        self.finals = Some(Nfa::from_regex(&re).to_dense(self.num_states as usize));
         self
     }
 
@@ -458,7 +461,7 @@ impl DhaBuilder {
             self.iota,
             horiz,
             self.finals
-                .unwrap_or_else(|| Nfa::from_regex(&Regex::Empty).to_dfa()),
+                .unwrap_or_else(|| Nfa::empty_lang().to_dense(self.num_states as usize)),
         )
     }
 }

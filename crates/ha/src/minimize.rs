@@ -5,27 +5,60 @@
 //! *congruent* when exchanging them in any computation never changes
 //! acceptance; merging congruent states shrinks every downstream product.
 //!
-//! The congruence is computed by nested partition refinement:
+//! The congruence is computed by one joint partition refinement of the
+//! letters `Q` and of the states of every table that reads them (`F` and
+//! the horizontal automata; symbols whose horizontal automata share one
+//! table share it here too, with one output per symbol):
 //!
-//! 1. two states must act alike as *letters* of the final state sequence
-//!    set `F` (no word context distinguishes them), and
-//! 2. for every symbol `a`, they must act alike as letters of `a`'s
-//!    horizontal automaton, where horizontal states are themselves
-//!    compared by the current partition of their *results* —
+//! 1. two states of a table stay together only while they agree on their
+//!    outputs (acceptance for `F`; for a horizontal table, the current
+//!    block of each of its symbols' result states) and step every letter
+//!    into one block;
+//! 2. two letters stay together only while, from every state of every
+//!    table, they step into one block —
 //!
-//! iterated to a fixpoint, then the automaton is rebuilt over block
-//! representatives. This is the unranked analogue of Moore's algorithm;
-//! exact minimality is not claimed (state merging by congruence is the
-//! useful, safe core), but the result is language-equal by construction
-//! and verified by the exact equivalence decision in the tests.
+//! all refined side by side, round after round, until no block splits;
+//! then the automaton is rebuilt over block representatives. This is the
+//! unranked analogue of Moore's algorithm, and it reaches the coarsest
+//! partition meeting both conditions, so the letter blocks are the same
+//! as refining each table to its own fixpoint between letter rounds would
+//! give. Exact minimality is not claimed (state merging by congruence is
+//! the useful, safe core), but the result is language-equal by
+//! construction and verified by the exact equivalence decision in the
+//! tests.
 
 use std::collections::HashMap;
+use std::hash::BuildHasherDefault;
 
-use hedgex_automata::{row, DenseDfa, Dfa, StateId};
+use hedgex_automata::{DenseDfa, StateId, WordHasher};
 use hedgex_obs as obs;
 
 use crate::dha::{Dha, HorizFn};
 use crate::types::HState;
+
+/// Split the items `0..old.len()` by signature: items stay together only
+/// if they share their old block and `sig` writes the same words for
+/// them. New blocks are numbered by first occurrence.
+fn refine(old: &[u32], mut sig: impl FnMut(usize, &mut Vec<u32>)) -> Vec<u32> {
+    let mut buf: Vec<u32> = Vec::new();
+    let mut ends = Vec::with_capacity(old.len());
+    for (i, &b) in old.iter().enumerate() {
+        buf.push(b);
+        sig(i, &mut buf);
+        ends.push(buf.len());
+    }
+    let mut ids: HashMap<&[u32], u32, BuildHasherDefault<WordHasher>> =
+        HashMap::with_capacity_and_hasher(old.len(), Default::default());
+    let mut from = 0;
+    ends.iter()
+        .map(|&end| {
+            let key = &buf[from..end];
+            from = end;
+            let fresh = ids.len() as u32;
+            *ids.entry(key).or_insert(fresh)
+        })
+        .collect()
+}
 
 /// Merge congruent states. Returns the reduced automaton and the map from
 /// old states to new ones.
@@ -38,84 +71,58 @@ pub fn minimize_dha(dha: &Dha) -> (Dha, Vec<HState>) {
         v
     };
 
-    // Letter-equivalence induced by a dense DFA over Q: q1 ~ q2 iff from
-    // every DFA state, stepping by q1 and by q2 lands in language-equal
-    // states. `state_blocks` are Moore blocks of the DFA's own states given
-    // an output function.
-    // Refinement runs against *all* letters, not the current letter blocks:
-    // that is what makes it sound.
-    fn dfa_state_blocks(dfa: &DenseDfa, nq: usize, out: &dyn Fn(StateId) -> u32) -> Vec<u32> {
-        let m = dfa.num_states();
-        let mut block: Vec<u32> = (0..m as StateId).map(&out).collect();
-        canonicalize(&mut block);
-        loop {
-            let mut sig_ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-            let mut next = vec![0u32; m];
-            for s in 0..m as StateId {
-                let sig: Vec<u32> = (0..nq as HState)
-                    .map(|q| block[dfa.step(s, q) as usize])
-                    .collect();
-                let key = (block[s as usize], sig);
-                let fresh = sig_ids.len() as u32;
-                next[s as usize] = *sig_ids.entry(key).or_insert(fresh);
-            }
-            canonicalize(&mut next);
-            if next == block {
-                return block;
-            }
-            block = next;
-        }
+    // The tables that read the letters: F first, then every group's
+    // horizontal table; their states laid out one after the other.
+    let groups: Vec<Vec<&HorizFn>> = dha
+        .symbol_groups()
+        .into_iter()
+        .map(|g| g.iter().map(|&a| dha.horiz(a).expect("declared")).collect())
+        .collect();
+    let tables: Vec<&DenseDfa> = std::iter::once(dha.finals())
+        .chain(groups.iter().map(|g| g[0].dfa()))
+        .collect();
+    let mut owner: Vec<(usize, StateId)> = Vec::new();
+    let mut offsets = Vec::new();
+    for (t, d) in tables.iter().enumerate() {
+        offsets.push(owner.len() as u32);
+        owner.extend((0..d.num_states() as StateId).map(|s| (t, s)));
     }
 
-    fn canonicalize(v: &mut [u32]) {
-        let mut map: HashMap<u32, u32> = HashMap::new();
-        for x in v.iter_mut() {
-            let fresh = map.len() as u32;
-            *x = *map.entry(*x).or_insert(fresh);
-        }
-    }
-
-    // Initial partition: everything together; refine until stable.
+    // Initial partitions: all letters together; each table's states apart
+    // from every other table's.
     let mut letter_block = vec![0u32; n];
+    let mut state_block: Vec<u32> = owner.iter().map(|&(t, _)| t as u32).collect();
     let mut rounds = 0u64;
     loop {
         rounds += 1;
-        let mut sigs: Vec<Vec<u32>> = vec![Vec::new(); n];
-
-        // 1. Behaviour as letters of F.
-        let f = dha.finals_dense();
-        let fb = dfa_state_blocks(f, n, &|s| u32::from(f.is_accepting(s)));
-        for q in 0..n {
-            for s in 0..f.num_states() as StateId {
-                sigs[q].push(fb[f.step(s, q as HState) as usize]);
+        let next_states = refine(&state_block, |i, sig| {
+            let (t, s) = owner[i];
+            let (d, off) = (tables[t], offsets[t]);
+            match t {
+                0 => sig.push(u32::from(d.is_accepting(s))),
+                _ => sig.extend(
+                    groups[t - 1]
+                        .iter()
+                        .map(|hf| letter_block[hf.result(s) as usize]),
+                ),
             }
-        }
-
-        // 2. Behaviour as letters of each horizontal automaton, where
-        // horizontal states are compared by (result block, successors).
-        for &a in &symbols {
-            let hf = dha.horiz(a).expect("declared");
-            let hb = dfa_state_blocks(hf.dfa(), n, &|h| letter_block[hf.result(h) as usize]);
-            for q in 0..n {
-                for h in 0..hf.num_classes() as u32 {
-                    sigs[q].push(hb[hf.step(h, q as HState) as usize]);
-                }
+            sig.extend((0..n).map(|q| state_block[(off + d.cell(s, q)) as usize]));
+        });
+        let next_letters = refine(&letter_block, |q, sig| {
+            for (d, &off) in tables.iter().zip(&offsets) {
+                let states = 0..d.num_states() as StateId;
+                sig.extend(states.map(|s| state_block[(off + d.cell(s, q)) as usize]));
             }
-        }
-
-        // Split blocks by signature.
-        let mut ids: HashMap<(u32, Vec<u32>), u32> = HashMap::new();
-        let mut next = vec![0u32; n];
-        for q in 0..n {
-            let key = (letter_block[q], std::mem::take(&mut sigs[q]));
-            let fresh = ids.len() as u32;
-            next[q] = *ids.entry(key).or_insert(fresh);
-        }
-        canonicalize(&mut next);
-        if next == letter_block {
+        });
+        // Blocks only ever split, so equal counts mean equal partitions.
+        let count = |v: &[u32]| v.iter().max().map_or(0, |&m| m + 1);
+        let stable = count(&next_states) == count(&state_block)
+            && count(&next_letters) == count(&letter_block);
+        state_block = next_states;
+        letter_block = next_letters;
+        if stable {
             break;
         }
-        letter_block = next;
     }
 
     let out = rebuild(dha, &letter_block, &symbols);
@@ -148,13 +155,6 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
     for q in (0..dha.num_states()).rev() {
         rep_of_block[block[q as usize] as usize] = q;
     }
-    let letters = |step: &dyn Fn(HState) -> StateId| {
-        rep_of_block
-            .iter()
-            .enumerate()
-            .map(|(b, &q)| (b as HState, step(q)))
-            .collect::<Vec<_>>()
-    };
 
     // Horizontal tables: relabel letters and results by block; keep the
     // horizontal state space (it collapses on its own inside the dense
@@ -175,16 +175,13 @@ fn rebuild(dha: &Dha, block: &[u32], symbols: &[hedgex_hedge::SymId]) -> (Dha, V
 
     // F: relabel letters by block (congruence makes this well-defined).
     let f = dha.finals();
-    let ftrans = (0..f.num_states() as StateId)
-        .map(|s| row(letters(&|q| f.step(s, &q)), f.step_cofinite(s)))
-        .collect();
-    let finals = Dfa::from_parts(
-        ftrans,
-        f.start(),
-        (0..f.num_states() as StateId)
-            .map(|s| f.is_accepting(s))
-            .collect(),
-    );
+    let states = 0..f.num_states() as StateId;
+    let frows = states.clone().map(|s| {
+        let letters = rep_of_block.iter().map(|&q| f.cell(s, q as usize));
+        letters.chain([f.cell(s, f.letters())]).collect()
+    });
+    let accept = states.map(|s| f.is_accepting(s)).collect();
+    let finals = DenseDfa::from_rows(frows.collect(), f.start(), accept);
 
     (
         Dha::from_parts(nblocks as u32, sink, iota, horiz, finals),

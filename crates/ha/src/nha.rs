@@ -1,8 +1,11 @@
 //! Non-deterministic hedge automata (Definitions 6–8).
 //!
 //! Transitions are stored as rules `(a, L, q)` meaning `α(a, w) ∋ q` for all
-//! `w ∈ L`; each `L` is kept as a total DFA over the state set so that both
-//! direct execution and the subset construction can step it mechanically.
+//! `w ∈ L`. The state set `Q` is closed once an automaton is assembled, so
+//! each `L` is a [`DenseDfa`] over the letters `0..|Q|` (plus the co-finite
+//! column): direct execution, the subset construction and the products
+//! step it by one table read per letter. Languages are symbolic only while
+//! Lemma 1 composes them and `Q` still grows.
 //! The languages live in one table and rules name them by [`LangId`], so
 //! rules (of one symbol or of several) with the same language share one
 //! DFA, and the subset construction steps it once.
@@ -12,7 +15,7 @@
 
 use std::collections::HashMap;
 
-use hedgex_automata::{Dfa, Nfa, Regex};
+use hedgex_automata::{DenseDfa, Nfa, Regex};
 use hedgex_hedge::{FlatHedge, Hedge, NodeId, SymId};
 
 use crate::types::{HState, Leaf};
@@ -20,53 +23,15 @@ use crate::types::{HState, Leaf};
 /// The index of a horizontal language in an [`Nha`]'s language table.
 pub type LangId = u32;
 
-/// A compact set of hedge-automaton states.
-pub type StateSet = Vec<u64>;
-
-/// Bit-set helpers over `Vec<u64>` blocks.
-pub mod bits {
-    use super::StateSet;
-
-    /// An empty set sized for `n` states.
-    pub fn empty(n: u32) -> StateSet {
-        vec![0; (n as usize).div_ceil(64)]
-    }
-
-    /// Insert `q`; returns true if newly inserted.
-    pub fn insert(s: &mut StateSet, q: u32) -> bool {
-        let (w, b) = (q as usize / 64, q as usize % 64);
-        let had = s[w] & (1 << b) != 0;
-        s[w] |= 1 << b;
-        !had
-    }
-
-    /// Membership.
-    pub fn contains(s: &StateSet, q: u32) -> bool {
-        s[q as usize / 64] & (1 << (q as usize % 64)) != 0
-    }
-
-    /// Iterate members in increasing order.
-    pub fn iter(s: &StateSet) -> impl Iterator<Item = u32> + '_ {
-        s.iter().enumerate().flat_map(|(w, &blk)| {
-            (0..64)
-                .filter(move |b| blk & (1 << b) != 0)
-                .map(move |b| (w * 64 + b) as u32)
-        })
-    }
-
-    /// Is the set empty?
-    pub fn is_empty(s: &StateSet) -> bool {
-        s.iter().all(|&b| b == 0)
-    }
-}
+pub use hedgex_automata::bits::{self, StateSet};
 
 /// A non-deterministic hedge automaton `(Σ, X, Q, ι, α, F)`.
 #[derive(Debug, Clone)]
 pub struct Nha {
     num_states: u32,
     iota: HashMap<Leaf, Vec<HState>>,
-    /// The horizontal languages, each a total DFA over `Q`.
-    langs: Vec<Dfa<HState>>,
+    /// The horizontal languages, each a total table over `0..|Q|`.
+    langs: Vec<DenseDfa>,
     /// Per symbol: rules `(L, q)` with `L` an index into `langs`.
     rules: HashMap<SymId, Vec<(LangId, HState)>>,
     finals: Nfa<HState>,
@@ -93,8 +58,8 @@ impl Nha {
         self.rules.get(&a).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// A horizontal language, as a total DFA over `Q`.
-    pub fn lang(&self, l: LangId) -> &Dfa<HState> {
+    /// A horizontal language, as a total table over the letters `0..|Q|`.
+    pub fn lang(&self, l: LangId) -> &DenseDfa {
         &self.langs[l as usize]
     }
 
@@ -110,11 +75,11 @@ impl Nha {
 
     /// Assemble from raw parts (used by Lemma 1's compiler and Theorem 5's
     /// match-identifying construction): every rule's [`LangId`] indexes
-    /// `langs`.
+    /// `langs`, tables with a column per state.
     pub fn from_parts(
         num_states: u32,
         iota: HashMap<Leaf, Vec<HState>>,
-        langs: Vec<Dfa<HState>>,
+        langs: Vec<DenseDfa>,
         rules: HashMap<SymId, Vec<(LangId, HState)>>,
         finals: Nfa<HState>,
     ) -> Nha {
@@ -144,7 +109,7 @@ impl Nha {
 
     /// Does `dfa` accept some word `w₁…w_k` with `w_i ∈ sets[child_i]`?
     /// (A DFA simulated non-deterministically over the symbol choices.)
-    fn dfa_reaches_accept(&self, dfa: &Dfa<HState>, children: &[u32], sets: &[StateSet]) -> bool {
+    fn dfa_reaches_accept(&self, dfa: &DenseDfa, children: &[u32], sets: &[StateSet]) -> bool {
         let mut cur: Vec<bool> = vec![false; dfa.num_states()];
         cur[dfa.start() as usize] = true;
         for &c in children {
@@ -155,7 +120,7 @@ impl Nha {
                     continue;
                 }
                 for q in bits::iter(&sets[c as usize]) {
-                    let t = dfa.step(d, &q);
+                    let t = dfa.cell(d, q as usize);
                     next[t as usize] = true;
                     any = true;
                 }
@@ -219,26 +184,15 @@ impl Nha {
 
     /// Acceptance given precomputed per-node state sets.
     pub fn accepts_sets(&self, h: &FlatHedge, sets: &[StateSet]) -> bool {
-        let f = &self.finals;
-        let mut cur = f.eps_closure(&[f.start()]);
+        let f = self.finals.closed_moves(self.num_states as usize);
+        let mut cur = f.start().to_vec();
         for &r in h.roots() {
-            let mut next = std::collections::BTreeSet::new();
-            for &s in &cur {
-                for (c, t) in f.transitions(s) {
-                    for q in bits::iter(&sets[r as usize]) {
-                        if c.contains(&q) {
-                            next.insert(*t);
-                            break;
-                        }
-                    }
-                }
-            }
-            if next.is_empty() {
+            cur = f.step(&cur, bits::iter(&sets[r as usize]));
+            if bits::is_empty(&cur) {
                 return false;
             }
-            cur = f.eps_closure(&next.into_iter().collect::<Vec<_>>());
         }
-        cur.iter().any(|&s| f.is_accepting(s))
+        f.accepts(&cur)
     }
 
     /// Does some accepting computation satisfy `filter` at every node?
@@ -270,7 +224,7 @@ impl Nha {
 pub struct NhaBuilder {
     num_states: u32,
     iota: HashMap<Leaf, Vec<HState>>,
-    langs: Vec<Dfa<HState>>,
+    langs: Vec<DenseDfa>,
     rules: HashMap<SymId, Vec<(LangId, HState)>>,
     finals: Option<Nfa<HState>>,
 }
@@ -297,7 +251,8 @@ impl NhaBuilder {
     /// Declare `α(a, w) ∋ q` for all `w ∈ L(re)`.
     pub fn rule(&mut self, a: SymId, re: Regex<HState>, q: HState) -> &mut Self {
         assert!(q < self.num_states);
-        self.langs.push(Nfa::from_regex(&re).to_dfa());
+        let k = self.num_states as usize;
+        self.langs.push(Nfa::from_regex(&re).to_dense(k));
         let l = (self.langs.len() - 1) as LangId;
         self.rules.entry(a).or_default().push((l, q));
         self
@@ -425,5 +380,11 @@ mod tests {
         assert!(!bits::contains(&s, 128));
         assert_eq!(bits::iter(&s).collect::<Vec<_>>(), vec![0, 64, 129]);
         assert!(!bits::is_empty(&s));
+        let mut t = bits::empty(130);
+        bits::insert(&mut t, 128);
+        assert!(!bits::meets(&s, &t));
+        bits::union_into(&mut t, &s);
+        assert_eq!(bits::iter(&t).collect::<Vec<_>>(), vec![0, 64, 128, 129]);
+        assert!(bits::meets(&s, &t));
     }
 }

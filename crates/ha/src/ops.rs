@@ -17,6 +17,7 @@
 //! `L(compile(decompile(M))) = L(M)`) into *exact* decisions instead of
 //! sampled comparisons.
 
+use hedgex_automata::ProductOp;
 use hedgex_hedge::Hedge;
 use hedgex_obs as obs;
 
@@ -35,21 +36,21 @@ pub fn complement(dha: &Dha) -> Dha {
 /// `L(a) ∪ L(b)`.
 pub fn union(a: &Dha, b: &Dha) -> Dha {
     let prod = product_many(&[a, b]);
-    let finals = prod.lifted_finals[0].union(&prod.lifted_finals[1]);
+    let finals = prod.lifted_finals[0].product(&prod.lifted_finals[1], ProductOp::Or);
     prod.dha.with_finals(finals)
 }
 
 /// `L(a) ∩ L(b)`.
 pub fn intersection(a: &Dha, b: &Dha) -> Dha {
     let prod = product_many(&[a, b]);
-    let finals = prod.lifted_finals[0].intersect(&prod.lifted_finals[1]);
+    let finals = prod.lifted_finals[0].product(&prod.lifted_finals[1], ProductOp::And);
     prod.dha.with_finals(finals)
 }
 
 /// `L(a) \ L(b)`.
 pub fn difference(a: &Dha, b: &Dha) -> Dha {
     let prod = product_many(&[a, b]);
-    let finals = prod.lifted_finals[0].difference(&prod.lifted_finals[1]);
+    let finals = prod.lifted_finals[0].product(&prod.lifted_finals[1], ProductOp::Diff);
     prod.dha.with_finals(finals)
 }
 

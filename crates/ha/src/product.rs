@@ -14,7 +14,7 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{in_edges, row, saturate, CharClass, Dfa, StateId, Worklist};
+use hedgex_automata::{in_edges, saturate, CharClass, DenseDfa, ProductOp, StateId, Worklist};
 use hedgex_hedge::SymId;
 use hedgex_obs as obs;
 
@@ -29,8 +29,8 @@ pub struct ManyProduct {
     pub dha: Dha,
     /// Product state → component states.
     pub tuples: Vec<Vec<HState>>,
-    /// Per component: its `F` lifted to a DFA over product state ids.
-    pub lifted_finals: Vec<Dfa<HState>>,
+    /// Per component: its `F` lifted to a table over product state ids.
+    pub lifted_finals: Vec<DenseDfa>,
 }
 
 impl ManyProduct {
@@ -64,6 +64,14 @@ impl Horiz<'_> {
         match self {
             Horiz::Real(f) => f.result(h),
             Horiz::Sink(s) => *s,
+        }
+    }
+    /// Do the two views step by the same rows (whatever their results)?
+    fn same_rows(&self, other: &Horiz) -> bool {
+        match (self, other) {
+            (Horiz::Real(a), Horiz::Real(b)) => a.dfa() == b.dfa(),
+            (Horiz::Sink(_), Horiz::Sink(_)) => true,
+            _ => false,
         }
     }
 }
@@ -124,44 +132,66 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
         })
         .collect();
 
-    // One bottom-up exploration: per symbol, the joint horizontal states
-    // read every reachable product state, and each yields the product
-    // state that labels it.
-    let mut labels: Vec<Vec<HState>> = vec![Vec::new(); symbols.len()];
+    // Symbols whose factors step by the same rows share one joint machine,
+    // as Theorem 1's symbols share one per set of languages; each keeps its
+    // own labels.
+    let mut groups: Vec<Vec<usize>> = Vec::new();
+    for (i, vs) in views.iter().enumerate() {
+        let same = |g: &&mut Vec<usize>| {
+            let rep = &views[g[0]];
+            rep.iter().zip(vs).all(|(a, b)| a.same_rows(b))
+        };
+        match groups.iter_mut().find(same) {
+            Some(g) => g.push(i),
+            None => groups.push(vec![i]),
+        }
+    }
+
+    // One bottom-up exploration: per group, the joint horizontal states
+    // read every reachable product state, and each yields, per symbol, the
+    // product state that labels it.
+    let mut labels: Vec<Vec<Vec<HState>>> =
+        groups.iter().map(|g| vec![Vec::new(); g.len()]).collect();
     let machines = saturate(
         &mut tuples,
-        views
+        groups
             .iter()
-            .map(|vs| vs.iter().map(Horiz::start).collect::<Vec<u32>>()),
-        |m, cur, tuples| labels[m].push(tuples.intern(joint_result(&views[m], cur))),
-        |m, cur, tuple| joint_step(&views[m], cur, tuple),
+            .map(|g| views[g[0]].iter().map(Horiz::start).collect::<Vec<u32>>()),
+        |m, cur, tuples| {
+            for (&i, labels) in groups[m].iter().zip(&mut labels[m]) {
+                labels.push(tuples.intern(joint_result(&views[i], cur)));
+            }
+        },
+        |m, cur, tuple| joint_step(&views[groups[m][0]], cur, tuple),
     );
     let num_states = tuples.len() as u32;
 
+    let symbols: Vec<SymId> = symbols.into_iter().collect();
     let mut horiz: HashMap<SymId, HorizFn> = HashMap::new();
-    for ((&a, machine), labels) in symbols.iter().zip(machines).zip(labels) {
+    for ((group, machine), labels) in groups.iter().zip(machines).zip(labels) {
         let mut rows = machine.rows;
         // Out-of-alphabet product ids cannot occur in well-formed runs;
         // send them to the current state (harmless self-loop).
         for (id, row) in rows.iter_mut().enumerate() {
             row.push(id as StateId);
         }
-        horiz.insert(a, HorizFn::from_rows(rows, 0, labels));
+        for (&i, labels) in group.iter().zip(labels) {
+            horiz.insert(symbols[i], HorizFn::from_rows(rows.clone(), 0, labels));
+        }
     }
     let tuples = tuples.into_keys();
 
     // Lift each component's F to the product alphabet.
-    let lifted_finals: Vec<Dfa<HState>> = (0..n)
+    let lifted_finals: Vec<DenseDfa> = (0..n)
         .map(|i| lift_component_finals(parts[i].finals(), &tuples, i))
         .collect();
 
-    let empty_f = {
-        // The empty language as a total DFA over product ids.
-        hedgex_automata::Nfa::<HState>::empty_lang().to_dfa()
-    };
+    // The empty language as a total table over product ids.
+    let empty_f = DenseDfa::from_rows(vec![vec![0; tuples.len() + 1]], 0, vec![false]);
 
     obs::counter_inc("ha.product.calls");
     obs::counter_add("ha.product.components", n as u64);
+    obs::counter_add("ha.product.machines", groups.len() as u64);
     obs::counter_add("ha.product.states", u64::from(num_states));
     obs::histogram_record("ha.product.states", u64::from(num_states));
 
@@ -172,22 +202,17 @@ pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     }
 }
 
-/// Relabel a component's `F` (a DFA over component states) into a DFA over
-/// product ids: product id `t` behaves like its `i`-th projection.
-fn lift_component_finals(f: &Dfa<HState>, tuples: &[Vec<HState>], i: usize) -> Dfa<HState> {
-    let n = f.num_states();
-    let trans = (0..n as StateId)
-        .map(|s| {
-            let letters = tuples.iter().enumerate();
-            // Fresh symbols behave like the component's co-finite edge.
-            row(
-                letters.map(|(tid, tuple)| (tid as HState, f.step(s, &tuple[i]))),
-                f.step_cofinite(s),
-            )
-        })
-        .collect();
-    let accept: Vec<bool> = (0..n as StateId).map(|s| f.is_accepting(s)).collect();
-    Dfa::from_parts(trans, f.start(), accept)
+/// Relabel a component's `F` (a table over component states) into a table
+/// over product ids: product id `t` behaves like its `i`-th projection.
+fn lift_component_finals(f: &DenseDfa, tuples: &[Vec<HState>], i: usize) -> DenseDfa {
+    let states = 0..f.num_states() as StateId;
+    let rows = states.clone().map(|s| {
+        let letters = tuples.iter().map(|tuple| f.cell(s, tuple[i] as usize));
+        // Fresh symbols behave like the component's co-finite edge.
+        letters.chain([f.cell(s, f.letters())]).collect()
+    });
+    let accept = states.map(|s| f.is_accepting(s)).collect();
+    DenseDfa::from_rows(rows.collect(), f.start(), accept)
 }
 
 /// The result of a binary intersection.
@@ -201,7 +226,7 @@ pub struct DhaProduct {
 /// Intersection of two deterministic hedge automata.
 pub fn intersect(a: &Dha, b: &Dha) -> DhaProduct {
     let prod = product_many(&[a, b]);
-    let finals = prod.lifted_finals[0].intersect(&prod.lifted_finals[1]);
+    let finals = prod.lifted_finals[0].product(&prod.lifted_finals[1], ProductOp::And);
     let pairs = prod.tuples.iter().map(|t| (t[0], t[1])).collect();
     DhaProduct {
         dha: prod.dha.with_finals(finals),
@@ -262,26 +287,25 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
         },
         |m, &(ds, hs), &(pn, pd)| {
             let (_, dfa, hf, _) = machines[m];
-            (dfa.step(ds, &pn), hf.map_or(hs, |h| h.step(hs, pd)))
+            (dfa.cell(ds, pn as usize), hf.map_or(hs, |h| h.step(hs, pd)))
         },
     );
     let num_states = pairs.len().max(1) as u32;
 
     // One product rule per distinct pair a rule's joint DFA yields, over
     // the joint DFA with the states that yield it accepting.
-    let mut langs: Vec<Dfa<HState>> = Vec::new();
+    let mut langs: Vec<DenseDfa> = Vec::new();
     let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
     for ((&(a, ..), joint), yielded) in machines.iter().zip(joints).zip(yielded) {
-        let trans: Vec<_> = joint
-            .rows
-            .into_iter()
-            .enumerate()
-            .map(|(id, targets)| row((0..).zip(targets), id as StateId))
-            .collect();
+        let mut rows = joint.rows;
+        // A letter past the product pairs stays put.
+        for (id, row) in rows.iter_mut().enumerate() {
+            row.push(id as StateId);
+        }
         let results: BTreeSet<HState> = yielded.iter().flatten().copied().collect();
         for pid in results {
             let accept = yielded.iter().map(|&y| y == Some(pid)).collect();
-            langs.push(Dfa::from_parts(trans.clone(), 0, accept));
+            langs.push(DenseDfa::from_rows(rows.clone(), 0, accept));
             let jl = (langs.len() - 1) as LangId;
             rules.entry(a).or_default().push((jl, pid));
         }
@@ -312,7 +336,7 @@ pub fn product_nha_dha(n: &crate::nha::Nha, d: &Dha) -> NhaProduct {
                     .enumerate()
                     .filter(|(_, (pn, _))| c.contains(pn));
                 trans[st].extend(in_edges(
-                    letters.map(|(i, &(_, pd))| (i as HState, fid(*tn, fd.step(sd, &pd)))),
+                    letters.map(|(i, &(_, pd))| (i as HState, fid(*tn, fd.cell(sd, pd as usize)))),
                 ));
             }
         }

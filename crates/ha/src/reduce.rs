@@ -24,13 +24,12 @@
 //! reduced component can replace the original inside any downstream
 //! product — same match sets, smaller tables.
 
-use hedgex_automata::{row, CharClass, Dfa, StateId};
+use hedgex_automata::{DenseDfa, StateId};
 use hedgex_obs as obs;
 
 use crate::analysis::{inhabited, top_level_useful};
 use crate::dha::Dha;
 use crate::minimize::minimize_dha;
-use crate::types::HState;
 
 /// What [`reduce_dha`] removed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,19 +46,20 @@ pub struct ReduceStats {
 /// redirected into one rejecting sink. Language-equal on all words over
 /// live letters; words touching a dead letter were rejected before and
 /// stay rejected.
-fn normalize_finals(f: &Dfa<HState>, live: &[bool]) -> Dfa<HState> {
+fn normalize_finals(f: &DenseDfa, live: &[bool]) -> DenseDfa {
     let m = f.num_states();
     let dead_sink = m as StateId;
-    let mut trans: Vec<Vec<(CharClass<HState>, StateId)>> = (0..m as StateId)
+    let mut rows: Vec<Vec<StateId>> = (0..m as StateId)
         .map(|s| {
-            let live_letters = (0..live.len() as HState).filter(|&q| live[q as usize]);
-            row(live_letters.map(|q| (q, f.step(s, &q))), dead_sink)
+            let letters = live.iter().enumerate();
+            let live_steps = letters.map(|(q, &ok)| if ok { f.cell(s, q) } else { dead_sink });
+            live_steps.chain([dead_sink]).collect()
         })
         .collect();
-    trans.push(vec![(CharClass::any(), dead_sink)]);
+    rows.push(vec![dead_sink; live.len() + 1]);
     let mut accept: Vec<bool> = (0..m as StateId).map(|s| f.is_accepting(s)).collect();
     accept.push(false);
-    Dfa::from_parts(trans, f.start(), accept)
+    DenseDfa::from_rows(rows, f.start(), accept)
 }
 
 /// Reduce an automaton: normalize away dead `F` structure, then merge

@@ -228,6 +228,19 @@ if grep -nE '^[[:space:]]*(pub(\(crate\))?[[:space:]]+)?(first_child|next_siblin
   echo "flat.rs derives first-child and next-sibling links from the extents"; exit 1
 fi
 
+echo "== Theorem 1 is dense =="
+# Once Lemma 1 has closed the state alphabet 0..|Q|, every language is a
+# DenseDfa table: compile_hre determinizes straight into one
+# (Nfa::to_dense), and Theorem 1's subsets and lifted states are bit sets
+# stepped by table rows. No symbolic subset construction or ordered set
+# comes back into that path.
+if grep -nE '(BTreeSet|Dfa<HState>)' crates/ha/src/determinize.rs; then
+  echo "Theorem 1 must run on dense tables and bit sets"; exit 1
+fi
+if sed -n '1,/^#\[cfg(test)\]/p' crates/core/src/compile.rs | grep -nF '.to_dfa()'; then
+  echo "compile_hre must determinize into dense tables (Nfa::to_dense)"; exit 1
+fi
+
 echo "== documents are read in chunks =="
 # hxq reads a file or stdin through the event parser's window
 # (stream_read / parse_flat_read) and never holds a document whole:

@@ -361,6 +361,54 @@ fn determinize_preserves_membership() {
     );
 }
 
+/// A random HRE that also uses the substitution operators: `a⟨z⟩`,
+/// embedding `@z`, vertical closure `^z`, and `!`.
+fn gen_sub_hre(rng: &mut Rng, depth: usize) -> Hre {
+    let z = SubId(0);
+    let sym = |rng: &mut Rng| SymId(rng.random_range(0..2u32));
+    if depth == 0 || rng.random_bool(0.3) {
+        return match rng.random_range(0..5u32) {
+            0 => Hre::Epsilon,
+            1 => Hre::Empty,
+            2 => Hre::leaf(sym(rng)),
+            3 => Hre::Var(VarId(0)),
+            _ => Hre::sub_node(sym(rng), z),
+        };
+    }
+    match rng.random_range(0..6u32) {
+        0 => gen_sub_hre(rng, depth - 1).concat(gen_sub_hre(rng, depth - 1)),
+        1 => gen_sub_hre(rng, depth - 1).alt(gen_sub_hre(rng, depth - 1)),
+        2 => gen_sub_hre(rng, depth - 1).star(),
+        3 => Hre::node(sym(rng), gen_sub_hre(rng, depth - 1)),
+        4 => gen_sub_hre(rng, depth - 1).iter(z),
+        _ => gen_sub_hre(rng, depth - 1).embed(z, gen_sub_hre(rng, depth - 1)),
+    }
+}
+
+/// Lemma 1 then Theorem 1: the determinized automaton of a compiled
+/// expression accepts exactly the hedges the declarative matcher accepts,
+/// on every hedge of up to four nodes over the expression's alphabet,
+/// substitution leaves included. 200 expressions with `^z`, `@z` and `!`.
+#[test]
+fn determinized_compile_agrees_with_spec_on_enumerated_hedges() {
+    use hedgex::ha::enumerate::enumerate_hedges_with_subs;
+    let syms = [SymId(0), SymId(1)];
+    let hedges = enumerate_hedges_with_subs(&syms, &[VarId(0)], &[SubId(0)], 4);
+    assert!(hedges.len() > 100, "enumerated only {}", hedges.len());
+    forall(
+        "determinized_compile_agrees_with_spec_on_enumerated_hedges",
+        Config::with_cases(200),
+        &Gen::new(|rng| gen_sub_hre(rng, 3)).with_shrink(shrink_hre),
+        |e| {
+            let det = hedgex::ha::determinize(&compile_hre(e));
+            for h in &hedges {
+                prop_assert_eq!(det.dha.accepts(h), e.matches(h), "on {:?}", h);
+            }
+            Ok(())
+        },
+    );
+}
+
 /// Theorem 2 round trip: `decompile(compile(e))` denotes the same language
 /// as `e`, checked per case on a freshly generated sample hedge plus the
 /// subexpression-rich shrunk forms (ISSUE 2 satellite).
@@ -442,7 +490,7 @@ fn horiz_inverse_accepts_exactly_the_preimage() {
                 let n = dha.num_states();
                 for a in dha.symbols() {
                     let hf = dha.horiz(a).expect("declared");
-                    let rules: Vec<_> = (0..n).map(|q| (hf.inverse(q), q)).collect();
+                    let rules: Vec<_> = (0..n).map(|q| (hf.preimage(q), q)).collect();
                     let ruled = HorizFn::from_rules(&rules, n, dha.sink());
                     for (how, f) in [(*built_by, hf), ("from_rules", &ruled)] {
                         for _ in 0..12 {
