@@ -12,13 +12,15 @@
 //! front). A "universal" content side (no subhedge condition) is compared
 //! against a concrete one over that combined alphabet.
 
+use std::borrow::Cow;
 use std::collections::BTreeSet;
 
 use hedgex_core::phr::Phr;
 use hedgex_core::plan::PlanFacts;
 use hedgex_core::Hre;
-use hedgex_ha::analysis::{accepted_witness, is_empty};
-use hedgex_ha::{ops, Dha, Leaf};
+use hedgex_ha::analysis::{accepted_witness, is_empty, nha_accepted_witness};
+use hedgex_ha::product::product_nha_dha;
+use hedgex_ha::{ops, Dha, Leaf, Nha};
 use hedgex_hedge::{Hedge, SubId, SymId, Tree};
 use hedgex_obs as obs;
 
@@ -87,13 +89,14 @@ pub struct QueryAnalysis {
     pub required: Vec<SymId>,
 }
 
-/// A query compiled for analysis: the spine product plus the envelope and
-/// match automata derived from it. Construction is the expensive part;
-/// every decision procedure afterwards is a product-and-reachability pass.
+/// A query compiled for analysis: the spine over Theorem 4's `M` plus the
+/// envelope and match automata derived from it. Construction is the
+/// expensive part; every decision procedure afterwards is a
+/// product-and-reachability pass.
 pub struct AnalyzedQuery {
     spine: Spine,
     env: Dha,
-    matcher: Dha,
+    matcher: Nha,
     /// The subhedge language restricted to documents (see [`doc_restrict`]).
     content_doc: Option<Dha>,
     own_syms: BTreeSet<SymId>,
@@ -108,27 +111,6 @@ fn syms_of(h: &Hedge, out: &mut BTreeSet<SymId>) {
             syms_of(inner, out);
         }
     }
-}
-
-/// The 2-state automaton of documents avoiding symbol `a`, over the
-/// declared alphabet of `model`: every other declared symbol and document
-/// leaf keeps state 0, `a` (and anything undeclared) falls into the sink.
-fn forbid_symbol(model: &Dha, a: SymId) -> Dha {
-    use hedgex_automata::Regex;
-    use hedgex_ha::DhaBuilder;
-    let mut b = DhaBuilder::new(2, 1);
-    for leaf in model.leaves().collect::<Vec<_>>() {
-        if !matches!(leaf, Leaf::Sub(_)) {
-            b.leaf(leaf, 0);
-        }
-    }
-    for c in model.symbols().collect::<Vec<_>>() {
-        if c != a {
-            b.rule(c, Regex::sym(0).star(), 0);
-        }
-    }
-    b.finals(Regex::sym(0).star());
-    b.build()
 }
 
 /// The automaton of *all* documents over `model`'s declared alphabet:
@@ -164,7 +146,7 @@ impl AnalyzedQuery {
         let _span = obs::span("analyze.query");
         let spine = Spine::build(phr, subhedge);
         let env = spine.envelope_dha();
-        let matcher = spine.matcher_dha(&[], &[]);
+        let matcher = spine.matcher_nha(&[], &[]);
         let content_doc = spine.sub().map(doc_restrict);
         let own_syms = spine.own_symbols();
         let own_leaves = spine.own_leaves();
@@ -184,8 +166,9 @@ impl AnalyzedQuery {
         &self.env
     }
 
-    /// The match automaton: documents containing at least one match.
-    pub fn matcher(&self) -> &Dha {
+    /// The match automaton: documents containing at least one match. It
+    /// is non-deterministic; every question asked of it is emptiness.
+    pub fn matcher(&self) -> &Nha {
         &self.matcher
     }
 
@@ -196,20 +179,30 @@ impl AnalyzedQuery {
     }
 
     /// The match automaton re-padded for a foreign alphabet: reused as-is
-    /// when the schema declares nothing new.
-    fn matcher_for(&self, schema: &Dha) -> Dha {
+    /// when the schema declares nothing new. A schema's substitution leaves
+    /// are not new alphabet: no document contains one.
+    fn matcher_for(&self, schema: &Dha) -> Cow<'_, Nha> {
         let extra_syms: Vec<SymId> = schema
             .symbols()
             .filter(|a| !self.own_syms.contains(a))
             .collect();
         let extra_leaves: Vec<Leaf> = schema
             .leaves()
-            .filter(|l| !self.own_leaves.contains(l))
+            .filter(|l| !matches!(l, Leaf::Sub(_)) && !self.own_leaves.contains(l))
             .collect();
         if extra_syms.is_empty() && extra_leaves.is_empty() {
-            self.matcher.clone()
+            Cow::Borrowed(&self.matcher)
         } else {
-            self.spine.matcher_dha(&extra_syms, &extra_leaves)
+            Cow::Owned(self.spine.matcher_nha(&extra_syms, &extra_leaves))
+        }
+    }
+
+    /// The documents (of the schema, when supplied) that contain a match:
+    /// the match automaton, or its product with the schema.
+    fn matches_in(&self, schema: Option<&Dha>) -> Cow<'_, Nha> {
+        match schema {
+            Some(s) => Cow::Owned(product_nha_dha(&self.matcher_for(s), s).nha),
+            None => Cow::Borrowed(&self.matcher),
         }
     }
 
@@ -250,12 +243,17 @@ impl AnalyzedQuery {
     }
 
     /// Schema-relative satisfiability: does some document *of the schema*
-    /// contain a match? Decided by `L(match) ∩ L(schema) = ∅`, with an
-    /// accepted witness when nonempty.
+    /// contain a match? Decided by `L(match) ∩ L(schema) = ∅`, one product
+    /// of the match NHA with the schema DHA, with an accepted witness when
+    /// nonempty.
     pub fn satisfiable_in(&self, schema: &Dha) -> Satisfiability {
+        self.satisfiable_within(&self.matches_in(Some(schema)))
+    }
+
+    /// [`AnalyzedQuery::satisfiable_in`] on the product already built.
+    fn satisfiable_within(&self, used: &Nha) -> Satisfiability {
         let _span = obs::span("analyze.satisfiability");
-        let matcher = self.matcher_for(schema);
-        match accepted_witness(&ops::intersection(&matcher, schema)) {
+        match nha_accepted_witness(used) {
             Some(w) => Satisfiability {
                 satisfiable: true,
                 witness: Some(w),
@@ -334,20 +332,6 @@ impl AnalyzedQuery {
         }
     }
 
-    /// Are the two queries' match sets identical on every document? On
-    /// failure, a document matched by exactly one side.
-    pub fn equivalent_to(&self, other: &AnalyzedQuery) -> Result<(), Hedge> {
-        let fwd = self.contained_in(other);
-        if !fwd.contained {
-            return Err(fwd.counterexample.unwrap_or_default());
-        }
-        let back = other.contained_in(self);
-        if !back.contained {
-            return Err(back.counterexample.unwrap_or_default());
-        }
-        Ok(())
-    }
-
     /// Symbols present in every document that contains a match (within
     /// the schema, when supplied) — the sound prefilter for a postings
     /// intersection: a document missing a required symbol cannot match.
@@ -359,21 +343,22 @@ impl AnalyzedQuery {
     ///
     /// Candidates are the labels of one witness document (a symbol absent
     /// from some matching document is not required); each is confirmed by
-    /// an emptiness check of `matches ∩ avoid(a)`.
+    /// an emptiness check of the match NHA with the rules of `a` removed.
     pub fn required_symbols(&self, schema: Option<&Dha>) -> Vec<SymId> {
+        self.required_within(&self.matches_in(schema))
+    }
+
+    /// [`AnalyzedQuery::required_symbols`] on the automaton already built.
+    fn required_within(&self, used: &Nha) -> Vec<SymId> {
         let _span = obs::span("analyze.required");
-        let used = match schema {
-            Some(s) => ops::intersection(&self.matcher_for(s), s),
-            None => self.matcher.clone(),
-        };
-        let Some(witness) = accepted_witness(&used) else {
+        let Some(witness) = nha_accepted_witness(used) else {
             return Vec::new();
         };
         let mut candidates = BTreeSet::new();
         syms_of(&witness, &mut candidates);
         candidates
             .into_iter()
-            .filter(|&a| is_empty(&ops::intersection(&used, &forbid_symbol(&used, a))))
+            .filter(|&a| nha_accepted_witness(&used.without_symbol(a)).is_none())
             .collect()
     }
 
@@ -381,12 +366,13 @@ impl AnalyzedQuery {
     /// supplied) plus required symbols.
     pub fn analyze(&self, schema: Option<&Dha>) -> QueryAnalysis {
         let _span = obs::span("analyze.report");
+        let used = self.matches_in(schema);
         let satisfiability = match schema {
-            Some(s) => self.satisfiable_in(s),
+            Some(_) => self.satisfiable_within(&used),
             None => self.satisfiable(),
         };
         let required = if satisfiability.satisfiable {
-            self.required_symbols(schema)
+            self.required_within(&used)
         } else {
             Vec::new()
         };
@@ -465,6 +451,19 @@ mod tests {
         for d in enumerate_hedges(&[a, b], &[], 5) {
             assert!(!q.matcher().accepts(&d));
         }
+    }
+
+    #[test]
+    fn a_phr_without_triplets_is_empty() {
+        // Every pointed hedge decomposes into at least one base; `M` is
+        // then the product of no components.
+        let phr = Phr {
+            triplets: Vec::new(),
+            regex: hedgex_automata::Regex::Epsilon,
+        };
+        let q = AnalyzedQuery::new(&phr, None);
+        assert_eq!(q.satisfiable().why_empty, Some(WhyEmpty::EnvelopeEmpty));
+        assert!(nha_accepted_witness(q.matcher()).is_none());
     }
 
     #[test]
@@ -582,8 +581,12 @@ mod tests {
         let q1 = AnalyzedQuery::new(&p1, None);
         let q2 = AnalyzedQuery::new(&p2, None);
         let q3 = AnalyzedQuery::new(&p3, None);
-        assert!(q1.equivalent_to(&q2).is_ok());
-        assert!(q1.equivalent_to(&q3).is_err());
+        // Equivalence is containment both ways.
+        let equivalent = |x: &AnalyzedQuery, y: &AnalyzedQuery| {
+            x.contained_in(y).contained && y.contained_in(x).contained
+        };
+        assert!(equivalent(&q1, &q2));
+        assert!(!equivalent(&q1, &q3));
     }
 
     #[test]

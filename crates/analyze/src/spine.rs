@@ -17,18 +17,20 @@
 //! consumed so far, and the *pending* triplet `t` chosen at this node —
 //! pending because a base's elder/younger condition constrains the node's
 //! **siblings**, which only its parent (or the top level) can see. Nodes
-//! off the spine carry their state in the shared product `M` of all
-//! elder/younger components (Theorem 4's construction, with each component
-//! first put through [`reduce_dha`]), and the lifted per-component final
-//! DFAs decide sibling-word membership directly over `M`-states.
+//! off the spine carry their state in Theorem 4's shared product `M`, the
+//! very automaton evaluation compiles ([`shared_product`]), and the side
+//! languages lifted to `M`'s states decide sibling-word membership
+//! directly over `M`-states. A subhedge condition is not a factor of `M`:
+//! its own DHA enters the match automaton at a state offset after `M`'s
+//! states, and only the matched node's content reads it.
 //!
 //! Letter discipline: the rule languages of the spine NHA read *letters
-//! that are NHA states*, a strictly larger space than the `M`-states the
-//! component DFAs know. Every embedded DFA (a `HorizFn` inverse image or a
-//! lifted final automaton) is therefore rebuilt **letter-explicit** over
-//! `0..|M|` before use — its original cofinite (`NotIn`) edges would
-//! otherwise silently absorb the `η`/`⊤`/spine letters and accept hedges
-//! the component never saw.
+//! that are NHA states*, a strictly larger space than the `M`-states (or
+//! subhedge states) the component DFAs know. Every embedded DFA (a
+//! `HorizFn` inverse image or a lifted final automaton) is therefore
+//! rebuilt **letter-explicit** over its own states' range before use — its
+//! original cofinite (`NotIn`) edges would otherwise silently absorb the
+//! `η`/`⊤`/spine letters and accept hedges the component never saw.
 //!
 //! The match automaton needs one extra state `⊤`: the content of a matched
 //! node is unconstrained (or constrained only by `e₁`), so with no
@@ -41,27 +43,28 @@
 
 use std::collections::{BTreeSet, HashMap};
 
-use hedgex_automata::{in_edges, CharClass, DenseDfa, Dfa, Nfa, Regex, StateId};
-use hedgex_core::mark_down::compile_to_dha;
+use hedgex_automata::{in_edges, CharClass, DenseDfa, Dfa, Nfa, StateId};
 use hedgex_core::phr::{Phr, TripletId};
+use hedgex_core::phr_compile::{compile_component, shared_product};
 use hedgex_core::Hre;
-use hedgex_ha::product::{product_many, ManyProduct};
-use hedgex_ha::{determinize, reduce_dha, Dha, DhaBuilder, HState, LangId, Leaf, Nha};
+use hedgex_ha::{determinize, Dha, HState, LangId, Leaf, Nha};
 use hedgex_hedge::{SubId, SymId};
 use hedgex_obs as obs;
 
-/// The shared compiled core of one analyzed query: the component product,
-/// the triplet-regex DFA, and the per-triplet labels. Both the envelope
-/// and the match automaton are assembled from this, so schema-specific
-/// re-padding never recompiles the components.
+/// The shared compiled core of one analyzed query: Theorem 4's `M` with
+/// its side languages, the subhedge's DHA, the triplet-regex DFA, and the
+/// per-triplet labels. Both the envelope and the match automaton are
+/// assembled from this, so schema-specific re-padding never recompiles
+/// the components.
 pub struct Spine {
-    prod: ManyProduct,
+    /// The shared automaton `M`, as evaluation compiles it.
+    m: Dha,
+    /// Per side (elder, younger for each triplet): its `F` lifted to a
+    /// table over `M`'s states.
+    sides: Vec<DenseDfa>,
     rdfa: Dfa<TripletId>,
     labels: Vec<SymId>,
-    /// Index of the content component in `prod.lifted_finals`, when a
-    /// subhedge condition was given.
-    sub_idx: Option<usize>,
-    /// The content language on its own (witnesses, containment).
+    /// The content language, when a subhedge condition was given.
     sub: Option<Dha>,
 }
 
@@ -79,14 +82,15 @@ enum Mode<'a> {
     },
 }
 
-/// Rebuild a table whose letters are `M`-states as an NFA over the larger
-/// spine letter space: transitions on `0..p` are kept verbatim (as
-/// explicit `In` classes), every other letter dies. This is the cofinite
-/// guard described in the module docs.
-fn explicit_nfa(dfa: &DenseDfa, p: u32) -> Nfa<HState> {
+/// Rebuild a table whose letters are the states `0..p` of `M` (or of the
+/// subhedge's DHA) as an NFA over the larger spine letter space, where
+/// those states sit at `offset..offset + p`: their transitions are kept
+/// verbatim (as explicit `In` classes), every other letter dies. This is
+/// the cofinite guard described in the module docs.
+fn explicit_nfa(dfa: &DenseDfa, p: u32, offset: u32) -> Nfa<HState> {
     let n = dfa.num_states();
     let trans = (0..n as StateId)
-        .map(|s| in_edges((0..p).map(|q| (q, dfa.cell(s, q as usize)))))
+        .map(|s| in_edges((0..p).map(|q| (offset + q, dfa.cell(s, q as usize)))))
         .collect();
     let accept = (0..n as StateId).map(|s| dfa.is_accepting(s)).collect();
     Nfa::from_raw(trans, vec![Vec::new(); n], dfa.start(), accept)
@@ -102,46 +106,37 @@ fn loop_nfa(letters: Vec<HState>) -> Nfa<HState> {
     Nfa::class(CharClass::of(letters)).star()
 }
 
+/// The document leaves of a DHA: its substitution leaves are dropped.
+/// They exist in component languages (a vertical closure `e^z` keeps its
+/// `z`-leaf unfoldings), but no document contains one, and the analysis
+/// automata speak about documents.
+fn doc_leaves(d: &Dha) -> impl Iterator<Item = Leaf> + '_ {
+    d.leaves().filter(|l| !matches!(l, Leaf::Sub(_)))
+}
+
 impl Spine {
-    /// Compile every elder/younger HRE (and the subhedge, when given),
-    /// reduce each component, and take the shared product.
+    /// Take Theorem 4's `M` for the PHR's sides, as evaluation compiles it
+    /// (each distinct side once, reduced), and compile the subhedge, when
+    /// given, on its own.
     pub fn build(phr: &Phr, subhedge: Option<&Hre>) -> Spine {
         let _span = obs::span("analyze.spine");
-        let mut comps: Vec<Dha> = Vec::new();
-        for t in &phr.triplets {
-            comps.push(reduce_dha(&compile_to_dha(&t.elder)).0);
-            comps.push(reduce_dha(&compile_to_dha(&t.younger)).0);
-        }
-        let sub = subhedge.map(|e| reduce_dha(&compile_to_dha(e)).0);
-        let sub_idx = sub.as_ref().map(|_| comps.len());
-        if let Some(s) = &sub {
-            comps.push(s.clone());
-        }
-        if comps.is_empty() {
-            // A PHR without triplets matches nothing (every pointed hedge
-            // decomposes into at least one base); keep the product
-            // well-formed with one trivial component.
-            let mut b = DhaBuilder::new(1, 0);
-            b.finals(Regex::Epsilon);
-            comps.push(b.build());
-        }
-        let refs: Vec<&Dha> = comps.iter().collect();
-        let prod = product_many(&refs);
+        let shared = shared_product(phr, true);
+        let sub = subhedge.map(|e| compile_component(e, true).0);
         let rdfa = Nfa::from_regex(&phr.regex).to_dfa();
         let labels = phr.triplets.iter().map(|t| t.label).collect();
         obs::event("analyze.spine", || {
             format!(
-                "components={} product_states={} regex_dfa_states={}",
-                refs.len(),
-                prod.dha.num_states(),
+                "m_states={} sub_states={} regex_dfa_states={}",
+                shared.m.num_states(),
+                sub.as_ref().map_or(0, Dha::num_states),
                 rdfa.num_states()
             )
         });
         Spine {
-            prod,
+            m: shared.m,
+            sides: shared.sides,
             rdfa,
             labels,
-            sub_idx,
             sub,
         }
     }
@@ -151,27 +146,25 @@ impl Spine {
         self.sub.as_ref()
     }
 
-    /// The query's own alphabet: product symbols plus triplet labels.
+    /// The query's own alphabet: the symbols of `M` and of the subhedge,
+    /// plus the triplet labels.
     pub fn own_symbols(&self) -> BTreeSet<SymId> {
-        let mut syms: BTreeSet<SymId> = self.prod.dha.symbols().collect();
+        let mut syms: BTreeSet<SymId> = self.m.symbols().collect();
+        syms.extend(self.sub.iter().flat_map(Dha::symbols));
         syms.extend(self.labels.iter().copied());
         syms
     }
 
-    /// The query's own declared *document* leaves. Substitution leaves are
-    /// dropped: they exist in component languages (a vertical closure
-    /// `e^z` keeps its `z`-leaf unfoldings), but no document contains one,
-    /// and the analysis automata speak about documents.
+    /// The query's own declared *document* leaves, of `M` and of the
+    /// subhedge.
     pub fn own_leaves(&self) -> BTreeSet<Leaf> {
-        self.prod
-            .dha
-            .leaves()
-            .filter(|l| !matches!(l, Leaf::Sub(_)))
-            .collect()
+        let mut leaves: BTreeSet<Leaf> = doc_leaves(&self.m).collect();
+        leaves.extend(self.sub.iter().flat_map(doc_leaves));
+        leaves
     }
 
     /// The envelope automaton: accepts exactly the pointed hedges the PHR
-    /// matches.
+    /// matches. A DHA, because containment complements it.
     pub fn envelope_dha(&self) -> Dha {
         let _span = obs::span("analyze.envelope");
         determinize(&self.assemble(&Mode::Env)).dha
@@ -180,43 +173,44 @@ impl Spine {
     /// The match automaton, padded so that any tree over the query's own
     /// alphabet *plus* `extra_syms`/`extra_leaves` is admissible as the
     /// matched node's content: accepts exactly the documents (over that
-    /// combined alphabet) containing at least one located node.
-    pub fn matcher_dha(&self, extra_syms: &[SymId], extra_leaves: &[Leaf]) -> Dha {
+    /// combined alphabet) containing at least one located node. It stays
+    /// non-deterministic: every question asked of it is emptiness.
+    pub fn matcher_nha(&self, extra_syms: &[SymId], extra_leaves: &[Leaf]) -> Nha {
         let _span = obs::span("analyze.matcher");
         let mut pad_syms = self.own_symbols();
         pad_syms.extend(extra_syms.iter().copied());
         let mut pad_leaves = self.own_leaves();
         pad_leaves.extend(extra_leaves.iter().copied());
-        determinize(&self.assemble(&Mode::Match {
+        self.assemble(&Mode::Match {
             pad_syms: &pad_syms,
             pad_leaves: &pad_leaves,
-        }))
-        .dha
+        })
     }
 
     /// Assemble the spine NHA in the given mode. State layout (states
-    /// double as rule-language letters): `0..p` mirror the product `M`,
-    /// then `H` (the `η` leaf), then `⊤`, then one state per
-    /// `(regex-DFA state, pending triplet)` pair.
+    /// double as rule-language letters): `0..p` mirror `M`; in match mode
+    /// with a subhedge, the next `s` mirror its DHA; then `H` (the `η`
+    /// leaf), then `⊤`, then one state per `(regex-DFA state, pending
+    /// triplet)` pair.
     fn assemble(&self, mode: &Mode) -> Nha {
-        let p = self.prod.dha.num_states();
+        let p = self.m.num_states();
+        let sub = match mode {
+            Mode::Env => None,
+            Mode::Match { .. } => self.sub.as_ref(),
+        };
+        let s = sub.map_or(0, Dha::num_states);
         let tcount = self.labels.len() as u32;
         let dcount = self.rdfa.num_states() as u32;
-        let h_state = p;
-        let top = p + 1;
-        let spine_id = |d: StateId, t: u32| p + 2 + d * tcount + t;
-        let num_states = p + 2 + dcount * tcount;
+        let h_state = p + s;
+        let top = h_state + 1;
+        let spine_id = |d: StateId, t: u32| top + 1 + d * tcount + t;
+        let num_states = top + 1 + dcount * tcount;
 
-        // Documents contain Var leaves only — a component's substitution
-        // leaves (the `z`-unfoldings a vertical closure keeps in its
-        // language) are dropped, so the spine automata speak about real
-        // documents; `η` is re-added explicitly in envelope mode.
+        // Documents contain Var leaves only; `η` is re-added explicitly in
+        // envelope mode.
         let mut iota: HashMap<Leaf, Vec<HState>> = HashMap::new();
-        for leaf in self.prod.dha.leaves().collect::<Vec<_>>() {
-            if matches!(leaf, Leaf::Sub(_)) {
-                continue;
-            }
-            iota.entry(leaf).or_default().push(self.prod.dha.iota(leaf));
+        for leaf in doc_leaves(&self.m) {
+            iota.entry(leaf).or_default().push(self.m.iota(leaf));
         }
         // Every rule language is a table over the spine's own states.
         let k = num_states as usize;
@@ -227,12 +221,21 @@ impl Spine {
         };
         let mut rules: HashMap<SymId, Vec<(LangId, HState)>> = HashMap::new();
 
-        // Plain rules: off-spine trees evaluate exactly as in the product.
-        for a in self.prod.dha.symbols().collect::<Vec<_>>() {
-            let hf = self.prod.dha.horiz(a).expect("declared symbol");
-            for q in 0..p {
-                let l = lang(explicit_nfa(&hf.preimage(q), p));
-                rules.entry(a).or_default().push((l, q));
+        // Plain rules: off-spine trees evaluate exactly as in `M`, and, in
+        // the subhedge's copy, as in its DHA.
+        for (d, offset) in [(&self.m, 0)].into_iter().chain(sub.map(|d| (d, p))) {
+            let n = d.num_states();
+            for a in d.symbols() {
+                let hf = d.horiz(a).expect("declared symbol");
+                for q in 0..n {
+                    let l = lang(explicit_nfa(&hf.preimage(q), n, offset));
+                    rules.entry(a).or_default().push((l, offset + q));
+                }
+            }
+        }
+        if let Some(d) = sub {
+            for leaf in doc_leaves(d) {
+                iota.entry(leaf).or_default().push(p + d.iota(leaf));
             }
         }
 
@@ -253,9 +256,6 @@ impl Spine {
                     rules.entry(a).or_default().push((any, top));
                 }
                 for &leaf in pad_leaves.iter() {
-                    if matches!(leaf, Leaf::Sub(_)) {
-                        continue;
-                    }
                     iota.entry(leaf).or_default().push(top);
                 }
             }
@@ -263,18 +263,16 @@ impl Spine {
 
         // Innermost rules: the node whose content is replaced by η. Its
         // children are exactly η (envelope), or its real content (match):
-        // constrained by e₁ through the lifted content final DFA, or
-        // universal over admissible trees when no subhedge was given.
-        let content: Nfa<HState> = match mode {
-            Mode::Env => letter_nfa(h_state),
-            Mode::Match { .. } => match self.sub_idx {
-                Some(i) => explicit_nfa(&self.prod.lifted_finals[i], p),
-                None => {
-                    let mut admissible: Vec<HState> = (0..p).collect();
-                    admissible.push(top);
-                    loop_nfa(admissible)
-                }
-            },
+        // a word of the subhedge's DHA in its `F`, or universal over
+        // admissible trees when no subhedge was given.
+        let content: Nfa<HState> = match (mode, sub) {
+            (Mode::Env, _) => letter_nfa(h_state),
+            (Mode::Match { .. }, Some(d)) => explicit_nfa(d.finals(), s, p),
+            (Mode::Match { .. }, None) => {
+                let mut admissible: Vec<HState> = (0..p).collect();
+                admissible.push(top);
+                loop_nfa(admissible)
+            }
         };
         let content = lang(content);
         for (t, &a) in self.labels.iter().enumerate() {
@@ -289,9 +287,9 @@ impl Spine {
         // letter `(d, t)`: elder word ∈ F_{t,1}, then the spine child,
         // then younger word ∈ F_{t,2} — all over explicit letters.
         let pending = |d: StateId, t: usize| {
-            explicit_nfa(&self.prod.lifted_finals[2 * t], p)
+            explicit_nfa(&self.sides[2 * t], p, 0)
                 .concat(&letter_nfa(spine_id(d, t as u32)))
-                .concat(&explicit_nfa(&self.prod.lifted_finals[2 * t + 1], p))
+                .concat(&explicit_nfa(&self.sides[2 * t + 1], p, 0))
         };
 
         // Spine rules: a node above the spine child verifies the child's
@@ -316,6 +314,8 @@ impl Spine {
 
         // Finals: the topmost spine node's pending conditions hold at the
         // root sequence, and the consumed triplet word is in the regex.
+        // Determinized as a string automaton, so a product with a schema
+        // reads it one table cell per letter.
         let mut finals = Nfa::empty_lang();
         for t in 0..self.labels.len() {
             for d in 0..self.rdfa.num_states() as StateId {
@@ -324,6 +324,7 @@ impl Spine {
                 }
             }
         }
+        let finals = finals.to_dense(k).to_dfa().to_nfa();
 
         Nha::from_parts(num_states, iota, langs, rules, finals)
     }
@@ -332,7 +333,7 @@ impl Spine {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use hedgex_core::mark_down::mark_run;
+    use hedgex_core::mark_down::{compile_to_dha, mark_run};
     use hedgex_core::parse_hre;
     use hedgex_core::phr::parse_phr;
     use hedgex_ha::enumerate::enumerate_hedges_with_subs;
@@ -386,7 +387,7 @@ mod tests {
             // Declare the document alphabet: a hedge automaton only speaks
             // about hedges over its declared symbols, and some pool PHRs
             // mention just one of {a, b}.
-            let matcher = Spine::build(phr, None).matcher_dha(&[a, b], &[]);
+            let matcher = Spine::build(phr, None).matcher_nha(&[a, b], &[]);
             for d in enumerate_hedges(&[a, b], &[], 5) {
                 let flat = FlatHedge::from_hedge(&d);
                 let expected = !phr.locate_naive(&flat).is_empty();
@@ -402,7 +403,7 @@ mod tests {
         let e1 = parse_hre("b<ε>*", &mut ab).unwrap();
         let a = ab.get_sym("a").unwrap();
         let b = ab.get_sym("b").unwrap();
-        let matcher = Spine::build(&phr, Some(&e1)).matcher_dha(&[], &[]);
+        let matcher = Spine::build(&phr, Some(&e1)).matcher_nha(&[], &[]);
         let content_dha = compile_to_dha(&e1);
         for d in enumerate_hedges(&[a, b], &[], 5) {
             let flat = FlatHedge::from_hedge(&d);
@@ -423,13 +424,13 @@ mod tests {
         let a = ab.get_sym("a").unwrap();
         let doc = hedgex_hedge::Hedge::node(a, hedgex_hedge::Hedge::leaf(c));
         let spine = Spine::build(&phr, None);
-        assert!(spine.matcher_dha(&[c], &[]).accepts(&doc));
-        assert!(!spine.matcher_dha(&[], &[]).accepts(&doc));
+        assert!(spine.matcher_nha(&[c], &[]).accepts(&doc));
+        assert!(!spine.matcher_nha(&[], &[]).accepts(&doc));
         // Padding must not loosen sibling conditions: a c-labelled younger
         // sibling is still a mismatch for `[ε ; a ; ε]`.
         let sib = hedgex_hedge::Hedge::node(a, hedgex_hedge::Hedge::empty())
             .concat(hedgex_hedge::Hedge::leaf(c));
-        assert!(!spine.matcher_dha(&[c], &[]).accepts(&sib));
+        assert!(!spine.matcher_nha(&[c], &[]).accepts(&sib));
     }
 
     #[test]

@@ -109,11 +109,6 @@ impl<S: Sym> CharClass<S> {
         }
     }
 
-    /// Does this class match every symbol (open-alphabet semantics)?
-    pub fn is_any(&self) -> bool {
-        matches!(self, CharClass::NotIn(set) if set.is_empty())
-    }
-
     /// Set intersection of two classes.
     pub fn intersect(&self, other: &Self) -> Self {
         use CharClass::*;
@@ -208,7 +203,6 @@ mod tests {
         assert!(c.contains(&0));
         assert!(c.contains(&u32::MAX));
         assert!(c.contains_cofinite());
-        assert!(c.is_any());
         assert!(!c.is_empty());
     }
 

@@ -80,11 +80,6 @@ impl SaturatingClasses {
         self.dfa.num_states()
     }
 
-    /// Number of member languages.
-    pub fn num_langs(&self) -> usize {
-        self.nlangs
-    }
-
     /// The class of the empty word.
     pub fn start(&self) -> ClassId {
         self.dfa.start()
@@ -192,7 +187,6 @@ mod tests {
         let f1 = dfa(Regex::sym(1u32).star());
         let eq = SaturatingClasses::build(&[f0, f1]);
         assert!(eq.num_classes() <= 12);
-        assert_eq!(eq.num_langs(), 2);
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl<S: Sym> Dfa<S> {
         self.difference(other).is_empty_lang() && other.difference(self).is_empty_lang()
     }
 
-    /// Does this automaton's language include the other's?
-    pub fn includes(&self, other: &Dfa<S>) -> bool {
-        other.difference(self).is_empty_lang()
-    }
-
     /// A shortest accepted word, if any. Useful in counter-example reporting.
     pub fn shortest_word(&self) -> Option<Vec<S>>
     where
@@ -454,8 +449,6 @@ mod tests {
         assert!(a.equivalent(&b));
         let c = dfa(Regex::sym(1u8).plus());
         assert!(!a.equivalent(&c));
-        assert!(a.includes(&c));
-        assert!(!c.includes(&a));
         assert!(dfa(Regex::Empty).is_empty_lang());
         assert!(!dfa(Regex::Epsilon).is_empty_lang());
     }

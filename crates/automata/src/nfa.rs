@@ -296,46 +296,6 @@ impl<S: Sym> Nfa<S> {
         });
         !live.iter().zip(&self.accept).any(|(&r, &a)| r && a)
     }
-
-    /// All symbols mentioned by any label (the label support). The co-finite
-    /// region is *not* included; pair with [`CharClass::contains_cofinite`].
-    pub fn mentioned_symbols(&self) -> BTreeSet<S> {
-        let mut out = BTreeSet::new();
-        for row in &self.trans {
-            for (c, _) in row {
-                out.extend(c.mentioned().cloned());
-            }
-        }
-        out
-    }
-
-    /// Rename every symbol in every label. `f` must be injective on the
-    /// mentioned symbols for the language to be the exact image.
-    pub fn map_symbols<T: Sym>(&self, f: &mut impl FnMut(&S) -> T) -> Nfa<T> {
-        let trans = self
-            .trans
-            .iter()
-            .map(|row| {
-                row.iter()
-                    .map(|(c, t)| {
-                        let nc = match c {
-                            CharClass::In(set) => CharClass::In(set.iter().map(&mut *f).collect()),
-                            CharClass::NotIn(set) => {
-                                CharClass::NotIn(set.iter().map(&mut *f).collect())
-                            }
-                        };
-                        (nc, *t)
-                    })
-                    .collect()
-            })
-            .collect();
-        Nfa {
-            trans,
-            eps: self.eps.clone(),
-            start: self.start,
-            accept: self.accept.clone(),
-        }
-    }
 }
 
 /// An NFA's moves over a closed alphabet: the letters `0..k` plus one
@@ -600,23 +560,5 @@ mod tests {
         assert!(n.accepts(&[200, 200]));
         assert!(!n.accepts(&[7, 0]));
         assert!(!n.accepts(&[0]));
-    }
-
-    #[test]
-    fn map_symbols_relabels() {
-        let n = re_nfa(Regex::word(&[1u8, 2]));
-        let m: Nfa<u32> = n.map_symbols(&mut |s| *s as u32 + 100);
-        assert!(m.accepts(&[101, 102]));
-        assert!(!m.accepts(&[1, 2]));
-    }
-
-    #[test]
-    fn mentioned_symbols_collects_support() {
-        let re = Regex::sym(1u8)
-            .alt(Regex::class(CharClass::all_except([9u8])))
-            .concat(Regex::sym(4));
-        let n = re_nfa(re);
-        let syms = n.mentioned_symbols();
-        assert_eq!(syms.into_iter().collect::<Vec<_>>(), vec![1, 4, 9]);
     }
 }

@@ -143,6 +143,66 @@ struct Engine {
     n: DenseDfa,
 }
 
+/// Theorem 4's shared automaton `M` with every side language over it: what
+/// evaluation tables as `≡` and `N`, and what static analysis builds its
+/// spine automata on.
+pub struct SharedProduct {
+    /// The cross product of the distinct component DHAs (its `F` is empty).
+    pub m: Dha,
+    /// Per side (triplet order, elder before younger): its `F` lifted to a
+    /// table over `M`'s states.
+    pub sides: Vec<DenseDfa>,
+    /// Component sizes, one entry per side.
+    pub stats: PhrStats,
+}
+
+/// One component of `M`: `e` compiled (Lemma 1), determinized (Theorem 1)
+/// and, with `reduce`, put through [`reduce_dha`]. Also returns the
+/// `(NHA states, DHA states)` sizes before reduction.
+pub fn compile_component(e: &Hre, reduce: bool) -> (Dha, (u32, u32)) {
+    let nha = compile_hre(e);
+    let mut dha = determinize(&nha).dha;
+    let sizes = (nha.num_states(), dha.num_states());
+    if reduce {
+        let _span = obs::span("core.phr_compile.reduce");
+        dha = reduce_dha(&dha).0;
+    }
+    (dha, sizes)
+}
+
+/// Compile every distinct `e_i1`, `e_i2` of `phr` once and take the shared
+/// product of those. Each side reads its factor's lifted final set, and
+/// [`PhrStats`] keeps one entry per side, a repeated one reporting its
+/// factor's sizes. A PHR without triplets gets the one-state `M` and no
+/// sides.
+pub fn shared_product(phr: &Phr, reduce: bool) -> SharedProduct {
+    let mut stats = PhrStats::default();
+    let mut distinct: Vec<(&Hre, Dha, (u32, u32))> = Vec::new();
+    let mut rep: Vec<usize> = Vec::new();
+    for e in phr.triplets.iter().flat_map(|t| [&t.elder, &t.younger]) {
+        let r = match distinct.iter().position(|(seen, ..)| *seen == e) {
+            Some(r) => r,
+            None => {
+                let (dha, sizes) = compile_component(e, reduce);
+                distinct.push((e, dha, sizes));
+                distinct.len() - 1
+            }
+        };
+        let (_, dha, sizes) = &distinct[r];
+        stats.components.push(*sizes);
+        stats.reduced_components.push(dha.num_states());
+        rep.push(r);
+    }
+    let refs: Vec<&Dha> = distinct.iter().map(|(_, dha, _)| dha).collect();
+    let prod = product_many(&refs);
+    let sides = rep.iter().map(|&r| prod.lifted_finals[r].clone()).collect();
+    SharedProduct {
+        m: prod.dha,
+        sides,
+        stats,
+    }
+}
+
 impl CompiledPhr {
     /// Compile a PHR. Exponential-time preprocessing (determinization of
     /// the component automata, of `≡`, and of the mirror automaton `N`), as
@@ -168,38 +228,9 @@ impl CompiledPhr {
             "pointed hedge representations are limited to {MAX_TRIPLETS} triplets"
         );
         let _span = obs::span("core.phr_compile");
-        // Compile every distinct e_i1, e_i2 once and take the shared
-        // product of those; `rep[j]` is side j's factor (sides in triplet
-        // order, elder before younger). `PhrStats` keeps one entry per
-        // side, a repeated one reporting its factor's sizes.
-        let mut stats = PhrStats::default();
-        let mut distinct: Vec<(&Hre, Dha, (u32, u32))> = Vec::new();
-        let mut rep: Vec<usize> = Vec::new();
-        for e in phr.triplets.iter().flat_map(|t| [&t.elder, &t.younger]) {
-            let r = match distinct.iter().position(|(seen, ..)| *seen == e) {
-                Some(r) => r,
-                None => {
-                    let nha = compile_hre(e);
-                    let mut dha = determinize(&nha).dha;
-                    let sizes = (nha.num_states(), dha.num_states());
-                    if reduce {
-                        let _span = obs::span("core.phr_compile.reduce");
-                        dha = reduce_dha(&dha).0;
-                    }
-                    distinct.push((e, dha, sizes));
-                    distinct.len() - 1
-                }
-            };
-            let (_, dha, sizes) = &distinct[r];
-            stats.components.push(*sizes);
-            stats.reduced_components.push(dha.num_states());
-            rep.push(r);
-        }
-        let refs: Vec<&Dha> = distinct.iter().map(|(_, dha, _)| dha).collect();
-        let prod = product_many(&refs);
+        let SharedProduct { m, sides, stats } = shared_product(phr, reduce);
         let classes = {
             let _span = obs::span("core.phr_compile.classes");
-            let sides: Vec<_> = rep.iter().map(|&r| prod.lifted_finals[r].clone()).collect();
             SaturatingClasses::build(&sides)
         };
         let labels: Vec<SymId> = phr.triplets.iter().map(|t| t.label).collect();
@@ -207,18 +238,10 @@ impl CompiledPhr {
         // top-down during the second traversal.
         let engine = {
             let _span = obs::span("core.phr_compile.engine");
-            Engine::build(
-                &prod.dha,
-                &classes,
-                &labels,
-                Nfa::from_regex(&phr.regex).reverse(),
-            )
+            Engine::build(&m, &classes, &labels, Nfa::from_regex(&phr.regex).reverse())
         };
         obs::counter_inc("core.phr_compile.calls");
-        obs::counter_add(
-            "core.phr_compile.m_states",
-            u64::from(prod.dha.num_states()),
-        );
+        obs::counter_add("core.phr_compile.m_states", u64::from(m.num_states()));
         obs::counter_add("core.phr_compile.eq_classes", classes.num_classes() as u64);
         obs::counter_add("core.phr_compile.n_states", engine.n.num_states() as u64);
         obs::counter_add("core.phr_compile.pruned_states", stats.pruned_states());
@@ -231,14 +254,14 @@ impl CompiledPhr {
                 stats.total_dha_states(),
                 stats.total_reduced_states(),
                 stats.pruned_states(),
-                prod.dha.num_states(),
+                m.num_states(),
                 classes.num_classes(),
                 engine.n.num_states(),
                 engine.sigs.len()
             )
         });
         CompiledPhr {
-            m: prod.dha,
+            m,
             classes,
             stats,
             engine,

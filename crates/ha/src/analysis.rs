@@ -1,21 +1,26 @@
-//! Reachability analyses on deterministic hedge automata.
+//! Reachability analyses on deterministic and non-deterministic hedge
+//! automata.
 //!
 //! * **Inhabited** states: states some hedge can actually reach bottom-up.
 //!   Everything else is dead weight introduced by constructions.
 //! * **Witnesses**: a concrete hedge per inhabited state (and per accepted
 //!   language) — the counterexample generator behind emptiness checks and
-//!   schema-transformation tests.
+//!   schema-transformation tests. One pass on `saturate` finds them for
+//!   either kind of automaton, so emptiness of an NHA is decided without
+//!   determinizing it.
 //! * **Useful** states: inhabited states that moreover occur in at least one
 //!   *accepting* computation. Section 8 needs exactly this: output schemas
 //!   keep "only those marked states from which final state sequences can be
 //!   reached".
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 
-use hedgex_automata::{coreach, reach, saturate, CharClass, StateId, Worklist};
-use hedgex_hedge::{Hedge, Tree};
+use hedgex_automata::{coreach, reach, saturate, CharClass, DenseDfa, StateId, Worklist};
+use hedgex_hedge::{Hedge, SymId, Tree};
 
 use crate::dha::Dha;
+use crate::nha::Nha;
 use crate::types::{HState, Leaf};
 
 /// Which states are inhabited (reachable bottom-up by some hedge)?
@@ -96,108 +101,132 @@ pub(crate) fn top_level_useful(dha: &Dha, inh: &[bool]) -> Vec<bool> {
     )
 }
 
-/// A witness hedge per state: `witnesses(d)[q]` is a hedge whose single
-/// top-level tree evaluates to `q` (None for uninhabited states).
-///
-/// Substitution-symbol leaves may appear bare when `ι` maps them; runs are
-/// still well-defined on such hedges.
-pub fn witnesses(dha: &Dha) -> Vec<Option<Hedge>> {
-    let n = dha.num_states() as usize;
+/// A witness tree per state, found by one bottom-up exploration: `wit[q]`
+/// is a single tree that can evaluate to `q` (None for uninhabited
+/// states). The vertical states are the automaton's states, leaves' first;
+/// machine `m` steps `tables[m]`, and `nodes(m, h)` lists the `(symbol,
+/// state)` nodes a word taking it to `h` can head. A new horizontal state's
+/// word is the word of the state that first reached it plus the letter of
+/// that step, and a state's witness is the first node that yields it.
+fn witness_trees(
+    n: usize,
+    leaves: impl IntoIterator<Item = (Leaf, HState)>,
+    tables: &[&DenseDfa],
+    nodes: impl Fn(usize, StateId) -> Vec<(SymId, HState)>,
+) -> Vec<Option<Hedge>> {
     let mut wit: Vec<Option<Hedge>> = vec![None; n];
-    for leaf in dha.leaves() {
-        let q = dha.iota(leaf) as usize;
-        if wit[q].is_none() {
-            let tree = match leaf {
+    let mut found: Worklist<HState> = Worklist::new();
+    for (leaf, q) in leaves {
+        if wit[q as usize].is_none() {
+            wit[q as usize] = Some(Hedge::tree(match leaf {
                 Leaf::Var(x) => Tree::Var(x),
                 Leaf::Sub(z) => Tree::Subst(z),
-            };
-            wit[q] = Some(Hedge::tree(tree));
+            }));
+            found.intern(q);
         }
     }
-    let symbols: Vec<_> = dha.symbols().collect();
-    loop {
-        let mut changed = false;
-        for &a in &symbols {
-            let hf = dha.horiz(a).expect("declared");
-            // BFS over horizontal states carrying the witness word so far.
-            let mut best: Vec<Option<Vec<HState>>> = vec![None; hf.num_classes()];
-            let mut queue = VecDeque::from([hf.start()]);
-            best[hf.start() as usize] = Some(Vec::new());
-            while let Some(h) = queue.pop_front() {
-                let word = best[h as usize].clone().expect("enqueued with a word");
-                let r = hf.result(h) as usize;
-                if wit[r].is_none() {
+    // Per machine and state: the state and letter that first reached it.
+    // Starts are yielded before any step, with the empty word.
+    let mut back: Vec<Vec<Option<(StateId, HState)>>> =
+        tables.iter().map(|t| vec![None; t.num_states()]).collect();
+    let last = Cell::new(None);
+    saturate(
+        &mut found,
+        tables.iter().map(|t| t.start()),
+        |m, &h, found| {
+            back[m][h as usize] = last.get();
+            for (a, q) in nodes(m, h) {
+                if wit[q as usize].is_none() {
                     let mut content = Hedge::empty();
-                    for &q in &word {
-                        content = content.concat(
-                            wit[q as usize]
-                                .clone()
-                                .expect("witness words only use witnessed states"),
-                        );
+                    let mut at = h;
+                    while let Some((prev, l)) = back[m][at as usize] {
+                        let tree = wit[l as usize].clone().expect("letters are witnessed");
+                        content = tree.concat(content);
+                        at = prev;
                     }
-                    wit[r] = Some(Hedge::node(a, content));
-                    changed = true;
-                }
-                for q in 0..dha.num_states() {
-                    if wit[q as usize].is_some() {
-                        let h2 = hf.step(h, q);
-                        if best[h2 as usize].is_none() {
-                            let mut w2 = word.clone();
-                            w2.push(q);
-                            best[h2 as usize] = Some(w2);
-                            queue.push_back(h2);
-                        }
-                    }
+                    wit[q as usize] = Some(Hedge::node(a, content));
+                    found.intern(q);
                 }
             }
-        }
-        if !changed {
-            break;
-        }
-    }
+        },
+        |m, &h, &q| {
+            last.set(Some((h, q)));
+            tables[m].step(h, q)
+        },
+    );
     wit
 }
 
-/// A hedge accepted by the automaton, if any.
-pub fn accepted_witness(dha: &Dha) -> Option<Hedge> {
-    let wit = witnesses(dha);
-    let f = dha.finals();
-    // BFS over F's DFA states, stepping only by witnessed automaton states.
-    let mut prev: Vec<Option<(u32, Option<HState>)>> = vec![None; f.num_states()];
+/// A witness tree per DHA state: one machine per group of symbols sharing
+/// a horizontal table.
+fn witnesses(dha: &Dha) -> Vec<Option<Hedge>> {
+    let groups = dha.symbol_groups();
+    let horiz = |a| dha.horiz(a).expect("declared");
+    let tables: Vec<&DenseDfa> = groups.iter().map(|g| horiz(g[0]).dfa()).collect();
+    let leaves = dha.leaves().map(|leaf| (leaf, dha.iota(leaf)));
+    witness_trees(dha.num_states() as usize, leaves, &tables, |m, h| {
+        groups[m].iter().map(|&a| (a, horiz(a).result(h))).collect()
+    })
+}
+
+/// A witness tree per NHA state: one machine per rule, whose accepting
+/// states head a node with the rule's symbol and result.
+fn nha_witnesses(nha: &Nha) -> Vec<Option<Hedge>> {
+    let leaves = nha
+        .iotas()
+        .flat_map(|(leaf, qs)| qs.iter().map(move |&q| (leaf, q)));
+    let rules: Vec<(SymId, &DenseDfa, HState)> = nha
+        .symbols()
+        .flat_map(|a| nha.rules(a).iter().map(move |&(l, q)| (a, nha.lang(l), q)))
+        .collect();
+    let tables: Vec<&DenseDfa> = rules.iter().map(|&(_, t, _)| t).collect();
+    witness_trees(nha.num_states() as usize, leaves, &tables, |m, s| {
+        let (a, table, q) = rules[m];
+        table
+            .is_accepting(s)
+            .then_some((a, q))
+            .into_iter()
+            .collect()
+    })
+}
+
+/// The shortest word over witnessed states that `f` accepts (letters tried
+/// in state order), spelled with the states' witnesses.
+fn shortest_accepted(f: &DenseDfa, wit: &[Option<Hedge>]) -> Option<Hedge> {
+    let mut prev: Vec<Option<(StateId, Option<HState>)>> = vec![None; f.num_states()];
     let mut queue = VecDeque::from([f.start()]);
     prev[f.start() as usize] = Some((f.start(), None));
     while let Some(s) = queue.pop_front() {
         if f.is_accepting(s) {
-            // Reconstruct the state word, then concatenate witnesses.
-            let mut word = Vec::new();
-            let mut cur = s;
-            loop {
-                let (p, q) = prev[cur as usize].expect("visited");
-                match q {
-                    Some(q) => word.push(q),
-                    None => break,
-                }
-                cur = p;
-            }
-            word.reverse();
             let mut h = Hedge::empty();
-            for q in word {
-                h = h.concat(wit[q as usize].clone().expect("witnessed"));
+            let mut cur = s;
+            while let Some((p, Some(q))) = prev[cur as usize] {
+                h = wit[q as usize].clone().expect("witnessed").concat(h);
+                cur = p;
             }
             return Some(h);
         }
-        for q in 0..dha.num_states() {
-            if wit[q as usize].is_none() {
-                continue;
-            }
-            let t = f.step(s, q);
+        for q in (0..wit.len()).filter(|&q| wit[q].is_some()) {
+            let t = f.step(s, q as HState);
             if prev[t as usize].is_none() {
-                prev[t as usize] = Some((s, Some(q)));
+                prev[t as usize] = Some((s, Some(q as HState)));
                 queue.push_back(t);
             }
         }
     }
     None
+}
+
+/// A hedge accepted by the automaton, if any.
+pub fn accepted_witness(dha: &Dha) -> Option<Hedge> {
+    shortest_accepted(dha.finals(), &witnesses(dha))
+}
+
+/// A hedge accepted by the non-deterministic automaton, if any, found
+/// without determinizing it: the same search, over `F` as a table.
+pub fn nha_accepted_witness(nha: &Nha) -> Option<Hedge> {
+    let f = nha.finals().to_dense(nha.num_states() as usize);
+    shortest_accepted(&f, &nha_witnesses(nha))
 }
 
 /// Is the accepted hedge language empty?
@@ -252,7 +281,7 @@ fn absorb(into: &mut [bool], from: &[bool]) -> bool {
 
 /// Which NHA states are inhabited (producible at some node by some
 /// computation)?
-pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
+pub fn nha_inhabited(nha: &Nha) -> Vec<bool> {
     let mut found: Worklist<HState> = Worklist::new();
     for (_, qs) in nha.iotas() {
         for &q in qs {
@@ -283,7 +312,7 @@ pub fn nha_inhabited(nha: &crate::nha::Nha) -> Vec<bool> {
 ///
 /// The Section 8 restriction for output schemas: marked states only count
 /// "from which final state sequences can be reached".
-pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
+pub fn nha_useful(nha: &Nha) -> Vec<bool> {
     let n = nha.num_states() as usize;
     let inh = nha_inhabited(nha);
     let mut useful = vec![false; n];
@@ -342,23 +371,110 @@ pub fn nha_useful(nha: &crate::nha::Nha) -> Vec<bool> {
 mod tests {
     use super::*;
     use crate::dha::DhaBuilder;
-    use hedgex_automata::Regex;
-    use hedgex_hedge::{Alphabet, VarId};
+    use crate::nha::NhaBuilder;
+    use hedgex_automata::{bits, Regex};
+    use hedgex_hedge::{Alphabet, FlatHedge, VarId};
+
+    /// One automaton the witness tests run on: a DHA, or an NHA with the
+    /// same leaves, rules and `F` (and no sink).
+    enum Auto {
+        D(Dha),
+        N(Nha),
+    }
+
+    impl Auto {
+        fn witnesses(&self) -> Vec<Option<Hedge>> {
+            match self {
+                Auto::D(d) => witnesses(d),
+                Auto::N(n) => nha_witnesses(n),
+            }
+        }
+        fn inhabited(&self) -> Vec<bool> {
+            match self {
+                Auto::D(d) => inhabited(d),
+                Auto::N(n) => nha_inhabited(n),
+            }
+        }
+        fn accepted_witness(&self) -> Option<Hedge> {
+            match self {
+                Auto::D(d) => accepted_witness(d),
+                Auto::N(n) => nha_accepted_witness(n),
+            }
+        }
+        fn is_empty(&self) -> bool {
+            self.accepted_witness().is_none()
+        }
+        fn accepts(&self, h: &Hedge) -> bool {
+            match self {
+                Auto::D(d) => d.accepts(h),
+                Auto::N(n) => n.accepts(h),
+            }
+        }
+        /// Can the single tree `h` evaluate to `q`?
+        fn reaches(&self, h: &Hedge, q: HState) -> bool {
+            match self {
+                Auto::D(d) => d.state_of_tree(&h.0[0]) == q,
+                Auto::N(n) => {
+                    let flat = FlatHedge::from_hedge(h);
+                    bits::contains(&n.run_sets(&flat)[flat.roots()[0] as usize], q)
+                }
+            }
+        }
+    }
+
+    type Rule = (SymId, Regex<HState>, HState);
+
+    /// The DHA (states `0..n`, sink `sink`) and the NHA (states `0..n`)
+    /// with these leaves, rules and `F`.
+    fn both(
+        n: u32,
+        sink: HState,
+        leaves: &[(Leaf, HState)],
+        rules: &[Rule],
+        f: Regex<HState>,
+    ) -> [Auto; 2] {
+        let mut d = DhaBuilder::new(n, sink);
+        let mut nb = NhaBuilder::new(n);
+        for &(leaf, q) in leaves {
+            d.leaf(leaf, q);
+            nb.leaf(leaf, q);
+        }
+        for (a, re, q) in rules {
+            d.rule(*a, re.clone(), *q);
+            nb.rule(*a, re.clone(), *q);
+        }
+        d.finals(f.clone());
+        nb.finals(f);
+        [Auto::D(d.build()), Auto::N(nb.build())]
+    }
 
     /// 0 = q_d, 1 = q_p1, 2 = q_p2, 3 = q_x, 4 = q_y, 5 = sink, 6 = orphan.
-    fn m0_with_orphan(ab: &mut Alphabet) -> Dha {
+    fn m0_spec(ab: &mut Alphabet) -> (Vec<(Leaf, HState)>, Vec<Rule>, Regex<HState>) {
         let d = ab.sym("d");
         let p = ab.sym("p");
         let x = ab.var("x");
         let y = ab.var("y");
-        let mut b = DhaBuilder::new(7, 5);
-        b.leaf(crate::types::Leaf::Var(x), 3)
-            .leaf(crate::types::Leaf::Var(y), 4)
-            .rule(d, Regex::sym(1).concat(Regex::sym(2).star()), 0)
-            .rule(p, Regex::word(&[3]), 1)
-            .rule(p, Regex::word(&[4]), 2)
-            .finals(Regex::sym(0).star());
-        b.build()
+        let leaves = vec![(Leaf::Var(x), 3), (Leaf::Var(y), 4)];
+        let rules = vec![
+            (d, Regex::sym(1).concat(Regex::sym(2).star()), 0),
+            (p, Regex::word(&[3]), 1),
+            (p, Regex::word(&[4]), 2),
+        ];
+        (leaves, rules, Regex::sym(0).star())
+    }
+
+    fn m0_with_orphan(ab: &mut Alphabet) -> Dha {
+        let (leaves, rules, f) = m0_spec(ab);
+        let [Auto::D(d), _] = both(7, 5, &leaves, &rules, f) else {
+            unreachable!()
+        };
+        d
+    }
+
+    /// The DHA and the NHA of [`m0_with_orphan`].
+    fn m0_both(ab: &mut Alphabet) -> [Auto; 2] {
+        let (leaves, rules, f) = m0_spec(ab);
+        both(7, 5, &leaves, &rules, f)
     }
 
     #[test]
@@ -373,14 +489,19 @@ mod tests {
     #[test]
     fn witnesses_evaluate_to_their_state() {
         let mut ab = Alphabet::new();
-        let m = m0_with_orphan(&mut ab);
-        let wit = witnesses(&m);
-        for q in 0..m.num_states() {
-            match &wit[q as usize] {
-                None => assert_eq!(q, 6, "only the orphan lacks a witness"),
-                Some(h) => {
-                    assert_eq!(h.len(), 1, "witness is a single tree");
-                    assert_eq!(m.state_of_tree(&h.0[0]), q);
+        for m in m0_both(&mut ab) {
+            let wit = m.witnesses();
+            let inh = m.inhabited();
+            assert!(wit[6].is_none(), "the orphan has no witness");
+            for q in 0..7 {
+                match &wit[q as usize] {
+                    // Only uninhabited states lack a witness (the orphan;
+                    // in the NHA, the sink too: no rule yields it).
+                    None => assert!(!inh[q as usize], "state {q} is inhabited"),
+                    Some(h) => {
+                        assert_eq!(h.len(), 1, "witness is a single tree");
+                        assert!(m.reaches(h, q), "witness of {q}: {h:?}");
+                    }
                 }
             }
         }
@@ -389,22 +510,22 @@ mod tests {
     #[test]
     fn accepted_witness_is_accepted() {
         let mut ab = Alphabet::new();
-        let m = m0_with_orphan(&mut ab);
-        let w = accepted_witness(&m).expect("language is non-empty");
-        assert!(m.accepts(&w));
-        assert!(!is_empty(&m));
+        for m in m0_both(&mut ab) {
+            let w = m.accepted_witness().expect("language is non-empty");
+            assert!(m.accepts(&w));
+            assert!(!m.is_empty());
+        }
     }
 
     #[test]
     fn empty_language_detected() {
         let mut ab = Alphabet::new();
         let a = ab.sym("a");
-        let mut b = DhaBuilder::new(2, 1);
         // F requires state 0, but nothing produces state 0.
-        b.rule(a, Regex::sym(0), 1).finals(Regex::sym(0));
-        let m = b.build();
-        assert!(is_empty(&m));
-        assert!(accepted_witness(&m).is_none());
+        for m in both(2, 1, &[], &[(a, Regex::sym(0), 1)], Regex::sym(0)) {
+            assert!(m.is_empty());
+            assert!(m.accepted_witness().is_none());
+        }
     }
 
     #[test]
@@ -427,7 +548,7 @@ mod tests {
         let a = ab.sym("a");
         let x = ab.var("x");
         let mut b = DhaBuilder::new(3, 2);
-        b.leaf(crate::types::Leaf::Var(x), 1)
+        b.leaf(Leaf::Var(x), 1)
             .rule(a, Regex::sym(1), 0)
             .finals(Regex::sym(0));
         let m = b.build();
@@ -442,12 +563,12 @@ mod tests {
         // F contains ε: the accepted witness may be the empty hedge.
         let mut ab = Alphabet::new();
         let a = ab.sym("a");
-        let mut b = DhaBuilder::new(2, 1);
-        b.rule(a, Regex::Epsilon, 0).finals(Regex::sym(0).star());
-        let m = b.build();
-        let w = accepted_witness(&m).unwrap();
-        assert!(m.accepts(&w));
-        assert_eq!(w, Hedge::empty());
+        let f = Regex::sym(0).star();
+        for m in both(2, 1, &[], &[(a, Regex::Epsilon, 0)], f) {
+            let w = m.accepted_witness().unwrap();
+            assert!(m.accepts(&w));
+            assert_eq!(w, Hedge::empty());
+        }
     }
 
     #[test]
@@ -456,13 +577,11 @@ mod tests {
         let a = ab.sym("a");
         let x = ab.var("x");
         assert_eq!(VarId(0), x);
-        let mut b = DhaBuilder::new(3, 2);
-        b.leaf(crate::types::Leaf::Var(x), 0)
-            .rule(a, Regex::sym(0), 1)
-            .finals(Regex::sym(1));
-        let m = b.build();
-        let wit = witnesses(&m);
-        assert_eq!(wit[0], Some(Hedge::var(x)));
-        assert!(m.accepts(&wit[1].clone().unwrap()));
+        let leaves = [(Leaf::Var(x), 0)];
+        for m in both(3, 2, &leaves, &[(a, Regex::sym(0), 1)], Regex::sym(1)) {
+            let wit = m.witnesses();
+            assert_eq!(wit[0], Some(Hedge::var(x)));
+            assert!(m.accepts(&wit[1].clone().unwrap()));
+        }
     }
 }

@@ -68,10 +68,8 @@ type Lifted = StateSet;
 impl Combined<'_> {
     /// Group `nha`'s symbols by the languages their rules name.
     fn group(nha: &Nha) -> Vec<Combined<'_>> {
-        let mut symbols: Vec<SymId> = nha.symbols().collect();
-        symbols.sort();
         let mut groups: BTreeMap<Vec<LangId>, Vec<SymId>> = BTreeMap::new();
-        for a in symbols {
+        for a in nha.symbols() {
             let mut key: Vec<LangId> = nha.rules(a).iter().map(|&(l, _)| l).collect();
             key.sort();
             key.dedup();

@@ -48,9 +48,11 @@ impl Nha {
         self.iota.get(&leaf).map(Vec::as_slice).unwrap_or(&[])
     }
 
-    /// All declared leaf mappings.
+    /// All declared leaf mappings, in leaf order.
     pub fn iotas(&self) -> impl Iterator<Item = (Leaf, &[HState])> {
-        self.iota.iter().map(|(l, v)| (*l, v.as_slice()))
+        let mut iotas: Vec<_> = self.iota.iter().map(|(l, v)| (*l, v.as_slice())).collect();
+        iotas.sort_unstable_by_key(|&(l, _)| l);
+        iotas.into_iter()
     }
 
     /// The rules of a symbol, each naming its language in [`Nha::lang`].
@@ -63,9 +65,11 @@ impl Nha {
         &self.langs[l as usize]
     }
 
-    /// All symbols with declared rules.
-    pub fn symbols(&self) -> impl Iterator<Item = SymId> + '_ {
-        self.rules.keys().copied()
+    /// All symbols with declared rules, in id order.
+    pub fn symbols(&self) -> impl Iterator<Item = SymId> {
+        let mut symbols: Vec<SymId> = self.rules.keys().copied().collect();
+        symbols.sort_unstable();
+        symbols.into_iter()
     }
 
     /// The final state sequence set `F` as an NFA over `Q`.
@@ -94,6 +98,14 @@ impl Nha {
             rules,
             finals,
         }
+    }
+
+    /// The same automaton without the rules of `a`: it accepts the hedges
+    /// of `L(self)` in which no node is labelled `a`.
+    pub fn without_symbol(&self, a: SymId) -> Nha {
+        let mut nha = self.clone();
+        nha.rules.remove(&a);
+        nha
     }
 
     /// The same automaton with `finals` as its final state sequence set.

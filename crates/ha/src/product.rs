@@ -33,13 +33,6 @@ pub struct ManyProduct {
     pub lifted_finals: Vec<DenseDfa>,
 }
 
-impl ManyProduct {
-    /// The component state of product state `q` in component `i`.
-    pub fn project(&self, q: HState, i: usize) -> HState {
-        self.tuples[q as usize][i]
-    }
-}
-
 /// A per-component view of a horizontal function, defaulting to a constant
 /// sink for symbols the component never declared.
 enum Horiz<'a> {
@@ -91,11 +84,11 @@ fn joint_result(vs: &[Horiz], cur: &[u32]) -> Vec<HState> {
 }
 
 /// Build the cross product of several deterministic hedge automata over the
-/// reachable product states.
+/// reachable product states. The product of none is the one-state
+/// automaton that declares nothing.
 pub fn product_many(parts: &[&Dha]) -> ManyProduct {
     let _span = obs::span("ha.product");
     let n = parts.len();
-    assert!(n > 0, "product of zero automata");
 
     // Interned product tuples. Id 0 is the all-sinks tuple.
     let mut tuples: Worklist<Vec<HState>> = Worklist::new();
@@ -490,6 +483,14 @@ mod tests {
         let n = nb.build();
         assert_eq!(nha_inhabited(&n), vec![true, true, false]);
         assert_eq!(nha_useful(&n), vec![true, false, false]);
+    }
+
+    #[test]
+    fn product_of_none_is_one_state() {
+        let prod = product_many(&[]);
+        assert_eq!(prod.dha.num_states(), 1);
+        assert_eq!(prod.dha.symbols().count(), 0);
+        assert!(prod.lifted_finals.is_empty());
     }
 
     #[test]

@@ -241,6 +241,29 @@ if sed -n '1,/^#\[cfg(test)\]/p' crates/core/src/compile.rs | grep -nF '.to_dfa(
   echo "compile_hre must determinize into dense tables (Nfa::to_dense)"; exit 1
 fi
 
+echo "== one compile for check and evaluation =="
+# hxq check builds its spine automata on the evaluator's own Theorem 4
+# product (hedgex_core::phr_compile::shared_product), so crates/analyze/src
+# compiles, reduces and multiplies no component itself outside its tests.
+# The match automaton stays an NHA, since every question asked of it is
+# emptiness: the one determinization there is the envelope's, which
+# containment complements. And the witness pass in crates/ha/src/analysis.rs
+# is one saturate exploration, never a round repeated until nothing changes.
+if awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 }
+        !t && /(product_many|reduce_dha|compile_hre)\(/ { print FILENAME ":" FNR ": " $0; f = 1 }
+        END { exit !f }' crates/analyze/src/*.rs; then
+  echo "crates/analyze/src must take M from hedgex_core::phr_compile::shared_product"; exit 1
+fi
+if grep -nE 'determinize\(' crates/analyze/src/*.rs \
+  | grep -vF 'determinize(&self.assemble(&Mode::Env))'; then
+  echo "only the envelope is determinized in crates/analyze/src; the match automaton stays an NHA"; exit 1
+fi
+witness_pass=$(sed -n '/^fn witness_trees(/,/^pub fn is_empty(/p' crates/ha/src/analysis.rs)
+if ! grep -q 'saturate(' <<<"$witness_pass" \
+  || grep -nE '(loop \{|changed|grew)' <<<"$witness_pass"; then
+  echo "the witness pass in crates/ha/src/analysis.rs must be one saturate exploration"; exit 1
+fi
+
 echo "== documents are read in chunks =="
 # hxq reads a file or stdin through the event parser's window
 # (stream_read / parse_flat_read) and never holds a document whole:

@@ -14,9 +14,11 @@ use std::collections::BTreeSet;
 use std::rc::Rc;
 
 use hedgex::analyze::AnalyzedQuery;
+use hedgex::core::mark_down::{compile_to_dha, mark_run};
 use hedgex::core::path_expr::parse_path;
 use hedgex::core::Phr;
 use hedgex::core::{phr_compile, two_pass};
+use hedgex::ha::enumerate_hedges;
 use hedgex::hedge::{Hedge, SymId, Tree, VarId};
 use hedgex::prelude::*;
 use hedgex_testkit::prop::shrink_vec;
@@ -87,8 +89,21 @@ fn pool() -> Vec<(Phr, Rc<AnalyzedQuery>)> {
     let a = ab.sym("a");
     let b = ab.sym("b");
     assert_eq!((a, b), (SymId(0), SymId(1)), "generators assume this order");
+    pool_sources()
+        .iter()
+        .map(|src| {
+            // `$v` must intern as VarId(0) the first time it appears.
+            let phr = parse_phr(src, &mut ab).unwrap();
+            let analyzed = Rc::new(AnalyzedQuery::new(&phr, None));
+            (phr, analyzed)
+        })
+        .collect()
+}
+
+/// The sources of the query pool.
+fn pool_sources() -> Vec<String> {
     let u = "(a<%z>|b<%z>|$v)*^z";
-    [
+    vec![
         "[ε ; a ; ε]".to_string(),
         "[ε ; a ; b]".to_string(),
         "[b ; a ; ε][ε ; b ; ε]".to_string(),
@@ -98,14 +113,6 @@ fn pool() -> Vec<(Phr, Rc<AnalyzedQuery>)> {
         "[a<%z>^z ; b ; ε]".to_string(),
         format!("[{u} ; a ; a<%z>^z]"),
     ]
-    .iter()
-    .map(|src| {
-        // `$v` must intern as VarId(0) the first time it appears.
-        let phr = parse_phr(src, &mut ab).unwrap();
-        let analyzed = Rc::new(AnalyzedQuery::new(&phr, None));
-        (phr, analyzed)
-    })
-    .collect()
 }
 
 fn pick_query(n: usize) -> Gen<usize> {
@@ -220,6 +227,81 @@ fn satisfiability_iff_locate_nonempty() {
             Ok(())
         },
     );
+}
+
+/// The report is a claim about every document, with a subhedge condition
+/// and within a schema too. Over the pool (plus a label alternation, whose
+/// witness holds a symbol no other match needs) × {no subhedge, `b<ε>*`,
+/// `b<ε>+`} × {no schema, a small one}: a satisfiable verdict's witness is
+/// a document of the schema with a located node whose content satisfies
+/// the subhedge; an unsatisfiable one matches no enumerated document of
+/// the schema; and every required symbol occurs in every enumerated
+/// matching document.
+#[test]
+fn reports_hold_with_subhedge_and_schema() {
+    let mut ab = props_alphabet();
+    let (a, b, v) = (SymId(0), SymId(1), VarId(0));
+    let subhedges = ["b<ε>*", "b<ε>+"].map(|e| parse_hre(e, &mut ab).unwrap());
+    // Top-level a and b leaves; an a holds b leaves and variables only.
+    let schema = compile_to_dha(&parse_hre("(a<(b<ε>|$v)*>|b<ε>)*", &mut ab).unwrap());
+    let docs = enumerate_hedges(&[a, b], &[v], 5);
+    let mut sources = pool_sources();
+    sources.push("([ε ; a ; ε]|[ε ; b ; ε])".to_string());
+    let phrs: Vec<Phr> = sources
+        .iter()
+        .map(|src| parse_phr(src, &mut ab).unwrap())
+        .collect();
+    let mut verdicts = BTreeSet::new();
+    for phr in &phrs {
+        for sub in [None, Some(&subhedges[0]), Some(&subhedges[1])] {
+            let content = sub.map(compile_to_dha);
+            // Does `d` hold a located node whose content satisfies `sub`?
+            let matches = |d: &Hedge| {
+                let flat = FlatHedge::from_hedge(d);
+                let marks = content.as_ref().map(|c| mark_run(c, &flat));
+                phr.locate_naive(&flat)
+                    .into_iter()
+                    .any(|n| marks.as_ref().is_none_or(|m| m[n as usize]))
+            };
+            let q = AnalyzedQuery::new(phr, sub);
+            for within in [None, Some(&schema)] {
+                let report = q.analyze(within);
+                let in_schema = |d: &Hedge| within.is_none_or(|s| s.accepts(d));
+                let case = format!("{phr:?} sub {sub:?} schema {}", within.is_some());
+                let sat = &report.satisfiability;
+                verdicts.insert((within.is_some(), sat.satisfiable));
+                if sat.satisfiable {
+                    let w = sat
+                        .witness
+                        .as_ref()
+                        .expect("a satisfiable verdict has a witness");
+                    assert!(
+                        in_schema(w),
+                        "{case}: witness {w:?} is not a schema document"
+                    );
+                    assert!(matches(w), "{case}: witness {w:?} locates nothing");
+                } else {
+                    assert!(report.required.is_empty(), "{case}");
+                }
+                for d in docs.iter().filter(|d| in_schema(d) && matches(d)) {
+                    assert!(sat.satisfiable, "{case}: unsatisfiable, yet {d:?} matches");
+                    let present = labels(&FlatHedge::from_hedge(d));
+                    for r in &report.required {
+                        assert!(present.contains(r), "{case}: {d:?} lacks required {r:?}");
+                    }
+                }
+            }
+        }
+    }
+    // The pool reaches every verdict, within the schema and without.
+    for within in [false, true] {
+        for sat in [false, true] {
+            assert!(
+                verdicts.contains(&(within, sat)),
+                "no case with {within} {sat}"
+            );
+        }
+    }
 }
 
 /// A positive containment verdict means per-document match-set inclusion;

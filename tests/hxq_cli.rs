@@ -1156,6 +1156,33 @@ fn check_satisfiable_exits_0_with_witness_and_required_symbols() {
     assert!(txt.contains("check: satisfiable"), "{txt}");
     assert!(txt.contains("witness:"), "{txt}");
     assert!(txt.contains("required symbols:"), "{txt}");
+    assert!(txt.lines().any(|l| l == "required symbols: a b"), "{txt}");
+}
+
+#[test]
+fn check_pins_the_required_symbols_of_q1() {
+    // Q1, the figure-before-table query over the DocBook alphabet, and U,
+    // its universal expression.
+    let u = docbook_universal(&mut Alphabet::new());
+    let q1 = format!(
+        "[{u} ; figure ; table<{u}> ({u})][{u} ; section ; {u}]([{u} ; section ; {u}]|[{u} ; article ; {u}])*"
+    );
+    for schema in [&[][..], &["--schema", u.as_str()][..]] {
+        let out = hxq(&[&["check", q1.as_str()][..], schema].concat());
+        assert_eq!(out.status.code(), Some(0), "{schema:?}");
+        let txt = String::from_utf8_lossy(&out.stdout);
+        let pinned = "required symbols: section figure table";
+        assert!(txt.lines().any(|l| l == pinned), "{schema:?}: {txt}");
+    }
+    // U declares nothing Q1 lacks (its `^z` leaf is no document's), so the
+    // match automaton is built once, not re-padded for the schema.
+    if hedgex::obs::is_enabled() {
+        let trace = scratch("check-q1-schema-trace.json");
+        let names = traced_span_names(&["check", &q1, "--schema", &u], &trace);
+        let builds = names.iter().filter(|n| *n == "analyze.matcher").count();
+        assert_eq!(builds, 1, "{names:?}");
+        std::fs::remove_file(&trace).ok();
+    }
 }
 
 #[test]
